@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .systems import (
     QBSystem,
-    QuadraticSystem,
     ValidationReport,
     symmetrize_quadratic,
     validate,

@@ -31,6 +31,7 @@ from .certify import (
     load_certificate,
     max_trace,
     optimize_epsilon,
+    resolve_alpha,
     save_certificate,
     shape_report,
     sweep_epsilon,
@@ -41,7 +42,7 @@ from .lmi import assemble, default_delta
 from .models import get_model, model_names
 from .sdp import SolverConfig, solve
 from .systems import QBSystem, close_loop, load_system, save_system, stack
-from .verify import convergence_check, default_dt, sample_check, simulate
+from .verify import boundary_points, convergence_check, default_dt, sample_check, simulate
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -208,7 +209,7 @@ def _run_certification(args, mode: str) -> int:
     best: Certificate | None = None
 
     if kind == "grid":
-        sweep = sweep_epsilon(sys_obj, eps_spec, alpha, mode, config, jobs=args.jobs)
+        sweep = sweep_epsilon(sys_obj, eps_spec, alpha, mode, config)
         sweep.to_csv(out / "sweep.csv", timestamp=_timestamp())
         summary["alpha"] = sweep.alpha
         summary["grid_points"] = len(sweep.entries)
@@ -223,7 +224,7 @@ def _run_certification(args, mode: str) -> int:
     elif kind == "search":
         result = optimize_epsilon(sys_obj, eps_spec, rel_tol=args.rel_tol, alpha=alpha,
                                   mode=mode, config=config)
-        summary["alpha"] = _resolve(sys_obj, alpha)
+        summary["alpha"] = resolve_alpha(sys_obj, alpha)
         summary["evaluations"] = len(result.history)
         best = result.best
     else:
@@ -327,7 +328,7 @@ def _cmd_bench(args) -> int:
     for k in factors:
         stacked = stack(sys_obj, k)
         t0 = time.perf_counter()
-        problem = assemble(stacked, eps, _resolve(stacked, alpha), "analysis")
+        problem = assemble(stacked, eps, resolve_alpha(stacked, alpha), "analysis")
         sol = solve(problem, config)
         wall = time.perf_counter() - t0
         rows.append((stacked.n, wall, sol.iters, sol.status, sol.objective))
@@ -363,11 +364,6 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _resolve(sys_obj, alpha):
-    from .certify import resolve_alpha
-    return resolve_alpha(sys_obj, alpha)
-
-
 def _parse_x0_list(spec: str, n: int) -> list[np.ndarray]:
     points = []
     for group in spec.split(";"):
@@ -396,12 +392,7 @@ def _cmd_simulate(args) -> int:
         if not args.certificate:
             raise CliError("--boundary-samples requires --certificate for the ellipsoid")
         cert = load_certificate(args.certificate)
-        rng = np.random.default_rng(args.seed)
-        u = rng.normal(size=(args.boundary_samples, sys_obj.n))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        w, V = np.linalg.eigh(cert.P)
-        sqrtP = (V * np.sqrt(w)) @ V.T
-        points = [(1.0 - 1e-6) * (sqrtP @ ui) for ui in u]
+        points = boundary_points(cert.P, args.boundary_samples, np.random.default_rng(args.seed))
     else:
         raise CliError("pass --x0 or --boundary-samples")
     ts = _timestamp()
@@ -451,14 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="region-of-attraction certification (m may be 0)")
     _add_common(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
     p.add_argument("--rel-tol", type=float, default=1e-3, help="search refinement tolerance")
     p.add_argument("--union-samples", type=int, default=1_000_000)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("synthesize", help="stabilizing gain synthesis (m >= 1)")
     _add_common(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--rel-tol", type=float, default=1e-3)
     p.add_argument("--union-samples", type=int, default=1_000_000)
     p.set_defaults(fn=_cmd_synthesize)

@@ -36,6 +36,7 @@ trace inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,22 +63,32 @@ __all__ = [
 _SQRT2 = np.sqrt(2.0)
 
 
+@lru_cache(maxsize=None)
+def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (i, j, scale) of the svec entries of an n-by-n matrix.
+
+    Pairs i <= j scan columns: (0,0), (0,1), (1,1), ...; scale is 1 on the
+    diagonal and sqrt(2) off it.  Cached because the solver calls ``svec``
+    in every interior-point iteration.
+    """
+    j, i = np.tril_indices(n)
+    scale = np.where(i == j, 1.0, _SQRT2)
+    for a in (i, j, scale):
+        a.flags.writeable = False
+    return i, j, scale
+
+
 def svec_indices(n: int) -> list[tuple[int, int]]:
     """Ordered (i, j) pairs, i <= j, scanning columns: (0,0), (0,1), (1,1), ..."""
-    return [(i, j) for j in range(n) for i in range(j + 1)]
+    i, j, _ = _svec_index(n)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def svec(S: np.ndarray) -> np.ndarray:
-    """Half-vectorize a symmetric matrix with sqrt(2) off-diagonal scaling."""
+    """Half-vectorize symmetric matrices, shape (..., s, s), with sqrt(2) off-diagonal scaling."""
     S = np.asarray(S, dtype=float)
-    n = S.shape[0]
-    iu = np.triu_indices(n)
-    # column-scan order: sort (i, j) pairs by (j, i)
-    order = np.lexsort((iu[0], iu[1]))
-    i_idx, j_idx = iu[0][order], iu[1][order]
-    v = S[i_idx, j_idx].astype(float).copy()
-    v[i_idx != j_idx] *= _SQRT2
-    return v
+    i, j, scale = _svec_index(S.shape[-1])
+    return S[..., i, j] * scale
 
 
 def unsvec(v: np.ndarray, n: int) -> np.ndarray:
@@ -85,24 +96,20 @@ def unsvec(v: np.ndarray, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[0] != n * (n + 1) // 2:
         raise DimensionError(f"svec vector must have length {n * (n + 1) // 2}")
+    i, j, scale = _svec_index(n)
     S = np.zeros((n, n))
-    for k, (i, j) in enumerate(svec_indices(n)):
-        if i == j:
-            S[i, i] = v[k]
-        else:
-            S[i, j] = S[j, i] = v[k] / _SQRT2
+    S[i, j] = v / scale
+    S[j, i] = S[i, j]
     return S
 
 
 def svec_basis(n: int) -> np.ndarray:
     """Stacked symmetric basis E_k with P = sum_k x_k E_k for x = svec(P)."""
-    pairs = svec_indices(n)
-    E = np.zeros((len(pairs), n, n))
-    for k, (i, j) in enumerate(pairs):
-        if i == j:
-            E[k, i, i] = 1.0
-        else:
-            E[k, i, j] = E[k, j, i] = 1.0 / _SQRT2
+    i, j, scale = _svec_index(n)
+    k = np.arange(i.shape[0])
+    E = np.zeros((i.shape[0], n, n))
+    E[k, i, j] = 1.0 / scale
+    E[k, j, i] = E[k, i, j]
     return E
 
 
@@ -261,7 +268,7 @@ def default_mu(sys: QBSystem) -> float:
     return (a * a / (b * h)) ** 2
 
 
-def _quadratic_gram(blocks: np.ndarray, E: np.ndarray) -> np.ndarray:
+def _quadratic_gram(blocks: np.ndarray) -> np.ndarray:
     """Stacked sum_p M_p E_k M_p' for every basis element E_k.
 
     ``blocks`` is (p, n, n); returns (d_p, n, n).  Uses the rank-structure of
@@ -274,13 +281,12 @@ def _quadratic_gram(blocks: np.ndarray, E: np.ndarray) -> np.ndarray:
     # S2[(a, i), (b, j)] = sum_p blocks[p,a,i] blocks[p,b,j]
     S2 = V.T @ V  # (n*n, n*n)
     S = S2.reshape(n, n, n, n)  # [a, i, b, j]
-    out = []
-    for (i, j) in svec_indices(n):
-        if i == j:
-            out.append(S[:, i, :, i])
-        else:
-            out.append((S[:, i, :, j] + S[:, j, :, i]) / _SQRT2)
-    return np.array(out)
+    i, j, _ = _svec_index(n)
+    out = S[:, i, :, j]  # [k, a, b]
+    off = i != j
+    out[off] += S[:, j[off], :, i[off]]
+    out[off] /= _SQRT2
+    return out
 
 
 def assemble(sys: QBSystem, eps: float, alpha: float, mode: str,
@@ -309,10 +315,10 @@ def assemble(sys: QBSystem, eps: float, alpha: float, mode: str,
     # Linear part of TL in the P variables.
     AE = np.einsum("ab,kbc->kac", A, E)
     TL_P = AE + AE.transpose(0, 2, 1)
-    TL_P += eps * _quadratic_gram(Hstack, E)
+    TL_P += eps * _quadratic_gram(Hstack)
     if mode == "synthesis" and m:
         Dstack = np.stack(sys.D)
-        TL_P += eps * _quadratic_gram(Dstack, E)
+        TL_P += eps * _quadratic_gram(Dstack)
     if alpha:
         TL_P += alpha * E
 

@@ -9,7 +9,6 @@ the model's original reference rather than from printed matrices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -18,7 +17,6 @@ from .errors import DataFileError
 from .systems import QBSystem, symmetrize_quadratic
 
 __all__ = [
-    "ModelDescriptor",
     "two_state",
     "three_state_qb",
     "shear_flow_9",
@@ -27,15 +25,6 @@ __all__ = [
     "model_names",
     "shear_flow_data_available",
 ]
-
-
-@dataclass(frozen=True)
-class ModelDescriptor:
-    name: str
-    n: int
-    m: int
-    parameters: dict = field(default_factory=dict)
-    provenance: str = ""
 
 
 def two_state() -> QBSystem:
@@ -134,19 +123,12 @@ def scalar_family(a: float, h: float, b: float = 0.0, d: float = 0.0) -> QBSyste
     return QBSystem(A=A, H=H, B=np.array([[float(b)]]), D=(np.array([[float(d)]]),))
 
 
+# name -> (constructor, default parameters)
 _REGISTRY = {
-    "two-state": (two_state, ModelDescriptor(
-        name="two-state", n=2, m=0,
-        provenance="planar quadratic benchmark (printed coefficients)")),
-    "three-state-qb": (three_state_qb, ModelDescriptor(
-        name="three-state-qb", n=3, m=2,
-        provenance="three-state quadratic-bilinear stabilization benchmark (printed coefficients)")),
-    "shear-flow-9": (shear_flow_9, ModelDescriptor(
-        name="shear-flow-9", n=9, m=0, parameters={"Re": 120.0},
-        provenance="bundled data file transcribed from the nine-mode shear flow model")),
-    "scalar": (scalar_family, ModelDescriptor(
-        name="scalar", n=1, m=0, parameters={"a": -1.0, "h": 1.0, "b": 0.0, "d": 0.0},
-        provenance="closed-form oracle family")),
+    "two-state": (two_state, {}),
+    "three-state-qb": (three_state_qb, {}),
+    "shear-flow-9": (shear_flow_9, {"Re": 120.0}),
+    "scalar": (scalar_family, {"a": -1.0, "h": 1.0, "b": 0.0, "d": 0.0}),
 }
 
 
@@ -157,12 +139,11 @@ def model_names() -> list[str]:
 def get_model(name: str, **params) -> QBSystem:
     """Instantiate a registry model by name, passing parameters through."""
     try:
-        ctor, desc = _REGISTRY[name]
+        ctor, defaults = _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown model {name!r}; available: {model_names()}")
-    merged = dict(desc.parameters)
-    merged.update(params)
-    unknown = set(merged) - set(desc.parameters)
+    merged = {**defaults, **params}
+    unknown = set(merged) - set(defaults)
     if unknown:
         raise TypeError(f"model {name!r} takes no parameters {sorted(unknown)}")
     return ctor(**merged) if merged else ctor()

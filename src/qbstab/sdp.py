@@ -8,9 +8,8 @@ detected through an improving-ray certificate (Z >= 0 blockwise with
 <F_k, Z> = 0 for every k and <F0, Z> > 0), which is verified against the
 original problem data before the status is reported.
 
-The embedded solver is deterministic: identical inputs and configuration
-produce identical iterates.  A backend registry lets an external conic
-solver be substituted behind the same (problem, config) -> solution contract.
+The solver is deterministic: identical inputs and configuration produce
+identical iterates.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .lmi import SdpProblem
+from .lmi import SdpProblem, svec
 
 __all__ = [
     "SolverConfig",
@@ -30,8 +29,6 @@ __all__ = [
     "solve",
     "kkt_residuals",
     "check_block_feasibility",
-    "register_backend",
-    "available_backends",
 ]
 
 
@@ -41,8 +38,8 @@ class SolverConfig:
 
     ``objective_box`` caps c'x from above through a hidden scalar block so
     that problems with unbounded objective still terminate cleanly; set it
-    to None to disable.  ``equilibrate`` applies Ruiz-style block scaling
-    (fixed 10 sweeps) before solving.
+    to None to disable.  Ruiz-style block scaling (fixed 10 sweeps) is
+    always applied before solving.
     """
 
     feas_tol: float = 1e-8
@@ -50,7 +47,6 @@ class SolverConfig:
     max_iters: int = 200
     step_fraction: float = 0.98
     objective_box: float | None = 1e8
-    equilibrate: bool = True
     log_csv: str | None = None
 
     def __post_init__(self):
@@ -100,34 +96,8 @@ class BlockFeasibilityReport:
 
 
 # --------------------------------------------------------------------------
-# public entry points
+# reference checks on problem data
 # --------------------------------------------------------------------------
-
-_BACKENDS: dict = {}
-
-
-def register_backend(name: str, fn) -> None:
-    """Register an alternative (problem, config) -> SdpSolution backend."""
-    _BACKENDS[name] = fn
-
-
-def available_backends() -> list[str]:
-    return ["embedded"] + sorted(_BACKENDS)
-
-
-def solve(problem: SdpProblem, config: SolverConfig | None = None,
-          backend: str = "embedded") -> SdpSolution:
-    """Solve the block-LMI maximization.  See module docstring for the contract."""
-    if config is None:
-        config = SolverConfig()
-    if backend != "embedded":
-        try:
-            fn = _BACKENDS[backend]
-        except KeyError:
-            raise ValueError(f"unknown backend {backend!r}; have {available_backends()}")
-        return fn(problem, config)
-    return _solve_embedded(problem, config)
-
 
 def check_block_feasibility(problem: SdpProblem, x: np.ndarray, tol: float) -> BlockFeasibilityReport:
     """Evaluate lambda_max of every block at x; feasible iff all <= tol."""
@@ -166,15 +136,14 @@ def kkt_residuals(problem: SdpProblem, solution: SdpSolution) -> tuple[float, fl
 
 
 # --------------------------------------------------------------------------
-# embedded solver internals
+# the interior-point solver
 # --------------------------------------------------------------------------
 
 
 class _Block:
     """Scaled data and per-iteration NT quantities for one LMI block."""
 
-    __slots__ = ("F0", "F", "C", "size", "sv_i", "sv_j", "sv_scale",
-                 "X", "S", "G", "Ginv", "lam", "Usv", "Csv")
+    __slots__ = ("F0", "F", "C", "size", "X", "S", "G", "Ginv", "lam", "Usv", "Csv")
 
     def __init__(self, F0: np.ndarray, F: np.ndarray):
         self.F0 = F0
@@ -182,23 +151,15 @@ class _Block:
         self.C = -F0
         s = F0.shape[0]
         self.size = s
-        iu = np.triu_indices(s)
-        order = np.lexsort((iu[0], iu[1]))
-        self.sv_i = iu[0][order]
-        self.sv_j = iu[1][order]
-        self.sv_scale = np.where(self.sv_i == self.sv_j, 1.0, np.sqrt(2.0))
         self.X = np.eye(s)
         self.S = np.eye(s)
-
-    def svec(self, M: np.ndarray) -> np.ndarray:
-        return M[..., self.sv_i, self.sv_j] * self.sv_scale
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-def _ruiz_equilibrate(blocks, c, sweeps: int = 10):
+def _ruiz_scale(blocks, c, sweeps: int = 10):
     """Ruiz-style scaling: variable scales gamma and block scales beta."""
     d = c.shape[0]
     gamma = np.ones(d)
@@ -222,7 +183,10 @@ def _ruiz_equilibrate(blocks, c, sweeps: int = 10):
     return F0s, Fs, gamma, beta
 
 
-def _solve_embedded(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
+def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
+    """Solve the block-LMI maximization.  See module docstring for the contract."""
+    if config is None:
+        config = SolverConfig()
     d = problem.d
     c = np.asarray(problem.c, dtype=float).reshape(-1)
     raw_blocks = [(np.asarray(blk.F0, dtype=float), np.asarray(blk.F, dtype=float))
@@ -233,13 +197,7 @@ def _solve_embedded(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
         if not np.allclose(F0, F0.T, atol=0, rtol=0):
             raise ValueError("malformed problem: F0 not symmetric")
 
-    if config.equilibrate:
-        F0s, Fs, gamma, beta = _ruiz_equilibrate(raw_blocks, c)
-    else:
-        F0s = [F0.copy() for F0, _ in raw_blocks]
-        Fs = [F.copy() for _, F in raw_blocks]
-        gamma = np.ones(d)
-        beta = np.ones(len(raw_blocks))
+    F0s, Fs, gamma, beta = _ruiz_scale(raw_blocks, c)
 
     c_sc = gamma * c
     s_obj = 1.0 / max(1.0, float(np.max(np.abs(c_sc), initial=0.0)))
@@ -353,8 +311,8 @@ def _solve_embedded(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
                 blk.Ginv = (U.T @ Ls.T) / np.sqrt(sv)[:, None]
                 blk.lam = sv
                 Asc = np.matmul(blk.G.T, np.matmul(blk.F, blk.G))
-                blk.Usv = blk.svec(Asc)
-                blk.Csv = blk.svec(blk.G.T @ blk.C @ blk.G)
+                blk.Usv = svec(Asc)
+                blk.Csv = svec(blk.G.T @ blk.C @ blk.G)
         except np.linalg.LinAlgError as exc:
             status, message = "NumericalFailure", f"NT scaling failed: {exc}"
             break
@@ -402,8 +360,8 @@ def _solve_embedded(problem: SdpProblem, config: SolverConfig) -> SdpSolution:
                 Qhat = Rhat / ((lam[:, None] + lam[None, :]) / 2.0)
                 Qhats.append(Qhat)
                 Rdt = blk.G.T @ Rd[bi] @ blk.G
-                anorm += blk.Usv @ (blk.svec(Qhat) + eta * blk.svec(Rdt))
-                cdot += float(blk.Csv @ (blk.svec(Qhat) + eta * blk.svec(Rdt)))
+                anorm += blk.Usv @ (svec(Qhat) + eta * svec(Rdt))
+                cdot += float(blk.Csv @ (svec(Qhat) + eta * svec(Rdt)))
             v_dir = cho_solve(factor, -eta * Rp - anorm)
             denominator = kappa + tau * denom_const
             if denominator <= 0 or not np.isfinite(denominator):

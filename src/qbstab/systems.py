@@ -22,7 +22,6 @@ from .errors import DimensionError, EquilibriumError, SchemaError
 
 __all__ = [
     "QBSystem",
-    "QuadraticSystem",
     "ValidationReport",
     "symmetrize_quadratic",
     "symmetry_defect",
@@ -119,10 +118,6 @@ class QBSystem:
         return self.H[:, i * n:(i + 1) * n]
 
 
-# A quadratic system is simply an autonomous QB system (m = 0).
-QuadraticSystem = QBSystem
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Structural and spectral diagnostics for a QBSystem."""
@@ -196,7 +191,7 @@ def eval_dynamics(sys: QBSystem, x: np.ndarray, u: np.ndarray | None = None) -> 
     return f
 
 
-def shift_equilibrium(sys: QuadraticSystem, x_e: np.ndarray, tol: float | None = None) -> QuadraticSystem:
+def shift_equilibrium(sys: QBSystem, x_e: np.ndarray, tol: float | None = None) -> QBSystem:
     """Move a nonzero equilibrium of an autonomous system to the origin.
 
     For z = x - x_e the dynamics become dz/dt = A' z + H (z kron z) with
@@ -220,7 +215,7 @@ def shift_equilibrium(sys: QuadraticSystem, x_e: np.ndarray, tol: float | None =
     return QBSystem(A=A_shift, H=sys.H)
 
 
-def close_loop(sys: QBSystem, K: np.ndarray) -> QuadraticSystem:
+def close_loop(sys: QBSystem, K: np.ndarray) -> QBSystem:
     """Close the loop with u = K x, returning an autonomous quadratic system.
 
     A_cl = A + B K and H_cl is the symmetrized sum of H with the bilinear

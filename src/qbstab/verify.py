@@ -15,6 +15,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .certify import Certificate
 from .errors import DimensionError, NotPositiveDefiniteError
+from .lmi import _spd_sqrt
 from .systems import QBSystem, close_loop, eval_dynamics
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "sample_check",
     "simulate",
     "convergence_check",
+    "boundary_points",
     "default_dt",
 ]
 
@@ -118,23 +120,19 @@ def _closed_system(sys: QBSystem, cert: Certificate) -> QBSystem:
     return sys
 
 
-def _ball_samples(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    u = rng.normal(size=(count, n))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    r = rng.random(count) ** (1.0 / n)
-    return u * r[:, None]
-
-
 def _sphere_samples(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     u = rng.normal(size=(count, n))
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
-def _spd_sqrt(P: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh((P + P.T) / 2.0)
-    if w[0] <= 0:
-        raise NotPositiveDefiniteError(f"P must be positive definite; min eigenvalue {w[0]:.3e}")
-    return (V * np.sqrt(w)) @ V.T
+def _ball_samples(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    u = _sphere_samples(rng, count, n)
+    return u * (rng.random(count) ** (1.0 / n))[:, None]
+
+
+def boundary_points(P: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` random points on the boundary of {x : x' P^-1 x <= 1}, shrunk by 1e-6."""
+    return BOUNDARY_SHRINK * (_sphere_samples(rng, count, P.shape[0]) @ _spd_sqrt(P).T)
 
 
 def sample_check(sys: QBSystem, cert: Certificate, n_samples: int, seed: int) -> VerificationReport:
@@ -219,9 +217,7 @@ def convergence_check(sys: QBSystem, cert: Certificate, n_traj: int, t_final: fl
     envelope V(t) <= V(0) exp(-alpha t) (1 + envelope_tol).
     """
     closed = _closed_system(sys, cert)
-    rng = np.random.default_rng(seed)
-    sqrtP = _spd_sqrt(cert.P)
-    X = BOUNDARY_SHRINK * (_sphere_samples(rng, n_traj, cert.n) @ sqrtP.T)
+    X = boundary_points(cert.P, n_traj, np.random.default_rng(seed))
     x0_norms = np.linalg.norm(X, axis=1)
     factor = _spd_factor(cert.P)
     steps = max(1, int(round(t_final / dt)))

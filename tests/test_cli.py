@@ -189,6 +189,22 @@ class TestSimulate:
                    "--out", str(tmp_path / "x"))
         assert code == 4
 
+    def test_boundary_samples_start_on_shrunk_boundary(self, tmp_path):
+        cert_dir = tmp_path / "an"
+        assert run("analyze", "--zoo", "two-state", "--eps", "0.4", "--out", str(cert_dir)) == 0
+        P = np.array(json.loads((cert_dir / "certificate.json").read_text())["P"])
+        out = tmp_path / "sim"
+        code = run("simulate", "--zoo", "two-state", "--certificate",
+                   str(cert_dir / "certificate.json"), "--boundary-samples", "6",
+                   "--seed", "3", "--t-final", "0.01", "--dt", "0.001", "--out", str(out))
+        assert code == 0
+        for idx in range(6):
+            lines = (out / f"trajectory_{idx:03d}.csv").read_text().splitlines()
+            first = np.array([float(v) for v in lines[2].split(",")])
+            assert first[0] == 0.0
+            x0 = first[1:]
+            assert x0 @ np.linalg.solve(P, x0) == pytest.approx((1.0 - 1e-6) ** 2, abs=1e-9)
+
 
 class TestArgumentHandling:
     def test_unknown_zoo_name(self, tmp_path):

@@ -102,10 +102,6 @@ class TestSolve:
         assert s1.status == s2.status == "Optimal"
         assert s2.objective == pytest.approx(s1.objective, rel=1e-6)
 
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            solve(scalar_problem(), backend="nope")
-
     def test_objective_box_flags_unbounded(self):
         # feasible direction with unbounded objective: x >= 0, maximize x.
         # The internal cap keeps the run finite and the failure message names it.
