@@ -53,6 +53,8 @@ class SolverFailure(QBStabError, RuntimeError):
 # lambda_min(P) <= FLOOR_FACTOR * delta marks a certificate as floor-active:
 # its ellipsoid is a needle held open only by the assembly floor
 FLOOR_FACTOR = 10.0
+# fewest Monte Carlo points ``union_volume`` accepts
+UNION_MIN_SAMPLES = 10_000
 
 
 def shape_report(P: np.ndarray, K: np.ndarray | None, delta: float) -> dict:
@@ -439,8 +441,8 @@ def union_volume(region: UnionRegion, samples: int, seed: int) -> tuple[float, f
     Deterministic for a fixed seed; the standard error comes from the
     binomial hit-count estimate.
     """
-    if samples < 10_000:
-        raise ValueError(f"need at least 1e4 samples, got {samples}")
+    if samples < UNION_MIN_SAMPLES:
+        raise ValueError(f"need at least {UNION_MIN_SAMPLES} samples, got {samples}")
     n = region.n
     hw = np.max([e.bounding_halfwidths() for e in region.members], axis=0)
     invs = [np.linalg.inv(e.P) for e in region.members]

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .certify import (
     FLOOR_FACTOR,
+    UNION_MIN_SAMPLES,
     Certificate,
     Ellipsoid,
     Infeasible,
@@ -75,6 +76,14 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _number(token: str, error: str, cast=float):
+    """``cast(token)``, or a CliError with message ``error``."""
+    try:
+        return cast(token)
+    except ValueError:
+        raise CliError(error)
+
+
 def _load_target(args) -> tuple[QBSystem, str]:
     if getattr(args, "zoo", None) and getattr(args, "system", None):
         raise CliError("pass either --zoo or --system, not both")
@@ -84,10 +93,7 @@ def _load_target(args) -> tuple[QBSystem, str]:
             if "=" not in spec:
                 raise CliError(f"--param expects key=value, got {spec!r}")
             key, value = spec.split("=", 1)
-            try:
-                params[key] = float(value)
-            except ValueError:
-                raise CliError(f"--param value must be numeric, got {spec!r}")
+            params[key] = _number(value, f"--param value must be numeric, got {spec!r}")
         try:
             return get_model(args.zoo, **params), f"zoo:{args.zoo}"
         except (KeyError, TypeError) as exc:
@@ -104,10 +110,12 @@ def _parse_eps(spec: str):
     Forms: a bare float; ``grid:lo:hi:count[:log]``; ``search:lo:hi``.
     """
     parts = spec.split(":")
+    bad = f"bad eps spec {spec!r}"
     if parts[0] == "grid":
         if len(parts) not in (4, 5):
             raise CliError(f"bad grid spec {spec!r}; want grid:lo:hi:count[:log]")
-        lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
+        lo, hi = _number(parts[1], bad), _number(parts[2], bad)
+        count = _number(parts[3], bad, int)
         if count < 1 or lo <= 0 or hi <= lo:
             raise CliError(f"bad grid spec {spec!r}")
         log = len(parts) == 5
@@ -118,14 +126,11 @@ def _parse_eps(spec: str):
     if parts[0] == "search":
         if len(parts) != 3:
             raise CliError(f"bad search spec {spec!r}; want search:lo:hi")
-        lo, hi = float(parts[1]), float(parts[2])
+        lo, hi = _number(parts[1], bad), _number(parts[2], bad)
         if not 0 < lo < hi:
             raise CliError(f"bad search spec {spec!r}")
         return ("search", (lo, hi))
-    try:
-        eps = float(spec)
-    except ValueError:
-        raise CliError(f"bad eps spec {spec!r}")
+    eps = _number(spec, bad)
     if eps <= 0:
         raise CliError("eps must be positive")
     return ("single", eps)
@@ -134,18 +139,18 @@ def _parse_eps(spec: str):
 def _alpha_arg(value: str):
     if value == "auto":
         return "auto"
-    try:
-        alpha = float(value)
-    except ValueError:
-        raise CliError(f"--alpha must be 'auto' or a number, got {value!r}")
+    alpha = _number(value, f"--alpha must be 'auto' or a number, got {value!r}")
     if alpha < 0:
         raise CliError("--alpha must be non-negative")
     return alpha
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(feas_tol=args.feas_tol, gap_tol=args.gap_tol,
-                        max_iters=args.max_iters)
+    try:
+        return SolverConfig(feas_tol=args.feas_tol, gap_tol=args.gap_tol,
+                            max_iters=args.max_iters)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _outdir(args) -> Path:
@@ -196,6 +201,8 @@ def _run_certification(args, mode: str) -> int:
     out = _outdir(args)
     kind, eps_spec = _parse_eps(args.eps)
     alpha = _alpha_arg(args.alpha)
+    if kind == "grid" and args.union_samples < UNION_MIN_SAMPLES:
+        raise CliError(f"--union-samples must be at least {UNION_MIN_SAMPLES}")
     summary = {
         "command": "synthesize" if mode == "synthesis" else "analyze",
         "tool_version": __version__,
@@ -281,9 +288,12 @@ def _cmd_verify(args) -> int:
             "its ellipsoid is degenerate and its gain may be too stiff to simulate")
         print(json.dumps({"warning": "floor_active", "message": warnings[0]}), file=sys.stderr)
     dt = args.dt if args.dt is not None else default_dt(sys_obj)
+    try:
+        flows = convergence_check(sys_obj, cert, args.trajectories, args.t_final, dt,
+                                  args.seed + 1)
+    except ValueError as exc:
+        raise CliError(str(exc))
     sampled = sample_check(sys_obj, cert, args.samples, args.seed)
-    flows = convergence_check(sys_obj, cert, args.trajectories, args.t_final, dt,
-                              args.seed + 1)
     report = {
         "command": "verify",
         "tool_version": __version__,
@@ -370,7 +380,8 @@ def _parse_x0_list(spec: str, n: int) -> list[np.ndarray]:
         group = group.strip()
         if not group:
             continue
-        vals = [float(tok) for tok in group.split(",")]
+        vals = [_number(tok, f"initial condition {group!r} must be comma-separated numbers")
+                for tok in group.split(",")]
         if len(vals) != n:
             raise CliError(f"initial condition {group!r} must have {n} components")
         points.append(np.array(vals))
@@ -386,6 +397,8 @@ def _cmd_simulate(args) -> int:
                        "(close the loop first via synthesize)")
     out = _outdir(args)
     dt = args.dt if args.dt is not None else default_dt(sys_obj)
+    if dt <= 0 or args.t_final <= 0:
+        raise CliError("need --dt > 0 and --t-final > 0")
     if args.x0:
         points = _parse_x0_list(args.x0, sys_obj.n)
     elif args.boundary_samples:

@@ -191,7 +191,11 @@ def layout(n: int, m: int, mode: str) -> DecisionLayout:
 
 @dataclass(frozen=True)
 class LmiBlock:
-    """One affine constraint block F0 + sum_k x_k F[k] <= 0."""
+    """One affine constraint block F0 + sum_k x_k F[k] <= 0.
+
+    The solver reaches F only through ``linear``, ``adjoint`` and
+    ``congruence_svec``, so the storage format stays behind this class.
+    """
 
     F0: np.ndarray
     F: np.ndarray  # (d, s, s)
@@ -200,8 +204,20 @@ class LmiBlock:
     def size(self) -> int:
         return self.F0.shape[0]
 
+    def linear(self, x: np.ndarray) -> np.ndarray:
+        """sum_k x_k F_k."""
+        return np.einsum("k,kst->st", np.asarray(x, dtype=float), self.F)
+
+    def adjoint(self, Z: np.ndarray) -> np.ndarray:
+        """(<F_k, Z>)_k, the adjoint of ``linear``."""
+        return self.F.reshape(self.F.shape[0], -1) @ np.asarray(Z, dtype=float).reshape(-1)
+
+    def congruence_svec(self, G: np.ndarray) -> np.ndarray:
+        """Rows svec(G' F_k G), shape (d, s(s+1)/2)."""
+        return svec(np.matmul(G.T, np.matmul(self.F, G)))
+
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.F0 + np.einsum("k,kst->st", np.asarray(x, dtype=float), self.F)
+        return self.F0 + self.linear(x)
 
 
 @dataclass(frozen=True)

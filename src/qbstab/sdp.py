@@ -14,13 +14,12 @@ identical iterates.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .lmi import SdpProblem, svec
+from .lmi import LmiBlock, SdpProblem, svec
 
 __all__ = [
     "SolverConfig",
@@ -39,7 +38,8 @@ class SolverConfig:
     ``objective_box`` caps c'x from above through a hidden scalar block so
     that problems with unbounded objective still terminate cleanly; set it
     to None to disable.  Ruiz-style block scaling (fixed 10 sweeps) is
-    always applied before solving.
+    always applied before solving, and every solve keeps its per-iteration
+    log in ``SdpSolution.history``.
     """
 
     feas_tol: float = 1e-8
@@ -47,7 +47,6 @@ class SolverConfig:
     max_iters: int = 200
     step_fraction: float = 0.98
     objective_box: float | None = 1e8
-    log_csv: str | None = None
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.gap_tol <= 0:
@@ -65,7 +64,9 @@ class SdpSolution:
     ``status`` is one of Optimal, Infeasible, NumericalFailure, IterLimit.
     At Optimal, ``x`` is the maximizing decision vector and ``Z`` holds one
     PSD dual matrix per block.  At Infeasible, ``Z`` holds the normalized
-    improving-ray certificate (<F0, Z> = 1).
+    improving-ray certificate (<F0, Z> = 1).  ``history`` holds one
+    (mu, primal residual, dual residual, step length) tuple per completed
+    interior-point step.
     """
 
     status: str
@@ -77,6 +78,7 @@ class SdpSolution:
     duality_gap: float
     iters: int
     message: str = ""
+    history: list = field(default_factory=list)
 
     @property
     def is_optimal(self) -> bool:
@@ -102,35 +104,41 @@ class BlockFeasibilityReport:
 def check_block_feasibility(problem: SdpProblem, x: np.ndarray, tol: float) -> BlockFeasibilityReport:
     """Evaluate lambda_max of every block at x; feasible iff all <= tol."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    lams = []
-    for blk in problem.blocks:
-        M = blk.evaluate(x)
-        lams.append(float(np.linalg.eigvalsh((M + M.T) / 2.0)[-1]))
-    return BlockFeasibilityReport(lambda_max=tuple(lams), tol=float(tol))
+    lams = tuple(_lambda_max(blk.evaluate(x)) for blk in problem.blocks)
+    return BlockFeasibilityReport(lambda_max=lams, tol=float(tol))
 
 
 def kkt_residuals(problem: SdpProblem, solution: SdpSolution) -> tuple[float, float, float]:
     """Recompute (primal, dual, gap) residuals from problem data alone.
 
-    Uses the same normalizations the solver reports, but none of its
-    internal bookkeeping:
+    Uses the formula the solver reports, with F(x) evaluated on the problem
+    data instead of taken from the solver's scaled iterates:
 
       primal = max_b max(0, lambda_max(F(x)_b)) / (1 + |F0_b|_F)
       dual   = |sum_b <F_k, Z_b> - c|_inf / (1 + |c|_inf)
       gap    = |c'x - <-F0, Z>| / (1 + |c'x| + |<-F0, Z>|)
     """
     x = np.asarray(solution.x, dtype=float).reshape(-1)
+    Fx = [blk.evaluate(x) for blk in problem.blocks]
+    return _residuals(problem.blocks, np.asarray(problem.c, dtype=float), x, Fx, solution.Z)
+
+
+def _lambda_max(M: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(_sym(M))[-1])
+
+
+def _residuals(blocks, c, x, Fx, Z) -> tuple[float, float, float]:
+    """(primal, dual, gap) of ``kkt_residuals``, given Fx[b] = F0_b + sum_k x_k F_k_b."""
     primal = 0.0
-    dual_vec = -problem.c.astype(float).copy()
+    dual_vec = -c
     dual_obj = 0.0
-    for blk, Z in zip(problem.blocks, solution.Z):
-        M = blk.evaluate(x)
-        lam = float(np.linalg.eigvalsh((M + M.T) / 2.0)[-1])
-        primal = max(primal, max(0.0, lam) / (1.0 + float(np.linalg.norm(blk.F0, "fro"))))
-        dual_vec += np.einsum("kst,st->k", blk.F, Z)
-        dual_obj += float(np.sum(-blk.F0 * Z))
-    dual = float(np.max(np.abs(dual_vec))) / (1.0 + float(np.max(np.abs(problem.c), initial=0.0)))
-    p_obj = float(problem.c @ x)
+    for blk, Fxb, Zb in zip(blocks, Fx, Z):
+        f0_norm = float(np.linalg.norm(blk.F0, "fro"))
+        primal = max(primal, max(0.0, _lambda_max(Fxb)) / (1.0 + f0_norm))
+        dual_vec = dual_vec + blk.adjoint(Zb)
+        dual_obj += float(np.sum(-blk.F0 * Zb))
+    dual = float(np.max(np.abs(dual_vec))) / (1.0 + float(np.max(np.abs(c), initial=0.0)))
+    p_obj = float(c @ x)
     gap = abs(p_obj - dual_obj) / (1.0 + abs(p_obj) + abs(dual_obj))
     return primal, dual, gap
 
@@ -141,18 +149,16 @@ def kkt_residuals(problem: SdpProblem, solution: SdpSolution) -> tuple[float, fl
 
 
 class _Block:
-    """Scaled data and per-iteration NT quantities for one LMI block."""
+    """A scaled LMI block and its per-iteration NT quantities."""
 
-    __slots__ = ("F0", "F", "C", "size", "X", "S", "G", "Ginv", "lam", "Usv", "Csv")
+    __slots__ = ("lmi", "C", "size", "X", "S", "G", "lam", "Usv", "Csv")
 
-    def __init__(self, F0: np.ndarray, F: np.ndarray):
-        self.F0 = F0
-        self.F = F
-        self.C = -F0
-        s = F0.shape[0]
-        self.size = s
-        self.X = np.eye(s)
-        self.S = np.eye(s)
+    def __init__(self, lmi: LmiBlock):
+        self.lmi = lmi
+        self.C = -lmi.F0
+        self.size = lmi.size
+        self.X = np.eye(self.size)
+        self.S = np.eye(self.size)
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -160,27 +166,28 @@ def _sym(M: np.ndarray) -> np.ndarray:
 
 
 def _ruiz_scale(blocks, c, sweeps: int = 10):
-    """Ruiz-style scaling: variable scales gamma and block scales beta."""
+    """Ruiz-style scaling: scaled copies of ``blocks``, variable scales gamma
+    and block scales beta."""
     d = c.shape[0]
     gamma = np.ones(d)
     beta = np.ones(len(blocks))
-    F0s = [F0.copy() for F0, _ in blocks]
-    Fs = [F.copy() for _, F in blocks]
+    scaled = [LmiBlock(F0=np.array(blk.F0, dtype=float), F=np.array(blk.F, dtype=float))
+              for blk in blocks]
     for _ in range(sweeps):
         r = np.zeros(d)
-        for F in Fs:
-            r = np.maximum(r, np.abs(F).max(axis=(1, 2)))
+        for blk in scaled:
+            r = np.maximum(r, np.abs(blk.F).max(axis=(1, 2)))
         g = 1.0 / np.sqrt(np.where(r > 0, r, 1.0))
-        for F in Fs:
-            F *= g[:, None, None]
+        for blk in scaled:
+            blk.F[...] *= g[:, None, None]
         gamma *= g
-        for b in range(len(Fs)):
-            s = max(float(np.abs(F0s[b]).max()), float(np.abs(Fs[b]).max()))
+        for b, blk in enumerate(scaled):
+            s = max(float(np.abs(blk.F0).max()), float(np.abs(blk.F).max()))
             sb = 1.0 / np.sqrt(s) if s > 0 else 1.0
-            F0s[b] *= sb
-            Fs[b] *= sb
+            blk.F0[...] *= sb
+            blk.F[...] *= sb
             beta[b] *= sb
-    return F0s, Fs, gamma, beta
+    return scaled, gamma, beta
 
 
 def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
@@ -189,42 +196,37 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         config = SolverConfig()
     d = problem.d
     c = np.asarray(problem.c, dtype=float).reshape(-1)
-    raw_blocks = [(np.asarray(blk.F0, dtype=float), np.asarray(blk.F, dtype=float))
-                  for blk in problem.blocks]
-    for F0, F in raw_blocks:
-        if F.shape != (d, F0.shape[0], F0.shape[0]):
+    for blk in problem.blocks:
+        if blk.F.shape != (d, blk.size, blk.size):
             raise ValueError("malformed problem: F stack shape mismatch")
-        if not np.allclose(F0, F0.T, atol=0, rtol=0):
+        if not np.allclose(blk.F0, blk.F0.T, atol=0, rtol=0):
             raise ValueError("malformed problem: F0 not symmetric")
 
-    F0s, Fs, gamma, beta = _ruiz_scale(raw_blocks, c)
+    scaled, gamma, beta = _ruiz_scale(problem.blocks, c)
 
     c_sc = gamma * c
     s_obj = 1.0 / max(1.0, float(np.max(np.abs(c_sc), initial=0.0)))
     c_sc = c_sc * s_obj
 
-    n_user = len(F0s)
     if config.objective_box is not None:
         # hidden cap c'x <= objective_box, in scaled variables, row-normalized
         boxval = s_obj * config.objective_box
         rownorm = max(1.0, float(np.max(np.abs(c_sc), initial=0.0)), abs(boxval))
-        F0s.append(np.array([[-boxval / rownorm]]))
-        Fs.append((c_sc / rownorm).reshape(d, 1, 1))
+        scaled.append(LmiBlock(F0=np.array([[-boxval / rownorm]]),
+                               F=(c_sc / rownorm).reshape(d, 1, 1)))
 
-    blocks = [_Block(F0, F) for F0, F in zip(F0s, Fs)]
+    # the user blocks come first; zip with beta skips the cap
+    blocks = [_Block(lmi) for lmi in scaled]
     b_vec = c_sc
     nu = sum(blk.size for blk in blocks)
-
-    f0_norms = [float(np.linalg.norm(F0, "fro")) for F0, _ in raw_blocks]
-    c_absmax = float(np.max(np.abs(c), initial=0.0))
 
     y = np.zeros(d)
     tau, kappa = 1.0, 1.0
 
-    logger = _IterLog(config.log_csv)
+    history = []
     status, message = "IterLimit", ""
     x_best = np.zeros(d)
-    Z_best = [np.zeros_like(F0) for F0, _ in raw_blocks]
+    Z_best = [np.zeros_like(blk.F0) for blk in problem.blocks]
     resid_best = (np.inf, np.inf, np.inf)
     obj_best = float("nan")
     obj_max_seen = -np.inf
@@ -233,22 +235,11 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     def unscale_report(Rd):
         """Original-space (x, Z, residuals, objective) for the current iterate."""
         x_orig = gamma * (y / tau)
-        Zs, primal = [], 0.0
-        dual_vec = -c.copy()
-        dual_obj = 0.0
-        for bi in range(n_user):
-            blk = blocks[bi]
-            Zb = beta[bi] * blk.X / (tau * s_obj)
-            Zs.append(Zb)
-            Fx = (Rd[bi] - blk.S) / (tau * beta[bi])
-            lam = float(np.linalg.eigvalsh(_sym(Fx))[-1])
-            primal = max(primal, max(0.0, lam) / (1.0 + f0_norms[bi]))
-            dual_vec += np.einsum("kst,st->k", raw_blocks[bi][1], Zb)
-            dual_obj += float(np.sum(-raw_blocks[bi][0] * Zb))
-        dual = float(np.max(np.abs(dual_vec))) / (1.0 + c_absmax)
-        p_obj = float(c @ x_orig)
-        gap = abs(p_obj - dual_obj) / (1.0 + abs(p_obj) + abs(dual_obj))
-        return x_orig, Zs, (primal, dual, gap), p_obj
+        Zs = [b * blk.X / (tau * s_obj) for blk, b in zip(blocks, beta)]
+        # Rd = F(y) + S - C tau in scaled data, so F(x) = (Rd - S) / (tau beta)
+        Fx = [(R - blk.S) / (tau * b) for R, blk, b in zip(Rd, blocks, beta)]
+        resid = _residuals(problem.blocks, c, x_orig, Fx, Zs)
+        return x_orig, Zs, resid, float(c @ x_orig)
 
     for it in range(config.max_iters):
         iters_done = it + 1
@@ -266,16 +257,13 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
                 blk.X = blk.X / big
                 blk.S = blk.S / big
 
-        AX = np.zeros(d)
-        for blk in blocks:
-            AX += blk.F.reshape(d, -1) @ blk.X.reshape(-1)
-        Rp = AX - b_vec * tau
-        Rd = [np.einsum("k,kst->st", y, blk.F) + blk.S - blk.C * tau for blk in blocks]
+        Rp = sum(blk.lmi.adjoint(blk.X) for blk in blocks) - b_vec * tau
+        Rd = [blk.lmi.linear(y) + blk.S - blk.C * tau for blk in blocks]
         CX = sum(float(np.sum(blk.C * blk.X)) for blk in blocks)
         Rg = CX - float(b_vec @ y) + kappa
         mu = (sum(float(np.sum(blk.X * blk.S)) for blk in blocks) + tau * kappa) / (nu + 1)
 
-        ray_ok, ray_Z, ray_q = _ray_certificate(raw_blocks, c, blocks, beta, n_user,
+        ray_ok, ray_Z, ray_q = _ray_certificate(problem.blocks, c, blocks, beta,
                                                 config.feas_tol)
         if ray_ok:
             status = "Infeasible"
@@ -304,14 +292,12 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             for blk in blocks:
                 Lx = np.linalg.cholesky(blk.X)
                 Ls = np.linalg.cholesky(blk.S)
-                U, sv, Vt = np.linalg.svd(Ls.T @ Lx)
+                _, sv, Vt = np.linalg.svd(Ls.T @ Lx)
                 if sv[-1] <= 0 or not np.all(np.isfinite(sv)):
                     raise np.linalg.LinAlgError("degenerate NT scaling")
                 blk.G = Lx @ (Vt.T / np.sqrt(sv))
-                blk.Ginv = (U.T @ Ls.T) / np.sqrt(sv)[:, None]
                 blk.lam = sv
-                Asc = np.matmul(blk.G.T, np.matmul(blk.F, blk.G))
-                blk.Usv = svec(Asc)
+                blk.Usv = blk.lmi.congruence_svec(blk.G)
                 blk.Csv = svec(blk.G.T @ blk.C @ blk.G)
         except np.linalg.LinAlgError as exc:
             status, message = "NumericalFailure", f"NT scaling failed: {exc}"
@@ -359,9 +345,9 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
                     Rhat = Rhat - corr_blocks[bi]
                 Qhat = Rhat / ((lam[:, None] + lam[None, :]) / 2.0)
                 Qhats.append(Qhat)
-                Rdt = blk.G.T @ Rd[bi] @ blk.G
-                anorm += blk.Usv @ (svec(Qhat) + eta * svec(Rdt))
-                cdot += float(blk.Csv @ (svec(Qhat) + eta * svec(Rdt)))
+                rhs = svec(Qhat) + eta * svec(blk.G.T @ Rd[bi] @ blk.G)
+                anorm += blk.Usv @ rhs
+                cdot += float(blk.Csv @ rhs)
             v_dir = cho_solve(factor, -eta * Rp - anorm)
             denominator = kappa + tau * denom_const
             if denominator <= 0 or not np.isfinite(denominator):
@@ -371,7 +357,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             dkappa = (r_tk - kappa * dtau) / tau
             dS, dX, dXh, dSh = [], [], [], []
             for bi, blk in enumerate(blocks):
-                dSb = _sym(-eta * Rd[bi] - np.einsum("k,kst->st", dy, blk.F) + blk.C * dtau)
+                dSb = _sym(-eta * Rd[bi] - blk.lmi.linear(dy) + blk.C * dtau)
                 dSh_b = _sym(blk.G.T @ dSb @ blk.G)
                 dXh_b = _sym(Qhats[bi] - dSh_b)
                 dXb = _sym(blk.G @ dXh_b @ blk.G.T)
@@ -385,14 +371,10 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             amax = np.inf
             for bi, blk in enumerate(blocks):
                 lam_h = 1.0 / np.sqrt(blk.lam)
-                Tx = lam_h[:, None] * dXh[bi] * lam_h[None, :]
-                Ts = lam_h[:, None] * dSh[bi] * lam_h[None, :]
-                wx = float(np.linalg.eigvalsh(Tx)[0])
-                ws = float(np.linalg.eigvalsh(Ts)[0])
-                if wx < 0:
-                    amax = min(amax, -1.0 / wx)
-                if ws < 0:
-                    amax = min(amax, -1.0 / ws)
+                for D in (dXh[bi], dSh[bi]):
+                    w = float(np.linalg.eigvalsh(lam_h[:, None] * D * lam_h[None, :])[0])
+                    if w < 0:
+                        amax = min(amax, -1.0 / w)
             if dtau < 0:
                 amax = min(amax, -tau / dtau)
             if dkappa < 0:
@@ -431,9 +413,8 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         if not (np.isfinite(tau) and tau > 0 and np.isfinite(kappa) and kappa > 0):
             status, message = "NumericalFailure", "tau/kappa left the cone"
             break
-        logger.write(it, mu, resid[0], resid[1], alpha)
+        history.append((mu, resid[0], resid[1], alpha))
 
-    logger.close()
     if status == "IterLimit":
         message = f"no convergence in {config.max_iters} iterations"
     if (status in ("IterLimit", "NumericalFailure") and config.objective_box is not None
@@ -451,10 +432,11 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         duality_gap=resid_best[2],
         iters=iters_done,
         message=message,
+        history=history,
     )
 
 
-def _ray_certificate(raw_blocks, c, blocks, beta, n_user, tol):
+def _ray_certificate(user_blocks, c, blocks, beta, tol):
     """Test the current iterate as an improving-ray certificate.
 
     The candidate ray is normalized to unit total trace, then checked on the
@@ -464,34 +446,16 @@ def _ray_certificate(raw_blocks, c, blocks, beta, n_user, tol):
     the ratio guard (1e-5) rules out false positives for any problem whose
     feasible set lives at sane magnitudes.
     """
-    Zs = [beta[bi] * blocks[bi].X for bi in range(n_user)]
+    Zs = [b * blk.X for blk, b in zip(blocks, beta)]
     total = sum(float(np.trace(Z)) for Z in Zs)
     if not np.isfinite(total) or total <= 0:
         return False, None, np.inf
     Zs = [Z / total for Z in Zs]
-    phi = sum(float(np.sum(raw_blocks[bi][0] * Zs[bi])) for bi in range(n_user))
+    phi = sum(float(np.sum(ub.F0 * Z)) for ub, Z in zip(user_blocks, Zs))
     if not np.isfinite(phi) or phi < 1e-10:
         return False, None, np.inf
-    Ag = np.zeros_like(c)
-    for bi in range(n_user):
-        Ag += np.einsum("kst,st->k", raw_blocks[bi][1], Zs[bi])
+    Ag = sum(ub.adjoint(Z) for ub, Z in zip(user_blocks, Zs))
     eta = float(np.max(np.abs(Ag), initial=0.0))
     if eta <= tol * max(1.0, float(np.max(np.abs(c), initial=0.0))) and eta <= 1e-5 * phi:
         return True, Zs, eta
     return False, None, eta
-
-
-class _IterLog:
-    def __init__(self, path: str | None):
-        self._fh = open(path, "w", newline="") if path else None
-        self._writer = csv.writer(self._fh) if self._fh else None
-        if self._writer:
-            self._writer.writerow(["iter", "mu", "primal_res", "dual_res", "step"])
-
-    def write(self, it, mu, pres, dres, step):
-        if self._writer:
-            self._writer.writerow([it, f"{mu:.17g}", f"{pres:.17g}", f"{dres:.17g}", f"{step:.17g}"])
-
-    def close(self):
-        if self._fh:
-            self._fh.close()

@@ -214,8 +214,11 @@ def convergence_check(sys: QBSystem, cert: Certificate, n_traj: int, t_final: fl
     Trajectories start on the certified boundary (shrunk by 1e-6).  Checks:
     V non-increasing step to step (invariance), final |x| below
     conv_rtol * |x(0)| (attraction), and for alpha > 0 the exponential
-    envelope V(t) <= V(0) exp(-alpha t) (1 + envelope_tol).
+    envelope V(t) <= V(0) exp(-alpha t) (1 + envelope_tol).  Raises
+    ValueError unless dt > 0, t_final > 0 and n_traj >= 1.
     """
+    if dt <= 0 or t_final <= 0 or n_traj < 1:
+        raise ValueError("need dt > 0, t_final > 0 and at least one trajectory")
     closed = _closed_system(sys, cert)
     X = boundary_points(cert.P, n_traj, np.random.default_rng(seed))
     x0_norms = np.linalg.norm(X, axis=1)

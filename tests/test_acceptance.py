@@ -231,9 +231,9 @@ def test_criterion_4_convergence_audit(three_state_sweep):
         f"{n_pass}/{len(results)} gains fully converge under explicit RK4 "
         "(100 boundary trajectories each, dt = 0.01)")
     assert ok, (
-        "delta-floor degeneracy: trace maximization parks an eigenvalue of P "
-        "on the 1e-8 assembly floor, giving |K| ~ 1e8 and a closed-loop "
-        f"Jacobian no explicit fixed-step scheme can integrate; per-eps {full}")
+        "some synthesized gains do not integrate under explicit RK4 from the "
+        "certified boundary (converged trajectories, violations); "
+        f"per-eps {full}")
 
 
 # --------------------------------------------------------------------------

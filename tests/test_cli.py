@@ -144,6 +144,21 @@ class TestVerifyCommand:
         assert code == 4
 
 
+    @pytest.mark.parametrize("flags", [
+        ("--dt", "-0.001"), ("--dt", "0"), ("--t-final", "0"), ("--t-final", "-5"),
+        ("--trajectories", "0"),
+    ])
+    def test_bad_step_inputs_are_input_errors(self, tmp_path, capsys, flags):
+        cert_dir = tmp_path / "an"
+        assert run("analyze", "--zoo", "two-state", "--eps", "0.4", "--out", str(cert_dir)) == 0
+        vout = tmp_path / "ver"
+        code = run("verify", "--zoo", "two-state", "--certificate",
+                   str(cert_dir / "certificate.json"), "--out", str(vout), *flags)
+        assert code == 4
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "input"
+        assert not (vout / "verification.json").exists()
+
+
 class TestBench:
     def test_stack_sizes_and_exponent(self, tmp_path):
         out = tmp_path / "bench"
@@ -222,3 +237,23 @@ class TestArgumentHandling:
     def test_missing_file(self, tmp_path):
         assert run("analyze", "--system", str(tmp_path / "missing.json"),
                    "--eps", "1.0", "--out", str(tmp_path / "x")) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--eps", "grid:x:1:3"),
+        ("analyze", "--eps", "search:a:1"),
+        ("simulate", "--x0", "a,b"),
+        ("analyze", "--eps", "0.4", "--max-iters", "0"),
+        ("analyze", "--eps", "0.4", "--feas-tol", "0"),
+        ("bench", "--eps", "0.4", "--stack", "1", "--max-iters", "0"),
+        ("bench", "--eps", "0.4", "--stack", "1", "--feas-tol", "0"),
+        ("simulate", "--x0", "0.1,0.1", "--dt", "-0.001"),
+        ("simulate", "--x0", "0.1,0.1", "--t-final", "0"),
+        ("analyze", "--eps", "grid:0.01:0.8:3", "--union-samples", "100"),
+    ])
+    def test_bad_values_are_input_errors(self, tmp_path, capsys, monkeypatch, argv):
+        # input checks come before any solve
+        monkeypatch.setattr("qbstab.certify.solve", None)
+        out = tmp_path / "x"
+        assert run(argv[0], "--zoo", "two-state", *argv[1:], "--out", str(out)) == 4
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "input"
+        assert not (out / "summary.json").exists()

@@ -16,7 +16,7 @@ from qbstab.lmi import (
     unsvec,
 )
 from qbstab.models import scalar_family, three_state_qb, two_state
-from qbstab.systems import QBSystem, symmetrize_quadratic
+from qbstab.systems import QBSystem, stack, symmetrize_quadratic
 
 
 def rand_spd(rng, n):
@@ -283,6 +283,49 @@ class TestDeltaNorm:
     def test_rejects_indefinite_p(self):
         with pytest.raises(NotPositiveDefiniteError):
             delta_norm(two_state(), -np.eye(2), np.ones(2), "analysis")
+
+
+OPERATOR_PROBLEMS = {
+    "two-state analysis": lambda: assemble(two_state(), 0.4, 1e-6, "analysis"),
+    "three-state synthesis": lambda: assemble(three_state_qb(), 0.746, 1e-6, "synthesis"),
+    "stacked two-state": lambda: assemble(stack(two_state(), 5), 0.4, 1e-6, "analysis"),
+}
+
+
+class TestBlockOperators:
+    """The contract the solver relies on: F(x), F*(Z) and the NT congruence."""
+
+    @pytest.fixture(params=sorted(OPERATOR_PROBLEMS), scope="class")
+    def problem(self, request):
+        return OPERATOR_PROBLEMS[request.param]()
+
+    @staticmethod
+    def rand_sym(rng, s):
+        M = rng.normal(size=(s, s))
+        return M + M.T
+
+    def test_adjoint_of_linear(self, problem):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=problem.d)
+        Zs = [self.rand_sym(rng, blk.size) for blk in problem.blocks]
+        lhs = sum(float(np.sum(blk.linear(x) * Z)) for blk, Z in zip(problem.blocks, Zs))
+        rhs = float(x @ sum(blk.adjoint(Z) for blk, Z in zip(problem.blocks, Zs)))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_evaluate_is_affine_part_plus_linear(self, problem):
+        x = np.random.default_rng(12).normal(size=problem.d)
+        for blk in problem.blocks:
+            assert np.array_equal(blk.evaluate(x), blk.F0 + blk.linear(x))
+
+    def test_congruence_svec_rows(self, problem):
+        rng = np.random.default_rng(13)
+        for blk in problem.blocks:
+            G = rng.normal(size=(blk.size, blk.size))
+            rows = blk.congruence_svec(G)
+            assert rows.shape == (problem.d, blk.size * (blk.size + 1) // 2)
+            for k in range(problem.d):
+                np.testing.assert_allclose(rows[k], svec(G.T @ blk.F[k] @ G),
+                                           rtol=1e-12, atol=1e-12)
 
 
 class TestDebugDump:

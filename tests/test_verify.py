@@ -140,6 +140,13 @@ class TestConvergenceCheck:
         assert rep.trajectories_converged == 50
         assert rep.violations == 0
 
+    @pytest.mark.parametrize("n_traj,t_final,dt", [
+        (5, 1.0, 0.0), (5, 1.0, -1e-3), (5, 0.0, 1e-3), (5, -5.0, 1e-3), (0, 1.0, 1e-3),
+    ])
+    def test_rejects_bad_step_inputs(self, scalar_cert, n_traj, t_final, dt):
+        with pytest.raises(ValueError, match="need dt > 0"):
+            convergence_check(SCALAR, scalar_cert, n_traj, t_final=t_final, dt=dt, seed=1)
+
     def test_invalid_certificate_flags_divergence(self):
         # a hand-made "certificate" far beyond the true basin: trajectories escape
         fake = Certificate(mode="analysis", P=np.array([[4.0]]), epsilon=1.0,
