@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .errors import DimensionError, NotPositiveDefiniteError, QBStabError, SchemaError
-from .lmi import assemble, default_alpha, default_delta
+from .lmi import _spd_eigh, _spd_factor, assemble, default_alpha, default_delta
 from .sdp import SdpSolution, SolverConfig, solve
 from .systems import QBSystem
 
@@ -55,6 +55,10 @@ class SolverFailure(QBStabError, RuntimeError):
 FLOOR_FACTOR = 10.0
 # fewest Monte Carlo points ``union_volume`` accepts
 UNION_MIN_SAMPLES = 10_000
+# log-spaced eps points of the ``optimize_epsilon`` pre-scan
+SCAN_POINTS = 16
+# traces within TIE_REL of the best count as tied in ``SweepResult.best``
+TIE_REL = 1e-6
 
 
 def shape_report(P: np.ndarray, K: np.ndarray | None, delta: float) -> dict:
@@ -79,9 +83,7 @@ class Ellipsoid:
             raise DimensionError(f"P must be square, got {P.shape}")
         if not np.allclose(P, P.T, rtol=0, atol=1e-12 * (1 + np.abs(P).max())):
             raise NotPositiveDefiniteError("P must be symmetric")
-        lam_min = float(np.linalg.eigvalsh((P + P.T) / 2.0)[0])
-        if lam_min <= 0:
-            raise NotPositiveDefiniteError(f"P must be positive definite; min eigenvalue {lam_min:.3e}")
+        _spd_eigh(P)  # raises unless P > 0
         object.__setattr__(self, "P", (P + P.T) / 2.0)
 
     @property
@@ -122,10 +124,7 @@ class Certificate:
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float)
-        lam_min = float(np.linalg.eigvalsh((P + P.T) / 2.0)[0])
-        if lam_min <= 0:
-            raise NotPositiveDefiniteError(
-                f"certificate P is not positive definite (min eigenvalue {lam_min:.3e})")
+        _spd_eigh(P)  # raises unless P > 0
         object.__setattr__(self, "P", (P + P.T) / 2.0)
         if abs(self.trace_P - float(np.trace(P))) > 1e-12 * max(1.0, abs(self.trace_P)):
             object.__setattr__(self, "trace_P", float(np.trace(P)))
@@ -161,15 +160,14 @@ class Infeasible:
     """Marker returned when the LMI admits no solution at the given eps.
 
     ``ray`` holds the solver's improving-ray blocks (trace-normalized) when a
-    single eps was solved; for a whole-range search it is None and
-    ``evidence`` lists the per-eps outcomes.
+    single eps was solved; for a whole-range search it is None and the
+    per-eps outcomes are in ``EpsilonSearchResult.history``.
     """
 
     mode: str
     alpha: float
     epsilon: float | None = None
     ray: list | None = None
-    evidence: tuple | None = None
     message: str = ""
 
 
@@ -193,12 +191,12 @@ class SweepResult:
     def feasible_entries(self) -> list[SweepEntry]:
         return [e for e in self.entries if e.feasible]
 
-    def best(self, tie_rel: float = 1e-6) -> Certificate | None:
+    def best(self) -> Certificate | None:
         """Best certificate by trace; exact ties broken by ellipsoid volume.
 
         Trace-optimal values can be attained on an eps interval (flat optimal
         value with differently oriented ellipsoids), so among entries within
-        ``tie_rel`` of the maximum trace the one with the largest det(P)
+        ``TIE_REL`` of the maximum trace the one with the largest det(P)
         wins (compared as log det, which neither overflows nor underflows in
         high n); remaining ties go to the smallest eps for determinism.
         """
@@ -206,7 +204,7 @@ class SweepResult:
         if not feas:
             return None
         top = max(e.trace_P for e in feas)
-        candidates = [e for e in feas if e.trace_P >= top * (1.0 - tie_rel)]
+        candidates = [e for e in feas if e.trace_P >= top * (1.0 - TIE_REL)]
         key = lambda e: (float(np.linalg.slogdet(e.certificate.P)[1]), -e.epsilon)
         return max(candidates, key=key).certificate
 
@@ -247,7 +245,7 @@ def _gain_from(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Solve K P = Y; iterative refinement holds the residual near rounding
     level even when P is ill-conditioned (window-edge certificates)."""
     Psym = (P + P.T) / 2.0
-    factor = cho_factor(Psym, lower=True)
+    factor = _spd_factor(P)
     K = cho_solve(factor, Y.T).T
     y_norm = max(float(np.linalg.norm(Y)), 1e-30)
     for _ in range(3):
@@ -342,18 +340,21 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: float = 1e-3,
                      alpha=None, mode: str = "analysis",
-                     config: SolverConfig | None = None,
-                     scan_points: int = 16) -> EpsilonSearchResult:
+                     config: SolverConfig | None = None) -> EpsilonSearchResult:
     """Line search for the eps maximizing trace(P) over (lo, hi).
 
     A log-spaced pre-scan locates the best grid point and its bracket; a
     golden-section search then refines eps inside the bracket, where
     unimodality is assumed.  The returned certificate is the best over every
     evaluation, so the result is never worse than any sub-grid seen.
+    Raises ValueError unless rel_tol, the bracket width at which
+    refinement stops relative to its upper end, is finite and positive.
     """
     lo, hi = float(eps_range[0]), float(eps_range[1])
     if not (0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
+    if not 0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     alpha = resolve_alpha(sys, alpha)
     history: list[SweepEntry] = []
 
@@ -365,14 +366,14 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
     def value(entry: SweepEntry) -> float:
         return entry.trace_P if entry.feasible else -math.inf
 
-    scan = np.geomspace(lo, hi, scan_points)
+    scan = np.geomspace(lo, hi, SCAN_POINTS)
     scan_entries = [probe(e) for e in scan]
     values = [value(e) for e in scan_entries]
     k = int(np.argmax(values))
     if not scan_entries[k].feasible:
         return EpsilonSearchResult(
             best=None, history=tuple(history),
-            infeasible=Infeasible(mode=mode, alpha=alpha, evidence=tuple(history),
+            infeasible=Infeasible(mode=mode, alpha=alpha,
                                   message=f"no feasible eps in ({lo:.6g}, {hi:.6g})"))
 
     a = scan[k - 1] if k > 0 else lo
@@ -507,9 +508,6 @@ def deserialize_certificate(doc: dict) -> Certificate:
         raise SchemaError(f"unknown mode {mode!r}")
     if P.shape != (n, n):
         raise SchemaError(f"P must be {n}x{n}, got {P.shape}")
-    lam_min = float(np.linalg.eigvalsh((P + P.T) / 2.0)[0])
-    if lam_min <= 0:
-        raise SchemaError(f"P is not positive definite: min eigenvalue {lam_min:.6e}")
     Y = np.asarray(doc["Y"], dtype=float) if doc.get("Y") is not None else None
     K = np.asarray(doc["K"], dtype=float) if doc.get("K") is not None else None
     try:

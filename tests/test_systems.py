@@ -130,6 +130,26 @@ class TestEvalDynamics:
         with pytest.raises(DimensionError):
             eval_dynamics(three_state_qb(), np.zeros(3), np.zeros(1))
 
+    @pytest.mark.parametrize("make", [two_state, three_state_qb,
+                                      lambda: stack(three_state_qb(), 2)],
+                             ids=["two-state", "three-state", "stacked"])
+    def test_batch_matches_single_states(self, make):
+        s = make()
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(6, s.n))
+        U = rng.normal(size=(6, s.m))
+        np.testing.assert_allclose(eval_dynamics(s, X),
+                                   [eval_dynamics(s, x) for x in X], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(eval_dynamics(s, X, U),
+                                   [eval_dynamics(s, x, u) for x, u in zip(X, U)],
+                                   rtol=1e-14, atol=0)
+        with pytest.raises(DimensionError):
+            eval_dynamics(s, np.zeros((6, s.n + 1)))
+        with pytest.raises(DimensionError):
+            eval_dynamics(s, X, np.zeros((6, s.m + 1)))
+        with pytest.raises(DimensionError):
+            eval_dynamics(s, X, np.zeros((5, s.m)))
+
 
 class TestShiftEquilibrium:
     def test_scalar_shift(self):
