@@ -196,13 +196,13 @@ def _run_certification(args, mode: str) -> int:
     if mode == "synthesis" and sys_obj.m < 1:
         raise CliError(f"synthesis requires an input channel (m >= 1); {source} has m = 0")
     config = _solver_config(args)
-    out = _outdir(args)
     kind, eps_spec = _parse_eps(args.eps)
     alpha = _alpha_arg(args.alpha)
     if kind == "grid" and args.union_samples < UNION_MIN_SAMPLES:
         raise CliError(f"--union-samples must be at least {UNION_MIN_SAMPLES}")
     if not 0 < args.rel_tol < np.inf:
         raise CliError("--rel-tol must be finite and positive")
+    out = _outdir(args)
     summary = {
         "command": "synthesize" if mode == "synthesis" else "analyze",
         "tool_version": __version__,
@@ -275,7 +275,6 @@ def _cmd_synthesize(args) -> int:
 def _cmd_verify(args) -> int:
     sys_obj, source = _load_target(args)
     cert = load_certificate(args.certificate)
-    out = _outdir(args)
     # recomputed rather than read back, so certificates written without
     # these entries are judged too
     shape = {**shape_report(cert.P, cert.K, default_delta(sys_obj)),
@@ -316,7 +315,7 @@ def _cmd_verify(args) -> int:
         },
         "passed": sampled.passed and flows.passed,
     }
-    _write_json(out / "verification.json", report)
+    _write_json(_outdir(args) / "verification.json", report)
     return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
 
@@ -395,7 +394,6 @@ def _cmd_simulate(args) -> int:
     if not sys_obj.is_autonomous:
         raise CliError("simulate requires an autonomous system "
                        "(close the loop first via synthesize)")
-    out = _outdir(args)
     dt = args.dt if args.dt is not None else default_dt(sys_obj)
     if dt <= 0 or args.t_final <= 0:
         raise CliError("need --dt > 0 and --t-final > 0")
@@ -410,6 +408,7 @@ def _cmd_simulate(args) -> int:
         points = boundary_points(cert.P, args.boundary_samples, np.random.default_rng(args.seed))
     else:
         raise CliError("pass --x0 or --boundary-samples")
+    out = _outdir(args)
     ts = _timestamp()
     for idx, x0 in enumerate(points):
         traj = simulate(sys_obj, x0, args.t_final, dt)

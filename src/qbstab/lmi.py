@@ -36,7 +36,7 @@ trace inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor
@@ -171,32 +171,120 @@ def layout(n: int, m: int, mode: str) -> DecisionLayout:
     return DecisionLayout(n=n, m=m if mode == "synthesis" else 0, mode=mode)
 
 
+# doubles per temporary chunk in ``LmiBlock.schur`` and ``assemble``
+_CHUNK = 1 << 18
+
+
+def _padded_rows(support: np.ndarray) -> np.ndarray:
+    """Sorted indices of the True entries of each row of ``support`` (d, s),
+    padded with False ones to the widest row's count (at least 1)."""
+    r = max(1, int(support.sum(axis=1).max(initial=0)))
+    return np.sort(np.argsort(~support, axis=1, kind="stable")[:, :r], axis=1)
+
+
 @dataclass(frozen=True)
 class LmiBlock:
-    """One affine constraint block F0 + sum_k x_k F[k] <= 0.
+    """One affine constraint block F0 + sum_k x_k F_k <= 0 with symmetric F_k.
 
-    The solver reaches F only through ``linear``, ``adjoint`` and
-    ``congruence_svec``, so the storage format stays behind this class.
+    Row-compressed storage: F_k vanishes outside the rows ``rows[k]`` (and,
+    being symmetric, outside those columns), and ``vals[k, t]`` is row
+    ``rows[k, t]`` of F_k.  Every ``rows[k]`` holds the same number r of
+    distinct indices; an F_k with fewer nonzero rows is padded with zero
+    rows.  The assembled LMIs have r << s (a stacked n = 40 main block has
+    s = 80 and r = 6), so the block keeps d r s numbers instead of d s^2.
+    The solver reaches F only through ``linear``, ``adjoint`` and ``schur``,
+    which work from the nonzeros; ``dense`` and ``from_dense`` convert.
     """
 
-    F0: np.ndarray
-    F: np.ndarray  # (d, s, s)
+    F0: np.ndarray    # (s, s)
+    rows: np.ndarray  # (d, r) int
+    vals: np.ndarray  # (d, r, s)
+
+    def __post_init__(self):
+        F0 = np.asarray(self.F0, dtype=float)
+        rows = np.asarray(self.rows, dtype=np.intp)
+        vals = np.asarray(self.vals, dtype=float)
+        s = F0.shape[0] if F0.ndim == 2 else -1
+        if (F0.shape != (s, s) or rows.ndim != 2 or vals.shape != rows.shape + (s,)
+                or rows.size == 0 or rows.min() < 0 or rows.max() >= s
+                or np.any(np.diff(np.sort(rows, axis=1), axis=1) == 0)):
+            raise ValueError("malformed problem: F stack shape mismatch")
+        if not np.array_equal(F0, F0.T):
+            raise ValueError("malformed problem: F0 not symmetric")
+        # F_k[rows, rows] must be symmetric and hold every nonzero of vals
+        sub = np.take_along_axis(vals, rows[:, None, :], axis=2)
+        if (not np.array_equal(sub, sub.transpose(0, 2, 1))
+                or np.count_nonzero(sub) != np.count_nonzero(vals)):
+            raise ValueError("malformed problem: F_k not symmetric")
+        # the nonzeros of F in k-major order: F_k[a, b] at flat index a s + b
+        k, t, col = np.nonzero(vals)
+        nnz = (k, rows[k, t] * s + col, vals[k, t, col])
+        for name, value in (("F0", F0), ("rows", rows), ("vals", vals), ("_nnz", nnz)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_dense(cls, F0: np.ndarray, F: np.ndarray) -> "LmiBlock":
+        """Block from a dense (d, s, s) stack of symmetric F_k."""
+        F0 = np.asarray(F0, dtype=float)
+        F = np.asarray(F, dtype=float)
+        if F.ndim != 3 or F.shape[1:] != F0.shape:
+            raise ValueError("malformed problem: F stack shape mismatch")
+        rows = _padded_rows(np.any(F != 0, axis=2))
+        return cls(F0=F0, rows=rows, vals=np.take_along_axis(F, rows[:, :, None], axis=1))
 
     @property
     def size(self) -> int:
         return self.F0.shape[0]
 
+    @property
+    def d(self) -> int:
+        return self.rows.shape[0]
+
+    def dense(self) -> np.ndarray:
+        """The (d, s, s) stack of F_k."""
+        F = np.zeros((self.d, self.size, self.size))
+        F[np.arange(self.d)[:, None], self.rows] = self.vals
+        return F
+
+    @cached_property
+    def _csr(self):
+        """The d-by-s^2 sparse matrix whose row k is vec(F_k)."""
+        from scipy import sparse  # only blocks that ``schur`` serves need it
+
+        k, flat, v = self._nnz
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(k, minlength=self.d))])
+        return sparse.csr_array((v, flat, indptr), shape=(self.d, self.size * self.size))
+
     def linear(self, x: np.ndarray) -> np.ndarray:
         """sum_k x_k F_k."""
-        return np.einsum("k,kst->st", np.asarray(x, dtype=float), self.F)
+        k, flat, v = self._nnz
+        s = self.size
+        return np.bincount(flat, weights=v * np.asarray(x, dtype=float)[k],
+                           minlength=s * s).reshape(s, s)
 
     def adjoint(self, Z: np.ndarray) -> np.ndarray:
         """(<F_k, Z>)_k, the adjoint of ``linear``."""
-        return self.F.reshape(self.F.shape[0], -1) @ np.asarray(Z, dtype=float).reshape(-1)
+        k, flat, v = self._nnz
+        return np.bincount(k, weights=v * np.asarray(Z, dtype=float).reshape(-1)[flat],
+                           minlength=self.d)
 
-    def congruence_svec(self, G: np.ndarray) -> np.ndarray:
-        """Rows svec(G' F_k G), shape (d, s(s+1)/2)."""
-        return svec(np.matmul(G.T, np.matmul(self.F, G)))
+    def schur(self, W: np.ndarray) -> np.ndarray:
+        """(<F_k, W F_l W>)_kl for symmetric W, this block's share of the
+        Schur complement (Fujisawa, Kojima & Nakata, Math. Prog. 1997).
+
+        F_l W is zero outside the rows ``rows[l]``, where it equals
+        U_l = ``vals[l]`` W, so W F_l W = W[:, rows[l]] U_l costs s^2 r; the
+        inner products with every F_k then touch only the nonzeros of F.
+        """
+        d, r, s = self.vals.shape
+        U = (self.vals.reshape(d * r, s) @ W).reshape(d, r, s)
+        M = np.empty((d, d))
+        step = max(1, _CHUNK // (s * s))
+        for lo in range(0, d, step):
+            chunk = slice(lo, lo + step)
+            WFW = np.swapaxes(W[:, self.rows[chunk]], 0, 1) @ U[chunk]
+            M[:, chunk] = self._csr @ WFW.reshape(-1, s * s).T
+        return M
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.F0 + self.linear(x)
@@ -210,6 +298,10 @@ class SdpProblem:
     c: np.ndarray
     blocks: tuple
 
+    def __post_init__(self):
+        if any(blk.d != self.layout.d for blk in self.blocks):
+            raise ValueError("malformed problem: F stack shape mismatch")
+
     @property
     def d(self) -> int:
         return self.layout.d
@@ -222,10 +314,13 @@ class SdpProblem:
         out = {"d": self.d, "c": self.c.tolist(), "blocks": []}
         for blk in self.blocks:
             entry = {"size": blk.size, "F0": _triplets(blk.F0), "F": {}}
+            Fk = np.zeros((blk.size, blk.size))
             for k in range(self.d):
-                tri = _triplets(blk.F[k])
+                Fk[blk.rows[k]] = blk.vals[k]
+                tri = _triplets(Fk)
                 if tri:
                     entry["F"][str(k)] = tri
+                Fk[blk.rows[k]] = 0.0
             out["blocks"].append(entry)
         return out
 
@@ -266,25 +361,63 @@ def default_mu(sys: QBSystem) -> float:
     return (a * a / (b * h)) ** 2
 
 
-def _quadratic_gram(blocks: np.ndarray) -> np.ndarray:
-    """Stacked sum_p M_p E_k M_p' for every basis element E_k.
-
-    ``blocks`` is (p, n, n); returns (d_p, n, n).  Uses the rank-structure of
-    E_k: for E_k = (e_i e_j' + e_j e_i')/s the product is built from outer
-    products of block columns, via the precomputed Gram tensor
-    S[i, j, a, b] = sum_p blocks[p, a, i] * blocks[p, b, j].
-    """
-    p, n, _ = blocks.shape
-    V = blocks.reshape(p, n * n)  # row p holds blocks[p] row-major: index a*n + i
-    # S2[(a, i), (b, j)] = sum_p blocks[p,a,i] blocks[p,b,j]
-    S2 = V.T @ V  # (n*n, n*n)
-    S = S2.reshape(n, n, n, n)  # [a, i, b, j]
-    i, j, _ = _svec_index(n)
-    out = S[:, i, :, j]  # [k, a, b]
-    off = i != j
-    out[off] += S[:, j[off], :, i[off]]
-    out[off] /= _SQRT2
+def _basis_rows(a: np.ndarray, i: np.ndarray, j: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+    """Rows a (c, r) of the svec basis elements E_k = q_k (e_i e_j' + e_j e_i'), i = j
+    meaning q_k e_i e_i'; returns (c, r, n)."""
+    out = np.zeros(a.shape + (n,))
+    for hit, col in ((a == i[:, None], j), (a == j[:, None], i)):
+        kk, tt = np.nonzero(hit)
+        out[kk, tt, col[kk]] = q[kk]
     return out
+
+
+def _gram_rows(Mc: np.ndarray, a: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Rows a (c, r) of sum_p M_p E_k M_p', given Mc[i, a, p] = M_p[a, i]."""
+    gram = Mc[i[:, None], a] @ Mc[j].transpose(0, 2, 1)
+    off = i != j
+    gram[off] = (gram[off] + Mc[j[off, None], a[off]] @ Mc[i[off]].transpose(0, 2, 1)) / _SQRT2
+    return gram
+
+
+def _main_p_rows(A: np.ndarray, columns: list, eps: float, alpha: float, s: int,
+                 rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` (n_p, r) of the main-block F_k of the P slots: TL_k in the
+    top-left n-by-n corner, E_k in the two off-diagonal P corners.  Each
+    entry of ``columns`` holds the M_p of one eps-weighted Gram sum as
+    Mc[i, a, p] = M_p[a, i]."""
+    n = A.shape[0]
+    i, j, scale = _svec_index(n)
+    q = 1.0 / scale
+    vals = np.zeros(rows.shape + (s,))
+    step = max(1, _CHUNK // (n * n))
+    for lo in range(0, i.shape[0], step):
+        ck = slice(lo, lo + step)
+        ik, jk, qk, R = i[ck], j[ck], q[ck], rows[ck]
+        # rows a < n cross the TL corner and the P corner right of it, rows
+        # n <= a < 2n the P corner below it; the rest of each row is masked
+        top, mid = (R < n)[..., None], ((R >= n) & (R < 2 * n))[..., None]
+        a = np.where(R < n, R, 0)
+        E_a = _basis_rows(a, ik, jk, qk, n)
+        # row a of A E_k holds q A[a, i] in column j and q A[a, j] in column i
+        AE_a = np.zeros_like(E_a)
+        kk, tt = np.ogrid[:R.shape[0], :R.shape[1]]
+        AE_a[kk, tt, jk[:, None]] = A[a, ik[:, None]] * qk[:, None]
+        AE_a[kk, tt, ik[:, None]] = A[a, jk[:, None]] * qk[:, None]
+        TL = AE_a + E_a @ A.T
+        for Mc in columns:
+            TL += eps * _gram_rows(Mc, a, ik, jk)
+        if alpha:
+            TL += alpha * E_a
+        E_below = _basis_rows(R - n, ik, jk, qk, n)
+        vals[ck, :, :n] = np.where(top, TL, np.where(mid, E_below, 0.0))
+        vals[ck, :, n:2 * n] = np.where(top, E_a, 0.0)
+    # the Gram rows are symmetric only if BLAS sums every dot product the
+    # same way wherever it sits in a product; copying the upper triangle of
+    # each F_k[rows, rows] onto the lower one makes F_k exactly symmetric
+    sub = np.take_along_axis(vals, rows[:, None, :], axis=2)
+    sub = np.where(np.triu(np.ones(sub.shape[1:], dtype=bool)), sub, sub.transpose(0, 2, 1))
+    np.put_along_axis(vals, rows[:, None, :], sub, axis=2)
+    return vals
 
 
 def assemble(sys: QBSystem, eps: float, alpha: float, mode: str,
@@ -294,61 +427,77 @@ def assemble(sys: QBSystem, eps: float, alpha: float, mode: str,
     The main block is the LMI above; the second block enforces P >= delta I
     and, for synthesis, the input bound Y (P - delta I)^-1 Y' <= mu I with
     mu = ``default_mu`` (delta defaults to ``default_delta``).  The
-    objective maximizes trace(P).
+    objective maximizes trace(P).  Both blocks are emitted row-compressed:
+    the nonzero rows of each F_k follow from the sparsity of A, B, D and the
+    blocks of H, so no dense F stack is built.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
     lay = layout(sys.n, sys.m, mode)
-    n, m, d = sys.n, lay.m, lay.d
+    n, m, d, n_p = sys.n, lay.m, lay.d, lay.n_p
     if delta is None:
         delta = default_delta(sys)
-
-    E = svec_basis(n)          # (n_p, n, n)
-    n_p = E.shape[0]
-    A = sys.A
-    Hstack = np.stack([sys.h_block(i) for i in range(n)])  # (n, n, n)
-
-    # Linear part of TL in the P variables.
-    AE = np.einsum("ab,kbc->kac", A, E)
-    TL_P = AE + AE.transpose(0, 2, 1)
-    TL_P += eps * _quadratic_gram(Hstack)
-    if mode == "synthesis" and m:
-        Dstack = np.stack(sys.D)
-        TL_P += eps * _quadratic_gram(Dstack)
-    if alpha:
-        TL_P += alpha * E
-
     s = 2 * n if mode == "analysis" else 3 * n
-    F = np.zeros((d, s, s))
-    F[:n_p, :n, :n] = TL_P
-    # off-diagonal P slot
-    F[:n_p, :n, n:2 * n] += E
-    F[:n_p, n:2 * n, :n] += E
+    i, j, scale = _svec_index(n)
     # Y[r, c] is x_k with k = n_p + r n + c
     r, c = np.divmod(np.arange(m * n), n)
-    k = n_p + r * n + c
+    kp, ky = np.arange(n_p), n_p + np.arange(m * n)
+
+    # nonzero rows of the main-block F_k: TL_k = A E_k + E_k A' + eps sum_p
+    # (H_p E_k H_p' + D_p E_k D_p') + alpha E_k has its nonzeros in rows i, j
+    # and the rows where column i or j of A, or of some H_p or D_p, is nonzero
+    columns = [np.stack([sys.h_block(p) for p in range(n)]).transpose(2, 1, 0)]
     if mode == "synthesis":
-        # TL gets B Y + Y' B': column c and row c of F_k hold B[:, r]
-        F[k, :n, c] += sys.B[:, r].T
-        F[k, c, :n] += sys.B[:, r].T
-        # Ypad' occupies the last n-by-n slot, Y' in its first m columns
-        F[k, c, 2 * n + r] = F[k, 2 * n + r, c] = 1.0
+        columns.append(np.stack(sys.D).transpose(2, 1, 0))
+    reach = (sys.A != 0).T | np.eye(n, dtype=bool)
+    for Mc in columns:
+        reach |= np.any(Mc != 0, axis=2)
+    support = np.zeros((d, s), dtype=bool)
+    support[kp, :n] = reach[i] | reach[j]
+    support[kp, n + i] = support[kp, n + j] = True
+    if mode == "synthesis":
+        # TL gets B Y + Y' B': column c and row c of F_k hold B[:, r]; Ypad'
+        # holds Y' in the first m columns of the last n-by-n slot
+        support[ky, :n] = (sys.B[:, r] != 0).T
+        support[ky, c] = support[ky, 2 * n + r] = True
+    rows = _padded_rows(support)
+    vals = np.zeros(rows.shape + (s,))
+    vals[:n_p] = _main_p_rows(sys.A, columns, eps, alpha, s, rows[:n_p])
+    if mode == "synthesis":
+        # F_k[a, c] = B[a, r] for a < n, then row c adds B[:, r]' and the
+        # Ypad' entry; row 2n + r holds the Ypad entry in column c
+        Ry = rows[n_p:]
+        vals[ky[:, None], np.arange(Ry.shape[1]), c[:, None]] = np.where(
+            Ry < n, sys.B[np.minimum(Ry, n - 1), r[:, None]], 0.0)
+        k, t = np.nonzero(Ry == c[:, None])
+        vals[n_p + k, t, :n] += sys.B[:, r[k]].T
+        vals[n_p + k, t, 2 * n + r[k]] = 1.0
+        k, t = np.nonzero(Ry == 2 * n + r[:, None])
+        vals[n_p + k, t, c[k]] = 1.0
     F0 = np.zeros((s, s))
     F0[n:, n:] = -eps * np.eye(s - n)
-    main = LmiBlock(F0=F0, F=F)
+    main = LmiBlock(F0=F0, rows=rows, vals=vals)
 
     # floor block: -[[mu I, Y], [Y', P - delta I]] <= 0; for analysis (m = 0)
     # only the lower-right corner delta I - P remains
-    Ff = np.zeros((d, m + n, m + n))
-    Ff[:n_p, m:, m:] = -E
+    support = np.zeros((d, m + n), dtype=bool)
+    support[kp, m + i] = support[kp, m + j] = True
+    support[ky, r] = support[ky, m + c] = True
+    rows = _padded_rows(support)
+    vals = np.zeros(rows.shape + (m + n,))
+    vals[:n_p, :, m:] = -_basis_rows(rows[:n_p] - m, i, j, 1.0 / scale, n)
     F0f = np.zeros((m + n, m + n))
     F0f[m:, m:] = delta * np.eye(n)
     if m:
         F0f[:m, :m] = -default_mu(sys) * np.eye(m)
-        Ff[k, r, m + c] = Ff[k, m + c, r] = -1.0
-    floor = LmiBlock(F0=F0f, F=Ff)
+        Ry = rows[n_p:]
+        k, t = np.nonzero(Ry == r[:, None])
+        vals[n_p + k, t, m + c[k]] = -1.0
+        k, t = np.nonzero(Ry == m + c[:, None])
+        vals[n_p + k, t, r[k]] = -1.0
+    floor = LmiBlock(F0=F0f, rows=rows, vals=vals)
 
     return SdpProblem(layout=lay, c=lay.trace_objective(), blocks=(main, floor))
 

@@ -126,8 +126,9 @@ def _ray_verifies(prob, Z) -> bool:
     for Zb in Z:
         if np.linalg.eigvalsh((Zb + Zb.T) / 2.0)[0] < -1e-10:
             return False
+    dense = [blk.dense() for blk in prob.blocks]
     for k in range(prob.d):
-        tot = sum(float(np.sum(blk.F[k] * Zb)) for blk, Zb in zip(prob.blocks, Z))
+        tot = sum(float(np.sum(F[k] * Zb)) for F, Zb in zip(dense, Z))
         if abs(tot) > 1e-8:
             return False
     phi = sum(float(np.sum(blk.F0 * Zb)) for blk, Zb in zip(prob.blocks, Z))

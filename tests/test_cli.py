@@ -266,6 +266,21 @@ class TestArgumentHandling:
         assert not (out / "summary.json").exists()
 
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--eps", "grid:x:1:3"),
+        ("verify", "--certificate", "cert.json", "--dt", "-1"),
+        ("simulate", "--x0", "0.1,0.1", "--dt", "0"),
+    ])
+    def test_rejected_run_creates_no_output_directory(self, tmp_path, capsys, monkeypatch, argv):
+        save_certificate(Certificate(mode="analysis", P=np.eye(2), epsilon=0.4, alpha=0.0),
+                         tmp_path / "cert.json")
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "o1"
+        assert run(argv[0], "--zoo", "two-state", *argv[1:], "--out", str(out)) == 4
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "input"
+        assert not out.exists()
+
+
 class TestReadmeUsage:
     def test_usage_lines_parse(self):
         # every qbstab line of README's command-line block names real flags

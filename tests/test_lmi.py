@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbstab.errors import DimensionError, NotPositiveDefiniteError
+from qbstab import lmi
 from qbstab.lmi import (
+    LmiBlock,
+    SdpProblem,
     assemble,
     default_delta,
     default_mu,
@@ -15,7 +18,13 @@ from qbstab.lmi import (
     svec_basis,
     unsvec,
 )
-from qbstab.models import scalar_family, three_state_qb, two_state
+from qbstab.models import (
+    scalar_family,
+    shear_flow_9,
+    shear_flow_data_available,
+    three_state_qb,
+    two_state,
+)
 from qbstab.systems import QBSystem, stack, symmetrize_quadratic
 
 
@@ -171,6 +180,7 @@ class TestAssemble:
         n, m = s.n, s.m
         n_p = n * (n + 1) // 2
         prob = assemble(s, 0.5, 1e-6, "synthesis")
+        F_main, F_floor = (blk.dense() for blk in prob.blocks)
         for r in range(m):
             for c in range(n):
                 k = n_p + r * n + c
@@ -180,8 +190,82 @@ class TestAssemble:
                 main[c, 2 * n + r] = main[2 * n + r, c] = 1.0
                 floor = np.zeros((m + n, m + n))
                 floor[r, m + c] = floor[m + c, r] = -1.0
-                np.testing.assert_array_equal(prob.blocks[0].F[k], main)
-                np.testing.assert_array_equal(prob.blocks[1].F[k], floor)
+                np.testing.assert_array_equal(F_main[k], main)
+                np.testing.assert_array_equal(F_floor[k], floor)
+
+
+def dense_reference(sys, eps, alpha, mode):
+    """The F stacks of both blocks, built densely from the svec basis and the
+    Gram tensor S[a, i, b, j] = sum_p M_p[a, i] M_p[b, j] (the assembly that
+    row-compressed blocks replaced)."""
+    n, m = sys.n, (sys.m if mode == "synthesis" else 0)
+    E = svec_basis(n)
+    n_p = E.shape[0]
+    d = n_p + m * n
+    i, j, _ = lmi._svec_index(n)
+
+    def gram(Ms):
+        V = Ms.reshape(Ms.shape[0], n * n)
+        S = (V.T @ V).reshape(n, n, n, n)
+        out = S[:, i, :, j]
+        off = i != j
+        out[off] += S[:, j[off], :, i[off]]
+        out[off] /= np.sqrt(2.0)
+        return out
+
+    AE = np.einsum("ab,kbc->kac", sys.A, E)
+    TL = AE + AE.transpose(0, 2, 1)
+    TL += eps * gram(np.stack([sys.h_block(p) for p in range(n)]))
+    if m:
+        TL += eps * gram(np.stack(sys.D))
+    if alpha:
+        TL += alpha * E
+    s = 2 * n if mode == "analysis" else 3 * n
+    F = np.zeros((d, s, s))
+    F[:n_p, :n, :n] = TL
+    F[:n_p, :n, n:2 * n] += E
+    F[:n_p, n:2 * n, :n] += E
+    r, c = np.divmod(np.arange(m * n), n)
+    k = n_p + r * n + c
+    Ff = np.zeros((d, m + n, m + n))
+    Ff[:n_p, m:, m:] = -E
+    if m:
+        F[k, :n, c] += sys.B[:, r].T
+        F[k, c, :n] += sys.B[:, r].T
+        F[k, c, 2 * n + r] = F[k, 2 * n + r, c] = 1.0
+        Ff[k, r, m + c] = Ff[k, m + c, r] = -1.0
+    return F, Ff
+
+
+class TestDenseReference:
+    """Row-compressed assembly equals the dense stacks: the same nonzero
+    pattern, and values equal up to the summation order of the Gram sums
+    (the dense tensor comes from one BLAS product, the rows from several)."""
+
+    @pytest.mark.parametrize("make,mode", [
+        (two_state, "analysis"),
+        (three_state_qb, "analysis"),
+        (three_state_qb, "synthesis"),
+        (lambda: stack(two_state(), 4), "analysis"),
+        (lambda: stack(three_state_qb(), 2), "synthesis"),
+        (lambda: rand_system(np.random.default_rng(40), 4), "analysis"),
+        (lambda: rand_system(np.random.default_rng(41), 4, m=1), "synthesis"),
+        (lambda: rand_system(np.random.default_rng(42), 5, m=2), "synthesis"),
+    ])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_blocks_equal_dense_stacks(self, make, mode, alpha, monkeypatch):
+        s = make()
+        prob = assemble(s, 0.7, alpha, mode)
+        F, Ff = dense_reference(s, 0.7, alpha, mode)
+        for blk, ref in zip(prob.blocks, (F, Ff)):
+            dense = blk.dense()
+            np.testing.assert_array_equal(dense != 0, ref != 0)
+            np.testing.assert_allclose(dense, ref, rtol=0, atol=4e-16 * np.abs(ref).max())
+        # assembly in chunks of one P slot gives the same blocks
+        monkeypatch.setattr(lmi, "_CHUNK", 1)
+        again = assemble(s, 0.7, alpha, mode)
+        for blk, ref in zip(again.blocks, prob.blocks):
+            assert np.array_equal(blk.rows, ref.rows) and np.array_equal(blk.vals, ref.vals)
 
 
 class TestFloorBlock:
@@ -195,7 +279,7 @@ class TestFloorBlock:
         F = np.zeros((prob.d, n, n))
         F[: n * (n + 1) // 2] = -svec_basis(n)
         np.testing.assert_array_equal(floor.F0, default_delta(s) * np.eye(n))
-        np.testing.assert_array_equal(floor.F, F)
+        np.testing.assert_array_equal(floor.dense(), F)
 
     def test_synthesis_block_size_and_default_mu(self):
         s = three_state_qb()
@@ -313,15 +397,28 @@ class TestDeltaNorm:
             delta_norm(two_state(), -np.eye(2), np.ones(2), "analysis")
 
 
+def objective_cap_problem():
+    """The solver's hidden 1x1 cap block c'x <= 1 on the two-state layout."""
+    lay = layout(2, 0, "analysis")
+    c = lay.trace_objective()
+    cap = LmiBlock(F0=np.array([[-1.0]]), rows=np.zeros((lay.d, 1), dtype=int),
+                   vals=c.reshape(lay.d, 1, 1))
+    return SdpProblem(layout=lay, c=c, blocks=(cap,))
+
+
 OPERATOR_PROBLEMS = {
     "two-state analysis": lambda: assemble(two_state(), 0.4, 1e-6, "analysis"),
     "three-state synthesis": lambda: assemble(three_state_qb(), 0.746, 1e-6, "synthesis"),
     "stacked two-state": lambda: assemble(stack(two_state(), 5), 0.4, 1e-6, "analysis"),
+    "objective cap": objective_cap_problem,
 }
+if shear_flow_data_available():
+    OPERATOR_PROBLEMS["shear flow Re=120"] = lambda: assemble(shear_flow_9(120.0), 0.4, 1e-6,
+                                                              "analysis")
 
 
 class TestBlockOperators:
-    """The contract the solver relies on: F(x), F*(Z) and the NT congruence."""
+    """The contract the solver relies on: F(x), F*(Z) and the Schur complement."""
 
     @pytest.fixture(params=sorted(OPERATOR_PROBLEMS), scope="class")
     def problem(self, request):
@@ -340,20 +437,105 @@ class TestBlockOperators:
         rhs = float(x @ sum(blk.adjoint(Z) for blk, Z in zip(problem.blocks, Zs)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    def test_operators_match_dense_stack(self, problem):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=problem.d)
+        for blk in problem.blocks:
+            F = blk.dense()
+            Z = self.rand_sym(rng, blk.size)
+            np.testing.assert_allclose(blk.linear(x), np.einsum("k,kst->st", x, F),
+                                       rtol=1e-13, atol=1e-13 * np.abs(F).max())
+            np.testing.assert_allclose(blk.adjoint(Z), F.reshape(problem.d, -1) @ Z.reshape(-1),
+                                       rtol=1e-13, atol=1e-13 * np.abs(F).max())
+
     def test_evaluate_is_affine_part_plus_linear(self, problem):
         x = np.random.default_rng(12).normal(size=problem.d)
         for blk in problem.blocks:
             assert np.array_equal(blk.evaluate(x), blk.F0 + blk.linear(x))
 
-    def test_congruence_svec_rows(self, problem):
+    @pytest.mark.parametrize("chunk", [None, 1], ids=["chunked", "by-column"])
+    def test_schur_matches_dense_reference(self, problem, chunk, monkeypatch):
+        # sum_b <F_k, W F_l W> with W = G G' equals the Gram matrix of the
+        # rows svec(G' F_k G); chunk=1 forces one column of M per pass
+        if chunk is not None:
+            monkeypatch.setattr(lmi, "_CHUNK", chunk)
         rng = np.random.default_rng(13)
+        M = np.zeros((problem.d, problem.d))
+        ref = np.zeros((problem.d, problem.d))
         for blk in problem.blocks:
             G = rng.normal(size=(blk.size, blk.size))
-            rows = blk.congruence_svec(G)
-            assert rows.shape == (problem.d, blk.size * (blk.size + 1) // 2)
-            for k in range(problem.d):
-                np.testing.assert_allclose(rows[k], svec(G.T @ blk.F[k] @ G),
-                                           rtol=1e-12, atol=1e-12)
+            M += blk.schur(G @ G.T)
+            U = svec(np.matmul(G.T, np.matmul(blk.dense(), G)))
+            ref += U @ U.T
+        np.testing.assert_allclose(M, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_dense_round_trip(self, problem):
+        for blk in problem.blocks:
+            again = LmiBlock.from_dense(blk.F0, blk.dense())
+            assert np.array_equal(again.dense(), blk.dense())
+            assert np.array_equal(again.F0, blk.F0)
+            assert again.rows.shape[1] <= blk.rows.shape[1]
+
+
+class TestBlockValidation:
+    """Malformed blocks are rejected where they are built."""
+
+    F0 = np.zeros((3, 3))
+
+    @staticmethod
+    def sym_stack():
+        F = np.zeros((2, 3, 3))
+        F[0, 0, 1] = F[0, 1, 0] = 1.0
+        F[1, 2, 2] = -2.0
+        return F
+
+    def test_accepts_symmetric_stack(self):
+        blk = LmiBlock.from_dense(self.F0, self.sym_stack())
+        assert (blk.d, blk.size) == (2, 3)
+        assert np.array_equal(blk.dense(), self.sym_stack())
+
+    @pytest.mark.parametrize("kwargs", [
+        {"F0": np.zeros((3, 2))},
+        {"vals": np.zeros((2, 2, 2))},
+        {"rows": np.array([[0, 1], [2, 3]])},
+        {"rows": np.array([[0, 0], [1, 2]])},
+        {"rows": np.zeros((2, 0), dtype=int), "vals": np.zeros((2, 0, 3))},
+    ])
+    def test_rejects_shape_mismatch(self, kwargs):
+        args = {"F0": self.F0, "rows": np.array([[0, 1], [1, 2]]), "vals": np.zeros((2, 2, 3))}
+        args.update(kwargs)
+        with pytest.raises(ValueError, match="malformed problem: F stack shape mismatch"):
+            LmiBlock(**args)
+
+    def test_rejects_dense_shape_mismatch(self):
+        with pytest.raises(ValueError, match="malformed problem: F stack shape mismatch"):
+            LmiBlock.from_dense(self.F0, np.zeros((2, 3, 2)))
+
+    def test_rejects_nonsymmetric_f0(self):
+        F0 = np.zeros((3, 3))
+        F0[0, 2] = 1.0
+        with pytest.raises(ValueError, match="malformed problem: F0 not symmetric"):
+            LmiBlock.from_dense(F0, self.sym_stack())
+
+    @pytest.mark.parametrize("entry", [(0, 1, 0), (1, 0, 2)])
+    def test_rejects_nonsymmetric_fk(self, entry):
+        # (0, 1, 0) breaks a mirrored pair; (1, 0, 2) sits in a row whose
+        # mirror entry F_1[2, 0] is zero
+        F = self.sym_stack()
+        F[entry] = 3.0
+        with pytest.raises(ValueError, match="malformed problem: F_k not symmetric"):
+            LmiBlock.from_dense(self.F0, F)
+
+    def test_rejects_nonzero_outside_rows(self):
+        vals = np.zeros((2, 1, 3))
+        vals[0, 0, 2] = 1.0  # row 0 of F_0 has an entry in column 2, row 2 is not stored
+        with pytest.raises(ValueError, match="malformed problem: F_k not symmetric"):
+            LmiBlock(F0=self.F0, rows=np.zeros((2, 1), dtype=int), vals=vals)
+
+    def test_problem_rejects_block_of_other_dimension(self):
+        blk = LmiBlock.from_dense(self.F0, self.sym_stack())
+        with pytest.raises(ValueError, match="malformed problem: F stack shape mismatch"):
+            SdpProblem(layout=layout(2, 0, "analysis"), c=np.zeros(3), blocks=(blk,))
 
 
 class TestDebugDump:

@@ -27,8 +27,8 @@ def scalar_problem(c=1.0, bound=1.0):
         layout=lay,
         c=np.array([c]),
         blocks=(
-            LmiBlock(F0=np.array([[-bound]]), F=np.array([[[1.0]]])),
-            LmiBlock(F0=np.array([[0.0]]), F=np.array([[[-1.0]]])),
+            LmiBlock.from_dense(F0=np.array([[-bound]]), F=np.array([[[1.0]]])),
+            LmiBlock.from_dense(F0=np.array([[0.0]]), F=np.array([[[-1.0]]])),
         ),
     )
 
@@ -40,8 +40,8 @@ def infeasible_problem():
         layout=lay,
         c=np.array([1.0]),
         blocks=(
-            LmiBlock(F0=np.array([[1.0]]), F=np.array([[[1.0]]])),
-            LmiBlock(F0=np.array([[1.0]]), F=np.array([[[-1.0]]])),
+            LmiBlock.from_dense(F0=np.array([[1.0]]), F=np.array([[[1.0]]])),
+            LmiBlock.from_dense(F0=np.array([[1.0]]), F=np.array([[[-1.0]]])),
         ),
     )
 
@@ -96,7 +96,8 @@ class TestSolve:
         scaled = SdpProblem(
             layout=prob.layout,
             c=prob.c,
-            blocks=tuple(LmiBlock(F0=1e3 * b.F0, F=1e3 * b.F) for b in prob.blocks),
+            blocks=tuple(LmiBlock(F0=1e3 * b.F0, rows=b.rows, vals=1e3 * b.vals)
+                         for b in prob.blocks),
         )
         s1, s2 = solve(prob), solve(scaled)
         assert s1.status == s2.status == "Optimal"
@@ -107,7 +108,7 @@ class TestSolve:
         # The internal cap keeps the run finite and the failure message names it.
         lay = layout(1, 0, "analysis")
         prob = SdpProblem(layout=lay, c=np.array([1.0]),
-                          blocks=(LmiBlock(F0=np.array([[0.0]]), F=np.array([[[-1.0]]])),))
+                          blocks=(LmiBlock.from_dense(F0=np.array([[0.0]]), F=np.array([[[-1.0]]])),))
         sol = solve(prob, SolverConfig(objective_box=1e4, max_iters=60))
         assert sol.status in ("NumericalFailure", "IterLimit")
         assert "objective_box" in sol.message
@@ -124,7 +125,7 @@ def closed_loop_rate_problem(eps, nu):
     n_p = E.shape[0]
     Ff = np.zeros((lay.d, n, n))
     Ff[:n_p] = -E
-    floor = LmiBlock(F0=default_delta(s) * np.eye(n), F=Ff)
+    floor = LmiBlock.from_dense(F0=default_delta(s) * np.eye(n), F=Ff)
     Fr = np.zeros((lay.d, 2 * n, 2 * n))
     Fr[:n_p, :n, :n] = -nu ** 2 * E
     Fr[:n_p, n:, n:] = -E
@@ -134,7 +135,7 @@ def closed_loop_rate_problem(eps, nu):
             BY = np.outer(s.B[:, r], np.eye(n)[c])
             Fr[n_p + r * n + c, :n, n:] = -BY
             Fr[n_p + r * n + c, n:, :n] = -BY.T
-    rate = LmiBlock(F0=np.zeros((2 * n, 2 * n)), F=Fr)
+    rate = LmiBlock.from_dense(F0=np.zeros((2 * n, 2 * n)), F=Fr)
     return SdpProblem(layout=lay, c=prob.c, blocks=(prob.blocks[0], floor, rate))
 
 
@@ -167,8 +168,9 @@ def _assert_ray_valid(prob, Z):
     # Z >= 0 blockwise, sum <F_k, Z> = 0 per variable, sum <F0, Z> > 0
     for Zb in Z:
         assert np.linalg.eigvalsh((Zb + Zb.T) / 2.0)[0] >= -1e-10
+    dense = [blk.dense() for blk in prob.blocks]
     for k in range(prob.d):
-        tot = sum(float(np.sum(blk.F[k] * Zb)) for blk, Zb in zip(prob.blocks, Z))
+        tot = sum(float(np.sum(F[k] * Zb)) for F, Zb in zip(dense, Z))
         assert abs(tot) <= 1e-8
     phi = sum(float(np.sum(blk.F0 * Zb)) for blk, Zb in zip(prob.blocks, Z))
     assert phi >= 1e-10
@@ -221,7 +223,7 @@ class TestCheckBlockFeasibility:
     def test_constant_block(self):
         lay = layout(1, 0, "analysis")
         prob = SdpProblem(layout=lay, c=np.zeros(1),
-                          blocks=(LmiBlock(F0=-np.eye(2), F=np.zeros((1, 2, 2))),))
+                          blocks=(LmiBlock.from_dense(F0=-np.eye(2), F=np.zeros((1, 2, 2))),))
         rep = check_block_feasibility(prob, np.zeros(1), 0.0)
         assert rep.lambda_max[0] == pytest.approx(-1.0)
 
