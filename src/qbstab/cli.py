@@ -155,7 +155,10 @@ def _solver_config(args) -> SolverConfig:
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create --out directory: {exc}")
     return out
 
 
@@ -287,11 +290,10 @@ def _cmd_verify(args) -> int:
             "its ellipsoid is degenerate and its gain may be too stiff to simulate")
         print(json.dumps({"warning": "floor_active", "message": warnings[0]}), file=sys.stderr)
     dt = args.dt if args.dt is not None else default_dt(sys_obj)
-    try:
-        flows = convergence_check(sys_obj, cert, args.trajectories, args.t_final, dt,
-                                  args.seed + 1)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    if dt <= 0 or args.t_final <= 0 or args.trajectories < 1:
+        raise CliError("need --dt > 0, --t-final > 0 and --trajectories >= 1")
+    out = _outdir(args)
+    flows = convergence_check(sys_obj, cert, args.trajectories, args.t_final, dt, args.seed + 1)
     sampled = sample_check(sys_obj, cert, args.samples, args.seed)
     report = {
         "command": "verify",
@@ -315,7 +317,7 @@ def _cmd_verify(args) -> int:
         },
         "passed": sampled.passed and flows.passed,
     }
-    _write_json(_outdir(args) / "verification.json", report)
+    _write_json(out / "verification.json", report)
     return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
 

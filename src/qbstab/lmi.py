@@ -190,8 +190,10 @@ class LmiBlock:
     being symmetric, outside those columns), and ``vals[k, t]`` is row
     ``rows[k, t]`` of F_k.  Every ``rows[k]`` holds the same number r of
     distinct indices; an F_k with fewer nonzero rows is padded with zero
-    rows.  The assembled LMIs have r << s (a stacked n = 40 main block has
-    s = 80 and r = 6), so the block keeps d r s numbers instead of d s^2.
+    rows, so the block keeps d r s numbers instead of d s^2.  How small r is
+    depends on the system: sparse A, B, D and H give r << s (a stacked
+    n = 40 main block has s = 80 and r = 6), while a dense A or H gives a
+    main block with r = n + 2 of s = 2n and a quarter of F nonzero.
     The solver reaches F only through ``linear``, ``adjoint`` and ``schur``,
     which work from the nonzeros; ``dense`` and ``from_dense`` convert.
     """
@@ -239,6 +241,11 @@ class LmiBlock:
     @property
     def d(self) -> int:
         return self.rows.shape[0]
+
+    @property
+    def nnz(self) -> int:
+        """Number of nonzero entries over all F_k."""
+        return len(self._nnz[0])
 
     def dense(self) -> np.ndarray:
         """The (d, s, s) stack of F_k."""

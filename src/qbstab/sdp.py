@@ -4,11 +4,11 @@ Solves   maximize c'x   subject to   F0_b + sum_k x_k F_k_b <= 0   per block,
 with an infeasible-start primal-dual path-following method on the homogeneous
 self-dual embedding, Nesterov-Todd scaling, Mehrotra predictor-corrector
 steps, and Schur-complement normal equations.  Each block adds its share
-(<G'F_kG, G'F_lG>)_kl of the Schur complement, G being its NT scaling: small
-blocks as the Gram matrix of the rows svec(G'F_kG), larger ones as
-<F_k, W F_l W> with W = G G', formed from the row-compressed block data
-(Fujisawa, Kojima & Nakata, Math. Prog. 1997) so that the cost follows the
-nonzeros of F instead of d^2 s^2.  Infeasible problems are
+(<G'F_kG, G'F_lG>)_kl of the Schur complement, G being its NT scaling: as
+the Gram matrix of the rows svec(G'F_kG), or, for large blocks with sparse
+F, as <F_k, W F_l W> with W = G G', formed from the row-compressed block
+data (Fujisawa, Kojima & Nakata, Math. Prog. 1997) so that the cost follows
+the nonzeros of F instead of d^2 s^2.  Infeasible problems are
 detected through an improving-ray certificate (Z >= 0 blockwise with
 <F_k, Z> = 0 for every k and <F0, Z> > 0), which is verified against the
 original problem data before the status is reported.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .lmi import LmiBlock, SdpProblem, svec
+from .lmi import _CHUNK, LmiBlock, SdpProblem, svec
 
 __all__ = [
     "SolverConfig",
@@ -37,8 +37,10 @@ __all__ = [
 
 # fraction of the distance to the cone boundary taken by each corrector step
 STEP_FRACTION = 0.98
-# largest d s(s+1)/2 for which a block forms its Schur share in Gram form
+# largest d s(s+1)/2 for which a block always forms its Schur share in Gram form
 GRAM_MAX = 10_000
+# a larger block takes the W form only if d s(s+1)/2 is this many times its nonzeros
+W_MIN_SPARSITY = 32
 
 
 @dataclass(frozen=True)
@@ -155,14 +157,19 @@ class _Block:
     """A scaled LMI block and its per-iteration NT quantities.
 
     The block's share of the Schur complement, (<G'F_kG, G'F_lG>)_kl, is
-    formed in one of two ways, chosen by size.  A block whose rows
-    U_k = svec(G'F_kG) have at most ``GRAM_MAX`` entries in all keeps a dense
-    copy F of its stack and forms U U'.  At that size both forms take tens
-    of microseconds per iteration, and the Gram matrix is symmetric positive
-    semidefinite as computed and consistent with the right-hand sides taken
-    from the same U, which the W form is not.  Larger blocks use
-    ``LmiBlock.schur`` with W = G G', which costs d s^2 r plus the nonzeros
-    of F times d instead of d^2 s^2 / 2.
+    formed in one of two ways, chosen by size and sparsity.  The Gram form
+    keeps a dense copy F of the stack and forms U U' from the rows
+    U_k = svec(G'F_kG), d^2 s(s+1)/4 multiply-adds in one BLAS call.  It is
+    symmetric positive semidefinite as computed and consistent with the
+    right-hand sides taken from the same U, so every block whose U has at
+    most ``GRAM_MAX`` entries uses it; there both forms take tens of
+    microseconds.  The W form, ``LmiBlock.schur`` with W = G G', costs
+    d s^2 r plus the nonzeros of F times d, the latter through a sparse
+    product.  A larger block uses it only when U has at least
+    ``W_MIN_SPARSITY`` times as many entries as F has nonzeros.  Stacked
+    systems are far past that (330 to 420 at n = 40, where the W form takes
+    0.14 to 0.26 of the Gram form's time); a dense A and H are not (about 2,
+    where it takes 3.2 to 3.5 times as long at n = 15 to 30).
     """
 
     __slots__ = ("lmi", "C", "size", "X", "S", "G", "lam", "Chat", "F", "U", "W")
@@ -173,14 +180,20 @@ class _Block:
         self.size = lmi.size
         self.X = np.eye(self.size)
         self.S = np.eye(self.size)
-        gram = lmi.d * self.size * (self.size + 1) <= 2 * GRAM_MAX
+        full = lmi.d * self.size * (self.size + 1) // 2
+        gram = full <= GRAM_MAX or full < W_MIN_SPARSITY * lmi.nnz
         self.F = lmi.dense() if gram else None
+        # column-major, as svec returns it, so that U U' takes the same BLAS path
+        self.U = np.empty((lmi.d, full // lmi.d), order="F") if gram else None
 
     def set_scaling(self, G: np.ndarray, lam: np.ndarray) -> None:
         self.G, self.lam = G, lam
         self.Chat = G.T @ self.C @ G
         if self.F is not None:
-            self.U = svec(np.matmul(G.T, np.matmul(self.F, G)))
+            # by slices of the stack, so that no d s^2 temporary is formed
+            step = max(1, _CHUNK // self.size ** 2)
+            for lo in range(0, self.lmi.d, step):
+                self.U[lo:lo + step] = svec(np.matmul(G.T, np.matmul(self.F[lo:lo + step], G)))
         else:
             self.W = G @ G.T
 

@@ -160,6 +160,25 @@ class TestVerifyCommand:
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "input"
         assert not (vout / "verification.json").exists()
 
+    def test_output_directory_exists_before_the_checks_run(self, tmp_path, monkeypatch):
+        # an --out that cannot be created fails before the slow checks, not after
+        from qbstab import cli
+
+        save_certificate(Certificate(mode="analysis", P=np.eye(2), epsilon=0.4, alpha=0.0),
+                         tmp_path / "cert.json")
+        vout = tmp_path / "ver"
+        seen = []
+
+        def probe(*args):
+            seen.append(vout.is_dir())
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(cli, "convergence_check", probe)
+        with pytest.raises(RuntimeError, match="stop"):
+            run("verify", "--zoo", "two-state", "--certificate", str(tmp_path / "cert.json"),
+                "--out", str(vout))
+        assert seen == [True]
+
 
 class TestBench:
     def test_stack_sizes_and_exponent(self, tmp_path):
@@ -279,6 +298,21 @@ class TestArgumentHandling:
         assert run(argv[0], "--zoo", "two-state", *argv[1:], "--out", str(out)) == 4
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "input"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--eps", "0.4"),
+        ("verify", "--certificate", "cert.json"),
+        ("simulate", "--x0", "0.1,0.1"),
+    ])
+    def test_uncreatable_output_directory_is_input_error(self, tmp_path, capsys, monkeypatch,
+                                                         argv):
+        save_certificate(Certificate(mode="analysis", P=np.eye(2), epsilon=0.4, alpha=0.0),
+                         tmp_path / "cert.json")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert run(argv[0], "--zoo", "two-state", *argv[1:], "--out", str(out)) == 4
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "input"
 
 
 class TestReadmeUsage:

@@ -10,6 +10,7 @@ from qbstab.lmi import (
     layout,
     svec_basis,
 )
+from qbstab import sdp
 from qbstab.models import scalar_family, three_state_qb, two_state
 from qbstab.sdp import (
     SolverConfig,
@@ -17,7 +18,7 @@ from qbstab.sdp import (
     kkt_residuals,
     solve,
 )
-from qbstab.systems import QBSystem
+from qbstab.systems import QBSystem, stack, symmetrize_quadratic
 
 
 def scalar_problem(c=1.0, bound=1.0):
@@ -253,3 +254,44 @@ class TestConfigValidation:
         for mu, primal, dual, step in sol.history:
             assert np.all(np.isfinite([mu, primal, dual, step]))
             assert 0.0 < step <= 1.0
+
+
+def dense_system(n, seed=0):
+    """A stable system with every entry of A and H nonzero."""
+    rng = np.random.default_rng(seed)
+    A = -2.0 * np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+    return QBSystem(A=A, H=symmetrize_quadratic(0.2 * rng.standard_normal((n, n * n)) / n, n))
+
+
+class TestSchurForms:
+    def test_form_follows_size_and_sparsity(self):
+        def gram(sys_obj):
+            prob = assemble(sys_obj, 0.3, 1e-6, "analysis")
+            return [sdp._Block(blk).F is not None for blk in prob.blocks]
+
+        assert gram(two_state()) == [True, True]  # small: Gram form
+        # main block above GRAM_MAX but a quarter full: Gram; sparse floor block: W
+        assert gram(dense_system(15)) == [True, False]
+        assert gram(stack(two_state(), 10)) == [False, False]  # large and sparse: W
+
+    @pytest.mark.parametrize("sys_obj", [stack(two_state(), 5), dense_system(6)],
+                             ids=["stacked", "dense"])
+    def test_forms_agree(self, sys_obj, monkeypatch):
+        rng = np.random.default_rng(3)
+        for lmi in assemble(sys_obj, 0.3, 1e-6, "analysis").blocks:
+            s = lmi.size
+            G = np.linalg.qr(rng.standard_normal((s, s)))[0] * rng.uniform(0.5, 2.0, s)
+            R = rng.standard_normal((s, s))
+            R = R + R.T
+            out, forms = [], []
+            monkeypatch.setattr(sdp, "W_MIN_SPARSITY", 0)
+            for gram_max in (np.inf, 0):
+                monkeypatch.setattr(sdp, "GRAM_MAX", gram_max)
+                blk = sdp._Block(lmi)
+                blk.set_scaling(G, np.ones(s))
+                out.append((*blk.schur(), *blk.pull_back(R)))
+                forms.append("gram" if blk.F is not None else "W")
+            assert forms == ["gram", "W"]
+            for gram_side, w_side in zip(*out):
+                np.testing.assert_allclose(w_side, gram_side, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(gram_side)))
