@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -109,7 +109,7 @@ class Certificate:
     (d/dt V <= -alpha V inside the ellipsoid).  Synthesis certificates carry
     Y and the extracted gain K = Y P^-1.  ``solver_report`` says how the
     certificate was obtained: solver status, iterations and residuals,
-    whether the relaxed-tolerance retry fired, and the ``shape_report``
+    whether the solver's relaxed tolerances were used, and the ``shape_report``
     entries (lambda_min(P)/delta, floor activity, |K|_2).
     """
 
@@ -133,9 +133,9 @@ class Certificate:
                 raise DimensionError("synthesis certificate requires Y and K")
             Y = np.asarray(self.Y, dtype=float)
             K = np.asarray(self.K, dtype=float)
-            # 1e-8 relative to |Y|, plus the unavoidable rounding floor of
-            # forming K P when P is ill-conditioned (lambda_min near the
-            # assembly floor delta makes |K||P| >> |Y| at window edges)
+            # 1e-8 relative to |Y|, plus the rounding floor of forming K P,
+            # which certificates written before the gain bound need: their
+            # lambda_min(P) near the floor delta makes |K||P| >> |Y|
             floor = 64.0 * np.finfo(float).eps * np.linalg.norm(K) * np.linalg.norm(self.P)
             resid = float(np.linalg.norm(K @ self.P - Y))
             if resid > 1e-8 * max(np.linalg.norm(Y), 1e-30) + floor:
@@ -242,18 +242,8 @@ def resolve_alpha(sys: QBSystem, alpha) -> float:
 
 
 def _gain_from(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Solve K P = Y; iterative refinement holds the residual near rounding
-    level even when P is ill-conditioned (window-edge certificates)."""
-    Psym = (P + P.T) / 2.0
-    factor = _spd_factor(P)
-    K = cho_solve(factor, Y.T).T
-    y_norm = max(float(np.linalg.norm(Y)), 1e-30)
-    for _ in range(3):
-        R = Y - K @ Psym
-        if float(np.linalg.norm(R)) <= 1e-10 * y_norm:
-            break
-        K = K + cho_solve(factor, R.T).T
-    return K
+    """Solve K P = Y through an SPD factorization of P."""
+    return cho_solve(_spd_factor(P), Y.T).T
 
 
 def max_trace(sys: QBSystem, eps: float, alpha, mode: str,
@@ -264,24 +254,20 @@ def max_trace(sys: QBSystem, eps: float, alpha, mode: str,
     ray attached) otherwise; numerical failures raise SolverFailure with eps
     in the message.
 
-    When the first solve ends NumericalFailure or IterLimit, one retry with
-    10x relaxed tolerances is made and the achieved residuals are recorded
-    in the certificate.  This happens on well-conditioned optima too, when
-    the attainable dual accuracy lands just above the default tolerance.
-    The certificate's ``solver_report`` also says whether that retry fired,
-    how far lambda_min(P) sits above the floor delta (floor-active when
-    within 10 delta) and the spectral norm of K.
+    One solve per eps.  If it ends NumericalFailure or IterLimit, its
+    ``relaxed`` solution (the first iterate that passed the solver's looser
+    tolerances) is used, also on well-conditioned optima whose attainable
+    dual accuracy lands just above the tolerance.  The certificate's
+    ``solver_report`` says whether that happened (``relaxed_retry``), how far
+    lambda_min(P) sits above the floor delta (floor-active when within
+    10 delta) and the spectral norm of K.
     """
     alpha = resolve_alpha(sys, alpha)
     problem = assemble(sys, eps, alpha, mode)
-    base = config if config is not None else SolverConfig()
-    sol = solve(problem, base)
+    sol = solve(problem, config)
     retried = sol.status in ("NumericalFailure", "IterLimit")
-    if retried:
-        relaxed = replace(base, feas_tol=10.0 * base.feas_tol, gap_tol=10.0 * base.gap_tol)
-        retry = solve(problem, relaxed)
-        if retry.status in ("Optimal", "Infeasible"):
-            sol = retry
+    if retried and sol.relaxed is not None:
+        sol = sol.relaxed
     if sol.status == "Optimal":
         return _certificate_from_solution(sys, problem, sol, eps, alpha, mode, retried)
     if sol.status == "Infeasible":

@@ -84,6 +84,14 @@ def _number(token: str, error: str, cast=float):
         raise CliError(error)
 
 
+def _count(token: str) -> int:
+    """argparse type for seeds and sample counts: an integer >= 0."""
+    value = int(token)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _load_target(args) -> tuple[QBSystem, str]:
     if getattr(args, "zoo", None) and getattr(args, "system", None):
         raise CliError("pass either --zoo or --system, not both")
@@ -399,8 +407,6 @@ def _cmd_simulate(args) -> int:
     dt = args.dt if args.dt is not None else default_dt(sys_obj)
     if dt <= 0 or args.t_final <= 0:
         raise CliError("need --dt > 0 and --t-final > 0")
-    if args.boundary_samples < 0:
-        raise CliError("--boundary-samples must be non-negative")
     if args.x0:
         points = _parse_x0_list(args.x0, sys_obj.n)
     elif args.boundary_samples:
@@ -439,7 +445,7 @@ def _add_common(p: argparse.ArgumentParser, need_eps: bool = True) -> None:
     p.add_argument("--system", help="path to a system JSON file")
     p.add_argument("--out", default=os.environ.get("QBSTAB_OUT", "qbstab_out"),
                    help="output directory (env QBSTAB_OUT overrides the default)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--feas-tol", type=float, default=1e-8)
     p.add_argument("--gap-tol", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=200)
@@ -471,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="audit a certificate by sampling and simulation")
     _add_common(p, need_eps=False)
     p.add_argument("--certificate", required=True)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_count, default=10_000)
     p.add_argument("--trajectories", type=int, default=100)
     p.add_argument("--t-final", type=float, default=20.0)
     p.add_argument("--dt", type=float, default=None, help="default: 1e-3 / |A|_F")
@@ -485,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate trajectories, write CSV")
     _add_common(p, need_eps=False)
     p.add_argument("--x0", help="initial conditions 'a,b;c,d;...'")
-    p.add_argument("--boundary-samples", type=int, default=0)
+    p.add_argument("--boundary-samples", type=_count, default=0)
     p.add_argument("--certificate", help="certificate JSON for boundary sampling")
     p.add_argument("--t-final", type=float, default=5.0)
     p.add_argument("--dt", type=float, default=None)

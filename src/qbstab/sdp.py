@@ -41,6 +41,8 @@ STEP_FRACTION = 0.98
 GRAM_MAX = 10_000
 # a larger block takes the W form only if d s(s+1)/2 is this many times its nonzeros
 W_MIN_SPARSITY = 32
+# the tolerances of ``SdpSolution.relaxed`` are this many times the configured ones
+RELAX_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,11 @@ class SdpSolution:
     improving-ray certificate (<F0, Z> = 1).  ``history`` holds one
     (mu, primal residual, dual residual, step length) tuple per completed
     interior-point step.
+
+    ``relaxed`` is the Optimal or Infeasible solution at the first iterate
+    that passed a test only with tolerances ``RELAX_FACTOR`` times looser,
+    else None.  Tolerances never change an iterate, so after NumericalFailure
+    or IterLimit it is what a re-solve with those tolerances would return.
     """
 
     status: str
@@ -88,6 +95,7 @@ class SdpSolution:
     iters: int
     message: str = ""
     history: list = field(default_factory=list)
+    relaxed: SdpSolution | None = None
 
 
 @dataclass(frozen=True)
@@ -279,6 +287,9 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     obj_best = float("nan")
     obj_max_seen = -np.inf
     iters_done = 0
+    relaxed = None
+    feas_loose, gap_loose = RELAX_FACTOR * config.feas_tol, RELAX_FACTOR * config.gap_tol
+    ray_scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
 
     def unscale_report(Rd):
         """Original-space (x, Z, residuals, objective) for the current iterate."""
@@ -311,14 +322,16 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         Rg = CX - float(b_vec @ y) + kappa
         mu = (sum(float(np.sum(blk.X * blk.S)) for blk in blocks) + tau * kappa) / (nu + 1)
 
-        ray_ok, ray_Z, ray_q = _ray_certificate(problem.blocks, c, blocks, beta,
-                                                config.feas_tol)
-        if ray_ok:
-            status = "Infeasible"
-            message = f"improving ray with max |<F_k, Z>| = {ray_q:.2e}"
-            Z_best = ray_Z
-            resid_best, obj_best = (0.0, 0.0, 0.0), float("nan")
-            break
+        ray_Z, ray_q = _ray_certificate(problem.blocks, blocks, beta)
+        if ray_Z is not None and ray_q <= feas_loose * ray_scale:
+            ray_message = f"improving ray with max |<F_k, Z>| = {ray_q:.2e}"
+            if ray_q <= config.feas_tol * ray_scale:
+                status, message, Z_best = "Infeasible", ray_message, ray_Z
+                resid_best, obj_best = (0.0, 0.0, 0.0), float("nan")
+                break
+            if relaxed is None:
+                relaxed = SdpSolution("Infeasible", x_best, ray_Z, float("nan"), 0.0, 0.0, 0.0,
+                                      it + 1, ray_message, list(history))
 
         iterate_scale = max(float(np.abs(blk.X).max()) for blk in blocks)
         if tau > 1e-14 * max(1.0, iterate_scale):
@@ -330,6 +343,10 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
                 status, message = "Optimal", ""
                 x_best, Z_best, resid_best, obj_best = x_orig, Zs, resid, p_obj
                 break
+            if (relaxed is None and resid[0] <= feas_loose and resid[1] <= feas_loose
+                    and resid[2] <= gap_loose):
+                relaxed = SdpSolution("Optimal", x_orig, Zs, p_obj, *resid, it + 1,
+                                      history=list(history))
             if max(resid) < max(resid_best):
                 x_best, Z_best, resid_best, obj_best = x_orig, Zs, resid, p_obj
         else:
@@ -466,26 +483,17 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         message += ("; objective reached the internal objective_box cap "
                     "(problem unbounded above?)")
     objective = obj_best if status != "Infeasible" else float("nan")
-    return SdpSolution(
-        status=status,
-        x=x_best,
-        Z=Z_best,
-        objective=objective,
-        primal_residual=resid_best[0],
-        dual_residual=resid_best[1],
-        duality_gap=resid_best[2],
-        iters=iters_done,
-        message=message,
-        history=history,
-    )
+    return SdpSolution(status, x_best, Z_best, objective, *resid_best, iters_done, message,
+                       history, relaxed)
 
 
-def _ray_certificate(user_blocks, c, blocks, beta, tol):
-    """Test the current iterate as an improving-ray certificate.
+def _ray_certificate(user_blocks, blocks, beta):
+    """The current iterate as a candidate improving ray: (Z, eta), Z None if unfit.
 
     The candidate ray is normalized to unit total trace, then checked on the
-    original data:  eta = max_k |sum_b <F_k, Z_b>|  must be below ``tol`` and
-    below a fixed fraction of  phi = sum_b <F0_b, Z_b> >= 1e-10.  Such a
+    original data:  eta = max_k |sum_b <F_k, Z_b>|  must be below a fixed
+    fraction of  phi = sum_b <F0_b, Z_b> >= 1e-10, and the caller accepts it
+    when eta is also below its tolerance times max(1, |c|_inf).  Such a
     certificate proves there is no feasible point with |x|_1 < phi/eta, so
     the ratio guard (1e-5) rules out false positives for any problem whose
     feasible set lives at sane magnitudes.
@@ -493,13 +501,11 @@ def _ray_certificate(user_blocks, c, blocks, beta, tol):
     Zs = [b * blk.X for blk, b in zip(blocks, beta)]
     total = sum(float(np.trace(Z)) for Z in Zs)
     if not np.isfinite(total) or total <= 0:
-        return False, None, np.inf
+        return None, np.inf
     Zs = [Z / total for Z in Zs]
     phi = sum(float(np.sum(ub.F0 * Z)) for ub, Z in zip(user_blocks, Zs))
     if not np.isfinite(phi) or phi < 1e-10:
-        return False, None, np.inf
+        return None, np.inf
     Ag = sum(ub.adjoint(Z) for ub, Z in zip(user_blocks, Zs))
     eta = float(np.max(np.abs(Ag), initial=0.0))
-    if eta <= tol * max(1.0, float(np.max(np.abs(c), initial=0.0))) and eta <= 1e-5 * phi:
-        return True, Zs, eta
-    return False, None, eta
+    return (Zs if eta <= 1e-5 * phi else None), eta

@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import THREE_STATE_GRID
 from qbstab.certify import (
     Certificate,
     Ellipsoid,
@@ -20,12 +22,14 @@ from qbstab.certify import (
     sweep_epsilon,
     union_volume,
 )
+from qbstab import sdp
 from qbstab.errors import DimensionError, NotPositiveDefiniteError, SchemaError
 from qbstab.lmi import assemble, default_delta, default_mu
 from qbstab.models import scalar_family, three_state_qb, two_state
 from qbstab.sdp import check_block_feasibility
 
 SCALAR = scalar_family(-1.0, 1.0)
+DATA = Path(__file__).parent / "data"
 
 
 def scalar_expected(eps, alpha):
@@ -74,6 +78,24 @@ class TestMaxTrace:
 
 
 class TestSynthesisGrid:
+    def test_one_solve_per_eps(self, monkeypatch):
+        # a strict solve that ends NumericalFailure or IterLimit is not
+        # repeated: its certificate comes from the solve's relaxed solution
+        statuses = []
+
+        def counting_solve(problem, config=None):
+            sol = sdp.solve(problem, config)
+            statuses.append(sol.status)
+            return sol
+
+        monkeypatch.setattr("qbstab.certify.solve", counting_solve)
+        sweep = sweep_epsilon(three_state_qb(), THREE_STATE_GRID, None, "synthesis")
+        assert len(statuses) == len(THREE_STATE_GRID)
+        for entry, status in zip(sweep.entries, statuses):
+            if entry.feasible:
+                assert entry.certificate.solver_report["relaxed_retry"] == (
+                    status in ("NumericalFailure", "IterLimit"))
+
     def test_off_the_floor_and_inside_the_input_bound(self, three_state_sweep):
         # every grid certificate keeps lambda_min(P) > 10 delta, and its gain
         # keeps |K x| <= sqrt(mu) on the certified ellipsoid (boundary and
@@ -265,6 +287,16 @@ class TestSerialization:
         np.testing.assert_array_equal(again.P, cert.P)
         np.testing.assert_array_equal(again.Y, cert.Y)
         np.testing.assert_array_equal(again.K, cert.K)
+
+    def test_loads_floor_era_synthesis_certificate(self):
+        # written at eps = 9.58 on the three-state grid before the gain bound:
+        # lambda_min(P) sits at the assembly floor (cond(P) = 1.3e9) and its
+        # stored K P misses Y by more than 1e-8 |Y|, so only the rounding-floor
+        # slack of the K P = Y check lets ``verify`` load it
+        cert = load_certificate(DATA / "floor_era_synthesis_certificate.json")
+        resid = np.linalg.norm(cert.K @ cert.P - cert.Y)
+        assert resid > 1e-8 * np.linalg.norm(cert.Y)
+        assert np.linalg.cond(cert.P) > 1e9
 
     def test_indefinite_p_rejected_with_eigenvalue(self):
         cert = max_trace(SCALAR, 1.0, 0.01, "analysis")

@@ -272,6 +272,10 @@ class TestArgumentHandling:
         ("analyze", "--eps", "grid:0.01:0.8:3", "--union-samples", "100"),
         ("analyze", "--eps", "search:0.1:0.5", "--rel-tol", "0"),
         ("simulate", "--boundary-samples", "-2", "--certificate", "cert.json"),
+        ("verify", "--certificate", "cert.json", "--samples", "-5"),
+        ("verify", "--certificate", "cert.json", "--seed", "-3"),
+        ("analyze", "--eps", "grid:0.1:0.5:3", "--seed", "-1"),
+        ("simulate", "--boundary-samples", "2", "--certificate", "cert.json", "--seed", "-1"),
     ])
     def test_bad_values_are_input_errors(self, tmp_path, capsys, monkeypatch, argv):
         # input checks come before any solve
@@ -289,6 +293,7 @@ class TestArgumentHandling:
         ("analyze", "--eps", "grid:x:1:3"),
         ("verify", "--certificate", "cert.json", "--dt", "-1"),
         ("simulate", "--x0", "0.1,0.1", "--dt", "0"),
+        ("verify", "--certificate", "cert.json", "--samples", "-5"),
     ])
     def test_rejected_run_creates_no_output_directory(self, tmp_path, capsys, monkeypatch, argv):
         save_certificate(Certificate(mode="analysis", P=np.eye(2), epsilon=0.4, alpha=0.0),

@@ -165,6 +165,39 @@ class TestInfeasibility:
         _assert_ray_valid(prob, sol.Z)
 
 
+class TestRelaxed:
+    @pytest.mark.parametrize("prob, config, kind", [
+        # one iteration short of the strict optimum
+        (assemble(SCALAR_SYS, eps=1.0, alpha=0.01, mode="analysis"),
+         SolverConfig(max_iters=7), "Optimal"),
+        # one iteration short of a strict ray at a tight feas_tol
+        (assemble(two_state(), eps=3.0, alpha=1e-6, mode="analysis"),
+         SolverConfig(feas_tol=1e-14, max_iters=13), "Infeasible"),
+    ], ids=["optimal", "infeasible"])
+    def test_equals_relaxed_re_solve(self, prob, config, kind):
+        sol = solve(prob, config)
+        assert sol.status == "IterLimit"
+        # the re-solve with 10x looser tolerances that the relaxed solution replaces
+        replay = solve(prob, SolverConfig(feas_tol=10.0 * config.feas_tol,
+                                          gap_tol=10.0 * config.gap_tol,
+                                          max_iters=config.max_iters))
+        kept = sol.relaxed
+        assert kept is not None and kept.status == replay.status == kind
+        assert kept.iters == replay.iters <= sol.iters
+        assert kept.message == replay.message
+        assert np.array_equal(kept.objective, replay.objective, equal_nan=True)
+        assert ((kept.primal_residual, kept.dual_residual, kept.duality_gap)
+                == (replay.primal_residual, replay.dual_residual, replay.duality_gap))
+        assert kept.x.tobytes() == replay.x.tobytes()
+        assert [Z.tobytes() for Z in kept.Z] == [Z.tobytes() for Z in replay.Z]
+        assert kept.history == replay.history == sol.history[:len(kept.history)]
+        assert replay.relaxed is None
+
+    def test_absent_when_strict_tests_pass_first(self):
+        sol = solve(infeasible_problem())
+        assert sol.status == "Infeasible" and sol.relaxed is None
+
+
 def _assert_ray_valid(prob, Z):
     # Z >= 0 blockwise, sum <F_k, Z> = 0 per variable, sum <F0, Z> > 0
     for Zb in Z:
