@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import DimensionError, NotPositiveDefiniteError, QBStabError, SchemaError
-from .lmi import _spd_eigh, _spd_factor, assemble, default_alpha, default_delta
+from .lmi import _spd_eigh, _spd_factor, _svec_index, assemble, default_alpha, default_delta, svec
 from .sdp import SdpSolution, SolverConfig, solve
 from .systems import QBSystem
 
@@ -55,6 +55,9 @@ class SolverFailure(QBStabError, RuntimeError):
 FLOOR_FACTOR = 10.0
 # fewest Monte Carlo points ``union_volume`` accepts
 UNION_MIN_SAMPLES = 10_000
+# ``union_volume`` sizes its point chunks so their working arrays hold about
+# this many bytes together, whatever n and the member count
+UNION_CHUNK_BYTES = 1 << 20
 # log-spaced eps points of the ``optimize_epsilon`` pre-scan
 SCAN_POINTS = 16
 # traces within TIE_REL of the best count as tied in ``SweepResult.best``
@@ -426,27 +429,27 @@ def union_volume(region: UnionRegion, samples: int, seed: int) -> tuple[float, f
     """Monte Carlo volume of the union over its joint bounding box.
 
     Deterministic for a fixed seed; the standard error comes from the
-    binomial hit-count estimate.
+    binomial hit-count estimate.  x'Qx = <svec(x x'), svec(Q)>, so one
+    product of the points' monomials with the stacked svec(P^-1) tests
+    every member at once; a point is a hit when its smallest value is <= 1.
     """
     if samples < UNION_MIN_SAMPLES:
         raise ValueError(f"need at least {UNION_MIN_SAMPLES} samples, got {samples}")
     n = region.n
     hw = np.max([e.bounding_halfwidths() for e in region.members], axis=0)
-    invs = [np.linalg.inv(e.P) for e in region.members]
+    i, j, scale = _svec_index(n)
+    # svec(x x') * svec(Q) = (x_i x_j) * (Q_ij scale^2): both scales go on Q
+    W = np.stack([svec(np.linalg.inv(e.P)) * scale for e in region.members], axis=1)
+    # rows per chunk: the monomials, their gather temporary and the values
+    rows = max(1, UNION_CHUNK_BYTES // (8 * (2 * i.size + W.shape[1])))
     rng = np.random.default_rng(seed)
     box_volume = float(np.prod(2.0 * hw))
     hits = 0
-    remaining = samples
-    chunk = 1 << 19
-    while remaining > 0:
-        take = min(chunk, remaining)
-        pts = rng.uniform(-hw, hw, size=(take, n))
-        inside = np.zeros(take, dtype=bool)
-        for Pi in invs:
-            q = np.einsum("ki,ij,kj->k", pts, Pi, pts)
-            inside |= q <= 1.0
-        hits += int(inside.sum())
-        remaining -= take
+    for start in range(0, samples, rows):
+        pts = rng.uniform(-hw, hw, size=(min(rows, samples - start), n))
+        mono = pts[:, i]
+        mono *= pts[:, j]
+        hits += int(np.count_nonzero((mono @ W).min(axis=1) <= 1.0))
     p_hat = hits / samples
     estimate = box_volume * p_hat
     stderr = box_volume * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)

@@ -29,6 +29,7 @@ from .certify import (
     Infeasible,
     SolverFailure,
     UnionRegion,
+    ellipsoid_volume,
     load_certificate,
     max_trace,
     optimize_epsilon,
@@ -193,13 +194,25 @@ def _write_geometry(path: Path, cert: Certificate) -> None:
 def _union_payload(certs: list[Certificate], samples: int, seed: int) -> dict:
     region = UnionRegion(members=tuple(Ellipsoid(P=c.P) for c in certs))
     estimate, stderr = union_volume(region, samples, seed)
-    return {
+    largest = max(ellipsoid_volume(e) for e in region.members)
+    payload = {
         "members": len(certs),
         "samples": samples,
         "seed": seed,
         "volume_estimate": estimate,
         "standard_error": stderr,
+        "largest_member_volume": largest,
     }
+    # the union contains every member, so an estimate 3 standard errors
+    # below the largest exact member volume means the box drew too few hits
+    if estimate + 3.0 * stderr < largest:
+        payload["warning"] = (
+            f"union volume estimate {estimate:.6g} +- {stderr:.2g} is below the largest "
+            f"member's exact volume {largest:.6g}: the bounding box in n = {region.n} "
+            "holds too few Monte Carlo hits for the estimate to be usable")
+        print(json.dumps({"warning": "union_undersampled", "message": payload["warning"]}),
+              file=sys.stderr)
+    return payload
 
 
 def _run_certification(args, mode: str) -> int:
@@ -239,6 +252,8 @@ def _run_certification(args, mode: str) -> int:
             union = _union_payload(feas_certs, args.union_samples, args.seed)
             _write_json(out / "union.json", union)
             summary["union_volume_estimate"] = union["volume_estimate"]
+            if "warning" in union:
+                summary["warning"] = union["warning"]
     elif kind == "search":
         result = optimize_epsilon(sys_obj, eps_spec, rel_tol=args.rel_tol, alpha=alpha,
                                   mode=mode, config=config)

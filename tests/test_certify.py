@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,57 @@ class TestUnionVolume:
             UnionRegion(members=())
         with pytest.raises(DimensionError):
             UnionRegion(members=(Ellipsoid(P=np.eye(2)), Ellipsoid(P=np.eye(3))))
+
+
+def _random_region(n: int, members: int, seed: int) -> UnionRegion:
+    """Overlapping SPD ellipsoids of varied size and shape around the origin."""
+    rng = np.random.default_rng(seed)
+    Ps = []
+    for _ in range(members):
+        A = rng.standard_normal((n, n))
+        Ps.append(rng.uniform(0.2, 5.0) * (A @ A.T / n + 0.1 * np.eye(n)))
+    return UnionRegion(members=tuple(Ellipsoid(P=P) for P in Ps))
+
+
+def _einsum_union_volume(region: UnionRegion, samples: int, seed: int) -> float:
+    """Reference estimate: every member tested by its own einsum, 2**19-point draws."""
+    hw = np.max([e.bounding_halfwidths() for e in region.members], axis=0)
+    invs = [np.linalg.inv(e.P) for e in region.members]
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for start in range(0, samples, 1 << 19):
+        pts = rng.uniform(-hw, hw, size=(min(1 << 19, samples - start), region.n))
+        inside = np.zeros(pts.shape[0], dtype=bool)
+        for Pi in invs:
+            inside |= np.einsum("ki,ij,kj->k", pts, Pi, pts) <= 1.0
+        hits += int(inside.sum())
+    return float(np.prod(2.0 * hw)) * (hits / samples)
+
+
+class TestUnionVolumeKernel:
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_hits_equal_per_member_einsum(self, seed):
+        # 2**19 + 17 is a multiple of neither the reference's draw chunk nor
+        # union_volume's byte-sized chunks, so the split of the random stream
+        # and the ragged last chunks are both exercised
+        region = _random_region(3, 20, 11)
+        samples = (1 << 19) + 17
+        est, _ = union_volume(region, samples, seed)
+        assert est == _einsum_union_volume(region, samples, seed)
+
+    @pytest.mark.parametrize("n, samples", [(3, 1 << 20), (40, 1 << 17)])
+    def test_working_set_stays_chunked(self, n, samples):
+        # an unchunked draw (n = 40) or an unchunked (samples x members)
+        # product (n = 3) would each need more than the budget on its own
+        budget = 8 << 20
+        region = _random_region(n, 20, 3)
+        tracemalloc.start()
+        try:
+            union_volume(region, samples, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, f"peak {peak / 2**20:.1f} MiB at n = {n}"
 
 
 class TestSerialization:

@@ -7,7 +7,7 @@ import pytest
 
 from qbstab.certify import Certificate, save_certificate
 from qbstab.cli import build_parser, main
-from qbstab.systems import save_system
+from qbstab.systems import save_system, stack
 from qbstab.models import scalar_family
 
 
@@ -36,6 +36,37 @@ class TestAnalyze:
         assert lines[1] == "epsilon,feasible,trace_P"
         assert len(lines) == 2 + 5
         assert (out / "union.json").exists()
+
+    def test_undersampled_union_warns(self, tmp_path, capsys):
+        # 20 stacked scalar copies: each ellipsoid fills ~1e-8 of its box,
+        # so 10,000 box samples hit nothing
+        sys_path = tmp_path / "stacked.json"
+        save_system(stack(scalar_family(-1.0, 1.0), 20), sys_path)
+        out = tmp_path / "high_n"
+        assert run("analyze", "--system", str(sys_path), "--eps", "grid:0.5:0.9:2",
+                   "--out", str(out), "--union-samples", "10000") == 0
+        union = json.loads((out / "union.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
+        assert union["volume_estimate"] == 0.0
+        assert union["largest_member_volume"] > 0.0
+        assert "n = 20" in union["warning"]
+        assert summary["warning"] == union["warning"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"warning": "union_undersampled",
+                                      "message": union["warning"]}
+
+    def test_reproduction_grid_union_has_no_warning(self, tmp_path, capsys):
+        out = tmp_path / "repro"
+        assert run("analyze", "--zoo", "two-state", "--eps", "grid:0.01:0.8:20",
+                   "--out", str(out)) == 0
+        union = json.loads((out / "union.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
+        # the largest member is the best ellipse, area 12.8339
+        assert union["largest_member_volume"] == pytest.approx(12.8339, rel=1e-4)
+        assert union["volume_estimate"] > union["largest_member_volume"]
+        assert "warning" not in union and "warning" not in summary
+        assert capsys.readouterr().err == ""
 
     def test_infeasible_eps_exit_code(self, tmp_path):
         code = run("analyze", "--zoo", "two-state", "--eps", "5.0",
