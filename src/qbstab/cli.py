@@ -335,6 +335,8 @@ def _cmd_verify(args) -> int:
             "trajectories": flows.trajectories_total,
             "converged": flows.trajectories_converged,
             "violations": flows.violations,
+            "max_vdot_ratio": flows.max_vdot_ratio,
+            "min_decay_margin": flows.min_decay_margin,
             "t_final": args.t_final,
             "dt": dt,
         },

@@ -32,6 +32,10 @@ __all__ = [
 DIVERGENCE_FACTOR = 1e6
 BOUNDARY_SHRINK = 1.0 - 1e-6
 CONV_RTOL = 1e-3
+# ``convergence_check`` integrates as many steps at a time as fit in about
+# this many bytes of states, whatever the trajectory count and n; its block
+# checks hold a few temporaries of that size, and larger blocks run no faster
+AUDIT_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -153,12 +157,73 @@ def sample_check(sys: QBSystem, cert: Certificate, n_samples: int, seed: int) ->
     )
 
 
-def _rk4_step(sys: QBSystem, X: np.ndarray, dt: float) -> np.ndarray:
-    k1 = eval_dynamics(sys, X)
-    k2 = eval_dynamics(sys, X + 0.5 * dt * k1)
-    k3 = eval_dynamics(sys, X + 0.5 * dt * k2)
-    k4 = eval_dynamics(sys, X + dt * k3)
-    return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _integrate(sys_cl: QBSystem, X: np.ndarray, dt: float, out: np.ndarray) -> None:
+    """Fill out[j], shape (N, n), with the classical RK4 state after j + 1 steps from X.
+
+    Each stage is eval_dynamics' arithmetic, term for term, with A' and H'
+    taken once and no shape checks.  A row that overflows keeps integrating
+    as inf/nan; callers find it with ``_first_escape`` afterwards.
+    """
+    AT, HT = sys_cl.A.T, sys_cl.H.T
+    N, n = X.shape
+    x, arg, quad, k1, k2, k3, k4 = (np.empty((N, n)) for _ in range(7))
+    xx = np.empty((N, n * n))
+    xx_square = xx.reshape(N, n, n)
+    x[:] = X
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def outer_views(v: np.ndarray) -> tuple:
+        # zero-stride views whose product is x kron x, laid out as xx
+        return (v, np.broadcast_to(v[:, :, None], (N, n, n)),
+                np.broadcast_to(v[:, None, :], (N, n, n)))
+
+    def field(v: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: np.ndarray) -> None:
+        np.multiply(rows, cols, out=xx_square)
+        np.matmul(v, AT, out=k)
+        np.matmul(xx, HT, out=quad)
+        k += quad
+
+    at_x, at_arg = outer_views(x), outer_views(arg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for state in out:
+            field(*at_x, k1)
+            np.multiply(k1, half, out=arg)
+            arg += x
+            field(*at_arg, k2)
+            np.multiply(k2, half, out=arg)
+            arg += x
+            field(*at_arg, k3)
+            np.multiply(k3, dt, out=arg)
+            arg += x
+            field(*at_arg, k4)
+            # x + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            k2 *= 2.0
+            k2 += k1
+            k3 *= 2.0
+            k2 += k3
+            k2 += k4
+            k2 *= sixth
+            x += k2
+            state[:] = x
+
+
+def _first_escape(states: np.ndarray, guard: float) -> np.ndarray:
+    """For states of shape (steps, N, n): per trajectory, the index of its first
+    state that is non-finite or farther than ``guard`` from the origin, else steps.
+    """
+    steps, N, n = states.shape
+    # a norm is at most n times the largest entry, rounding included: a block
+    # well inside the guard needs no norms
+    if np.max(np.abs(states)) * n <= guard:
+        return np.full(N, steps)
+    finite = np.all(np.isfinite(states), axis=-1)
+    states = np.where(finite[..., None], states, 0.0)
+    # the largest entry is tested before the norm, so a huge but finite state
+    # is caught without squaring it into an overflow
+    small = np.max(np.abs(states), axis=-1) <= guard
+    norms = np.linalg.norm(np.where(small[..., None], states, 0.0), axis=-1)
+    escaped = ~(finite & small & (norms <= guard))
+    return np.where(np.any(escaped, axis=0), np.argmax(escaped, axis=0), steps)
 
 
 def simulate(sys_cl: QBSystem, x0: np.ndarray, t_final: float, dt: float) -> Trajectory:
@@ -179,16 +244,19 @@ def simulate(sys_cl: QBSystem, x0: np.ndarray, t_final: float, dt: float) -> Tra
     guard = DIVERGENCE_FACTOR * (1.0 + float(np.linalg.norm(x0)))
     states = np.empty((steps + 1, sys_cl.n))
     states[0] = x0
-    X = x0[None, :].copy()
+    flow = states[:, None, :]
     terminated = False
     last = 0
-    for k in range(1, steps + 1):
-        X = _rk4_step(sys_cl, X, dt)
-        if not np.all(np.isfinite(X)) or float(np.linalg.norm(X[0])) > guard:
+    while last < steps:
+        # blocks double in length, so a divergence wastes at most as many
+        # steps as were kept before it
+        block = flow[last + 1: last + 1 + min(steps - last, max(1, last))]
+        _integrate(sys_cl, flow[last], dt, block)
+        stop = int(_first_escape(block, guard)[0])
+        last += stop
+        if stop < len(block):
             terminated = True
             break
-        states[k] = X[0]
-        last = k
     times = np.arange(last + 1) * dt
     return Trajectory(times=times, states=states[: last + 1], terminated_early=terminated)
 
@@ -202,6 +270,10 @@ def convergence_check(sys: QBSystem, cert: Certificate, n_traj: int, t_final: fl
     CONV_RTOL * |x(0)| (attraction), and for alpha > 0 the exponential
     envelope V(t) <= V(0) exp(-alpha t) (1 + envelope_tol).  Raises
     ValueError unless dt > 0, t_final > 0 and n_traj >= 1.
+
+    Steps are integrated a block at a time (about AUDIT_BLOCK_BYTES of
+    states) and each block is checked with whole-array operations; the
+    report equals a step-by-step check bit for bit.
     """
     if dt <= 0 or t_final <= 0 or n_traj < 1:
         raise ValueError("need dt > 0, t_final > 0 and at least one trajectory")
@@ -217,34 +289,43 @@ def convergence_check(sys: QBSystem, cert: Certificate, n_traj: int, t_final: fl
         return np.sum(Xb * Z, axis=1)
 
     V0 = v_of(X)
-    V_prev = V0.copy()
+    V_prev = V0
     violations = 0
     min_margin = np.inf
     alive = np.ones(n_traj, dtype=bool)
     t = 0.0
     check_floor = 1e-14 * np.maximum(V0, 1e-300)
-    for _ in range(steps):
-        X = _rk4_step(closed, X, dt)
-        t += dt
-        finite = np.all(np.isfinite(X), axis=1)
-        size_ok = np.linalg.norm(np.where(finite[:, None], X, 0.0), axis=1) <= guard
-        diverged = alive & ~(finite & size_ok)
-        if np.any(diverged):
-            violations += int(np.count_nonzero(diverged))
-            alive &= ~diverged
-            X[~alive] = 0.0
-        V = v_of(X)
-        live = alive & (V_prev > check_floor)
+    block_steps = min(steps, max(1, AUDIT_BLOCK_BYTES // (8 * n_traj * cert.n)))
+    buffer = np.empty((block_steps, n_traj, cert.n))
+    done = 0
+    while done < steps and np.any(alive):
+        block = buffer[: min(len(buffer), steps - done)]
+        _integrate(closed, X, dt, block)
+        decay = np.empty(len(block))
+        for j in range(len(block)):
+            t += dt
+            if cert.alpha > 0:
+                decay[j] = np.exp(-cert.alpha * t)
+        first = _first_escape(block, guard)
+        violations += int(np.count_nonzero(alive & (first < len(block))))
+        # steps at which each trajectory is still tracked; the rest are zeroed
+        tracked = alive & (np.arange(len(block))[:, None] < first)
+        alive &= first == len(block)
+        block[~tracked] = 0.0
+        V = v_of(block.reshape(-1, cert.n)).reshape(len(block), n_traj)
+        Vp = np.concatenate((V_prev[None, :], V[:-1]))
+        live = tracked & (Vp > check_floor)
         # invariance: V must not increase beyond relative rounding noise
-        bad = live & (V - V_prev > 1e-10 * V_prev)
-        violations += int(np.count_nonzero(bad))
+        violations += int(np.count_nonzero(live & (V - Vp > 1e-10 * Vp)))
         if cert.alpha > 0:
-            envelope = V0 * np.exp(-cert.alpha * t) * (1.0 + envelope_tol)
+            envelope = V0 * decay[:, None] * (1.0 + envelope_tol)
             violations += int(np.count_nonzero(live & (V > envelope)))
         if np.any(live):
-            dec = (V_prev[live] - V[live]) / (dt * V_prev[live])
+            dec = (Vp[live] - V[live]) / (dt * Vp[live])
             min_margin = min(min_margin, float(np.min(dec)) - cert.alpha)
-        V_prev = V
+        V_prev = V[-1]
+        X = block[-1]
+        done += len(block)
     final_norms = np.linalg.norm(X, axis=1)
     converged = int(np.count_nonzero(alive & (final_norms <= CONV_RTOL * x0_norms)))
     live_final = alive & (V_prev > check_floor)

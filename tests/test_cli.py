@@ -8,6 +8,7 @@ import pytest
 from qbstab.certify import Certificate, save_certificate
 from qbstab.cli import build_parser, main
 from qbstab.systems import save_system, stack
+from qbstab.verify import convergence_check
 from qbstab.models import scalar_family
 
 
@@ -140,6 +141,21 @@ class TestVerifyCommand:
         assert report["warnings"] == []
         assert report["sample_check"]["violations"] == 0
         assert report["convergence_check"]["converged"] == 20
+
+    def test_convergence_report_keeps_margin_and_vdot_ratio(self, tmp_path):
+        system = scalar_family(-1.0, 1.0)
+        sys_path, cert_path = tmp_path / "scalar.json", tmp_path / "cert.json"
+        save_system(system, sys_path)
+        cert = Certificate(mode="analysis", P=np.array([[0.5]]), epsilon=1.0, alpha=0.0)
+        save_certificate(cert, cert_path)
+        vout = tmp_path / "ver"
+        assert run("verify", "--system", str(sys_path), "--certificate", str(cert_path),
+                   "--samples", "100", "--trajectories", "10", "--t-final", "10",
+                   "--dt", "0.01", "--seed", "4", "--out", str(vout)) == 0
+        conv = json.loads((vout / "verification.json").read_text())["convergence_check"]
+        flows = convergence_check(system, cert, 10, 10.0, 0.01, 5)  # the CLI passes seed + 1
+        assert conv["min_decay_margin"] == flows.min_decay_margin > 0.0
+        assert conv["max_vdot_ratio"] == flows.max_vdot_ratio < 0.0
 
     def test_floor_active_certificate_warns(self, tmp_path, capsys):
         # a hand-built needle: lambda_min(P) = 5 delta for the scalar system

@@ -1,14 +1,115 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
+from qbstab import verify
 from qbstab.certify import Certificate, max_trace
 from qbstab.errors import DimensionError, NotPositiveDefiniteError
+from qbstab.lmi import _spd_factor
 from qbstab.models import scalar_family, three_state_qb, two_state
-from qbstab.systems import QBSystem
+from qbstab.systems import QBSystem, eval_dynamics, stack
 from qbstab.verify import convergence_check, sample_check, simulate, vdot
 
 SCALAR = scalar_family(-1.0, 1.0)
 LINEAR = QBSystem(A=np.array([[-1.0]]), H=np.zeros((1, 1)))
+# far beyond the true basin x < 1: the trajectories from x0 = 2 escape near t = ln 2
+ESCAPING = Certificate(mode="analysis", P=np.array([[4.0]]), epsilon=1.0, alpha=0.0, trace_P=4.0)
+
+
+def _reference_rk4_step(sys, X, dt):
+    k1 = eval_dynamics(sys, X)
+    k2 = eval_dynamics(sys, X + 0.5 * dt * k1)
+    k3 = eval_dynamics(sys, X + 0.5 * dt * k2)
+    k4 = eval_dynamics(sys, X + dt * k3)
+    return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_simulate(sys_cl, x0, t_final, dt):
+    """The step-by-step simulate loop: (states, terminated_early)."""
+    x0 = np.asarray(x0, dtype=float)
+    steps = max(1, int(round(t_final / dt)))
+    guard = verify.DIVERGENCE_FACTOR * (1.0 + float(np.linalg.norm(x0)))
+    states = [x0]
+    X = x0[None, :].copy()
+    for _ in range(steps):
+        X = _reference_rk4_step(sys_cl, X, dt)
+        if not np.all(np.isfinite(X)) or float(np.linalg.norm(X[0])) > guard:
+            return np.array(states), True
+        states.append(X[0])
+    return np.array(states), False
+
+
+def reference_convergence_check(sys, cert, n_traj, t_final, dt, seed, envelope_tol=1e-3):
+    """The step-by-step audit: one RK4 step and all its checks per pass.
+
+    Returns the report and the first step (1-based) at which a trajectory
+    escaped, or None.
+    """
+    closed = verify._closed_system(sys, cert)
+    X = verify.boundary_points(cert.P, n_traj, np.random.default_rng(seed))
+    x0_norms = np.linalg.norm(X, axis=1)
+    factor = _spd_factor(cert.P)
+    steps = max(1, int(round(t_final / dt)))
+    guard = verify.DIVERGENCE_FACTOR * (1.0 + float(np.max(x0_norms)))
+
+    def v_of(Xb):
+        Z = cho_solve(factor, Xb.T).T
+        return np.sum(Xb * Z, axis=1)
+
+    V0 = v_of(X)
+    V_prev = V0.copy()
+    violations = 0
+    min_margin = np.inf
+    alive = np.ones(n_traj, dtype=bool)
+    t = 0.0
+    check_floor = 1e-14 * np.maximum(V0, 1e-300)
+    first_escape = None
+    for k in range(1, steps + 1):
+        X = _reference_rk4_step(closed, X, dt)
+        t += dt
+        finite = np.all(np.isfinite(X), axis=1)
+        size_ok = np.linalg.norm(np.where(finite[:, None], X, 0.0), axis=1) <= guard
+        diverged = alive & ~(finite & size_ok)
+        if np.any(diverged):
+            first_escape = first_escape or k
+            violations += int(np.count_nonzero(diverged))
+            alive &= ~diverged
+            X[~alive] = 0.0
+        V = v_of(X)
+        live = alive & (V_prev > check_floor)
+        bad = live & (V - V_prev > 1e-10 * V_prev)
+        violations += int(np.count_nonzero(bad))
+        if cert.alpha > 0:
+            envelope = V0 * np.exp(-cert.alpha * t) * (1.0 + envelope_tol)
+            violations += int(np.count_nonzero(live & (V > envelope)))
+        if np.any(live):
+            dec = (V_prev[live] - V[live]) / (dt * V_prev[live])
+            min_margin = min(min_margin, float(np.min(dec)) - cert.alpha)
+        V_prev = V
+    final_norms = np.linalg.norm(X, axis=1)
+    converged = int(np.count_nonzero(alive & (final_norms <= verify.CONV_RTOL * x0_norms)))
+    live_final = alive & (V_prev > check_floor)
+    ratios = np.zeros(0)
+    if np.any(live_final):
+        Z = cho_solve(factor, X[live_final].T).T
+        Vd = 2.0 * np.sum(Z * eval_dynamics(closed, X[live_final]), axis=1)
+        ratios = Vd / V_prev[live_final]
+    report = verify.VerificationReport(
+        samples_tested=n_traj * steps,
+        max_vdot_ratio=float(np.max(ratios)) if ratios.size else 0.0,
+        violations=violations,
+        trajectories_converged=converged,
+        trajectories_total=n_traj,
+        min_decay_margin=float(min_margin) if np.isfinite(min_margin) else 0.0,
+    )
+    return report, first_escape
+
+
+def _block_bytes(steps, n_traj, n):
+    """An AUDIT_BLOCK_BYTES that makes blocks of exactly ``steps`` steps."""
+    return steps * n_traj * n * 8
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +255,71 @@ class TestConvergenceCheck:
         rep = convergence_check(SCALAR, fake, 20, t_final=10.0, dt=1e-3, seed=5)
         assert rep.violations > 0
         assert rep.trajectories_converged < rep.trajectories_total
+
+
+class TestBlockParity:
+    """The block audit and simulate equal the step-by-step loops bit for bit."""
+
+    def test_two_state_certificate(self, two_state_sweep):
+        cert = two_state_sweep.feasible_entries()[10].certificate
+        args = (two_state(), cert, 60, 5.0, 1e-3, 3)  # 5000 steps: blocks of 273, last 86
+        assert convergence_check(*args) == reference_convergence_check(*args)[0]
+
+    def test_three_state_synthesis_certificate(self, three_state_sweep):
+        cert = three_state_sweep.feasible_entries()[7].certificate
+        args = (three_state_qb(), cert, 100, 25.0, 0.01, 3)  # 2500 steps: blocks of 109, last 102
+        assert convergence_check(*args) == reference_convergence_check(*args)[0]
+
+    def test_alpha_envelope_certificate(self):
+        s = two_state()
+        args = (s, max_trace(s, 0.3, 0.1, "analysis"), 50, 5.0, 1e-3, 2)
+        rep = convergence_check(*args, envelope_tol=1e-3)
+        assert rep == reference_convergence_check(*args, envelope_tol=1e-3)[0]
+        assert rep.min_decay_margin > 0.0  # the envelope checks ran on live steps
+
+    @pytest.mark.parametrize("layout", [
+        "below one block", "not a multiple", "escape opens a block", "escape closes a block"])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_escaping_certificate(self, monkeypatch, layout, seed):
+        args = (SCALAR, ESCAPING, 20, 1.0, 1e-3, seed)
+        ref, escape = reference_convergence_check(*args)
+        assert ref.violations > 0 and escape > 2
+        block = {"below one block": 1500, "not a multiple": 300,
+                 "escape opens a block": escape - 1, "escape closes a block": escape}[layout]
+        monkeypatch.setattr(verify, "AUDIT_BLOCK_BYTES", _block_bytes(block, 20, 1))
+        assert convergence_check(*args) == ref
+
+    def test_escape_by_norm_before_any_entry(self, monkeypatch):
+        # x' = x from x0 = (0.69, -0.72) (seed 0): |x| passes the guard 32
+        # steps before either entry does, so only the norm test sees it in time
+        args = (QBSystem(A=np.eye(2), H=np.zeros((2, 4))), Certificate(mode="analysis", P=np.eye(2),
+                epsilon=1.0, alpha=0.0), 1, 20.0, 0.01, 0)
+        ref, escape = reference_convergence_check(*args)
+        assert ref.violations > 0 and escape is not None
+        monkeypatch.setattr(verify, "AUDIT_BLOCK_BYTES", _block_bytes(5, 1, 2))
+        assert convergence_check(*args) == ref
+
+    @pytest.mark.parametrize("system,x0,t_final", [
+        (SCALAR, [0.9], 5.0),
+        (SCALAR, [1.5], 50.0),  # escapes at step 1100 of 50000
+        (stack(two_state(), 2), [0.3, -0.2, 0.0, 0.0], 1.0),
+    ])
+    def test_simulate_states(self, system, x0, t_final):
+        traj = simulate(system, np.array(x0), t_final, 1e-3)
+        states, terminated = reference_simulate(system, x0, t_final, 1e-3)
+        assert traj.terminated_early == terminated
+        assert np.array_equal(traj.states, states)
+
+
+def test_convergence_check_working_set_is_block_sized():
+    # 20,000 three-state trajectories: one state is 480 kB, so a block sized
+    # in steps rather than bytes would hold hundreds of MB
+    cert = Certificate(mode="analysis", P=0.01 * np.eye(3), epsilon=1.0, alpha=0.0)
+    tracemalloc.start()
+    try:
+        rep = convergence_check(three_state_qb(), cert, 20_000, t_final=2.0, dt=0.01, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.samples_tested == 20_000 * 200
+    assert peak < 16 * 2**20
