@@ -78,11 +78,22 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _number(token: str, error: str, cast=float):
-    """``cast(token)``, or a CliError with message ``error``."""
+    """``cast(token)`` if finite, or a CliError with message ``error``."""
     try:
-        return cast(token)
+        value = cast(token)
     except ValueError:
         raise CliError(error)
+    if not np.isfinite(value):
+        raise CliError(error)
+    return value
+
+
+def _finite(token: str) -> float:
+    """argparse type for tolerances, times and extents: a finite float."""
+    value = float(token)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {token}")
+    return value
 
 
 def _count(token: str) -> int:
@@ -102,7 +113,7 @@ def _load_target(args) -> tuple[QBSystem, str]:
             if "=" not in spec:
                 raise CliError(f"--param expects key=value, got {spec!r}")
             key, value = spec.split("=", 1)
-            params[key] = _number(value, f"--param value must be numeric, got {spec!r}")
+            params[key] = _number(value, f"--param value must be a finite number, got {spec!r}")
         try:
             return get_model(args.zoo, **params), f"zoo:{args.zoo}"
         except (KeyError, TypeError) as exc:
@@ -148,7 +159,7 @@ def _parse_eps(spec: str):
 def _alpha_arg(value: str):
     if value == "auto":
         return "auto"
-    alpha = _number(value, f"--alpha must be 'auto' or a number, got {value!r}")
+    alpha = _number(value, f"--alpha must be 'auto' or a finite number, got {value!r}")
     if alpha < 0:
         raise CliError("--alpha must be non-negative")
     return alpha
@@ -463,8 +474,8 @@ def _add_common(p: argparse.ArgumentParser, need_eps: bool = True) -> None:
     p.add_argument("--out", default=os.environ.get("QBSTAB_OUT", "qbstab_out"),
                    help="output directory (env QBSTAB_OUT overrides the default)")
     p.add_argument("--seed", type=_count, default=0)
-    p.add_argument("--feas-tol", type=float, default=1e-8)
-    p.add_argument("--gap-tol", type=float, default=1e-8)
+    p.add_argument("--feas-tol", type=_finite, default=1e-8)
+    p.add_argument("--gap-tol", type=_finite, default=1e-8)
     p.add_argument("--max-iters", type=int, default=200)
     if need_eps:
         p.add_argument("--eps", required=True,
@@ -496,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certificate", required=True)
     p.add_argument("--samples", type=_count, default=10_000)
     p.add_argument("--trajectories", type=int, default=100)
-    p.add_argument("--t-final", type=float, default=20.0)
-    p.add_argument("--dt", type=float, default=None, help="default: 1e-3 / |A|_F")
+    p.add_argument("--t-final", type=_finite, default=20.0)
+    p.add_argument("--dt", type=_finite, default=None, help="default: 1e-3 / |A|_F")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("bench", help="wall-clock scaling over stacked system sizes")
@@ -510,11 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", help="initial conditions 'a,b;c,d;...'")
     p.add_argument("--boundary-samples", type=_count, default=0)
     p.add_argument("--certificate", help="certificate JSON for boundary sampling")
-    p.add_argument("--t-final", type=float, default=5.0)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--phase-grid", type=int, default=0,
+    p.add_argument("--t-final", type=_finite, default=5.0)
+    p.add_argument("--dt", type=_finite, default=None)
+    p.add_argument("--phase-grid", type=_count, default=0,
                    help="for n=2: side length of a short-trajectory phase grid")
-    p.add_argument("--phase-extent", type=float, default=3.0)
+    p.add_argument("--phase-extent", type=_finite, default=3.0)
     p.set_defaults(fn=_cmd_simulate)
     return parser
 

@@ -171,7 +171,7 @@ def layout(n: int, m: int, mode: str) -> DecisionLayout:
     return DecisionLayout(n=n, m=m if mode == "synthesis" else 0, mode=mode)
 
 
-# doubles per temporary chunk in ``LmiBlock.schur`` and ``assemble``
+# doubles per temporary chunk in ``LmiBlock.congruence`` and ``assemble``
 _CHUNK = 1 << 18
 
 
@@ -194,8 +194,9 @@ class LmiBlock:
     depends on the system: sparse A, B, D and H give r << s (a stacked
     n = 40 main block has s = 80 and r = 6), while a dense A or H gives a
     main block with r = n + 2 of s = 2n and a quarter of F nonzero.
-    The solver reaches F only through ``linear``, ``adjoint`` and ``schur``,
-    which work from the nonzeros; ``dense`` and ``from_dense`` convert.
+    The solver reaches F only through ``linear``, ``adjoint`` and
+    ``congruence`` (which ``schur`` uses), all working from the stored rows;
+    ``dense`` and ``from_dense`` convert.
     """
 
     F0: np.ndarray    # (s, s)
@@ -275,22 +276,27 @@ class LmiBlock:
         return np.bincount(k, weights=v * np.asarray(Z, dtype=float).reshape(-1)[flat],
                            minlength=self.d)
 
+    def congruence(self, L: np.ndarray, R: np.ndarray):
+        """Yield (ks, L F_k R for k in ks) over slices ks of range(d), each of
+        about ``_CHUNK`` doubles.  F_k R is zero outside the rows ``rows[k]``,
+        where it is ``vals[k]`` R, so no dense F_k is formed."""
+        d, r, s = self.vals.shape
+        step = max(1, _CHUNK // (L.shape[0] * R.shape[1]))
+        for lo in range(0, d, step):
+            ks = slice(lo, lo + step)
+            # one (c r, s) product: c products of r rows round differently in BLAS
+            VR = (self.vals[ks].reshape(-1, s) @ R).reshape(-1, r, R.shape[1])
+            yield ks, np.swapaxes(L[:, self.rows[ks]], 0, 1) @ VR
+
     def schur(self, W: np.ndarray) -> np.ndarray:
         """(<F_k, W F_l W>)_kl for symmetric W, this block's share of the
         Schur complement (Fujisawa, Kojima & Nakata, Math. Prog. 1997).
 
-        F_l W is zero outside the rows ``rows[l]``, where it equals
-        U_l = ``vals[l]`` W, so W F_l W = W[:, rows[l]] U_l costs s^2 r; the
-        inner products with every F_k then touch only the nonzeros of F.
-        """
-        d, r, s = self.vals.shape
-        U = (self.vals.reshape(d * r, s) @ W).reshape(d, r, s)
-        M = np.empty((d, d))
-        step = max(1, _CHUNK // (s * s))
-        for lo in range(0, d, step):
-            chunk = slice(lo, lo + step)
-            WFW = np.swapaxes(W[:, self.rows[chunk]], 0, 1) @ U[chunk]
-            M[:, chunk] = self._csr @ WFW.reshape(-1, s * s).T
+        W F_l W comes from ``congruence``, and the inner products with every
+        F_k touch only the nonzeros of F."""
+        M = np.empty((self.d, self.d))
+        for ls, WFW in self.congruence(W, W):
+            M[:, ls] = self._csr @ WFW.reshape(WFW.shape[0], -1).T
         return M
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
@@ -321,13 +327,10 @@ class SdpProblem:
         out = {"d": self.d, "c": self.c.tolist(), "blocks": []}
         for blk in self.blocks:
             entry = {"size": blk.size, "F0": _triplets(blk.F0), "F": {}}
-            Fk = np.zeros((blk.size, blk.size))
-            for k in range(self.d):
-                Fk[blk.rows[k]] = blk.vals[k]
+            for k, Fk in enumerate(blk.dense()):
                 tri = _triplets(Fk)
                 if tri:
                     entry["F"][str(k)] = tri
-                Fk[blk.rows[k]] = 0.0
             out["blocks"].append(entry)
         return out
 
@@ -438,10 +441,10 @@ def assemble(sys: QBSystem, eps: float, alpha: float, mode: str,
     the nonzero rows of each F_k follow from the sparsity of A, B, D and the
     blocks of H, so no dense F stack is built.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
     lay = layout(sys.n, sys.m, mode)
     n, m, d, n_p = sys.n, lay.m, lay.d, lay.n_p
     if delta is None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .lmi import _CHUNK, LmiBlock, SdpProblem, svec
+from .lmi import LmiBlock, SdpProblem, svec
 
 __all__ = [
     "SolverConfig",
@@ -62,8 +62,8 @@ class SolverConfig:
     objective_box: float | None = 1e8
 
     def __post_init__(self):
-        if self.feas_tol <= 0 or self.gap_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.feas_tol < np.inf and 0 < self.gap_tol < np.inf):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -165,22 +165,22 @@ class _Block:
     """A scaled LMI block and its per-iteration NT quantities.
 
     The block's share of the Schur complement, (<G'F_kG, G'F_lG>)_kl, is
-    formed in one of two ways, chosen by size and sparsity.  The Gram form
-    keeps a dense copy F of the stack and forms U U' from the rows
-    U_k = svec(G'F_kG), d^2 s(s+1)/4 multiply-adds in one BLAS call.  It is
-    symmetric positive semidefinite as computed and consistent with the
-    right-hand sides taken from the same U, so every block whose U has at
-    most ``GRAM_MAX`` entries uses it; there both forms take tens of
-    microseconds.  The W form, ``LmiBlock.schur`` with W = G G', costs
-    d s^2 r plus the nonzeros of F times d, the latter through a sparse
-    product.  A larger block uses it only when U has at least
-    ``W_MIN_SPARSITY`` times as many entries as F has nonzeros.  Stacked
+    formed in one of two ways, chosen by size and sparsity, both from
+    ``LmiBlock.congruence`` and so with no dense copy of F.  The Gram form
+    forms U U' from the rows U_k = svec(G'F_kG), d^2 s(s+1)/4 multiply-adds
+    in one BLAS call.  It is symmetric positive semidefinite as computed and
+    consistent with the right-hand sides taken from the same U, so every
+    block whose U has at most ``GRAM_MAX`` entries uses it; there both forms
+    take tens of microseconds.  The W form, ``LmiBlock.schur`` with
+    W = G G', costs d s^2 r plus the nonzeros of F times d, the latter
+    through a sparse product.  A larger block uses it only when U has at
+    least ``W_MIN_SPARSITY`` times as many entries as F has nonzeros.  Stacked
     systems are far past that (330 to 420 at n = 40, where the W form takes
     0.14 to 0.26 of the Gram form's time); a dense A and H are not (about 2,
     where it takes 3.2 to 3.5 times as long at n = 15 to 30).
     """
 
-    __slots__ = ("lmi", "C", "size", "X", "S", "G", "lam", "Chat", "F", "U", "W")
+    __slots__ = ("lmi", "C", "size", "X", "S", "G", "lam", "Chat", "U", "W")
 
     def __init__(self, lmi: LmiBlock):
         self.lmi = lmi
@@ -190,24 +190,21 @@ class _Block:
         self.S = np.eye(self.size)
         full = lmi.d * self.size * (self.size + 1) // 2
         gram = full <= GRAM_MAX or full < W_MIN_SPARSITY * lmi.nnz
-        self.F = lmi.dense() if gram else None
         # column-major, as svec returns it, so that U U' takes the same BLAS path
         self.U = np.empty((lmi.d, full // lmi.d), order="F") if gram else None
 
     def set_scaling(self, G: np.ndarray, lam: np.ndarray) -> None:
         self.G, self.lam = G, lam
         self.Chat = G.T @ self.C @ G
-        if self.F is not None:
-            # by slices of the stack, so that no d s^2 temporary is formed
-            step = max(1, _CHUNK // self.size ** 2)
-            for lo in range(0, self.lmi.d, step):
-                self.U[lo:lo + step] = svec(np.matmul(G.T, np.matmul(self.F[lo:lo + step], G)))
+        if self.U is not None:
+            for ks, GFG in self.lmi.congruence(G.T, G):
+                self.U[ks] = svec(GFG)
         else:
             self.W = G @ G.T
 
     def schur(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(M_b, g_b, q_b): the Schur share, F*(G Chat G') and |Chat|_F^2."""
-        if self.F is not None:
+        if self.U is not None:
             csv = svec(self.Chat)
             return self.U @ self.U.T, self.U @ csv, float(csv @ csv)
         return (self.lmi.schur(self.W), self.lmi.adjoint(self.G @ self.Chat @ self.G.T),
@@ -215,7 +212,7 @@ class _Block:
 
     def pull_back(self, R: np.ndarray) -> tuple[np.ndarray, float]:
         """(F*(G R G'), <Chat, R>) for a symmetric R in the scaled space."""
-        if self.F is not None:
+        if self.U is not None:
             rsv = svec(R)
             return self.U @ rsv, float(svec(self.Chat) @ rsv)
         return self.lmi.adjoint(self.G @ R @ self.G.T), float(np.sum(self.Chat * R))

@@ -323,6 +323,19 @@ class TestArgumentHandling:
         ("verify", "--certificate", "cert.json", "--seed", "-3"),
         ("analyze", "--eps", "grid:0.1:0.5:3", "--seed", "-1"),
         ("simulate", "--boundary-samples", "2", "--certificate", "cert.json", "--seed", "-1"),
+        ("analyze", "--eps", "nan"),
+        ("analyze", "--eps", "inf"),
+        ("analyze", "--eps", "grid:0.01:inf:3"),
+        ("analyze", "--eps", "0.4", "--alpha", "nan"),
+        ("analyze", "--zoo", "scalar", "--param", "a=nan", "--eps", "0.4"),
+        ("analyze", "--eps", "0.4", "--feas-tol", "nan"),
+        ("analyze", "--eps", "0.4", "--feas-tol", "inf", "--gap-tol", "inf"),
+        ("verify", "--certificate", "cert.json", "--t-final", "inf"),
+        ("verify", "--certificate", "cert.json", "--dt", "nan"),
+        ("simulate", "--x0", "0.1,0.1", "--t-final", "inf"),
+        ("simulate", "--x0", "0.1,0.1", "--dt", "nan"),
+        ("simulate", "--x0", "0.1,0.1", "--phase-grid", "-1"),
+        ("simulate", "--x0", "0.1,0.1", "--phase-extent", "nan"),
     ])
     def test_bad_values_are_input_errors(self, tmp_path, capsys, monkeypatch, argv):
         # input checks come before any solve
@@ -341,6 +354,9 @@ class TestArgumentHandling:
         ("verify", "--certificate", "cert.json", "--dt", "-1"),
         ("simulate", "--x0", "0.1,0.1", "--dt", "0"),
         ("verify", "--certificate", "cert.json", "--samples", "-5"),
+        ("verify", "--certificate", "cert.json", "--t-final", "inf"),
+        ("verify", "--certificate", "cert.json", "--dt", "nan"),
+        ("analyze", "--eps", "nan"),
     ])
     def test_rejected_run_creates_no_output_directory(self, tmp_path, capsys, monkeypatch, argv):
         save_certificate(Certificate(mode="analysis", P=np.eye(2), epsilon=0.4, alpha=0.0),

@@ -137,8 +137,10 @@ class TestAssemble:
         np.testing.assert_allclose(main[2:, 2:], -0.9 * np.eye(2), rtol=1e-15)
 
     def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError):
-            assemble(two_state(), eps=0.0, alpha=0.0, mode="analysis")
+        # and a non-finite eps or alpha
+        for eps, alpha in ((0.0, 0.0), (np.nan, 0.0), (np.inf, 0.0), (0.4, np.nan), (0.4, np.inf)):
+            with pytest.raises(ValueError):
+                assemble(two_state(), eps=eps, alpha=alpha, mode="analysis")
 
     def test_floor_block(self):
         prob = assemble(two_state(), eps=0.4, alpha=0.0, mode="analysis")
@@ -476,6 +478,20 @@ class TestBlockOperators:
             U = svec(np.matmul(G.T, np.matmul(blk.dense(), G)))
             ref += U @ U.T
         np.testing.assert_allclose(M, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("chunk", [None, 1], ids=["chunked", "by-slot"])
+    def test_congruence_matches_dense_reference(self, problem, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(lmi, "_CHUNK", chunk)
+        rng = np.random.default_rng(15)
+        for blk in problem.blocks:
+            s = blk.size
+            L, R = rng.normal(size=(s + 1, s)), rng.normal(size=(s, s + 2))
+            ref = L @ blk.dense() @ R
+            out = np.full_like(ref, np.nan)
+            for ks, LFR in blk.congruence(L, R):
+                out[ks] = LFR
+            np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_dense_round_trip(self, problem):
         for blk in problem.blocks:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -273,8 +275,11 @@ class TestWeakDuality:
 
 class TestConfigValidation:
     def test_rejects_bad_tolerances(self):
-        with pytest.raises(ValueError):
-            SolverConfig(feas_tol=0.0)
+        for tol in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                SolverConfig(feas_tol=tol)
+            with pytest.raises(ValueError):
+                SolverConfig(gap_tol=tol)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
 
@@ -300,12 +305,27 @@ class TestSchurForms:
     def test_form_follows_size_and_sparsity(self):
         def gram(sys_obj):
             prob = assemble(sys_obj, 0.3, 1e-6, "analysis")
-            return [sdp._Block(blk).F is not None for blk in prob.blocks]
+            return [sdp._Block(blk).U is not None for blk in prob.blocks]
 
         assert gram(two_state()) == [True, True]  # small: Gram form
         # main block above GRAM_MAX but a quarter full: Gram; sparse floor block: W
         assert gram(dense_system(15)) == [True, False]
         assert gram(stack(two_state(), 10)) == [False, False]  # large and sparse: W
+
+    def test_gram_block_keeps_no_dense_stack(self):
+        # U has d s(s+1)/2 entries; a dense copy of F would add d s^2 more
+        lmi = assemble(dense_system(15), 0.3, 1e-6, "analysis").blocks[0]
+        d, s = lmi.d, lmi.size
+        G = np.linalg.qr(np.random.default_rng(5).standard_normal((s, s)))[0]
+        tracemalloc.start()
+        try:
+            blk = sdp._Block(lmi)
+            blk.set_scaling(G, np.ones(s))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert blk.U is not None
+        assert retained < d * s * s * 8
 
     @pytest.mark.parametrize("sys_obj", [stack(two_state(), 5), dense_system(6)],
                              ids=["stacked", "dense"])
@@ -323,7 +343,7 @@ class TestSchurForms:
                 blk = sdp._Block(lmi)
                 blk.set_scaling(G, np.ones(s))
                 out.append((*blk.schur(), *blk.pull_back(R)))
-                forms.append("gram" if blk.F is not None else "W")
+                forms.append("gram" if blk.U is not None else "W")
             assert forms == ["gram", "W"]
             for gram_side, w_side in zip(*out):
                 np.testing.assert_allclose(w_side, gram_side, rtol=1e-12,
