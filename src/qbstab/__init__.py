@@ -25,7 +25,6 @@ from .certify import (
     max_trace,
     sweep_epsilon,
     optimize_epsilon,
-    extract_gain,
     ellipsoid_volume,
     union_volume,
     serialize_certificate,

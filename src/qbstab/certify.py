@@ -20,7 +20,7 @@ from scipy.linalg import cho_solve
 from .errors import DimensionError, NotPositiveDefiniteError, QBStabError, SchemaError
 from .lmi import _spd_eigh, _spd_factor, _svec_index, assemble, default_alpha, default_delta, svec
 from .sdp import SdpSolution, SolverConfig, solve
-from .systems import QBSystem
+from .systems import QBSystem, _finite_array
 
 __all__ = [
     "Certificate",
@@ -34,7 +34,6 @@ __all__ = [
     "max_trace",
     "sweep_epsilon",
     "optimize_epsilon",
-    "extract_gain",
     "ellipsoid_volume",
     "union_volume",
     "serialize_certificate",
@@ -93,11 +92,6 @@ class Ellipsoid:
     def n(self) -> int:
         return self.P.shape[0]
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        z = np.linalg.solve(self.P, x)
-        return float(x @ z) <= 1.0
-
     def bounding_halfwidths(self) -> np.ndarray:
         """Half-widths of the tightest axis-aligned box: sqrt(P_ii) per axis."""
         return np.sqrt(np.diag(self.P))
@@ -122,20 +116,19 @@ class Certificate:
     alpha: float
     Y: np.ndarray | None = None
     K: np.ndarray | None = None
-    trace_P: float = 0.0
     solver_report: dict = field(default_factory=dict)
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float)
         _spd_eigh(P)  # raises unless P > 0
         object.__setattr__(self, "P", (P + P.T) / 2.0)
-        if abs(self.trace_P - float(np.trace(P))) > 1e-12 * max(1.0, abs(self.trace_P)):
-            object.__setattr__(self, "trace_P", float(np.trace(P)))
         if self.mode == "synthesis":
             if self.Y is None or self.K is None:
                 raise DimensionError("synthesis certificate requires Y and K")
             Y = np.asarray(self.Y, dtype=float)
             K = np.asarray(self.K, dtype=float)
+            if Y.ndim != 2 or Y.shape[1] != self.n or K.shape != Y.shape:
+                raise DimensionError(f"Y and K must be m x {self.n}, got {Y.shape} and {K.shape}")
             # 1e-8 relative to |Y|, plus the rounding floor of forming K P,
             # which certificates written before the gain bound need: their
             # lambda_min(P) near the floor delta makes |K||P| >> |Y|
@@ -153,6 +146,11 @@ class Certificate:
     @property
     def m(self) -> int:
         return 0 if self.Y is None else self.Y.shape[0]
+
+    @property
+    def trace_P(self) -> float:
+        """trace(P), the size measure that every eps protocol maximizes."""
+        return float(np.trace(self.P))
 
     def ellipsoid(self) -> Ellipsoid:
         return Ellipsoid(P=self.P)
@@ -210,15 +208,6 @@ class SweepResult:
         candidates = [e for e in feas if e.trace_P >= top * (1.0 - TIE_REL)]
         key = lambda e: (float(np.linalg.slogdet(e.certificate.P)[1]), -e.epsilon)
         return max(candidates, key=key).certificate
-
-    def to_csv(self, path, timestamp: str | None = None) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            if timestamp is not None:
-                fh.write(f"# generated: {timestamp}\n")
-            fh.write("epsilon,feasible,trace_P\n")
-            for e in self.entries:
-                tr = f"{e.trace_P:.17g}" if e.feasible else ""
-                fh.write(f"{e.epsilon:.17g},{int(e.feasible)},{tr}\n")
 
 
 @dataclass(frozen=True)
@@ -293,7 +282,7 @@ def _certificate_from_solution(sys, problem, sol: SdpSolution, eps, alpha, mode,
         "relaxed_retry": retried,
     }
     return Certificate(mode=mode, P=P, epsilon=eps, alpha=alpha, Y=Y, K=K,
-                       trace_P=float(np.trace(P)), solver_report=report)
+                       solver_report=report)
 
 
 def _sweep_point(sys, eps, alpha, mode, config) -> SweepEntry:
@@ -383,13 +372,6 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
     feas = [e for e in history if e.feasible]
     best_entry = max(feas, key=lambda e: (e.trace_P, -e.epsilon))
     return EpsilonSearchResult(best=best_entry.certificate, history=tuple(history))
-
-
-def extract_gain(cert: Certificate) -> np.ndarray:
-    """Recover K from K P = Y through an SPD factorization of P."""
-    if cert.mode != "synthesis":
-        raise DimensionError("gain extraction requires a synthesis certificate")
-    return _gain_from(cert.P, cert.Y)
 
 
 def ellipsoid_volume(e: Ellipsoid) -> float:
@@ -483,12 +465,16 @@ def serialize_certificate(cert: Certificate) -> dict:
 
 
 def deserialize_certificate(doc: dict) -> Certificate:
+    """Certificate from its JSON form; SchemaError on any malformed field.
+
+    The stored ``trace`` is not read: ``trace_P`` follows from P.
+    """
     if not isinstance(doc, dict) or doc.get("schema") != _CERT_SCHEMA:
         raise SchemaError(f"not a {_CERT_SCHEMA} document")
     try:
         mode = doc["mode"]
         n = int(doc["n"])
-        P = np.asarray(doc["P"], dtype=float)
+        P = _finite_array(doc["P"], "P")
         eps = float(doc["epsilon"])
         alpha = float(doc["alpha"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -497,12 +483,18 @@ def deserialize_certificate(doc: dict) -> Certificate:
         raise SchemaError(f"unknown mode {mode!r}")
     if P.shape != (n, n):
         raise SchemaError(f"P must be {n}x{n}, got {P.shape}")
-    Y = np.asarray(doc["Y"], dtype=float) if doc.get("Y") is not None else None
-    K = np.asarray(doc["K"], dtype=float) if doc.get("K") is not None else None
+    if not 0 < eps < math.inf:
+        raise SchemaError(f"epsilon must be finite and positive, got {eps}")
+    if not 0 <= alpha < math.inf:
+        raise SchemaError(f"alpha must be finite and non-negative, got {alpha}")
+    Y = _finite_array(doc["Y"], "Y") if doc.get("Y") is not None else None
+    K = _finite_array(doc["K"], "K") if doc.get("K") is not None else None
+    residuals = doc.get("residuals", {})
+    if not isinstance(residuals, dict):
+        raise SchemaError(f"residuals must be an object, got {residuals!r}")
     try:
         return Certificate(mode=mode, P=P, epsilon=eps, alpha=alpha, Y=Y, K=K,
-                           trace_P=float(doc.get("trace", np.trace(P))),
-                           solver_report=dict(doc.get("residuals", {})))
+                           solver_report=dict(residuals))
     except (DimensionError, NotPositiveDefiniteError) as exc:
         raise SchemaError(str(exc)) from exc
 

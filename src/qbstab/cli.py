@@ -70,6 +70,16 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _write_csv(path: Path, timestamp: str, header, rows) -> None:
+    """A timestamp comment line, the header and one line per row of values;
+    floats are printed with ``_fmt``, everything else with ``str``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# generated: {timestamp}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
 def _write_json(path: Path, payload: dict) -> None:
     payload = {"generated": _timestamp(), **payload}
     with open(path, "w", encoding="utf-8") as fh:
@@ -184,22 +194,15 @@ def _outdir(args) -> Path:
 
 def _write_geometry(path: Path, cert: Certificate) -> None:
     """Boundary polyline for planar systems; principal axes otherwise."""
-    ts = _timestamp()
     w, V = np.linalg.eigh(cert.P)
     if cert.n == 2:
         theta = np.linspace(0.0, 2.0 * np.pi, 257)
         ring = (V * np.sqrt(w)) @ np.vstack([np.cos(theta), np.sin(theta)])
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# generated: {ts}\n")
-            fh.write("x1,x2\n")
-            for col in ring.T:
-                fh.write(f"{_fmt(col[0])},{_fmt(col[1])}\n")
+        _write_csv(path, _timestamp(), ["x1", "x2"], ring.T)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# generated: {ts}\n")
-        fh.write("semi_axis_length," + ",".join(f"v{i + 1}" for i in range(cert.n)) + "\n")
-        for k in range(cert.n - 1, -1, -1):
-            fh.write(f"{_fmt(np.sqrt(w[k]))}," + ",".join(_fmt(v) for v in V[:, k]) + "\n")
+    header = ["semi_axis_length"] + [f"v{i + 1}" for i in range(cert.n)]
+    _write_csv(path, _timestamp(), header,
+               ((np.sqrt(w[k]), *V[:, k]) for k in range(cert.n - 1, -1, -1)))
 
 
 def _union_payload(certs: list[Certificate], samples: int, seed: int) -> dict:
@@ -252,7 +255,9 @@ def _run_certification(args, mode: str) -> int:
 
     if kind == "grid":
         sweep = sweep_epsilon(sys_obj, eps_spec, alpha, mode, config)
-        sweep.to_csv(out / "sweep.csv", timestamp=_timestamp())
+        _write_csv(out / "sweep.csv", _timestamp(), ["epsilon", "feasible", "trace_P"],
+                   ((e.epsilon, int(e.feasible), e.trace_P if e.feasible else "")
+                    for e in sweep.entries))
         summary["alpha"] = sweep.alpha
         summary["grid_points"] = len(sweep.entries)
         summary["feasible_points"] = len(sweep.feasible_entries())
@@ -379,11 +384,8 @@ def _cmd_bench(args) -> int:
         sol = solve(problem, config)
         wall = time.perf_counter() - t0
         rows.append((stacked.n, wall, sol.iters, sol.status, sol.objective))
-    with open(out / "bench.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"# generated: {_timestamp()}\n")
-        fh.write("n,wall_seconds,iters,status\n")
-        for n, wall, iters, status, _obj in rows:
-            fh.write(f"{n},{_fmt(wall)},{iters},{status}\n")
+    _write_csv(out / "bench.csv", _timestamp(), ["n", "wall_seconds", "iters", "status"],
+               (row[:4] for row in rows))
     fit_rows = [(n, w) for n, w, _i, st, _o in rows if st == "Optimal" and n >= 40]
     fit_scope = "n>=40"
     if len(fit_rows) < 2:
@@ -446,22 +448,19 @@ def _cmd_simulate(args) -> int:
         raise CliError("pass --x0 or --boundary-samples")
     out = _outdir(args)
     ts = _timestamp()
+    header = ["t"] + [f"x{i + 1}" for i in range(sys_obj.n)]
     for idx, x0 in enumerate(points):
         traj = simulate(sys_obj, x0, args.t_final, dt)
-        traj.to_csv(out / f"trajectory_{idx:03d}.csv", timestamp=ts)
+        _write_csv(out / f"trajectory_{idx:03d}.csv", ts, header,
+                   ((t, *row) for t, row in zip(traj.times, traj.states)))
     if sys_obj.n == 2 and args.phase_grid > 0:
         lim = args.phase_extent
-        g = args.phase_grid
-        with open(out / "phase_portrait.csv", "w", encoding="utf-8") as fh:
-            fh.write(f"# generated: {ts}\n")
-            fh.write("traj,t,x1,x2\n")
-            tid = 0
-            for a in np.linspace(-lim, lim, g):
-                for b in np.linspace(-lim, lim, g):
-                    short = simulate(sys_obj, np.array([a, b]), 20.0 * dt * 5, dt * 5)
-                    for t, row in zip(short.times, short.states):
-                        fh.write(f"{tid},{_fmt(t)},{_fmt(row[0])},{_fmt(row[1])}\n")
-                    tid += 1
+        axis = np.linspace(-lim, lim, args.phase_grid)
+        shorts = (simulate(sys_obj, np.array([a, b]), 20.0 * dt * 5, dt * 5)
+                  for a in axis for b in axis)
+        _write_csv(out / "phase_portrait.csv", ts, ["traj", "t", "x1", "x2"],
+                   ((tid, t, *row) for tid, short in enumerate(shorts)
+                    for t, row in zip(short.times, short.states)))
     return EXIT_OK
 
 
@@ -474,10 +473,10 @@ def _add_common(p: argparse.ArgumentParser, need_eps: bool = True) -> None:
     p.add_argument("--out", default=os.environ.get("QBSTAB_OUT", "qbstab_out"),
                    help="output directory (env QBSTAB_OUT overrides the default)")
     p.add_argument("--seed", type=_count, default=0)
-    p.add_argument("--feas-tol", type=_finite, default=1e-8)
-    p.add_argument("--gap-tol", type=_finite, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=200)
     if need_eps:
+        p.add_argument("--feas-tol", type=_finite, default=1e-8)
+        p.add_argument("--gap-tol", type=_finite, default=1e-8)
+        p.add_argument("--max-iters", type=int, default=200)
         p.add_argument("--eps", required=True,
                        help="eps spec: VALUE | grid:lo:hi:count[:log] | search:lo:hi")
         p.add_argument("--alpha", default="auto",

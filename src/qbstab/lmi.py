@@ -55,7 +55,6 @@ __all__ = [
     "delta_norm",
     "svec",
     "unsvec",
-    "svec_basis",
     "default_alpha",
     "default_delta",
     "default_mu",
@@ -96,16 +95,6 @@ def unsvec(v: np.ndarray, n: int) -> np.ndarray:
     S[i, j] = v / scale
     S[j, i] = S[i, j]
     return S
-
-
-def svec_basis(n: int) -> np.ndarray:
-    """Stacked symmetric basis E_k with P = sum_k x_k E_k for x = svec(P)."""
-    i, j, scale = _svec_index(n)
-    k = np.arange(i.shape[0])
-    E = np.zeros((i.shape[0], n, n))
-    E[k, i, j] = 1.0 / scale
-    E[k, j, i] = E[k, i, j]
-    return E
 
 
 @dataclass(frozen=True)
@@ -195,8 +184,7 @@ class LmiBlock:
     n = 40 main block has s = 80 and r = 6), while a dense A or H gives a
     main block with r = n + 2 of s = 2n and a quarter of F nonzero.
     The solver reaches F only through ``linear``, ``adjoint`` and
-    ``congruence`` (which ``schur`` uses), all working from the stored rows;
-    ``dense`` and ``from_dense`` convert.
+    ``congruence`` (which ``schur`` uses), all working from the stored rows.
     """
 
     F0: np.ndarray    # (s, s)
@@ -225,16 +213,6 @@ class LmiBlock:
         for name, value in (("F0", F0), ("rows", rows), ("vals", vals), ("_nnz", nnz)):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_dense(cls, F0: np.ndarray, F: np.ndarray) -> "LmiBlock":
-        """Block from a dense (d, s, s) stack of symmetric F_k."""
-        F0 = np.asarray(F0, dtype=float)
-        F = np.asarray(F, dtype=float)
-        if F.ndim != 3 or F.shape[1:] != F0.shape:
-            raise ValueError("malformed problem: F stack shape mismatch")
-        rows = _padded_rows(np.any(F != 0, axis=2))
-        return cls(F0=F0, rows=rows, vals=np.take_along_axis(F, rows[:, :, None], axis=1))
-
     @property
     def size(self) -> int:
         return self.F0.shape[0]
@@ -247,12 +225,6 @@ class LmiBlock:
     def nnz(self) -> int:
         """Number of nonzero entries over all F_k."""
         return len(self._nnz[0])
-
-    def dense(self) -> np.ndarray:
-        """The (d, s, s) stack of F_k."""
-        F = np.zeros((self.d, self.size, self.size))
-        F[np.arange(self.d)[:, None], self.rows] = self.vals
-        return F
 
     @cached_property
     def _csr(self):
@@ -321,23 +293,6 @@ class SdpProblem:
 
     def block_sizes(self) -> list[int]:
         return [blk.size for blk in self.blocks]
-
-    def to_debug_dict(self) -> dict:
-        """Dump F0/F_k triplets per block for cross-validation against other solvers."""
-        out = {"d": self.d, "c": self.c.tolist(), "blocks": []}
-        for blk in self.blocks:
-            entry = {"size": blk.size, "F0": _triplets(blk.F0), "F": {}}
-            for k, Fk in enumerate(blk.dense()):
-                tri = _triplets(Fk)
-                if tri:
-                    entry["F"][str(k)] = tri
-            out["blocks"].append(entry)
-        return out
-
-
-def _triplets(M: np.ndarray) -> list:
-    rows, cols = np.nonzero(M)
-    return [[int(r), int(c), float(M[r, c])] for r, c in zip(rows, cols) if r <= c]
 
 
 def default_alpha(sys: QBSystem) -> float:
@@ -526,20 +481,24 @@ class PetersenParts:
 
 
 def _spd_eigh(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (w ascending, V) of the symmetric part of P; raises unless P > 0."""
+    """Eigendecomposition (w ascending, V) of the symmetric part of P; raises unless P > 0.
+
+    A NaN in P gives NaN eigenvalues, which the test rejects as well."""
     P = np.asarray(P, dtype=float)
     w, V = np.linalg.eigh((P + P.T) / 2.0)
-    if w[0] <= 0:
+    if not w[0] > 0:
         raise NotPositiveDefiniteError(f"P must be positive definite; min eigenvalue {w[0]:.3e}")
     return w, V
 
 
 def _spd_factor(P: np.ndarray):
-    """``cho_factor`` (lower) of the symmetric part of P; raises unless P > 0."""
+    """``cho_factor`` (lower) of the symmetric part of P; raises unless P > 0.
+
+    cho_factor raises ValueError on a non-finite P."""
     P = np.asarray(P, dtype=float)
     try:
         return cho_factor((P + P.T) / 2.0, lower=True)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NotPositiveDefiniteError(f"P must be positive definite: {exc}") from exc
 
 

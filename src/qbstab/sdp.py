@@ -43,23 +43,23 @@ GRAM_MAX = 10_000
 W_MIN_SPARSITY = 32
 # the tolerances of ``SdpSolution.relaxed`` are this many times the configured ones
 RELAX_FACTOR = 10.0
+# a hidden scalar block caps c'x at this value, so that problems with an
+# unbounded objective still terminate cleanly
+OBJECTIVE_BOX = 1e8
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Tolerances and iteration limits for the embedded solver.
 
-    ``objective_box`` caps c'x from above through a hidden scalar block so
-    that problems with unbounded objective still terminate cleanly; set it
-    to None to disable.  Ruiz-style block scaling (fixed 10 sweeps) is
-    always applied before solving, and every solve keeps its per-iteration
+    The objective cap ``OBJECTIVE_BOX`` and Ruiz-style block scaling (fixed
+    10 sweeps) are always applied, and every solve keeps its per-iteration
     log in ``SdpSolution.history``.
     """
 
     feas_tol: float = 1e-8
     gap_tol: float = 1e-8
     max_iters: int = 200
-    objective_box: float | None = 1e8
 
     def __post_init__(self):
         if not (0 < self.feas_tol < np.inf and 0 < self.gap_tol < np.inf):
@@ -260,13 +260,12 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     s_obj = 1.0 / max(1.0, float(np.max(np.abs(c_sc), initial=0.0)))
     c_sc = c_sc * s_obj
 
-    if config.objective_box is not None:
-        # hidden cap c'x <= objective_box, in scaled variables, row-normalized
-        boxval = s_obj * config.objective_box
-        rownorm = max(1.0, float(np.max(np.abs(c_sc), initial=0.0)), abs(boxval))
-        scaled.append(LmiBlock(F0=np.array([[-boxval / rownorm]]),
-                               rows=np.zeros((d, 1), dtype=int),
-                               vals=(c_sc / rownorm).reshape(d, 1, 1)))
+    # hidden cap c'x <= OBJECTIVE_BOX, in scaled variables, row-normalized
+    boxval = s_obj * OBJECTIVE_BOX
+    rownorm = max(1.0, float(np.max(np.abs(c_sc), initial=0.0)), abs(boxval))
+    scaled.append(LmiBlock(F0=np.array([[-boxval / rownorm]]),
+                           rows=np.zeros((d, 1), dtype=int),
+                           vals=(c_sc / rownorm).reshape(d, 1, 1)))
 
     # the user blocks come first; zip with beta skips the cap
     blocks = [_Block(lmi) for lmi in scaled]
@@ -475,9 +474,9 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
 
     if status == "IterLimit":
         message = f"no convergence in {config.max_iters} iterations"
-    if (status in ("IterLimit", "NumericalFailure") and config.objective_box is not None
-            and np.isfinite(obj_max_seen) and obj_max_seen >= 0.5 * config.objective_box):
-        message += ("; objective reached the internal objective_box cap "
+    if (status in ("IterLimit", "NumericalFailure")
+            and np.isfinite(obj_max_seen) and obj_max_seen >= 0.5 * OBJECTIVE_BOX):
+        message += ("; objective reached the internal OBJECTIVE_BOX cap "
                     "(problem unbounded above?)")
     objective = obj_best if status != "Infeasible" else float("nan")
     return SdpSolution(status, x_best, Z_best, objective, *resid_best, iters_done, message,

@@ -122,7 +122,6 @@ class QBSystem:
 class ValidationReport:
     """Structural and spectral diagnostics for a QBSystem."""
 
-    dims_ok: bool
     h_symmetric: bool
     max_symmetry_defect: float
     a_hurwitz: bool
@@ -165,7 +164,6 @@ def validate(sys: QBSystem) -> ValidationReport:
     eigs = np.linalg.eigvals(sys.A)
     abscissa = float(np.max(eigs.real))
     return ValidationReport(
-        dims_ok=True,
         h_symmetric=h_symmetric,
         max_symmetry_defect=defect,
         a_hurwitz=abscissa < 0.0,
@@ -280,21 +278,36 @@ def stack(sys: QBSystem, k: int) -> QBSystem:
 # ---------------------------------------------------------------------------
 
 
+def _finite_array(value, name: str) -> np.ndarray:
+    """A JSON number or nested list as a float array; SchemaError unless
+    every entry is a finite number."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise SchemaError(f"{name} must be a numeric array: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise SchemaError(f"{name} must hold only numbers")
+    arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{name} must hold only finite numbers")
+    return arr
+
+
 def _densify_h(spec, n: int) -> np.ndarray:
     if isinstance(spec, dict):
         if "triplets" not in spec:
             raise SchemaError("H object form requires a 'triplets' key")
         H = np.zeros((n, n * n))
         for entry in spec["triplets"]:
-            if len(entry) != 4:
+            triplet = _finite_array(entry, "H triplet")
+            if triplet.shape != (4,):
                 raise SchemaError(f"H triplet must be [row, i, j, value], got {entry!r}")
-            row, i, j, value = entry
-            row, i, j = int(row), int(i), int(j)
+            row, i, j = (int(v) for v in triplet[:3])
             if not (0 <= row < n and 0 <= i < n and 0 <= j < n):
                 raise SchemaError(f"H triplet index out of range: {entry!r}")
-            H[row, i * n + j] += float(value)
+            H[row, i * n + j] += triplet[3]
         return H
-    H = np.asarray(spec, dtype=float)
+    H = _finite_array(spec, "H")
     if H.shape != (n, n * n):
         raise SchemaError(f"H must be {n}x{n * n}, got {H.shape}")
     return H
@@ -315,7 +328,7 @@ def system_from_dict(data: dict) -> tuple[QBSystem, float]:
         raise SchemaError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     if "A" not in data or "H" not in data:
         raise SchemaError("system document requires 'A' and 'H'")
-    A = np.asarray(data["A"], dtype=float)
+    A = _finite_array(data["A"], "A")
     if A.shape != (n, n):
         raise SchemaError(f"A must be {n}x{n}, got {A.shape}")
     H_raw = _densify_h(data["H"], n)
@@ -324,10 +337,10 @@ def system_from_dict(data: dict) -> tuple[QBSystem, float]:
     if m > 0:
         if "B" not in data or "D" not in data:
             raise SchemaError("m > 0 requires 'B' and 'D'")
-        B = np.asarray(data["B"], dtype=float)
-        D = [np.asarray(Dj, dtype=float) for Dj in data["D"]]
-        if len(D) != m:
-            raise SchemaError(f"expected {m} D matrices, got {len(D)}")
+        B = _finite_array(data["B"], "B")
+        D = _finite_array(data["D"], "D")
+        if D.shape[:1] != (m,):
+            raise SchemaError(f"expected {m} D matrices, got an array of shape {D.shape}")
     else:
         B, D = np.zeros((n, 0)), []
     try:

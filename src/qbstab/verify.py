@@ -50,18 +50,6 @@ class Trajectory:
         if self.times.shape[0] != self.states.shape[0]:
             raise DimensionError("times and states must have equal length")
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    def to_csv(self, path, timestamp: str | None = None) -> None:
-        n = self.states.shape[1]
-        with open(path, "w", encoding="utf-8") as fh:
-            if timestamp is not None:
-                fh.write(f"# generated: {timestamp}\n")
-            fh.write("t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
-            for t, row in zip(self.times, self.states):
-                fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-
 
 @dataclass(frozen=True)
 class VerificationReport:

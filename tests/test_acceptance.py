@@ -37,6 +37,8 @@ from qbstab.sdp import solve
 from qbstab.systems import QBSystem, stack, symmetrize_quadratic
 from qbstab.verify import convergence_check, sample_check
 
+from dense_lmi import dense_stack
+
 SCALAR = scalar_family(-1.0, 1.0)
 
 
@@ -126,7 +128,7 @@ def _ray_verifies(prob, Z) -> bool:
     for Zb in Z:
         if np.linalg.eigvalsh((Zb + Zb.T) / 2.0)[0] < -1e-10:
             return False
-    dense = [blk.dense() for blk in prob.blocks]
+    dense = [dense_stack(blk) for blk in prob.blocks]
     for k in range(prob.d):
         tot = sum(float(np.sum(F[k] * Zb)) for F, Zb in zip(dense, Z))
         if abs(tot) > 1e-8:

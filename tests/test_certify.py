@@ -14,7 +14,6 @@ from qbstab.certify import (
     UnionRegion,
     deserialize_certificate,
     ellipsoid_volume,
-    extract_gain,
     load_certificate,
     max_trace,
     optimize_epsilon,
@@ -144,15 +143,6 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_epsilon(SCALAR, [-0.1, 0.4], 0.0, "analysis")
 
-    def test_csv_export(self, tmp_path):
-        sw = sweep_epsilon(SCALAR, [0.5, 1.0], 0.01, "analysis")
-        path = tmp_path / "sweep.csv"
-        sw.to_csv(path, timestamp="T")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# generated: T"
-        assert lines[1] == "epsilon,feasible,trace_P"
-        assert lines[2].startswith("0.5,1,0.745")
-
 
 class TestOptimizeEpsilon:
     def test_scalar_maximizer(self):
@@ -187,27 +177,6 @@ class TestOptimizeEpsilon:
             optimize_epsilon(SCALAR, (0.1, 2.0), rel_tol=rel_tol)
 
 
-class TestExtractGain:
-    def test_identity(self):
-        P = np.eye(3)
-        Y = np.array([[1.0, 0.0, 0.0]])
-        cert = Certificate(mode="synthesis", P=P, epsilon=1.0, alpha=0.0, Y=Y,
-                           K=Y.copy(), trace_P=3.0)
-        np.testing.assert_allclose(extract_gain(cert), [[1.0, 0.0, 0.0]])
-
-    def test_diagonal(self):
-        P = np.diag([2.0, 1.0])
-        Y = np.array([[4.0, 3.0]])
-        cert = Certificate(mode="synthesis", P=P, epsilon=1.0, alpha=0.0, Y=Y,
-                           K=np.array([[2.0, 3.0]]), trace_P=3.0)
-        np.testing.assert_allclose(extract_gain(cert), [[2.0, 3.0]])
-
-    def test_analysis_certificate_rejected(self):
-        cert = max_trace(SCALAR, 1.0, 0.01, "analysis")
-        with pytest.raises(DimensionError):
-            extract_gain(cert)
-
-
 class TestEllipsoid:
     def test_unit_disk_area(self):
         assert ellipsoid_volume(Ellipsoid(P=np.eye(2))) == pytest.approx(np.pi)
@@ -228,11 +197,6 @@ class TestEllipsoid:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             Ellipsoid(P=np.diag([1.0, -0.5]))
-
-    def test_membership(self):
-        e = Ellipsoid(P=np.diag([4.0, 1.0]))
-        assert e.contains([1.9, 0.0])
-        assert not e.contains([2.1, 0.0])
 
     def test_bounding_halfwidths(self):
         e = Ellipsoid(P=np.diag([4.0, 9.0]))

@@ -7,13 +7,19 @@ import pytest
 
 from qbstab.certify import Certificate, save_certificate
 from qbstab.cli import build_parser, main
-from qbstab.systems import save_system, stack
+from qbstab.systems import save_system, stack, system_to_dict
 from qbstab.verify import convergence_check
 from qbstab.models import scalar_family
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def assert_one_input_error(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "input"
 
 
 class TestAnalyze:
@@ -34,8 +40,13 @@ class TestAnalyze:
                    "--out", str(out), "--union-samples", "20000")
         assert code == 0
         lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0].startswith("# generated: ")
         assert lines[1] == "epsilon,feasible,trace_P"
         assert len(lines) == 2 + 5
+        rows = [line.split(",") for line in lines[2:]]
+        assert [float(r[0]) for r in rows] == list(np.linspace(0.05, 0.5, 5))
+        # the trace column is empty exactly on infeasible rows
+        assert all(r[1] in ("0", "1") and (r[2] == "") == (r[1] == "0") for r in rows)
         assert (out / "union.json").exists()
 
     def test_undersampled_union_warns(self, tmp_path, capsys):
@@ -163,7 +174,7 @@ class TestVerifyCommand:
         save_system(scalar_family(-1.0, 1.0, b=1.0, d=0.0), sys_path)
         P = np.array([[5e-8]])
         cert = Certificate(mode="synthesis", P=P, epsilon=1.0, alpha=0.0,
-                           Y=-P, K=np.array([[-1.0]]), trace_P=5e-8)
+                           Y=-P, K=np.array([[-1.0]]))
         cert_path = tmp_path / "needle.json"
         save_certificate(cert, cert_path)
         vout = tmp_path / "ver"
@@ -192,6 +203,34 @@ class TestVerifyCommand:
                    "--out", str(tmp_path / "v"))
         assert code == 4
 
+    @pytest.mark.parametrize("field,value", [
+        ("P", [[float("nan")]]),
+        ("P", [["0.5"]]),
+        ("Y", "abc"),
+        ("Y", [[float("inf")]]),
+        ("K", [["-1"]]),
+        ("K", [[-1.0, 0.0]]),
+        ("K", [[1.0]]),
+        ("epsilon", float("nan")),
+        ("epsilon", 0.0),
+        ("alpha", -1.0),
+        ("alpha", float("inf")),
+        ("residuals", [1, 2]),
+    ])
+    def test_malformed_certificate_is_input_error(self, tmp_path, capsys, field, value):
+        sys_path, cert_path = tmp_path / "scalar_qb.json", tmp_path / "cert.json"
+        save_system(scalar_family(-1.0, 1.0, b=1.0, d=0.0), sys_path)
+        P = np.array([[0.5]])
+        save_certificate(Certificate(mode="synthesis", P=P, epsilon=1.0, alpha=0.0,
+                                     Y=-P, K=np.array([[-1.0]])), cert_path)
+        doc = json.loads(cert_path.read_text())
+        doc[field] = value
+        cert_path.write_text(json.dumps(doc))
+        vout = tmp_path / "ver"
+        assert run("verify", "--system", str(sys_path), "--certificate", str(cert_path),
+                   "--samples", "100", "--trajectories", "2", "--out", str(vout)) == 4
+        assert_one_input_error(capsys)
+        assert not (vout / "verification.json").exists()
 
     @pytest.mark.parametrize("flags", [
         ("--dt", "-0.001"), ("--dt", "0"), ("--t-final", "0"), ("--t-final", "-5"),
@@ -256,6 +295,9 @@ class TestSimulate:
                    "--t-final", "1.0", "--dt", "0.001", "--out", str(out))
         assert code == 0
         lines = (out / "trajectory_000.csv").read_text().splitlines()
+        assert lines[0].startswith("# generated: ")
+        assert lines[1] == "t,x1"
+        assert len(lines) == 2 + 1001
         last = lines[-1].split(",")
         assert float(last[1]) == pytest.approx(np.exp(-1.0), abs=1e-9)
 
@@ -306,6 +348,22 @@ class TestArgumentHandling:
         assert run("analyze", "--system", str(tmp_path / "missing.json"),
                    "--eps", "1.0", "--out", str(tmp_path / "x")) == 4
 
+    @pytest.mark.parametrize("field,value", [
+        ("A", [["x"]]),
+        ("A", [[float("nan")]]),
+        ("H", {"triplets": [[0, 0, 0, "x"]]}),
+        ("H", {"triplets": [[0, 0, 0, float("inf")]]}),
+    ])
+    def test_malformed_system_file_is_input_error(self, tmp_path, capsys, field, value):
+        doc = system_to_dict(scalar_family(-1.0, 1.0))
+        doc[field] = value
+        sys_path = tmp_path / "scalar.json"
+        sys_path.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        assert run("analyze", "--system", str(sys_path), "--eps", "1.0", "--out", str(out)) == 4
+        assert_one_input_error(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("analyze", "--eps", "grid:x:1:3"),
         ("analyze", "--eps", "search:a:1"),
@@ -321,6 +379,12 @@ class TestArgumentHandling:
         ("simulate", "--boundary-samples", "-2", "--certificate", "cert.json"),
         ("verify", "--certificate", "cert.json", "--samples", "-5"),
         ("verify", "--certificate", "cert.json", "--seed", "-3"),
+        ("verify", "--certificate", "cert.json", "--feas-tol", "1e-8"),
+        ("verify", "--certificate", "cert.json", "--gap-tol", "1e-8"),
+        ("verify", "--certificate", "cert.json", "--max-iters", "200"),
+        ("simulate", "--x0", "0.1,0.1", "--feas-tol", "1e-8"),
+        ("simulate", "--x0", "0.1,0.1", "--gap-tol", "1e-8"),
+        ("simulate", "--x0", "0.1,0.1", "--max-iters", "200"),
         ("analyze", "--eps", "grid:0.1:0.5:3", "--seed", "-1"),
         ("simulate", "--boundary-samples", "2", "--certificate", "cert.json", "--seed", "-1"),
         ("analyze", "--eps", "nan"),
@@ -383,13 +447,26 @@ class TestArgumentHandling:
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "input"
 
 
+def readme_block(heading: str, fence: str) -> str:
+    """The first ``fence`` code block after ``heading`` in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split(heading, 1)[1].split(f"```{fence}", 1)[1].split("```", 1)[0]
+
+
 class TestReadmeUsage:
     def test_usage_lines_parse(self):
         # every qbstab line of README's command-line block names real flags
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        block = readme_block("## Command line", "sh")
         lines = [line for line in block.splitlines() if line.startswith("qbstab ")]
         assert len(lines) >= 5
         for line in lines:
             args = build_parser().parse_args(shlex.split(line)[1:])
             assert callable(args.fn), line
+
+    def test_library_quick_start_runs(self):
+        # README's Python example runs as written
+        namespace = {}
+        exec(compile(readme_block("## Library quick start", "python"), "README.md", "exec"),
+             namespace)
+        assert namespace["best"].trace_P == pytest.approx(8.3346, abs=1e-3)
+        assert namespace["cert3"].K.shape == (2, 3)

@@ -17,6 +17,18 @@ def test_module_all_resolves(name):
     assert missing == []
 
 
+@pytest.mark.parametrize("name", [n for n in MODULES
+                                  if hasattr(importlib.import_module(f"qbstab.{n}"), "__all__")])
+def test_module_all_lists_its_public_definitions(name):
+    # __all__ names exactly the public functions and classes the module defines
+    module = importlib.import_module(f"qbstab.{name}")
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    assert sorted(module.__all__) == sorted(defined)
+
+
 def test_package_imports_resolve():
     tree = ast.parse(Path(qbstab.__file__).read_text(encoding="utf-8"))
     names = [alias.asname or alias.name for node in ast.walk(tree)

@@ -15,7 +15,6 @@ from qbstab.lmi import (
     layout,
     petersen_parts,
     svec,
-    svec_basis,
     unsvec,
 )
 from qbstab.models import (
@@ -26,6 +25,8 @@ from qbstab.models import (
     two_state,
 )
 from qbstab.systems import QBSystem, stack, symmetrize_quadratic
+
+from dense_lmi import block_from_dense, dense_stack, svec_basis
 
 
 def rand_spd(rng, n):
@@ -190,7 +191,7 @@ class TestAssemble:
         n, m = s.n, s.m
         n_p = n * (n + 1) // 2
         prob = assemble(s, 0.5, 1e-6, "synthesis")
-        F_main, F_floor = (blk.dense() for blk in prob.blocks)
+        F_main, F_floor = (dense_stack(blk) for blk in prob.blocks)
         for r in range(m):
             for c in range(n):
                 k = n_p + r * n + c
@@ -268,7 +269,7 @@ class TestDenseReference:
         prob = assemble(s, 0.7, alpha, mode)
         F, Ff = dense_reference(s, 0.7, alpha, mode)
         for blk, ref in zip(prob.blocks, (F, Ff)):
-            dense = blk.dense()
+            dense = dense_stack(blk)
             np.testing.assert_array_equal(dense != 0, ref != 0)
             np.testing.assert_allclose(dense, ref, rtol=0, atol=4e-16 * np.abs(ref).max())
         # assembly in chunks of one P slot gives the same blocks
@@ -289,7 +290,7 @@ class TestFloorBlock:
         F = np.zeros((prob.d, n, n))
         F[: n * (n + 1) // 2] = -svec_basis(n)
         np.testing.assert_array_equal(floor.F0, default_delta(s) * np.eye(n))
-        np.testing.assert_array_equal(floor.dense(), F)
+        np.testing.assert_array_equal(dense_stack(floor), F)
 
     def test_synthesis_block_size_and_default_mu(self):
         s = three_state_qb()
@@ -407,6 +408,20 @@ class TestDeltaNorm:
             delta_norm(two_state(), -np.eye(2), np.ones(2), "analysis")
 
 
+class TestSpdHelpers:
+    """The positive-definiteness tests of P reject a non-finite P."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_eigh_rejects_non_finite(self, bad):
+        with pytest.raises(NotPositiveDefiniteError):
+            lmi._spd_eigh(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_factor_rejects_non_finite(self, bad):
+        with pytest.raises(NotPositiveDefiniteError):
+            lmi._spd_factor(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
 def objective_cap_problem():
     """The solver's hidden 1x1 cap block c'x <= 1 on the two-state layout."""
     lay = layout(2, 0, "analysis")
@@ -451,7 +466,7 @@ class TestBlockOperators:
         rng = np.random.default_rng(14)
         x = rng.normal(size=problem.d)
         for blk in problem.blocks:
-            F = blk.dense()
+            F = dense_stack(blk)
             Z = self.rand_sym(rng, blk.size)
             np.testing.assert_allclose(blk.linear(x), np.einsum("k,kst->st", x, F),
                                        rtol=1e-13, atol=1e-13 * np.abs(F).max())
@@ -475,7 +490,7 @@ class TestBlockOperators:
         for blk in problem.blocks:
             G = rng.normal(size=(blk.size, blk.size))
             M += blk.schur(G @ G.T)
-            U = svec(np.matmul(G.T, np.matmul(blk.dense(), G)))
+            U = svec(np.matmul(G.T, np.matmul(dense_stack(blk), G)))
             ref += U @ U.T
         np.testing.assert_allclose(M, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
@@ -487,7 +502,7 @@ class TestBlockOperators:
         for blk in problem.blocks:
             s = blk.size
             L, R = rng.normal(size=(s + 1, s)), rng.normal(size=(s, s + 2))
-            ref = L @ blk.dense() @ R
+            ref = L @ dense_stack(blk) @ R
             out = np.full_like(ref, np.nan)
             for ks, LFR in blk.congruence(L, R):
                 out[ks] = LFR
@@ -495,8 +510,8 @@ class TestBlockOperators:
 
     def test_dense_round_trip(self, problem):
         for blk in problem.blocks:
-            again = LmiBlock.from_dense(blk.F0, blk.dense())
-            assert np.array_equal(again.dense(), blk.dense())
+            again = block_from_dense(blk.F0, dense_stack(blk))
+            assert np.array_equal(dense_stack(again), dense_stack(blk))
             assert np.array_equal(again.F0, blk.F0)
             assert again.rows.shape[1] <= blk.rows.shape[1]
 
@@ -514,9 +529,9 @@ class TestBlockValidation:
         return F
 
     def test_accepts_symmetric_stack(self):
-        blk = LmiBlock.from_dense(self.F0, self.sym_stack())
+        blk = block_from_dense(self.F0, self.sym_stack())
         assert (blk.d, blk.size) == (2, 3)
-        assert np.array_equal(blk.dense(), self.sym_stack())
+        assert np.array_equal(dense_stack(blk), self.sym_stack())
 
     @pytest.mark.parametrize("kwargs", [
         {"F0": np.zeros((3, 2))},
@@ -533,13 +548,13 @@ class TestBlockValidation:
 
     def test_rejects_dense_shape_mismatch(self):
         with pytest.raises(ValueError, match="malformed problem: F stack shape mismatch"):
-            LmiBlock.from_dense(self.F0, np.zeros((2, 3, 2)))
+            block_from_dense(self.F0, np.zeros((2, 3, 2)))
 
     def test_rejects_nonsymmetric_f0(self):
         F0 = np.zeros((3, 3))
         F0[0, 2] = 1.0
         with pytest.raises(ValueError, match="malformed problem: F0 not symmetric"):
-            LmiBlock.from_dense(F0, self.sym_stack())
+            block_from_dense(F0, self.sym_stack())
 
     @pytest.mark.parametrize("entry", [(0, 1, 0), (1, 0, 2)])
     def test_rejects_nonsymmetric_fk(self, entry):
@@ -548,7 +563,7 @@ class TestBlockValidation:
         F = self.sym_stack()
         F[entry] = 3.0
         with pytest.raises(ValueError, match="malformed problem: F_k not symmetric"):
-            LmiBlock.from_dense(self.F0, F)
+            block_from_dense(self.F0, F)
 
     def test_rejects_nonzero_outside_rows(self):
         vals = np.zeros((2, 1, 3))
@@ -557,16 +572,7 @@ class TestBlockValidation:
             LmiBlock(F0=self.F0, rows=np.zeros((2, 1), dtype=int), vals=vals)
 
     def test_problem_rejects_block_of_other_dimension(self):
-        blk = LmiBlock.from_dense(self.F0, self.sym_stack())
+        blk = block_from_dense(self.F0, self.sym_stack())
         with pytest.raises(ValueError, match="malformed problem: F stack shape mismatch"):
             SdpProblem(layout=layout(2, 0, "analysis"), c=np.zeros(3), blocks=(blk,))
 
-
-class TestDebugDump:
-    def test_round_trippable_triplets(self):
-        prob = assemble(scalar_family(-1.0, 1.0), 1.0, 0.01, "analysis")
-        dump = prob.to_debug_dict()
-        assert dump["d"] == 1
-        assert len(dump["blocks"]) == 2
-        # main block F0 is diag(0, -eps); only the (1,1) entry is listed
-        assert dump["blocks"][0]["F0"] == [[1, 1, -1.0]]

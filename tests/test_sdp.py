@@ -10,7 +10,6 @@ from qbstab.lmi import (
     default_alpha,
     default_delta,
     layout,
-    svec_basis,
 )
 from qbstab import sdp
 from qbstab.models import scalar_family, three_state_qb, two_state
@@ -22,6 +21,8 @@ from qbstab.sdp import (
 )
 from qbstab.systems import QBSystem, stack, symmetrize_quadratic
 
+from dense_lmi import block_from_dense, dense_stack, svec_basis
+
 
 def scalar_problem(c=1.0, bound=1.0):
     """maximize c*x subject to x <= bound and x >= 0."""
@@ -30,8 +31,8 @@ def scalar_problem(c=1.0, bound=1.0):
         layout=lay,
         c=np.array([c]),
         blocks=(
-            LmiBlock.from_dense(F0=np.array([[-bound]]), F=np.array([[[1.0]]])),
-            LmiBlock.from_dense(F0=np.array([[0.0]]), F=np.array([[[-1.0]]])),
+            block_from_dense(F0=np.array([[-bound]]), F=np.array([[[1.0]]])),
+            block_from_dense(F0=np.array([[0.0]]), F=np.array([[[-1.0]]])),
         ),
     )
 
@@ -43,8 +44,8 @@ def infeasible_problem():
         layout=lay,
         c=np.array([1.0]),
         blocks=(
-            LmiBlock.from_dense(F0=np.array([[1.0]]), F=np.array([[[1.0]]])),
-            LmiBlock.from_dense(F0=np.array([[1.0]]), F=np.array([[[-1.0]]])),
+            block_from_dense(F0=np.array([[1.0]]), F=np.array([[[1.0]]])),
+            block_from_dense(F0=np.array([[1.0]]), F=np.array([[[-1.0]]])),
         ),
     )
 
@@ -108,13 +109,14 @@ class TestSolve:
 
     def test_objective_box_flags_unbounded(self):
         # feasible direction with unbounded objective: x >= 0, maximize x.
-        # The internal cap keeps the run finite and the failure message names it.
+        # The internal cap sdp.OBJECTIVE_BOX keeps the run finite and the
+        # failure message names it.
         lay = layout(1, 0, "analysis")
         prob = SdpProblem(layout=lay, c=np.array([1.0]),
-                          blocks=(LmiBlock.from_dense(F0=np.array([[0.0]]), F=np.array([[[-1.0]]])),))
-        sol = solve(prob, SolverConfig(objective_box=1e4, max_iters=60))
+                          blocks=(block_from_dense(F0=np.array([[0.0]]), F=np.array([[[-1.0]]])),))
+        sol = solve(prob)
         assert sol.status in ("NumericalFailure", "IterLimit")
-        assert "objective_box" in sol.message
+        assert "OBJECTIVE_BOX" in sol.message
 
 
 def closed_loop_rate_problem(eps, nu):
@@ -128,7 +130,7 @@ def closed_loop_rate_problem(eps, nu):
     n_p = E.shape[0]
     Ff = np.zeros((lay.d, n, n))
     Ff[:n_p] = -E
-    floor = LmiBlock.from_dense(F0=default_delta(s) * np.eye(n), F=Ff)
+    floor = block_from_dense(F0=default_delta(s) * np.eye(n), F=Ff)
     Fr = np.zeros((lay.d, 2 * n, 2 * n))
     Fr[:n_p, :n, :n] = -nu ** 2 * E
     Fr[:n_p, n:, n:] = -E
@@ -138,7 +140,7 @@ def closed_loop_rate_problem(eps, nu):
             BY = np.outer(s.B[:, r], np.eye(n)[c])
             Fr[n_p + r * n + c, :n, n:] = -BY
             Fr[n_p + r * n + c, n:, :n] = -BY.T
-    rate = LmiBlock.from_dense(F0=np.zeros((2 * n, 2 * n)), F=Fr)
+    rate = block_from_dense(F0=np.zeros((2 * n, 2 * n)), F=Fr)
     return SdpProblem(layout=lay, c=prob.c, blocks=(prob.blocks[0], floor, rate))
 
 
@@ -204,7 +206,7 @@ def _assert_ray_valid(prob, Z):
     # Z >= 0 blockwise, sum <F_k, Z> = 0 per variable, sum <F0, Z> > 0
     for Zb in Z:
         assert np.linalg.eigvalsh((Zb + Zb.T) / 2.0)[0] >= -1e-10
-    dense = [blk.dense() for blk in prob.blocks]
+    dense = [dense_stack(blk) for blk in prob.blocks]
     for k in range(prob.d):
         tot = sum(float(np.sum(F[k] * Zb)) for F, Zb in zip(dense, Z))
         assert abs(tot) <= 1e-8
@@ -259,7 +261,7 @@ class TestCheckBlockFeasibility:
     def test_constant_block(self):
         lay = layout(1, 0, "analysis")
         prob = SdpProblem(layout=lay, c=np.zeros(1),
-                          blocks=(LmiBlock.from_dense(F0=-np.eye(2), F=np.zeros((1, 2, 2))),))
+                          blocks=(block_from_dense(F0=-np.eye(2), F=np.zeros((1, 2, 2))),))
         rep = check_block_feasibility(prob, np.zeros(1), 0.0)
         assert rep.lambda_max[0] == pytest.approx(-1.0)
 

@@ -95,7 +95,7 @@ class TestValidate:
 
     def test_two_state_flags(self):
         rep = validate(two_state())
-        assert rep.dims_ok and rep.h_symmetric and rep.a_hurwitz
+        assert rep.h_symmetric and rep.a_hurwitz
         assert rep.max_symmetry_defect == 0.0
         assert rep.spectral_abscissa < 0
 
@@ -278,6 +278,28 @@ class TestJsonRoundTrip:
                               "H": {"triplets": [[0, 0, 5, 1.0]]}})
         with pytest.raises(SchemaError):
             system_from_dict({"n": 2, "m": 1, "A": [[1, 0], [0, 1]], "H": [[0] * 4] * 2})
+
+    @pytest.mark.parametrize("field,value", [
+        ("A", [[-1.0, "x"], [0.0, -1.0]]),
+        ("A", [[-1.0, float("nan")], [0.0, -1.0]]),
+        ("A", [[-1.0, 0.0], [0.0]]),
+        ("H", [[0.0, float("inf"), 0.0, 0.0], [0.0] * 4]),
+        ("H", [[0.0, None, 0.0, 0.0], [0.0] * 4]),
+        ("H", {"triplets": [[0, 0, 1, "x"]]}),
+        ("H", {"triplets": [[0, 0, 1, float("inf")]]}),
+        ("H", {"triplets": [[0, "a", 1, 1.0]]}),
+        ("B", [["1"], [0.0]]),
+        ("B", [[float("nan")], [0.0]]),
+        ("D", [[[0.0, float("-inf")], [0.0, 0.0]]]),
+        ("D", [[0.0, 0.0], [0.0, 0.0]]),
+    ])
+    def test_non_numeric_or_non_finite_arrays_rejected(self, field, value):
+        doc = {"n": 2, "m": 1, "A": [[-1.0, 0.0], [0.0, -1.0]], "H": [[0.0] * 4] * 2,
+               "B": [[1.0], [0.0]], "D": [[[0.0, 0.0], [0.0, 0.0]]]}
+        system_from_dict(doc)
+        doc[field] = value
+        with pytest.raises(SchemaError, match=field):
+            system_from_dict(doc)
 
     def test_dict_form_omits_empty_input_fields(self):
         doc = system_to_dict(two_state())

@@ -15,7 +15,7 @@ from qbstab.verify import convergence_check, sample_check, simulate, vdot
 SCALAR = scalar_family(-1.0, 1.0)
 LINEAR = QBSystem(A=np.array([[-1.0]]), H=np.zeros((1, 1)))
 # far beyond the true basin x < 1: the trajectories from x0 = 2 escape near t = ln 2
-ESCAPING = Certificate(mode="analysis", P=np.array([[4.0]]), epsilon=1.0, alpha=0.0, trace_P=4.0)
+ESCAPING = Certificate(mode="analysis", P=np.array([[4.0]]), epsilon=1.0, alpha=0.0)
 
 
 def _reference_rk4_step(sys, X, dt):
@@ -152,7 +152,7 @@ class TestVdot:
 class TestSimulate:
     def test_linear_decay(self):
         traj = simulate(LINEAR, np.array([1.0]), 1.0, 1e-3)
-        assert traj.final_state()[0] == pytest.approx(np.exp(-1.0), abs=1e-9)
+        assert traj.states[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-9)
         assert not traj.terminated_early
 
     def test_zero_stays_zero(self):
@@ -170,7 +170,7 @@ class TestSimulate:
         err = []
         for dt in (0.1, 0.05):
             traj = simulate(LINEAR, np.array([1.0]), 1.0, dt)
-            err.append(abs(traj.final_state()[0] - exact))
+            err.append(abs(traj.states[-1, 0] - exact))
         assert err[0] / err[1] >= 14.0
 
     def test_argument_validation(self):
@@ -178,14 +178,6 @@ class TestSimulate:
             simulate(LINEAR, np.array([1.0]), 1.0, 0.0)
         with pytest.raises(DimensionError):
             simulate(LINEAR, np.array([1.0, 2.0]), 1.0, 0.1)
-
-    def test_csv_export(self, tmp_path):
-        traj = simulate(LINEAR, np.array([1.0]), 0.01, 1e-3)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path, timestamp="T")
-        lines = path.read_text().splitlines()
-        assert lines[1] == "t,x1"
-        assert len(lines) == 2 + len(traj.times)
 
 
 class TestSampleCheck:
@@ -199,8 +191,7 @@ class TestSampleCheck:
     def test_inflated_certificate_fails(self, scalar_cert):
         # doubling P pushes the boundary past the true basin edge x = 1
         fake = Certificate(mode="analysis", P=2.0 * scalar_cert.P,
-                           epsilon=scalar_cert.epsilon, alpha=scalar_cert.alpha,
-                           trace_P=float(2.0 * scalar_cert.trace_P))
+                           epsilon=scalar_cert.epsilon, alpha=scalar_cert.alpha)
         rep = sample_check(SCALAR, fake, 10_000, seed=0)
         assert rep.violations > 0
         assert not rep.passed
@@ -250,8 +241,7 @@ class TestConvergenceCheck:
 
     def test_invalid_certificate_flags_divergence(self):
         # a hand-made "certificate" far beyond the true basin: trajectories escape
-        fake = Certificate(mode="analysis", P=np.array([[4.0]]), epsilon=1.0,
-                           alpha=0.0, trace_P=4.0)
+        fake = Certificate(mode="analysis", P=np.array([[4.0]]), epsilon=1.0, alpha=0.0)
         rep = convergence_check(SCALAR, fake, 20, t_final=10.0, dt=1e-3, seed=5)
         assert rep.violations > 0
         assert rep.trajectories_converged < rep.trajectories_total
