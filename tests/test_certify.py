@@ -23,10 +23,12 @@ from qbstab.certify import (
     union_volume,
 )
 from qbstab import sdp
+from qbstab.cli import main as cli_main
 from qbstab.errors import DimensionError, NotPositiveDefiniteError, SchemaError
 from qbstab.lmi import assemble, default_delta, default_mu
 from qbstab.models import scalar_family, three_state_qb, two_state
 from qbstab.sdp import check_block_feasibility
+from qbstab.systems import save_system
 
 SCALAR = scalar_family(-1.0, 1.0)
 DATA = Path(__file__).parent / "data"
@@ -142,6 +144,20 @@ class TestSweep:
             sweep_epsilon(SCALAR, [0.5, 0.4], 0.0, "analysis")
         with pytest.raises(ValueError):
             sweep_epsilon(SCALAR, [-0.1, 0.4], 0.0, "analysis")
+
+    def test_csv_export(self, tmp_path):
+        # sweep.csv is written by the CLI's CSV writer
+        sys_path = tmp_path / "scalar.json"
+        save_system(SCALAR, sys_path)
+        out = tmp_path / "sweep"
+        assert cli_main(["analyze", "--system", str(sys_path), "--eps", "grid:0.5:1.0:2",
+                         "--alpha", "0.01", "--out", str(out),
+                         "--union-samples", "10000"]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0].startswith("# generated: ")
+        assert lines[1] == "epsilon,feasible,trace_P"
+        assert lines[2].startswith("0.5,1,0.745")
+        assert lines[3].startswith("1,1,0.99")
 
 
 class TestOptimizeEpsilon:

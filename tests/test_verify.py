@@ -6,10 +6,11 @@ from scipy.linalg import cho_solve
 
 from qbstab import verify
 from qbstab.certify import Certificate, max_trace
+from qbstab.cli import main as cli_main
 from qbstab.errors import DimensionError, NotPositiveDefiniteError
 from qbstab.lmi import _spd_factor
 from qbstab.models import scalar_family, three_state_qb, two_state
-from qbstab.systems import QBSystem, eval_dynamics, stack
+from qbstab.systems import QBSystem, eval_dynamics, save_system, stack
 from qbstab.verify import convergence_check, sample_check, simulate, vdot
 
 SCALAR = scalar_family(-1.0, 1.0)
@@ -178,6 +179,20 @@ class TestSimulate:
             simulate(LINEAR, np.array([1.0]), 1.0, 0.0)
         with pytest.raises(DimensionError):
             simulate(LINEAR, np.array([1.0, 2.0]), 1.0, 0.1)
+
+    def test_csv_export(self, tmp_path):
+        # trajectory CSVs are written by the CLI's CSV writer
+        traj = simulate(LINEAR, np.array([1.0]), 0.01, 1e-3)
+        sys_path = tmp_path / "lin.json"
+        save_system(LINEAR, sys_path)
+        out = tmp_path / "sim"
+        assert cli_main(["simulate", "--system", str(sys_path), "--x0", "1.0",
+                         "--t-final", "0.01", "--dt", "0.001", "--out", str(out)]) == 0
+        lines = (out / "trajectory_000.csv").read_text().splitlines()
+        assert lines[0].startswith("# generated: ")
+        assert lines[1] == "t,x1"
+        assert len(lines) == 2 + len(traj.times)
+        assert [float(v) for v in lines[-1].split(",")] == [traj.times[-1], traj.states[-1, 0]]
 
 
 class TestSampleCheck:
