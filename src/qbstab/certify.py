@@ -243,8 +243,10 @@ def max_trace(sys: QBSystem, eps: float, alpha, mode: str,
     """Maximize trace(P) subject to the eps-parameterized LMI.
 
     Returns a Certificate on Optimal and an Infeasible marker (with the dual
-    ray attached) otherwise; numerical failures raise SolverFailure with eps
-    in the message.
+    ray attached) on Infeasible; numerical failures raise SolverFailure with
+    eps and the solver's message.  That includes a stalled solve, where the
+    LMI has no interior and no improving ray ("stalled: ..."): it is neither
+    feasible nor proven infeasible.
 
     One solve per eps.  If it ends NumericalFailure or IterLimit, its
     ``relaxed`` solution (the first iterate that passed the solver's looser

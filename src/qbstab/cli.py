@@ -229,6 +229,12 @@ def _union_payload(certs: list[Certificate], samples: int, seed: int) -> dict:
     return payload
 
 
+def _failed_points(entries) -> list:
+    """The eps points whose solve failed, told apart from infeasible ones."""
+    return [{"epsilon": e.epsilon, "status": e.status}
+            for e in entries if e.status not in ("optimal", "infeasible")]
+
+
 def _run_certification(args, mode: str) -> int:
     sys_obj, source = _load_target(args)
     if mode == "synthesis" and sys_obj.m < 1:
@@ -261,6 +267,7 @@ def _run_certification(args, mode: str) -> int:
         summary["alpha"] = sweep.alpha
         summary["grid_points"] = len(sweep.entries)
         summary["feasible_points"] = len(sweep.feasible_entries())
+        summary["failed_points"] = _failed_points(sweep.entries)
         best = sweep.best()
         feas_certs = [e.certificate for e in sweep.feasible_entries()]
         summary["floor_active_points"] = sum(c.solver_report["floor_active"] for c in feas_certs)
@@ -275,6 +282,7 @@ def _run_certification(args, mode: str) -> int:
                                   mode=mode, config=config)
         summary["alpha"] = resolve_alpha(sys_obj, alpha)
         summary["evaluations"] = len(result.history)
+        summary["failed_points"] = _failed_points(result.history)
         best = result.best
     else:
         outcome = max_trace(sys_obj, eps_spec, alpha, mode, config)

@@ -13,6 +13,15 @@ detected through an improving-ray certificate (Z >= 0 blockwise with
 <F_k, Z> = 0 for every k and <F0, Z> > 0), which is verified against the
 original problem data before the status is reported.
 
+A solve can also stall.  When the LMI has no interior and no improving ray
+(the ill-posed case of the homogeneous embedding: de Klerk, Roos & Terlaky,
+Oper. Res. Lett. 1997; Permenter, Friberg & Andersen, SIAM J. Optim. 2017),
+tau collapses to 0 while the residuals freeze and no candidate ray gets
+better.  After ``STALL_ITERS`` such iterations in a row the solve ends
+NumericalFailure with a message that starts "stalled: no interior (tau -> 0)
+and no improving ray"; its iterates up to then are those of a solve without
+the rule.
+
 The solver is deterministic: identical inputs and configuration produce
 identical iterates.
 """
@@ -46,6 +55,14 @@ RELAX_FACTOR = 10.0
 # a hidden scalar block caps c'x at this value, so that problems with an
 # unbounded objective still terminate cleanly
 OBJECTIVE_BOX = 1e8
+# a solve stalls after this many consecutive iterations with tau collapsed and
+# no tenfold better candidate ray.  On the reproduction grids, the stacked
+# n = 40 solve and the shear-flow searches at Re = 120-160, no solve that ends
+# Optimal has a collapsed iteration, and every solve that ends Infeasible
+# accepts its ray within three of them, at most two without a tenfold better
+# ray.  The nine solves that stall there had no candidate ray at all and
+# frozen residuals through the 164 to 168 iterations left until IterLimit.
+STALL_ITERS = 5
 
 
 @dataclass(frozen=True)
@@ -73,11 +90,14 @@ class SdpSolution:
     """Solver output.
 
     ``status`` is one of Optimal, Infeasible, NumericalFailure, IterLimit.
-    At Optimal, ``x`` is the maximizing decision vector and ``Z`` holds one
-    PSD dual matrix per block.  At Infeasible, ``Z`` holds the normalized
-    improving-ray certificate (<F0, Z> = 1).  ``history`` holds one
-    (mu, primal residual, dual residual, step length) tuple per completed
-    interior-point step.
+    NumericalFailure covers a breakdown (NT scaling, Schur complement, step
+    length) and a stall, whose ``message`` starts with "stalled" (see the
+    module docstring).  At Optimal, ``x`` is the maximizing decision vector
+    and ``Z`` holds one PSD dual matrix per block.  At Infeasible, ``Z``
+    holds the normalized improving-ray certificate (<F0, Z> = 1).
+    ``history`` holds one (mu, primal residual, dual residual, step length)
+    tuple per completed interior-point step; a stalled solve's is a prefix
+    of the history the solve would have without the stall rule.
 
     ``relaxed`` is the Optimal or Infeasible solution at the first iterate
     that passed a test only with tolerances ``RELAX_FACTOR`` times looser,
@@ -286,6 +306,9 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     relaxed = None
     feas_loose, gap_loose = RELAX_FACTOR * config.feas_tol, RELAX_FACTOR * config.gap_tol
     ray_scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
+    # consecutive collapsed iterations without a tenfold better ray, and the
+    # smallest ray residual seen since tau collapsed
+    stall_count, ray_min = 0, np.inf
 
     def unscale_report(Rd):
         """Original-space (x, Z, residuals, objective) for the current iterate."""
@@ -345,8 +368,16 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
                                       history=list(history))
             if max(resid) < max(resid_best):
                 x_best, Z_best, resid_best, obj_best = x_orig, Zs, resid, p_obj
+            stall_count, ray_min = 0, np.inf
         else:
             resid = resid_best
+            stall_count = 0 if ray_q < 0.1 * ray_min else stall_count + 1
+            ray_min = min(ray_min, ray_q)
+            if stall_count >= STALL_ITERS:
+                status = "NumericalFailure"
+                message = (f"stalled: no interior (tau -> 0) and no improving ray "
+                           f"in {STALL_ITERS} iterations")
+                break
 
         # Nesterov-Todd scaling point per block
         try:

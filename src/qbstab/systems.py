@@ -278,14 +278,21 @@ def stack(sys: QBSystem, k: int) -> QBSystem:
 # ---------------------------------------------------------------------------
 
 
+def _holds_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _finite_array(value, name: str) -> np.ndarray:
     """A JSON number or nested list as a float array; SchemaError unless
-    every entry is a finite number."""
+    every entry is a finite number.  JSON true/false is not a number, also
+    where numpy would cast it next to numbers."""
     try:
         arr = np.asarray(value)
     except ValueError as exc:  # ragged nesting
         raise SchemaError(f"{name} must be a numeric array: {exc}") from exc
-    if arr.dtype.kind not in "iuf":
+    if arr.dtype.kind not in "iuf" or _holds_bool(value):
         raise SchemaError(f"{name} must hold only numbers")
     arr = arr.astype(float)
     if not np.all(np.isfinite(arr)):
@@ -302,6 +309,8 @@ def _densify_h(spec, n: int) -> np.ndarray:
             triplet = _finite_array(entry, "H triplet")
             if triplet.shape != (4,):
                 raise SchemaError(f"H triplet must be [row, i, j, value], got {entry!r}")
+            if not np.all(triplet[:3] == np.floor(triplet[:3])):
+                raise SchemaError(f"H triplet indices must be integers: {entry!r}")
             row, i, j = (int(v) for v in triplet[:3])
             if not (0 <= row < n and 0 <= i < n and 0 <= j < n):
                 raise SchemaError(f"H triplet index out of range: {entry!r}")

@@ -9,7 +9,7 @@ from qbstab.certify import Certificate, save_certificate
 from qbstab.cli import build_parser, main
 from qbstab.systems import save_system, stack, system_to_dict
 from qbstab.verify import convergence_check
-from qbstab.models import scalar_family
+from qbstab.models import scalar_family, shear_flow_data_available
 
 
 def run(*argv):
@@ -97,6 +97,24 @@ class TestAnalyze:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["best"]["epsilon"] == pytest.approx(1.0, abs=1e-3)
         assert summary["best"]["trace_P"] == pytest.approx(1.0, abs=1e-3)
+        assert summary["failed_points"] == []
+
+    @pytest.mark.skipif(not shear_flow_data_available(),
+                        reason="external coefficient data absent")
+    def test_failed_points_told_apart_from_infeasible(self, tmp_path):
+        # at Re = 120 the shear flow has no interior and no improving ray at
+        # eps = 10**-1.6, so that solve stalls; summary.json names the point
+        eps = float(np.geomspace(1e-3, 1.0, 16)[7])
+        out = tmp_path / "shear"
+        assert run("analyze", "--zoo", "shear-flow-9", "--param", "Re=120",
+                   "--eps", f"grid:0.01:{eps!r}:2", "--union-samples", "20000",
+                   "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["grid_points"] == 2 and summary["feasible_points"] == 1
+        (failed,) = summary["failed_points"]
+        assert failed["epsilon"] == eps
+        assert failed["status"].startswith("failed: solver returned NumericalFailure")
+        assert "stalled" in failed["status"]
 
     def test_deterministic_outputs(self, tmp_path):
         outs = []

@@ -12,7 +12,13 @@ from qbstab.lmi import (
     layout,
 )
 from qbstab import sdp
-from qbstab.models import scalar_family, three_state_qb, two_state
+from qbstab.models import (
+    scalar_family,
+    shear_flow_9,
+    shear_flow_data_available,
+    three_state_qb,
+    two_state,
+)
 from qbstab.sdp import (
     SolverConfig,
     check_block_feasibility,
@@ -145,13 +151,77 @@ def closed_loop_rate_problem(eps, nu):
 
 
 class TestNumericalFailure:
-    def test_non_finite_schur_complement(self):
-        # near its infeasibility edge this problem drives the NT scaling to
-        # overflow; the solver must report that, not raise from the factorization
+    def test_non_finite_schur_complement(self, monkeypatch):
+        # an NT scaling that overflows leaves a non-finite Schur share; the
+        # solver must report that, not raise from the factorization
+        schur = sdp._Block.schur
+
+        def overflowed(blk):
+            M, g, q = schur(blk)
+            M = M.copy()
+            M[0, 0] = np.inf
+            return M, g, q
+
+        monkeypatch.setattr(sdp._Block, "schur", overflowed)
+        sol = solve(scalar_problem())
+        assert sol.status == "NumericalFailure"
+        assert sol.message == "Schur complement not finite"
+        assert sol.iters == 1 and sol.history == []
+
+
+# the log-spaced pre-scan of optimize_epsilon over (1e-3, 1)
+SHEAR_SCAN = np.geomspace(1e-3, 1.0, 16)
+needs_shear_data = pytest.mark.skipif(
+    not shear_flow_data_available(), reason="external coefficient data absent")
+
+
+def shear_problem(eps, Re=120.0):
+    s = shear_flow_9(Re)
+    return assemble(s, eps, default_alpha(s), "analysis")
+
+
+class TestStall:
+    @needs_shear_data
+    @pytest.mark.parametrize("eps", SHEAR_SCAN[6:8], ids=["0.01585", "0.02512"])
+    def test_no_interior_and_no_ray(self, eps):
+        # tau collapses at iteration 37 or 34 and no candidate ray appears;
+        # without the stall rule the residuals stay frozen until IterLimit
+        sol = solve(shear_problem(eps))
+        assert sol.status == "NumericalFailure"
+        assert sol.message.startswith("stalled: no interior (tau -> 0) and no improving ray")
+        assert sol.iters <= 45
+        assert sol.relaxed is None
+
+    @needs_shear_data
+    def test_iterates_match_a_solve_without_the_rule(self, monkeypatch):
+        prob = shear_problem(SHEAR_SCAN[7])
+        sol = solve(prob)
+        monkeypatch.setattr(sdp, "STALL_ITERS", SolverConfig().max_iters + 1)
+        full = solve(prob)
+        assert full.status == "IterLimit"
+        assert sol.history == full.history[:len(sol.history)]
+        assert sol.x.tobytes() == full.x.tobytes()
+        assert (sol.relaxed, full.relaxed) == (None, None)
+
+    @needs_shear_data
+    def test_collapsing_ray_still_certifies(self):
+        # tau collapses at iteration 32 here, and the ray is accepted at the next
+        prob = shear_problem(SHEAR_SCAN[8])
+        sol = solve(prob)
+        assert sol.status == "Infeasible"
+        assert sol.iters == 33
+        _assert_ray_valid(prob, sol.Z)
+
+    def test_stagnant_ray(self):
+        # near its infeasibility edge tau collapses at iteration 26, and the
+        # candidate ray then hovers at 2e-14 to 2e-13 without being accepted;
+        # without the rule the NT scaling overflows, and the Schur complement
+        # is not finite at iteration 193
         nu = 3.0 * np.linalg.norm(three_state_qb().A, 2)
         sol = solve(closed_loop_rate_problem(8.109473684210526, nu))
         assert sol.status == "NumericalFailure"
-        assert "not finite" in sol.message
+        assert "stalled" in sol.message
+        assert sol.iters <= 35
 
 
 class TestInfeasibility:

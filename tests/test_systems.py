@@ -292,6 +292,9 @@ class TestJsonRoundTrip:
         ("B", [[float("nan")], [0.0]]),
         ("D", [[[0.0, float("-inf")], [0.0, 0.0]]]),
         ("D", [[0.0, 0.0], [0.0, 0.0]]),
+        ("A", [[-1.0, True], [0.0, -1.0]]),
+        ("H", {"triplets": [[0, 1.7, 0, 2.0]]}),
+        ("H", {"triplets": [[0, -0.5, 0, 2.0]]}),
     ])
     def test_non_numeric_or_non_finite_arrays_rejected(self, field, value):
         doc = {"n": 2, "m": 1, "A": [[-1.0, 0.0], [0.0, -1.0]], "H": [[0.0] * 4] * 2,
