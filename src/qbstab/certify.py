@@ -19,8 +19,8 @@ from scipy.linalg import cho_solve
 
 from .errors import DimensionError, NotPositiveDefiniteError, QBStabError, SchemaError
 from .lmi import _spd_eigh, _spd_factor, _svec_index, assemble, default_alpha, default_delta, svec
-from .sdp import SdpSolution, SolverConfig, solve
-from .systems import QBSystem, _finite_array
+from .sdp import SdpSolution, solve
+from .systems import QBSystem, _finite_array, _json_int
 
 __all__ = [
     "Certificate",
@@ -238,8 +238,7 @@ def _gain_from(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return cho_solve(_spd_factor(P), Y.T).T
 
 
-def max_trace(sys: QBSystem, eps: float, alpha, mode: str,
-              config: SolverConfig | None = None) -> Certificate | Infeasible:
+def max_trace(sys: QBSystem, eps: float, alpha, mode: str) -> Certificate | Infeasible:
     """Maximize trace(P) subject to the eps-parameterized LMI.
 
     Returns a Certificate on Optimal and an Infeasible marker (with the dual
@@ -258,7 +257,7 @@ def max_trace(sys: QBSystem, eps: float, alpha, mode: str,
     """
     alpha = resolve_alpha(sys, alpha)
     problem = assemble(sys, eps, alpha, mode)
-    sol = solve(problem, config)
+    sol = solve(problem)
     retried = sol.status in ("NumericalFailure", "IterLimit")
     if retried and sol.relaxed is not None:
         sol = sol.relaxed
@@ -287,9 +286,9 @@ def _certificate_from_solution(sys, problem, sol: SdpSolution, eps, alpha, mode,
                        solver_report=report)
 
 
-def _sweep_point(sys, eps, alpha, mode, config) -> SweepEntry:
+def _sweep_point(sys, eps, alpha, mode) -> SweepEntry:
     try:
-        out = max_trace(sys, eps, alpha, mode, config)
+        out = max_trace(sys, eps, alpha, mode)
     except SolverFailure as exc:
         return SweepEntry(epsilon=eps, feasible=False, trace_P=None,
                           certificate=None, status=f"failed: {exc}")
@@ -300,8 +299,7 @@ def _sweep_point(sys, eps, alpha, mode, config) -> SweepEntry:
                       certificate=None, status="infeasible")
 
 
-def sweep_epsilon(sys: QBSystem, grid, alpha, mode: str,
-                  config: SolverConfig | None = None) -> SweepResult:
+def sweep_epsilon(sys: QBSystem, grid, alpha, mode: str) -> SweepResult:
     """One trace maximization per grid point; order of results follows the grid."""
     grid = [float(e) for e in grid]
     if not grid:
@@ -311,7 +309,7 @@ def sweep_epsilon(sys: QBSystem, grid, alpha, mode: str,
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("eps grid must be strictly increasing")
     alpha = resolve_alpha(sys, alpha)
-    entries = [_sweep_point(sys, e, alpha, mode, config) for e in grid]
+    entries = [_sweep_point(sys, e, alpha, mode) for e in grid]
     return SweepResult(entries=tuple(entries), mode=mode, alpha=alpha)
 
 
@@ -319,8 +317,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: float = 1e-3,
-                     alpha=None, mode: str = "analysis",
-                     config: SolverConfig | None = None) -> EpsilonSearchResult:
+                     alpha=None, mode: str = "analysis") -> EpsilonSearchResult:
     """Line search for the eps maximizing trace(P) over (lo, hi).
 
     A log-spaced pre-scan locates the best grid point and its bracket; a
@@ -339,7 +336,7 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
     history: list[SweepEntry] = []
 
     def probe(eps: float) -> SweepEntry:
-        entry = _sweep_point(sys, eps, alpha, mode, config)
+        entry = _sweep_point(sys, eps, alpha, mode)
         history.append(entry)
         return entry
 
@@ -475,7 +472,7 @@ def deserialize_certificate(doc: dict) -> Certificate:
         raise SchemaError(f"not a {_CERT_SCHEMA} document")
     try:
         mode = doc["mode"]
-        n = int(doc["n"])
+        n = _json_int(doc["n"], "n")
         P = _finite_array(doc["P"], "P")
         eps = float(doc["epsilon"])
         alpha = float(doc["alpha"])

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: analyze, synthesize, verify, bench, simulate.  Every run is
-deterministic given (inputs, seed, tolerances); output files are
-byte-identical across runs apart from one timestamp header line.  Floating
-point values are printed with 17 significant digits so they round-trip.
+deterministic given (inputs, seed); output files are byte-identical across
+runs apart from one timestamp header line.  Floating point values are
+printed with 17 significant digits so they round-trip.
 
 Exit codes: 0 success, 2 infeasible, 3 verification failure, 4 input error,
 5 numerical failure.
@@ -42,7 +42,7 @@ from .certify import (
 from .errors import QBStabError
 from .lmi import assemble, default_delta
 from .models import get_model, model_names
-from .sdp import SolverConfig, solve
+from .sdp import solve
 from .systems import QBSystem, close_loop, load_system, save_system, stack
 from .verify import boundary_points, convergence_check, default_dt, sample_check, simulate
 
@@ -99,7 +99,7 @@ def _number(token: str, error: str, cast=float):
 
 
 def _finite(token: str) -> float:
-    """argparse type for tolerances, times and extents: a finite float."""
+    """argparse type for times and extents: a finite float."""
     value = float(token)
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {token}")
@@ -126,7 +126,7 @@ def _load_target(args) -> tuple[QBSystem, str]:
             params[key] = _number(value, f"--param value must be a finite number, got {spec!r}")
         try:
             return get_model(args.zoo, **params), f"zoo:{args.zoo}"
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CliError(str(exc))
     if getattr(args, "system", None):
         sys_obj, _defect = load_system(args.system)
@@ -173,14 +173,6 @@ def _alpha_arg(value: str):
     if alpha < 0:
         raise CliError("--alpha must be non-negative")
     return alpha
-
-
-def _solver_config(args) -> SolverConfig:
-    try:
-        return SolverConfig(feas_tol=args.feas_tol, gap_tol=args.gap_tol,
-                            max_iters=args.max_iters)
-    except ValueError as exc:
-        raise CliError(str(exc))
 
 
 def _outdir(args) -> Path:
@@ -239,7 +231,6 @@ def _run_certification(args, mode: str) -> int:
     sys_obj, source = _load_target(args)
     if mode == "synthesis" and sys_obj.m < 1:
         raise CliError(f"synthesis requires an input channel (m >= 1); {source} has m = 0")
-    config = _solver_config(args)
     kind, eps_spec = _parse_eps(args.eps)
     alpha = _alpha_arg(args.alpha)
     if kind == "grid" and args.union_samples < UNION_MIN_SAMPLES:
@@ -260,7 +251,7 @@ def _run_certification(args, mode: str) -> int:
     best: Certificate | None = None
 
     if kind == "grid":
-        sweep = sweep_epsilon(sys_obj, eps_spec, alpha, mode, config)
+        sweep = sweep_epsilon(sys_obj, eps_spec, alpha, mode)
         _write_csv(out / "sweep.csv", _timestamp(), ["epsilon", "feasible", "trace_P"],
                    ((e.epsilon, int(e.feasible), e.trace_P if e.feasible else "")
                     for e in sweep.entries))
@@ -278,14 +269,13 @@ def _run_certification(args, mode: str) -> int:
             if "warning" in union:
                 summary["warning"] = union["warning"]
     elif kind == "search":
-        result = optimize_epsilon(sys_obj, eps_spec, rel_tol=args.rel_tol, alpha=alpha,
-                                  mode=mode, config=config)
+        result = optimize_epsilon(sys_obj, eps_spec, rel_tol=args.rel_tol, alpha=alpha, mode=mode)
         summary["alpha"] = resolve_alpha(sys_obj, alpha)
         summary["evaluations"] = len(result.history)
         summary["failed_points"] = _failed_points(result.history)
         best = result.best
     else:
-        outcome = max_trace(sys_obj, eps_spec, alpha, mode, config)
+        outcome = max_trace(sys_obj, eps_spec, alpha, mode)
         if isinstance(outcome, Infeasible):
             summary["alpha"] = outcome.alpha
             summary["status"] = "infeasible"
@@ -382,14 +372,13 @@ def _cmd_bench(args) -> int:
     if kind != "single":
         raise CliError("bench requires a single eps value")
     alpha = _alpha_arg(args.alpha)
-    config = _solver_config(args)
     out = _outdir(args)
     rows = []
     for k in factors:
         stacked = stack(sys_obj, k)
         t0 = time.perf_counter()
         problem = assemble(stacked, eps, resolve_alpha(stacked, alpha), "analysis")
-        sol = solve(problem, config)
+        sol = solve(problem)
         wall = time.perf_counter() - t0
         rows.append((stacked.n, wall, sol.iters, sol.status, sol.objective))
     _write_csv(out / "bench.csv", _timestamp(), ["n", "wall_seconds", "iters", "status"],
@@ -482,9 +471,6 @@ def _add_common(p: argparse.ArgumentParser, need_eps: bool = True) -> None:
                    help="output directory (env QBSTAB_OUT overrides the default)")
     p.add_argument("--seed", type=_count, default=0)
     if need_eps:
-        p.add_argument("--feas-tol", type=_finite, default=1e-8)
-        p.add_argument("--gap-tol", type=_finite, default=1e-8)
-        p.add_argument("--max-iters", type=int, default=200)
         p.add_argument("--eps", required=True,
                        help="eps spec: VALUE | grid:lo:hi:count[:log] | search:lo:hi")
         p.add_argument("--alpha", default="auto",

@@ -22,8 +22,12 @@ NumericalFailure with a message that starts "stalled: no interior (tau -> 0)
 and no improving ray"; its iterates up to then are those of a solve without
 the rule.
 
-The solver is deterministic: identical inputs and configuration produce
-identical iterates.
+The tolerances are fixed: Optimal needs primal and dual residuals within
+``FEAS_TOL`` and a duality gap within ``GAP_TOL``, Infeasible a ray residual
+within ``FEAS_TOL`` max(1, |c|_inf), and IterLimit comes after ``MAX_ITERS``
+iterations.  Ruiz-style block scaling (10 sweeps) and the objective cap
+``OBJECTIVE_BOX`` always apply, every solve keeps its per-iteration log in
+``SdpSolution.history``, and identical inputs produce identical iterates.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from scipy.linalg import cho_factor, cho_solve
 from .lmi import LmiBlock, SdpProblem, svec
 
 __all__ = [
-    "SolverConfig",
     "SdpSolution",
     "BlockFeasibilityReport",
     "solve",
@@ -50,7 +53,11 @@ STEP_FRACTION = 0.98
 GRAM_MAX = 10_000
 # a larger block takes the W form only if d s(s+1)/2 is this many times its nonzeros
 W_MIN_SPARSITY = 32
-# the tolerances of ``SdpSolution.relaxed`` are this many times the configured ones
+# the termination tests of the module docstring; those of ``SdpSolution.relaxed``
+# are RELAX_FACTOR times looser
+FEAS_TOL = 1e-8
+GAP_TOL = 1e-8
+MAX_ITERS = 200
 RELAX_FACTOR = 10.0
 # a hidden scalar block caps c'x at this value, so that problems with an
 # unbounded objective still terminate cleanly
@@ -63,26 +70,6 @@ OBJECTIVE_BOX = 1e8
 # ray.  The nine solves that stall there had no candidate ray at all and
 # frozen residuals through the 164 to 168 iterations left until IterLimit.
 STALL_ITERS = 5
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances and iteration limits for the embedded solver.
-
-    The objective cap ``OBJECTIVE_BOX`` and Ruiz-style block scaling (fixed
-    10 sweeps) are always applied, and every solve keeps its per-iteration
-    log in ``SdpSolution.history``.
-    """
-
-    feas_tol: float = 1e-8
-    gap_tol: float = 1e-8
-    max_iters: int = 200
-
-    def __post_init__(self):
-        if not (0 < self.feas_tol < np.inf and 0 < self.gap_tol < np.inf):
-            raise ValueError("tolerances must be finite and positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
@@ -102,7 +89,8 @@ class SdpSolution:
     ``relaxed`` is the Optimal or Infeasible solution at the first iterate
     that passed a test only with tolerances ``RELAX_FACTOR`` times looser,
     else None.  Tolerances never change an iterate, so after NumericalFailure
-    or IterLimit it is what a re-solve with those tolerances would return.
+    or IterLimit it is what a solve with FEAS_TOL and GAP_TOL ``RELAX_FACTOR``
+    times larger would return.
     """
 
     status: str
@@ -268,10 +256,8 @@ def _ruiz_scale(blocks, c, sweeps: int = 10):
     return scaled, gamma, beta
 
 
-def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the block-LMI maximization.  See module docstring for the contract."""
-    if config is None:
-        config = SolverConfig()
     d = problem.d
     c = np.asarray(problem.c, dtype=float).reshape(-1)
     scaled, gamma, beta = _ruiz_scale(problem.blocks, c)
@@ -304,7 +290,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     obj_max_seen = -np.inf
     iters_done = 0
     relaxed = None
-    feas_loose, gap_loose = RELAX_FACTOR * config.feas_tol, RELAX_FACTOR * config.gap_tol
+    feas_loose, gap_loose = RELAX_FACTOR * FEAS_TOL, RELAX_FACTOR * GAP_TOL
     ray_scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
     # consecutive collapsed iterations without a tenfold better ray, and the
     # smallest ray residual seen since tau collapsed
@@ -319,7 +305,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         resid = _residuals(problem.blocks, c, x_orig, Fx, Zs)
         return x_orig, Zs, resid, float(c @ x_orig)
 
-    for it in range(config.max_iters):
+    for it in range(MAX_ITERS):
         iters_done = it + 1
         # The homogeneous model is invariant under positive scaling of the
         # whole iterate; renormalize when it drifts (infeasible problems push
@@ -344,7 +330,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         ray_Z, ray_q = _ray_certificate(problem.blocks, blocks, beta)
         if ray_Z is not None and ray_q <= feas_loose * ray_scale:
             ray_message = f"improving ray with max |<F_k, Z>| = {ray_q:.2e}"
-            if ray_q <= config.feas_tol * ray_scale:
+            if ray_q <= FEAS_TOL * ray_scale:
                 status, message, Z_best = "Infeasible", ray_message, ray_Z
                 resid_best, obj_best = (0.0, 0.0, 0.0), float("nan")
                 break
@@ -357,8 +343,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
             x_orig, Zs, resid, p_obj = unscale_report(Rd)
             if np.isfinite(p_obj):
                 obj_max_seen = max(obj_max_seen, p_obj)
-            if (resid[0] <= config.feas_tol and resid[1] <= config.feas_tol
-                    and resid[2] <= config.gap_tol):
+            if resid[0] <= FEAS_TOL and resid[1] <= FEAS_TOL and resid[2] <= GAP_TOL:
                 status, message = "Optimal", ""
                 x_best, Z_best, resid_best, obj_best = x_orig, Zs, resid, p_obj
                 break
@@ -504,7 +489,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         history.append((mu, resid[0], resid[1], alpha))
 
     if status == "IterLimit":
-        message = f"no convergence in {config.max_iters} iterations"
+        message = f"no convergence in {MAX_ITERS} iterations"
     if (status in ("IterLimit", "NumericalFailure")
             and np.isfinite(obj_max_seen) and obj_max_seen >= 0.5 * OBJECTIVE_BOX):
         message += ("; objective reached the internal OBJECTIVE_BOX cap "

@@ -300,6 +300,13 @@ def _finite_array(value, name: str) -> np.ndarray:
     return arr
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; SchemaError on anything else, 2.0 and true too."""
+    if type(value) is not int:
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _densify_h(spec, n: int) -> np.ndarray:
     if isinstance(spec, dict):
         if "triplets" not in spec:
@@ -329,9 +336,9 @@ def system_from_dict(data: dict) -> tuple[QBSystem, float]:
     the raw H as given in the document.
     """
     try:
-        n = int(data["n"])
-        m = int(data.get("m", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+        n = _json_int(data["n"], "n")
+        m = _json_int(data.get("m", 0), "m")
+    except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad or missing 'n'/'m': {exc}") from exc
     if n < 1 or m < 0:
         raise SchemaError(f"need n >= 1 and m >= 0, got n={n}, m={m}")

@@ -32,6 +32,7 @@ __all__ = [
 DIVERGENCE_FACTOR = 1e6
 BOUNDARY_SHRINK = 1.0 - 1e-6
 CONV_RTOL = 1e-3
+ENVELOPE_RTOL = 1e-3
 # ``convergence_check`` integrates as many steps at a time as fit in about
 # this many bytes of states, whatever the trajectory count and n; its block
 # checks hold a few temporaries of that size, and larger blocks run no faster
@@ -250,13 +251,13 @@ def simulate(sys_cl: QBSystem, x0: np.ndarray, t_final: float, dt: float) -> Tra
 
 
 def convergence_check(sys: QBSystem, cert: Certificate, n_traj: int, t_final: float,
-                      dt: float, seed: int, envelope_tol: float = 1e-3) -> VerificationReport:
+                      dt: float, seed: int) -> VerificationReport:
     """Integrate boundary trajectories and audit invariance plus attraction.
 
     Trajectories start on the certified boundary (shrunk by 1e-6).  Checks:
     V non-increasing step to step (invariance), final |x| below
     CONV_RTOL * |x(0)| (attraction), and for alpha > 0 the exponential
-    envelope V(t) <= V(0) exp(-alpha t) (1 + envelope_tol).  Raises
+    envelope V(t) <= V(0) exp(-alpha t) (1 + ENVELOPE_RTOL).  Raises
     ValueError unless dt > 0, t_final > 0 and n_traj >= 1.
 
     Steps are integrated a block at a time (about AUDIT_BLOCK_BYTES of
@@ -306,7 +307,7 @@ def convergence_check(sys: QBSystem, cert: Certificate, n_traj: int, t_final: fl
         # invariance: V must not increase beyond relative rounding noise
         violations += int(np.count_nonzero(live & (V - Vp > 1e-10 * Vp)))
         if cert.alpha > 0:
-            envelope = V0 * decay[:, None] * (1.0 + envelope_tol)
+            envelope = V0 * decay[:, None] * (1.0 + ENVELOPE_RTOL)
             violations += int(np.count_nonzero(live & (V > envelope)))
         if np.any(live):
             dec = (Vp[live] - V[live]) / (dt * Vp[live])

@@ -338,8 +338,7 @@ def test_criterion_6_verification_suite(two_state_sweep, three_state_sweep):
             traj_bad += 1
 
     exp_cert = max_trace(sys2, 0.3, 0.1, "analysis")
-    exp_rep = convergence_check(sys2, exp_cert, 100, t_final=5.0, dt=1e-3, seed=2,
-                                envelope_tol=1e-3)
+    exp_rep = convergence_check(sys2, exp_cert, 100, t_final=5.0, dt=1e-3, seed=2)
     envelope_ok = exp_rep.violations == 0 and exp_rep.trajectories_converged == 100
 
     checks = {

@@ -85,8 +85,8 @@ class TestSynthesisGrid:
         # repeated: its certificate comes from the solve's relaxed solution
         statuses = []
 
-        def counting_solve(problem, config=None):
-            sol = sdp.solve(problem, config)
+        def counting_solve(problem):
+            sol = sdp.solve(problem)
             statuses.append(sol.status)
             return sol
 

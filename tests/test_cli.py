@@ -234,6 +234,9 @@ class TestVerifyCommand:
         ("alpha", -1.0),
         ("alpha", float("inf")),
         ("residuals", [1, 2]),
+        ("n", 1.5),
+        ("n", "1"),
+        ("n", True),
     ])
     def test_malformed_certificate_is_input_error(self, tmp_path, capsys, field, value):
         sys_path, cert_path = tmp_path / "scalar_qb.json", tmp_path / "cert.json"
@@ -371,6 +374,10 @@ class TestArgumentHandling:
         ("A", [[float("nan")]]),
         ("H", {"triplets": [[0, 0, 0, "x"]]}),
         ("H", {"triplets": [[0, 0, 0, float("inf")]]}),
+        ("n", 1.5),
+        ("n", "1"),
+        ("n", True),
+        ("m", False),
     ])
     def test_malformed_system_file_is_input_error(self, tmp_path, capsys, field, value):
         doc = system_to_dict(scalar_family(-1.0, 1.0))
@@ -418,6 +425,8 @@ class TestArgumentHandling:
         ("simulate", "--x0", "0.1,0.1", "--dt", "nan"),
         ("simulate", "--x0", "0.1,0.1", "--phase-grid", "-1"),
         ("simulate", "--x0", "0.1,0.1", "--phase-extent", "nan"),
+        ("analyze", "--eps", "1.0", "--feas-tol", "1e-6"),
+        ("analyze", "--zoo", "shear-flow-9", "--param", "Re=-5", "--eps", "0.1"),
     ])
     def test_bad_values_are_input_errors(self, tmp_path, capsys, monkeypatch, argv):
         # input checks come before any solve
@@ -439,6 +448,8 @@ class TestArgumentHandling:
         ("verify", "--certificate", "cert.json", "--t-final", "inf"),
         ("verify", "--certificate", "cert.json", "--dt", "nan"),
         ("analyze", "--eps", "nan"),
+        ("analyze", "--eps", "1.0", "--feas-tol", "1e-6"),
+        ("analyze", "--zoo", "shear-flow-9", "--param", "Re=-5", "--eps", "0.1"),
     ])
     def test_rejected_run_creates_no_output_directory(self, tmp_path, capsys, monkeypatch, argv):
         save_certificate(Certificate(mode="analysis", P=np.eye(2), epsilon=0.4, alpha=0.0),

@@ -20,7 +20,6 @@ from qbstab.models import (
     two_state,
 )
 from qbstab.sdp import (
-    SolverConfig,
     check_block_feasibility,
     kkt_residuals,
     solve,
@@ -87,11 +86,10 @@ class TestSolve:
 
     def test_reports_within_tolerances(self):
         prob = assemble(SCALAR_SYS, eps=1.0, alpha=0.01, mode="analysis")
-        config = SolverConfig()
-        sol = solve(prob, config)
-        assert sol.primal_residual <= config.feas_tol
-        assert sol.dual_residual <= config.feas_tol
-        assert sol.duality_gap <= config.gap_tol
+        sol = solve(prob)
+        assert sol.primal_residual <= sdp.FEAS_TOL
+        assert sol.dual_residual <= sdp.FEAS_TOL
+        assert sol.duality_gap <= sdp.GAP_TOL
 
     def test_determinism(self):
         prob = assemble(two_state(), eps=0.4, alpha=1e-5, mode="analysis")
@@ -196,7 +194,7 @@ class TestStall:
     def test_iterates_match_a_solve_without_the_rule(self, monkeypatch):
         prob = shear_problem(SHEAR_SCAN[7])
         sol = solve(prob)
-        monkeypatch.setattr(sdp, "STALL_ITERS", SolverConfig().max_iters + 1)
+        monkeypatch.setattr(sdp, "STALL_ITERS", sdp.MAX_ITERS + 1)
         full = solve(prob)
         assert full.status == "IterLimit"
         assert sol.history == full.history[:len(sol.history)]
@@ -240,21 +238,23 @@ class TestInfeasibility:
 
 
 class TestRelaxed:
-    @pytest.mark.parametrize("prob, config, kind", [
+    @pytest.mark.parametrize("prob, limits, kind", [
         # one iteration short of the strict optimum
         (assemble(SCALAR_SYS, eps=1.0, alpha=0.01, mode="analysis"),
-         SolverConfig(max_iters=7), "Optimal"),
-        # one iteration short of a strict ray at a tight feas_tol
+         {"MAX_ITERS": 7}, "Optimal"),
+        # one iteration short of a strict ray at a tight FEAS_TOL
         (assemble(two_state(), eps=3.0, alpha=1e-6, mode="analysis"),
-         SolverConfig(feas_tol=1e-14, max_iters=13), "Infeasible"),
+         {"FEAS_TOL": 1e-14, "MAX_ITERS": 13}, "Infeasible"),
     ], ids=["optimal", "infeasible"])
-    def test_equals_relaxed_re_solve(self, prob, config, kind):
-        sol = solve(prob, config)
+    def test_equals_relaxed_re_solve(self, monkeypatch, prob, limits, kind):
+        for name, value in limits.items():
+            monkeypatch.setattr(sdp, name, value)
+        sol = solve(prob)
         assert sol.status == "IterLimit"
         # the re-solve with 10x looser tolerances that the relaxed solution replaces
-        replay = solve(prob, SolverConfig(feas_tol=10.0 * config.feas_tol,
-                                          gap_tol=10.0 * config.gap_tol,
-                                          max_iters=config.max_iters))
+        monkeypatch.setattr(sdp, "FEAS_TOL", 10.0 * sdp.FEAS_TOL)
+        monkeypatch.setattr(sdp, "GAP_TOL", 10.0 * sdp.GAP_TOL)
+        replay = solve(prob)
         kept = sol.relaxed
         assert kept is not None and kept.status == replay.status == kind
         assert kept.iters == replay.iters <= sol.iters
@@ -300,13 +300,12 @@ class TestKktResiduals:
         assert gap <= 1e-8
 
     def test_matches_reported_within_10x(self):
-        config = SolverConfig()
         prob = assemble(two_state(), eps=0.4, alpha=1e-5, mode="analysis")
-        sol = solve(prob, config)
+        sol = solve(prob)
         primal, dual, gap = kkt_residuals(prob, sol)
-        assert abs(primal - sol.primal_residual) <= 10 * config.feas_tol
-        assert abs(dual - sol.dual_residual) <= 10 * config.feas_tol
-        assert abs(gap - sol.duality_gap) <= 10 * config.gap_tol
+        assert abs(primal - sol.primal_residual) <= 10 * sdp.FEAS_TOL
+        assert abs(dual - sol.dual_residual) <= 10 * sdp.FEAS_TOL
+        assert abs(gap - sol.duality_gap) <= 10 * sdp.GAP_TOL
 
     def test_perturbed_solution_flagged(self):
         prob = assemble(SCALAR_SYS, eps=1.0, alpha=0.01, mode="analysis")
@@ -346,15 +345,6 @@ class TestWeakDuality:
 
 
 class TestConfigValidation:
-    def test_rejects_bad_tolerances(self):
-        for tol in (0.0, np.nan, np.inf):
-            with pytest.raises(ValueError):
-                SolverConfig(feas_tol=tol)
-            with pytest.raises(ValueError):
-                SolverConfig(gap_tol=tol)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iters=0)
-
     def test_iteration_log(self):
         prob = assemble(SCALAR_SYS, eps=1.0, alpha=0.01, mode="analysis")
         sol = solve(prob)

@@ -295,6 +295,12 @@ class TestJsonRoundTrip:
         ("A", [[-1.0, True], [0.0, -1.0]]),
         ("H", {"triplets": [[0, 1.7, 0, 2.0]]}),
         ("H", {"triplets": [[0, -0.5, 0, 2.0]]}),
+        ("n", 2.7),
+        ("n", "2"),
+        ("n", True),
+        ("n", 2.0),
+        ("m", 1.5),
+        ("m", True),
     ])
     def test_non_numeric_or_non_finite_arrays_rejected(self, field, value):
         doc = {"n": 2, "m": 1, "A": [[-1.0, 0.0], [0.0, -1.0]], "H": [[0.0] * 4] * 2,

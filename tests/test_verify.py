@@ -236,8 +236,7 @@ class TestConvergenceCheck:
 
     def test_exponential_envelope(self, scalar_cert):
         # alpha = 0.01 certificate: V(t) <= V(0) exp(-alpha t)(1 + 1e-3)
-        rep = convergence_check(SCALAR, scalar_cert, 50, t_final=25.0, dt=1e-3, seed=2,
-                                envelope_tol=1e-3)
+        rep = convergence_check(SCALAR, scalar_cert, 50, t_final=25.0, dt=1e-3, seed=2)
         assert rep.violations == 0
 
     def test_two_state_boundary_converges(self):
@@ -278,8 +277,8 @@ class TestBlockParity:
     def test_alpha_envelope_certificate(self):
         s = two_state()
         args = (s, max_trace(s, 0.3, 0.1, "analysis"), 50, 5.0, 1e-3, 2)
-        rep = convergence_check(*args, envelope_tol=1e-3)
-        assert rep == reference_convergence_check(*args, envelope_tol=1e-3)[0]
+        rep = convergence_check(*args)
+        assert rep == reference_convergence_check(*args)[0]
         assert rep.min_decay_margin > 0.0  # the envelope checks ran on live steps
 
     @pytest.mark.parametrize("layout", [
