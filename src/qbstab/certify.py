@@ -10,7 +10,6 @@ inside the bracket only.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -18,14 +17,16 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import DimensionError, NotPositiveDefiniteError, QBStabError, SchemaError
-from .lmi import _spd_eigh, _spd_factor, _svec_index, assemble, default_alpha, default_delta, svec
+from .lmi import (_spd_eigh, _spd_factor, _spd_sqrt, _svec_index, assemble, default_alpha,
+                  default_delta, svec)
 from .sdp import SdpSolution, solve
-from .systems import QBSystem, _finite_array, _json_int
+from .systems import QBSystem, _finite_array, _json_int, _read_json, _write_json
 
 __all__ = [
     "Certificate",
     "Infeasible",
     "Ellipsoid",
+    "ellipsoid_points",
     "SweepEntry",
     "SweepResult",
     "EpsilonSearchResult",
@@ -97,6 +98,19 @@ class Ellipsoid:
         return np.sqrt(np.diag(self.P))
 
 
+def ellipsoid_points(P: np.ndarray, count: int, rng: np.random.Generator,
+                     boundary: bool = False) -> np.ndarray:
+    """``count`` random points uniform in {x : x' P^-1 x <= 1}, or on its boundary:
+    sqrt(P) times unit directions from normal draws, scaled inside by u^(1/n)
+    with u uniform, drawn for all points after the directions."""
+    n = P.shape[0]
+    x = rng.normal(size=(count, n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    if not boundary:
+        x *= (rng.random(count) ** (1.0 / n))[:, None]
+    return x @ _spd_sqrt(P).T
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A stability (analysis) or stabilizability (synthesis) certificate.
@@ -160,25 +174,31 @@ class Certificate:
 class Infeasible:
     """Marker returned when the LMI admits no solution at the given eps.
 
-    ``ray`` holds the solver's improving-ray blocks (trace-normalized) when a
-    single eps was solved; for a whole-range search it is None and the
-    per-eps outcomes are in ``EpsilonSearchResult.history``.
+    ``ray`` holds the solver's improving-ray blocks (trace-normalized).
     """
 
     mode: str
     alpha: float
-    epsilon: float | None = None
-    ray: list | None = None
+    epsilon: float
+    ray: list
     message: str = ""
 
 
 @dataclass(frozen=True)
 class SweepEntry:
+    """The outcome at one eps: a certificate, or None with the reason in ``status``."""
+
     epsilon: float
-    feasible: bool
-    trace_P: float | None
     certificate: Certificate | None
     status: str
+
+    @property
+    def feasible(self) -> bool:
+        return self.certificate is not None
+
+    @property
+    def trace_P(self) -> float | None:
+        return None if self.certificate is None else self.certificate.trace_P
 
 
 @dataclass(frozen=True)
@@ -186,8 +206,6 @@ class SweepResult:
     """Per-eps feasibility and trace data for a grid sweep."""
 
     entries: tuple
-    mode: str
-    alpha: float
 
     def feasible_entries(self) -> list[SweepEntry]:
         return [e for e in self.entries if e.feasible]
@@ -216,7 +234,6 @@ class EpsilonSearchResult:
 
     best: Certificate | None
     history: tuple          # SweepEntry, in evaluation order
-    infeasible: Infeasible | None = None
 
     @property
     def feasible(self) -> bool:
@@ -290,13 +307,10 @@ def _sweep_point(sys, eps, alpha, mode) -> SweepEntry:
     try:
         out = max_trace(sys, eps, alpha, mode)
     except SolverFailure as exc:
-        return SweepEntry(epsilon=eps, feasible=False, trace_P=None,
-                          certificate=None, status=f"failed: {exc}")
+        return SweepEntry(epsilon=eps, certificate=None, status=f"failed: {exc}")
     if isinstance(out, Certificate):
-        return SweepEntry(epsilon=eps, feasible=True, trace_P=out.trace_P,
-                          certificate=out, status="optimal")
-    return SweepEntry(epsilon=eps, feasible=False, trace_P=None,
-                      certificate=None, status="infeasible")
+        return SweepEntry(epsilon=eps, certificate=out, status="optimal")
+    return SweepEntry(epsilon=eps, certificate=None, status="infeasible")
 
 
 def sweep_epsilon(sys: QBSystem, grid, alpha, mode: str) -> SweepResult:
@@ -310,7 +324,7 @@ def sweep_epsilon(sys: QBSystem, grid, alpha, mode: str) -> SweepResult:
         raise ValueError("eps grid must be strictly increasing")
     alpha = resolve_alpha(sys, alpha)
     entries = [_sweep_point(sys, e, alpha, mode) for e in grid]
-    return SweepResult(entries=tuple(entries), mode=mode, alpha=alpha)
+    return SweepResult(entries=tuple(entries))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -348,10 +362,7 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
     values = [value(e) for e in scan_entries]
     k = int(np.argmax(values))
     if not scan_entries[k].feasible:
-        return EpsilonSearchResult(
-            best=None, history=tuple(history),
-            infeasible=Infeasible(mode=mode, alpha=alpha,
-                                  message=f"no feasible eps in ({lo:.6g}, {hi:.6g})"))
+        return EpsilonSearchResult(best=None, history=tuple(history))
 
     a = scan[k - 1] if k > 0 else lo
     b = scan[k + 1] if k + 1 < len(scan) else hi
@@ -473,6 +484,7 @@ def deserialize_certificate(doc: dict) -> Certificate:
     try:
         mode = doc["mode"]
         n = _json_int(doc["n"], "n")
+        m = _json_int(doc["m"], "m")
         P = _finite_array(doc["P"], "P")
         eps = float(doc["epsilon"])
         alpha = float(doc["alpha"])
@@ -488,6 +500,9 @@ def deserialize_certificate(doc: dict) -> Certificate:
         raise SchemaError(f"alpha must be finite and non-negative, got {alpha}")
     Y = _finite_array(doc["Y"], "Y") if doc.get("Y") is not None else None
     K = _finite_array(doc["K"], "K") if doc.get("K") is not None else None
+    y_rows = 0 if Y is None else (Y.shape[0] if Y.ndim else None)
+    if m != y_rows:
+        raise SchemaError(f"m = {m} does not match the rows of Y ({y_rows})")
     residuals = doc.get("residuals", {})
     if not isinstance(residuals, dict):
         raise SchemaError(f"residuals must be an object, got {residuals!r}")
@@ -499,15 +514,8 @@ def deserialize_certificate(doc: dict) -> Certificate:
 
 
 def save_certificate(cert: Certificate, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(serialize_certificate(cert), fh, indent=1)
-        fh.write("\n")
+    _write_json(path, serialize_certificate(cert))
 
 
 def load_certificate(path) -> Certificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
-    return deserialize_certificate(doc)
+    return deserialize_certificate(_read_json(path))

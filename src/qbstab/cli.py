@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -43,7 +44,7 @@ from .errors import QBStabError
 from .lmi import assemble, default_delta
 from .models import get_model, model_names
 from .sdp import solve
-from .systems import QBSystem, close_loop, load_system, save_system, stack
+from .systems import QBSystem, _write_json, close_loop, load_system, save_system, stack
 from .verify import boundary_points, convergence_check, default_dt, sample_check, simulate
 
 EXIT_OK = 0
@@ -80,11 +81,9 @@ def _write_csv(path: Path, timestamp: str, header, rows) -> None:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    payload = {"generated": _timestamp(), **payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+def _write_report(path: Path, payload: dict) -> None:
+    """``payload`` as a JSON file, after a ``generated`` timestamp entry."""
+    _write_json(path, {"generated": _timestamp(), **payload})
 
 
 def _number(token: str, error: str, cast=float):
@@ -98,20 +97,22 @@ def _number(token: str, error: str, cast=float):
     return value
 
 
-def _finite(token: str) -> float:
-    """argparse type for times and extents: a finite float."""
-    value = float(token)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {token}")
-    return value
+def _bounded(cast, low: float, strict: bool = False, word: str | None = None):
+    """argparse type: a finite ``cast`` value at or above ``low`` (above it if
+    ``strict``); the token ``word``, when given, is passed through as is."""
+    def parse(token: str):
+        if token == word:
+            return token
+        value = cast(token)
+        if not (low < value < math.inf if strict else low <= value < math.inf):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if strict else '>='} {low:g}, got {token}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names it in "invalid <name> value"
+    return parse
 
 
-def _count(token: str) -> int:
-    """argparse type for seeds and sample counts: an integer >= 0."""
-    value = int(token)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+_positive = _bounded(float, 0.0, strict=True)
 
 
 def _load_target(args) -> tuple[QBSystem, str]:
@@ -164,15 +165,6 @@ def _parse_eps(spec: str):
     if eps <= 0:
         raise CliError("eps must be positive")
     return ("single", eps)
-
-
-def _alpha_arg(value: str):
-    if value == "auto":
-        return "auto"
-    alpha = _number(value, f"--alpha must be 'auto' or a finite number, got {value!r}")
-    if alpha < 0:
-        raise CliError("--alpha must be non-negative")
-    return alpha
 
 
 def _outdir(args) -> Path:
@@ -232,11 +224,9 @@ def _run_certification(args, mode: str) -> int:
     if mode == "synthesis" and sys_obj.m < 1:
         raise CliError(f"synthesis requires an input channel (m >= 1); {source} has m = 0")
     kind, eps_spec = _parse_eps(args.eps)
-    alpha = _alpha_arg(args.alpha)
     if kind == "grid" and args.union_samples < UNION_MIN_SAMPLES:
         raise CliError(f"--union-samples must be at least {UNION_MIN_SAMPLES}")
-    if not 0 < args.rel_tol < np.inf:
-        raise CliError("--rel-tol must be finite and positive")
+    alpha = resolve_alpha(sys_obj, args.alpha)
     out = _outdir(args)
     summary = {
         "command": "synthesize" if mode == "synthesis" else "analyze",
@@ -247,6 +237,7 @@ def _run_certification(args, mode: str) -> int:
         "mode": mode,
         "eps_spec": args.eps,
         "seed": args.seed,
+        "alpha": alpha,
     }
     best: Certificate | None = None
 
@@ -255,7 +246,6 @@ def _run_certification(args, mode: str) -> int:
         _write_csv(out / "sweep.csv", _timestamp(), ["epsilon", "feasible", "trace_P"],
                    ((e.epsilon, int(e.feasible), e.trace_P if e.feasible else "")
                     for e in sweep.entries))
-        summary["alpha"] = sweep.alpha
         summary["grid_points"] = len(sweep.entries)
         summary["feasible_points"] = len(sweep.feasible_entries())
         summary["failed_points"] = _failed_points(sweep.entries)
@@ -264,31 +254,28 @@ def _run_certification(args, mode: str) -> int:
         summary["floor_active_points"] = sum(c.solver_report["floor_active"] for c in feas_certs)
         if len(feas_certs) >= 2:
             union = _union_payload(feas_certs, args.union_samples, args.seed)
-            _write_json(out / "union.json", union)
+            _write_report(out / "union.json", union)
             summary["union_volume_estimate"] = union["volume_estimate"]
             if "warning" in union:
                 summary["warning"] = union["warning"]
     elif kind == "search":
         result = optimize_epsilon(sys_obj, eps_spec, rel_tol=args.rel_tol, alpha=alpha, mode=mode)
-        summary["alpha"] = resolve_alpha(sys_obj, alpha)
         summary["evaluations"] = len(result.history)
         summary["failed_points"] = _failed_points(result.history)
         best = result.best
     else:
         outcome = max_trace(sys_obj, eps_spec, alpha, mode)
         if isinstance(outcome, Infeasible):
-            summary["alpha"] = outcome.alpha
             summary["status"] = "infeasible"
             summary["epsilon"] = eps_spec
             summary["infeasibility_message"] = outcome.message
-            _write_json(out / "summary.json", summary)
+            _write_report(out / "summary.json", summary)
             return EXIT_INFEASIBLE
-        summary["alpha"] = outcome.alpha
         best = outcome
 
     if best is None:
         summary["status"] = "infeasible"
-        _write_json(out / "summary.json", summary)
+        _write_report(out / "summary.json", summary)
         return EXIT_INFEASIBLE
 
     summary["status"] = "optimal"
@@ -300,7 +287,7 @@ def _run_certification(args, mode: str) -> int:
         closed = close_loop(sys_obj, best.K)
         save_system(closed, out / "closed_loop.json")
         summary["gain_K"] = best.K.tolist()
-    _write_json(out / "summary.json", summary)
+    _write_report(out / "summary.json", summary)
     return EXIT_OK
 
 
@@ -327,8 +314,6 @@ def _cmd_verify(args) -> int:
             "its ellipsoid is degenerate and its gain may be too stiff to simulate")
         print(json.dumps({"warning": "floor_active", "message": warnings[0]}), file=sys.stderr)
     dt = args.dt if args.dt is not None else default_dt(sys_obj)
-    if dt <= 0 or args.t_final <= 0 or args.trajectories < 1:
-        raise CliError("need --dt > 0, --t-final > 0 and --trajectories >= 1")
     out = _outdir(args)
     flows = convergence_check(sys_obj, cert, args.trajectories, args.t_final, dt, args.seed + 1)
     sampled = sample_check(sys_obj, cert, args.samples, args.seed)
@@ -356,7 +341,7 @@ def _cmd_verify(args) -> int:
         },
         "passed": sampled.passed and flows.passed,
     }
-    _write_json(out / "verification.json", report)
+    _write_report(out / "verification.json", report)
     return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
 
@@ -371,13 +356,12 @@ def _cmd_bench(args) -> int:
     kind, eps = _parse_eps(args.eps)
     if kind != "single":
         raise CliError("bench requires a single eps value")
-    alpha = _alpha_arg(args.alpha)
     out = _outdir(args)
     rows = []
     for k in factors:
         stacked = stack(sys_obj, k)
         t0 = time.perf_counter()
-        problem = assemble(stacked, eps, resolve_alpha(stacked, alpha), "analysis")
+        problem = assemble(stacked, eps, resolve_alpha(stacked, args.alpha), "analysis")
         sol = solve(problem)
         wall = time.perf_counter() - t0
         rows.append((stacked.n, wall, sol.iters, sol.status, sol.objective))
@@ -404,7 +388,7 @@ def _cmd_bench(args) -> int:
         "power_law_exponent": round(exponent, 2) if exponent is not None else None,
         "power_law_scope": fit_scope,
     }
-    _write_json(out / "bench_summary.json", payload)
+    _write_report(out / "bench_summary.json", payload)
     if exponent is not None:
         print(f"fitted wall-clock power law exponent ({fit_scope}): {exponent:.2f}")
     return EXIT_OK
@@ -432,8 +416,6 @@ def _cmd_simulate(args) -> int:
         raise CliError("simulate requires an autonomous system "
                        "(close the loop first via synthesize)")
     dt = args.dt if args.dt is not None else default_dt(sys_obj)
-    if dt <= 0 or args.t_final <= 0:
-        raise CliError("need --dt > 0 and --t-final > 0")
     if args.x0:
         points = _parse_x0_list(args.x0, sys_obj.n)
     elif args.boundary_samples:
@@ -469,11 +451,11 @@ def _add_common(p: argparse.ArgumentParser, need_eps: bool = True) -> None:
     p.add_argument("--system", help="path to a system JSON file")
     p.add_argument("--out", default=os.environ.get("QBSTAB_OUT", "qbstab_out"),
                    help="output directory (env QBSTAB_OUT overrides the default)")
-    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     if need_eps:
         p.add_argument("--eps", required=True,
                        help="eps spec: VALUE | grid:lo:hi:count[:log] | search:lo:hi")
-        p.add_argument("--alpha", default="auto",
+        p.add_argument("--alpha", type=_bounded(float, 0.0, word="auto"), default="auto",
                        help="decay margin; 'auto' = 1e-6 |A|_F (default)")
 
 
@@ -485,23 +467,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="region-of-attraction certification (m may be 0)")
     _add_common(p)
-    p.add_argument("--rel-tol", type=float, default=1e-3, help="search refinement tolerance")
+    p.add_argument("--rel-tol", type=_positive, default=1e-3, help="search refinement tolerance")
     p.add_argument("--union-samples", type=int, default=1_000_000)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("synthesize", help="stabilizing gain synthesis (m >= 1)")
     _add_common(p)
-    p.add_argument("--rel-tol", type=float, default=1e-3)
+    p.add_argument("--rel-tol", type=_positive, default=1e-3)
     p.add_argument("--union-samples", type=int, default=1_000_000)
     p.set_defaults(fn=_cmd_synthesize)
 
     p = sub.add_parser("verify", help="audit a certificate by sampling and simulation")
     _add_common(p, need_eps=False)
     p.add_argument("--certificate", required=True)
-    p.add_argument("--samples", type=_count, default=10_000)
-    p.add_argument("--trajectories", type=int, default=100)
-    p.add_argument("--t-final", type=_finite, default=20.0)
-    p.add_argument("--dt", type=_finite, default=None, help="default: 1e-3 / |A|_F")
+    p.add_argument("--samples", type=_bounded(int, 0), default=10_000)
+    p.add_argument("--trajectories", type=_bounded(int, 1), default=100)
+    p.add_argument("--t-final", type=_positive, default=20.0)
+    p.add_argument("--dt", type=_positive, default=None, help="default: 1e-3 / |A|_F")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("bench", help="wall-clock scaling over stacked system sizes")
@@ -512,13 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate trajectories, write CSV")
     _add_common(p, need_eps=False)
     p.add_argument("--x0", help="initial conditions 'a,b;c,d;...'")
-    p.add_argument("--boundary-samples", type=_count, default=0)
+    p.add_argument("--boundary-samples", type=_bounded(int, 0), default=0)
     p.add_argument("--certificate", help="certificate JSON for boundary sampling")
-    p.add_argument("--t-final", type=_finite, default=5.0)
-    p.add_argument("--dt", type=_finite, default=None)
-    p.add_argument("--phase-grid", type=_count, default=0,
+    p.add_argument("--t-final", type=_positive, default=5.0)
+    p.add_argument("--dt", type=_positive, default=None)
+    p.add_argument("--phase-grid", type=_bounded(int, 0), default=0,
                    help="for n=2: side length of a short-trajectory phase grid")
-    p.add_argument("--phase-extent", type=_finite, default=3.0)
+    p.add_argument("--phase-extent", type=_bounded(float, -math.inf), default=3.0)
     p.set_defaults(fn=_cmd_simulate)
     return parser
 
@@ -534,7 +516,7 @@ def main(argv=None) -> int:
     except SolverFailure as exc:
         print(json.dumps({"error": "numerical", "message": str(exc)}), file=sys.stderr)
         return EXIT_NUMERICAL
-    except (FileNotFoundError, QBStabError) as exc:
+    except (OSError, QBStabError) as exc:
         print(json.dumps({"error": "input", "message": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
 

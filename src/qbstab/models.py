@@ -14,7 +14,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DataFileError
-from .systems import QBSystem, symmetrize_quadratic
+from .systems import QBSystem, _densify_h, symmetrize_quadratic
 
 __all__ = [
     "two_state",
@@ -104,10 +104,7 @@ def shear_flow_9(Re: float) -> QBSystem:
     doc = _shear_flow_doc()
     n = int(doc["n"])
     A = np.asarray(doc["A0"], dtype=float) + np.asarray(doc["A1"], dtype=float) / float(Re)
-    H = np.zeros((n, n * n))
-    for a, i, j, v in doc["H"]["triplets"]:
-        H[int(a), int(i) * n + int(j)] = float(v)
-    return QBSystem(A=A, H=symmetrize_quadratic(H, n))
+    return QBSystem(A=A, H=symmetrize_quadratic(_densify_h(doc["H"], n), n))
 
 
 def scalar_family(a: float, h: float, b: float = 0.0, d: float = 0.0) -> QBSystem:

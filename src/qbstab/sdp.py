@@ -28,6 +28,7 @@ within ``FEAS_TOL`` max(1, |c|_inf), and IterLimit comes after ``MAX_ITERS``
 iterations.  Ruiz-style block scaling (10 sweeps) and the objective cap
 ``OBJECTIVE_BOX`` always apply, every solve keeps its per-iteration log in
 ``SdpSolution.history``, and identical inputs produce identical iterates.
+The iterate is never renormalized: the embedding is scale invariant, every test relative.
 """
 
 from __future__ import annotations
@@ -211,12 +212,9 @@ class _Block:
             self.W = G @ G.T
 
     def schur(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(M_b, g_b, q_b): the Schur share, F*(G Chat G') and |Chat|_F^2."""
-        if self.U is not None:
-            csv = svec(self.Chat)
-            return self.U @ self.U.T, self.U @ csv, float(csv @ csv)
-        return (self.lmi.schur(self.W), self.lmi.adjoint(self.G @ self.Chat @ self.G.T),
-                float(np.sum(self.Chat * self.Chat)))
+        """(M_b, g_b, q_b): the Schur share and pull_back(Chat) = (F*(G Chat G'), |Chat|_F^2)."""
+        share = self.U @ self.U.T if self.U is not None else self.lmi.schur(self.W)
+        return (share, *self.pull_back(self.Chat))
 
     def pull_back(self, R: np.ndarray) -> tuple[np.ndarray, float]:
         """(F*(G R G'), <Chat, R>) for a symmetric R in the scaled space."""
@@ -307,20 +305,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     for it in range(MAX_ITERS):
         iters_done = it + 1
-        # The homogeneous model is invariant under positive scaling of the
-        # whole iterate; renormalize when it drifts (infeasible problems push
-        # the ray components to grow while tau -> 0).
-        big = max(tau, kappa, max(float(np.abs(blk.X).max()) for blk in blocks),
-                  max(float(np.abs(blk.S).max()) for blk in blocks),
-                  float(np.max(np.abs(y), initial=0.0)))
-        if big > 1e4:
-            y /= big
-            tau /= big
-            kappa /= big
-            for blk in blocks:
-                blk.X = blk.X / big
-                blk.S = blk.S / big
-
         Rp = sum(blk.lmi.adjoint(blk.X) for blk in blocks) - b_vec * tau
         Rd = [blk.lmi.linear(y) + blk.S - blk.C * tau for blk in blocks]
         CX = sum(float(np.sum(blk.C * blk.X)) for blk in blocks)

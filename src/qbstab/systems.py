@@ -379,17 +379,26 @@ def system_to_dict(sys: QBSystem) -> dict:
     return data
 
 
+def _read_json(path):
+    """The document in a JSON file; SchemaError unless it is UTF-8 JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def _write_json(path, doc: dict) -> None:
+    """Write ``doc`` as indented JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 def load_system(path) -> tuple[QBSystem, float]:
     """Load a system JSON file; see ``system_from_dict``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
-    return system_from_dict(data)
+    return system_from_dict(_read_json(path))
 
 
 def save_system(sys: QBSystem, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_dict(sys), fh, indent=1)
-        fh.write("\n")
+    _write_json(path, system_to_dict(sys))

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .certify import Certificate
+from .certify import Certificate, ellipsoid_points
 from .errors import DimensionError
-from .lmi import _spd_factor, _spd_sqrt
+from .lmi import _spd_factor
 from .systems import QBSystem, close_loop, eval_dynamics
 
 __all__ = [
@@ -77,14 +77,22 @@ def default_dt(sys: QBSystem) -> float:
     return 1e-3 / nrm if nrm > 0 else 1e-3
 
 
+def _lyapunov_value(factor, X: np.ndarray) -> np.ndarray:
+    """V(x) = x' P^-1 x for each row x of X, with P given by ``_spd_factor(P)``."""
+    return np.sum(X * cho_solve(factor, X.T).T, axis=1)
+
+
+def _lyapunov_rate(sys_cl: QBSystem, factor, X: np.ndarray) -> np.ndarray:
+    """dV/dt = 2 x' P^-1 f(x) for each row x of X, with P given by ``_spd_factor(P)``."""
+    return 2.0 * np.sum(cho_solve(factor, X.T).T * eval_dynamics(sys_cl, X), axis=1)
+
+
 def vdot(sys_cl: QBSystem, P: np.ndarray, x: np.ndarray) -> float:
     """d/dt of V(x) = x' P^-1 x along the autonomous flow: 2 x' P^-1 f(x)."""
     if not sys_cl.is_autonomous:
         raise DimensionError("vdot expects an autonomous (closed-loop) system")
-    factor = _spd_factor(P)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    z = cho_solve(factor, x)
-    return float(2.0 * z @ eval_dynamics(sys_cl, x))
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    return float(_lyapunov_rate(sys_cl, _spd_factor(P), x)[0])
 
 
 def _closed_system(sys: QBSystem, cert: Certificate) -> QBSystem:
@@ -100,19 +108,9 @@ def _closed_system(sys: QBSystem, cert: Certificate) -> QBSystem:
     return sys
 
 
-def _sphere_samples(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    u = rng.normal(size=(count, n))
-    return u / np.linalg.norm(u, axis=1, keepdims=True)
-
-
-def _ball_samples(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    u = _sphere_samples(rng, count, n)
-    return u * (rng.random(count) ** (1.0 / n))[:, None]
-
-
 def boundary_points(P: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` random points on the boundary of {x : x' P^-1 x <= 1}, shrunk by 1e-6."""
-    return BOUNDARY_SHRINK * (_sphere_samples(rng, count, P.shape[0]) @ _spd_sqrt(P).T)
+    return BOUNDARY_SHRINK * ellipsoid_points(P, count, rng, boundary=True)
 
 
 def sample_check(sys: QBSystem, cert: Certificate, n_samples: int, seed: int) -> VerificationReport:
@@ -123,13 +121,10 @@ def sample_check(sys: QBSystem, cert: Certificate, n_samples: int, seed: int) ->
     boundary, where the margin can touch zero.
     """
     closed = _closed_system(sys, cert)
-    rng = np.random.default_rng(seed)
-    sqrtP = _spd_sqrt(cert.P)
-    X = _ball_samples(rng, n_samples, cert.n) @ sqrtP.T
+    X = ellipsoid_points(cert.P, n_samples, np.random.default_rng(seed))
     factor = _spd_factor(cert.P)
-    Z = cho_solve(factor, X.T).T
-    V = np.sum(X * Z, axis=1)
-    Vd = 2.0 * np.sum(Z * eval_dynamics(closed, X), axis=1)
+    V = _lyapunov_value(factor, X)
+    Vd = _lyapunov_rate(closed, factor, X)
     slack = 1e-9 * (1.0 + np.abs(Vd))
     bad = Vd > -cert.alpha * V + slack
     live = V > 1e-300
@@ -272,12 +267,7 @@ def convergence_check(sys: QBSystem, cert: Certificate, n_traj: int, t_final: fl
     factor = _spd_factor(cert.P)
     steps = max(1, int(round(t_final / dt)))
     guard = DIVERGENCE_FACTOR * (1.0 + float(np.max(x0_norms)))
-
-    def v_of(Xb: np.ndarray) -> np.ndarray:
-        Z = cho_solve(factor, Xb.T).T
-        return np.sum(Xb * Z, axis=1)
-
-    V0 = v_of(X)
+    V0 = _lyapunov_value(factor, X)
     V_prev = V0
     violations = 0
     min_margin = np.inf
@@ -301,7 +291,7 @@ def convergence_check(sys: QBSystem, cert: Certificate, n_traj: int, t_final: fl
         tracked = alive & (np.arange(len(block))[:, None] < first)
         alive &= first == len(block)
         block[~tracked] = 0.0
-        V = v_of(block.reshape(-1, cert.n)).reshape(len(block), n_traj)
+        V = _lyapunov_value(factor, block.reshape(-1, cert.n)).reshape(len(block), n_traj)
         Vp = np.concatenate((V_prev[None, :], V[:-1]))
         live = tracked & (Vp > check_floor)
         # invariance: V must not increase beyond relative rounding noise
@@ -320,9 +310,7 @@ def convergence_check(sys: QBSystem, cert: Certificate, n_traj: int, t_final: fl
     live_final = alive & (V_prev > check_floor)
     ratios = np.zeros(0)
     if np.any(live_final):
-        Z = cho_solve(factor, X[live_final].T).T
-        Vd = 2.0 * np.sum(Z * eval_dynamics(closed, X[live_final]), axis=1)
-        ratios = Vd / V_prev[live_final]
+        ratios = _lyapunov_rate(closed, factor, X[live_final]) / V_prev[live_final]
     return VerificationReport(
         samples_tested=n_traj * steps,
         max_vdot_ratio=float(np.max(ratios)) if ratios.size else 0.0,

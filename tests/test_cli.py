@@ -22,6 +22,16 @@ def assert_one_input_error(capsys):
     assert json.loads(err[0])["error"] == "input"
 
 
+def unreadable_path(tmp_path, kind: str) -> Path:
+    """A path that cannot be read as UTF-8 JSON: Latin-1 bytes, or a directory."""
+    path = tmp_path / "unreadable.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"schema": "caf\xe9"}')
+    return path
+
+
 class TestAnalyze:
     def test_single_eps_writes_outputs(self, tmp_path):
         out = tmp_path / "run"
@@ -86,6 +96,29 @@ class TestAnalyze:
         assert code == 2
         summary = json.loads((tmp_path / "inf" / "summary.json").read_text())
         assert summary["status"] == "infeasible"
+
+    def test_grid_without_feasible_point_exit_code(self, tmp_path):
+        out = tmp_path / "inf_grid"
+        assert run("analyze", "--zoo", "two-state", "--eps", "grid:1:2:3", "--out", str(out)) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "infeasible"
+        assert summary["grid_points"] == 3 and summary["feasible_points"] == 0
+        assert summary["failed_points"] == []
+        assert not (out / "certificate.json").exists()
+
+    @pytest.mark.skipif(not shear_flow_data_available(),
+                        reason="external coefficient data absent")
+    def test_stalled_eps_exit_code(self, tmp_path, capsys):
+        # at Re = 120 and eps = 10**-1.8 the solve stalls: no interior, no ray
+        out = tmp_path / "stall"
+        assert run("analyze", "--zoo", "shear-flow-9", "--param", "Re=120",
+                   "--eps", "0.015848931924611134", "--out", str(out)) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        error = json.loads(err[0])
+        assert error["error"] == "numerical" and "stalled" in error["message"]
+        assert not (out / "summary.json").exists()
+        assert not (out / "certificate.json").exists()
 
     def test_search_on_scalar_file(self, tmp_path):
         sys_path = tmp_path / "scalar.json"
@@ -237,6 +270,10 @@ class TestVerifyCommand:
         ("n", 1.5),
         ("n", "1"),
         ("n", True),
+        ("m", 2.7),
+        ("m", "x"),
+        ("m", True),
+        ("m", 5),
     ])
     def test_malformed_certificate_is_input_error(self, tmp_path, capsys, field, value):
         sys_path, cert_path = tmp_path / "scalar_qb.json", tmp_path / "cert.json"
@@ -252,6 +289,14 @@ class TestVerifyCommand:
                    "--samples", "100", "--trajectories", "2", "--out", str(vout)) == 4
         assert_one_input_error(capsys)
         assert not (vout / "verification.json").exists()
+
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+    def test_unreadable_certificate_is_input_error(self, tmp_path, capsys, kind):
+        vout = tmp_path / "ver"
+        assert run("verify", "--zoo", "two-state", "--certificate",
+                   str(unreadable_path(tmp_path, kind)), "--out", str(vout)) == 4
+        assert_one_input_error(capsys)
+        assert not vout.exists()
 
     @pytest.mark.parametrize("flags", [
         ("--dt", "-0.001"), ("--dt", "0"), ("--t-final", "0"), ("--t-final", "-5"),
@@ -351,6 +396,20 @@ class TestSimulate:
             x0 = first[1:]
             assert x0 @ np.linalg.solve(P, x0) == pytest.approx((1.0 - 1e-6) ** 2, abs=1e-9)
 
+    def test_phase_grid_portrait(self, tmp_path):
+        out = tmp_path / "phase"
+        assert run("simulate", "--zoo", "two-state", "--x0", "0.1,0.1", "--phase-grid", "3",
+                   "--t-final", "0.1", "--dt", "0.001", "--out", str(out)) == 0
+        lines = (out / "phase_portrait.csv").read_text().splitlines()
+        assert lines[0].startswith("# generated: ")
+        assert lines[1] == "traj,t,x1,x2"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+        starts = rows[rows[:, 1] == 0.0]
+        # one short trajectory from each point of the 3 x 3 grid over [-3, 3]^2
+        assert list(starts[:, 0]) == list(range(9))
+        axis = np.linspace(-3.0, 3.0, 3)
+        assert starts[:, 2:].tolist() == [[a, b] for a in axis for b in axis]
+
 
 class TestArgumentHandling:
     def test_unknown_zoo_name(self, tmp_path):
@@ -386,6 +445,14 @@ class TestArgumentHandling:
         sys_path.write_text(json.dumps(doc))
         out = tmp_path / "x"
         assert run("analyze", "--system", str(sys_path), "--eps", "1.0", "--out", str(out)) == 4
+        assert_one_input_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+    def test_unreadable_system_file_is_input_error(self, tmp_path, capsys, kind):
+        out = tmp_path / "x"
+        assert run("analyze", "--system", str(unreadable_path(tmp_path, kind)),
+                   "--eps", "0.3", "--out", str(out)) == 4
         assert_one_input_error(capsys)
         assert not out.exists()
 

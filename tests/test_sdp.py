@@ -166,6 +166,35 @@ class TestNumericalFailure:
         assert sol.message == "Schur complement not finite"
         assert sol.iters == 1 and sol.history == []
 
+    def test_schur_ridge_retry_recovers(self, monkeypatch):
+        # one failed factorization is retried with a small ridge on M
+        prob = assemble(two_state(), 0.3, default_alpha(two_state()), "analysis")
+        reference = solve(prob)
+        cho_factor, calls = sdp.cho_factor, []
+
+        def fail_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(sdp, "cho_factor", fail_third)
+        sol = solve(prob)
+        assert sol.status == "Optimal" and sol.iters == reference.iters == 12
+        # one factorization per completed step, iters - 1 of them, and the retry
+        assert len(calls) == len(sol.history) + 1 == sol.iters
+        assert sol.objective == pytest.approx(reference.objective, rel=1e-10)
+
+    def test_schur_ridge_retry_gives_up(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(sdp, "cho_factor", never)
+        sol = solve(assemble(two_state(), 0.3, default_alpha(two_state()), "analysis"))
+        assert sol.status == "NumericalFailure"
+        assert sol.message == "Schur complement not positive definite"
+        assert sol.iters == 1
+
 
 # the log-spaced pre-scan of optimize_epsilon over (1e-3, 1)
 SHEAR_SCAN = np.geomspace(1e-3, 1.0, 16)
