@@ -15,7 +15,7 @@ from .systems import (
     save_system,
 )
 from .lmi import DecisionLayout, SdpProblem, assemble, layout, petersen_parts, delta_norm
-from .sdp import SdpSolution, solve, kkt_residuals, check_block_feasibility
+from .sdp import SdpSolution, solve, solve_many, kkt_residuals, check_block_feasibility
 from .certify import (
     Certificate,
     Ellipsoid,

@@ -19,7 +19,7 @@ from scipy.linalg import cho_solve
 from .errors import DimensionError, NotPositiveDefiniteError, QBStabError, SchemaError
 from .lmi import (_spd_eigh, _spd_factor, _spd_sqrt, _svec_index, assemble, default_alpha,
                   default_delta, svec)
-from .sdp import SdpSolution, solve
+from .sdp import SdpSolution, solve, solve_many
 from .systems import QBSystem, _finite_array, _json_int, _read_json, _write_json
 
 __all__ = [
@@ -118,10 +118,11 @@ class Certificate:
     P defines the certified ellipsoid {x : x' P^-1 x <= 1}; eps is the scalar
     from the line search; alpha the decay margin the LMI enforced
     (d/dt V <= -alpha V inside the ellipsoid).  Synthesis certificates carry
-    Y and the extracted gain K = Y P^-1.  ``solver_report`` says how the
-    certificate was obtained: solver status, iterations and residuals,
-    whether the solver's relaxed tolerances were used, and the ``shape_report``
-    entries (lambda_min(P)/delta, floor activity, |K|_2).
+    Y and the extracted gain K = Y P^-1; analysis certificates carry neither.
+    ``solver_report`` says how the certificate was obtained: solver status,
+    iterations and residuals, whether the solver's relaxed tolerances were
+    used, and the ``shape_report`` entries (lambda_min(P)/delta, floor
+    activity, |K|_2).
     """
 
     mode: str
@@ -152,6 +153,8 @@ class Certificate:
                 raise DimensionError(f"K P != Y (residual {resid:.3e})")
             object.__setattr__(self, "Y", Y)
             object.__setattr__(self, "K", K)
+        elif self.Y is not None or self.K is not None:
+            raise DimensionError("analysis certificate takes no Y or K")
 
     @property
     def n(self) -> int:
@@ -274,7 +277,11 @@ def max_trace(sys: QBSystem, eps: float, alpha, mode: str) -> Certificate | Infe
     """
     alpha = resolve_alpha(sys, alpha)
     problem = assemble(sys, eps, alpha, mode)
-    sol = solve(problem)
+    return _outcome(sys, problem, solve(problem), eps, alpha, mode)
+
+
+def _outcome(sys, problem, sol: SdpSolution, eps, alpha, mode) -> Certificate | Infeasible:
+    """``max_trace``'s result, given the solution of its problem."""
     retried = sol.status in ("NumericalFailure", "IterLimit")
     if retried and sol.relaxed is not None:
         sol = sol.relaxed
@@ -303,9 +310,10 @@ def _certificate_from_solution(sys, problem, sol: SdpSolution, eps, alpha, mode,
                        solver_report=report)
 
 
-def _sweep_point(sys, eps, alpha, mode) -> SweepEntry:
+def _sweep_point(eps, outcome, *args) -> SweepEntry:
+    """The entry at eps of ``outcome(*args)``, ``max_trace`` or ``_outcome``."""
     try:
-        out = max_trace(sys, eps, alpha, mode)
+        out = outcome(*args)
     except SolverFailure as exc:
         return SweepEntry(epsilon=eps, certificate=None, status=f"failed: {exc}")
     if isinstance(out, Certificate):
@@ -313,8 +321,18 @@ def _sweep_point(sys, eps, alpha, mode) -> SweepEntry:
     return SweepEntry(epsilon=eps, certificate=None, status="infeasible")
 
 
+def _sweep_points(sys, grid, alpha, mode) -> list[SweepEntry]:
+    """One trace maximization per eps of ``grid``, the problems solved in lockstep."""
+    problems = [assemble(sys, e, alpha, mode) for e in grid]
+    return [_sweep_point(e, _outcome, sys, p, sol, e, alpha, mode)
+            for e, p, sol in zip(grid, problems, solve_many(problems))]
+
+
 def sweep_epsilon(sys: QBSystem, grid, alpha, mode: str) -> SweepResult:
-    """One trace maximization per grid point; order of results follows the grid."""
+    """One trace maximization per grid point; order of results follows the grid.
+
+    The grid's problems are solved in lockstep (``sdp.solve_many``); every
+    entry is what ``max_trace`` at its eps gives."""
     grid = [float(e) for e in grid]
     if not grid:
         raise ValueError("eps grid must be non-empty")
@@ -323,8 +341,7 @@ def sweep_epsilon(sys: QBSystem, grid, alpha, mode: str) -> SweepResult:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("eps grid must be strictly increasing")
     alpha = resolve_alpha(sys, alpha)
-    entries = [_sweep_point(sys, e, alpha, mode) for e in grid]
-    return SweepResult(entries=tuple(entries))
+    return SweepResult(entries=tuple(_sweep_points(sys, grid, alpha, mode)))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -334,10 +351,11 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
                      alpha=None, mode: str = "analysis") -> EpsilonSearchResult:
     """Line search for the eps maximizing trace(P) over (lo, hi).
 
-    A log-spaced pre-scan locates the best grid point and its bracket; a
-    golden-section search then refines eps inside the bracket, where
-    unimodality is assumed.  The returned certificate is the best over every
-    evaluation, so the result is never worse than any sub-grid seen.
+    A log-spaced pre-scan, solved in lockstep, locates the best grid point
+    and its bracket; a golden-section search then refines eps inside the
+    bracket, where unimodality is assumed, one ``max_trace`` at a time.  The
+    returned certificate is the best over every evaluation, so the result is
+    never worse than any sub-grid seen.
     Raises ValueError unless rel_tol, the bracket width at which
     refinement stops relative to its upper end, is finite and positive.
     """
@@ -347,21 +365,19 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     alpha = resolve_alpha(sys, alpha)
-    history: list[SweepEntry] = []
+    scan = np.geomspace(lo, hi, SCAN_POINTS)
+    history: list[SweepEntry] = _sweep_points(sys, list(scan), alpha, mode)
 
     def probe(eps: float) -> SweepEntry:
-        entry = _sweep_point(sys, eps, alpha, mode)
+        entry = _sweep_point(eps, max_trace, sys, eps, alpha, mode)
         history.append(entry)
         return entry
 
     def value(entry: SweepEntry) -> float:
         return entry.trace_P if entry.feasible else -math.inf
 
-    scan = np.geomspace(lo, hi, SCAN_POINTS)
-    scan_entries = [probe(e) for e in scan]
-    values = [value(e) for e in scan_entries]
-    k = int(np.argmax(values))
-    if not scan_entries[k].feasible:
+    k = int(np.argmax([value(e) for e in history]))
+    if not history[k].feasible:
         return EpsilonSearchResult(best=None, history=tuple(history))
 
     a = scan[k - 1] if k > 0 else lo

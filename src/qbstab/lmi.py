@@ -81,8 +81,18 @@ def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def svec(S: np.ndarray) -> np.ndarray:
     """Half-vectorize symmetric matrices, shape (..., s, s), with sqrt(2) off-diagonal scaling."""
     S = np.asarray(S, dtype=float)
-    i, j, scale = _svec_index(S.shape[-1])
-    return S[..., i, j] * scale
+    n = S.shape[-1]
+    flat, scale = _svec_take(n)
+    # take keeps a stack's rows contiguous (fancy indexing would not), as
+    # BLAS must see them to round each row as it rounds a single vector
+    return S.reshape(*S.shape[:-2], n * n).take(flat, axis=-1) * scale
+
+
+@lru_cache(maxsize=None)
+def _svec_take(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i n + j, scale) of ``_svec_index``: the svec entries in a flattened matrix."""
+    i, j, scale = _svec_index(n)
+    return i * n + j, scale
 
 
 def unsvec(v: np.ndarray, n: int) -> np.ndarray:
@@ -160,8 +170,46 @@ def layout(n: int, m: int, mode: str) -> DecisionLayout:
     return DecisionLayout(n=n, m=m if mode == "synthesis" else 0, mode=mode)
 
 
-# doubles per temporary chunk in ``LmiBlock.congruence`` and ``assemble``
+# doubles per temporary chunk (per problem) in ``_congruence`` and ``assemble``
 _CHUNK = 1 << 18
+
+
+def _nonzeros(rows: np.ndarray, vals: np.ndarray) -> tuple:
+    """(k, flat, v): the nonzeros of B row-compressed stacks ``vals`` (B, d, r, s)
+    sharing ``rows``, F^p_k[a, b] = v with k = p d + k' and flat = p s^2 + a s + b.
+    Each problem's entries come in k-major order, as for B = 1."""
+    B, d, r, s = vals.shape
+    p, k, t, col = np.nonzero(vals)
+    return p * d + k, p * (s * s) + rows[k, t] * s + col, vals[p, k, t, col]
+
+
+def _linear(nnz: tuple, x: np.ndarray, s: int) -> np.ndarray:
+    """sum_k x_k F_k per problem, x (B, d) -> (B, s, s), from ``_nonzeros``."""
+    k, flat, v = nnz
+    B = x.shape[0]
+    return np.bincount(flat, weights=v * x.reshape(-1)[k], minlength=B * s * s).reshape(B, s, s)
+
+
+def _adjoint(nnz: tuple, Z: np.ndarray, d: int) -> np.ndarray:
+    """(<F_k, Z>)_k per problem, Z (B, s, s) -> (B, d), the adjoint of ``_linear``."""
+    k, flat, v = nnz
+    B = Z.shape[0]
+    return np.bincount(k, weights=v * Z.reshape(-1)[flat], minlength=B * d).reshape(B, d)
+
+
+def _congruence(rows: np.ndarray, vals: np.ndarray, L: np.ndarray, R: np.ndarray):
+    """Yield (ks, L F_k R for k in ks) over slices ks of range(d), each of about
+    ``_CHUNK`` doubles per problem, for ``vals`` (..., d, r, s) with L and R of the
+    same leading shape.  F_k R is zero outside the rows ``rows[k]``, where it is
+    ``vals[k]`` R, so no dense F_k is formed."""
+    d, r, s = vals.shape[-3:]
+    lead = vals.shape[:-3]
+    step = max(1, _CHUNK // (L.shape[-2] * R.shape[-1]))
+    for lo in range(0, d, step):
+        ks = slice(lo, lo + step)
+        # one (c r, s) product: c products of r rows round differently in BLAS
+        VR = (vals[..., ks, :, :].reshape(*lead, -1, s) @ R).reshape(*lead, -1, r, R.shape[-1])
+        yield ks, np.swapaxes(L[..., rows[ks]], -3, -2) @ VR
 
 
 def _padded_rows(support: np.ndarray) -> np.ndarray:
@@ -208,8 +256,7 @@ class LmiBlock:
                 or np.count_nonzero(sub) != np.count_nonzero(vals)):
             raise ValueError("malformed problem: F_k not symmetric")
         # the nonzeros of F in k-major order: F_k[a, b] at flat index a s + b
-        k, t, col = np.nonzero(vals)
-        nnz = (k, rows[k, t] * s + col, vals[k, t, col])
+        nnz = _nonzeros(rows, vals[None])
         for name, value in (("F0", F0), ("rows", rows), ("vals", vals), ("_nnz", nnz)):
             object.__setattr__(self, name, value)
 
@@ -237,36 +284,24 @@ class LmiBlock:
 
     def linear(self, x: np.ndarray) -> np.ndarray:
         """sum_k x_k F_k."""
-        k, flat, v = self._nnz
-        s = self.size
-        return np.bincount(flat, weights=v * np.asarray(x, dtype=float)[k],
-                           minlength=s * s).reshape(s, s)
+        return _linear(self._nnz, np.asarray(x, dtype=float)[None], self.size)[0]
 
     def adjoint(self, Z: np.ndarray) -> np.ndarray:
         """(<F_k, Z>)_k, the adjoint of ``linear``."""
-        k, flat, v = self._nnz
-        return np.bincount(k, weights=v * np.asarray(Z, dtype=float).reshape(-1)[flat],
-                           minlength=self.d)
+        return _adjoint(self._nnz, np.asarray(Z, dtype=float)[None], self.d)[0]
 
     def congruence(self, L: np.ndarray, R: np.ndarray):
-        """Yield (ks, L F_k R for k in ks) over slices ks of range(d), each of
-        about ``_CHUNK`` doubles.  F_k R is zero outside the rows ``rows[k]``,
-        where it is ``vals[k]`` R, so no dense F_k is formed."""
-        d, r, s = self.vals.shape
-        step = max(1, _CHUNK // (L.shape[0] * R.shape[1]))
-        for lo in range(0, d, step):
-            ks = slice(lo, lo + step)
-            # one (c r, s) product: c products of r rows round differently in BLAS
-            VR = (self.vals[ks].reshape(-1, s) @ R).reshape(-1, r, R.shape[1])
-            yield ks, np.swapaxes(L[:, self.rows[ks]], 0, 1) @ VR
+        """Yield (ks, L F_k R for k in ks) over slices ks of range(d); see ``_congruence``."""
+        return _congruence(self.rows, self.vals, L, R)
 
-    def schur(self, W: np.ndarray) -> np.ndarray:
+    def schur(self, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(<F_k, W F_l W>)_kl for symmetric W, this block's share of the
-        Schur complement (Fujisawa, Kojima & Nakata, Math. Prog. 1997).
+        Schur complement (Fujisawa, Kojima & Nakata, Math. Prog. 1997), in ``out``
+        if given.
 
         W F_l W comes from ``congruence``, and the inner products with every
         F_k touch only the nonzeros of F."""
-        M = np.empty((self.d, self.d))
+        M = np.empty((self.d, self.d)) if out is None else out
         for ls, WFW in self.congruence(W, W):
             M[:, ls] = self._csr @ WFW.reshape(WFW.shape[0], -1).T
         return M

@@ -29,21 +29,40 @@ iterations.  Ruiz-style block scaling (10 sweeps) and the objective cap
 ``OBJECTIVE_BOX`` always apply, every solve keeps its per-iteration log in
 ``SdpSolution.history``, and identical inputs produce identical iterates.
 The iterate is never renormalized: the embedding is scale invariant, every test relative.
+
+There is one interior-point loop, ``solve_many``, and ``solve`` is its
+single-problem case.  It runs problems that share d, block sizes and row
+pattern (the points of an eps grid) in lockstep: every per-block kernel
+(Ruiz scaling, the NT Cholesky factors and SVD, the Gram rows and U U',
+``linear``/``adjoint`` as one bincount, the eigenvalues of the step
+length) takes one call over the stacked (B, s, s) arrays, each slice
+rounding as it would alone, so every problem gets bitwise the iterates and
+the result of its own solve.  The d-by-d Schur factorization and its solves,
+and the W-form Schur shares, stay one problem at a time.  Each problem keeps
+its own termination tests, log, stall count and relaxed result, and leaves
+the stack when it terminates.  A breakdown in one problem (a failed
+factorization, a collapsed step) ends that problem alone: the step is then
+taken again without it.  Problems whose blocks take different Schur forms
+run in separate groups, and a group holds at most ``GROUP_BYTES`` of
+working arrays, so a large problem runs with few others or alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .lmi import LmiBlock, SdpProblem, svec
+from .lmi import (_CHUNK, LmiBlock, SdpProblem, _adjoint, _congruence, _linear, _nonzeros,
+                  svec)
 
 __all__ = [
     "SdpSolution",
     "BlockFeasibilityReport",
     "solve",
+    "solve_many",
     "kkt_residuals",
     "check_block_feasibility",
 ]
@@ -54,6 +73,13 @@ STEP_FRACTION = 0.98
 GRAM_MAX = 10_000
 # a larger block takes the W form only if d s(s+1)/2 is this many times its nonzeros
 W_MIN_SPARSITY = 32
+# bytes of working arrays that the problems of one lockstep group may hold
+# together (``_group_size``): the 20-point two-state and three-state grids run
+# as one group, the 16-point shear-flow pre-scan (d = 45) as two groups of 8,
+# and stacked n = 40 problems (d = 820) one at a time.  The pre-scan's traced
+# peak was 11.1 MB in one group of 16, 6.5 MB in groups of 8 and 2.5 MB one
+# problem at a time; it took 0.43, 0.46 and 1.10 s on one core
+GROUP_BYTES = 1 << 23
 # the termination tests of the module docstring; those of ``SdpSolution.relaxed``
 # are RELAX_FACTOR times looser
 FEAS_TOL = 1e-8
@@ -126,7 +152,7 @@ class BlockFeasibilityReport:
 def check_block_feasibility(problem: SdpProblem, x: np.ndarray, tol: float) -> BlockFeasibilityReport:
     """Evaluate lambda_max of every block at x; feasible iff all <= tol."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    lams = tuple(_lambda_max(blk.evaluate(x)) for blk in problem.blocks)
+    lams = tuple(float(_lambda_max(blk.evaluate(x))) for blk in problem.blocks)
     return BlockFeasibilityReport(lambda_max=lams, tol=float(tol))
 
 
@@ -141,28 +167,43 @@ def kkt_residuals(problem: SdpProblem, solution: SdpSolution) -> tuple[float, fl
       gap    = |c'x - <-F0, Z>| / (1 + |c'x| + |<-F0, Z>|)
     """
     x = np.asarray(solution.x, dtype=float).reshape(-1)
-    Fx = [blk.evaluate(x) for blk in problem.blocks]
-    return _residuals(problem.blocks, np.asarray(problem.c, dtype=float), x, Fx, solution.Z)
+    c = np.asarray(problem.c, dtype=float).reshape(-1)
+    user = [_Stack.of([blk]) for blk in problem.blocks]
+    Fx = [blk.evaluate(x)[None] for blk in problem.blocks]
+    Z = [np.asarray(Zb, dtype=float)[None] for Zb in solution.Z]
+    primal, dual, gap, _ = _residuals(user, c[None], x[None], Fx, Z)
+    return float(primal[0]), float(dual[0]), float(gap[0])
 
 
-def _lambda_max(M: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(_sym(M))[-1])
+def _sym(M: np.ndarray) -> np.ndarray:
+    return (M + M.mT) / 2.0
 
 
-def _residuals(blocks, c, x, Fx, Z) -> tuple[float, float, float]:
-    """(primal, dual, gap) of ``kkt_residuals``, given Fx[b] = F0_b + sum_k x_k F_k_b."""
-    primal = 0.0
+def _eigvalsh(A: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh``; the eigenvalue of a 1-by-1 matrix (the objective
+    cap) is read off, as LAPACK returns it."""
+    return A[..., 0] if A.shape[-1] == 1 else np.linalg.eigvalsh(A)
+
+
+def _lambda_max(M: np.ndarray) -> np.ndarray:
+    return _eigvalsh(_sym(M))[..., -1]
+
+
+def _residuals(user, c, x, Fx, Z):
+    """(primal, dual, gap, c'x) of ``kkt_residuals``, each (B,), for B problems:
+    ``user`` holds one ``_Stack`` per block, c and x are (B, d), and Fx[b] =
+    F0_b + sum_k x_k F_k_b and Z[b] are (B, s, s)."""
+    primal = np.zeros(len(c))
     dual_vec = -c
     dual_obj = 0.0
-    for blk, Fxb, Zb in zip(blocks, Fx, Z):
-        f0_norm = float(np.linalg.norm(blk.F0, "fro"))
-        primal = max(primal, max(0.0, _lambda_max(Fxb)) / (1.0 + f0_norm))
+    for blk, Fxb, Zb in zip(user, Fx, Z):
+        primal = np.maximum(primal, np.maximum(0.0, _lambda_max(Fxb)) / (1.0 + blk.f0_norm))
         dual_vec = dual_vec + blk.adjoint(Zb)
-        dual_obj += float(np.sum(-blk.F0 * Zb))
-    dual = float(np.max(np.abs(dual_vec))) / (1.0 + float(np.max(np.abs(c), initial=0.0)))
-    p_obj = float(c @ x)
-    gap = abs(p_obj - dual_obj) / (1.0 + abs(p_obj) + abs(dual_obj))
-    return primal, dual, gap
+        dual_obj = dual_obj + (-blk.F0 * Zb).sum(axis=(1, 2))
+    dual = np.abs(dual_vec).max(axis=1) / (1.0 + np.abs(c).max(axis=1, initial=0.0))
+    p_obj = np.vecdot(c, x)
+    gap = np.abs(p_obj - dual_obj) / (1.0 + np.abs(p_obj) + np.abs(dual_obj))
+    return primal, dual, gap, p_obj
 
 
 # --------------------------------------------------------------------------
@@ -170,196 +211,415 @@ def _residuals(blocks, c, x, Fx, Z) -> tuple[float, float, float]:
 # --------------------------------------------------------------------------
 
 
+class _Stack:
+    """One block of B problems of one shape: F0 (B, s, s) and the nonzeros of
+    every F_k with per-problem offsets (``lmi._nonzeros``), so that ``linear``
+    and ``adjoint`` serve the whole stack in one bincount, each problem's sums
+    taken in the order of its own ``LmiBlock``."""
+
+    def __init__(self, F0: np.ndarray, nnz: tuple, d: int):
+        self.F0, self.nnz, self.d = F0, nnz, d
+
+    @classmethod
+    def of(cls, blocks) -> _Stack:
+        """The stack of same-shape ``LmiBlock``s, one per problem."""
+        nnz = _nonzeros(blocks[0].rows, np.stack([blk.vals for blk in blocks]))
+        return cls(np.stack([blk.F0 for blk in blocks]), nnz, blocks[0].d)
+
+    @cached_property
+    def f0_norm(self) -> np.ndarray:
+        return np.array([np.linalg.norm(F, "fro") for F in self.F0])
+
+    @property
+    def size(self) -> int:
+        return self.F0.shape[-1]
+
+    def linear(self, x: np.ndarray) -> np.ndarray:
+        return _linear(self.nnz, x, self.size)
+
+    def adjoint(self, Z: np.ndarray) -> np.ndarray:
+        return _adjoint(self.nnz, Z, self.d)
+
+
+def _gram_form(d: int, s: int, nnz: int) -> bool:
+    """Whether a block takes the Gram form of its Schur share (see ``_Block``)."""
+    full = d * s * (s + 1) // 2
+    return full <= GRAM_MAX or full < W_MIN_SPARSITY * nnz
+
+
 class _Block:
-    """A scaled LMI block and its per-iteration NT quantities.
+    """One scaled LMI block of the B problems of a lockstep group, stacked,
+    and their per-iteration NT quantities.
 
     The block's share of the Schur complement, (<G'F_kG, G'F_lG>)_kl, is
     formed in one of two ways, chosen by size and sparsity, both from
-    ``LmiBlock.congruence`` and so with no dense copy of F.  The Gram form
+    ``lmi._congruence`` and so with no dense copy of F.  The Gram form
     forms U U' from the rows U_k = svec(G'F_kG), d^2 s(s+1)/4 multiply-adds
-    in one BLAS call.  It is symmetric positive semidefinite as computed and
-    consistent with the right-hand sides taken from the same U, so every
-    block whose U has at most ``GRAM_MAX`` entries uses it; there both forms
-    take tens of microseconds.  The W form, ``LmiBlock.schur`` with
-    W = G G', costs d s^2 r plus the nonzeros of F times d, the latter
-    through a sparse product.  A larger block uses it only when U has at
-    least ``W_MIN_SPARSITY`` times as many entries as F has nonzeros.  Stacked
-    systems are far past that (330 to 420 at n = 40, where the W form takes
-    0.14 to 0.26 of the Gram form's time); a dense A and H are not (about 2,
-    where it takes 3.2 to 3.5 times as long at n = 15 to 30).
+    in one BLAS call per problem.  It is symmetric positive semidefinite as
+    computed and consistent with the right-hand sides taken from the same U,
+    so every block whose U has at most ``GRAM_MAX`` entries uses it; there
+    both forms take tens of microseconds.  The W form, ``LmiBlock.schur``
+    with W = G G', costs d s^2 r plus the nonzeros of F times d, the latter
+    through a sparse product, one problem at a time.  A larger block uses it
+    only when U has at least ``W_MIN_SPARSITY`` times as many entries as F
+    has nonzeros.  Stacked systems are far past that (330 to 420 at n = 40,
+    where the W form takes 0.14 to 0.26 of the Gram form's time); a dense A
+    and H are not (about 2, where it takes 3.2 to 3.5 times as long at n = 15
+    to 30).  Every problem of a group takes the same form.
     """
 
-    __slots__ = ("lmi", "C", "size", "X", "S", "G", "lam", "Chat", "U", "W")
+    __slots__ = ("rows", "vals", "lmi", "C", "size", "eye", "X", "S", "G", "lam", "lam_avg",
+                 "Chat", "U", "W", "singles")
 
-    def __init__(self, lmi: LmiBlock):
-        self.lmi = lmi
-        self.C = -lmi.F0
-        self.size = lmi.size
-        self.X = np.eye(self.size)
-        self.S = np.eye(self.size)
-        full = lmi.d * self.size * (self.size + 1) // 2
-        gram = full <= GRAM_MAX or full < W_MIN_SPARSITY * lmi.nnz
-        # column-major, as svec returns it, so that U U' takes the same BLAS path
-        self.U = np.empty((lmi.d, full // lmi.d), order="F") if gram else None
+    def __init__(self, F0: np.ndarray, rows: np.ndarray, vals: np.ndarray):
+        B, d, _, s = vals.shape
+        self.rows, self.vals, self.size = rows, vals, s
+        self.lmi = _Stack(F0, _nonzeros(rows, vals), d)
+        self.C = -F0
+        self.eye = np.eye(s)
+        self.X = np.broadcast_to(self.eye, (B, s, s)).copy()
+        self.S = self.X.copy()
+        if _gram_form(d, s, np.count_nonzero(vals[0])):
+            # column-major per problem, as svec returns it, so that U U' takes
+            # the same BLAS path
+            self.U = np.empty((B, s * (s + 1) // 2, d)).transpose(0, 2, 1)
+            self.singles = None
+        else:
+            self.U = None
+            self.singles = [LmiBlock(F0=F0[p], rows=rows, vals=vals[p]) for p in range(B)]
+
+    def keep(self, mask: np.ndarray) -> _Block:
+        """This block of the problems where ``mask`` holds, with their iterates."""
+        blk = _Block(self.lmi.F0[mask], self.rows, self.vals[mask])
+        blk.X, blk.S = self.X[mask], self.S[mask]
+        return blk
 
     def set_scaling(self, G: np.ndarray, lam: np.ndarray) -> None:
         self.G, self.lam = G, lam
-        self.Chat = G.T @ self.C @ G
+        self.lam_avg = (lam[:, :, None] + lam[:, None, :]) / 2.0
+        self.Chat = G.mT @ self.C @ G
         if self.U is not None:
-            for ks, GFG in self.lmi.congruence(G.T, G):
-                self.U[ks] = svec(GFG)
+            for ks, GFG in _congruence(self.rows, self.vals, G.mT, G):
+                self.U[:, ks] = svec(GFG)
         else:
-            self.W = G @ G.T
+            self.W = G @ G.mT
 
-    def schur(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(M_b, g_b, q_b): the Schur share and pull_back(Chat) = (F*(G Chat G'), |Chat|_F^2)."""
-        share = self.U @ self.U.T if self.U is not None else self.lmi.schur(self.W)
+    def schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(M_b, g_b, q_b): the Schur shares and pull_back(Chat) = (F*(G Chat G'), |Chat|_F^2)."""
+        if self.U is not None:
+            share = self.U @ self.U.mT
+        else:
+            d = self.lmi.d
+            share = np.empty((len(self.singles), d, d))
+            for single, W, out in zip(self.singles, self.W, share):
+                single.schur(W, out=out)
         return (share, *self.pull_back(self.Chat))
 
-    def pull_back(self, R: np.ndarray) -> tuple[np.ndarray, float]:
-        """(F*(G R G'), <Chat, R>) for a symmetric R in the scaled space."""
+    def pull_back(self, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(F*(G R G'), <Chat, R>) for symmetric R (B, s, s) in the scaled space."""
         if self.U is not None:
             rsv = svec(R)
-            return self.U @ rsv, float(svec(self.Chat) @ rsv)
-        return self.lmi.adjoint(self.G @ R @ self.G.T), float(np.sum(self.Chat * R))
+            return (self.U @ rsv[..., None])[..., 0], np.vecdot(svec(self.Chat), rsv)
+        return self.lmi.adjoint(self.G @ R @ self.G.mT), (self.Chat * R).sum(axis=(1, 2))
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return (M + M.T) / 2.0
-
-
-def _ruiz_scale(blocks, c, sweeps: int = 10):
-    """Ruiz-style scaling: scaled copies of ``blocks``, variable scales gamma
-    and block scales beta."""
-    d = c.shape[0]
-    gamma = np.ones(d)
-    beta = np.ones(len(blocks))
-    F0s = [np.array(blk.F0, dtype=float) for blk in blocks]
-    vals = [np.array(blk.vals, dtype=float) for blk in blocks]
+def _ruiz_scale(problems, sweeps: int = 10):
+    """Ruiz-style scaling of B problems of one shape: scaled (F0 (B, s, s),
+    vals (B, d, r, s)) per block, variable scales gamma (B, d) and block scales
+    beta (B, blocks)."""
+    nb = len(problems[0].blocks)
+    gamma = np.ones((len(problems), problems[0].d))
+    beta = np.ones((len(problems), nb))
+    F0s = [np.stack([p.blocks[b].F0 for p in problems]) for b in range(nb)]
+    vals = [np.stack([p.blocks[b].vals for p in problems]) for b in range(nb)]
     for _ in range(sweeps):
-        r = np.zeros(d)
+        r = np.zeros(gamma.shape)
         for V in vals:
-            r = np.maximum(r, np.abs(V).max(axis=(1, 2)))
+            r = np.maximum(r, np.abs(V).max(axis=(2, 3)))
         g = 1.0 / np.sqrt(np.where(r > 0, r, 1.0))
         for V in vals:
-            V *= g[:, None, None]
+            V *= g[:, :, None, None]
         gamma *= g
         for b, (F0, V) in enumerate(zip(F0s, vals)):
-            s = max(float(np.abs(F0).max()), float(np.abs(V).max()))
-            sb = 1.0 / np.sqrt(s) if s > 0 else 1.0
-            F0 *= sb
-            V *= sb
-            beta[b] *= sb
-    scaled = [LmiBlock(F0=F0, rows=blk.rows, vals=V) for F0, V, blk in zip(F0s, vals, blocks)]
-    return scaled, gamma, beta
+            s = np.maximum(np.abs(F0).max(axis=(1, 2)), np.abs(V).max(axis=(1, 2, 3)))
+            sb = np.where(s > 0, 1.0 / np.sqrt(np.where(s > 0, s, 1.0)), 1.0)
+            F0 *= sb[:, None, None]
+            V *= sb[:, None, None, None]
+            beta[:, b] *= sb
+    return list(zip(F0s, vals)), gamma, beta
+
+
+def _lapack(fn, A: np.ndarray):
+    """(fn(A), {}) for a stack A of matrices, or (None, {i: error}) naming the
+    slices fn fails on: a batched LAPACK call raises for the whole stack when
+    one slice fails, so the slices are then tried one at a time."""
+    try:
+        return fn(A), {}
+    except np.linalg.LinAlgError as exc:
+        failed = {}
+        for i, Ai in enumerate(A):
+            try:
+                fn(Ai)
+            except np.linalg.LinAlgError as slice_exc:
+                failed[i] = slice_exc
+        if not failed:
+            raise exc
+        return None, failed
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the block-LMI maximization.  See module docstring for the contract."""
+    return solve_many([problem])[0]
+
+
+def solve_many(problems) -> list[SdpSolution]:
+    """Solve problems that share d, block sizes and the rows of every block,
+    in lockstep; the solutions follow the order of ``problems``, each bitwise
+    what its own solve returns.  Raises ValueError on problems of different
+    shapes."""
+    problems = list(problems)
+    if not problems:
+        return []
+    first = problems[0]
+    for p in problems[1:]:
+        if (p.d != first.d or len(p.blocks) != len(first.blocks)
+                or any(a.size != b.size or not np.array_equal(a.rows, b.rows)
+                       for a, b in zip(p.blocks, first.blocks))):
+            raise ValueError("solve_many needs problems of one shape: "
+                             "the same d, block sizes and rows")
+    # problems whose blocks (the objective cap last) take the same Schur forms
+    groups: dict = {}
+    for i, p in enumerate(problems):
+        forms = [_gram_form(p.d, blk.size, blk.nnz) for blk in p.blocks]
+        forms.append(_gram_form(p.d, 1, np.count_nonzero(p.c)))
+        groups.setdefault(tuple(forms), []).append(i)
+    size = _group_size(first)
+    solutions = [None] * len(problems)
+    for members in groups.values():
+        # as few groups as the budget allows, of nearly equal sizes
+        for part in np.array_split(members, -(-len(members) // size)):
+            for i, sol in zip(part, _Group([problems[i] for i in part]).run()):
+                solutions[i] = sol
+    return solutions
+
+
+def _group_size(problem: SdpProblem) -> int:
+    """How many problems of this shape may run in one lockstep group:
+    ``GROUP_BYTES`` over the words one problem holds, at least 1.  These are
+    its Schur complement and share, and per block its data and their scaled
+    copy, the nonzero indices of both, three congruence chunks and the Gram
+    rows."""
     d = problem.d
-    c = np.asarray(problem.c, dtype=float).reshape(-1)
-    scaled, gamma, beta = _ruiz_scale(problem.blocks, c)
+    words = 2 * d * d
+    for blk in problem.blocks:
+        s = blk.size
+        words += 2 * blk.vals.size + 6 * blk.nnz + 3 * min(d * s * s, _CHUNK)
+        if _gram_form(d, s, blk.nnz):
+            words += d * s * (s + 1) // 2
+    return max(1, GROUP_BYTES // (8 * words))
 
-    c_sc = gamma * c
-    s_obj = 1.0 / max(1.0, float(np.max(np.abs(c_sc), initial=0.0)))
-    c_sc = c_sc * s_obj
 
-    # hidden cap c'x <= OBJECTIVE_BOX, in scaled variables, row-normalized
-    boxval = s_obj * OBJECTIVE_BOX
-    rownorm = max(1.0, float(np.max(np.abs(c_sc), initial=0.0)), abs(boxval))
-    scaled.append(LmiBlock(F0=np.array([[-boxval / rownorm]]),
-                           rows=np.zeros((d, 1), dtype=int),
-                           vals=(c_sc / rownorm).reshape(d, 1, 1)))
+class _Run:
+    """One problem's own part of a lockstep solve: its best iterate, log,
+    relaxed result, stall count and verdict."""
 
-    # the user blocks come first; zip with beta skips the cap
-    blocks = [_Block(lmi) for lmi in scaled]
-    b_vec = c_sc
-    nu = sum(blk.size for blk in blocks)
+    def __init__(self, problem: SdpProblem, c: np.ndarray):
+        self.problem = problem
+        self.ray_scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
+        self.status, self.message = "IterLimit", ""
+        self.x_best = np.zeros(problem.d)
+        self.Z_best = [np.zeros_like(blk.F0) for blk in problem.blocks]
+        self.resid_best = (np.inf, np.inf, np.inf)
+        self.obj_best = float("nan")
+        self.obj_max_seen = -np.inf
+        self.iters = 0
+        self.history = []
+        self.relaxed = None
+        # consecutive collapsed iterations without a tenfold better ray, and the
+        # smallest ray residual seen since tau collapsed
+        self.stall, self.ray_min = 0, np.inf
+        self.resid = self.resid_best  # this iteration's residuals, for the log
 
-    y = np.zeros(d)
-    tau, kappa = 1.0, 1.0
+    def check(self, it: int, ray_q: float, ray_Z, report) -> bool:
+        """The termination tests of iteration ``it``; True when the problem is done.
 
-    history = []
-    status, message = "IterLimit", ""
-    x_best = np.zeros(d)
-    Z_best = [np.zeros_like(blk.F0) for blk in problem.blocks]
-    resid_best = (np.inf, np.inf, np.inf)
-    obj_best = float("nan")
-    obj_max_seen = -np.inf
-    iters_done = 0
-    relaxed = None
-    feas_loose, gap_loose = RELAX_FACTOR * FEAS_TOL, RELAX_FACTOR * GAP_TOL
-    ray_scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
-    # consecutive collapsed iterations without a tenfold better ray, and the
-    # smallest ray residual seen since tau collapsed
-    stall_count, ray_min = 0, np.inf
-
-    def unscale_report(Rd):
-        """Original-space (x, Z, residuals, objective) for the current iterate."""
-        x_orig = gamma * (y / tau)
-        Zs = [b * blk.X / (tau * s_obj) for blk, b in zip(blocks, beta)]
-        # Rd = F(y) + S - C tau in scaled data, so F(x) = (Rd - S) / (tau beta)
-        Fx = [(R - blk.S) / (tau * b) for R, blk, b in zip(Rd, blocks, beta)]
-        resid = _residuals(problem.blocks, c, x_orig, Fx, Zs)
-        return x_orig, Zs, resid, float(c @ x_orig)
-
-    for it in range(MAX_ITERS):
-        iters_done = it + 1
-        Rp = sum(blk.lmi.adjoint(blk.X) for blk in blocks) - b_vec * tau
-        Rd = [blk.lmi.linear(y) + blk.S - blk.C * tau for blk in blocks]
-        CX = sum(float(np.sum(blk.C * blk.X)) for blk in blocks)
-        Rg = CX - float(b_vec @ y) + kappa
-        mu = (sum(float(np.sum(blk.X * blk.S)) for blk in blocks) + tau * kappa) / (nu + 1)
-
-        ray_Z, ray_q = _ray_certificate(problem.blocks, blocks, beta)
-        if ray_Z is not None and ray_q <= feas_loose * ray_scale:
+        ``ray_Z`` is the candidate ray if it passed ``_ray_certificate``'s
+        guard, else None; ``report`` is the original-space (x, Z, residuals,
+        objective), or None when tau has collapsed."""
+        self.iters = it + 1
+        feas_loose, gap_loose = RELAX_FACTOR * FEAS_TOL, RELAX_FACTOR * GAP_TOL
+        if ray_Z is not None and ray_q <= feas_loose * self.ray_scale:
             ray_message = f"improving ray with max |<F_k, Z>| = {ray_q:.2e}"
-            if ray_q <= FEAS_TOL * ray_scale:
-                status, message, Z_best = "Infeasible", ray_message, ray_Z
-                resid_best, obj_best = (0.0, 0.0, 0.0), float("nan")
-                break
-            if relaxed is None:
-                relaxed = SdpSolution("Infeasible", x_best, ray_Z, float("nan"), 0.0, 0.0, 0.0,
-                                      it + 1, ray_message, list(history))
-
-        iterate_scale = max(float(np.abs(blk.X).max()) for blk in blocks)
-        if tau > 1e-14 * max(1.0, iterate_scale):
-            x_orig, Zs, resid, p_obj = unscale_report(Rd)
+            if ray_q <= FEAS_TOL * self.ray_scale:
+                self.status, self.message, self.Z_best = "Infeasible", ray_message, ray_Z
+                self.resid_best, self.obj_best = (0.0, 0.0, 0.0), float("nan")
+                return True
+            if self.relaxed is None:
+                self.relaxed = SdpSolution("Infeasible", self.x_best, ray_Z, float("nan"),
+                                           0.0, 0.0, 0.0, it + 1, ray_message, list(self.history))
+        if report is not None:
+            x, Z, resid, p_obj = report
             if np.isfinite(p_obj):
-                obj_max_seen = max(obj_max_seen, p_obj)
+                self.obj_max_seen = max(self.obj_max_seen, p_obj)
             if resid[0] <= FEAS_TOL and resid[1] <= FEAS_TOL and resid[2] <= GAP_TOL:
-                status, message = "Optimal", ""
-                x_best, Z_best, resid_best, obj_best = x_orig, Zs, resid, p_obj
-                break
-            if (relaxed is None and resid[0] <= feas_loose and resid[1] <= feas_loose
+                self.status, self.message = "Optimal", ""
+                self.x_best, self.Z_best, self.resid_best, self.obj_best = x, Z, resid, p_obj
+                return True
+            if (self.relaxed is None and resid[0] <= feas_loose and resid[1] <= feas_loose
                     and resid[2] <= gap_loose):
-                relaxed = SdpSolution("Optimal", x_orig, Zs, p_obj, *resid, it + 1,
-                                      history=list(history))
-            if max(resid) < max(resid_best):
-                x_best, Z_best, resid_best, obj_best = x_orig, Zs, resid, p_obj
-            stall_count, ray_min = 0, np.inf
+                self.relaxed = SdpSolution("Optimal", x, Z, p_obj, *resid, it + 1,
+                                           history=list(self.history))
+            if max(resid) < max(self.resid_best):
+                self.x_best, self.Z_best, self.resid_best, self.obj_best = x, Z, resid, p_obj
+            self.stall, self.ray_min = 0, np.inf
         else:
-            resid = resid_best
-            stall_count = 0 if ray_q < 0.1 * ray_min else stall_count + 1
-            ray_min = min(ray_min, ray_q)
-            if stall_count >= STALL_ITERS:
-                status = "NumericalFailure"
-                message = (f"stalled: no interior (tau -> 0) and no improving ray "
-                           f"in {STALL_ITERS} iterations")
+            resid = self.resid_best
+            self.stall = 0 if ray_q < 0.1 * self.ray_min else self.stall + 1
+            self.ray_min = min(self.ray_min, ray_q)
+            if self.stall >= STALL_ITERS:
+                self.status = "NumericalFailure"
+                self.message = (f"stalled: no interior (tau -> 0) and no improving ray "
+                                f"in {STALL_ITERS} iterations")
+                return True
+        self.resid = resid
+        return False
+
+    def solution(self) -> SdpSolution:
+        message = self.message
+        if self.status == "IterLimit":
+            message = f"no convergence in {MAX_ITERS} iterations"
+        if (self.status in ("IterLimit", "NumericalFailure")
+                and np.isfinite(self.obj_max_seen) and self.obj_max_seen >= 0.5 * OBJECTIVE_BOX):
+            message += ("; objective reached the internal OBJECTIVE_BOX cap "
+                        "(problem unbounded above?)")
+        objective = self.obj_best if self.status != "Infeasible" else float("nan")
+        return SdpSolution(self.status, self.x_best, self.Z_best, objective, *self.resid_best,
+                           self.iters, message, self.history, self.relaxed)
+
+
+class _Group:
+    """The stacked iterates of problems solved in lockstep.  Every array has
+    one leading row per problem still running, in the order of ``runs``."""
+
+    # the per-problem arrays that ``keep`` compacts; Rp, Rd, Rg and mu are
+    # those of the current iteration
+    _ROWS = ("y", "tau", "kappa", "b_vec", "c", "gamma", "beta", "s_obj", "Rp", "Rg", "mu")
+
+    def __init__(self, problems: list):
+        B, d = len(problems), problems[0].d
+        self.c = np.stack([np.asarray(p.c, dtype=float).reshape(-1) for p in problems])
+        self.runs = [_Run(p, c) for p, c in zip(problems, self.c)]
+        self.all_runs = list(self.runs)
+        self.user = [_Stack.of([p.blocks[b] for p in problems])
+                     for b in range(len(problems[0].blocks))]
+        scaled, self.gamma, self.beta = _ruiz_scale(problems)
+
+        c_sc = self.gamma * self.c
+        self.s_obj = 1.0 / np.maximum(1.0, np.max(np.abs(c_sc), axis=1, initial=0.0))
+        c_sc = c_sc * self.s_obj[:, None]
+        # hidden cap c'x <= OBJECTIVE_BOX, in scaled variables, row-normalized
+        boxval = self.s_obj * OBJECTIVE_BOX
+        rownorm = np.maximum(np.maximum(1.0, np.max(np.abs(c_sc), axis=1, initial=0.0)),
+                             np.abs(boxval))
+        scaled.append(((-boxval / rownorm)[:, None, None],
+                       (c_sc / rownorm[:, None]).reshape(B, d, 1, 1)))
+        rows = [blk.rows for blk in problems[0].blocks] + [np.zeros((d, 1), dtype=np.intp)]
+        # the user blocks come first; zips with beta skip the cap
+        self.blocks = [_Block(F0, r, V) for (F0, V), r in zip(scaled, rows)]
+        self.b_vec = c_sc
+        self.nu = sum(blk.size for blk in self.blocks)
+        self.y = np.zeros((B, d))
+        self.tau, self.kappa = np.ones(B), np.ones(B)
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the problems where ``mask`` is False."""
+        for name in self._ROWS:
+            setattr(self, name, getattr(self, name)[mask])
+        self.Rd = [R[mask] for R in self.Rd]
+        self.blocks = [blk.keep(mask) for blk in self.blocks]
+        self.runs = [run for run, k in zip(self.runs, mask) if k]
+        self.user = [_Stack.of([run.problem.blocks[b] for run in self.runs])
+                     for b in range(len(self.user))]
+
+    def run(self) -> list[SdpSolution]:
+        for it in range(MAX_ITERS):
+            done = self.check(it)
+            while not done.all():
+                if done.any():
+                    self.keep(~done)
+                failed = self.step()
+                if not failed:
+                    break
+                # the step is taken again without the problems that broke down
+                for i, message in failed.items():
+                    self.runs[i].status, self.runs[i].message = "NumericalFailure", message
+                done = np.zeros(len(self.runs), dtype=bool)
+                done[list(failed)] = True
+            if done.all():
                 break
+        return [run.solution() for run in self.all_runs]
+
+    def check(self, it: int) -> np.ndarray:
+        """Residuals, ray check and termination tests of iteration ``it``; True
+        where a problem is done."""
+        blocks, tau, kappa, y, b_vec = self.blocks, self.tau, self.kappa, self.y, self.b_vec
+        tau3 = tau[:, None, None]
+        self.Rp = sum(blk.lmi.adjoint(blk.X) for blk in blocks) - b_vec * tau[:, None]
+        self.Rd = [blk.lmi.linear(y) + blk.S - blk.C * tau3 for blk in blocks]
+        CX = sum((blk.C * blk.X).sum(axis=(1, 2)) for blk in blocks)
+        self.Rg = CX - np.vecdot(b_vec, y) + kappa
+        self.mu = (sum((blk.X * blk.S).sum(axis=(1, 2)) for blk in blocks)
+                   + tau * kappa) / (self.nu + 1)
+
+        ray_Z, ray_q, ray_fit = _ray_certificate(self.user, blocks, self.beta)
+        iterate_scale = np.abs(blocks[0].X).max(axis=(1, 2))
+        for blk in blocks[1:]:
+            iterate_scale = np.maximum(iterate_scale, np.abs(blk.X).max(axis=(1, 2)))
+        interior = tau > 1e-14 * np.maximum(1.0, iterate_scale)
+        # the original-space report of every problem, with tau replaced by 1
+        # where it has collapsed; those reports are not read
+        t = np.where(interior, tau, 1.0)
+        x_orig = self.gamma * (y / t[:, None])
+        Zs = [beta[:, None, None] * blk.X / (t * self.s_obj)[:, None, None]
+              for blk, beta in zip(blocks, self.beta.T)]
+        # Rd = F(y) + S - C tau in scaled data, so F(x) = (Rd - S) / (tau beta)
+        Fx = [(R - blk.S) / (t * beta)[:, None, None]
+              for R, blk, beta in zip(self.Rd, blocks, self.beta.T)]
+        primal, dual, gap, p_obj = _residuals(self.user, self.c, x_orig, Fx, Zs)
+
+        done = np.zeros(len(self.runs), dtype=bool)
+        for i, run in enumerate(self.runs):
+            report = None
+            if interior[i]:
+                report = (x_orig[i], [Z[i] for Z in Zs],
+                          (float(primal[i]), float(dual[i]), float(gap[i])), float(p_obj[i]))
+            done[i] = run.check(it, float(ray_q[i]),
+                                [Z[i] for Z in ray_Z] if ray_fit[i] else None, report)
+        return done
+
+    def step(self) -> dict:
+        """One predictor-corrector step of every problem.  On a breakdown nothing
+        changes, and the result maps the position of each problem that broke
+        down to its message."""
+        blocks, tau, kappa, b_vec = self.blocks, self.tau, self.kappa, self.b_vec
+        Rp, Rd, Rg, mu = self.Rp, self.Rd, self.Rg, self.mu
+        B, d = self.y.shape
 
         # Nesterov-Todd scaling point per block
-        try:
-            for blk in blocks:
-                Lx = np.linalg.cholesky(blk.X)
-                Ls = np.linalg.cholesky(blk.S)
-                _, sv, Vt = np.linalg.svd(Ls.T @ Lx)
-                if sv[-1] <= 0 or not np.all(np.isfinite(sv)):
-                    raise np.linalg.LinAlgError("degenerate NT scaling")
-                blk.set_scaling(Lx @ (Vt.T / np.sqrt(sv)), sv)
-        except np.linalg.LinAlgError as exc:
-            status, message = "NumericalFailure", f"NT scaling failed: {exc}"
-            break
+        for blk in blocks:
+            Lx, failed = _lapack(np.linalg.cholesky, blk.X)
+            if not failed:
+                Ls, failed = _lapack(np.linalg.cholesky, blk.S)
+            if not failed:
+                (_, sv, Vt), failed = _lapack(np.linalg.svd, Ls.mT @ Lx)
+            if failed:
+                return {i: f"NT scaling failed: {exc}" for i, exc in failed.items()}
+            # the singular values are nonnegative and sorted, so this holds
+            # if every last one is positive and none is inf or nan
+            if not (sv.min() > 0 and sv.max() < np.inf):
+                return _broken(~((sv[:, -1] > 0) & np.isfinite(sv).all(axis=1)),
+                               "NT scaling failed: degenerate NT scaling")
+            blk.set_scaling(Lx @ (Vt.mT / np.sqrt(sv)[:, None, :]), sv)
 
         # an NT scaling that overflows shows up here; it is reported below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -369,55 +629,75 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 M += M_b
                 g_vec += g_b
                 q_cc += q_b
-        if not (np.all(np.isfinite(M)) and np.all(np.isfinite(g_vec)) and np.isfinite(q_cc)):
-            status, message = "NumericalFailure", "Schur complement not finite"
-            break
-        factor = None
-        ridge = 0.0
-        for _ in range(3):
-            try:
-                factor = cho_factor(M if ridge == 0 else M + ridge * np.eye(d), lower=True)
-                break
-            except np.linalg.LinAlgError:
-                ridge = max(ridge * 100.0, 1e-14 * max(1.0, float(np.trace(M)) / d))
-        if factor is None:
-            status, message = "NumericalFailure", "Schur complement not positive definite"
-            break
-        u_dir = cho_solve(factor, g_vec + b_vec)
+        if not (np.isfinite(M).all() and np.isfinite(g_vec).all() and np.isfinite(q_cc).all()):
+            finite = (np.isfinite(M).all(axis=(1, 2)) & np.isfinite(g_vec).all(axis=1)
+                      & np.isfinite(q_cc))
+            return _broken(~finite, "Schur complement not finite")
+        factors, failed = [], {}
+        for i, Mi in enumerate(M):
+            factor, ridge = None, 0.0
+            for _ in range(3):
+                try:
+                    factor = cho_factor(Mi if ridge == 0 else Mi + ridge * np.eye(d), lower=True)
+                    break
+                except np.linalg.LinAlgError:
+                    ridge = max(ridge * 100.0, 1e-14 * max(1.0, float(np.trace(Mi)) / d))
+            if factor is None:
+                failed[i] = "Schur complement not positive definite"
+            factors.append(factor)
+        if failed:
+            return failed
+
+        def cho_solve_each(rhs):
+            out = np.empty((B, d))
+            for f, r, o in zip(factors, rhs, out):
+                o[...] = cho_solve(f, r)
+            return out
+
+        # the scaled dual residuals, G' Rd G, of both Newton solves
+        GRG = [blk.G.mT @ R @ blk.G for blk, R in zip(blocks, Rd)]
+        u_dir = cho_solve_each(g_vec + b_vec)
         # equals (q_cc - g'M^-1 g) + b'M^-1 b, nonnegative in exact arithmetic;
         # clamp away the cancellation noise that appears at convergence
-        denom_const = max(q_cc - float((g_vec - b_vec) @ u_dir), 0.0)
+        denom_const = np.maximum(q_cc - np.vecdot(g_vec - b_vec, u_dir), 0.0)
+        # the same for both Newton solves, so only the predictor can break down
+        denominator = kappa + tau * denom_const
+        broken = (denominator <= 0) | ~np.isfinite(denominator)
+        if broken.any():
+            return _broken(broken, "singular reduced system (predictor)")
 
         def newton(eta, sigma_mu, corr_blocks, r_tk):
-            """One Newton solve of the reduced system; None on breakdown."""
+            """One Newton solve of the reduced systems."""
             Qhats = []
-            anorm = np.zeros(d)
-            cdot = 0.0
+            anorm = np.zeros((B, d))
+            cdot = np.zeros(B)
+            eta3 = eta[:, None, None]
+            if sigma_mu is not None:
+                # a zero sigma_mu is not added, which leaves -0.0 off the diagonal
+                shift3, unshifted = sigma_mu[:, None, None], (sigma_mu == 0)[:, None, None]
             for bi, blk in enumerate(blocks):
-                lam = blk.lam
-                Rhat = -np.diag(lam ** 2)
-                if sigma_mu:
-                    Rhat = Rhat + sigma_mu * np.eye(blk.size)
+                Rhat = -(blk.lam ** 2)[:, :, None] * blk.eye
+                if sigma_mu is not None:
+                    shifted = Rhat + shift3 * blk.eye
+                    Rhat = np.where(unshifted, Rhat, shifted) if unshifted.any() else shifted
                 if corr_blocks is not None:
                     Rhat = Rhat - corr_blocks[bi]
-                Qhat = Rhat / ((lam[:, None] + lam[None, :]) / 2.0)
+                Qhat = Rhat / blk.lam_avg
                 Qhats.append(Qhat)
-                a_b, c_b = blk.pull_back(Qhat + eta * (blk.G.T @ Rd[bi] @ blk.G))
+                a_b, c_b = blk.pull_back(Qhat + eta3 * GRG[bi])
                 anorm += a_b
                 cdot += c_b
-            v_dir = cho_solve(factor, -eta * Rp - anorm)
-            denominator = kappa + tau * denom_const
-            if denominator <= 0 or not np.isfinite(denominator):
-                return None
-            dtau = (r_tk - tau * (-eta * Rg - cdot - float((g_vec - b_vec) @ v_dir))) / denominator
-            dy = v_dir + u_dir * dtau
+            v_dir = cho_solve_each(-eta[:, None] * Rp - anorm)
+            dtau = (r_tk - tau * (-eta * Rg - cdot - np.vecdot(g_vec - b_vec, v_dir))) / denominator
+            dy = v_dir + u_dir * dtau[:, None]
             dkappa = (r_tk - kappa * dtau) / tau
             dS, dX, dXh, dSh = [], [], [], []
+            dtau3 = dtau[:, None, None]
             for bi, blk in enumerate(blocks):
-                dSb = _sym(-eta * Rd[bi] - blk.lmi.linear(dy) + blk.C * dtau)
-                dSh_b = _sym(blk.G.T @ dSb @ blk.G)
+                dSb = _sym(-eta3 * Rd[bi] - blk.lmi.linear(dy) + blk.C * dtau3)
+                dSh_b = _sym(blk.G.mT @ dSb @ blk.G)
                 dXh_b = _sym(Qhats[bi] - dSh_b)
-                dXb = _sym(blk.G @ dXh_b @ blk.G.T)
+                dXb = _sym(blk.G @ dXh_b @ blk.G.mT)
                 dS.append(dSb)
                 dX.append(dXb)
                 dXh.append(dXh_b)
@@ -425,83 +705,76 @@ def solve(problem: SdpProblem) -> SdpSolution:
             return dy, dS, dX, dXh, dSh, dtau, dkappa
 
         def max_step(dXh, dSh, dtau, dkappa):
-            amax = np.inf
+            # -1/w for the most negative eigenvalue w is the smallest -1/w of
+            # all, because rounding keeps 1/w monotone
+            w = np.zeros(B)
             for bi, blk in enumerate(blocks):
                 lam_h = 1.0 / np.sqrt(blk.lam)
+                lam_c, lam_r = lam_h[:, :, None], lam_h[:, None, :]
                 for D in (dXh[bi], dSh[bi]):
-                    w = float(np.linalg.eigvalsh(lam_h[:, None] * D * lam_h[None, :])[0])
-                    if w < 0:
-                        amax = min(amax, -1.0 / w)
-            if dtau < 0:
-                amax = min(amax, -tau / dtau)
-            if dkappa < 0:
-                amax = min(amax, -kappa / dkappa)
-            return amax
+                    w = np.minimum(w, _eigvalsh(lam_c * D * lam_r)[:, 0])
+            # the step at which 1 + a w, tau + a dtau or kappa + a dkappa reaches 0
+            v, dv = np.array([np.ones(B), tau, kappa]), np.array([w, dtau, dkappa])
+            down = dv < 0
+            return np.where(down, -v / np.where(down, dv, -1.0), np.inf).min(axis=0)
 
-        aff = newton(1.0, 0.0, None, -tau * kappa)
-        if aff is None:
-            status, message = "NumericalFailure", "singular reduced system (predictor)"
-            break
-        _, dS_a, dX_a, dXh_a, dSh_a, dtau_a, dkap_a = aff
-        a_aff = min(1.0, max_step(dXh_a, dSh_a, dtau_a, dkap_a))
-        ip = sum(float(np.sum((blk.X + a_aff * dX_a[bi]) * (blk.S + a_aff * dS_a[bi])))
+        _, dS_a, dX_a, dXh_a, dSh_a, dtau_a, dkap_a = newton(np.ones(B), None, None, -tau * kappa)
+        a_aff = np.minimum(1.0, max_step(dXh_a, dSh_a, dtau_a, dkap_a))
+        a3 = a_aff[:, None, None]
+        ip = sum(((blk.X + a3 * dX_a[bi]) * (blk.S + a3 * dS_a[bi])).sum(axis=(1, 2))
                  for bi, blk in enumerate(blocks))
-        mu_aff = (ip + (tau + a_aff * dtau_a) * (kappa + a_aff * dkap_a)) / (nu + 1)
-        sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
+        mu_aff = (ip + (tau + a_aff * dtau_a) * (kappa + a_aff * dkap_a)) / (self.nu + 1)
+        # Python's float power: numpy's vectorized power may round an element
+        # differently depending on where it sits in the array
+        sigma = np.array([min(1.0, max(0.0, r)) ** 3 for r in (mu_aff / mu).tolist()])
 
         corr = [_sym(dXh_a[bi] @ dSh_a[bi]) for bi in range(len(blocks))]
         r_tk = sigma * mu - tau * kappa - dtau_a * dkap_a
-        comb = newton(1.0 - sigma, sigma * mu, corr, r_tk)
-        if comb is None:
-            status, message = "NumericalFailure", "singular reduced system (corrector)"
-            break
-        dy_c, dS_c, dX_c, dXh_c, dSh_c, dtau_c, dkap_c = comb
-        alpha = min(1.0, STEP_FRACTION * max_step(dXh_c, dSh_c, dtau_c, dkap_c))
-        if alpha < 1e-13 or not np.isfinite(alpha):
-            status, message = "NumericalFailure", "step length collapsed"
-            break
+        dy_c, dS_c, dX_c, dXh_c, dSh_c, dtau_c, dkap_c = newton(1.0 - sigma, sigma * mu, corr, r_tk)
+        alpha = np.minimum(1.0, STEP_FRACTION * max_step(dXh_c, dSh_c, dtau_c, dkap_c))
+        collapsed = (alpha < 1e-13) | ~np.isfinite(alpha)
+        if collapsed.any():
+            return _broken(collapsed, "step length collapsed")
 
-        y = y + alpha * dy_c
-        tau += alpha * dtau_c
-        kappa += alpha * dkap_c
+        tau = tau + alpha * dtau_c
+        kappa = kappa + alpha * dkap_c
+        left = ~(np.isfinite(tau) & (tau > 0) & np.isfinite(kappa) & (kappa > 0))
+        if left.any():
+            return _broken(left, "tau/kappa left the cone")
+        self.y = self.y + alpha[:, None] * dy_c
+        self.tau, self.kappa = tau, kappa
+        a3 = alpha[:, None, None]
         for bi, blk in enumerate(blocks):
-            blk.X = _sym(blk.X + alpha * dX_c[bi])
-            blk.S = _sym(blk.S + alpha * dS_c[bi])
-        if not (np.isfinite(tau) and tau > 0 and np.isfinite(kappa) and kappa > 0):
-            status, message = "NumericalFailure", "tau/kappa left the cone"
-            break
-        history.append((mu, resid[0], resid[1], alpha))
-
-    if status == "IterLimit":
-        message = f"no convergence in {MAX_ITERS} iterations"
-    if (status in ("IterLimit", "NumericalFailure")
-            and np.isfinite(obj_max_seen) and obj_max_seen >= 0.5 * OBJECTIVE_BOX):
-        message += ("; objective reached the internal OBJECTIVE_BOX cap "
-                    "(problem unbounded above?)")
-    objective = obj_best if status != "Infeasible" else float("nan")
-    return SdpSolution(status, x_best, Z_best, objective, *resid_best, iters_done, message,
-                       history, relaxed)
+            blk.X = _sym(blk.X + a3 * dX_c[bi])
+            blk.S = _sym(blk.S + a3 * dS_c[bi])
+        for run, m, a in zip(self.runs, mu.tolist(), alpha.tolist()):
+            run.history.append((m, run.resid[0], run.resid[1], a))
+        return {}
 
 
-def _ray_certificate(user_blocks, blocks, beta):
-    """The current iterate as a candidate improving ray: (Z, eta), Z None if unfit.
+def _broken(mask: np.ndarray, message: str) -> dict:
+    """{position: message} for the problems of a group where ``mask`` holds."""
+    return dict.fromkeys(np.flatnonzero(mask).tolist(), message)
 
-    The candidate ray is normalized to unit total trace, then checked on the
+
+def _ray_certificate(user, blocks, beta):
+    """The current iterates as candidate improving rays: (Z per block, eta,
+    fit), the last two per problem, eta = inf where there is no candidate.
+
+    A candidate ray is normalized to unit total trace, then checked on the
     original data:  eta = max_k |sum_b <F_k, Z_b>|  must be below a fixed
-    fraction of  phi = sum_b <F0_b, Z_b> >= 1e-10, and the caller accepts it
-    when eta is also below its tolerance times max(1, |c|_inf).  Such a
-    certificate proves there is no feasible point with |x|_1 < phi/eta, so
-    the ratio guard (1e-5) rules out false positives for any problem whose
+    fraction of  phi = sum_b <F0_b, Z_b> >= 1e-10 (``fit``), and the caller
+    accepts it when eta is also below its tolerance times max(1, |c|_inf).
+    Such a certificate proves there is no feasible point with |x|_1 < phi/eta,
+    so the ratio guard (1e-5) rules out false positives for any problem whose
     feasible set lives at sane magnitudes.
     """
-    Zs = [b * blk.X for blk, b in zip(blocks, beta)]
-    total = sum(float(np.trace(Z)) for Z in Zs)
-    if not np.isfinite(total) or total <= 0:
-        return None, np.inf
-    Zs = [Z / total for Z in Zs]
-    phi = sum(float(np.sum(ub.F0 * Z)) for ub, Z in zip(user_blocks, Zs))
-    if not np.isfinite(phi) or phi < 1e-10:
-        return None, np.inf
-    Ag = sum(ub.adjoint(Z) for ub, Z in zip(user_blocks, Zs))
-    eta = float(np.max(np.abs(Ag), initial=0.0))
-    return (Zs if eta <= 1e-5 * phi else None), eta
+    Zs = [b[:, None, None] * blk.X for blk, b in zip(blocks, beta.T)]
+    total = sum(np.trace(Z, axis1=1, axis2=2) for Z in Zs)
+    ok = np.isfinite(total) & (total > 0)
+    Zs = [Z / np.where(ok, total, 1.0)[:, None, None] for Z in Zs]
+    phi = sum((ub.F0 * Z).sum(axis=(1, 2)) for ub, Z in zip(user, Zs))
+    ok &= np.isfinite(phi) & (phi >= 1e-10)
+    Ag = sum(ub.adjoint(Z) for ub, Z in zip(user, Zs))
+    eta = np.where(ok, np.abs(Ag).max(axis=1, initial=0.0), np.inf)
+    return Zs, eta, ok & (eta <= 1e-5 * phi)

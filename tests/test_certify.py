@@ -85,12 +85,13 @@ class TestSynthesisGrid:
         # repeated: its certificate comes from the solve's relaxed solution
         statuses = []
 
-        def counting_solve(problem):
-            sol = sdp.solve(problem)
-            statuses.append(sol.status)
-            return sol
+        def counting_solve_many(problems):
+            sols = sdp.solve_many(problems)
+            statuses.extend(sol.status for sol in sols)
+            return sols
 
-        monkeypatch.setattr("qbstab.certify.solve", counting_solve)
+        monkeypatch.setattr("qbstab.certify.solve_many", counting_solve_many)
+        monkeypatch.setattr("qbstab.certify.solve", None)
         sweep = sweep_epsilon(three_state_qb(), THREE_STATE_GRID, None, "synthesis")
         assert len(statuses) == len(THREE_STATE_GRID)
         for entry, status in zip(sweep.entries, statuses):
@@ -188,6 +189,7 @@ class TestOptimizeEpsilon:
     def test_rel_tol_validation(self, monkeypatch, rel_tol):
         # rejected before any solve: rel_tol <= 0 would never end the refinement
         monkeypatch.setattr("qbstab.certify.solve", None)
+        monkeypatch.setattr("qbstab.certify.solve_many", None)
         with pytest.raises(ValueError, match="rel_tol"):
             optimize_epsilon(SCALAR, (0.1, 2.0), rel_tol=rel_tol)
 
@@ -344,6 +346,17 @@ class TestSerialization:
         prob = assemble(two_state(), again.epsilon, again.alpha, "analysis")
         rep = check_block_feasibility(prob, prob.layout.pack(again.P), 1e-7)
         assert rep.feasible
+
+    def test_analysis_certificate_takes_no_gain(self):
+        # K P != Y here, and an analysis audit would never apply K
+        P = 0.1 * np.eye(2)
+        with pytest.raises(DimensionError, match="analysis certificate takes no Y or K"):
+            Certificate(mode="analysis", P=P, epsilon=0.4, alpha=0.0,
+                        Y=np.array([[1e6, 0.0]]), K=np.array([[3.0, 4.0]]))
+        doc = serialize_certificate(Certificate(mode="analysis", P=P, epsilon=0.4, alpha=0.0))
+        doc.update(m=1, Y=[[1e6, 0.0]], K=[[3.0, 4.0]])
+        with pytest.raises(SchemaError, match="takes no Y or K"):
+            deserialize_certificate(doc)
 
     def test_schema_guard(self):
         with pytest.raises(SchemaError):

@@ -274,6 +274,8 @@ class TestVerifyCommand:
         ("m", "x"),
         ("m", True),
         ("m", 5),
+        # an analysis certificate with a Y and a K that no audit applies
+        ("mode", "analysis"),
     ])
     def test_malformed_certificate_is_input_error(self, tmp_path, capsys, field, value):
         sys_path, cert_path = tmp_path / "scalar_qb.json", tmp_path / "cert.json"
@@ -498,6 +500,7 @@ class TestArgumentHandling:
     def test_bad_values_are_input_errors(self, tmp_path, capsys, monkeypatch, argv):
         # input checks come before any solve
         monkeypatch.setattr("qbstab.certify.solve", None)
+        monkeypatch.setattr("qbstab.certify.solve_many", None)
         save_certificate(Certificate(mode="analysis", P=np.eye(2), epsilon=0.4, alpha=0.0),
                          tmp_path / "cert.json")
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,19 @@ def test_package_imports_resolve():
              if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert "QBSystem" in names
     assert [n for n in names if not hasattr(qbstab, n)] == []
+
+
+# the functions perfbench's tracing (perfbench/run.py, ``--trace 1``) wraps by
+# name in the module that calls them; a rename must not break it silently
+TRACED = [("certify", "max_trace"), ("certify", "assemble"), ("certify", "solve"),
+          ("cli", "load_certificate"), ("cli", "sample_check"), ("cli", "convergence_check"),
+          ("verify", "close_loop")]
+
+
+def test_traced_names_exist():
+    run_py = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    patched = re.findall(r'tracer\.patch\((\w+), "(\w+)"', run_py.read_text(encoding="utf-8"))
+    assert sorted(patched) == sorted(TRACED)
+    missing = [f"{mod}.{name}" for mod, name in TRACED
+               if not callable(getattr(importlib.import_module(f"qbstab.{mod}"), name, None))]
+    assert missing == []

@@ -392,11 +392,16 @@ def dense_system(n, seed=0):
     return QBSystem(A=A, H=symmetrize_quadratic(0.2 * rng.standard_normal((n, n * n)) / n, n))
 
 
+def stacked_block(lmi):
+    """The solver's block for a lockstep group of one problem with block ``lmi``."""
+    return sdp._Block(lmi.F0[None], lmi.rows, lmi.vals[None])
+
+
 class TestSchurForms:
     def test_form_follows_size_and_sparsity(self):
         def gram(sys_obj):
             prob = assemble(sys_obj, 0.3, 1e-6, "analysis")
-            return [sdp._Block(blk).U is not None for blk in prob.blocks]
+            return [stacked_block(blk).U is not None for blk in prob.blocks]
 
         assert gram(two_state()) == [True, True]  # small: Gram form
         # main block above GRAM_MAX but a quarter full: Gram; sparse floor block: W
@@ -404,19 +409,22 @@ class TestSchurForms:
         assert gram(stack(two_state(), 10)) == [False, False]  # large and sparse: W
 
     def test_gram_block_keeps_no_dense_stack(self):
-        # U has d s(s+1)/2 entries; a dense copy of F would add d s^2 more
+        # U has d s(s+1)/2 entries; a dense copy of F would add d s^2 more.
+        # The block also keeps an index of the nonzeros of F (three words per
+        # nonzero) for ``linear`` and ``adjoint`` over its lockstep group,
+        # which is counted apart
         lmi = assemble(dense_system(15), 0.3, 1e-6, "analysis").blocks[0]
         d, s = lmi.d, lmi.size
         G = np.linalg.qr(np.random.default_rng(5).standard_normal((s, s)))[0]
         tracemalloc.start()
         try:
-            blk = sdp._Block(lmi)
-            blk.set_scaling(G, np.ones(s))
+            blk = stacked_block(lmi)
+            blk.set_scaling(G[None], np.ones((1, s)))
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert blk.U is not None
-        assert retained < d * s * s * 8
+        assert retained - sum(a.nbytes for a in blk.lmi.nnz) < d * s * s * 8
 
     @pytest.mark.parametrize("sys_obj", [stack(two_state(), 5), dense_system(6)],
                              ids=["stacked", "dense"])
@@ -431,11 +439,164 @@ class TestSchurForms:
             monkeypatch.setattr(sdp, "W_MIN_SPARSITY", 0)
             for gram_max in (np.inf, 0):
                 monkeypatch.setattr(sdp, "GRAM_MAX", gram_max)
-                blk = sdp._Block(lmi)
-                blk.set_scaling(G, np.ones(s))
-                out.append((*blk.schur(), *blk.pull_back(R)))
+                blk = stacked_block(lmi)
+                blk.set_scaling(G[None], np.ones((1, s)))
+                out.append([a[0] for a in (*blk.schur(), *blk.pull_back(R[None]))])
                 forms.append("gram" if blk.U is not None else "W")
             assert forms == ["gram", "W"]
             for gram_side, w_side in zip(*out):
                 np.testing.assert_allclose(w_side, gram_side, rtol=1e-12,
                                            atol=1e-12 * np.max(np.abs(gram_side)))
+
+
+def assert_same_solution(a, b):
+    """Bitwise equality of two SdpSolutions, their relaxed results included."""
+    assert (a is None) == (b is None)
+    if a is None:
+        return
+    assert (a.status, a.iters, a.message, a.history) == (b.status, b.iters, b.message, b.history)
+    assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
+    assert ((a.primal_residual, a.dual_residual, a.duality_gap)
+            == (b.primal_residual, b.dual_residual, b.duality_gap))
+    assert np.asarray(a.x).tobytes() == np.asarray(b.x).tobytes()
+    assert [np.asarray(Z).tobytes() for Z in a.Z] == [np.asarray(Z).tobytes() for Z in b.Z]
+    assert_same_solution(a.relaxed, b.relaxed)
+
+
+def two_state_problems(eps=(0.1, 0.3, 0.5, 1.0)):
+    s = two_state()
+    return [assemble(s, e, default_alpha(s), "analysis") for e in eps]
+
+
+def lockstep_sets():
+    # two-state: Optimal points and one Infeasible (eps = 1), also stacked ten
+    # times, where both blocks take the W form; three-state synthesis: Optimal
+    # points and eps = 1.483, which ends NumericalFailure with a relaxed
+    # Optimal; shear flow: Optimal points, the two stalled points and
+    # Infeasible points
+    s3, s10 = three_state_qb(), stack(two_state(), 10)
+    sets = [("two-state", two_state_problems()),
+            ("stacked", [assemble(s10, e, default_alpha(s10), "analysis") for e in (0.3, 1.0)]),
+            ("three-state", [assemble(s3, e, default_alpha(s3), "synthesis")
+                             for e in np.linspace(0.01, 14.0, 20)[:4]])]
+    if shear_flow_data_available():
+        sets.append(("shear", [shear_problem(e) for e in SHEAR_SCAN[[2, 5, 6, 7, 8, 12]]]))
+    return sets
+
+
+class TestSolveMany:
+    @pytest.mark.parametrize("name, problems", lockstep_sets(),
+                             ids=[name for name, _ in lockstep_sets()])
+    def test_each_solution_is_its_own_solve(self, name, problems):
+        alone = [sdp.solve_many([p])[0] for p in problems]
+        statuses = {sol.status for sol in alone}
+        assert len(statuses) >= 2
+        for order in (range(len(problems)), range(len(problems))[::-1]):
+            for sol, i in zip(sdp.solve_many([problems[i] for i in order]), order):
+                assert_same_solution(sol, alone[i])
+        if name == "three-state":
+            assert alone[2].status == "NumericalFailure" and alone[2].relaxed is not None
+        if name == "shear":
+            assert [sol.message.startswith("stalled") for sol in alone[2:4]] == [True, True]
+            assert {sol.status for sol in alone[4:]} == {"Infeasible"}
+
+    def test_solve_is_the_single_problem_case(self):
+        p = two_state_problems()[1]
+        assert_same_solution(solve(p), sdp.solve_many([p])[0])
+        assert sdp.solve_many([]) == []
+
+    def test_shapes_must_agree(self):
+        two, three = two_state(), three_state_qb()
+        with pytest.raises(ValueError, match="one shape"):
+            sdp.solve_many([assemble(two, 0.3, 0.0, "analysis"),
+                            assemble(three, 0.3, 0.0, "analysis")])
+        # same d and block sizes, another sparsity pattern
+        diagonal = QBSystem(A=-np.eye(3), H=np.zeros((3, 9)))
+        a, b = assemble(three, 0.3, 0.0, "analysis"), assemble(diagonal, 0.3, 0.0, "analysis")
+        assert [x.size for x in a.blocks] == [x.size for x in b.blocks] and a.d == b.d
+        assert not all(np.array_equal(x.rows, y.rows) for x, y in zip(a.blocks, b.blocks))
+        with pytest.raises(ValueError, match="one shape"):
+            sdp.solve_many([a, b])
+
+    def test_groups_follow_the_byte_budget(self, monkeypatch):
+        problems = two_state_problems()
+        alone = [solve(p) for p in problems]
+        sizes = []
+        group = sdp._Group
+
+        def recording(members):
+            sizes.append(len(members))
+            return group(members)
+
+        monkeypatch.setattr(sdp, "_Group", recording)
+        monkeypatch.setattr(sdp, "GROUP_BYTES", 1)
+        for sol, ref in zip(sdp.solve_many(problems), alone):
+            assert_same_solution(sol, ref)
+        assert sizes == [1, 1, 1, 1]
+        sizes.clear()
+        monkeypatch.setattr(sdp, "GROUP_BYTES", 1 << 26)
+        sdp.solve_many(problems)
+        assert sizes == [4]
+
+
+class TestFailureIsolation:
+    """A breakdown in one problem of a lockstep group ends that problem alone."""
+
+    def recorded_input(self, fn_name, owner, problem, call):
+        """The argument of the ``call``-th call of owner.fn_name in a solve of ``problem``."""
+        seen = []
+        real = getattr(owner, fn_name)
+
+        def recording(a, *args, **kwargs):
+            seen.append(np.array(a, copy=True))
+            return real(a, *args, **kwargs)
+
+        setattr(owner, fn_name, recording)
+        try:
+            solve(problem)
+        finally:
+            setattr(owner, fn_name, real)
+        return seen[call - 1]
+
+    def test_schur_factorization_fails_for_one_problem(self, monkeypatch):
+        problems = two_state_problems((0.1, 0.2, 0.3, 0.4))
+        reference = [solve(p) for p in problems]
+        # the Schur complement of problem 1 at iteration 3
+        target = self.recorded_input("cho_factor", sdp, problems[1], 3)
+        real = sdp.cho_factor
+
+        def failing(a, *args, **kwargs):
+            if np.allclose(a, target, rtol=1e-9, atol=0.0):  # with or without a ridge
+                raise np.linalg.LinAlgError("not positive definite")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(sdp, "cho_factor", failing)
+        alone = solve(problems[1])
+        assert alone.status == "NumericalFailure" and alone.iters == 3
+        assert alone.message == "Schur complement not positive definite"
+        sols = sdp.solve_many(problems)
+        assert_same_solution(sols[1], alone)
+        for i in (0, 2, 3):
+            assert_same_solution(sols[i], reference[i])
+
+    def test_nt_cholesky_fails_for_one_slice(self, monkeypatch):
+        problems = two_state_problems((0.1, 0.2, 0.3, 0.4))
+        reference = [solve(p) for p in problems]
+        # X of the main block of problem 2 at iteration 4: two factors per
+        # block and three blocks per iteration
+        target = self.recorded_input("cholesky", np.linalg, problems[2], 3 * 6 + 1)[0]
+        real = np.linalg.cholesky
+
+        def failing(A):
+            if any(np.array_equal(Ai, target) for Ai in A.reshape(-1, *A.shape[-2:])):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return real(A)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        alone = solve(problems[2])
+        assert alone.status == "NumericalFailure" and alone.iters == 4
+        assert alone.message == "NT scaling failed: Matrix is not positive definite"
+        sols = sdp.solve_many(problems)
+        assert_same_solution(sols[2], alone)
+        for i in (0, 1, 3):
+            assert_same_solution(sols[i], reference[i])
