@@ -30,6 +30,7 @@ from .certify import (
     Infeasible,
     SolverFailure,
     UnionRegion,
+    _union_rule,
     ellipsoid_volume,
     load_certificate,
     max_trace,
@@ -191,23 +192,28 @@ def _write_geometry(path: Path, cert: Certificate) -> None:
 
 def _union_payload(certs: list[Certificate], samples: int, seed: int) -> dict:
     region = UnionRegion(members=tuple(Ellipsoid(P=c.P) for c in certs))
-    estimate, stderr = union_volume(region, samples, seed)
+    estimate, error = union_volume(region, samples, seed)
+    method, shape = _union_rule(region.n, samples)
     largest = max(ellipsoid_volume(e) for e in region.members)
     payload = {
         "members": len(certs),
         "samples": samples,
         "seed": seed,
+        "method": method,
+        "directions": math.prod(shape),
         "volume_estimate": estimate,
-        "standard_error": stderr,
+        "standard_error": error,
         "largest_member_volume": largest,
     }
-    # the union contains every member, so an estimate 3 standard errors
-    # below the largest exact member volume means the box drew too few hits
-    if estimate + 3.0 * stderr < largest:
+    # the union contains every member, so an estimate 3 errors below the
+    # largest exact member volume means the directions missed where the
+    # union reaches farthest
+    if estimate + 3.0 * error < largest:
         payload["warning"] = (
-            f"union volume estimate {estimate:.6g} +- {stderr:.2g} is below the largest "
-            f"member's exact volume {largest:.6g}: the bounding box in n = {region.n} "
-            "holds too few Monte Carlo hits for the estimate to be usable")
+            f"union volume estimate {estimate:.6g} +- {error:.2g} is below the largest "
+            f"member's exact volume {largest:.6g}: {payload['directions']} directions in "
+            f"n = {region.n} miss where the union reaches farthest, so the estimate "
+            "is not usable")
         print(json.dumps({"warning": "union_undersampled", "message": payload["warning"]}),
               file=sys.stderr)
     return payload
@@ -459,6 +465,10 @@ def _add_common(p: argparse.ArgumentParser, need_eps: bool = True) -> None:
                        help="decay margin; 'auto' = 1e-6 |A|_F (default)")
 
 
+UNION_SAMPLES_HELP = ("grid union volume (at least 1e4): random directions for n >= 4; "
+                      "for n <= 3, a midpoint grid of about 16 samples^((n-1)/n) directions")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qbstab",
                      description="Ellipsoidal stability certification for quadratic-bilinear systems")
@@ -468,13 +478,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="region-of-attraction certification (m may be 0)")
     _add_common(p)
     p.add_argument("--rel-tol", type=_positive, default=1e-3, help="search refinement tolerance")
-    p.add_argument("--union-samples", type=int, default=1_000_000)
+    p.add_argument("--union-samples", type=int, default=1_000_000, help=UNION_SAMPLES_HELP)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("synthesize", help="stabilizing gain synthesis (m >= 1)")
     _add_common(p)
     p.add_argument("--rel-tol", type=_positive, default=1e-3)
-    p.add_argument("--union-samples", type=int, default=1_000_000)
+    p.add_argument("--union-samples", type=int, default=1_000_000, help=UNION_SAMPLES_HELP)
     p.set_defaults(fn=_cmd_synthesize)
 
     p = sub.add_parser("verify", help="audit a certificate by sampling and simulation")

@@ -215,10 +215,6 @@ class TestEllipsoid:
         with pytest.raises(NotPositiveDefiniteError):
             Ellipsoid(P=np.diag([1.0, -0.5]))
 
-    def test_bounding_halfwidths(self):
-        e = Ellipsoid(P=np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(e.bounding_halfwidths(), [2.0, 3.0])
-
 
 class TestUnionVolume:
     def test_single_member_matches_area(self):
@@ -249,6 +245,45 @@ class TestUnionVolume:
         with pytest.raises(DimensionError):
             UnionRegion(members=(Ellipsoid(P=np.eye(2)), Ellipsoid(P=np.eye(3))))
 
+    @pytest.mark.parametrize("c, n", [(1e-3, 120), (100.0, 200), (1.0, 400)])
+    def test_high_dimension_ball(self, c, n):
+        # every direction of a ball has rho^n = c^(n/2), formed in log space
+        e = Ellipsoid(P=c * np.eye(n))
+        est, err = union_volume(UnionRegion(members=(e,)), 10_000, seed=0)
+        assert est == pytest.approx(ellipsoid_volume(e), rel=1e-12)
+        assert abs(est - ellipsoid_volume(e)) <= 3 * err
+
+    def test_ball_holds_a_nested_member(self):
+        ball = Ellipsoid(P=2.0 * np.eye(20))
+        inner = Ellipsoid(P=np.diag(np.linspace(0.5, 1.9, 20)))
+        est, err = union_volume(UnionRegion(members=(inner, ball)), 10_000, seed=3)
+        assert est == pytest.approx(ellipsoid_volume(ball), rel=1e-12)
+        assert abs(est - ellipsoid_volume(ball)) <= 3 * err
+
+    @pytest.mark.parametrize("P", [
+        [[4.0, 1.5], [1.5, 1.0]],
+        [[3.0, 0.4, -0.9], [0.4, 0.5, 0.1], [-0.9, 0.1, 1.2]],
+    ], ids=["n2", "n3"])
+    def test_single_ellipsoid_within_three_errors(self, P):
+        e = Ellipsoid(P=np.array(P))
+        est, err = union_volume(UnionRegion(members=(e,)), 10_000, seed=0)
+        assert abs(est - ellipsoid_volume(e)) <= 3 * err
+
+    @pytest.mark.parametrize("fixture, reference, box_se", [
+        # references: midpoint rules on 100,000 angles and on 1.28 million
+        # directions; box_se: the standard error of 1e6 uniform points in
+        # the members' joint bounding box
+        ("two_state_sweep", 15.98016141, 0.0125),
+        ("three_state_sweep", 19.932024, 0.031),
+    ])
+    def test_reproduction_union_within_three_errors(self, request, fixture, reference, box_se):
+        sweep = request.getfixturevalue(fixture)
+        region = UnionRegion(members=tuple(Ellipsoid(P=e.certificate.P)
+                                           for e in sweep.feasible_entries()))
+        est, err = union_volume(region, 1_000_000, seed=0)
+        assert abs(est - reference) <= 3 * err
+        assert err <= box_se
+
 
 def _random_region(n: int, members: int, seed: int) -> UnionRegion:
     """Overlapping SPD ellipsoids of varied size and shape around the origin."""
@@ -260,32 +295,7 @@ def _random_region(n: int, members: int, seed: int) -> UnionRegion:
     return UnionRegion(members=tuple(Ellipsoid(P=P) for P in Ps))
 
 
-def _einsum_union_volume(region: UnionRegion, samples: int, seed: int) -> float:
-    """Reference estimate: every member tested by its own einsum, 2**19-point draws."""
-    hw = np.max([e.bounding_halfwidths() for e in region.members], axis=0)
-    invs = [np.linalg.inv(e.P) for e in region.members]
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for start in range(0, samples, 1 << 19):
-        pts = rng.uniform(-hw, hw, size=(min(1 << 19, samples - start), region.n))
-        inside = np.zeros(pts.shape[0], dtype=bool)
-        for Pi in invs:
-            inside |= np.einsum("ki,ij,kj->k", pts, Pi, pts) <= 1.0
-        hits += int(inside.sum())
-    return float(np.prod(2.0 * hw)) * (hits / samples)
-
-
 class TestUnionVolumeKernel:
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_hits_equal_per_member_einsum(self, seed):
-        # 2**19 + 17 is a multiple of neither the reference's draw chunk nor
-        # union_volume's byte-sized chunks, so the split of the random stream
-        # and the ragged last chunks are both exercised
-        region = _random_region(3, 20, 11)
-        samples = (1 << 19) + 17
-        est, _ = union_volume(region, samples, seed)
-        assert est == _einsum_union_volume(region, samples, seed)
-
     @pytest.mark.parametrize("n, samples", [(3, 1 << 20), (40, 1 << 17)])
     def test_working_set_stays_chunked(self, n, samples):
         # an unchunked draw (n = 40) or an unchunked (samples x members)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qbstab.certify import Certificate, save_certificate
-from qbstab.cli import build_parser, main
+from qbstab.cli import _union_payload, build_parser, main
 from qbstab.systems import save_system, stack, system_to_dict
 from qbstab.verify import convergence_check
 from qbstab.models import scalar_family, shear_flow_data_available
@@ -59,9 +59,9 @@ class TestAnalyze:
         assert all(r[1] in ("0", "1") and (r[2] == "") == (r[1] == "0") for r in rows)
         assert (out / "union.json").exists()
 
-    def test_undersampled_union_warns(self, tmp_path, capsys):
-        # 20 stacked scalar copies: each ellipsoid fills ~1e-8 of its box,
-        # so 10,000 box samples hit nothing
+    def test_stacked_ball_union_is_exact(self, tmp_path, capsys):
+        # 20 stacked scalar copies certify balls, and every direction of a
+        # ball has the same radius
         sys_path = tmp_path / "stacked.json"
         save_system(stack(scalar_family(-1.0, 1.0), 20), sys_path)
         out = tmp_path / "high_n"
@@ -69,14 +69,40 @@ class TestAnalyze:
                    "--out", str(out), "--union-samples", "10000") == 0
         union = json.loads((out / "union.json").read_text())
         summary = json.loads((out / "summary.json").read_text())
-        assert union["volume_estimate"] == 0.0
-        assert union["largest_member_volume"] > 0.0
-        assert "n = 20" in union["warning"]
-        assert summary["warning"] == union["warning"]
+        assert union["method"] == "radial-monte-carlo" and union["directions"] == 10_000
+        assert union["volume_estimate"] == pytest.approx(union["largest_member_volume"],
+                                                         rel=1e-12)
+        assert "warning" not in union and "warning" not in summary
+        assert capsys.readouterr().err == ""
+
+    def test_undersampled_union_warns(self, capsys):
+        # a needle 100 times longer than the unit ball it joins: few of
+        # 10,000 random directions in n = 6 come near its axis
+        n = 6
+        needle = np.eye(n)
+        needle[0, 0] = 1e4
+        certs = [Certificate(mode="analysis", P=P, epsilon=0.5, alpha=0.0)
+                 for P in (needle, np.eye(n))]
+        union = _union_payload(certs, 10_000, 0)
+        assert union["volume_estimate"] + 3 * union["standard_error"] < \
+            union["largest_member_volume"]
+        assert "10000 directions in n = 6" in union["warning"]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0]) == {"warning": "union_undersampled",
                                       "message": union["warning"]}
+
+    def test_union_warning_reaches_summary(self, tmp_path, monkeypatch, capsys):
+        # an estimate that misses the members, as needles at n >= 4 can give
+        monkeypatch.setattr("qbstab.cli.union_volume", lambda region, samples, seed: (0.0, 0.0))
+        out = tmp_path / "low"
+        assert run("analyze", "--zoo", "two-state", "--eps", "grid:0.1:0.3:2",
+                   "--out", str(out), "--union-samples", "10000") == 0
+        union = json.loads((out / "union.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
+        assert "n = 2" in union["warning"]
+        assert summary["warning"] == union["warning"]
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_reproduction_grid_union_has_no_warning(self, tmp_path, capsys):
         out = tmp_path / "repro"

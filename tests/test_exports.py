@@ -1,9 +1,11 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qbstab
@@ -52,3 +54,32 @@ def test_traced_names_exist():
     missing = [f"{mod}.{name}" for mod, name in TRACED
                if not callable(getattr(importlib.import_module(f"qbstab.{mod}"), name, None))]
     assert missing == []
+
+
+def _resolves(module: str, name: str) -> bool:
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return True
+    return hasattr(mod, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None
+
+
+def test_benchmark_imports_exist():
+    # perfbench/workloads.py runs against the checkout it measures, so every
+    # qbstab name it imports must stay
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "qbstab"
+                for alias in node.names]
+    assert ("qbstab.certify", "union_volume") in imported
+    assert [f"{m}.{n}" for m, n in imported if not _resolves(m, n)] == []
+
+
+def test_union_volume_positional_call():
+    # workloads.py calls union_volume(region, samples, seed) positionally and
+    # perfbench/tracing.py reads the sample count as args[1]
+    from qbstab.certify import Ellipsoid, UnionRegion, union_volume
+
+    result = union_volume(UnionRegion(members=(Ellipsoid(P=np.eye(2)),)), 10_000, 0)
+    assert isinstance(result, tuple) and len(result) == 2
+    assert all(isinstance(v, float) for v in result)
