@@ -5,7 +5,11 @@ assembled LMI) or an ``Infeasible`` marker carrying the solver's
 improving-ray evidence.  Scalar search over eps treats the per-eps optimal
 trace as a derivative-free maximization: a coarse log-spaced pre-scan
 brackets the best value, then golden-section refinement assumes unimodality
-inside the bracket only.
+inside the bracket only.  Grids, the pre-scan and the refinement solve their
+problems in lockstep (``sdp.solve_many``); the refinement solves each probe
+together with the two probes that can follow it and keeps the one its
+comparison picks, so it probes the same eps points, in the same order and
+with the same results, as one solve at a time.
 """
 
 from __future__ import annotations
@@ -14,11 +18,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import DimensionError, NotPositiveDefiniteError, QBStabError, SchemaError
-from .lmi import (_spd_eigh, _spd_factor, _spd_sqrt, _svec_index, assemble, default_alpha,
-                  default_delta, svec)
+from .lmi import (_cho_solve, _spd_eigh, _spd_factor, _spd_sqrt, _svec_index, assemble,
+                  default_alpha, default_delta, svec)
 from .sdp import SdpSolution, solve, solve_many
 from .systems import QBSystem, _finite_array, _json_int, _read_json, _write_json
 
@@ -60,6 +63,12 @@ UNION_MIN_SAMPLES = 10_000
 UNION_CHUNK_BYTES = 1 << 20
 # log-spaced eps points of the ``optimize_epsilon`` pre-scan
 SCAN_POINTS = 16
+# smallest ``rel_tol`` of ``optimize_epsilon``: its bracket then stays thousands
+# of ulps wide, so every golden-section point lies strictly inside it and every
+# step shrinks it.  Near a width of one ulp it can stop shrinking, and the
+# refinement never ends (rel_tol = 1e-16 on the scalar family was still probing
+# after 400 points; 1e-12 ends after 74)
+REL_TOL_MIN = 1e-12
 # traces within TIE_REL of the best count as tied in ``SweepResult.best``
 TIE_REL = 1e-6
 
@@ -229,10 +238,14 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class EpsilonSearchResult:
-    """Outcome of the scalar line search over eps."""
+    """Outcome of the scalar line search over eps.
+
+    ``history`` holds the evaluations the search used; ``solves`` counts its
+    SDP solves, the look-ahead probes it discarded included."""
 
     best: Certificate | None
     history: tuple          # SweepEntry, in evaluation order
+    solves: int
 
     @property
     def feasible(self) -> bool:
@@ -251,7 +264,7 @@ def resolve_alpha(sys: QBSystem, alpha) -> float:
 
 def _gain_from(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Solve K P = Y through an SPD factorization of P."""
-    return cho_solve(_spd_factor(P), Y.T).T
+    return _cho_solve(_spd_factor(P), Y.T).T
 
 
 def max_trace(sys: QBSystem, eps: float, alpha, mode: str) -> Certificate | Infeasible:
@@ -306,10 +319,10 @@ def _certificate_from_solution(sys, problem, sol: SdpSolution, eps, alpha, mode,
                        solver_report=report)
 
 
-def _sweep_point(eps, outcome, *args) -> SweepEntry:
-    """The entry at eps of ``outcome(*args)``, ``max_trace`` or ``_outcome``."""
+def _sweep_point(sys, problem, sol: SdpSolution, eps, alpha, mode) -> SweepEntry:
+    """The entry at eps: what ``max_trace`` gives, from the solution of its problem."""
     try:
-        out = outcome(*args)
+        out = _outcome(sys, problem, sol, eps, alpha, mode)
     except SolverFailure as exc:
         return SweepEntry(epsilon=eps, certificate=None, status=f"failed: {exc}")
     if isinstance(out, Certificate):
@@ -320,7 +333,7 @@ def _sweep_point(eps, outcome, *args) -> SweepEntry:
 def _sweep_points(sys, grid, alpha, mode) -> list[SweepEntry]:
     """One trace maximization per eps of ``grid``, the problems solved in lockstep."""
     problems = [assemble(sys, e, alpha, mode) for e in grid]
-    return [_sweep_point(e, _outcome, sys, p, sol, e, alpha, mode)
+    return [_sweep_point(sys, p, sol, e, alpha, mode)
             for e, p, sol in zip(grid, problems, solve_many(problems))]
 
 
@@ -343,57 +356,78 @@ def sweep_epsilon(sys: QBSystem, grid, alpha, mode: str) -> SweepResult:
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _golden_move(a: float, b: float, x1: float, x2: float, left: bool) -> tuple:
+    """Golden section's bracket (a, b) and interior points (x1, x2) after
+    comparing f(x1) with f(x2): ``left`` (f(x1) < f(x2)) drops [a, x1) and
+    takes a new x2, else (x2, b] goes and a new x1 comes."""
+    if left:
+        a, x1 = x1, x2
+        return a, b, x1, a + _INV_PHI * (b - a)
+    b, x2 = x2, x1
+    return a, b, b - _INV_PHI * (b - a), x2
+
+
 def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: float = 1e-3,
                      alpha=None, mode: str = "analysis") -> EpsilonSearchResult:
     """Line search for the eps maximizing trace(P) over (lo, hi).
 
     A log-spaced pre-scan, solved in lockstep, locates the best grid point
     and its bracket; a golden-section search then refines eps inside the
-    bracket, where unimodality is assumed, one ``max_trace`` at a time.  The
+    bracket, where unimodality is assumed.  Its first two probes are solved
+    together.  After that, each probe is solved with the probes of both
+    moves that can follow it, while the bracket stays wide enough for one:
+    its comparison picks one of them, and the other is discarded.  So the
+    search probes the eps points, in the order and with the results, of one
+    ``max_trace`` at a time, with about half as many rounds of solves.  The
     returned certificate is the best over every evaluation, so the result is
     never worse than any sub-grid seen.
-    Raises ValueError unless rel_tol, the bracket width at which
-    refinement stops relative to its upper end, is finite and positive.
+    Raises ValueError unless rel_tol, the bracket width at which refinement
+    stops relative to its upper end, is finite and at least ``REL_TOL_MIN``.
     """
     lo, hi = float(eps_range[0]), float(eps_range[1])
     if not (0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
-    if not 0 < rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
+    if not REL_TOL_MIN <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and at least {REL_TOL_MIN:g}, got {rel_tol}")
     alpha = resolve_alpha(sys, alpha)
     scan = np.geomspace(lo, hi, SCAN_POINTS)
     history: list[SweepEntry] = _sweep_points(sys, list(scan), alpha, mode)
-
-    def probe(eps: float) -> SweepEntry:
-        entry = _sweep_point(eps, max_trace, sys, eps, alpha, mode)
-        history.append(entry)
-        return entry
 
     def value(entry: SweepEntry) -> float:
         return entry.trace_P if entry.feasible else -math.inf
 
     k = int(np.argmax([value(e) for e in history]))
     if not history[k].feasible:
-        return EpsilonSearchResult(best=None, history=tuple(history))
+        return EpsilonSearchResult(best=None, history=tuple(history), solves=len(history))
 
     a = scan[k - 1] if k > 0 else lo
     b = scan[k + 1] if k + 1 < len(scan) else hi
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
-    f1, f2 = value(probe(x1)), value(probe(x2))
+    history += _sweep_points(sys, [x1, x2], alpha, mode)
+    f1, f2 = value(history[-2]), value(history[-1])
+    solves = len(history)
+    ahead: dict = {}  # the entries of the moves that can follow, by ``left``
     while (b - a) > rel_tol * b:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = value(probe(x2))
+        left = f1 < f2
+        a, b, x1, x2 = _golden_move(a, b, x1, x2, left)
+        if left in ahead:
+            entry, ahead = ahead[left], {}
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = value(probe(x1))
+            follow = (True, False) if (b - a) > rel_tol * b else ()
+            moves = [_golden_move(a, b, x1, x2, nxt) for nxt in follow]
+            points = [x2 if left else x1] + [m[3] if nxt else m[2]
+                                             for nxt, m in zip(follow, moves)]
+            entry, *rest = _sweep_points(sys, points, alpha, mode)
+            solves += len(points)
+            ahead = dict(zip(follow, rest))
+        history.append(entry)
+        f1, f2 = (f2, value(entry)) if left else (value(entry), f1)
 
     feas = [e for e in history if e.feasible]
     best_entry = max(feas, key=lambda e: (e.trace_P, -e.epsilon))
-    return EpsilonSearchResult(best=best_entry.certificate, history=tuple(history))
+    return EpsilonSearchResult(best=best_entry.certificate, history=tuple(history),
+                               solves=solves)
 
 
 def ellipsoid_volume(e: Ellipsoid) -> float:
@@ -490,11 +524,13 @@ def _log_radial_mean(chunks, W: np.ndarray, n: int) -> tuple[float, float, int]:
     the chunks' means and squared deviations.
     """
     i, j, _ = _svec_index(n)
+    pairs = i * n + j
     parts = []
     for u in chunks:
-        # monomials by rows, so the product and its min run along rows
-        mono = u.T[i]
-        mono *= u.T[j]
+        # the monomials u_i u_j are entries of u u', formed once and taken by
+        # rows, so that the product and its min run along rows
+        uT = u.T
+        mono = (uT[:, None, :] * uT[None, :, :]).reshape(n * n, -1).take(pairs, axis=0)
         log_rho_n = -0.5 * n * np.log((W @ mono).min(axis=0))
         top = log_rho_n.max()
         v = np.exp(log_rho_n - top)
@@ -533,7 +569,9 @@ def union_volume(region: UnionRegion, samples: int, seed: int) -> tuple[float, f
     i, _, scale = _svec_index(n)
     # <svec(u u'), svec(Q)> = sum (u_i u_j) * (Q_ij scale^2): both scales go on Q
     W = np.stack([svec(np.linalg.inv(e.P)) * scale for e in region.members])
-    # directions per chunk: the directions, monomials, gather temporary, values
+    # directions per chunk: n + 2 i.size words cover the direction and its
+    # u u' (n^2 = 2 i.size - n entries), plus one value per member; the
+    # monomials taken from u u' come on top, at most half as many words again
     rows = max(1, UNION_CHUNK_BYTES // (8 * (n + 2 * i.size + W.shape[0])))
     log_ball = _log_ball_volume(n)
     method, shape = _union_rule(n, samples)

@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .certify import (
     FLOOR_FACTOR,
+    REL_TOL_MIN,
     UNION_MIN_SAMPLES,
     Certificate,
     Ellipsoid,
@@ -114,6 +115,7 @@ def _bounded(cast, low: float, strict: bool = False, word: str | None = None):
 
 
 _positive = _bounded(float, 0.0, strict=True)
+_rel_tol = _bounded(float, REL_TOL_MIN)
 
 
 def _load_target(args) -> tuple[QBSystem, str]:
@@ -267,6 +269,7 @@ def _run_certification(args, mode: str) -> int:
     elif kind == "search":
         result = optimize_epsilon(sys_obj, eps_spec, rel_tol=args.rel_tol, alpha=alpha, mode=mode)
         summary["evaluations"] = len(result.history)
+        summary["solves"] = result.solves
         summary["failed_points"] = _failed_points(result.history)
         best = result.best
     else:
@@ -477,13 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="region-of-attraction certification (m may be 0)")
     _add_common(p)
-    p.add_argument("--rel-tol", type=_positive, default=1e-3, help="search refinement tolerance")
+    p.add_argument("--rel-tol", type=_rel_tol, default=1e-3, help="search refinement tolerance")
     p.add_argument("--union-samples", type=int, default=1_000_000, help=UNION_SAMPLES_HELP)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("synthesize", help="stabilizing gain synthesis (m >= 1)")
     _add_common(p)
-    p.add_argument("--rel-tol", type=_positive, default=1e-3)
+    p.add_argument("--rel-tol", type=_rel_tol, default=1e-3)
     p.add_argument("--union-samples", type=int, default=1_000_000, help=UNION_SAMPLES_HELP)
     p.set_defaults(fn=_cmd_synthesize)
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DimensionError, NotPositiveDefiniteError
 from .systems import QBSystem
@@ -526,14 +526,38 @@ def _spd_eigh(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def _spd_factor(P: np.ndarray):
-    """``cho_factor`` (lower) of the symmetric part of P; raises unless P > 0.
+def _cho_factor(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``scipy.linalg.cho_factor(a, lower=True)`` without its wrapper: the
+    LAPACK call it makes, so the factor is bitwise scipy's, and the same
+    (c, lower) result and LinAlgError.  a is not checked for being finite."""
+    c, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return c, True
 
-    cho_factor raises ValueError on a non-finite P."""
+
+def _cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve(factor, b)`` without its wrapper, as ``_cho_factor``."""
+    x, info = dpotrs(factor[0], b, lower=int(factor[1]))
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
+def _spd_factor(P: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``_cho_factor`` of the symmetric part of P; raises unless P > 0.
+
+    A non-finite P is rejected before the factorization, which can factor a
+    NaN or an inf on the diagonal without an error."""
     P = np.asarray(P, dtype=float)
+    if not np.isfinite(P).all():
+        raise NotPositiveDefiniteError("P must be positive definite: it has non-finite entries")
     try:
-        return cho_factor((P + P.T) / 2.0, lower=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        return _cho_factor((P + P.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"P must be positive definite: {exc}") from exc
 
 

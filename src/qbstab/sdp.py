@@ -35,16 +35,20 @@ single-problem case.  It runs problems that share d, block sizes and row
 pattern (the points of an eps grid) in lockstep: every per-block kernel
 (Ruiz scaling, the NT Cholesky factors and SVD, the Gram rows and U U',
 ``linear``/``adjoint`` as one bincount, the eigenvalues of the step
-length) takes one call over the stacked (B, s, s) arrays, each slice
-rounding as it would alone, so every problem gets bitwise the iterates and
-the result of its own solve.  The d-by-d Schur factorization and its solves,
-and the W-form Schur shares, stay one problem at a time.  Each problem keeps
-its own termination tests, log, stall count and relaxed result, and leaves
-the stack when it terminates.  A breakdown in one problem (a failed
-factorization, a collapsed step) ends that problem alone: the step is then
-taken again without it.  Problems whose blocks take different Schur forms
-run in separate groups, and a group holds at most ``GROUP_BYTES`` of
-working arrays, so a large problem runs with few others or alone.
+length, one call for both directions) takes one call over the stacked
+(B, s, s) arrays, each slice rounding as it would alone, so every problem
+gets bitwise the iterates and the result of its own solve.  The d-by-d
+Schur factorization and its three solves per iteration, direct LAPACK
+calls (``lmi._cho_factor`` and ``_cho_solve``: scipy's ``cho_factor`` and
+``cho_solve`` without their wrappers, which cost more than the calls at
+d = 45), and the W-form Schur shares stay one problem at a time.  Each
+problem keeps its own termination tests, log, stall count and relaxed
+result, and leaves the stack when it terminates.  A breakdown in one
+problem (a failed factorization, a collapsed step) ends that problem
+alone: the step is then taken again without it.  Problems whose blocks take
+different Schur forms run in separate groups, and a group holds at most
+``GROUP_BYTES`` of working arrays, so a large problem runs with few others
+or alone.
 """
 
 from __future__ import annotations
@@ -53,10 +57,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .lmi import (_CHUNK, LmiBlock, SdpProblem, _adjoint, _congruence, _linear, _nonzeros,
-                  svec)
+from .lmi import (_CHUNK, LmiBlock, SdpProblem, _adjoint, _cho_solve, _congruence, _linear,
+                  _nonzeros, svec)
+# a module-level name, so that a failing factorization can be substituted
+from .lmi import _cho_factor as cho_factor
 
 __all__ = [
     "SdpSolution",
@@ -638,7 +643,7 @@ class _Group:
             factor, ridge = None, 0.0
             for _ in range(3):
                 try:
-                    factor = cho_factor(Mi if ridge == 0 else Mi + ridge * np.eye(d), lower=True)
+                    factor = cho_factor(Mi if ridge == 0 else Mi + ridge * np.eye(d))
                     break
                 except np.linalg.LinAlgError:
                     ridge = max(ridge * 100.0, 1e-14 * max(1.0, float(np.trace(Mi)) / d))
@@ -651,7 +656,7 @@ class _Group:
         def cho_solve_each(rhs):
             out = np.empty((B, d))
             for f, r, o in zip(factors, rhs, out):
-                o[...] = cho_solve(f, r)
+                o[...] = _cho_solve(f, r)
             return out
 
         # the scaled dual residuals, G' Rd G, of both Newton solves
@@ -711,8 +716,8 @@ class _Group:
             for bi, blk in enumerate(blocks):
                 lam_h = 1.0 / np.sqrt(blk.lam)
                 lam_c, lam_r = lam_h[:, :, None], lam_h[:, None, :]
-                for D in (dXh[bi], dSh[bi]):
-                    w = np.minimum(w, _eigvalsh(lam_c * D * lam_r)[:, 0])
+                D = np.stack((dXh[bi], dSh[bi]))
+                w = np.minimum(w, _eigvalsh(lam_c * D * lam_r)[..., 0].min(axis=0))
             # the step at which 1 + a w, tau + a dtau or kappa + a dkappa reaches 0
             v, dv = np.array([np.ones(B), tau, kappa]), np.array([w, dtau, dkappa])
             down = dv < 0

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .certify import Certificate, ellipsoid_points
 from .errors import DimensionError
-from .lmi import _spd_factor
+from .lmi import _cho_solve, _spd_factor
 from .systems import QBSystem, close_loop, eval_dynamics
 
 __all__ = [
@@ -79,12 +78,12 @@ def default_dt(sys: QBSystem) -> float:
 
 def _lyapunov_value(factor, X: np.ndarray) -> np.ndarray:
     """V(x) = x' P^-1 x for each row x of X, with P given by ``_spd_factor(P)``."""
-    return np.sum(X * cho_solve(factor, X.T).T, axis=1)
+    return np.sum(X * _cho_solve(factor, X.T).T, axis=1)
 
 
 def _lyapunov_rate(sys_cl: QBSystem, factor, X: np.ndarray) -> np.ndarray:
     """dV/dt = 2 x' P^-1 f(x) for each row x of X, with P given by ``_spd_factor(P)``."""
-    return 2.0 * np.sum(cho_solve(factor, X.T).T * eval_dynamics(sys_cl, X), axis=1)
+    return 2.0 * np.sum(_cho_solve(factor, X.T).T * eval_dynamics(sys_cl, X), axis=1)
 
 
 def vdot(sys_cl: QBSystem, P: np.ndarray, x: np.ndarray) -> float:

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import THREE_STATE_GRID
+from qbstab import certify
 from qbstab.certify import (
+    REL_TOL_MIN,
+    SCAN_POINTS,
     Certificate,
     Ellipsoid,
     Infeasible,
@@ -26,7 +29,8 @@ from qbstab import sdp
 from qbstab.cli import main as cli_main
 from qbstab.errors import DimensionError, NotPositiveDefiniteError, SchemaError
 from qbstab.lmi import assemble, default_delta, default_mu
-from qbstab.models import scalar_family, three_state_qb, two_state
+from qbstab.models import (scalar_family, shear_flow_9, shear_flow_data_available,
+                           three_state_qb, two_state)
 from qbstab.sdp import check_block_feasibility
 from qbstab.systems import save_system
 
@@ -185,13 +189,104 @@ class TestOptimizeEpsilon:
         with pytest.raises(ValueError):
             optimize_epsilon(SCALAR, (1.0, 0.5))
 
-    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, float("nan"), float("inf"), 1e-16,
+                                         REL_TOL_MIN * (1 - 1e-15)])
     def test_rel_tol_validation(self, monkeypatch, rel_tol):
-        # rejected before any solve: rel_tol <= 0 would never end the refinement
+        # rejected before any solve: rel_tol <= 0 would never end the
+        # refinement, and neither would one that lets the bracket reach an ulp
         monkeypatch.setattr("qbstab.certify.solve", None)
         monkeypatch.setattr("qbstab.certify.solve_many", None)
         with pytest.raises(ValueError, match="rel_tol"):
             optimize_epsilon(SCALAR, (0.1, 2.0), rel_tol=rel_tol)
+
+    def test_smallest_rel_tol_ends(self):
+        res = optimize_epsilon(SCALAR, (0.1, 2.0), rel_tol=REL_TOL_MIN, alpha=1e-8)
+        assert len(res.history) == SCAN_POINTS + 58
+        assert res.best.epsilon == pytest.approx(1.0, abs=1e-3)
+
+
+def sequential_search(sys, eps_range, rel_tol, alpha, mode):
+    """The golden-section search of ``optimize_epsilon``, one ``max_trace`` per
+    probe after the lockstep pre-scan: the history it must reproduce."""
+    lo, hi = eps_range
+    alpha = certify.resolve_alpha(sys, alpha)
+    scan = np.geomspace(lo, hi, SCAN_POINTS)
+    history = list(sweep_epsilon(sys, scan, alpha, mode).entries)
+
+    def probe(eps):
+        try:
+            out = max_trace(sys, eps, alpha, mode)
+        except certify.SolverFailure as exc:
+            history.append(certify.SweepEntry(eps, None, f"failed: {exc}"))
+        else:
+            feasible = isinstance(out, Certificate)
+            history.append(certify.SweepEntry(eps, out if feasible else None,
+                                              "optimal" if feasible else "infeasible"))
+        return history[-1].trace_P if history[-1].feasible else -math.inf
+
+    values = [e.trace_P if e.feasible else -math.inf for e in history]
+    k = int(np.argmax(values))
+    if history[k].feasible:
+        a = scan[k - 1] if k > 0 else lo
+        b = scan[k + 1] if k + 1 < len(scan) else hi
+        x1 = b - certify._INV_PHI * (b - a)
+        x2 = a + certify._INV_PHI * (b - a)
+        f1, f2 = probe(x1), probe(x2)
+        while (b - a) > rel_tol * b:
+            if f1 < f2:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + certify._INV_PHI * (b - a)
+                f2 = probe(x2)
+            else:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - certify._INV_PHI * (b - a)
+                f1 = probe(x1)
+    return history
+
+
+def entry_bits(entry):
+    """What a history entry says, bitwise."""
+    cert = entry.certificate
+    if cert is None:
+        return entry.epsilon, entry.status
+    return (entry.epsilon, entry.status, cert.P.tobytes(), cert.solver_report,
+            None if cert.K is None else cert.K.tobytes())
+
+
+class TestLookAheadSearch:
+    """The refinement solves each probe with the two that can follow it and
+    keeps the history of one solve at a time, bit for bit."""
+
+    @pytest.mark.parametrize("case", [
+        pytest.param((SCALAR, (0.1, 2.0), 1e-3, 1e-8, "analysis"), id="scalar"),
+        pytest.param((two_state(), (0.01, 0.8), 1e-3, None, "analysis"), id="two-state"),
+        pytest.param((three_state_qb(), (0.01, 20.0), 1e-2, None, "synthesis"),
+                     id="three-state"),
+        pytest.param((None, (1e-3, 1.0), 1e-3, None, "analysis"), id="shear-flow-120",
+                     marks=pytest.mark.skipif(not shear_flow_data_available(),
+                                              reason="external coefficient data absent")),
+    ])
+    def test_history_is_the_sequential_one(self, monkeypatch, case):
+        system, eps_range, rel_tol, alpha, mode = case
+        system = shear_flow_9(120.0) if system is None else system
+        reference = sequential_search(system, eps_range, rel_tol, alpha, mode)
+        rounds, solve_many = [], certify.solve_many
+
+        def recording(problems):
+            rounds.append(len(problems))
+            return solve_many(problems)
+
+        monkeypatch.setattr(certify, "solve_many", recording)
+        res = optimize_epsilon(system, eps_range, rel_tol=rel_tol, alpha=alpha, mode=mode)
+        assert [entry_bits(e) for e in res.history] == [entry_bits(e) for e in reference]
+        best = max((e for e in reference if e.feasible), key=lambda e: (e.trace_P, -e.epsilon))
+        assert res.best.epsilon == best.epsilon
+        assert res.best.P.tobytes() == best.certificate.P.tobytes()
+        # the pre-scan, the two first probes, then rounds of at most three
+        assert rounds[:2] == [SCAN_POINTS, 2] and max(rounds[2:]) <= 3
+        assert sum(rounds) == res.solves
+        # every round but the last keeps two probes, the last one or two
+        assert len(rounds) == 2 + math.ceil((len(res.history) - SCAN_POINTS - 2) / 2)
 
 
 class TestEllipsoid:

@@ -157,6 +157,8 @@ class TestAnalyze:
         assert summary["best"]["epsilon"] == pytest.approx(1.0, abs=1e-3)
         assert summary["best"]["trace_P"] == pytest.approx(1.0, abs=1e-3)
         assert summary["failed_points"] == []
+        # the discarded look-ahead probes count as solves, not evaluations
+        assert summary["evaluations"] < summary["solves"] <= 2 * summary["evaluations"]
 
     @pytest.mark.skipif(not shear_flow_data_available(),
                         reason="external coefficient data absent")
@@ -496,6 +498,7 @@ class TestArgumentHandling:
         ("simulate", "--x0", "0.1,0.1", "--t-final", "0"),
         ("analyze", "--eps", "grid:0.01:0.8:3", "--union-samples", "100"),
         ("analyze", "--eps", "search:0.1:0.5", "--rel-tol", "0"),
+        ("analyze", "--eps", "search:0.1:0.5", "--rel-tol", "1e-16"),
         ("simulate", "--boundary-samples", "-2", "--certificate", "cert.json"),
         ("verify", "--certificate", "cert.json", "--samples", "-5"),
         ("verify", "--certificate", "cert.json", "--seed", "-3"),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -420,6 +421,48 @@ class TestSpdHelpers:
     def test_factor_rejects_non_finite(self, bad):
         with pytest.raises(NotPositiveDefiniteError):
             lmi._spd_factor(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("where", [(0, 0), (2, 2), (1, 0)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_factor_rejects_non_finite_before_lapack(self, monkeypatch, where, bad):
+        # the LAPACK factorization does not check for non-finite entries (an inf
+        # on the diagonal can factor), so the test comes first
+        monkeypatch.setattr(lmi, "dpotrf", None)
+        P = np.eye(3)
+        P[where] = bad
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+            lmi._spd_factor(P)
+
+
+def random_spd(d, seed):
+    A = np.random.default_rng(seed).normal(size=(d, d))
+    return A @ A.T + d * np.eye(d)
+
+
+class TestCholeskyPair:
+    """``_cho_factor`` and ``_cho_solve`` are scipy's ``cho_factor(lower=True)``
+    and ``cho_solve`` without the wrappers, bit for bit."""
+
+    @pytest.mark.parametrize("d", [5, 45, 820])
+    def test_bitwise_scipy(self, d):
+        M = random_spd(d, d)
+        c, lower = lmi._cho_factor(M)
+        c_ref, lower_ref = scipy.linalg.cho_factor(M, lower=True)
+        assert lower is lower_ref is True
+        assert c.tobytes() == c_ref.tobytes() and c.flags.f_contiguous == c_ref.flags.f_contiguous
+        rng = np.random.default_rng(d + 1)
+        # a vector, a matrix and a transposed view, as the callers pass them
+        for b in (rng.normal(size=d), rng.normal(size=(d, 3)), rng.normal(size=(4, d)).T):
+            x = lmi._cho_solve((c, lower), b)
+            assert x.tobytes() == scipy.linalg.cho_solve((c_ref, lower_ref), b).tobytes()
+
+    def test_indefinite_raises_linalg_error(self):
+        M = random_spd(5, 0)
+        M[3, 3] = -100.0
+        with pytest.raises(np.linalg.LinAlgError, match="4-th leading minor"):
+            lmi._cho_factor(M)
+        with pytest.raises(np.linalg.LinAlgError, match="4-th leading minor"):
+            scipy.linalg.cho_factor(M, lower=True)
 
 
 def objective_cap_problem():
