@@ -171,18 +171,36 @@ def validate(sys: QBSystem) -> ValidationReport:
     )
 
 
+def _column_field(W: np.ndarray, buf: np.ndarray):
+    """The field [A H] [x; x kron x], W = [A H], of the states in the columns
+    of buf[:n], as a function of its output array: a call writes x kron x
+    into buf[n:] (row n + i*n + j holds x_i x_j) and returns W @ buf, (n, N)."""
+    n, N = W.shape[0], buf.shape[1]
+    x, xx = buf[:n], buf[n:].reshape(n, n, N)
+    rows, cols = x[:, None, :], x[None, :, :]
+
+    def field(out: np.ndarray | None = None) -> np.ndarray:
+        np.multiply(rows, cols, out=xx)
+        return np.matmul(W, buf, out=out)
+
+    return field
+
+
 def eval_dynamics(sys: QBSystem, x: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
     """Evaluate dx/dt = A x + H(x kron x) + sum_j D_j x u_j + B u.
 
     x is one state, shape (n,), or a batch of states, shape (N, n); u, when
     given, has the matching shape (m,) or (N, m).  Omitting u means u = 0.
+    The autonomous part is ``_column_field``: the states as columns and
+    [A H] [x; x kron x] as one product, the arithmetic of the RK4 audits.
     """
     n = sys.n
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != n:
         raise DimensionError(f"x must have shape ({n},) or (N, {n}), got {x.shape}")
-    xx = (x[..., :, None] * x[..., None, :]).reshape(x.shape[:-1] + (n * n,))
-    f = x @ sys.A.T + xx @ sys.H.T
+    buf = np.empty((n + n * n, x.size // n))
+    buf[:n] = x.reshape(-1, n).T
+    f = _column_field(np.hstack((sys.A, sys.H)), buf)().T.reshape(x.shape)
     if u is None:
         return f
     u = np.asarray(u, dtype=float)

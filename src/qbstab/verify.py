@@ -4,6 +4,10 @@ A certificate claims V(x) = x' P^-1 x decays (at rate alpha) everywhere in
 its ellipsoid.  This module checks that claim against the actual vector
 field: pointwise via uniform sampling of the ellipsoid, and along flows via
 fixed-step Runge-Kutta integration from boundary points.
+
+The integrator keeps N trajectories as the columns of (n, N) arrays and
+takes each stage as the one product [A H] [x; x kron x] of eval_dynamics
+(``systems._column_field``), so it equals RK4 on eval_dynamics bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 from .certify import Certificate, ellipsoid_points
 from .errors import DimensionError
 from .lmi import _cho_solve, _spd_factor
-from .systems import QBSystem, close_loop, eval_dynamics
+from .systems import QBSystem, _column_field, close_loop, eval_dynamics
 
 __all__ = [
     "Trajectory",
@@ -76,22 +80,25 @@ def default_dt(sys: QBSystem) -> float:
     return 1e-3 / nrm if nrm > 0 else 1e-3
 
 
-def _lyapunov_value(factor, X: np.ndarray) -> np.ndarray:
-    """V(x) = x' P^-1 x for each row x of X, with P given by ``_spd_factor(P)``."""
-    return np.sum(X * _cho_solve(factor, X.T).T, axis=1)
+def _lyapunov(factor, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z = P^-1 X and V(x) = x' P^-1 x for the rows x of X; P as ``_spd_factor(P)``."""
+    Z = _cho_solve(factor, X.T).T
+    return Z, np.sum(X * Z, axis=1)
 
 
-def _lyapunov_rate(sys_cl: QBSystem, factor, X: np.ndarray) -> np.ndarray:
-    """dV/dt = 2 x' P^-1 f(x) for each row x of X, with P given by ``_spd_factor(P)``."""
-    return 2.0 * np.sum(_cho_solve(factor, X.T).T * eval_dynamics(sys_cl, X), axis=1)
+def _lyapunov_rate(sys_cl: QBSystem, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """dV/dt = 2 x' P^-1 f(x) for each row x of X, with Z = P^-1 X from ``_lyapunov``."""
+    return 2.0 * np.sum(Z * eval_dynamics(sys_cl, X), axis=1)
 
 
 def vdot(sys_cl: QBSystem, P: np.ndarray, x: np.ndarray) -> float:
-    """d/dt of V(x) = x' P^-1 x along the autonomous flow: 2 x' P^-1 f(x)."""
+    """dV/dt of V(x) = x' P^-1 x along the autonomous flow, 2 x' P^-1 f(x), at a finite x."""
     if not sys_cl.is_autonomous:
         raise DimensionError("vdot expects an autonomous (closed-loop) system")
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(_lyapunov_rate(sys_cl, _spd_factor(P), x)[0])
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
+    return float(_lyapunov_rate(sys_cl, x, _lyapunov(_spd_factor(P), x)[0])[0])
 
 
 def _closed_system(sys: QBSystem, cert: Certificate) -> QBSystem:
@@ -121,90 +128,71 @@ def sample_check(sys: QBSystem, cert: Certificate, n_samples: int, seed: int) ->
     """
     closed = _closed_system(sys, cert)
     X = ellipsoid_points(cert.P, n_samples, np.random.default_rng(seed))
-    factor = _spd_factor(cert.P)
-    V = _lyapunov_value(factor, X)
-    Vd = _lyapunov_rate(closed, factor, X)
+    Z, V = _lyapunov(_spd_factor(cert.P), X)
+    Vd = _lyapunov_rate(closed, X, Z)
     slack = 1e-9 * (1.0 + np.abs(Vd))
-    bad = Vd > -cert.alpha * V + slack
     live = V > 1e-300
     ratios = Vd[live] / V[live]
-    max_ratio = float(np.max(ratios)) if ratios.size else 0.0
-    margin = float(np.min(-ratios - cert.alpha)) if ratios.size else 0.0
     return VerificationReport(
         samples_tested=n_samples,
-        max_vdot_ratio=max_ratio,
-        violations=int(np.count_nonzero(bad)),
+        max_vdot_ratio=float(np.max(ratios)) if ratios.size else 0.0,
+        violations=int(np.count_nonzero(Vd > -cert.alpha * V + slack)),
         trajectories_converged=0,
         trajectories_total=0,
-        min_decay_margin=margin,
+        min_decay_margin=float(np.min(-ratios - cert.alpha)) if ratios.size else 0.0,
     )
 
 
 def _integrate(sys_cl: QBSystem, X: np.ndarray, dt: float, out: np.ndarray) -> None:
-    """Fill out[j], shape (N, n), with the classical RK4 state after j + 1 steps from X.
+    """Fill out[j], shape (n, N), with the classical RK4 states after j + 1
+    steps from the columns of X, shape (n, N).
 
-    Each stage is eval_dynamics' arithmetic, term for term, with A' and H'
-    taken once and no shape checks.  A row that overflows keeps integrating
-    as inf/nan; callers find it with ``_first_escape`` afterwards.
+    Each stage writes its argument into buf[:n] and takes the field as the
+    one eval_dynamics product [A H] @ buf, buf = [x; x kron x].  A column that
+    overflows keeps integrating as inf/nan; ``_first_escape`` finds it.
     """
-    AT, HT = sys_cl.A.T, sys_cl.H.T
-    N, n = X.shape
-    x, arg, quad, k1, k2, k3, k4 = (np.empty((N, n)) for _ in range(7))
-    xx = np.empty((N, n * n))
-    xx_square = xx.reshape(N, n, n)
-    x[:] = X
-    half, sixth = 0.5 * dt, dt / 6.0
-
-    def outer_views(v: np.ndarray) -> tuple:
-        # zero-stride views whose product is x kron x, laid out as xx
-        return (v, np.broadcast_to(v[:, :, None], (N, n, n)),
-                np.broadcast_to(v[:, None, :], (N, n, n)))
-
-    def field(v: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: np.ndarray) -> None:
-        np.multiply(rows, cols, out=xx_square)
-        np.matmul(v, AT, out=k)
-        np.matmul(xx, HT, out=quad)
-        k += quad
-
-    at_x, at_arg = outer_views(x), outer_views(arg)
+    n, N = X.shape
+    buf = np.empty((n + n * n, N))
+    field = _column_field(np.hstack((sys_cl.A, sys_cl.H)), buf)
+    arg = buf[:n]
+    K = np.empty((4, n, N))
+    incr = np.empty((n, N))
+    # numpy scalars: a Python float costs a conversion on every call
+    half, full, two, sixth = (np.float64(v) for v in (0.5 * dt, dt, 2.0, dt / 6.0))
+    stages = ((K[0], half, K[1]), (K[1], half, K[2]), (K[2], full, K[3]))
+    k1, k23, x = K[0], K[1:3], X
     with np.errstate(over="ignore", invalid="ignore"):
         for state in out:
-            field(*at_x, k1)
-            np.multiply(k1, half, out=arg)
-            arg += x
-            field(*at_arg, k2)
-            np.multiply(k2, half, out=arg)
-            arg += x
-            field(*at_arg, k3)
-            np.multiply(k3, dt, out=arg)
-            arg += x
-            field(*at_arg, k4)
-            # x + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-            k2 *= 2.0
-            k2 += k1
-            k3 *= 2.0
-            k2 += k3
-            k2 += k4
-            k2 *= sixth
-            x += k2
-            state[:] = x
+            np.copyto(arg, x)
+            field(k1)
+            for k, h, k_next in stages:
+                np.multiply(k, h, out=arg)
+                np.add(arg, x, out=arg)
+                field(k_next)
+            # x + dt/6 (k1 + 2 k2 + 2 k3 + k4): the axis-0 reduce adds the
+            # rows in sequence, left to right
+            np.multiply(k23, two, out=k23)
+            np.add.reduce(K, axis=0, out=incr)
+            np.multiply(incr, sixth, out=incr)
+            np.add(x, incr, out=state)
+            x = state
 
 
 def _first_escape(states: np.ndarray, guard: float) -> np.ndarray:
-    """For states of shape (steps, N, n): per trajectory, the index of its first
+    """For states of shape (steps, n, N): per trajectory, the index of its first
     state that is non-finite or farther than ``guard`` from the origin, else steps.
     """
-    steps, N, n = states.shape
+    steps, n, N = states.shape
     # a norm is at most n times the largest entry, rounding included: a block
     # well inside the guard needs no norms
     if np.max(np.abs(states)) * n <= guard:
         return np.full(N, steps)
-    finite = np.all(np.isfinite(states), axis=-1)
-    states = np.where(finite[..., None], states, 0.0)
+    finite = np.all(np.isfinite(states), axis=1)
+    states = np.where(finite[:, None], states, 0.0)
     # the largest entry is tested before the norm, so a huge but finite state
     # is caught without squaring it into an overflow
-    small = np.max(np.abs(states), axis=-1) <= guard
-    norms = np.linalg.norm(np.where(small[..., None], states, 0.0), axis=-1)
+    small = np.max(np.abs(states), axis=1) <= guard
+    norms = np.linalg.norm(np.where(small[:, None], states, 0.0), axis=1)
     escaped = ~(finite & small & (norms <= guard))
     return np.where(np.any(escaped, axis=0), np.argmax(escaped, axis=0), steps)
 
@@ -227,19 +215,15 @@ def simulate(sys_cl: QBSystem, x0: np.ndarray, t_final: float, dt: float) -> Tra
     guard = DIVERGENCE_FACTOR * (1.0 + float(np.linalg.norm(x0)))
     states = np.empty((steps + 1, sys_cl.n))
     states[0] = x0
-    flow = states[:, None, :]
-    terminated = False
-    last = 0
-    while last < steps:
+    flow = states[:, :, None]
+    last, terminated = 0, False
+    while last < steps and not terminated:
         # blocks double in length, so a divergence wastes at most as many
         # steps as were kept before it
         block = flow[last + 1: last + 1 + min(steps - last, max(1, last))]
         _integrate(sys_cl, flow[last], dt, block)
         stop = int(_first_escape(block, guard)[0])
-        last += stop
-        if stop < len(block):
-            terminated = True
-            break
+        last, terminated = last + stop, stop < len(block)
     times = np.arange(last + 1) * dt
     return Trajectory(times=times, states=states[: last + 1], terminated_early=terminated)
 
@@ -255,8 +239,9 @@ def convergence_check(sys: QBSystem, cert: Certificate, n_traj: int, t_final: fl
     ValueError unless dt > 0, t_final > 0 and n_traj >= 1.
 
     Steps are integrated a block at a time (about AUDIT_BLOCK_BYTES of
-    states) and each block is checked with whole-array operations; the
-    report equals a step-by-step check bit for bit.
+    states, laid out (steps, n, N)) and each block is checked with
+    whole-array operations; the report equals a step-by-step check bit for
+    bit.
     """
     if dt <= 0 or t_final <= 0 or n_traj < 1:
         raise ValueError("need dt > 0, t_final > 0 and at least one trajectory")
@@ -266,50 +251,47 @@ def convergence_check(sys: QBSystem, cert: Certificate, n_traj: int, t_final: fl
     factor = _spd_factor(cert.P)
     steps = max(1, int(round(t_final / dt)))
     guard = DIVERGENCE_FACTOR * (1.0 + float(np.max(x0_norms)))
-    V0 = _lyapunov_value(factor, X)
-    V_prev = V0
-    violations = 0
-    min_margin = np.inf
+    Z, V0 = _lyapunov(factor, X)
+    V_prev, violations, min_margin, t = V0, 0, np.inf, 0.0
     alive = np.ones(n_traj, dtype=bool)
-    t = 0.0
     check_floor = 1e-14 * np.maximum(V0, 1e-300)
     block_steps = min(steps, max(1, AUDIT_BLOCK_BYTES // (8 * n_traj * cert.n)))
-    buffer = np.empty((block_steps, n_traj, cert.n))
+    buffer = np.empty((block_steps, cert.n, n_traj))
     done = 0
     while done < steps and np.any(alive):
         block = buffer[: min(len(buffer), steps - done)]
-        _integrate(closed, X, dt, block)
-        decay = np.empty(len(block))
-        for j in range(len(block)):
-            t += dt
-            if cert.alpha > 0:
-                decay[j] = np.exp(-cert.alpha * t)
+        _integrate(closed, X.T, dt, block)
+        # the step times, accumulated one dt at a time as a step loop would
+        times = np.cumsum(np.r_[t, np.full(len(block), dt)])[1:]
+        t = times[-1]
         first = _first_escape(block, guard)
         violations += int(np.count_nonzero(alive & (first < len(block))))
         # steps at which each trajectory is still tracked; the rest are zeroed
         tracked = alive & (np.arange(len(block))[:, None] < first)
         alive &= first == len(block)
-        block[~tracked] = 0.0
-        V = _lyapunov_value(factor, block.reshape(-1, cert.n)).reshape(len(block), n_traj)
+        # V sums each state's n terms in a row, as for a single state
+        rows = block.transpose(0, 2, 1).copy()
+        rows[~tracked] = 0.0
+        Z, V = _lyapunov(factor, rows.reshape(-1, cert.n))
+        V = V.reshape(len(block), n_traj)
         Vp = np.concatenate((V_prev[None, :], V[:-1]))
         live = tracked & (Vp > check_floor)
         # invariance: V must not increase beyond relative rounding noise
         violations += int(np.count_nonzero(live & (V - Vp > 1e-10 * Vp)))
         if cert.alpha > 0:
-            envelope = V0 * decay[:, None] * (1.0 + ENVELOPE_RTOL)
+            envelope = V0 * np.exp(-cert.alpha * times)[:, None] * (1.0 + ENVELOPE_RTOL)
             violations += int(np.count_nonzero(live & (V > envelope)))
         if np.any(live):
             dec = (Vp[live] - V[live]) / (dt * Vp[live])
             min_margin = min(min_margin, float(np.min(dec)) - cert.alpha)
         V_prev = V[-1]
-        X = block[-1]
+        X = rows[-1]
         done += len(block)
     final_norms = np.linalg.norm(X, axis=1)
     converged = int(np.count_nonzero(alive & (final_norms <= CONV_RTOL * x0_norms)))
     live_final = alive & (V_prev > check_floor)
-    ratios = np.zeros(0)
-    if np.any(live_final):
-        ratios = _lyapunov_rate(closed, factor, X[live_final]) / V_prev[live_final]
+    # P^-1 x of the final states is the last step's rows of the block's Z
+    ratios = _lyapunov_rate(closed, X[live_final], Z[-n_traj:][live_final]) / V_prev[live_final]
     return VerificationReport(
         samples_tested=n_traj * steps,
         max_vdot_ratio=float(np.max(ratios)) if ratios.size else 0.0,

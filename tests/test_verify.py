@@ -5,11 +5,11 @@ import pytest
 from scipy.linalg import cho_solve
 
 from qbstab import verify
-from qbstab.certify import Certificate, max_trace
+from qbstab.certify import Certificate, ellipsoid_points, max_trace
 from qbstab.cli import main as cli_main
 from qbstab.errors import DimensionError, NotPositiveDefiniteError
 from qbstab.lmi import _spd_factor
-from qbstab.models import scalar_family, three_state_qb, two_state
+from qbstab.models import scalar_family, shear_flow_9, three_state_qb, two_state
 from qbstab.systems import QBSystem, eval_dynamics, save_system, stack
 from qbstab.verify import convergence_check, sample_check, simulate, vdot
 
@@ -108,6 +108,39 @@ def reference_convergence_check(sys, cert, n_traj, t_final, dt, seed, envelope_t
     return report, first_escape
 
 
+def reference_sample_check(sys, cert, n_samples, seed):
+    """sample_check with P^-1 X solved once for V and once for dV/dt."""
+    closed = verify._closed_system(sys, cert)
+    X = ellipsoid_points(cert.P, n_samples, np.random.default_rng(seed))
+    factor = _spd_factor(cert.P)
+    V = np.sum(X * cho_solve(factor, X.T).T, axis=1)
+    Vd = 2.0 * np.sum(cho_solve(factor, X.T).T * eval_dynamics(closed, X), axis=1)
+    slack = 1e-9 * (1.0 + np.abs(Vd))
+    ratios = Vd[V > 1e-300] / V[V > 1e-300]
+    return verify.VerificationReport(
+        samples_tested=n_samples,
+        max_vdot_ratio=float(np.max(ratios)) if ratios.size else 0.0,
+        violations=int(np.count_nonzero(Vd > -cert.alpha * V + slack)),
+        trajectories_converged=0,
+        trajectories_total=0,
+        min_decay_margin=float(np.min(-ratios - cert.alpha)) if ratios.size else 0.0,
+    )
+
+
+def nine_state_cases():
+    """Nine-state (system, certificate) pairs: the shear flow with a full P,
+    and three stacked three-state copies with a synthesis gain.  At n = 9 the
+    (n + n^2)-long field products pass BLAS k-blocking and the n-long sums
+    numpy's 8-element pairwise-summation threshold."""
+    shear = shear_flow_9(120.0)
+    M = np.random.default_rng(1).normal(size=(9, 9))
+    P = 1e-2 * (M @ M.T / 9 + np.eye(9))
+    stacked = stack(three_state_qb(), 3)
+    K = 0.1 * np.random.default_rng(2).normal(size=(stacked.m, 9))
+    return [(shear, Certificate(mode="analysis", P=P, epsilon=1.0, alpha=0.0)),
+            (stacked, Certificate(mode="synthesis", P=P, epsilon=1.0, alpha=0.0, Y=K @ P, K=K))]
+
+
 def _block_bytes(steps, n_traj, n):
     """An AUDIT_BLOCK_BYTES that makes blocks of exactly ``steps`` steps."""
     return steps * n_traj * n * 8
@@ -133,6 +166,11 @@ class TestVdot:
     def test_rejects_driven_system(self, scalar_cert):
         with pytest.raises(DimensionError):
             vdot(three_state_qb(), np.eye(3), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_state(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            vdot(two_state(), np.eye(2), np.array([0.1, bad]))
 
     @pytest.mark.parametrize("system,eps,dt", [
         (SCALAR, 1.0, 1e-4),        # unit-rate flow at the reference step
@@ -313,6 +351,40 @@ class TestBlockParity:
         states, terminated = reference_simulate(system, x0, t_final, 1e-3)
         assert traj.terminated_early == terminated
         assert np.array_equal(traj.states, states)
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["shear flow", "stacked synthesis"])
+    def test_nine_state_certificate(self, monkeypatch, case):
+        sys, cert = nine_state_cases()[case]
+        args = (sys, cert, 8, 20.0, 0.05, 4)  # 400 steps: blocks of 150, last 100
+        monkeypatch.setattr(verify, "AUDIT_BLOCK_BYTES", _block_bytes(150, 8, 9))
+        assert convergence_check(*args) == reference_convergence_check(*args)[0]
+
+    def test_nine_state_escaping_certificate(self):
+        # nine copies of x' = -x + x^2 from |x0| = 2: the copies beyond x = 1 escape
+        args = (stack(SCALAR, 9), Certificate(mode="analysis", P=4.0 * np.eye(9),
+                epsilon=1.0, alpha=0.0), 6, 3.0, 0.01, 0)
+        ref, escape = reference_convergence_check(*args)
+        assert ref.violations > 0 and escape is not None
+        assert convergence_check(*args) == ref
+
+    def test_nine_state_simulate(self):
+        sys, cert = nine_state_cases()[0]
+        x0 = verify.boundary_points(cert.P, 1, np.random.default_rng(0))[0]
+        traj = simulate(sys, x0, 2.0, 0.01)
+        states, terminated = reference_simulate(sys, x0, 2.0, 0.01)
+        assert traj.terminated_early == terminated
+        assert np.array_equal(traj.states, states)
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["shear flow", "stacked synthesis"])
+    def test_nine_state_sample_check(self, case):
+        sys, cert = nine_state_cases()[case]
+        assert sample_check(sys, cert, 2_000, 5) == reference_sample_check(sys, cert, 2_000, 5)
+
+    def test_sample_check(self, two_state_sweep, three_state_sweep):
+        for sys, cert in ((two_state(), two_state_sweep.feasible_entries()[10].certificate),
+                          (three_state_qb(), three_state_sweep.feasible_entries()[7].certificate)):
+            args = (sys, cert, 10_000, 3)
+            assert sample_check(*args) == reference_sample_check(*args)
 
 
 def test_convergence_check_working_set_is_block_sized():
