@@ -85,7 +85,11 @@ def shape_report(P: np.ndarray, K: np.ndarray | None, delta: float) -> dict:
 
 @dataclass(frozen=True)
 class Ellipsoid:
-    """The set {x : x' P^-1 x <= 1} for symmetric positive definite P."""
+    """The set {x : x' P^-1 x <= 1} for symmetric positive definite P.
+
+    P must be square, symmetric within 1e-12 (1 + max|P|) and positive
+    definite; it is kept as (P + P') / 2.
+    """
 
     P: np.ndarray
 
@@ -120,9 +124,9 @@ def ellipsoid_points(P: np.ndarray, count: int, rng: np.random.Generator,
 class Certificate:
     """A stability (analysis) or stabilizability (synthesis) certificate.
 
-    P defines the certified ellipsoid {x : x' P^-1 x <= 1}; eps is the scalar
-    from the line search; alpha the decay margin the LMI enforced
-    (d/dt V <= -alpha V inside the ellipsoid).  Synthesis certificates carry
+    P defines the certified ellipsoid {x : x' P^-1 x <= 1}, by the rule of
+    ``Ellipsoid``; eps is the scalar from the line search; alpha the decay
+    margin the LMI enforced (d/dt V <= -alpha V inside the ellipsoid).  Synthesis certificates carry
     Y and the extracted gain K = Y P^-1; analysis certificates carry neither.
     ``solver_report`` says how the certificate was obtained: solver status,
     iterations and residuals, whether the solver's relaxed tolerances were
@@ -139,9 +143,7 @@ class Certificate:
     solver_report: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        _spd_eigh(P)  # raises unless P > 0
-        object.__setattr__(self, "P", (P + P.T) / 2.0)
+        object.__setattr__(self, "P", Ellipsoid(P=self.P).P)
         if self.mode == "synthesis":
             if self.Y is None or self.K is None:
                 raise DimensionError("synthesis certificate requires Y and K")
@@ -262,11 +264,6 @@ def resolve_alpha(sys: QBSystem, alpha) -> float:
     return alpha
 
 
-def _gain_from(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Solve K P = Y through an SPD factorization of P."""
-    return _cho_solve(_spd_factor(P), Y.T).T
-
-
 def max_trace(sys: QBSystem, eps: float, alpha, mode: str) -> Certificate | Infeasible:
     """Maximize trace(P) subject to the eps-parameterized LMI.
 
@@ -294,18 +291,14 @@ def _outcome(sys, problem, sol: SdpSolution, eps, alpha, mode) -> Certificate | 
     retried = sol.status in ("NumericalFailure", "IterLimit")
     if retried and sol.relaxed is not None:
         sol = sol.relaxed
-    if sol.status == "Optimal":
-        return _certificate_from_solution(sys, problem, sol, eps, alpha, mode, retried)
     if sol.status == "Infeasible":
         return Infeasible(mode=mode, alpha=alpha, epsilon=eps, ray=sol.Z,
                           message=sol.message)
-    raise SolverFailure(f"solver returned {sol.status} at eps={eps:.6g}: {sol.message}")
-
-
-def _certificate_from_solution(sys, problem, sol: SdpSolution, eps, alpha, mode,
-                               retried: bool) -> Certificate:
+    if sol.status != "Optimal":
+        raise SolverFailure(f"solver returned {sol.status} at eps={eps:.6g}: {sol.message}")
     P, Y = problem.layout.unpack(sol.x)
-    K = _gain_from(P, Y) if mode == "synthesis" else None
+    # the gain solves K P = Y
+    K = _cho_solve(_spd_factor(P), Y.T).T if mode == "synthesis" else None
     report = {
         "status": sol.status,
         "primal_residual": sol.primal_residual,
@@ -441,7 +434,7 @@ def ellipsoid_volume(e: Ellipsoid) -> float:
     logs of the Cholesky diagonal; numpy's pairwise sum keeps it within a
     few ulps, where slogdet's running sum drifts by ~1e-12 at n = 200.
     """
-    log_sqrt_det = float(np.sum(np.log(np.diagonal(np.linalg.cholesky(e.P)))))
+    log_sqrt_det = float(np.sum(np.log(np.diagonal(_spd_factor(e.P)[0]))))
     return math.exp(_log_ball_volume(e.n) + log_sqrt_det)
 
 
@@ -559,10 +552,12 @@ def union_volume(region: UnionRegion, samples: int, seed: int) -> tuple[float, f
     Tomography, ch. 0); both factors are formed in log space.  For n <= 3 a
     midpoint grid (``_union_rule``) gives the estimate, its distance to the
     same rule with half the points per axis the error, and ``seed`` is
-    unused.  For n >= 4, ``samples`` random directions from ``seed`` give
-    the estimate and its standard error.  A needle, a member far longer than
-    the rest along a few directions, gives rho(u)^n a heavy tail at n >= 4:
-    few directions find it, and the estimate and its error both read low.
+    unused.  That error compares two grids, so it can read low where the
+    outermost member changes (a kink of rho).  For n >= 4, ``samples``
+    random directions from ``seed`` give the estimate and its standard
+    error.  A needle, a member far longer than the rest along a few
+    directions, gives rho(u)^n a heavy tail at n >= 4: few directions find
+    it, and the estimate and its error both read low.
     The error is at least a rounding bound: u'P^-1 u is off by about 2n + 8
     ulps, the power -n/2 multiplies that by n/2, and exp and the sum add
     |log estimate| and log2(N) ulps.
@@ -572,7 +567,7 @@ def union_volume(region: UnionRegion, samples: int, seed: int) -> tuple[float, f
     n = region.n
     i, _, scale = _svec_index(n)
     # <svec(u u'), svec(Q)> = sum (u_i u_j) * (Q_ij scale^2): both scales go on Q
-    W = np.stack([svec(np.linalg.inv(e.P)) * scale for e in region.members])
+    W = np.stack([svec(_cho_solve(_spd_factor(e.P), np.eye(n))) * scale for e in region.members])
     # directions per chunk: the directions, monomials, gather temporary, values
     rows = max(1, UNION_CHUNK_BYTES // (8 * (n + 2 * i.size + W.shape[0])))
     log_ball = _log_ball_volume(n)

@@ -227,7 +227,8 @@ def _failed_points(entries) -> list:
             for e in entries if e.status not in ("optimal", "infeasible")]
 
 
-def _run_certification(args, mode: str) -> int:
+def _run_certification(args) -> int:
+    mode = args.mode
     sys_obj, source = _load_target(args)
     if mode == "synthesis" and sys_obj.m < 1:
         raise CliError(f"synthesis requires an input channel (m >= 1); {source} has m = 0")
@@ -237,7 +238,7 @@ def _run_certification(args, mode: str) -> int:
     alpha = resolve_alpha(sys_obj, args.alpha)
     out = _outdir(args)
     summary = {
-        "command": "synthesize" if mode == "synthesis" else "analyze",
+        "command": args.command,
         "tool_version": __version__,
         "system": source,
         "n": sys_obj.n,
@@ -298,14 +299,6 @@ def _run_certification(args, mode: str) -> int:
         summary["gain_K"] = best.K.tolist()
     _write_report(out / "summary.json", summary)
     return EXIT_OK
-
-
-def _cmd_analyze(args) -> int:
-    return _run_certification(args, "analysis")
-
-
-def _cmd_synthesize(args) -> int:
-    return _run_certification(args, "synthesis")
 
 
 def _cmd_verify(args) -> int:
@@ -468,27 +461,22 @@ def _add_common(p: argparse.ArgumentParser, need_eps: bool = True) -> None:
                        help="decay margin; 'auto' = 1e-6 |A|_F (default)")
 
 
-UNION_SAMPLES_HELP = ("grid union volume (at least 1e4): random directions for n >= 4; "
-                      "for n <= 3, a midpoint grid of about 16 samples^((n-1)/n) directions")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qbstab",
                      description="Ellipsoidal stability certification for quadratic-bilinear systems")
     parser.add_argument("--version", action="version", version=f"qbstab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("analyze", help="region-of-attraction certification (m may be 0)")
-    _add_common(p)
-    p.add_argument("--rel-tol", type=_rel_tol, default=1e-3, help="search refinement tolerance")
-    p.add_argument("--union-samples", type=int, default=1_000_000, help=UNION_SAMPLES_HELP)
-    p.set_defaults(fn=_cmd_analyze)
-
-    p = sub.add_parser("synthesize", help="stabilizing gain synthesis (m >= 1)")
-    _add_common(p)
-    p.add_argument("--rel-tol", type=_rel_tol, default=1e-3)
-    p.add_argument("--union-samples", type=int, default=1_000_000, help=UNION_SAMPLES_HELP)
-    p.set_defaults(fn=_cmd_synthesize)
+    for name, mode, text in (
+            ("analyze", "analysis", "region-of-attraction certification (m may be 0)"),
+            ("synthesize", "synthesis", "stabilizing gain synthesis (m >= 1)")):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.add_argument("--rel-tol", type=_rel_tol, default=1e-3, help="search refinement tolerance")
+        p.add_argument("--union-samples", type=int, default=1_000_000,
+                       help="grid union volume (at least 1e4): random directions for n >= 4; "
+                            "for n <= 3, a midpoint grid of about 16 samples^((n-1)/n) directions")
+        p.set_defaults(fn=_run_certification, mode=mode)
 
     p = sub.add_parser("verify", help="audit a certificate by sampling and simulation")
     _add_common(p, need_eps=False)

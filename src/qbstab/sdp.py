@@ -25,7 +25,7 @@ the rule.
 The tolerances are fixed: Optimal needs primal and dual residuals within
 ``FEAS_TOL`` and a duality gap within ``GAP_TOL``, Infeasible a ray residual
 within ``FEAS_TOL`` max(1, |c|_inf), and IterLimit comes after ``MAX_ITERS``
-iterations.  Ruiz-style block scaling (10 sweeps) and the objective cap
+iterations.  Ruiz-style block scaling (``RUIZ_SWEEPS``) and the objective cap
 ``OBJECTIVE_BOX`` always apply, every solve keeps its per-iteration log in
 ``SdpSolution.history``, and identical inputs produce identical iterates.
 The iterate is never renormalized: the embedding is scale invariant, every test relative.
@@ -102,6 +102,8 @@ OBJECTIVE_BOX = 1e8
 # ray.  The nine solves that stall there had no candidate ray at all and
 # frozen residuals through the 164 to 168 iterations left until IterLimit.
 STALL_ITERS = 5
+# sweeps of ``_ruiz_scale`` over the variables and the blocks
+RUIZ_SWEEPS = 10
 
 
 @dataclass
@@ -328,7 +330,7 @@ class _Block:
         return self.lmi.adjoint(self.G @ R @ self.G.mT), (self.Chat * R).sum(axis=(1, 2))
 
 
-def _ruiz_scale(problems, sweeps: int = 10):
+def _ruiz_scale(problems):
     """Ruiz-style scaling of B problems of one shape: scaled (F0 (B, s, s),
     vals (B, d, r, s)) per block, variable scales gamma (B, d) and block scales
     beta (B, blocks)."""
@@ -337,7 +339,7 @@ def _ruiz_scale(problems, sweeps: int = 10):
     beta = np.ones((len(problems), nb))
     F0s = [np.stack([p.blocks[b].F0 for p in problems]) for b in range(nb)]
     vals = [np.stack([p.blocks[b].vals for p in problems]) for b in range(nb)]
-    for _ in range(sweeps):
+    for _ in range(RUIZ_SWEEPS):
         r = np.zeros(gamma.shape)
         for V in vals:
             r = np.maximum(r, np.abs(V).max(axis=(2, 3)))

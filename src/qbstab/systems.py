@@ -171,11 +171,13 @@ def validate(sys: QBSystem) -> ValidationReport:
     )
 
 
-def _column_field(W: np.ndarray, buf: np.ndarray):
-    """The field [A H] [x; x kron x], W = [A H], of the states in the columns
-    of buf[:n], as a function of its output array: a call writes x kron x
-    into buf[n:] (row n + i*n + j holds x_i x_j) and returns W @ buf, (n, N)."""
-    n, N = W.shape[0], buf.shape[1]
+def _column_field(sys: QBSystem, buf: np.ndarray):
+    """The field [A H] [x; x kron x] of the autonomous part of ``sys`` at the
+    states in the columns of buf[:n], as a function of its output array: a
+    call writes x kron x into buf[n:] (row n + i*n + j holds x_i x_j) and
+    returns [A H] @ buf, (n, N)."""
+    W = np.hstack((sys.A, sys.H))
+    n, N = sys.n, buf.shape[1]
     x, xx = buf[:n], buf[n:].reshape(n, n, N)
     rows, cols = x[:, None, :], x[None, :, :]
 
@@ -200,7 +202,7 @@ def eval_dynamics(sys: QBSystem, x: np.ndarray, u: np.ndarray | None = None) -> 
         raise DimensionError(f"x must have shape ({n},) or (N, {n}), got {x.shape}")
     buf = np.empty((n + n * n, x.size // n))
     buf[:n] = x.reshape(-1, n).T
-    f = _column_field(np.hstack((sys.A, sys.H)), buf)().T.reshape(x.shape)
+    f = _column_field(sys, buf)().T.reshape(x.shape)
     if u is None:
         return f
     u = np.asarray(u, dtype=float)

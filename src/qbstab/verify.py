@@ -95,7 +95,11 @@ def vdot(sys_cl: QBSystem, P: np.ndarray, x: np.ndarray) -> float:
     """dV/dt of V(x) = x' P^-1 x along the autonomous flow, 2 x' P^-1 f(x), at a finite x."""
     if not sys_cl.is_autonomous:
         raise DimensionError("vdot expects an autonomous (closed-loop) system")
-    x = np.asarray(x, dtype=float).reshape(1, -1)
+    n, shape = sys_cl.n, np.shape(x)
+    x, P = np.asarray(x, dtype=float).reshape(1, -1), np.asarray(P, dtype=float)
+    if x.shape[1] != n or P.shape != (n, n):
+        raise DimensionError(f"need x of length {n} and P of shape ({n}, {n}), "
+                             f"got x of shape {shape} and P of shape {P.shape}")
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     return float(_lyapunov_rate(sys_cl, x, _lyapunov(_spd_factor(P), x)[0])[0])
@@ -124,8 +128,11 @@ def sample_check(sys: QBSystem, cert: Certificate, n_samples: int, seed: int) ->
 
     The closed loop is formed first for synthesis certificates.  A small
     absolute slack (1e-9 * (1 + |dV/dt|)) absorbs floating-point noise at the
-    boundary, where the margin can touch zero.
+    boundary, where the margin can touch zero.  Raises ValueError for a
+    negative ``n_samples``.
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be non-negative, got {n_samples}")
     closed = _closed_system(sys, cert)
     X = ellipsoid_points(cert.P, n_samples, np.random.default_rng(seed))
     Z, V = _lyapunov(_spd_factor(cert.P), X)
@@ -153,7 +160,7 @@ def _integrate(sys_cl: QBSystem, X: np.ndarray, dt: float, out: np.ndarray) -> N
     """
     n, N = X.shape
     buf = np.empty((n + n * n, N))
-    field = _column_field(np.hstack((sys_cl.A, sys_cl.H)), buf)
+    field = _column_field(sys_cl, buf)
     arg = buf[:n]
     K = np.empty((4, n, N))
     incr = np.empty((n, N))
@@ -176,6 +183,14 @@ def _integrate(sys_cl: QBSystem, X: np.ndarray, dt: float, out: np.ndarray) -> N
             np.multiply(incr, sixth, out=incr)
             np.add(x, incr, out=state)
             x = state
+
+
+def _steps(t_final: float, dt: float, n_traj: int = 1) -> int:
+    """RK4 steps of dt over [0, t_final], rounded, at least one; ValueError
+    unless dt > 0, t_final > 0 (not NaN) and n_traj >= 1."""
+    if not (dt > 0 and t_final > 0 and n_traj >= 1):
+        raise ValueError("need dt > 0, t_final > 0 and at least one trajectory")
+    return max(1, int(round(t_final / dt)))
 
 
 def _first_escape(states: np.ndarray, guard: float) -> np.ndarray:
@@ -206,12 +221,10 @@ def simulate(sys_cl: QBSystem, x0: np.ndarray, t_final: float, dt: float) -> Tra
     """
     if not sys_cl.is_autonomous:
         raise DimensionError("simulate expects an autonomous (closed-loop) system")
-    if dt <= 0 or t_final <= 0:
-        raise ValueError("need dt > 0 and t_final > 0")
+    steps = _steps(t_final, dt)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys_cl.n:
         raise DimensionError(f"x0 must have length {sys_cl.n}")
-    steps = max(1, int(round(t_final / dt)))
     guard = DIVERGENCE_FACTOR * (1.0 + float(np.linalg.norm(x0)))
     states = np.empty((steps + 1, sys_cl.n))
     states[0] = x0
@@ -243,13 +256,11 @@ def convergence_check(sys: QBSystem, cert: Certificate, n_traj: int, t_final: fl
     whole-array operations; the report equals a step-by-step check bit for
     bit.
     """
-    if dt <= 0 or t_final <= 0 or n_traj < 1:
-        raise ValueError("need dt > 0, t_final > 0 and at least one trajectory")
+    steps = _steps(t_final, dt, n_traj)
     closed = _closed_system(sys, cert)
     X = boundary_points(cert.P, n_traj, np.random.default_rng(seed))
     x0_norms = np.linalg.norm(X, axis=1)
     factor = _spd_factor(cert.P)
-    steps = max(1, int(round(t_final / dt)))
     guard = DIVERGENCE_FACTOR * (1.0 + float(np.max(x0_norms)))
     Z, V0 = _lyapunov(factor, X)
     V_prev, violations, min_margin, t = V0, 0, np.inf, 0.0

@@ -452,6 +452,17 @@ class TestSerialization:
         rep = check_block_feasibility(prob, prob.layout.pack(again.P), 1e-7)
         assert rep.feasible
 
+    def test_certificate_takes_p_by_the_ellipsoid_rule(self):
+        P = np.array([[1.0, 0.5], [0.25, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError, match="symmetric"):
+            Certificate(mode="analysis", P=P, epsilon=0.3, alpha=0.0)
+        with pytest.raises(DimensionError, match="square"):
+            Certificate(mode="analysis", P=np.ones((2, 3)), epsilon=0.3, alpha=0.0)
+        doc = serialize_certificate(max_trace(two_state(), 0.3, None, "analysis"))
+        doc["P"][0][1] /= 2.0
+        with pytest.raises(SchemaError, match="symmetric"):
+            deserialize_certificate(doc)
+
     def test_analysis_certificate_takes_no_gain(self):
         # K P != Y here, and an analysis audit would never apply K
         P = 0.1 * np.eye(2)

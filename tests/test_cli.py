@@ -271,6 +271,20 @@ class TestVerifyCommand:
         assert shape["relaxed_retry"] is None  # not recorded in this certificate
         assert report["warnings"]
 
+    def test_asymmetric_p_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "an"
+        assert run("analyze", "--zoo", "two-state", "--eps", "0.3", "--out", str(out)) == 0
+        cert_path = out / "certificate.json"
+        doc = json.loads(cert_path.read_text())
+        doc["P"][0][1] /= 2.0
+        cert_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        vout = tmp_path / "ver"
+        assert run("verify", "--zoo", "two-state", "--certificate", str(cert_path),
+                   "--t-final", "5", "--dt", "1e-3", "--out", str(vout)) == 4
+        assert_one_input_error(capsys)
+        assert not (vout / "verification.json").exists()
+
     def test_dimension_mismatch_is_input_error(self, tmp_path):
         sys_path = tmp_path / "scalar.json"
         save_system(scalar_family(-1.0, 1.0), sys_path)
@@ -442,6 +456,15 @@ class TestSimulate:
 
 
 class TestArgumentHandling:
+    @pytest.mark.parametrize("command", ["analyze", "synthesize"])
+    def test_certification_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "search refinement tolerance" in help_text
+        assert "grid union volume (at least 1e4)" in help_text
+
     def test_unknown_zoo_name(self, tmp_path):
         assert run("analyze", "--zoo", "nope", "--eps", "1.0",
                    "--out", str(tmp_path / "x")) == 4

@@ -172,6 +172,14 @@ class TestVdot:
         with pytest.raises(ValueError, match="finite"):
             vdot(two_state(), np.eye(2), np.array([0.1, bad]))
 
+    @pytest.mark.parametrize("P,x,shapes", [
+        (np.eye(2), np.zeros(3), r"x of shape \(3,\) and P of shape \(2, 2\)"),
+        (np.eye(3), np.zeros(2), r"x of shape \(2,\) and P of shape \(3, 3\)"),
+    ], ids=["long-x", "large-P"])
+    def test_rejects_mismatched_shapes(self, P, x, shapes):
+        with pytest.raises(DimensionError, match=shapes):
+            vdot(two_state(), P, x)
+
     @pytest.mark.parametrize("system,eps,dt", [
         (SCALAR, 1.0, 1e-4),        # unit-rate flow at the reference step
         (two_state(), 0.3, 2e-6),   # fast flow: step scaled by its rate
@@ -217,6 +225,11 @@ class TestSimulate:
             simulate(LINEAR, np.array([1.0]), 1.0, 0.0)
         with pytest.raises(DimensionError):
             simulate(LINEAR, np.array([1.0, 2.0]), 1.0, 0.1)
+
+    @pytest.mark.parametrize("t_final,dt", [(1.0, np.nan), (np.nan, 1e-3)])
+    def test_rejects_nan_step_inputs(self, t_final, dt):
+        with pytest.raises(ValueError, match="need dt > 0"):
+            simulate(LINEAR, np.array([1.0]), t_final, dt)
 
     def test_csv_export(self, tmp_path):
         # trajectory CSVs are written by the CLI's CSV writer
@@ -264,6 +277,10 @@ class TestSampleCheck:
         with pytest.raises(DimensionError):
             sample_check(two_state(), scalar_cert, 100, seed=0)
 
+    def test_rejects_negative_count(self, scalar_cert):
+        with pytest.raises(ValueError, match="n_samples must be non-negative, got -1"):
+            sample_check(SCALAR, scalar_cert, -1, seed=0)
+
 
 class TestConvergenceCheck:
     def test_scalar_certificate_all_converge(self, scalar_cert):
@@ -286,6 +303,7 @@ class TestConvergenceCheck:
 
     @pytest.mark.parametrize("n_traj,t_final,dt", [
         (5, 1.0, 0.0), (5, 1.0, -1e-3), (5, 0.0, 1e-3), (5, -5.0, 1e-3), (0, 1.0, 1e-3),
+        (5, 1.0, np.nan), (5, np.nan, 1e-3),
     ])
     def test_rejects_bad_step_inputs(self, scalar_cert, n_traj, t_final, dt):
         with pytest.raises(ValueError, match="need dt > 0"):
