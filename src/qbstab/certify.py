@@ -87,8 +87,8 @@ def shape_report(P: np.ndarray, K: np.ndarray | None, delta: float) -> dict:
 class Ellipsoid:
     """The set {x : x' P^-1 x <= 1} for symmetric positive definite P.
 
-    P must be square, symmetric within 1e-12 (1 + max|P|) and positive
-    definite; it is kept as (P + P') / 2.
+    P must be square, finite, symmetric within 1e-12 (1 + max|P|) and
+    positive definite; it is kept as (P + P') / 2.
     """
 
     P: np.ndarray
@@ -97,6 +97,8 @@ class Ellipsoid:
         P = np.asarray(self.P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise DimensionError(f"P must be square, got {P.shape}")
+        if not np.isfinite(P).all():
+            raise NotPositiveDefiniteError("P must be positive definite: it has non-finite entries")
         if not np.allclose(P, P.T, rtol=0, atol=1e-12 * (1 + np.abs(P).max())):
             raise NotPositiveDefiniteError("P must be symmetric")
         _spd_eigh(P)  # raises unless P > 0

@@ -36,7 +36,7 @@ trace inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -231,8 +231,10 @@ class LmiBlock:
     depends on the system: sparse A, B, D and H give r << s (a stacked
     n = 40 main block has s = 80 and r = 6), while a dense A or H gives a
     main block with r = n + 2 of s = 2n and a quarter of F nonzero.
-    The solver reaches F only through ``linear``, ``adjoint`` and
-    ``congruence`` (which ``schur`` uses), all working from the stored rows.
+    The solver stacks the blocks of the problems it runs together
+    (``sdp._Stack``) and reaches F only through ``_linear``, ``_adjoint``
+    and ``_congruence`` on the stored rows; ``linear`` and ``adjoint`` are
+    the first two for one block.
     """
 
     F0: np.ndarray    # (s, s)
@@ -273,15 +275,6 @@ class LmiBlock:
         """Number of nonzero entries over all F_k."""
         return len(self._nnz[0])
 
-    @cached_property
-    def _csr(self):
-        """The d-by-s^2 sparse matrix whose row k is vec(F_k)."""
-        from scipy import sparse  # only blocks that ``schur`` serves need it
-
-        k, flat, v = self._nnz
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(k, minlength=self.d))])
-        return sparse.csr_array((v, flat, indptr), shape=(self.d, self.size * self.size))
-
     def linear(self, x: np.ndarray) -> np.ndarray:
         """sum_k x_k F_k."""
         return _linear(self._nnz, np.asarray(x, dtype=float)[None], self.size)[0]
@@ -289,22 +282,6 @@ class LmiBlock:
     def adjoint(self, Z: np.ndarray) -> np.ndarray:
         """(<F_k, Z>)_k, the adjoint of ``linear``."""
         return _adjoint(self._nnz, np.asarray(Z, dtype=float)[None], self.d)[0]
-
-    def congruence(self, L: np.ndarray, R: np.ndarray):
-        """Yield (ks, L F_k R for k in ks) over slices ks of range(d); see ``_congruence``."""
-        return _congruence(self.rows, self.vals, L, R)
-
-    def schur(self, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(<F_k, W F_l W>)_kl for symmetric W, this block's share of the
-        Schur complement (Fujisawa, Kojima & Nakata, Math. Prog. 1997), in ``out``
-        if given.
-
-        W F_l W comes from ``congruence``, and the inner products with every
-        F_k touch only the nonzeros of F."""
-        M = np.empty((self.d, self.d)) if out is None else out
-        for ls, WFW in self.congruence(W, W):
-            M[:, ls] = self._csr @ WFW.reshape(WFW.shape[0], -1).T
-        return M
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return self.F0 + self.linear(x)

@@ -23,7 +23,6 @@ __all__ = [
     "scalar_family",
     "get_model",
     "model_names",
-    "shear_flow_data_available",
 ]
 
 
@@ -81,14 +80,6 @@ def _shear_flow_doc() -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataFileError(f"corrupt coefficient file {_SHEAR_FLOW_FILE!r}: {exc}") from exc
-
-
-def shear_flow_data_available() -> bool:
-    try:
-        _shear_flow_doc()
-        return True
-    except DataFileError:
-        return False
 
 
 def shear_flow_9(Re: float) -> QBSystem:

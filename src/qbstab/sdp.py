@@ -58,8 +58,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .lmi import (_CHUNK, LmiBlock, SdpProblem, _adjoint, _cho_solve, _congruence, _linear,
-                  _nonzeros, svec)
+from .lmi import (_CHUNK, SdpProblem, _adjoint, _cho_solve, _congruence, _linear, _nonzeros,
+                  svec)
 # a module-level name, so that a failing factorization can be substituted
 from .lmi import _cho_factor as cho_factor
 
@@ -219,23 +219,34 @@ def _residuals(user, c, x, Fx, Z):
 
 
 class _Stack:
-    """One block of B problems of one shape: F0 (B, s, s) and the nonzeros of
-    every F_k with per-problem offsets (``lmi._nonzeros``), so that ``linear``
-    and ``adjoint`` serve the whole stack in one bincount, each problem's sums
-    taken in the order of its own ``LmiBlock``."""
+    """One block of B problems of one shape, the owner of its data: F0 (B, s,
+    s), the rows (d, r) that every problem shares, vals (B, d, r, s) as in
+    ``LmiBlock``, and the nonzeros of every F_k with per-problem offsets
+    (``lmi._nonzeros``), so that ``linear`` and ``adjoint`` serve the whole
+    stack in one bincount, each problem's sums taken in the order of its own
+    ``LmiBlock``."""
 
-    def __init__(self, F0: np.ndarray, nnz: tuple, d: int):
-        self.F0, self.nnz, self.d = F0, nnz, d
+    def __init__(self, F0: np.ndarray, rows: np.ndarray, vals: np.ndarray):
+        self.F0, self.rows, self.vals = F0, rows, vals
+        self.nnz = _nonzeros(rows, vals)
 
     @classmethod
     def of(cls, blocks) -> _Stack:
         """The stack of same-shape ``LmiBlock``s, one per problem."""
-        nnz = _nonzeros(blocks[0].rows, np.stack([blk.vals for blk in blocks]))
-        return cls(np.stack([blk.F0 for blk in blocks]), nnz, blocks[0].d)
+        return cls(np.stack([blk.F0 for blk in blocks]), blocks[0].rows,
+                   np.stack([blk.vals for blk in blocks]))
+
+    def keep(self, mask: np.ndarray) -> _Stack:
+        """The stack of the problems where ``mask`` holds."""
+        return _Stack(self.F0[mask], self.rows, self.vals[mask])
 
     @cached_property
     def f0_norm(self) -> np.ndarray:
         return np.array([np.linalg.norm(F, "fro") for F in self.F0])
+
+    @property
+    def d(self) -> int:
+        return self.rows.shape[0]
 
     @property
     def size(self) -> int:
@@ -255,8 +266,8 @@ def _gram_form(d: int, s: int, nnz: int) -> bool:
 
 
 class _Block:
-    """One scaled LMI block of the B problems of a lockstep group, stacked,
-    and their per-iteration NT quantities.
+    """One scaled LMI block of the B problems of a lockstep group, its
+    ``_Stack`` ``lmi``, and their per-iteration NT quantities.
 
     The block's share of the Schur complement, (<G'F_kG, G'F_lG>)_kl, is
     formed in one of two ways, chosen by size and sparsity, both from
@@ -265,9 +276,11 @@ class _Block:
     in one BLAS call per problem.  It is symmetric positive semidefinite as
     computed and consistent with the right-hand sides taken from the same U,
     so every block whose U has at most ``GRAM_MAX`` entries uses it; there
-    both forms take tens of microseconds.  The W form, ``LmiBlock.schur``
-    with W = G G', costs d s^2 r plus the nonzeros of F times d, the latter
-    through a sparse product, one problem at a time.  A larger block uses it
+    both forms take tens of microseconds.  The W form, <F_k, W F_l W> with
+    W = G G' (Fujisawa, Kojima & Nakata, Math. Prog. 1997), takes W F_l W
+    from the congruence and its inner products with every F_k from a sparse
+    product with the d-by-s^2 matrix whose row k is vec(F_k), one problem at
+    a time: d s^2 r plus the nonzeros of F times d.  A larger block uses it
     only when U has at least ``W_MIN_SPARSITY`` times as many entries as F
     has nonzeros.  Stacked systems are far past that (330 to 420 at n = 40,
     where the W form takes 0.14 to 0.26 of the Gram form's time); a dense A
@@ -275,29 +288,35 @@ class _Block:
     to 30).  Every problem of a group takes the same form.
     """
 
-    __slots__ = ("rows", "vals", "lmi", "C", "size", "eye", "X", "S", "G", "lam", "lam_avg",
-                 "Chat", "U", "W", "singles")
+    __slots__ = ("lmi", "C", "size", "eye", "X", "S", "G", "lam", "lam_avg", "Chat", "U", "W",
+                 "csr")
 
-    def __init__(self, F0: np.ndarray, rows: np.ndarray, vals: np.ndarray):
-        B, d, _, s = vals.shape
-        self.rows, self.vals, self.size = rows, vals, s
-        self.lmi = _Stack(F0, _nonzeros(rows, vals), d)
-        self.C = -F0
+    def __init__(self, lmi: _Stack):
+        B, d, _, s = lmi.vals.shape
+        self.lmi, self.size = lmi, s
+        self.C = -lmi.F0
         self.eye = np.eye(s)
         self.X = np.broadcast_to(self.eye, (B, s, s)).copy()
         self.S = self.X.copy()
-        if _gram_form(d, s, np.count_nonzero(vals[0])):
+        self.U = self.csr = None
+        if _gram_form(d, s, np.count_nonzero(lmi.vals[0])):
             # column-major per problem, as svec returns it, so that U U' takes
             # the same BLAS path
             self.U = np.empty((B, s * (s + 1) // 2, d)).transpose(0, 2, 1)
-            self.singles = None
         else:
-            self.U = None
-            self.singles = [LmiBlock(F0=F0[p], rows=rows, vals=vals[p]) for p in range(B)]
+            from scipy import sparse  # only the W form needs it
+
+            # the stack's nonzeros are k-major with k = p d + k' (``lmi._nonzeros``),
+            # so problem p's rows of vec(F_k) are the run [lo, hi) of them
+            k, flat, v = lmi.nnz
+            ptr = np.searchsorted(k, np.arange(B * d + 1))
+            self.csr = [sparse.csr_array((v[lo:hi], flat[lo:hi] - p * s * s,
+                                          ptr[p * d:(p + 1) * d + 1] - lo), shape=(d, s * s))
+                        for p, (lo, hi) in enumerate(zip(ptr[:-1:d], ptr[d::d]))]
 
     def keep(self, mask: np.ndarray) -> _Block:
         """This block of the problems where ``mask`` holds, with their iterates."""
-        blk = _Block(self.lmi.F0[mask], self.rows, self.vals[mask])
+        blk = _Block(self.lmi.keep(mask))
         blk.X, blk.S = self.X[mask], self.S[mask]
         return blk
 
@@ -306,7 +325,7 @@ class _Block:
         self.lam_avg = (lam[:, :, None] + lam[:, None, :]) / 2.0
         self.Chat = G.mT @ self.C @ G
         if self.U is not None:
-            for ks, GFG in _congruence(self.rows, self.vals, G.mT, G):
+            for ks, GFG in _congruence(self.lmi.rows, self.lmi.vals, G.mT, G):
                 self.U[:, ks] = svec(GFG)
         else:
             self.W = G @ G.mT
@@ -317,9 +336,10 @@ class _Block:
             share = self.U @ self.U.mT
         else:
             d = self.lmi.d
-            share = np.empty((len(self.singles), d, d))
-            for single, W, out in zip(self.singles, self.W, share):
-                single.schur(W, out=out)
+            share = np.empty((len(self.csr), d, d))
+            for csr, vals, W, out in zip(self.csr, self.lmi.vals, self.W, share):
+                for ls, WFW in _congruence(self.lmi.rows, vals, W, W):
+                    out[:, ls] = csr @ WFW.reshape(WFW.shape[0], -1).T
         return (share, *self.pull_back(self.Chat))
 
     def pull_back(self, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,15 +350,14 @@ class _Block:
         return self.lmi.adjoint(self.G @ R @ self.G.mT), (self.Chat * R).sum(axis=(1, 2))
 
 
-def _ruiz_scale(problems):
-    """Ruiz-style scaling of B problems of one shape: scaled (F0 (B, s, s),
-    vals (B, d, r, s)) per block, variable scales gamma (B, d) and block scales
-    beta (B, blocks)."""
-    nb = len(problems[0].blocks)
-    gamma = np.ones((len(problems), problems[0].d))
-    beta = np.ones((len(problems), nb))
-    F0s = [np.stack([p.blocks[b].F0 for p in problems]) for b in range(nb)]
-    vals = [np.stack([p.blocks[b].vals for p in problems]) for b in range(nb)]
+def _ruiz_scale(user):
+    """Ruiz-style scaling of the blocks ``user``, one ``_Stack`` each, of B
+    problems of one shape: the scaled stacks, variable scales gamma (B, d)
+    and block scales beta (B, blocks)."""
+    gamma = np.ones(user[0].vals.shape[:2])
+    beta = np.ones((len(gamma), len(user)))
+    F0s = [blk.F0.copy() for blk in user]
+    vals = [blk.vals.copy() for blk in user]
     for _ in range(RUIZ_SWEEPS):
         r = np.zeros(gamma.shape)
         for V in vals:
@@ -353,7 +372,7 @@ def _ruiz_scale(problems):
             F0 *= sb[:, None, None]
             V *= sb[:, None, None, None]
             beta[:, b] *= sb
-    return list(zip(F0s, vals)), gamma, beta
+    return [_Stack(F0, blk.rows, V) for F0, V, blk in zip(F0s, vals, user)], gamma, beta
 
 
 def _lapack(fn, A: np.ndarray):
@@ -519,7 +538,7 @@ class _Group:
         self.all_runs = list(self.runs)
         self.user = [_Stack.of([p.blocks[b] for p in problems])
                      for b in range(len(problems[0].blocks))]
-        scaled, self.gamma, self.beta = _ruiz_scale(problems)
+        scaled, self.gamma, self.beta = _ruiz_scale(self.user)
 
         c_sc = self.gamma * self.c
         self.s_obj = 1.0 / np.maximum(1.0, np.max(np.abs(c_sc), axis=1, initial=0.0))
@@ -528,11 +547,10 @@ class _Group:
         boxval = self.s_obj * OBJECTIVE_BOX
         rownorm = np.maximum(np.maximum(1.0, np.max(np.abs(c_sc), axis=1, initial=0.0)),
                              np.abs(boxval))
-        scaled.append(((-boxval / rownorm)[:, None, None],
-                       (c_sc / rownorm[:, None]).reshape(B, d, 1, 1)))
-        rows = [blk.rows for blk in problems[0].blocks] + [np.zeros((d, 1), dtype=np.intp)]
+        scaled.append(_Stack((-boxval / rownorm)[:, None, None], np.zeros((d, 1), dtype=np.intp),
+                             (c_sc / rownorm[:, None]).reshape(B, d, 1, 1)))
         # the user blocks come first; zips with beta skip the cap
-        self.blocks = [_Block(F0, r, V) for (F0, V), r in zip(scaled, rows)]
+        self.blocks = [_Block(lmi) for lmi in scaled]
         self.b_vec = c_sc
         self.nu = sum(blk.size for blk in self.blocks)
         self.y = np.zeros((B, d))
@@ -545,8 +563,7 @@ class _Group:
         self.Rd = [R[mask] for R in self.Rd]
         self.blocks = [blk.keep(mask) for blk in self.blocks]
         self.runs = [run for run, k in zip(self.runs, mask) if k]
-        self.user = [_Stack.of([run.problem.blocks[b] for run in self.runs])
-                     for b in range(len(self.user))]
+        self.user = [ub.keep(mask) for ub in self.user]
 
     def run(self) -> list[SdpSolution]:
         for it in range(MAX_ITERS):

@@ -187,9 +187,9 @@ def _integrate(sys_cl: QBSystem, X: np.ndarray, dt: float, out: np.ndarray) -> N
 
 def _steps(t_final: float, dt: float, n_traj: int = 1) -> int:
     """RK4 steps of dt over [0, t_final], rounded, at least one; ValueError
-    unless dt > 0, t_final > 0 (not NaN) and n_traj >= 1."""
-    if not (dt > 0 and t_final > 0 and n_traj >= 1):
-        raise ValueError("need dt > 0, t_final > 0 and at least one trajectory")
+    unless dt > 0 and t_final > 0 are finite and n_traj >= 1."""
+    if not (0 < dt < np.inf and 0 < t_final < np.inf and n_traj >= 1):
+        raise ValueError("need dt > 0, t_final > 0, both finite, and at least one trajectory")
     return max(1, int(round(t_final / dt)))
 
 

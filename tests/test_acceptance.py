@@ -29,7 +29,6 @@ from qbstab.lmi import assemble, delta_norm, petersen_parts
 from qbstab.models import (
     scalar_family,
     shear_flow_9,
-    shear_flow_data_available,
     three_state_qb,
     two_state,
 )
@@ -394,8 +393,6 @@ def test_criterion_7_scaling():
 # criterion 8: shear-flow trace monotonic in Reynolds number
 # --------------------------------------------------------------------------
 
-@pytest.mark.skipif(not shear_flow_data_available(),
-                    reason="external coefficient data absent")
 def test_criterion_8_shear_flow_monotonic():
     traces = []
     for Re in (120.0, 130.0, 140.0, 150.0, 160.0):

@@ -9,7 +9,7 @@ from qbstab.certify import Certificate, save_certificate
 from qbstab.cli import _union_payload, build_parser, main
 from qbstab.systems import save_system, stack, system_to_dict
 from qbstab.verify import convergence_check
-from qbstab.models import scalar_family, shear_flow_data_available
+from qbstab.models import scalar_family
 
 
 def run(*argv):
@@ -132,8 +132,6 @@ class TestAnalyze:
         assert summary["failed_points"] == []
         assert not (out / "certificate.json").exists()
 
-    @pytest.mark.skipif(not shear_flow_data_available(),
-                        reason="external coefficient data absent")
     def test_stalled_eps_exit_code(self, tmp_path, capsys):
         # at Re = 120 and eps = 10**-1.8 the solve stalls: no interior, no ray
         out = tmp_path / "stall"
@@ -160,8 +158,6 @@ class TestAnalyze:
         # the discarded look-ahead probes count as solves, not evaluations
         assert summary["evaluations"] < summary["solves"] <= 2 * summary["evaluations"]
 
-    @pytest.mark.skipif(not shear_flow_data_available(),
-                        reason="external coefficient data absent")
     def test_failed_points_told_apart_from_infeasible(self, tmp_path):
         # at Re = 120 the shear flow has no interior and no improving ray at
         # eps = 10**-1.6, so that solve stalls; summary.json names the point

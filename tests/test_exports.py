@@ -1,8 +1,11 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -83,3 +86,13 @@ def test_union_volume_positional_call():
     result = union_volume(UnionRegion(members=(Ellipsoid(P=np.eye(2)),)), 10_000, 0)
     assert isinstance(result, tuple) and len(result) == 2
     assert all(isinstance(v, float) for v in result)
+
+
+def test_import_leaves_scipy_sparse_out():
+    # only the solver's W form needs scipy.sparse and imports it there; the
+    # import adds about 15 ms to every process start
+    src = Path(qbstab.__file__).resolve().parents[1]
+    code = "import sys, qbstab; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

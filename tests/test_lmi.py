@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbstab.errors import DimensionError, NotPositiveDefiniteError
-from qbstab import lmi
+from qbstab import lmi, sdp
 from qbstab.lmi import (
     LmiBlock,
     SdpProblem,
@@ -21,7 +21,6 @@ from qbstab.lmi import (
 from qbstab.models import (
     scalar_family,
     shear_flow_9,
-    shear_flow_data_available,
     three_state_qb,
     two_state,
 )
@@ -479,10 +478,8 @@ OPERATOR_PROBLEMS = {
     "three-state synthesis": lambda: assemble(three_state_qb(), 0.746, 1e-6, "synthesis"),
     "stacked two-state": lambda: assemble(stack(two_state(), 5), 0.4, 1e-6, "analysis"),
     "objective cap": objective_cap_problem,
+    "shear flow Re=120": lambda: assemble(shear_flow_9(120.0), 0.4, 1e-6, "analysis"),
 }
-if shear_flow_data_available():
-    OPERATOR_PROBLEMS["shear flow Re=120"] = lambda: assemble(shear_flow_9(120.0), 0.4, 1e-6,
-                                                              "analysis")
 
 
 class TestBlockOperators:
@@ -523,16 +520,22 @@ class TestBlockOperators:
 
     @pytest.mark.parametrize("chunk", [None, 1], ids=["chunked", "by-column"])
     def test_schur_matches_dense_reference(self, problem, chunk, monkeypatch):
-        # sum_b <F_k, W F_l W> with W = G G' equals the Gram matrix of the
-        # rows svec(G' F_k G); chunk=1 forces one column of M per pass
+        # the solver's W form, sum_b <F_k, W F_l W> with W = G G', equals the
+        # Gram matrix of the rows svec(G' F_k G); chunk=1 forces one column
+        # of M per pass
         if chunk is not None:
             monkeypatch.setattr(lmi, "_CHUNK", chunk)
+        monkeypatch.setattr(sdp, "W_MIN_SPARSITY", 0)
+        monkeypatch.setattr(sdp, "GRAM_MAX", 0)
         rng = np.random.default_rng(13)
         M = np.zeros((problem.d, problem.d))
         ref = np.zeros((problem.d, problem.d))
         for blk in problem.blocks:
             G = rng.normal(size=(blk.size, blk.size))
-            M += blk.schur(G @ G.T)
+            block = sdp._Block(sdp._Stack.of([blk]))
+            block.set_scaling(G[None], np.ones((1, blk.size)))
+            assert block.U is None
+            M += block.schur()[0][0]
             U = svec(np.matmul(G.T, np.matmul(dense_stack(blk), G)))
             ref += U @ U.T
         np.testing.assert_allclose(M, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -547,7 +550,7 @@ class TestBlockOperators:
             L, R = rng.normal(size=(s + 1, s)), rng.normal(size=(s, s + 2))
             ref = L @ dense_stack(blk) @ R
             out = np.full_like(ref, np.nan)
-            for ks, LFR in blk.congruence(L, R):
+            for ks, LFR in lmi._congruence(blk.rows, blk.vals, L, R):
                 out[ks] = LFR
             np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 

@@ -7,14 +7,11 @@ from qbstab.models import (
     model_names,
     scalar_family,
     shear_flow_9,
-    shear_flow_data_available,
     three_state_qb,
     two_state,
 )
 from qbstab.systems import eval_dynamics, validate
 
-needs_shear_data = pytest.mark.skipif(
-    not shear_flow_data_available(), reason="external coefficient data absent")
 
 
 class TestTwoState:
@@ -55,12 +52,10 @@ class TestThreeState:
 
 
 class TestShearFlow:
-    @needs_shear_data
     def test_dimensions(self):
         s = shear_flow_9(120.0)
         assert s.n == 9 and s.m == 0
 
-    @needs_shear_data
     def test_affine_in_inverse_reynolds(self):
         # two evaluations determine the affine map, which must predict a third
         s120, s240 = shear_flow_9(120.0), shear_flow_9(240.0)
@@ -70,13 +65,11 @@ class TestShearFlow:
         np.testing.assert_allclose(A0 + A1 / 160.0, s160.A, rtol=1e-12, atol=1e-14)
         np.testing.assert_array_equal(s120.H, s240.H)
 
-    @needs_shear_data
     @pytest.mark.parametrize("Re", [120.0, 160.0, 400.0])
     def test_validates(self, Re):
         rep = validate(shear_flow_9(Re))
         assert rep.h_symmetric and rep.a_hurwitz
 
-    @needs_shear_data
     def test_rejects_bad_reynolds(self):
         with pytest.raises(ValueError):
             shear_flow_9(-5.0)

@@ -15,7 +15,6 @@ from qbstab import sdp
 from qbstab.models import (
     scalar_family,
     shear_flow_9,
-    shear_flow_data_available,
     three_state_qb,
     two_state,
 )
@@ -198,8 +197,6 @@ class TestNumericalFailure:
 
 # the log-spaced pre-scan of optimize_epsilon over (1e-3, 1)
 SHEAR_SCAN = np.geomspace(1e-3, 1.0, 16)
-needs_shear_data = pytest.mark.skipif(
-    not shear_flow_data_available(), reason="external coefficient data absent")
 
 
 def shear_problem(eps, Re=120.0):
@@ -208,7 +205,6 @@ def shear_problem(eps, Re=120.0):
 
 
 class TestStall:
-    @needs_shear_data
     @pytest.mark.parametrize("eps", SHEAR_SCAN[6:8], ids=["0.01585", "0.02512"])
     def test_no_interior_and_no_ray(self, eps):
         # tau collapses at iteration 37 or 34 and no candidate ray appears;
@@ -219,7 +215,6 @@ class TestStall:
         assert sol.iters <= 45
         assert sol.relaxed is None
 
-    @needs_shear_data
     def test_iterates_match_a_solve_without_the_rule(self, monkeypatch):
         prob = shear_problem(SHEAR_SCAN[7])
         sol = solve(prob)
@@ -230,7 +225,6 @@ class TestStall:
         assert sol.x.tobytes() == full.x.tobytes()
         assert (sol.relaxed, full.relaxed) == (None, None)
 
-    @needs_shear_data
     def test_collapsing_ray_still_certifies(self):
         # tau collapses at iteration 32 here, and the ray is accepted at the next
         prob = shear_problem(SHEAR_SCAN[8])
@@ -394,7 +388,7 @@ def dense_system(n, seed=0):
 
 def stacked_block(lmi):
     """The solver's block for a lockstep group of one problem with block ``lmi``."""
-    return sdp._Block(lmi.F0[None], lmi.rows, lmi.vals[None])
+    return sdp._Block(sdp._Stack.of([lmi]))
 
 
 class TestSchurForms:
@@ -410,21 +404,21 @@ class TestSchurForms:
 
     def test_gram_block_keeps_no_dense_stack(self):
         # U has d s(s+1)/2 entries; a dense copy of F would add d s^2 more.
-        # The block also keeps an index of the nonzeros of F (three words per
-        # nonzero) for ``linear`` and ``adjoint`` over its lockstep group,
-        # which is counted apart
+        # The block's data, row-compressed, and the index of its nonzeros
+        # (three words per nonzero) belong to its ``_Stack``, built apart
         lmi = assemble(dense_system(15), 0.3, 1e-6, "analysis").blocks[0]
         d, s = lmi.d, lmi.size
         G = np.linalg.qr(np.random.default_rng(5).standard_normal((s, s)))[0]
+        stack = sdp._Stack.of([lmi])
         tracemalloc.start()
         try:
-            blk = stacked_block(lmi)
+            blk = sdp._Block(stack)
             blk.set_scaling(G[None], np.ones((1, s)))
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert blk.U is not None
-        assert retained - sum(a.nbytes for a in blk.lmi.nnz) < d * s * s * 8
+        assert retained < d * s * s * 8
 
     @pytest.mark.parametrize("sys_obj", [stack(two_state(), 5), dense_system(6)],
                              ids=["stacked", "dense"])
@@ -475,13 +469,11 @@ def lockstep_sets():
     # Optimal; shear flow: Optimal points, the two stalled points and
     # Infeasible points
     s3, s10 = three_state_qb(), stack(two_state(), 10)
-    sets = [("two-state", two_state_problems()),
+    return [("two-state", two_state_problems()),
             ("stacked", [assemble(s10, e, default_alpha(s10), "analysis") for e in (0.3, 1.0)]),
             ("three-state", [assemble(s3, e, default_alpha(s3), "synthesis")
-                             for e in np.linspace(0.01, 14.0, 20)[:4]])]
-    if shear_flow_data_available():
-        sets.append(("shear", [shear_problem(e) for e in SHEAR_SCAN[[2, 5, 6, 7, 8, 12]]]))
-    return sets
+                             for e in np.linspace(0.01, 14.0, 20)[:4]]),
+            ("shear", [shear_problem(e) for e in SHEAR_SCAN[[2, 5, 6, 7, 8, 12]]])]
 
 
 class TestSolveMany:
@@ -537,6 +529,30 @@ class TestSolveMany:
         monkeypatch.setattr(sdp, "GROUP_BYTES", 1 << 26)
         sdp.solve_many(problems)
         assert sizes == [4]
+
+    def test_w_form_group_with_early_leavers(self, monkeypatch):
+        # stacked ten times, both blocks take the W form and each problem
+        # runs alone within GROUP_BYTES; with a larger budget the three run
+        # as one group, which the Optimal points leave at iterations 11 and
+        # 12 and the Infeasible one at 16
+        s10 = stack(two_state(), 10)
+        problems = [assemble(s10, e, default_alpha(s10), "analysis") for e in (0.3, 0.6, 1.0)]
+        assert [stacked_block(blk).U for blk in problems[0].blocks] == [None, None]
+        alone = [solve(p) for p in problems]
+        assert [(sol.status, sol.iters) for sol in alone] == [
+            ("Optimal", 11), ("Optimal", 12), ("Infeasible", 16)]
+        sizes = []
+        group = sdp._Group
+
+        def recording(members):
+            sizes.append(len(members))
+            return group(members)
+
+        monkeypatch.setattr(sdp, "_Group", recording)
+        monkeypatch.setattr(sdp, "GROUP_BYTES", 1 << 30)
+        for sol, ref in zip(sdp.solve_many(problems), alone):
+            assert_same_solution(sol, ref)
+        assert sizes == [3]
 
 
 class TestFailureIsolation:

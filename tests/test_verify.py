@@ -226,7 +226,8 @@ class TestSimulate:
         with pytest.raises(DimensionError):
             simulate(LINEAR, np.array([1.0, 2.0]), 1.0, 0.1)
 
-    @pytest.mark.parametrize("t_final,dt", [(1.0, np.nan), (np.nan, 1e-3)])
+    @pytest.mark.parametrize("t_final,dt", [(1.0, np.nan), (np.nan, 1e-3),
+                                            (1.0, np.inf), (np.inf, 1e-3)])
     def test_rejects_nan_step_inputs(self, t_final, dt):
         with pytest.raises(ValueError, match="need dt > 0"):
             simulate(LINEAR, np.array([1.0]), t_final, dt)
@@ -303,7 +304,7 @@ class TestConvergenceCheck:
 
     @pytest.mark.parametrize("n_traj,t_final,dt", [
         (5, 1.0, 0.0), (5, 1.0, -1e-3), (5, 0.0, 1e-3), (5, -5.0, 1e-3), (0, 1.0, 1e-3),
-        (5, 1.0, np.nan), (5, np.nan, 1e-3),
+        (5, 1.0, np.nan), (5, np.nan, 1e-3), (5, 1.0, np.inf), (5, np.inf, 1e-3),
     ])
     def test_rejects_bad_step_inputs(self, scalar_cert, n_traj, t_final, dt):
         with pytest.raises(ValueError, match="need dt > 0"):

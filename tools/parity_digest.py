@@ -1,0 +1,172 @@
+"""Print one SHA-256 per solver parity set, so that two source trees can be
+shown to solve every set bitwise alike.
+
+    python tools/parity_digest.py [SRC]
+
+qbstab is imported from SRC, by default this checkout's ``src/``; the tool
+refuses to run if the import resolves anywhere else.  Run it on a change
+and on its parent and compare the lines.  The sets:
+
+- ``two-grid``      the two-state analysis grid, 20 points on [0.01, 0.8]
+- ``three-grid``    the three-state synthesis grid, 20 points on [0.01, 14]
+- ``shear-search``  ``optimize_epsilon`` on the shear flow at Re = 120 over
+                    (1e-3, 1) with rel_tol 1e-3
+- ``stacked-10``    the two-state system stacked 10 times at eps = 0.3, 0.6
+                    and 1.0, solved together (both blocks take the W form)
+- ``stacked-40``    the two-state system stacked 20 times (n = 40) at
+                    eps = 0.4 with the two-state decay margin, as the
+                    ``stacked_n40`` benchmark solves it
+
+A grid hashes every entry (eps, status, and the certificate's P, K and
+``solver_report``), the search its best trace and every evaluation alike.
+Every set hashes each solve it runs: status, iterations, message, history,
+residuals, objective, the bytes of x and Z, and its relaxed solution.  The
+BLAS thread count is pinned to 1, as the benchmark pins it.
+"""
+
+from __future__ import annotations
+
+import os
+
+if __name__ == "__main__":
+    # before numpy loads
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _feed(h, obj) -> None:
+    """Hash ``obj`` by type and value: floats and arrays by their bytes."""
+    if isinstance(obj, np.ndarray):
+        h.update(f"a{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif obj is None or isinstance(obj, (bool, np.bool_)):
+        h.update(f"b{obj};".encode())
+    elif isinstance(obj, (int, np.integer)):
+        h.update(f"i{int(obj)};".encode())
+    elif isinstance(obj, (float, np.floating)):
+        h.update(b"f" + np.float64(obj).tobytes())
+    elif isinstance(obj, str):
+        h.update(f"s{len(obj)}:{obj}".encode())
+    elif isinstance(obj, dict):
+        h.update(f"d{len(obj)}".encode())
+        for key in sorted(obj):
+            _feed(h, key)
+            _feed(h, obj[key])
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"l{len(obj)}".encode())
+        for item in obj:
+            _feed(h, item)
+    else:
+        raise TypeError(f"cannot hash {type(obj).__name__}")
+
+
+def digest(obj) -> str:
+    """The SHA-256 of ``obj``, nested lists, tuples and dicts of numbers,
+    strings and arrays."""
+    h = hashlib.sha256()
+    _feed(h, obj)
+    return h.hexdigest()
+
+
+def solution_parts(sol) -> list | None:
+    """What an ``SdpSolution`` contributes to a digest, its relaxed one included."""
+    if sol is None:
+        return None
+    return [sol.status, sol.iters, sol.message, sol.history, sol.primal_residual,
+            sol.dual_residual, sol.duality_gap, sol.objective, np.asarray(sol.x),
+            [np.asarray(Z) for Z in sol.Z], solution_parts(sol.relaxed)]
+
+
+def entry_parts(entry) -> list:
+    """What a ``SweepEntry`` contributes: eps, status and its certificate."""
+    cert = entry.certificate
+    return [entry.epsilon, entry.status,
+            None if cert is None else [cert.P, cert.K, cert.solver_report]]
+
+
+def grid_parts(sweep, solutions) -> list:
+    """A grid's entries and the solutions of its solves."""
+    return [[entry_parts(e) for e in sweep.entries], [solution_parts(s) for s in solutions]]
+
+
+def recording(fn):
+    """(fn(), solutions): every solution that certify's solves return during
+    fn(), in the order they return."""
+    from qbstab import certify
+
+    solutions, solve, solve_many = [], certify.solve, certify.solve_many
+
+    def one(problem):
+        solutions.append(solve(problem))
+        return solutions[-1]
+
+    def many(problems):
+        sols = solve_many(problems)
+        solutions.extend(sols)
+        return sols
+
+    certify.solve, certify.solve_many = one, many
+    try:
+        return fn(), solutions
+    finally:
+        certify.solve, certify.solve_many = solve, solve_many
+
+
+def parity_sets() -> dict:
+    """{name: thunk} of the parity sets; each thunk returns what is hashed."""
+    from qbstab import certify, sdp
+    from qbstab.lmi import assemble, default_alpha
+    from qbstab.models import shear_flow_9, three_state_qb, two_state
+    from qbstab.systems import stack
+
+    def grid(sys_obj, eps, mode):
+        return grid_parts(*recording(lambda: certify.sweep_epsilon(sys_obj, eps, None, mode)))
+
+    def search():
+        res, sols = recording(lambda: certify.optimize_epsilon(
+            shear_flow_9(120.0), (1e-3, 1.0), 1e-3, None, "analysis"))
+        best = None if res.best is None else res.best.trace_P
+        return [best, res.solves, [entry_parts(e) for e in res.history],
+                [solution_parts(s) for s in sols]]
+
+    def stacked(k, eps, alpha):
+        sys_obj = stack(two_state(), k)
+        problems = [assemble(sys_obj, e, alpha, "analysis") for e in eps]
+        return [solution_parts(s) for s in sdp.solve_many(problems)]
+
+    return {
+        "two-grid": lambda: grid(two_state(), np.linspace(0.01, 0.8, 20), "analysis"),
+        "three-grid": lambda: grid(three_state_qb(), np.linspace(0.01, 14.0, 20), "synthesis"),
+        "shear-search": search,
+        "stacked-10": lambda: stacked(10, (0.3, 0.6, 1.0), default_alpha(stack(two_state(), 10))),
+        "stacked-40": lambda: stacked(20, (0.4,), default_alpha(two_state())),
+    }
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) > 1:
+        raise SystemExit("usage: python tools/parity_digest.py [SRC]")
+    src = Path(argv[0]).resolve() if argv else SRC
+    if not (src / "qbstab" / "__init__.py").is_file():
+        raise SystemExit(f"parity_digest: no qbstab sources under {src}")
+    sys.path.insert(0, str(src))
+    import qbstab
+    if Path(qbstab.__file__).resolve().parent != (src / "qbstab").resolve():
+        raise SystemExit(f"parity_digest: imported qbstab from {qbstab.__file__}, not {src}")
+    for name, parts in parity_sets().items():
+        print(f"{name:<13} {digest(parts())}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
