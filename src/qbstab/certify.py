@@ -129,7 +129,7 @@ class Certificate:
     P defines the certified ellipsoid {x : x' P^-1 x <= 1}, by the rule of
     ``Ellipsoid``; eps is the scalar from the line search; alpha the decay
     margin the LMI enforced (d/dt V <= -alpha V inside the ellipsoid).  Synthesis certificates carry
-    Y and the extracted gain K = Y P^-1; analysis certificates carry neither.
+    Y and the extracted gain K = Y P^-1, both finite; analysis certificates carry neither.
     ``solver_report`` says how the certificate was obtained: solver status,
     iterations and residuals, whether the solver's relaxed tolerances were
     used, and the ``shape_report`` entries (lambda_min(P)/delta, floor
@@ -153,6 +153,8 @@ class Certificate:
             K = np.asarray(self.K, dtype=float)
             if Y.ndim != 2 or Y.shape[1] != self.n or K.shape != Y.shape:
                 raise DimensionError(f"Y and K must be m x {self.n}, got {Y.shape} and {K.shape}")
+            if not (np.isfinite(Y).all() and np.isfinite(K).all()):
+                raise ValueError("Y and K must be finite")
             # 1e-8 relative to |Y|, plus the rounding floor of forming K P,
             # which certificates written before the gain bound need: their
             # lambda_min(P) near the floor delta makes |K||P| >> |Y|

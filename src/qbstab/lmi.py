@@ -36,7 +36,7 @@ trace inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -174,29 +174,6 @@ def layout(n: int, m: int, mode: str) -> DecisionLayout:
 _CHUNK = 1 << 18
 
 
-def _nonzeros(rows: np.ndarray, vals: np.ndarray) -> tuple:
-    """(k, flat, v): the nonzeros of B row-compressed stacks ``vals`` (B, d, r, s)
-    sharing ``rows``, F^p_k[a, b] = v with k = p d + k' and flat = p s^2 + a s + b.
-    Each problem's entries come in k-major order, as for B = 1."""
-    B, d, r, s = vals.shape
-    p, k, t, col = np.nonzero(vals)
-    return p * d + k, p * (s * s) + rows[k, t] * s + col, vals[p, k, t, col]
-
-
-def _linear(nnz: tuple, x: np.ndarray, s: int) -> np.ndarray:
-    """sum_k x_k F_k per problem, x (B, d) -> (B, s, s), from ``_nonzeros``."""
-    k, flat, v = nnz
-    B = x.shape[0]
-    return np.bincount(flat, weights=v * x.reshape(-1)[k], minlength=B * s * s).reshape(B, s, s)
-
-
-def _adjoint(nnz: tuple, Z: np.ndarray, d: int) -> np.ndarray:
-    """(<F_k, Z>)_k per problem, Z (B, s, s) -> (B, d), the adjoint of ``_linear``."""
-    k, flat, v = nnz
-    B = Z.shape[0]
-    return np.bincount(k, weights=v * Z.reshape(-1)[flat], minlength=B * d).reshape(B, d)
-
-
 def _congruence(rows: np.ndarray, vals: np.ndarray, L: np.ndarray, R: np.ndarray):
     """Yield (ks, L F_k R for k in ks) over slices ks of range(d), each of about
     ``_CHUNK`` doubles per problem, for ``vals`` (..., d, r, s) with L and R of the
@@ -231,10 +208,8 @@ class LmiBlock:
     depends on the system: sparse A, B, D and H give r << s (a stacked
     n = 40 main block has s = 80 and r = 6), while a dense A or H gives a
     main block with r = n + 2 of s = 2n and a quarter of F nonzero.
-    The solver stacks the blocks of the problems it runs together
-    (``sdp._Stack``) and reaches F only through ``_linear``, ``_adjoint``
-    and ``_congruence`` on the stored rows; ``linear`` and ``adjoint`` are
-    the first two for one block.
+    A block is its data and the checks made on it; every operation on F,
+    ``evaluate`` included, goes through ``_Stack``.
     """
 
     F0: np.ndarray    # (s, s)
@@ -257,9 +232,7 @@ class LmiBlock:
         if (not np.array_equal(sub, sub.transpose(0, 2, 1))
                 or np.count_nonzero(sub) != np.count_nonzero(vals)):
             raise ValueError("malformed problem: F_k not symmetric")
-        # the nonzeros of F in k-major order: F_k[a, b] at flat index a s + b
-        nnz = _nonzeros(rows, vals[None])
-        for name, value in (("F0", F0), ("rows", rows), ("vals", vals), ("_nnz", nnz)):
+        for name, value in (("F0", F0), ("rows", rows), ("vals", vals)):
             object.__setattr__(self, name, value)
 
     @property
@@ -273,18 +246,90 @@ class LmiBlock:
     @property
     def nnz(self) -> int:
         """Number of nonzero entries over all F_k."""
-        return len(self._nnz[0])
-
-    def linear(self, x: np.ndarray) -> np.ndarray:
-        """sum_k x_k F_k."""
-        return _linear(self._nnz, np.asarray(x, dtype=float)[None], self.size)[0]
-
-    def adjoint(self, Z: np.ndarray) -> np.ndarray:
-        """(<F_k, Z>)_k, the adjoint of ``linear``."""
-        return _adjoint(self._nnz, np.asarray(Z, dtype=float)[None], self.d)[0]
+        return np.count_nonzero(self.vals)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.F0 + self.linear(x)
+        """F0 + sum_k x_k F_k."""
+        return self.F0 + _Stack.of([self]).linear(np.asarray(x, dtype=float)[None])[0]
+
+
+class _Stack:
+    """One block of B problems of one shape, and the only code that reads the
+    row-compressed format: F0 (B, s, s), the rows (d, r) that every problem
+    shares and vals (B, d, r, s) as in ``LmiBlock``.
+
+    Its index holds the nonzeros of every F_k, F^p_k[a, b] = v at k = p d + k'
+    and flat = p s^2 + a s + b, each problem's in k-major order as for B = 1.
+    So ``linear`` and ``adjoint`` serve the stack in one bincount, each
+    problem's sums taken in the order of its own stack, and ``csr`` cuts out
+    each problem's run.  ``gram_rows`` and ``w_share`` are the two Schur
+    shares' passes over ``_congruence``, which forms no dense F_k.
+    """
+
+    def __init__(self, F0: np.ndarray, rows: np.ndarray, vals: np.ndarray):
+        self.F0, self.rows, self.vals = F0, rows, vals
+        B, d, r, s = vals.shape
+        p, k, t, col = np.nonzero(vals)
+        self._k, self._flat = p * d + k, p * (s * s) + rows[k, t] * s + col
+        self._v = vals[p, k, t, col]
+
+    @classmethod
+    def of(cls, blocks) -> _Stack:
+        """The stack of same-shape ``LmiBlock``s, one per problem."""
+        return cls(np.stack([blk.F0 for blk in blocks]), blocks[0].rows,
+                   np.stack([blk.vals for blk in blocks]))
+
+    def keep(self, mask: np.ndarray) -> _Stack:
+        """The stack of the problems where ``mask`` holds."""
+        return _Stack(self.F0[mask], self.rows, self.vals[mask])
+
+    @cached_property
+    def f0_norm(self) -> np.ndarray:
+        return np.array([np.linalg.norm(F, "fro") for F in self.F0])
+
+    @property
+    def d(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def size(self) -> int:
+        return self.F0.shape[-1]
+
+    def linear(self, x: np.ndarray) -> np.ndarray:
+        """sum_k x_k F_k per problem, x (B, d) -> (B, s, s)."""
+        B, s = len(x), self.size
+        return np.bincount(self._flat, weights=self._v * x.reshape(-1)[self._k],
+                           minlength=B * s * s).reshape(B, s, s)
+
+    def adjoint(self, Z: np.ndarray) -> np.ndarray:
+        """(<F_k, Z>)_k per problem, Z (B, s, s) -> (B, d), the adjoint of ``linear``."""
+        B = len(Z)
+        return np.bincount(self._k, weights=self._v * Z.reshape(-1)[self._flat],
+                           minlength=B * self.d).reshape(B, self.d)
+
+    @cached_property
+    def csr(self) -> list:
+        """Per problem, the d-by-s^2 ``scipy.sparse`` matrix whose row k is vec(F_k)."""
+        from scipy import sparse  # only the W form needs it
+
+        B, d, _, s = self.vals.shape
+        ptr = np.searchsorted(self._k, np.arange(B * d + 1))
+        return [sparse.csr_array((self._v[lo:hi], self._flat[lo:hi] - p * s * s,
+                                  ptr[p * d:(p + 1) * d + 1] - lo), shape=(d, s * s))
+                for p, (lo, hi) in enumerate(zip(ptr[:-1:d], ptr[d::d]))]
+
+    def gram_rows(self, G: np.ndarray, out: np.ndarray) -> None:
+        """out[:, k] = svec(G' F_k G) per problem, G (B, s, s), out (B, d, s(s+1)/2)."""
+        for ks, GFG in _congruence(self.rows, self.vals, G.mT, G):
+            out[:, ks] = svec(GFG)
+
+    def w_share(self, W: np.ndarray) -> np.ndarray:
+        """(<F_k, W F_l W>)_kl per problem, W (B, s, s) -> (B, d, d), one problem at a time."""
+        share = np.empty((len(W), self.d, self.d))
+        for csr, vals, Wp, out in zip(self.csr, self.vals, W, share):
+            for ls, WFW in _congruence(self.rows, vals, Wp, Wp):
+                out[:, ls] = csr @ WFW.reshape(WFW.shape[0], -1).T
+        return share
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,9 @@ def shear_flow_9(Re: float) -> QBSystem:
         raise ValueError(f"Re must be positive, got {Re}")
     doc = _shear_flow_doc()
     n = int(doc["n"])
-    A = np.asarray(doc["A0"], dtype=float) + np.asarray(doc["A1"], dtype=float) / float(Re)
+    # a 1/Re that overflows gives an infinite A, which QBSystem rejects
+    with np.errstate(over="ignore"):
+        A = np.asarray(doc["A0"], dtype=float) + np.asarray(doc["A1"], dtype=float) / float(Re)
     return QBSystem(A=A, H=symmetrize_quadratic(_densify_h(doc["H"], n), n))
 
 

@@ -54,12 +54,10 @@ or alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .lmi import (_CHUNK, SdpProblem, _adjoint, _cho_solve, _congruence, _linear, _nonzeros,
-                  svec)
+from .lmi import _CHUNK, SdpProblem, _cho_solve, _Stack, svec
 # a module-level name, so that a failing factorization can be substituted
 from .lmi import _cho_factor as cho_factor
 
@@ -176,7 +174,7 @@ def kkt_residuals(problem: SdpProblem, solution: SdpSolution) -> tuple[float, fl
     x = np.asarray(solution.x, dtype=float).reshape(-1)
     c = np.asarray(problem.c, dtype=float).reshape(-1)
     user = [_Stack.of([blk]) for blk in problem.blocks]
-    Fx = [blk.evaluate(x)[None] for blk in problem.blocks]
+    Fx = [ub.F0 + ub.linear(x[None]) for ub in user]
     Z = [np.asarray(Zb, dtype=float)[None] for Zb in solution.Z]
     primal, dual, gap, _ = _residuals(user, c[None], x[None], Fx, Z)
     return float(primal[0]), float(dual[0]), float(gap[0])
@@ -218,47 +216,6 @@ def _residuals(user, c, x, Fx, Z):
 # --------------------------------------------------------------------------
 
 
-class _Stack:
-    """One block of B problems of one shape, the owner of its data: F0 (B, s,
-    s), the rows (d, r) that every problem shares, vals (B, d, r, s) as in
-    ``LmiBlock``, and the nonzeros of every F_k with per-problem offsets
-    (``lmi._nonzeros``), so that ``linear`` and ``adjoint`` serve the whole
-    stack in one bincount, each problem's sums taken in the order of its own
-    ``LmiBlock``."""
-
-    def __init__(self, F0: np.ndarray, rows: np.ndarray, vals: np.ndarray):
-        self.F0, self.rows, self.vals = F0, rows, vals
-        self.nnz = _nonzeros(rows, vals)
-
-    @classmethod
-    def of(cls, blocks) -> _Stack:
-        """The stack of same-shape ``LmiBlock``s, one per problem."""
-        return cls(np.stack([blk.F0 for blk in blocks]), blocks[0].rows,
-                   np.stack([blk.vals for blk in blocks]))
-
-    def keep(self, mask: np.ndarray) -> _Stack:
-        """The stack of the problems where ``mask`` holds."""
-        return _Stack(self.F0[mask], self.rows, self.vals[mask])
-
-    @cached_property
-    def f0_norm(self) -> np.ndarray:
-        return np.array([np.linalg.norm(F, "fro") for F in self.F0])
-
-    @property
-    def d(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def size(self) -> int:
-        return self.F0.shape[-1]
-
-    def linear(self, x: np.ndarray) -> np.ndarray:
-        return _linear(self.nnz, x, self.size)
-
-    def adjoint(self, Z: np.ndarray) -> np.ndarray:
-        return _adjoint(self.nnz, Z, self.d)
-
-
 def _gram_form(d: int, s: int, nnz: int) -> bool:
     """Whether a block takes the Gram form of its Schur share (see ``_Block``)."""
     full = d * s * (s + 1) // 2
@@ -267,17 +224,19 @@ def _gram_form(d: int, s: int, nnz: int) -> bool:
 
 class _Block:
     """One scaled LMI block of the B problems of a lockstep group, its
-    ``_Stack`` ``lmi``, and their per-iteration NT quantities.
+    ``lmi._Stack`` ``lmi``, and their per-iteration NT quantities.
 
     The block's share of the Schur complement, (<G'F_kG, G'F_lG>)_kl, is
-    formed in one of two ways, chosen by size and sparsity, both from
-    ``lmi._congruence`` and so with no dense copy of F.  The Gram form
-    forms U U' from the rows U_k = svec(G'F_kG), d^2 s(s+1)/4 multiply-adds
-    in one BLAS call per problem.  It is symmetric positive semidefinite as
-    computed and consistent with the right-hand sides taken from the same U,
-    so every block whose U has at most ``GRAM_MAX`` entries uses it; there
-    both forms take tens of microseconds.  The W form, <F_k, W F_l W> with
-    W = G G' (Fujisawa, Kojima & Nakata, Math. Prog. 1997), takes W F_l W
+    formed in one of two ways, both by the stack and so with no dense copy
+    of F.  ``solve_many`` picks the form by size and sparsity
+    (``_gram_form``) and the block is built with it (``gram``).  The Gram
+    form forms U U' from the rows U_k = svec(G'F_kG) (``_Stack.gram_rows``),
+    d^2 s(s+1)/4 multiply-adds in one BLAS call per problem.  It is
+    symmetric positive semidefinite as computed and consistent with the
+    right-hand sides taken from the same U, so every block whose U has at
+    most ``GRAM_MAX`` entries uses it; there both forms take tens of
+    microseconds.  The W form, <F_k, W F_l W> with W = G G' (Fujisawa,
+    Kojima & Nakata, Math. Prog. 1997; ``_Stack.w_share``), takes W F_l W
     from the congruence and its inner products with every F_k from a sparse
     product with the d-by-s^2 matrix whose row k is vec(F_k), one problem at
     a time: d s^2 r plus the nonzeros of F times d.  A larger block uses it
@@ -288,35 +247,22 @@ class _Block:
     to 30).  Every problem of a group takes the same form.
     """
 
-    __slots__ = ("lmi", "C", "size", "eye", "X", "S", "G", "lam", "lam_avg", "Chat", "U", "W",
-                 "csr")
+    __slots__ = ("lmi", "C", "size", "eye", "X", "S", "G", "lam", "lam_avg", "Chat", "U", "W")
 
-    def __init__(self, lmi: _Stack):
+    def __init__(self, lmi: _Stack, gram: bool):
         B, d, _, s = lmi.vals.shape
         self.lmi, self.size = lmi, s
         self.C = -lmi.F0
         self.eye = np.eye(s)
         self.X = np.broadcast_to(self.eye, (B, s, s)).copy()
         self.S = self.X.copy()
-        self.U = self.csr = None
-        if _gram_form(d, s, np.count_nonzero(lmi.vals[0])):
-            # column-major per problem, as svec returns it, so that U U' takes
-            # the same BLAS path
-            self.U = np.empty((B, s * (s + 1) // 2, d)).transpose(0, 2, 1)
-        else:
-            from scipy import sparse  # only the W form needs it
-
-            # the stack's nonzeros are k-major with k = p d + k' (``lmi._nonzeros``),
-            # so problem p's rows of vec(F_k) are the run [lo, hi) of them
-            k, flat, v = lmi.nnz
-            ptr = np.searchsorted(k, np.arange(B * d + 1))
-            self.csr = [sparse.csr_array((v[lo:hi], flat[lo:hi] - p * s * s,
-                                          ptr[p * d:(p + 1) * d + 1] - lo), shape=(d, s * s))
-                        for p, (lo, hi) in enumerate(zip(ptr[:-1:d], ptr[d::d]))]
+        # column-major per problem, as svec returns it, so that U U' takes the
+        # same BLAS path
+        self.U = np.empty((B, s * (s + 1) // 2, d)).transpose(0, 2, 1) if gram else None
 
     def keep(self, mask: np.ndarray) -> _Block:
         """This block of the problems where ``mask`` holds, with their iterates."""
-        blk = _Block(self.lmi.keep(mask))
+        blk = _Block(self.lmi.keep(mask), self.U is not None)
         blk.X, blk.S = self.X[mask], self.S[mask]
         return blk
 
@@ -325,21 +271,13 @@ class _Block:
         self.lam_avg = (lam[:, :, None] + lam[:, None, :]) / 2.0
         self.Chat = G.mT @ self.C @ G
         if self.U is not None:
-            for ks, GFG in _congruence(self.lmi.rows, self.lmi.vals, G.mT, G):
-                self.U[:, ks] = svec(GFG)
+            self.lmi.gram_rows(G, self.U)
         else:
             self.W = G @ G.mT
 
     def schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(M_b, g_b, q_b): the Schur shares and pull_back(Chat) = (F*(G Chat G'), |Chat|_F^2)."""
-        if self.U is not None:
-            share = self.U @ self.U.mT
-        else:
-            d = self.lmi.d
-            share = np.empty((len(self.csr), d, d))
-            for csr, vals, W, out in zip(self.csr, self.lmi.vals, self.W, share):
-                for ls, WFW in _congruence(self.lmi.rows, vals, W, W):
-                    out[:, ls] = csr @ WFW.reshape(WFW.shape[0], -1).T
+        share = self.U @ self.U.mT if self.U is not None else self.lmi.w_share(self.W)
         return (share, *self.pull_back(self.Chat))
 
     def pull_back(self, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -413,34 +351,34 @@ def solve_many(problems) -> list[SdpSolution]:
                        for a, b in zip(p.blocks, first.blocks))):
             raise ValueError("solve_many needs problems of one shape: "
                              "the same d, block sizes and rows")
-    # problems whose blocks (the objective cap last) take the same Schur forms
+    # the Schur form of each block, the objective cap last; equal forms run together
     groups: dict = {}
     for i, p in enumerate(problems):
         forms = [_gram_form(p.d, blk.size, blk.nnz) for blk in p.blocks]
         forms.append(_gram_form(p.d, 1, np.count_nonzero(p.c)))
         groups.setdefault(tuple(forms), []).append(i)
-    size = _group_size(first)
     solutions = [None] * len(problems)
-    for members in groups.values():
+    for forms, members in groups.items():
+        size = _group_size(problems[members[0]], forms)
         # as few groups as the budget allows, of nearly equal sizes
         for part in np.array_split(members, -(-len(members) // size)):
-            for i, sol in zip(part, _Group([problems[i] for i in part]).run()):
+            for i, sol in zip(part, _Group([problems[i] for i in part], forms).run()):
                 solutions[i] = sol
     return solutions
 
 
-def _group_size(problem: SdpProblem) -> int:
-    """How many problems of this shape may run in one lockstep group:
-    ``GROUP_BYTES`` over the words one problem holds, at least 1.  These are
-    its Schur complement and share, and per block its data and their scaled
-    copy, the nonzero indices of both, three congruence chunks and the Gram
-    rows."""
+def _group_size(problem: SdpProblem, forms: tuple) -> int:
+    """How many problems of this shape and these Schur ``forms`` may run in one
+    lockstep group: ``GROUP_BYTES`` over the words one problem holds, at
+    least 1.  These are its Schur complement and share, and per block its
+    data and their scaled copy, the nonzero indices of both, three
+    congruence chunks and the Gram rows."""
     d = problem.d
     words = 2 * d * d
-    for blk in problem.blocks:
+    for blk, gram in zip(problem.blocks, forms):
         s = blk.size
         words += 2 * blk.vals.size + 6 * blk.nnz + 3 * min(d * s * s, _CHUNK)
-        if _gram_form(d, s, blk.nnz):
+        if gram:
             words += d * s * (s + 1) // 2
     return max(1, GROUP_BYTES // (8 * words))
 
@@ -450,7 +388,6 @@ class _Run:
     relaxed result, stall count and verdict."""
 
     def __init__(self, problem: SdpProblem, c: np.ndarray):
-        self.problem = problem
         self.ray_scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
         self.status, self.message = "IterLimit", ""
         self.x_best = np.zeros(problem.d)
@@ -518,8 +455,7 @@ class _Run:
                 and np.isfinite(self.obj_max_seen) and self.obj_max_seen >= 0.5 * OBJECTIVE_BOX):
             message += ("; objective reached the internal OBJECTIVE_BOX cap "
                         "(problem unbounded above?)")
-        objective = self.obj_best if self.status != "Infeasible" else float("nan")
-        return SdpSolution(self.status, self.x_best, self.Z_best, objective, *self.resid_best,
+        return SdpSolution(self.status, self.x_best, self.Z_best, self.obj_best, *self.resid_best,
                            self.iters, message, self.history, self.relaxed)
 
 
@@ -531,7 +467,8 @@ class _Group:
     # those of the current iteration
     _ROWS = ("y", "tau", "kappa", "b_vec", "c", "gamma", "beta", "s_obj", "Rp", "Rg", "mu")
 
-    def __init__(self, problems: list):
+    def __init__(self, problems: list, forms: tuple):
+        """``forms`` holds each block's Schur form (``_gram_form``), the cap last."""
         B, d = len(problems), problems[0].d
         self.c = np.stack([np.asarray(p.c, dtype=float).reshape(-1) for p in problems])
         self.runs = [_Run(p, c) for p, c in zip(problems, self.c)]
@@ -550,7 +487,7 @@ class _Group:
         scaled.append(_Stack((-boxval / rownorm)[:, None, None], np.zeros((d, 1), dtype=np.intp),
                              (c_sc / rownorm[:, None]).reshape(B, d, 1, 1)))
         # the user blocks come first; zips with beta skip the cap
-        self.blocks = [_Block(lmi) for lmi in scaled]
+        self.blocks = [_Block(lmi, gram) for lmi, gram in zip(scaled, forms)]
         self.b_vec = c_sc
         self.nu = sum(blk.size for blk in self.blocks)
         self.y = np.zeros((B, d))

@@ -65,6 +65,9 @@ class QBSystem:
         Input matrix.  Omit (or pass an n-by-0 array) for autonomous systems.
     D : sequence of (n, n) arrays, optional
         Bilinear coefficients, one matrix per input channel.
+
+    Every coefficient must be finite; a ValueError names the first matrix
+    that is not.
     """
 
     A: np.ndarray
@@ -90,6 +93,9 @@ class QBSystem:
         D = tuple(_as_matrix(Dj, n, n, f"D[{j}]") for j, Dj in enumerate(self.D))
         if len(D) != m:
             raise DimensionError(f"expected {m} bilinear matrices, got {len(D)}")
+        for name, M in (("A", A), ("H", H), ("B", B), *((f"D[{j}]", Dj) for j, Dj in enumerate(D))):
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "H", _readonly(H))
         object.__setattr__(self, "B", _readonly(B))
@@ -229,7 +235,7 @@ def shift_equilibrium(sys: QBSystem, x_e: np.ndarray, tol: float | None = None) 
     if tol is None:
         tol = 1e-8 * (1.0 + float(np.linalg.norm(x_e)))
     residual = float(np.linalg.norm(eval_dynamics(sys, x_e)))
-    if residual > tol:
+    if not residual <= tol:
         raise EquilibriumError(
             f"x_e is not an equilibrium: residual {residual:.3e} exceeds tol {tol:.3e}"
         )
@@ -381,7 +387,7 @@ def system_from_dict(data: dict) -> tuple[QBSystem, float]:
         B, D = np.zeros((n, 0)), []
     try:
         sys = QBSystem(A=A, H=H, B=B, D=tuple(D))
-    except DimensionError as exc:
+    except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     return sys, defect
 

@@ -215,9 +215,9 @@ def _first_escape(states: np.ndarray, guard: float) -> np.ndarray:
 def simulate(sys_cl: QBSystem, x0: np.ndarray, t_final: float, dt: float) -> Trajectory:
     """Classical fixed-step RK4 from x0 over [0, t_final].
 
-    t_final is rounded to a whole number of steps.  Integration stops early
-    (flag set) if the state leaves |x| <= 1e6 * (1 + |x0|) or turns
-    non-finite.
+    t_final is rounded to a whole number of steps; x0 must be finite.
+    Integration stops early (flag set) if the state leaves
+    |x| <= 1e6 * (1 + |x0|) or turns non-finite.
     """
     if not sys_cl.is_autonomous:
         raise DimensionError("simulate expects an autonomous (closed-loop) system")
@@ -225,6 +225,8 @@ def simulate(sys_cl: QBSystem, x0: np.ndarray, t_final: float, dt: float) -> Tra
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys_cl.n:
         raise DimensionError(f"x0 must have length {sys_cl.n}")
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 must be finite")
     guard = DIVERGENCE_FACTOR * (1.0 + float(np.linalg.norm(x0)))
     states = np.empty((steps + 1, sys_cl.n))
     states[0] = x0

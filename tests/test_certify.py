@@ -316,6 +316,11 @@ class TestEllipsoid:
                 Ellipsoid(P=P)
             with pytest.raises(NotPositiveDefiniteError, match="non-finite entries"):
                 Certificate(mode="analysis", P=P, epsilon=0.3, alpha=0.0)
+        # a synthesis certificate's Y and K too: the K P = Y test passed them
+        bad, good = np.array([[value, 0.0]]), np.array([[1.0, 0.0]])
+        for Y, K in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(ValueError, match="Y and K must be finite"):
+                Certificate(mode="synthesis", P=np.eye(2), epsilon=0.3, alpha=0.0, Y=Y, K=K)
 
 
 class TestUnionVolume:

@@ -477,6 +477,16 @@ class TestArgumentHandling:
         assert run("analyze", "--system", str(tmp_path / "missing.json"),
                    "--eps", "1.0", "--out", str(tmp_path / "x")) == 4
 
+    def test_model_parameter_the_model_cannot_take(self, tmp_path, capsys):
+        # 1/Re overflows: the shear-flow A is infinite, which QBSystem rejects
+        out = tmp_path / "x"
+        assert run("analyze", "--zoo", "shear-flow-9", "--param", "Re=1e-320",
+                   "--eps", "0.01", "--out", str(out)) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "input", "message": "A must be finite"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("field,value", [
         ("A", [["x"]]),
         ("A", [[float("nan")]]),

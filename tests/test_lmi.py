@@ -482,6 +482,21 @@ OPERATOR_PROBLEMS = {
 }
 
 
+def rand_sym(rng, s):
+    M = rng.normal(size=(s, s))
+    return M + M.T
+
+
+def linear(blk, x):
+    """sum_k x_k F_k of one block, through its stack."""
+    return lmi._Stack.of([blk]).linear(x[None])[0]
+
+
+def adjoint(blk, Z):
+    """(<F_k, Z>)_k of one block, through its stack."""
+    return lmi._Stack.of([blk]).adjoint(Z[None])[0]
+
+
 class TestBlockOperators:
     """The contract the solver relies on: F(x), F*(Z) and the Schur complement."""
 
@@ -489,17 +504,12 @@ class TestBlockOperators:
     def problem(self, request):
         return OPERATOR_PROBLEMS[request.param]()
 
-    @staticmethod
-    def rand_sym(rng, s):
-        M = rng.normal(size=(s, s))
-        return M + M.T
-
     def test_adjoint_of_linear(self, problem):
         rng = np.random.default_rng(11)
         x = rng.normal(size=problem.d)
-        Zs = [self.rand_sym(rng, blk.size) for blk in problem.blocks]
-        lhs = sum(float(np.sum(blk.linear(x) * Z)) for blk, Z in zip(problem.blocks, Zs))
-        rhs = float(x @ sum(blk.adjoint(Z) for blk, Z in zip(problem.blocks, Zs)))
+        Zs = [rand_sym(rng, blk.size) for blk in problem.blocks]
+        lhs = sum(float(np.sum(linear(blk, x) * Z)) for blk, Z in zip(problem.blocks, Zs))
+        rhs = float(x @ sum(adjoint(blk, Z) for blk, Z in zip(problem.blocks, Zs)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_operators_match_dense_stack(self, problem):
@@ -507,16 +517,16 @@ class TestBlockOperators:
         x = rng.normal(size=problem.d)
         for blk in problem.blocks:
             F = dense_stack(blk)
-            Z = self.rand_sym(rng, blk.size)
-            np.testing.assert_allclose(blk.linear(x), np.einsum("k,kst->st", x, F),
+            Z = rand_sym(rng, blk.size)
+            np.testing.assert_allclose(linear(blk, x), np.einsum("k,kst->st", x, F),
                                        rtol=1e-13, atol=1e-13 * np.abs(F).max())
-            np.testing.assert_allclose(blk.adjoint(Z), F.reshape(problem.d, -1) @ Z.reshape(-1),
+            np.testing.assert_allclose(adjoint(blk, Z), F.reshape(problem.d, -1) @ Z.reshape(-1),
                                        rtol=1e-13, atol=1e-13 * np.abs(F).max())
 
     def test_evaluate_is_affine_part_plus_linear(self, problem):
         x = np.random.default_rng(12).normal(size=problem.d)
         for blk in problem.blocks:
-            assert np.array_equal(blk.evaluate(x), blk.F0 + blk.linear(x))
+            assert np.array_equal(blk.evaluate(x), blk.F0 + linear(blk, x))
 
     @pytest.mark.parametrize("chunk", [None, 1], ids=["chunked", "by-column"])
     def test_schur_matches_dense_reference(self, problem, chunk, monkeypatch):
@@ -525,14 +535,12 @@ class TestBlockOperators:
         # of M per pass
         if chunk is not None:
             monkeypatch.setattr(lmi, "_CHUNK", chunk)
-        monkeypatch.setattr(sdp, "W_MIN_SPARSITY", 0)
-        monkeypatch.setattr(sdp, "GRAM_MAX", 0)
         rng = np.random.default_rng(13)
         M = np.zeros((problem.d, problem.d))
         ref = np.zeros((problem.d, problem.d))
         for blk in problem.blocks:
             G = rng.normal(size=(blk.size, blk.size))
-            block = sdp._Block(sdp._Stack.of([blk]))
+            block = sdp._Block(lmi._Stack.of([blk]), gram=False)
             block.set_scaling(G[None], np.ones((1, blk.size)))
             assert block.U is None
             M += block.schur()[0][0]
@@ -560,6 +568,74 @@ class TestBlockOperators:
             assert np.array_equal(dense_stack(again), dense_stack(blk))
             assert np.array_equal(again.F0, blk.F0)
             assert again.rows.shape[1] <= blk.rows.shape[1]
+
+
+class TestStack:
+    """One stack of three problems of one shape, each problem's part checked
+    against its dense F: the per-problem offsets of the nonzero index."""
+
+    EPS = (0.3, 0.6, 1.0)
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        sys_obj = stack(two_state(), 10)
+        return [assemble(sys_obj, e, 1e-6, "analysis") for e in self.EPS]
+
+    @pytest.fixture(params=["main", "floor"], scope="class")
+    def blocks(self, request, problems):
+        if request.param == "main":
+            return [p.blocks[0] for p in problems]
+        # the floor block does not depend on eps: scale it per problem
+        return [LmiBlock(F0=(i + 1) * p.blocks[1].F0, rows=p.blocks[1].rows,
+                         vals=(i + 1) * p.blocks[1].vals) for i, p in enumerate(problems)]
+
+    def test_problems_differ(self, blocks):
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            assert not np.array_equal(blocks[a].vals, blocks[b].vals)
+
+    def test_operators_per_problem(self, blocks):
+        rng = np.random.default_rng(21)
+        B, d, s = len(blocks), blocks[0].d, blocks[0].size
+        stk = lmi._Stack.of(blocks)
+        x = rng.normal(size=(B, d))
+        Z = np.stack([rand_sym(rng, s) for _ in blocks])
+        Fx, FZ = stk.linear(x), stk.adjoint(Z)
+        assert Fx.shape == (B, s, s) and FZ.shape == (B, d)
+        for p, blk in enumerate(blocks):
+            F = dense_stack(blk)
+            np.testing.assert_allclose(Fx[p], np.einsum("k,kst->st", x[p], F),
+                                       rtol=1e-13, atol=1e-13 * np.abs(F).max())
+            np.testing.assert_allclose(FZ[p], F.reshape(d, -1) @ Z[p].reshape(-1),
+                                       rtol=1e-13, atol=1e-13 * np.abs(F).max())
+            # and bitwise what the problem's own stack gives
+            alone = lmi._Stack.of([blk])
+            assert Fx[p].tobytes() == alone.linear(x[p:p + 1])[0].tobytes()
+            assert FZ[p].tobytes() == alone.adjoint(Z[p:p + 1])[0].tobytes()
+
+    def test_csr_is_vec_of_each_f(self, blocks):
+        stk = lmi._Stack.of(blocks)
+        assert len(stk.csr) == len(blocks)
+        for csr, blk in zip(stk.csr, blocks):
+            assert csr.shape == (blk.d, blk.size ** 2)
+            assert np.array_equal(csr.toarray(), dense_stack(blk).reshape(blk.d, -1))
+
+    def test_schur_passes_per_problem(self, blocks):
+        rng = np.random.default_rng(22)
+        B, d, s = len(blocks), blocks[0].d, blocks[0].size
+        stk = lmi._Stack.of(blocks)
+        G = rng.normal(size=(B, s, s))
+        W = G @ G.mT
+        U = np.full((B, d, s * (s + 1) // 2), np.nan)
+        stk.gram_rows(G, U)
+        share = stk.w_share(W)
+        assert share.shape == (B, d, d)
+        for p, blk in enumerate(blocks):
+            F = dense_stack(blk)
+            ref = svec(G[p].T @ F @ G[p])
+            np.testing.assert_allclose(U[p], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+            WFW = W[p] @ F @ W[p]
+            ref = F.reshape(d, -1) @ WFW.reshape(d, -1).T
+            np.testing.assert_allclose(share[p], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 class TestBlockValidation:

@@ -7,6 +7,7 @@ import pytest
 
 from qbstab import certify, sdp
 from qbstab.certify import SweepResult, sweep_epsilon
+from qbstab.lmi import LmiBlock
 from qbstab.models import scalar_family
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "parity_digest.py"
@@ -42,6 +43,21 @@ def test_one_certificate_changes_the_digest():
     # and so does one solve's log
     solutions[2] = dataclasses.replace(solutions[2], history=solutions[2].history[:-1])
     assert tool.digest(tool.grid_parts(sweep, solutions)) != reference
+
+
+def test_reference_set_sees_evaluate(monkeypatch):
+    assert "reference" in tool.parity_sets()
+    sweep, solutions = recorded_sweep()
+
+    def reference():
+        return tool.digest(tool.certificate_parts(SCALAR, "analysis", sweep, solutions))
+
+    before = reference()
+    assert len(tool.certificate_parts(SCALAR, "analysis", sweep, solutions)) == len(GRID)
+    assert reference() == before
+    evaluate = LmiBlock.evaluate
+    monkeypatch.setattr(LmiBlock, "evaluate", lambda blk, x: np.nextafter(evaluate(blk, x), np.inf))
+    assert reference() != before
 
 
 def test_refuses_a_tree_without_sources(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from qbstab.lmi import (
     LmiBlock,
     SdpProblem,
+    _Stack,
     assemble,
     default_alpha,
     default_delta,
@@ -386,16 +387,19 @@ def dense_system(n, seed=0):
     return QBSystem(A=A, H=symmetrize_quadratic(0.2 * rng.standard_normal((n, n * n)) / n, n))
 
 
-def stacked_block(lmi):
-    """The solver's block for a lockstep group of one problem with block ``lmi``."""
-    return sdp._Block(sdp._Stack.of([lmi]))
+def stacked_block(blk, gram=None):
+    """The solver's block for a lockstep group of one problem with block ``blk``,
+    in the Schur form ``gram``, by default the one ``solve_many`` picks."""
+    if gram is None:
+        gram = sdp._gram_form(blk.d, blk.size, blk.nnz)
+    return sdp._Block(_Stack.of([blk]), gram)
 
 
 class TestSchurForms:
     def test_form_follows_size_and_sparsity(self):
         def gram(sys_obj):
             prob = assemble(sys_obj, 0.3, 1e-6, "analysis")
-            return [stacked_block(blk).U is not None for blk in prob.blocks]
+            return [sdp._gram_form(prob.d, blk.size, blk.nnz) for blk in prob.blocks]
 
         assert gram(two_state()) == [True, True]  # small: Gram form
         # main block above GRAM_MAX but a quarter full: Gram; sparse floor block: W
@@ -409,10 +413,10 @@ class TestSchurForms:
         lmi = assemble(dense_system(15), 0.3, 1e-6, "analysis").blocks[0]
         d, s = lmi.d, lmi.size
         G = np.linalg.qr(np.random.default_rng(5).standard_normal((s, s)))[0]
-        stack = sdp._Stack.of([lmi])
+        stack = _Stack.of([lmi])
         tracemalloc.start()
         try:
-            blk = sdp._Block(stack)
+            blk = sdp._Block(stack, sdp._gram_form(d, s, lmi.nnz))
             blk.set_scaling(G[None], np.ones((1, s)))
             retained = tracemalloc.get_traced_memory()[0]
         finally:
@@ -422,7 +426,7 @@ class TestSchurForms:
 
     @pytest.mark.parametrize("sys_obj", [stack(two_state(), 5), dense_system(6)],
                              ids=["stacked", "dense"])
-    def test_forms_agree(self, sys_obj, monkeypatch):
+    def test_forms_agree(self, sys_obj):
         rng = np.random.default_rng(3)
         for lmi in assemble(sys_obj, 0.3, 1e-6, "analysis").blocks:
             s = lmi.size
@@ -430,10 +434,8 @@ class TestSchurForms:
             R = rng.standard_normal((s, s))
             R = R + R.T
             out, forms = [], []
-            monkeypatch.setattr(sdp, "W_MIN_SPARSITY", 0)
-            for gram_max in (np.inf, 0):
-                monkeypatch.setattr(sdp, "GRAM_MAX", gram_max)
-                blk = stacked_block(lmi)
+            for gram in (True, False):
+                blk = stacked_block(lmi, gram)
                 blk.set_scaling(G[None], np.ones((1, s)))
                 out.append([a[0] for a in (*blk.schur(), *blk.pull_back(R[None]))])
                 forms.append("gram" if blk.U is not None else "W")
@@ -516,9 +518,9 @@ class TestSolveMany:
         sizes = []
         group = sdp._Group
 
-        def recording(members):
+        def recording(members, forms):
             sizes.append(len(members))
-            return group(members)
+            return group(members, forms)
 
         monkeypatch.setattr(sdp, "_Group", recording)
         monkeypatch.setattr(sdp, "GROUP_BYTES", 1)
@@ -544,9 +546,9 @@ class TestSolveMany:
         sizes = []
         group = sdp._Group
 
-        def recording(members):
+        def recording(members, forms):
             sizes.append(len(members))
-            return group(members)
+            return group(members, forms)
 
         monkeypatch.setattr(sdp, "_Group", recording)
         monkeypatch.setattr(sdp, "GROUP_BYTES", 1 << 30)

@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +171,11 @@ class TestShiftEquilibrium:
         with pytest.raises(EquilibriumError, match="residual"):
             shift_equilibrium(s, np.array([0.5]))
 
+    def test_nan_equilibrium_rejected(self):
+        # a NaN residual fails ``residual > tol`` as well as ``residual <= tol``
+        with pytest.raises(EquilibriumError, match="residual nan"):
+            shift_equilibrium(scalar_family(-1.0, 1.0), np.array([np.nan]))
+
     def test_flow_translation_property(self):
         rng = np.random.default_rng(3)
         # find an equilibrium of a random stable quadratic system by shifting one in
@@ -310,9 +317,39 @@ class TestJsonRoundTrip:
         with pytest.raises(SchemaError, match=field):
             system_from_dict(doc)
 
+    def test_overflowing_symmetrization_is_schema_error(self):
+        # every entry is finite, but averaging the two mirrored H columns
+        # overflows (with a RuntimeWarning); QBSystem's ValueError becomes a
+        # SchemaError, which the CLI reports as an input error
+        doc = {"n": 2, "m": 0, "A": [[-1.0, 0.0], [0.0, -1.0]],
+               "H": {"triplets": [[0, 0, 1, 1e308], [0, 1, 0, 1e308]]}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SchemaError, match="H must be finite"):
+                system_from_dict(doc)
+
     def test_dict_form_omits_empty_input_fields(self):
         doc = system_to_dict(two_state())
         assert "B" not in doc and "D" not in doc
+
+
+class TestFiniteCoefficients:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["A", "H", "B", "D[1]"])
+    def test_rejects_non_finite(self, name, value):
+        sys3 = three_state_qb()
+        coeffs = {"A": sys3.A.copy(), "H": sys3.H.copy(), "B": sys3.B.copy(),
+                  "D": [Dj.copy() for Dj in sys3.D]}
+        target = coeffs["D"][1] if name == "D[1]" else coeffs[name]
+        target[1, 1] = value
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite$"):
+            QBSystem(A=coeffs["A"], H=coeffs["H"], B=coeffs["B"], D=tuple(coeffs["D"]))
+
+    def test_close_loop_rejects_nan_gain(self):
+        K = np.zeros((2, 3))
+        K[0, 1] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            close_loop(three_state_qb(), K)
 
 
 class TestImmutability:

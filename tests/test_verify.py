@@ -232,6 +232,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match="need dt > 0"):
             simulate(LINEAR, np.array([1.0]), t_final, dt)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_x0(self, value):
+        # a NaN x0 gave a one-state trajectory flagged terminated_early
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            simulate(two_state(), np.array([value, 0.0]), 1.0, 0.01)
+
     def test_csv_export(self, tmp_path):
         # trajectory CSVs are written by the CLI's CSV writer
         traj = simulate(LINEAR, np.array([1.0]), 0.01, 1e-3)

@@ -16,12 +16,16 @@ and on its parent and compare the lines.  The sets:
 - ``stacked-40``    the two-state system stacked 20 times (n = 40) at
                     eps = 0.4 with the two-state decay margin, as the
                     ``stacked_n40`` benchmark solves it
+- ``reference``     the checks on problem data alone, at every certificate
+                    of both grids and at the stacked-40 solution
 
 A grid hashes every entry (eps, status, and the certificate's P, K and
 ``solver_report``), the search its best trace and every evaluation alike.
 Every set hashes each solve it runs: status, iterations, message, history,
 residuals, objective, the bytes of x and Z, and its relaxed solution.  The
-BLAS thread count is pinned to 1, as the benchmark pins it.
+``reference`` set hashes ``LmiBlock.evaluate`` of every block,
+``check_block_feasibility``'s lambda_max and ``kkt_residuals``.  The BLAS
+thread count is pinned to 1, as the benchmark pins it.
 """
 
 from __future__ import annotations
@@ -98,6 +102,30 @@ def grid_parts(sweep, solutions) -> list:
     return [[entry_parts(e) for e in sweep.entries], [solution_parts(s) for s in solutions]]
 
 
+def reference_parts(problem, x, sol) -> list:
+    """What the checks on problem data contribute at x: every block's
+    ``evaluate(x)``, the blocks' lambda_max and the KKT residuals of ``sol``."""
+    from qbstab.sdp import check_block_feasibility, kkt_residuals
+
+    return [[blk.evaluate(x) for blk in problem.blocks],
+            check_block_feasibility(problem, x, 0.0).lambda_max, kkt_residuals(problem, sol)]
+
+
+def certificate_parts(sys_obj, mode, sweep, solutions) -> list:
+    """``reference_parts`` at every certificate of a recorded sweep, on its
+    problem re-assembled, with the solution it was taken from."""
+    from qbstab.lmi import assemble
+
+    parts = []
+    for entry, sol in zip(sweep.entries, solutions):
+        cert = entry.certificate
+        if cert is not None:
+            problem = assemble(sys_obj, cert.epsilon, cert.alpha, mode)
+            used = sol if sol.status == "Optimal" else sol.relaxed
+            parts.append(reference_parts(problem, problem.layout.pack(cert.P, cert.Y), used))
+    return parts
+
+
 def recording(fn):
     """(fn(), solutions): every solution that certify's solves return during
     fn(), in the order they return."""
@@ -143,12 +171,23 @@ def parity_sets() -> dict:
         problems = [assemble(sys_obj, e, alpha, "analysis") for e in eps]
         return [solution_parts(s) for s in sdp.solve_many(problems)]
 
+    def reference():
+        parts = []
+        for sys_obj, eps, mode in ((two_state(), np.linspace(0.01, 0.8, 20), "analysis"),
+                                   (three_state_qb(), np.linspace(0.01, 14.0, 20), "synthesis")):
+            sweep, sols = recording(lambda: certify.sweep_epsilon(sys_obj, eps, None, mode))
+            parts.append(certificate_parts(sys_obj, mode, sweep, sols))
+        problem = assemble(stack(two_state(), 20), 0.4, default_alpha(two_state()), "analysis")
+        sol = sdp.solve(problem)
+        return parts + [reference_parts(problem, sol.x, sol)]
+
     return {
         "two-grid": lambda: grid(two_state(), np.linspace(0.01, 0.8, 20), "analysis"),
         "three-grid": lambda: grid(three_state_qb(), np.linspace(0.01, 14.0, 20), "synthesis"),
         "shear-search": search,
         "stacked-10": lambda: stacked(10, (0.3, 0.6, 1.0), default_alpha(stack(two_state(), 10))),
         "stacked-40": lambda: stacked(20, (0.4,), default_alpha(two_state())),
+        "reference": reference,
     }
 
 
