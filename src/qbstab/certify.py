@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NotPositiveDefiniteError, QBStabError, SchemaError
-from .lmi import (_cho_solve, _spd_eigh, _spd_factor, _spd_sqrt, _svec_index, assemble,
-                  default_alpha, default_delta, svec)
+from .lmi import (_cho_solve, _EpsFamily, _spd_eigh, _spd_factor, _spd_sqrt, _svec_index,
+                  assemble, default_alpha, default_delta, svec)
 from .sdp import SdpSolution, solve, solve_many
 from .systems import QBSystem, _finite_array, _json_int, _read_json, _write_json
 
@@ -327,18 +327,20 @@ def _sweep_point(sys, problem, sol: SdpSolution, eps, alpha, mode) -> SweepEntry
     return SweepEntry(epsilon=eps, certificate=None, status="infeasible")
 
 
-def _sweep_points(sys, grid, alpha, mode) -> list[SweepEntry]:
-    """One trace maximization per eps of ``grid``, the problems solved in lockstep."""
-    problems = [assemble(sys, e, alpha, mode) for e in grid]
-    return [_sweep_point(sys, p, sol, e, alpha, mode)
+def _sweep_points(sys, family: _EpsFamily, grid) -> list[SweepEntry]:
+    """One trace maximization per eps of ``grid``, on the problems of
+    ``family``, solved in lockstep."""
+    problems = [family.problem(e) for e in grid]
+    return [_sweep_point(sys, p, sol, e, family.alpha, family.mode)
             for e, p, sol in zip(grid, problems, solve_many(problems))]
 
 
 def sweep_epsilon(sys: QBSystem, grid, alpha, mode: str) -> SweepResult:
     """One trace maximization per grid point; order of results follows the grid.
 
-    The grid's problems are solved in lockstep (``sdp.solve_many``); every
-    entry is what ``max_trace`` at its eps gives."""
+    The grid's problems come from one ``lmi._EpsFamily`` and are solved in
+    lockstep (``sdp.solve_many``); every entry is what ``max_trace`` at its
+    eps gives."""
     grid = [float(e) for e in grid]
     if not grid:
         raise ValueError("eps grid must be non-empty")
@@ -346,8 +348,8 @@ def sweep_epsilon(sys: QBSystem, grid, alpha, mode: str) -> SweepResult:
         raise ValueError("eps grid entries must be positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("eps grid must be strictly increasing")
-    alpha = resolve_alpha(sys, alpha)
-    return SweepResult(entries=tuple(_sweep_points(sys, grid, alpha, mode)))
+    family = _EpsFamily(sys, resolve_alpha(sys, alpha), mode)
+    return SweepResult(entries=tuple(_sweep_points(sys, family, grid)))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -377,7 +379,8 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
     search probes the eps points, in the order and with the results, of one
     ``max_trace`` at a time, with about half as many rounds of solves.  The
     returned certificate is the best over every evaluation, so the result is
-    never worse than any sub-grid seen.
+    never worse than any sub-grid seen.  Every probe's problem comes from
+    one ``lmi._EpsFamily``.
     Raises ValueError unless rel_tol, the bracket width at which refinement
     stops relative to its upper end, is finite and at least ``REL_TOL_MIN``.
     """
@@ -386,9 +389,9 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
     if not REL_TOL_MIN <= rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and at least {REL_TOL_MIN:g}, got {rel_tol}")
-    alpha = resolve_alpha(sys, alpha)
+    family = _EpsFamily(sys, resolve_alpha(sys, alpha), mode)
     scan = np.geomspace(lo, hi, SCAN_POINTS)
-    history: list[SweepEntry] = _sweep_points(sys, list(scan), alpha, mode)
+    history: list[SweepEntry] = _sweep_points(sys, family, list(scan))
 
     def value(entry: SweepEntry) -> float:
         return entry.trace_P if entry.feasible else -math.inf
@@ -401,7 +404,7 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
     b = scan[k + 1] if k + 1 < len(scan) else hi
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
-    history += _sweep_points(sys, [x1, x2], alpha, mode)
+    history += _sweep_points(sys, family, [x1, x2])
     f1, f2 = value(history[-2]), value(history[-1])
     solves = len(history)
     # the entries at the new points of both moves that can follow the last
@@ -418,7 +421,7 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
             for nxt in follow:
                 move = _golden_move(a, b, x1, x2, nxt)
                 points.append(move[3] if nxt else move[2])
-            entry, *rest = _sweep_points(sys, points, alpha, mode)
+            entry, *rest = _sweep_points(sys, family, points)
             solves += len(points)
             ahead = dict(zip(follow, rest))
         history.append(entry)

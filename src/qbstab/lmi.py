@@ -401,45 +401,165 @@ def _gram_rows(Mc: np.ndarray, a: np.ndarray, i: np.ndarray, j: np.ndarray) -> n
     return gram
 
 
-def _main_p_rows(A: np.ndarray, columns: list, eps: float, alpha: float, s: int,
-                 rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` (n_p, r) of the main-block F_k of the P slots: TL_k in the
-    top-left n-by-n corner, E_k in the two off-diagonal P corners.  Each
-    entry of ``columns`` holds the M_p of one eps-weighted Gram sum as
-    Mc[i, a, p] = M_p[a, i]."""
-    n = A.shape[0]
-    i, j, scale = _svec_index(n)
-    q = 1.0 / scale
-    vals = np.zeros(rows.shape + (s,))
-    step = max(1, _CHUNK // (n * n))
-    for lo in range(0, i.shape[0], step):
-        ck = slice(lo, lo + step)
-        ik, jk, qk, R = i[ck], j[ck], q[ck], rows[ck]
-        # rows a < n cross the TL corner and the P corner right of it, rows
-        # n <= a < 2n the P corner below it; the rest of each row is masked
-        top, mid = (R < n)[..., None], ((R >= n) & (R < 2 * n))[..., None]
-        a = np.where(R < n, R, 0)
-        E_a = _basis_rows(a, ik, jk, qk, n)
-        # row a of A E_k holds q A[a, i] in column j and q A[a, j] in column i
-        AE_a = np.zeros_like(E_a)
-        kk, tt = np.ogrid[:R.shape[0], :R.shape[1]]
-        AE_a[kk, tt, jk[:, None]] = A[a, ik[:, None]] * qk[:, None]
-        AE_a[kk, tt, ik[:, None]] = A[a, jk[:, None]] * qk[:, None]
-        TL = AE_a + E_a @ A.T
+class _EpsFamily:
+    """The problems ``assemble`` gives for one (sys, alpha, mode, delta), at
+    any eps: an eps grid or search builds one family and asks it for each
+    point.
+
+    The data are affine in eps.  Only the eps-weighted Gram rows
+    sum_p (H_p E_k H_p' + D_p E_k D_p') in the TL corner of the main block
+    and its -eps I corner change from point to point, so the layout, the
+    rows of both blocks, the whole floor block and the main block's
+    eps-free template are built and checked once.  At the TL entries where
+    some Gram row is nonzero the family keeps the parts of TL, the A-term
+    A E_k + E_k A', each Gram row and alpha E_k, which ``problem`` sums in
+    the order of a single assembly.  Everywhere else eps G is a zero of G's
+    sign, so TL is the same at every eps and the template holds it.  The
+    arrays that every problem shares (the rows, c and the floor block) are
+    read-only, so a write to one raises instead of changing every point.
+    """
+
+    def __init__(self, sys: QBSystem, alpha: float, mode: str, delta: float | None = None):
+        if not 0 <= alpha < np.inf:
+            raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
+        lay = layout(sys.n, sys.m, mode)
+        n, m, d, n_p = sys.n, lay.m, lay.d, lay.n_p
+        if delta is None:
+            delta = default_delta(sys)
+        s = 2 * n if mode == "analysis" else 3 * n
+        i, j, scale = _svec_index(n)
+        # Y[r, c] is x_k with k = n_p + r n + c
+        r, c = np.divmod(np.arange(m * n), n)
+        kp, ky = np.arange(n_p), n_p + np.arange(m * n)
+
+        # nonzero rows of the main-block F_k: TL_k = A E_k + E_k A' + eps sum_p
+        # (H_p E_k H_p' + D_p E_k D_p') + alpha E_k has its nonzeros in rows i, j
+        # and the rows where column i or j of A, or of some H_p or D_p, is nonzero
+        columns = [np.stack([sys.h_block(p) for p in range(n)]).transpose(2, 1, 0)]
+        if mode == "synthesis":
+            columns.append(np.stack(sys.D).transpose(2, 1, 0))
+        reach = (sys.A != 0).T | np.eye(n, dtype=bool)
         for Mc in columns:
-            TL += eps * _gram_rows(Mc, a, ik, jk)
-        if alpha:
-            TL += alpha * E_a
-        E_below = _basis_rows(R - n, ik, jk, qk, n)
-        vals[ck, :, :n] = np.where(top, TL, np.where(mid, E_below, 0.0))
-        vals[ck, :, n:2 * n] = np.where(top, E_a, 0.0)
-    # the Gram rows are symmetric only if BLAS sums every dot product the
-    # same way wherever it sits in a product; copying the upper triangle of
-    # each F_k[rows, rows] onto the lower one makes F_k exactly symmetric
-    sub = np.take_along_axis(vals, rows[:, None, :], axis=2)
-    sub = np.where(np.triu(np.ones(sub.shape[1:], dtype=bool)), sub, sub.transpose(0, 2, 1))
-    np.put_along_axis(vals, rows[:, None, :], sub, axis=2)
-    return vals
+            reach |= np.any(Mc != 0, axis=2)
+        support = np.zeros((d, s), dtype=bool)
+        support[kp, :n] = reach[i] | reach[j]
+        support[kp, n + i] = support[kp, n + j] = True
+        if mode == "synthesis":
+            # TL gets B Y + Y' B': column c and row c of F_k hold B[:, r]; Ypad'
+            # holds Y' in the first m columns of the last n-by-n slot
+            support[ky, :n] = (sys.B[:, r] != 0).T
+            support[ky, c] = support[ky, 2 * n + r] = True
+        rows = _padded_rows(support)
+        vals = np.zeros(rows.shape + (s,))
+        self._p_template(sys.A, columns, alpha, rows[:n_p], vals[:n_p])
+        # flat indices into vals of F_k[rows[t], rows[u]], t > u, below the
+        # diagonal of F_k[rows, rows] of a P slot k, and of its mirror
+        # F_k[rows[u], rows[t]] above it
+        t, u = np.tril_indices(rows.shape[1], -1)
+        row0 = kp[:, None] * rows.shape[1]
+        self._lower = ((row0 + t) * s + rows[:n_p, u]).reshape(-1)
+        self._upper = ((row0 + u) * s + rows[:n_p, t]).reshape(-1)
+        if mode == "synthesis":
+            # F_k[a, c] = B[a, r] for a < n, then row c adds B[:, r]' and the
+            # Ypad' entry; row 2n + r holds the Ypad entry in column c
+            Ry = rows[n_p:]
+            vals[ky[:, None], np.arange(Ry.shape[1]), c[:, None]] = np.where(
+                Ry < n, sys.B[np.minimum(Ry, n - 1), r[:, None]], 0.0)
+            k, t = np.nonzero(Ry == c[:, None])
+            vals[n_p + k, t, :n] += sys.B[:, r[k]].T
+            vals[n_p + k, t, 2 * n + r[k]] = 1.0
+            k, t = np.nonzero(Ry == 2 * n + r[:, None])
+            vals[n_p + k, t, c[k]] = 1.0
+        self._rows, self._vals = rows, vals
+
+        # floor block: -[[mu I, Y], [Y', P - delta I]] <= 0; for analysis (m = 0)
+        # only the lower-right corner delta I - P remains
+        support = np.zeros((d, m + n), dtype=bool)
+        support[kp, m + i] = support[kp, m + j] = True
+        support[ky, r] = support[ky, m + c] = True
+        rows = _padded_rows(support)
+        vals = np.zeros(rows.shape + (m + n,))
+        vals[:n_p, :, m:] = -_basis_rows(rows[:n_p] - m, i, j, 1.0 / scale, n)
+        F0f = np.zeros((m + n, m + n))
+        F0f[m:, m:] = delta * np.eye(n)
+        if m:
+            F0f[:m, :m] = -default_mu(sys) * np.eye(m)
+            Ry = rows[n_p:]
+            k, t = np.nonzero(Ry == r[:, None])
+            vals[n_p + k, t, m + c[k]] = -1.0
+            k, t = np.nonzero(Ry == m + c[:, None])
+            vals[n_p + k, t, r[k]] = -1.0
+        self.floor = LmiBlock(F0=F0f, rows=rows, vals=vals)
+        self.layout, self.c = lay, lay.trace_objective()
+        self.alpha, self.mode = alpha, mode
+        for a in (self._rows, self.c, self.floor.F0, self.floor.rows, self.floor.vals):
+            a.flags.writeable = False
+
+    def _p_template(self, A: np.ndarray, columns: list, alpha: float, rows: np.ndarray,
+                    vals: np.ndarray) -> None:
+        """Write the eps-free part of the main-block F_k of the P slots into
+        ``vals`` (n_p, r, s), rows ``rows`` (n_p, r): TL_k in the top-left
+        n-by-n corner, E_k in the two off-diagonal P corners; keep the parts
+        of TL at the entries that depend on eps.  Each entry of ``columns``
+        holds the M_p of one eps-weighted Gram sum as Mc[i, a, p] = M_p[a, i]."""
+        n = A.shape[0]
+        i, j, scale = _svec_index(n)
+        q = 1.0 / scale
+        r, s = vals.shape[1:]
+        live, parts = [], []
+        step = max(1, _CHUNK // (n * n))
+        for lo in range(0, i.shape[0], step):
+            ck = slice(lo, lo + step)
+            ik, jk, qk, R = i[ck], j[ck], q[ck], rows[ck]
+            # rows a < n cross the TL corner and the P corner right of it, rows
+            # n <= a < 2n the P corner below it; the rest of each row is masked
+            top, mid = (R < n)[..., None], ((R >= n) & (R < 2 * n))[..., None]
+            a = np.where(R < n, R, 0)
+            E_a = _basis_rows(a, ik, jk, qk, n)
+            # row a of A E_k holds q A[a, i] in column j and q A[a, j] in column i
+            AE_a = np.zeros_like(E_a)
+            kk, tt = np.ogrid[:R.shape[0], :R.shape[1]]
+            AE_a[kk, tt, jk[:, None]] = A[a, ik[:, None]] * qk[:, None]
+            AE_a[kk, tt, ik[:, None]] = A[a, jk[:, None]] * qk[:, None]
+            TL = AE_a + E_a @ A.T
+            grams = [_gram_rows(Mc, a, ik, jk) for Mc in columns]
+            aE = alpha * E_a
+            # the TL entries where a Gram row is nonzero, as flat indices into
+            # the (c, r, n) chunk and then into vals (n_p, r, s)
+            f = np.flatnonzero(np.logical_or.reduce([G != 0 for G in grams]) & top)
+            live.append((lo * r + f // n) * s + f % n)
+            parts.append([M.reshape(-1)[f] for M in (TL, *grams, aE)])
+            for G in grams:
+                TL += G
+            if alpha:
+                TL += aE
+            E_below = _basis_rows(R - n, ik, jk, qk, n)
+            vals[ck, :, :n] = np.where(top, TL, np.where(mid, E_below, 0.0))
+            vals[ck, :, n:2 * n] = np.where(top, E_a, 0.0)
+        self._live = np.concatenate(live)
+        self._base, *self._grams, self._alpha_E = (np.concatenate(p) for p in zip(*parts))
+
+    def problem(self, eps: float) -> SdpProblem:
+        """The problem at eps: what ``assemble`` gives, bit for bit."""
+        if not 0 < eps < np.inf:
+            raise ValueError(f"eps must be finite and positive, got {eps}")
+        TL = self._base.copy()
+        for G in self._grams:
+            TL += eps * G
+        if self.alpha:
+            TL += self._alpha_E
+        vals = self._vals.copy()
+        flat = vals.reshape(-1)
+        flat[self._live] = TL
+        # the Gram rows are symmetric only if BLAS sums every dot product the
+        # same way wherever it sits in a product; copying the upper triangle of
+        # each F_k[rows, rows] onto the lower one makes F_k exactly symmetric
+        flat[self._lower] = flat[self._upper]
+        s, n = vals.shape[2], self.layout.n
+        F0 = np.zeros((s, s))
+        F0[n:, n:] = -eps * np.eye(s - n)
+        main = LmiBlock(F0=F0, rows=self._rows, vals=vals)
+        return SdpProblem(layout=self.layout, c=self.c, blocks=(main, self.floor))
 
 
 def assemble(sys: QBSystem, eps: float, alpha: float, mode: str,
@@ -452,76 +572,13 @@ def assemble(sys: QBSystem, eps: float, alpha: float, mode: str,
     objective maximizes trace(P).  Both blocks are emitted row-compressed:
     the nonzero rows of each F_k follow from the sparsity of A, B, D and the
     blocks of H, so no dense F stack is built.
+
+    This is the one-point case of ``_EpsFamily``, which builds once per
+    (sys, alpha, mode, delta) the layout, the rows of both blocks, the floor
+    block and the main block's eps-free template, and forms per eps only
+    the eps-dependent TL entries, the -eps I corner and the main block.
     """
-    if not 0 < eps < np.inf:
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    if not 0 <= alpha < np.inf:
-        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
-    lay = layout(sys.n, sys.m, mode)
-    n, m, d, n_p = sys.n, lay.m, lay.d, lay.n_p
-    if delta is None:
-        delta = default_delta(sys)
-    s = 2 * n if mode == "analysis" else 3 * n
-    i, j, scale = _svec_index(n)
-    # Y[r, c] is x_k with k = n_p + r n + c
-    r, c = np.divmod(np.arange(m * n), n)
-    kp, ky = np.arange(n_p), n_p + np.arange(m * n)
-
-    # nonzero rows of the main-block F_k: TL_k = A E_k + E_k A' + eps sum_p
-    # (H_p E_k H_p' + D_p E_k D_p') + alpha E_k has its nonzeros in rows i, j
-    # and the rows where column i or j of A, or of some H_p or D_p, is nonzero
-    columns = [np.stack([sys.h_block(p) for p in range(n)]).transpose(2, 1, 0)]
-    if mode == "synthesis":
-        columns.append(np.stack(sys.D).transpose(2, 1, 0))
-    reach = (sys.A != 0).T | np.eye(n, dtype=bool)
-    for Mc in columns:
-        reach |= np.any(Mc != 0, axis=2)
-    support = np.zeros((d, s), dtype=bool)
-    support[kp, :n] = reach[i] | reach[j]
-    support[kp, n + i] = support[kp, n + j] = True
-    if mode == "synthesis":
-        # TL gets B Y + Y' B': column c and row c of F_k hold B[:, r]; Ypad'
-        # holds Y' in the first m columns of the last n-by-n slot
-        support[ky, :n] = (sys.B[:, r] != 0).T
-        support[ky, c] = support[ky, 2 * n + r] = True
-    rows = _padded_rows(support)
-    vals = np.zeros(rows.shape + (s,))
-    vals[:n_p] = _main_p_rows(sys.A, columns, eps, alpha, s, rows[:n_p])
-    if mode == "synthesis":
-        # F_k[a, c] = B[a, r] for a < n, then row c adds B[:, r]' and the
-        # Ypad' entry; row 2n + r holds the Ypad entry in column c
-        Ry = rows[n_p:]
-        vals[ky[:, None], np.arange(Ry.shape[1]), c[:, None]] = np.where(
-            Ry < n, sys.B[np.minimum(Ry, n - 1), r[:, None]], 0.0)
-        k, t = np.nonzero(Ry == c[:, None])
-        vals[n_p + k, t, :n] += sys.B[:, r[k]].T
-        vals[n_p + k, t, 2 * n + r[k]] = 1.0
-        k, t = np.nonzero(Ry == 2 * n + r[:, None])
-        vals[n_p + k, t, c[k]] = 1.0
-    F0 = np.zeros((s, s))
-    F0[n:, n:] = -eps * np.eye(s - n)
-    main = LmiBlock(F0=F0, rows=rows, vals=vals)
-
-    # floor block: -[[mu I, Y], [Y', P - delta I]] <= 0; for analysis (m = 0)
-    # only the lower-right corner delta I - P remains
-    support = np.zeros((d, m + n), dtype=bool)
-    support[kp, m + i] = support[kp, m + j] = True
-    support[ky, r] = support[ky, m + c] = True
-    rows = _padded_rows(support)
-    vals = np.zeros(rows.shape + (m + n,))
-    vals[:n_p, :, m:] = -_basis_rows(rows[:n_p] - m, i, j, 1.0 / scale, n)
-    F0f = np.zeros((m + n, m + n))
-    F0f[m:, m:] = delta * np.eye(n)
-    if m:
-        F0f[:m, :m] = -default_mu(sys) * np.eye(m)
-        Ry = rows[n_p:]
-        k, t = np.nonzero(Ry == r[:, None])
-        vals[n_p + k, t, m + c[k]] = -1.0
-        k, t = np.nonzero(Ry == m + c[:, None])
-        vals[n_p + k, t, r[k]] = -1.0
-    floor = LmiBlock(F0=F0f, rows=rows, vals=vals)
-
-    return SdpProblem(layout=lay, c=lay.trace_objective(), blocks=(main, floor))
+    return _EpsFamily(sys, alpha, mode, delta).problem(eps)
 
 
 @dataclass(frozen=True)

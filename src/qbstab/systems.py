@@ -139,21 +139,26 @@ def symmetrize_quadratic(H_raw: np.ndarray, n: int) -> np.ndarray:
 
     Averages column i*n + j with column j*n + i.  The result satisfies
     H(x1 kron x2) = H(x2 kron x1) and agrees with ``H_raw`` on x kron x.
+    A mirrored pair whose sum overflows gives an infinite entry, which
+    ``QBSystem`` rejects as not finite.
     """
     H_raw = np.asarray(H_raw, dtype=float)
     if H_raw.shape != (n, n * n):
         raise DimensionError(f"H must be {n}x{n * n}, got {H_raw.shape}")
     T = H_raw.reshape(n, n, n)
-    return ((T + T.transpose(0, 2, 1)) / 2.0).reshape(n, n * n)
+    with np.errstate(over="ignore"):
+        return ((T + T.transpose(0, 2, 1)) / 2.0).reshape(n, n * n)
 
 
 def symmetry_defect(H: np.ndarray, n: int) -> float:
-    """Max absolute columnwise defect |H_i e_j - H_j e_i| of the symmetry property."""
+    """Max absolute columnwise defect |H_i e_j - H_j e_i| of the symmetry
+    property; inf where a difference overflows."""
     H = np.asarray(H, dtype=float)
     if H.shape != (n, n * n):
         raise DimensionError(f"H must be {n}x{n * n}, got {H.shape}")
     T = H.reshape(n, n, n)
-    return float(np.max(np.abs(T - T.transpose(0, 2, 1)))) if n > 0 else 0.0
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(T - T.transpose(0, 2, 1)))) if n > 0 else 0.0
 
 
 def validate(sys: QBSystem) -> ValidationReport:
@@ -249,17 +254,20 @@ def close_loop(sys: QBSystem, K: np.ndarray) -> QBSystem:
 
     A_cl = A + B K and H_cl is the symmetrized sum of H with the bilinear
     contribution sum_j D_j ((e_j^T K) kron I_n), so that the closed-loop
-    vector field equals ``eval_dynamics(sys, x, K @ x)`` for every x.
+    vector field equals ``eval_dynamics(sys, x, K @ x)`` for every x.  A
+    finite K whose products overflow gives a closed loop that ``QBSystem``
+    rejects as not finite.
     """
     if sys.m < 1:
         raise DimensionError("close_loop requires at least one input (m >= 1)")
     K = _as_matrix(K, sys.m, sys.n, "K")
-    A_cl = sys.A + sys.B @ K
-    T = sys.h_tensor().copy()
-    Dstack = np.stack(sys.D)  # (m, n, n)
-    # D_j ((e_j^T K) kron I_n) adds K[j, i] * D_j[a, s] to the (a, i, s) entry.
-    T += np.einsum("ji,jas->ais", K, Dstack)
-    H_cl = symmetrize_quadratic(T.reshape(sys.n, sys.n * sys.n), sys.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A_cl = sys.A + sys.B @ K
+        T = sys.h_tensor().copy()
+        Dstack = np.stack(sys.D)  # (m, n, n)
+        # D_j ((e_j^T K) kron I_n) adds K[j, i] * D_j[a, s] to the (a, i, s) entry.
+        T += np.einsum("ji,jas->ais", K, Dstack)
+        H_cl = symmetrize_quadratic(T.reshape(sys.n, sys.n * sys.n), sys.n)
     return QBSystem(A=A_cl, H=H_cl)
 
 
@@ -347,7 +355,10 @@ def _densify_h(spec, n: int) -> np.ndarray:
             row, i, j = (int(v) for v in triplet[:3])
             if not (0 <= row < n and 0 <= i < n and 0 <= j < n):
                 raise SchemaError(f"H triplet index out of range: {entry!r}")
-            H[row, i * n + j] += triplet[3]
+            with np.errstate(over="ignore"):
+                H[row, i * n + j] += triplet[3]
+        if not np.isfinite(H).all():
+            raise SchemaError("H triplets of one entry must sum to a finite number")
         return H
     H = _finite_array(spec, "H")
     if H.shape != (n, n * n):

@@ -507,6 +507,21 @@ class TestArgumentHandling:
         assert_one_input_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("triplets", [
+        [[0, 0, 1, 1e308], [0, 1, 0, 1e308]],
+        [[0, 0, 1, 1e308], [0, 0, 1, 1e308]],
+    ], ids=["mirrored", "repeated"])
+    def test_overflowing_h_is_one_input_error(self, tmp_path, capsys, triplets):
+        # finite entries whose sum overflows: exit 4 and one stderr line, no
+        # RuntimeWarning before it
+        doc = {"n": 2, "m": 0, "A": [[-1.0, 0.0], [0.0, -1.0]], "H": {"triplets": triplets}}
+        sys_path = tmp_path / "big.json"
+        sys_path.write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        assert run("analyze", "--system", str(sys_path), "--eps", "1.0", "--out", str(out)) == 4
+        assert_one_input_error(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
     def test_unreadable_system_file_is_input_error(self, tmp_path, capsys, kind):
         out = tmp_path / "x"

@@ -10,6 +10,7 @@ from qbstab.lmi import (
     LmiBlock,
     SdpProblem,
     assemble,
+    default_alpha,
     default_delta,
     default_mu,
     delta_norm,
@@ -277,6 +278,84 @@ class TestDenseReference:
         again = assemble(s, 0.7, alpha, mode)
         for blk, ref in zip(again.blocks, prob.blocks):
             assert np.array_equal(blk.rows, ref.rows) and np.array_equal(blk.vals, ref.vals)
+
+
+FAMILY_SYSTEMS = {
+    "two-state analysis": (two_state, "analysis", None),
+    "three-state synthesis": (three_state_qb, "synthesis", None),
+    "three-state synthesis, delta 0.05": (three_state_qb, "synthesis", 0.05),
+    "shear flow Re=120": (lambda: shear_flow_9(120.0), "analysis", None),
+    "stacked two-state": (lambda: stack(two_state(), 10), "analysis", None),
+    "dense random analysis": (lambda: rand_system(np.random.default_rng(50), 4), "analysis", None),
+    "dense random synthesis": (lambda: rand_system(np.random.default_rng(51), 4, m=2),
+                               "synthesis", None),
+}
+
+
+def same_problem(a: SdpProblem, b: SdpProblem) -> bool:
+    """c and every block's F0, rows and vals equal byte for byte."""
+    return a.c.tobytes() == b.c.tobytes() and len(a.blocks) == len(b.blocks) and all(
+        x.F0.tobytes() == y.F0.tobytes() and x.rows.shape == y.rows.shape
+        and x.rows.tobytes() == y.rows.tobytes() and x.vals.tobytes() == y.vals.tobytes()
+        for x, y in zip(a.blocks, b.blocks))
+
+
+class TestEpsFamily:
+    """An eps grid's problems come from one ``lmi._EpsFamily``; each must be
+    the problem a one-point ``assemble`` gives."""
+
+    EPS = (1e-3, 0.3, 20.0)
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_SYSTEMS))
+    @pytest.mark.parametrize("strict", [False, True], ids=["alpha 0", "default alpha"])
+    def test_problems_equal_one_point_assembly(self, name, strict):
+        make, mode, delta = FAMILY_SYSTEMS[name]
+        s = make()
+        alpha = default_alpha(s) if strict else 0.0
+        family = lmi._EpsFamily(s, alpha, mode, delta)
+        # every point first, so a point that changed the family shows in the next
+        problems = [family.problem(eps) for eps in self.EPS]
+        for eps, prob in zip(self.EPS, problems):
+            assert same_problem(prob, assemble(s, eps, alpha, mode, delta))
+        assert same_problem(family.problem(self.EPS[0]), problems[0])
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_eps(self, eps):
+        family = lmi._EpsFamily(two_state(), 0.0, "analysis")
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            family.problem(eps)
+
+    def test_shares_read_only_data(self):
+        family = lmi._EpsFamily(three_state_qb(), 1e-6, "synthesis")
+        problems = [family.problem(eps) for eps in self.EPS]
+        first = problems[0]
+        shared = [first.c, first.blocks[0].rows, *(getattr(first.blocks[1], name)
+                                                   for name in ("F0", "rows", "vals"))]
+        for prob in problems[1:]:
+            assert prob.blocks[1] is first.blocks[1] and prob.blocks[0].rows is first.blocks[0].rows
+            assert prob.c is first.c
+        for arr in shared:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr.reshape(-1)[0] = 1.0
+        # each problem owns its main F0 and vals
+        assert all(prob.blocks[0].vals.flags.writeable for prob in problems)
+        assert not np.shares_memory(problems[0].blocks[0].vals, problems[1].blocks[0].vals)
+
+    def test_solve_many_leaves_shared_data_unchanged(self):
+        family = lmi._EpsFamily(two_state(), 1e-6, "analysis")
+        problems = [family.problem(eps) for eps in (0.1, 0.3, 0.6)]
+        first = problems[0]
+        shared = [first.c, first.blocks[0].rows, first.blocks[1].F0, first.blocks[1].rows,
+                  first.blocks[1].vals]
+        before = [arr.copy() for arr in shared]
+        # one shape, so solve_many takes them together, each as its own solve does
+        solutions = sdp.solve_many(problems)
+        assert [sol.status for sol in solutions] == ["Optimal"] * 3
+        for prob, sol in zip(problems, solutions):
+            assert sol.x.tobytes() == sdp.solve(prob).x.tobytes()
+        for arr, ref in zip(shared, before):
+            assert arr.tobytes() == ref.tobytes()
 
 
 class TestFloorBlock:

@@ -63,3 +63,22 @@ def test_reference_set_sees_evaluate(monkeypatch):
 def test_refuses_a_tree_without_sources(tmp_path):
     with pytest.raises(SystemExit, match="no qbstab sources"):
         tool.main([str(tmp_path)])
+
+
+def test_assembly_set_sees_one_ulp():
+    assert "assembly" in tool.parity_sets()
+    problems = []
+    _, solutions = tool.recording(lambda: sweep_epsilon(SCALAR, GRID, None, "analysis"),
+                                  problems)
+    assert len(problems) == len(solutions) == len(GRID)
+    assert (certify.solve, certify.solve_many) == (sdp.solve, sdp.solve_many)
+    parts = [tool.problem_parts(p) for p in problems]
+    reference = tool.digest(parts)
+    assert tool.digest([tool.problem_parts(p) for p in problems]) == reference
+    # one ulp in one entry of the middle problem's main-block vals
+    vals = parts[1][1][0][2].copy()
+    flat = vals.reshape(-1)
+    k = np.flatnonzero(flat)[0]
+    flat[k] = np.nextafter(flat[k], np.inf)
+    parts[1][1][0][2] = vals
+    assert tool.digest(parts) != reference

@@ -1,6 +1,5 @@
 import json
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -319,14 +318,28 @@ class TestJsonRoundTrip:
 
     def test_overflowing_symmetrization_is_schema_error(self):
         # every entry is finite, but averaging the two mirrored H columns
-        # overflows (with a RuntimeWarning); QBSystem's ValueError becomes a
-        # SchemaError, which the CLI reports as an input error
+        # overflows; QBSystem's ValueError becomes a SchemaError, which the
+        # CLI reports as an input error, and no RuntimeWarning is raised
+        # (an error under the suite's warnings filter)
         doc = {"n": 2, "m": 0, "A": [[-1.0, 0.0], [0.0, -1.0]],
                "H": {"triplets": [[0, 0, 1, 1e308], [0, 1, 0, 1e308]]}}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(SchemaError, match="H must be finite"):
-                system_from_dict(doc)
+        with pytest.raises(SchemaError, match="^H must be finite$"):
+            system_from_dict(doc)
+
+    def test_overflowing_triplet_sum_is_schema_error(self):
+        doc = {"n": 2, "m": 0, "A": [[-1.0, 0.0], [0.0, -1.0]],
+               "H": {"triplets": [[0, 0, 1, 1e308], [0, 0, 1, 1e308]]}}
+        with pytest.raises(SchemaError, match="must sum to a finite number"):
+            system_from_dict(doc)
+
+    def test_overflowing_symmetry_defect_is_inf(self):
+        # the mirrored entries cancel, so the system loads; their difference
+        # does not fit in a float
+        doc = {"n": 2, "m": 0, "A": [[-1.0, 0.0], [0.0, -1.0]],
+               "H": {"triplets": [[0, 0, 1, 1e308], [0, 1, 0, -1e308]]}}
+        sys_obj, defect = system_from_dict(doc)
+        assert defect == np.inf
+        np.testing.assert_array_equal(sys_obj.H, np.zeros((2, 4)))
 
     def test_dict_form_omits_empty_input_fields(self):
         doc = system_to_dict(two_state())
@@ -349,6 +362,16 @@ class TestFiniteCoefficients:
         K = np.zeros((2, 3))
         K[0, 1] = np.nan
         with pytest.raises(ValueError, match="must be finite"):
+            close_loop(three_state_qb(), K)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "mixed"])
+    def test_close_loop_rejects_overflowing_gain(self, sign):
+        # a finite gain whose product B K overflows (to inf, or to nan where
+        # infinities of both signs meet) gives an A that is not finite, and
+        # no RuntimeWarning
+        K = np.full((2, 3), 1e308)
+        K[1] *= sign
+        with pytest.raises(ValueError, match="^A must be finite$"):
             close_loop(three_state_qb(), K)
 
 

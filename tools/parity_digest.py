@@ -18,14 +18,18 @@ and on its parent and compare the lines.  The sets:
                     ``stacked_n40`` benchmark solves it
 - ``reference``     the checks on problem data alone, at every certificate
                     of both grids and at the stacked-40 solution
+- ``assembly``      every problem that certify hands to its solves during
+                    both grids and the shear-flow search, and the stacked-40
+                    problem as ``assemble`` gives it
 
 A grid hashes every entry (eps, status, and the certificate's P, K and
 ``solver_report``), the search its best trace and every evaluation alike.
 Every set hashes each solve it runs: status, iterations, message, history,
 residuals, objective, the bytes of x and Z, and its relaxed solution.  The
 ``reference`` set hashes ``LmiBlock.evaluate`` of every block,
-``check_block_feasibility``'s lambda_max and ``kkt_residuals``.  The BLAS
-thread count is pinned to 1, as the benchmark pins it.
+``check_block_feasibility``'s lambda_max and ``kkt_residuals``.  The
+``assembly`` set hashes each problem's c and every block's F0, rows and
+vals.  The BLAS thread count is pinned to 1, as the benchmark pins it.
 """
 
 from __future__ import annotations
@@ -126,19 +130,29 @@ def certificate_parts(sys_obj, mode, sweep, solutions) -> list:
     return parts
 
 
-def recording(fn):
+def problem_parts(problem) -> list:
+    """What an ``SdpProblem`` contributes: c and every block's F0, rows and vals."""
+    return [problem.c, [[blk.F0, blk.rows, blk.vals] for blk in problem.blocks]]
+
+
+def recording(fn, problems: list | None = None):
     """(fn(), solutions): every solution that certify's solves return during
-    fn(), in the order they return."""
+    fn(), in the order they return.  The problems handed to those solves are
+    appended to ``problems`` when it is given."""
     from qbstab import certify
 
     solutions, solve, solve_many = [], certify.solve, certify.solve_many
+    seen = [] if problems is None else problems
 
     def one(problem):
+        seen.append(problem)
         solutions.append(solve(problem))
         return solutions[-1]
 
-    def many(problems):
-        sols = solve_many(problems)
+    def many(batch):
+        batch = list(batch)
+        seen.extend(batch)
+        sols = solve_many(batch)
         solutions.extend(sols)
         return sols
 
@@ -156,12 +170,16 @@ def parity_sets() -> dict:
     from qbstab.models import shear_flow_9, three_state_qb, two_state
     from qbstab.systems import stack
 
-    def grid(sys_obj, eps, mode):
-        return grid_parts(*recording(lambda: certify.sweep_epsilon(sys_obj, eps, None, mode)))
+    grids = ((two_state(), np.linspace(0.01, 0.8, 20), "analysis"),
+             (three_state_qb(), np.linspace(0.01, 14.0, 20), "synthesis"))
 
-    def search():
+    def grid(sys_obj, eps, mode, problems=None):
+        return grid_parts(*recording(lambda: certify.sweep_epsilon(sys_obj, eps, None, mode),
+                                     problems))
+
+    def search(problems=None):
         res, sols = recording(lambda: certify.optimize_epsilon(
-            shear_flow_9(120.0), (1e-3, 1.0), 1e-3, None, "analysis"))
+            shear_flow_9(120.0), (1e-3, 1.0), 1e-3, None, "analysis"), problems)
         best = None if res.best is None else res.best.trace_P
         return [best, res.solves, [entry_parts(e) for e in res.history],
                 [solution_parts(s) for s in sols]]
@@ -171,23 +189,33 @@ def parity_sets() -> dict:
         problems = [assemble(sys_obj, e, alpha, "analysis") for e in eps]
         return [solution_parts(s) for s in sdp.solve_many(problems)]
 
+    def stacked_40():
+        return assemble(stack(two_state(), 20), 0.4, default_alpha(two_state()), "analysis")
+
     def reference():
         parts = []
-        for sys_obj, eps, mode in ((two_state(), np.linspace(0.01, 0.8, 20), "analysis"),
-                                   (three_state_qb(), np.linspace(0.01, 14.0, 20), "synthesis")):
+        for sys_obj, eps, mode in grids:
             sweep, sols = recording(lambda: certify.sweep_epsilon(sys_obj, eps, None, mode))
             parts.append(certificate_parts(sys_obj, mode, sweep, sols))
-        problem = assemble(stack(two_state(), 20), 0.4, default_alpha(two_state()), "analysis")
+        problem = stacked_40()
         sol = sdp.solve(problem)
         return parts + [reference_parts(problem, sol.x, sol)]
 
+    def assembly():
+        problems = []
+        for sys_obj, eps, mode in grids:
+            grid(sys_obj, eps, mode, problems)
+        search(problems)
+        return [problem_parts(p) for p in problems + [stacked_40()]]
+
     return {
-        "two-grid": lambda: grid(two_state(), np.linspace(0.01, 0.8, 20), "analysis"),
-        "three-grid": lambda: grid(three_state_qb(), np.linspace(0.01, 14.0, 20), "synthesis"),
+        "two-grid": lambda: grid(*grids[0]),
+        "three-grid": lambda: grid(*grids[1]),
         "shear-search": search,
         "stacked-10": lambda: stacked(10, (0.3, 0.6, 1.0), default_alpha(stack(two_state(), 10))),
         "stacked-40": lambda: stacked(20, (0.4,), default_alpha(two_state())),
         "reference": reference,
+        "assembly": assembly,
     }
 
 
