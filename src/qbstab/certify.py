@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionError, NotPositiveDefiniteError, QBStabError, SchemaError
 from .lmi import (_cho_solve, _EpsFamily, _spd_eigh, _spd_factor, _spd_sqrt, _svec_index,
                   assemble, default_alpha, default_delta, svec)
-from .sdp import SdpSolution, solve, solve_many
+from .sdp import FEAS_TOL, GAP_TOL, SdpSolution, solve, solve_many
 from .systems import QBSystem, _finite_array, _json_int, _read_json, _write_json
 
 __all__ = [
@@ -71,6 +71,9 @@ SCAN_POINTS = 16
 REL_TOL_MIN = 1e-12
 # traces within TIE_REL of the best count as tied in ``SweepResult.best``
 TIE_REL = 1e-6
+# a solve that ends NumericalFailure or IterLimit still certifies when each
+# residual of its best iterate is within this many times FEAS_TOL or GAP_TOL
+_LOOSE_FACTOR = 10.0
 
 
 def shape_report(P: np.ndarray, K: np.ndarray | None, delta: float) -> dict:
@@ -131,9 +134,9 @@ class Certificate:
     margin the LMI enforced (d/dt V <= -alpha V inside the ellipsoid).  Synthesis certificates carry
     Y and the extracted gain K = Y P^-1, both finite; analysis certificates carry neither.
     ``solver_report`` says how the certificate was obtained: solver status,
-    iterations and residuals, whether the solver's relaxed tolerances were
-    used, and the ``shape_report`` entries (lambda_min(P)/delta, floor
-    activity, |K|_2).
+    iterations and residuals, whether it is a failed solve's best iterate
+    (``relaxed_retry``, see ``max_trace``), and the ``shape_report`` entries
+    (lambda_min(P)/delta, floor activity, |K|_2).
     """
 
     mode: str
@@ -230,15 +233,15 @@ class SweepResult:
         Trace-optimal values can be attained on an eps interval (flat optimal
         value with differently oriented ellipsoids), so among entries within
         ``TIE_REL`` of the maximum trace the one with the largest det(P)
-        wins (compared as log det, which neither overflows nor underflows in
-        high n); remaining ties go to the smallest eps for determinism.
+        wins (compared as ``_log_sqrt_det``, which neither overflows nor
+        underflows in high n); remaining ties go to the smallest eps.
         """
         feas = self.feasible_entries()
         if not feas:
             return None
         top = max(e.trace_P for e in feas)
         candidates = [e for e in feas if e.trace_P >= top * (1.0 - TIE_REL)]
-        key = lambda e: (float(np.linalg.slogdet(e.certificate.P)[1]), -e.epsilon)
+        key = lambda e: (_log_sqrt_det(e.certificate.P), -e.epsilon)
         return max(candidates, key=key).certificate
 
 
@@ -277,13 +280,13 @@ def max_trace(sys: QBSystem, eps: float, alpha, mode: str) -> Certificate | Infe
     LMI has no interior and no improving ray ("stalled: ..."): it is neither
     feasible nor proven infeasible.
 
-    One solve per eps.  If it ends NumericalFailure or IterLimit, its
-    ``relaxed`` solution (the first iterate that passed the solver's looser
-    tolerances) is used, also on well-conditioned optima whose attainable
-    dual accuracy lands just above the tolerance.  The certificate's
-    ``solver_report`` says whether that happened (``relaxed_retry``), how far
-    lambda_min(P) sits above the floor delta (floor-active when within
-    10 delta) and the spectral norm of K.
+    One solve per eps.  If it ends NumericalFailure or IterLimit, the best
+    iterate it returns still certifies when each of its residuals is within
+    ``_LOOSE_FACTOR`` times FEAS_TOL or GAP_TOL, as on well-conditioned
+    optima whose attainable dual accuracy lands just above the tolerance;
+    the certificate then reads status Optimal and ``relaxed_retry`` True.
+    Its ``solver_report`` also says how far lambda_min(P) sits above the
+    floor delta (floor-active when within 10 delta) and |K|_2.
     """
     alpha = resolve_alpha(sys, alpha)
     problem = assemble(sys, eps, alpha, mode)
@@ -292,19 +295,20 @@ def max_trace(sys: QBSystem, eps: float, alpha, mode: str) -> Certificate | Infe
 
 def _outcome(sys, problem, sol: SdpSolution, eps, alpha, mode) -> Certificate | Infeasible:
     """``max_trace``'s result, given the solution of its problem."""
-    retried = sol.status in ("NumericalFailure", "IterLimit")
-    if retried and sol.relaxed is not None:
-        sol = sol.relaxed
     if sol.status == "Infeasible":
         return Infeasible(mode=mode, alpha=alpha, epsilon=eps, ray=sol.Z,
                           message=sol.message)
-    if sol.status != "Optimal":
+    feas, gap = _LOOSE_FACTOR * FEAS_TOL, _LOOSE_FACTOR * GAP_TOL
+    # each residual on its own, so that a NaN fails
+    retried = (sol.status in ("NumericalFailure", "IterLimit") and sol.primal_residual <= feas
+               and sol.dual_residual <= feas and sol.duality_gap <= gap)
+    if sol.status != "Optimal" and not retried:
         raise SolverFailure(f"solver returned {sol.status} at eps={eps:.6g}: {sol.message}")
     P, Y = problem.layout.unpack(sol.x)
     # the gain solves K P = Y
     K = _cho_solve(_spd_factor(P), Y.T).T if mode == "synthesis" else None
     report = {
-        "status": sol.status,
+        "status": "Optimal",
         "primal_residual": sol.primal_residual,
         "dual_residual": sol.dual_residual,
         "duality_gap": sol.duality_gap,
@@ -436,13 +440,17 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
 def ellipsoid_volume(e: Ellipsoid) -> float:
     """Lebesgue volume: unit-ball volume of R^n times sqrt(det P).
 
-    Formed in log space, so neither the determinant nor the gamma function
-    overflows or underflows in high n.  log sqrt(det P) is the sum of the
-    logs of the Cholesky diagonal; numpy's pairwise sum keeps it within a
-    few ulps, where slogdet's running sum drifts by ~1e-12 at n = 200.
+    Formed in log space (``_log_sqrt_det``), so neither the determinant nor
+    the gamma function overflows or underflows in high n.
     """
-    log_sqrt_det = float(np.sum(np.log(np.diagonal(_spd_factor(e.P)[0]))))
-    return math.exp(_log_ball_volume(e.n) + log_sqrt_det)
+    return math.exp(_log_ball_volume(e.n) + _log_sqrt_det(e.P))
+
+
+def _log_sqrt_det(P: np.ndarray) -> float:
+    """log sqrt(det P) of symmetric positive definite P: the sum of the logs
+    of the Cholesky diagonal.  numpy's pairwise sum keeps it within a few
+    ulps, where slogdet's running sum drifts by ~1e-12 at n = 200."""
+    return float(np.sum(np.log(np.diagonal(_spd_factor(P)[0]))))
 
 
 def _log_ball_volume(n: int) -> float:

@@ -42,8 +42,8 @@ Schur factorization and its three solves per iteration, direct LAPACK
 calls (``lmi._cho_factor`` and ``_cho_solve``: scipy's ``cho_factor`` and
 ``cho_solve`` without their wrappers, which cost more than the calls at
 d = 45), and the W-form Schur shares stay one problem at a time.  Each
-problem keeps its own termination tests, log, stall count and relaxed
-result, and leaves the stack when it terminates.  A breakdown in one
+problem keeps its own termination tests, log, stall count and best
+iterate, and leaves the stack when it terminates.  A breakdown in one
 problem (a failed factorization, a collapsed step) ends that problem
 alone: the step is then taken again without it.  Problems whose blocks take
 different Schur forms run in separate groups, and a group holds at most
@@ -83,12 +83,10 @@ W_MIN_SPARSITY = 32
 # peak was 11.1 MB in one group of 16, 6.5 MB in groups of 8 and 2.5 MB one
 # problem at a time; it took 0.43, 0.46 and 1.10 s on one core
 GROUP_BYTES = 1 << 23
-# the termination tests of the module docstring; those of ``SdpSolution.relaxed``
-# are RELAX_FACTOR times looser
+# the termination tests of the module docstring
 FEAS_TOL = 1e-8
 GAP_TOL = 1e-8
 MAX_ITERS = 200
-RELAX_FACTOR = 10.0
 # a hidden scalar block caps c'x at this value, so that problems with an
 # unbounded objective still terminate cleanly
 OBJECTIVE_BOX = 1e8
@@ -114,15 +112,14 @@ class SdpSolution:
     module docstring).  At Optimal, ``x`` is the maximizing decision vector
     and ``Z`` holds one PSD dual matrix per block.  At Infeasible, ``Z``
     holds the normalized improving-ray certificate (<F0, Z> = 1).
+    After NumericalFailure or IterLimit, ``x``, ``Z``, ``objective`` and the
+    three residuals are those of the best interior iterate, the one with the
+    smallest largest residual (a NaN residual counting as +inf); with no
+    interior iterate, ``x`` and ``Z`` are zero, ``objective`` is NaN and the
+    residuals are inf.  ``iters`` counts the iterations run.
     ``history`` holds one (mu, primal residual, dual residual, step length)
     tuple per completed interior-point step; a stalled solve's is a prefix
     of the history the solve would have without the stall rule.
-
-    ``relaxed`` is the Optimal or Infeasible solution at the first iterate
-    that passed a test only with tolerances ``RELAX_FACTOR`` times looser,
-    else None.  Tolerances never change an iterate, so after NumericalFailure
-    or IterLimit it is what a solve with FEAS_TOL and GAP_TOL ``RELAX_FACTOR``
-    times larger would return.
     """
 
     status: str
@@ -135,7 +132,6 @@ class SdpSolution:
     iters: int
     message: str = ""
     history: list = field(default_factory=list)
-    relaxed: SdpSolution | None = None
 
 
 @dataclass(frozen=True)
@@ -385,7 +381,7 @@ def _group_size(problem: SdpProblem, forms: tuple) -> int:
 
 class _Run:
     """One problem's own part of a lockstep solve: its best iterate, log,
-    relaxed result, stall count and verdict."""
+    stall count and verdict."""
 
     def __init__(self, problem: SdpProblem, c: np.ndarray):
         self.ray_scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
@@ -397,7 +393,6 @@ class _Run:
         self.obj_max_seen = -np.inf
         self.iters = 0
         self.history = []
-        self.relaxed = None
         # consecutive collapsed iterations without a tenfold better ray, and the
         # smallest ray residual seen since tau collapsed
         self.stall, self.ray_min = 0, np.inf
@@ -410,16 +405,11 @@ class _Run:
         guard, else None; ``report`` is the original-space (x, Z, residuals,
         objective), or None when tau has collapsed."""
         self.iters = it + 1
-        feas_loose, gap_loose = RELAX_FACTOR * FEAS_TOL, RELAX_FACTOR * GAP_TOL
-        if ray_Z is not None and ray_q <= feas_loose * self.ray_scale:
-            ray_message = f"improving ray with max |<F_k, Z>| = {ray_q:.2e}"
-            if ray_q <= FEAS_TOL * self.ray_scale:
-                self.status, self.message, self.Z_best = "Infeasible", ray_message, ray_Z
-                self.resid_best, self.obj_best = (0.0, 0.0, 0.0), float("nan")
-                return True
-            if self.relaxed is None:
-                self.relaxed = SdpSolution("Infeasible", self.x_best, ray_Z, float("nan"),
-                                           0.0, 0.0, 0.0, it + 1, ray_message, list(self.history))
+        if ray_Z is not None and ray_q <= FEAS_TOL * self.ray_scale:
+            self.status, self.Z_best = "Infeasible", ray_Z
+            self.message = f"improving ray with max |<F_k, Z>| = {ray_q:.2e}"
+            self.resid_best, self.obj_best = (0.0, 0.0, 0.0), float("nan")
+            return True
         if report is not None:
             x, Z, resid, p_obj = report
             if np.isfinite(p_obj):
@@ -428,11 +418,9 @@ class _Run:
                 self.status, self.message = "Optimal", ""
                 self.x_best, self.Z_best, self.resid_best, self.obj_best = x, Z, resid, p_obj
                 return True
-            if (self.relaxed is None and resid[0] <= feas_loose and resid[1] <= feas_loose
-                    and resid[2] <= gap_loose):
-                self.relaxed = SdpSolution("Optimal", x, Z, p_obj, *resid, it + 1,
-                                           history=list(self.history))
-            if max(resid) < max(self.resid_best):
+            # each residual on its own: max(resid) would skip a NaN that is not first
+            worst_best = max(self.resid_best)
+            if all(r < worst_best for r in resid):
                 self.x_best, self.Z_best, self.resid_best, self.obj_best = x, Z, resid, p_obj
             self.stall, self.ray_min = 0, np.inf
         else:
@@ -456,7 +444,7 @@ class _Run:
             message += ("; objective reached the internal OBJECTIVE_BOX cap "
                         "(problem unbounded above?)")
         return SdpSolution(self.status, self.x_best, self.Z_best, self.obj_best, *self.resid_best,
-                           self.iters, message, self.history, self.relaxed)
+                           self.iters, message, self.history)
 
 
 class _Group:

@@ -85,7 +85,7 @@ class TestMaxTrace:
 class TestSynthesisGrid:
     def test_one_solve_per_eps(self, monkeypatch):
         # a strict solve that ends NumericalFailure or IterLimit is not
-        # repeated: its certificate comes from the solve's relaxed solution
+        # repeated: its certificate comes from the best iterate it returns
         statuses = []
 
         def counting_solve_many(problems):
@@ -101,6 +101,17 @@ class TestSynthesisGrid:
             if entry.feasible:
                 assert entry.certificate.solver_report["relaxed_retry"] == (
                     status in ("NumericalFailure", "IterLimit"))
+
+    def test_failed_solve_certifies_from_its_best_iterate(self, three_state_sweep):
+        # eps = 1.4826 ends "step length collapsed" after 20 iterations; its
+        # best iterate satisfies both blocks within 1e-10
+        entry = three_state_sweep.entries[2]
+        cert = entry.certificate
+        assert entry.epsilon == THREE_STATE_GRID[2] and cert.solver_report["relaxed_retry"] is True
+        prob = assemble(three_state_qb(), cert.epsilon, cert.alpha, "synthesis")
+        rep = check_block_feasibility(prob, prob.layout.pack(cert.P, cert.Y), 1e-10)
+        assert len(rep.lambda_max) == 2 and rep.feasible, rep.lambda_max
+        assert cert.trace_P == pytest.approx(11.3780603, rel=1e-7)
 
     def test_off_the_floor_and_inside_the_input_bound(self, three_state_sweep):
         # every grid certificate keeps lambda_min(P) > 10 delta, and its gain

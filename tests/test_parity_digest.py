@@ -7,7 +7,7 @@ import pytest
 
 from qbstab import certify, sdp
 from qbstab.certify import SweepResult, sweep_epsilon
-from qbstab.lmi import LmiBlock
+from qbstab.lmi import LmiBlock, assemble
 from qbstab.models import scalar_family
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "parity_digest.py"
@@ -58,6 +58,18 @@ def test_reference_set_sees_evaluate(monkeypatch):
     evaluate = LmiBlock.evaluate
     monkeypatch.setattr(LmiBlock, "evaluate", lambda blk, x: np.nextafter(evaluate(blk, x), np.inf))
     assert reference() != before
+
+
+def test_failed_solve_is_referenced_at_its_returned_iterate(monkeypatch):
+    # one iteration short of the strict optimum: IterLimit, and a certificate
+    # from the best iterate, whose KKT residuals the reference set hashes
+    monkeypatch.setattr(sdp, "MAX_ITERS", 7)
+    sweep, solutions = tool.recording(lambda: sweep_epsilon(SCALAR, [1.0], 0.01, "analysis"))
+    assert solutions[0].status == "IterLimit" and sweep.entries[0].feasible
+    (parts,) = tool.certificate_parts(SCALAR, "analysis", sweep, solutions)
+    problem = assemble(SCALAR, 1.0, 0.01, "analysis")
+    assert parts[2] == sdp.kkt_residuals(problem, solutions[0])
+    assert tool.solution_parts(solutions[0])[8].tobytes() == solutions[0].x.tobytes()
 
 
 def test_refuses_a_tree_without_sources(tmp_path):

@@ -13,6 +13,7 @@ from qbstab.lmi import (
     layout,
 )
 from qbstab import sdp
+from qbstab.certify import SolverFailure, max_trace
 from qbstab.models import (
     scalar_family,
     shear_flow_9,
@@ -214,7 +215,6 @@ class TestStall:
         assert sol.status == "NumericalFailure"
         assert sol.message.startswith("stalled: no interior (tau -> 0) and no improving ray")
         assert sol.iters <= 45
-        assert sol.relaxed is None
 
     def test_iterates_match_a_solve_without_the_rule(self, monkeypatch):
         prob = shear_problem(SHEAR_SCAN[7])
@@ -224,7 +224,6 @@ class TestStall:
         assert full.status == "IterLimit"
         assert sol.history == full.history[:len(sol.history)]
         assert sol.x.tobytes() == full.x.tobytes()
-        assert (sol.relaxed, full.relaxed) == (None, None)
 
     def test_collapsing_ray_still_certifies(self):
         # tau collapses at iteration 32 here, and the ray is accepted at the next
@@ -262,38 +261,69 @@ class TestInfeasibility:
 
 
 class TestRelaxed:
-    @pytest.mark.parametrize("prob, limits, kind", [
+    @pytest.mark.parametrize("sys_obj, eps, alpha, mode, limits, certifies", [
         # one iteration short of the strict optimum
-        (assemble(SCALAR_SYS, eps=1.0, alpha=0.01, mode="analysis"),
-         {"MAX_ITERS": 7}, "Optimal"),
-        # one iteration short of a strict ray at a tight FEAS_TOL
-        (assemble(two_state(), eps=3.0, alpha=1e-6, mode="analysis"),
-         {"FEAS_TOL": 1e-14, "MAX_ITERS": 13}, "Infeasible"),
-    ], ids=["optimal", "infeasible"])
-    def test_equals_relaxed_re_solve(self, monkeypatch, prob, limits, kind):
+        (SCALAR_SYS, 1.0, 0.01, "analysis", {"MAX_ITERS": 7}, True),
+        # two iterations short: no iterate passes the looser tests either
+        (SCALAR_SYS, 1.0, 0.01, "analysis", {"MAX_ITERS": 6}, False),
+        # the step length collapses at iteration 20; the dual residual is 1.6e-8
+        (three_state_qb(), np.linspace(0.01, 14.0, 20)[2], None, "synthesis", {}, True),
+        # stalled, with a duality gap of 7.7e-6
+        (shear_flow_9(120.0), SHEAR_SCAN[7], None, "analysis", {}, False),
+    ], ids=["optimal", "short", "three-state", "stalled"])
+    def test_equals_relaxed_re_solve(self, monkeypatch, sys_obj, eps, alpha, mode, limits,
+                                     certifies):
+        # max_trace certifies a failed solve exactly when a re-solve with 10x
+        # looser tolerances ends Optimal, and from the solution's best iterate
         for name, value in limits.items():
             monkeypatch.setattr(sdp, name, value)
+        prob = assemble(sys_obj, eps, default_alpha(sys_obj) if alpha is None else alpha, mode)
         sol = solve(prob)
-        assert sol.status == "IterLimit"
-        # the re-solve with 10x looser tolerances that the relaxed solution replaces
+        assert sol.status in ("NumericalFailure", "IterLimit")
+        try:
+            cert = max_trace(sys_obj, eps, alpha, mode)
+        except SolverFailure:
+            cert = None
         monkeypatch.setattr(sdp, "FEAS_TOL", 10.0 * sdp.FEAS_TOL)
         monkeypatch.setattr(sdp, "GAP_TOL", 10.0 * sdp.GAP_TOL)
         replay = solve(prob)
-        kept = sol.relaxed
-        assert kept is not None and kept.status == replay.status == kind
-        assert kept.iters == replay.iters <= sol.iters
-        assert kept.message == replay.message
-        assert np.array_equal(kept.objective, replay.objective, equal_nan=True)
-        assert ((kept.primal_residual, kept.dual_residual, kept.duality_gap)
-                == (replay.primal_residual, replay.dual_residual, replay.duality_gap))
-        assert kept.x.tobytes() == replay.x.tobytes()
-        assert [Z.tobytes() for Z in kept.Z] == [Z.tobytes() for Z in replay.Z]
-        assert kept.history == replay.history == sol.history[:len(kept.history)]
-        assert replay.relaxed is None
+        assert (cert is not None) == (replay.status == "Optimal") == certifies
+        if cert is not None:
+            report = cert.solver_report
+            assert (report["status"], report["relaxed_retry"]) == ("Optimal", True)
+            assert ((report["primal_residual"], report["dual_residual"], report["duality_gap"],
+                     report["iters"])
+                    == (sol.primal_residual, sol.dual_residual, sol.duality_gap, sol.iters))
+            P, Y = prob.layout.unpack(sol.x)
+            assert cert.P.tobytes() == P.tobytes()
 
     def test_absent_when_strict_tests_pass_first(self):
-        sol = solve(infeasible_problem())
-        assert sol.status == "Infeasible" and sol.relaxed is None
+        # iteration 7 passes only the looser tests, iteration 8 the strict ones
+        sol = solve(assemble(SCALAR_SYS, 1.0, 0.01, "analysis"))
+        assert (sol.status, sol.iters) == ("Optimal", 8)
+        report = max_trace(SCALAR_SYS, 1.0, 0.01, "analysis").solver_report
+        assert (report["relaxed_retry"], report["iters"], report["dual_residual"]) == (
+            False, 8, sol.dual_residual)
+
+
+class TestBestIterate:
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_nan_residual_is_never_best(self, where):
+        # Python's max((1e-9, nan, 1e-9)) is 1e-9: compared by its largest
+        # residual, an iterate with a NaN that is not first would become best
+        prob = scalar_problem()
+        run = sdp._Run(prob, np.asarray(prob.c, dtype=float))
+        Z = [np.zeros_like(blk.F0) for blk in prob.blocks]
+        nan_resid = [1e-9, 1e-9, 1e-9]
+        nan_resid[where] = np.nan
+        reports = [(0.1, (1e-3, 1e-3, 1e-3)), (0.2, tuple(nan_resid)),
+                   (0.3, (1e-5, 1e-5, 1e-5)), (0.4, (1e-4, 1e-4, 1e-4))]
+        for it, (x, resid) in enumerate(reports):
+            assert not run.check(it, np.inf, None, (np.array([x]), Z, resid, x))
+        sol = run.solution()
+        assert (sol.status, sol.iters) == ("IterLimit", 4)
+        assert (sol.x.tolist(), sol.objective) == ([0.3], 0.3)
+        assert (sol.primal_residual, sol.dual_residual, sol.duality_gap) == (1e-5, 1e-5, 1e-5)
 
 
 def _assert_ray_valid(prob, Z):
@@ -446,17 +476,13 @@ class TestSchurForms:
 
 
 def assert_same_solution(a, b):
-    """Bitwise equality of two SdpSolutions, their relaxed results included."""
-    assert (a is None) == (b is None)
-    if a is None:
-        return
+    """Bitwise equality of two SdpSolutions."""
     assert (a.status, a.iters, a.message, a.history) == (b.status, b.iters, b.message, b.history)
     assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
     assert ((a.primal_residual, a.dual_residual, a.duality_gap)
             == (b.primal_residual, b.dual_residual, b.duality_gap))
     assert np.asarray(a.x).tobytes() == np.asarray(b.x).tobytes()
     assert [np.asarray(Z).tobytes() for Z in a.Z] == [np.asarray(Z).tobytes() for Z in b.Z]
-    assert_same_solution(a.relaxed, b.relaxed)
 
 
 def two_state_problems(eps=(0.1, 0.3, 0.5, 1.0)):
@@ -467,9 +493,8 @@ def two_state_problems(eps=(0.1, 0.3, 0.5, 1.0)):
 def lockstep_sets():
     # two-state: Optimal points and one Infeasible (eps = 1), also stacked ten
     # times, where both blocks take the W form; three-state synthesis: Optimal
-    # points and eps = 1.483, which ends NumericalFailure with a relaxed
-    # Optimal; shear flow: Optimal points, the two stalled points and
-    # Infeasible points
+    # points and eps = 1.483, which ends NumericalFailure; shear flow: Optimal
+    # points, the two stalled points and Infeasible points
     s3, s10 = three_state_qb(), stack(two_state(), 10)
     return [("two-state", two_state_problems()),
             ("stacked", [assemble(s10, e, default_alpha(s10), "analysis") for e in (0.3, 1.0)]),
@@ -489,7 +514,7 @@ class TestSolveMany:
             for sol, i in zip(sdp.solve_many([problems[i] for i in order]), order):
                 assert_same_solution(sol, alone[i])
         if name == "three-state":
-            assert alone[2].status == "NumericalFailure" and alone[2].relaxed is not None
+            assert alone[2].status == "NumericalFailure"
         if name == "shear":
             assert [sol.message.startswith("stalled") for sol in alone[2:4]] == [True, True]
             assert {sol.status for sol in alone[4:]} == {"Infeasible"}

@@ -25,9 +25,10 @@ and on its parent and compare the lines.  The sets:
 A grid hashes every entry (eps, status, and the certificate's P, K and
 ``solver_report``), the search its best trace and every evaluation alike.
 Every set hashes each solve it runs: status, iterations, message, history,
-residuals, objective, the bytes of x and Z, and its relaxed solution.  The
-``reference`` set hashes ``LmiBlock.evaluate`` of every block,
-``check_block_feasibility``'s lambda_max and ``kkt_residuals``.  The
+residuals, objective, and the bytes of x and Z.  The ``reference`` set
+hashes ``LmiBlock.evaluate`` of every block, ``check_block_feasibility``'s
+lambda_max and ``kkt_residuals`` of the solution a certificate was taken
+from, which after NumericalFailure or IterLimit holds the best iterate.  The
 ``assembly`` set hashes each problem's c and every block's F0, rows and
 vals.  The BLAS thread count is pinned to 1, as the benchmark pins it.
 """
@@ -85,13 +86,11 @@ def digest(obj) -> str:
     return h.hexdigest()
 
 
-def solution_parts(sol) -> list | None:
-    """What an ``SdpSolution`` contributes to a digest, its relaxed one included."""
-    if sol is None:
-        return None
+def solution_parts(sol) -> list:
+    """What an ``SdpSolution`` contributes to a digest."""
     return [sol.status, sol.iters, sol.message, sol.history, sol.primal_residual,
             sol.dual_residual, sol.duality_gap, sol.objective, np.asarray(sol.x),
-            [np.asarray(Z) for Z in sol.Z], solution_parts(sol.relaxed)]
+            [np.asarray(Z) for Z in sol.Z]]
 
 
 def entry_parts(entry) -> list:
@@ -125,8 +124,7 @@ def certificate_parts(sys_obj, mode, sweep, solutions) -> list:
         cert = entry.certificate
         if cert is not None:
             problem = assemble(sys_obj, cert.epsilon, cert.alpha, mode)
-            used = sol if sol.status == "Optimal" else sol.relaxed
-            parts.append(reference_parts(problem, problem.layout.pack(cert.P, cert.Y), used))
+            parts.append(reference_parts(problem, problem.layout.pack(cert.P, cert.Y), sol))
     return parts
 
 
