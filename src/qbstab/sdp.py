@@ -30,6 +30,14 @@ iterations.  Ruiz-style block scaling (``RUIZ_SWEEPS``) and the objective cap
 ``SdpSolution.history``, and identical inputs produce identical iterates.
 The iterate is never renormalized: the embedding is scale invariant, every test relative.
 
+The iterates X and S, the dual residuals and the Newton directions are
+exactly symmetric, bit for bit: the block data are (``LmiBlock`` checks
+them), ``linear`` sums both mirror entries over the same k in the same order,
+Ruiz scaling multiplies both by the same factors, and sums and scalings of
+exactly symmetric matrices stay so.  Only a matrix product that becomes one
+of them is symmetrized (G'dS G, G dXhat G' and dXhat dShat), and eigenvalues
+are taken of the matrix as it is.
+
 There is one interior-point loop, ``solve_many``, and ``solve`` is its
 single-problem case.  It runs problems that share d, block sizes and row
 pattern (the points of an eps grid) in lockstep: every per-block kernel
@@ -111,7 +119,8 @@ class SdpSolution:
     length) and a stall, whose ``message`` starts with "stalled" (see the
     module docstring).  At Optimal, ``x`` is the maximizing decision vector
     and ``Z`` holds one PSD dual matrix per block.  At Infeasible, ``Z``
-    holds the normalized improving-ray certificate (<F0, Z> = 1).
+    holds the improving-ray certificate, normalized to unit total trace
+    (sum_b trace Z_b = 1), with sum_b <F0_b, Z_b> > 0.
     After NumericalFailure or IterLimit, ``x``, ``Z``, ``objective`` and the
     three residuals are those of the best interior iterate, the one with the
     smallest largest residual (a NaN residual counting as +inf); with no
@@ -153,7 +162,7 @@ class BlockFeasibilityReport:
 def check_block_feasibility(problem: SdpProblem, x: np.ndarray, tol: float) -> BlockFeasibilityReport:
     """Evaluate lambda_max of every block at x; feasible iff all <= tol."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    lams = tuple(float(_lambda_max(blk.evaluate(x))) for blk in problem.blocks)
+    lams = tuple(float(_eigvalsh(blk.evaluate(x))[-1]) for blk in problem.blocks)
     return BlockFeasibilityReport(lambda_max=lams, tol=float(tol))
 
 
@@ -186,10 +195,6 @@ def _eigvalsh(A: np.ndarray) -> np.ndarray:
     return A[..., 0] if A.shape[-1] == 1 else np.linalg.eigvalsh(A)
 
 
-def _lambda_max(M: np.ndarray) -> np.ndarray:
-    return _eigvalsh(_sym(M))[..., -1]
-
-
 def _residuals(user, c, x, Fx, Z):
     """(primal, dual, gap, c'x) of ``kkt_residuals``, each (B,), for B problems:
     ``user`` holds one ``_Stack`` per block, c and x are (B, d), and Fx[b] =
@@ -198,7 +203,7 @@ def _residuals(user, c, x, Fx, Z):
     dual_vec = -c
     dual_obj = 0.0
     for blk, Fxb, Zb in zip(user, Fx, Z):
-        primal = np.maximum(primal, np.maximum(0.0, _lambda_max(Fxb)) / (1.0 + blk.f0_norm))
+        primal = np.maximum(primal, np.maximum(0.0, _eigvalsh(Fxb)[..., -1]) / (1.0 + blk.f0_norm))
         dual_vec = dual_vec + blk.adjoint(Zb)
         dual_obj = dual_obj + (-blk.F0 * Zb).sum(axis=(1, 2))
     dual = np.abs(dual_vec).max(axis=1) / (1.0 + np.abs(c).max(axis=1, initial=0.0))
@@ -222,6 +227,13 @@ class _Block:
     """One scaled LMI block of the B problems of a lockstep group, its
     ``lmi._Stack`` ``lmi``, and their per-iteration NT quantities.
 
+    ``set_scaling`` forms those once per iteration, for both Newton solves
+    and both step lengths: it keeps the NT factor G, forms from the
+    eigenvalues lam of the scaled point (lam_i + lam_j)/2 (``lam_avg``),
+    1/sqrt(lam) as a column (``lam_isqrt``) and -lam^2 I (``neg_lam2``), and
+    forms Chat = G'CG and, in the Gram form, the rows U and svec(Chat)
+    (``Chat_sv``), in the W form W = G G'.
+
     The block's share of the Schur complement, (<G'F_kG, G'F_lG>)_kl, is
     formed in one of two ways, both by the stack and so with no dense copy
     of F.  ``solve_many`` picks the form by size and sparsity
@@ -243,7 +255,8 @@ class _Block:
     to 30).  Every problem of a group takes the same form.
     """
 
-    __slots__ = ("lmi", "C", "size", "eye", "X", "S", "G", "lam", "lam_avg", "Chat", "U", "W")
+    __slots__ = ("lmi", "C", "size", "eye", "X", "S", "G", "lam_avg", "lam_isqrt", "neg_lam2",
+                 "Chat", "Chat_sv", "U", "W")
 
     def __init__(self, lmi: _Stack, gram: bool):
         B, d, _, s = lmi.vals.shape
@@ -263,11 +276,14 @@ class _Block:
         return blk
 
     def set_scaling(self, G: np.ndarray, lam: np.ndarray) -> None:
-        self.G, self.lam = G, lam
+        self.G = G
         self.lam_avg = (lam[:, :, None] + lam[:, None, :]) / 2.0
+        self.lam_isqrt = 1.0 / np.sqrt(lam)[:, :, None]
+        self.neg_lam2 = -(lam ** 2)[:, :, None] * self.eye
         self.Chat = G.mT @ self.C @ G
         if self.U is not None:
             self.lmi.gram_rows(G, self.U)
+            self.Chat_sv = svec(self.Chat)
         else:
             self.W = G @ G.mT
 
@@ -280,7 +296,7 @@ class _Block:
         """(F*(G R G'), <Chat, R>) for symmetric R (B, s, s) in the scaled space."""
         if self.U is not None:
             rsv = svec(R)
-            return (self.U @ rsv[..., None])[..., 0], np.vecdot(svec(self.Chat), rsv)
+            return (self.U @ rsv[..., None])[..., 0], np.vecdot(self.Chat_sv, rsv)
         return self.lmi.adjoint(self.G @ R @ self.G.mT), (self.Chat * R).sum(axis=(1, 2))
 
 
@@ -625,7 +641,7 @@ class _Group:
                 # a zero sigma_mu is not added, which leaves -0.0 off the diagonal
                 shift3, unshifted = sigma_mu[:, None, None], (sigma_mu == 0)[:, None, None]
             for bi, blk in enumerate(blocks):
-                Rhat = -(blk.lam ** 2)[:, :, None] * blk.eye
+                Rhat = blk.neg_lam2
                 if sigma_mu is not None:
                     shifted = Rhat + shift3 * blk.eye
                     Rhat = np.where(unshifted, Rhat, shifted) if unshifted.any() else shifted
@@ -643,9 +659,9 @@ class _Group:
             dS, dX, dXh, dSh = [], [], [], []
             dtau3 = dtau[:, None, None]
             for bi, blk in enumerate(blocks):
-                dSb = _sym(-eta3 * Rd[bi] - blk.lmi.linear(dy) + blk.C * dtau3)
+                dSb = -eta3 * Rd[bi] - blk.lmi.linear(dy) + blk.C * dtau3
                 dSh_b = _sym(blk.G.mT @ dSb @ blk.G)
-                dXh_b = _sym(Qhats[bi] - dSh_b)
+                dXh_b = Qhats[bi] - dSh_b
                 dXb = _sym(blk.G @ dXh_b @ blk.G.mT)
                 dS.append(dSb)
                 dX.append(dXb)
@@ -658,10 +674,8 @@ class _Group:
             # all, because rounding keeps 1/w monotone
             w = np.zeros(B)
             for bi, blk in enumerate(blocks):
-                lam_h = 1.0 / np.sqrt(blk.lam)
-                lam_c, lam_r = lam_h[:, :, None], lam_h[:, None, :]
                 D = np.stack((dXh[bi], dSh[bi]))
-                w = np.minimum(w, _eigvalsh(lam_c * D * lam_r)[..., 0].min(axis=0))
+                w = np.minimum(w, _eigvalsh(blk.lam_isqrt * D * blk.lam_isqrt.mT)[..., 0].min(axis=0))
             # the step at which 1 + a w, tau + a dtau or kappa + a dkappa reaches 0
             v, dv = np.array([np.ones(B), tau, kappa]), np.array([w, dtau, dkappa])
             down = dv < 0
@@ -694,8 +708,8 @@ class _Group:
         self.tau, self.kappa = tau, kappa
         a3 = alpha[:, None, None]
         for bi, blk in enumerate(blocks):
-            blk.X = _sym(blk.X + a3 * dX_c[bi])
-            blk.S = _sym(blk.S + a3 * dS_c[bi])
+            blk.X = blk.X + a3 * dX_c[bi]
+            blk.S = blk.S + a3 * dS_c[bi]
         for run, m, a in zip(self.runs, mu.tolist(), alpha.tolist()):
             run.history.append((m, run.resid[0], run.resid[1], a))
         return {}

@@ -500,3 +500,33 @@ class TestSerialization:
     def test_schema_guard(self):
         with pytest.raises(SchemaError):
             deserialize_certificate({"schema": "something-else"})
+
+
+def _cert_doc(**fields):
+    """The document of a two-state analysis certificate with ``fields`` replaced."""
+    doc = serialize_certificate(Certificate(mode="analysis", P=np.eye(2), epsilon=0.4, alpha=0.0))
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: Certificate(mode="synthesis", P=np.eye(2), epsilon=0.4, alpha=0.0), DimensionError,
+     "synthesis certificate requires Y and K"),
+    (lambda: certify.resolve_alpha(two_state(), -1.0), ValueError,
+     "alpha must be non-negative, got -1.0"),
+    (lambda: deserialize_certificate(_cert_doc(mode="bogus")), SchemaError, "unknown mode 'bogus'"),
+    (lambda: deserialize_certificate(_cert_doc(n=3)), SchemaError, "P must be 3x3, got (2, 2)"),
+], ids=["synthesis-no-gain", "negative-alpha", "unknown-mode", "P-shape"])
+def test_input_rejections(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def test_certificate_ellipsoid():
+    P = np.array([[2.0, 0.5], [0.5, 1.0]])
+    e = Certificate(mode="analysis", P=P, epsilon=0.4, alpha=0.0).ellipsoid()
+    assert isinstance(e, Ellipsoid)
+    assert np.array_equal(e.P, P)
+    assert e.n == 2

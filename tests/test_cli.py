@@ -469,6 +469,10 @@ class TestArgumentHandling:
         assert run("analyze", "--zoo", "two-state", "--eps", "grid:1:2",
                    "--out", str(tmp_path / "x")) == 4
 
+    def test_no_system_source(self, tmp_path, capsys):
+        assert run("analyze", "--eps", "1.0", "--out", str(tmp_path / "x")) == 4
+        assert_one_input_error(capsys)
+
     def test_both_sources_rejected(self, tmp_path):
         assert run("analyze", "--zoo", "two-state", "--system", "f.json",
                    "--eps", "1.0", "--out", str(tmp_path / "x")) == 4
@@ -569,6 +573,19 @@ class TestArgumentHandling:
         ("simulate", "--x0", "0.1,0.1", "--phase-extent", "nan"),
         ("analyze", "--eps", "1.0", "--feas-tol", "1e-6"),
         ("analyze", "--zoo", "shear-flow-9", "--param", "Re=-5", "--eps", "0.1"),
+        ("analyze", "--param", "Re", "--eps", "0.4"),
+        ("analyze", "--eps", "grid:0.5:0.1:3"),
+        ("analyze", "--eps", "grid:0.1:0.5:0"),
+        ("analyze", "--eps", "grid:0.1:0.5:3:lin"),
+        ("analyze", "--eps", "search:0.1"),
+        ("analyze", "--eps", "search:0.5:0.1"),
+        ("analyze", "--eps", "0"),
+        ("bench", "--eps", "0.4", "--stack", "1,a"),
+        ("bench", "--eps", "0.4", "--stack", "1,0"),
+        ("simulate", "--x0", "0.1"),
+        ("simulate", "--x0", ";"),
+        ("simulate", "--zoo", "three-state-qb", "--x0", "0.1,0.1,0.1"),
+        ("simulate", "--boundary-samples", "3"),
     ])
     def test_bad_values_are_input_errors(self, tmp_path, capsys, monkeypatch, argv):
         # input checks come before any solve

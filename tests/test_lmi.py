@@ -777,3 +777,37 @@ class TestBlockValidation:
         with pytest.raises(ValueError, match="malformed problem: F stack shape mismatch"):
             SdpProblem(layout=layout(2, 0, "analysis"), c=np.zeros(3), blocks=(blk,))
 
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: unsvec(np.zeros(4), 2), DimensionError, "svec vector must have length 3"),
+    (lambda: layout(2, 1, "synthesis").pack(np.eye(2)), DimensionError,
+     "synthesis layout requires Y"),
+    (lambda: layout(2, 0, "analysis").pack(np.eye(2), np.ones((1, 2))), DimensionError,
+     "analysis layout takes no Y"),
+    (lambda: layout(2, 1, "synthesis").pack(np.eye(2), np.ones((2, 2))), DimensionError,
+     "decision vector must have length 5"),
+    (lambda: layout(2, 0, "analysis").unpack(np.zeros(4)), DimensionError,
+     "decision vector must have length 3"),
+    (lambda: layout(2, 0, "bogus"), ValueError,
+     "mode must be 'analysis' or 'synthesis', got 'bogus'"),
+    (lambda: layout(0, 0, "analysis"), DimensionError, "need n >= 1, got 0"),
+    (lambda: petersen_parts(two_state(), np.eye(3)), DimensionError, "P must be 2x2"),
+    (lambda: petersen_parts(three_state_qb(), np.eye(3), np.ones((3, 3))), DimensionError,
+     "K must be 2x3"),
+    (lambda: delta_norm(two_state(), np.eye(2), np.zeros(2), "bogus"), ValueError,
+     "mode must be 'analysis' or 'synthesis', got 'bogus'"),
+    (lambda: delta_norm(two_state(), np.eye(2), np.zeros(3), "analysis"), DimensionError,
+     "x must have length 2"),
+], ids=["unsvec-length", "pack-no-Y", "pack-extra-Y", "pack-length", "unpack-length",
+        "layout-mode", "layout-n", "petersen-P", "petersen-K", "delta-mode", "delta-x"])
+def test_input_rejections(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def test_block_sizes():
+    prob = assemble(three_state_qb(), 1.0, 0.0, "synthesis")
+    assert prob.block_sizes() == [blk.size for blk in prob.blocks] == [9, 5]

@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from qbstab import models
 from qbstab.certify import Certificate, max_trace
+from qbstab.errors import DataFileError
 from qbstab.models import (
     get_model,
     model_names,
@@ -106,3 +110,20 @@ class TestRegistry:
     def test_unknown_parameter(self):
         with pytest.raises(TypeError):
             get_model("two-state", Re=100.0)
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "bundled coefficient file 'shear_flow_9.json' is missing; "
+           "the 9-state shear-flow model is unavailable"),
+    ("{not json", "corrupt coefficient file 'shear_flow_9.json': "
+                  "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+], ids=["missing", "corrupt"])
+def test_data_file_rejections(tmp_path, monkeypatch, content, message):
+    if content is not None:
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "shear_flow_9.json").write_text(content, encoding="utf-8")
+    monkeypatch.setattr(models, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    with pytest.raises(DataFileError) as info:
+        shear_flow_9(120.0)
+    assert type(info.value) is DataFileError
+    assert str(info.value) == message

@@ -258,6 +258,9 @@ class TestInfeasibility:
         sol = solve(prob)
         assert sol.status == "Infeasible"
         _assert_ray_valid(prob, sol.Z)
+        # the ray is normalized to unit total trace, not to <F0, Z> = 1
+        assert abs(sum(np.trace(Zb) for Zb in sol.Z) - 1.0) <= 1e-12
+        assert sum(float(np.sum(blk.F0 * Zb)) for blk, Zb in zip(prob.blocks, sol.Z)) > 0
 
 
 class TestRelaxed:
@@ -643,3 +646,108 @@ class TestFailureIsolation:
         assert_same_solution(sols[2], alone)
         for i in (0, 1, 3):
             assert_same_solution(sols[i], reference[i])
+
+    def test_degenerate_nt_scaling_for_one_slice(self, monkeypatch):
+        problems = two_state_problems((0.1, 0.2, 0.3, 0.4))
+        reference = [solve(p) for p in problems]
+        # Ls'Lx of the main block of problem 2 at iteration 4: three blocks per iteration
+        target = self.recorded_input("svd", np.linalg, problems[2], 3 * 3 + 1)[0]
+        real = np.linalg.svd
+
+        def degenerate(A, *args, **kwargs):
+            U, sv, Vt = real(A, *args, **kwargs)
+            sv = sv.copy()
+            sv[[np.array_equal(Ai, target) for Ai in A], -1] = 0.0
+            return U, sv, Vt
+
+        monkeypatch.setattr(np.linalg, "svd", degenerate)
+        alone = solve(problems[2])
+        assert alone.status == "NumericalFailure" and alone.iters == 4
+        assert alone.message == "NT scaling failed: degenerate NT scaling"
+        sols = sdp.solve_many(problems)
+        assert_same_solution(sols[2], alone)
+        for i in (0, 1, 3):
+            assert_same_solution(sols[i], reference[i])
+
+    def test_singular_reduced_system_for_one_problem(self, monkeypatch):
+        problems = two_state_problems((0.1, 0.2, 0.3, 0.4))
+        reference = [solve(p) for p in problems]
+        # the Schur complement of problem 1 at iteration 3, given a NaN factor
+        target = self.recorded_input("cho_factor", sdp, problems[1], 3)
+        real = sdp.cho_factor
+
+        def nan_factor(a, *args, **kwargs):
+            c, lower = real(a, *args, **kwargs)
+            return (np.full_like(c, np.nan), lower) if np.array_equal(a, target) else (c, lower)
+
+        monkeypatch.setattr(sdp, "cho_factor", nan_factor)
+        alone = solve(problems[1])
+        assert alone.status == "NumericalFailure" and alone.iters == 3
+        assert alone.message == "singular reduced system (predictor)"
+        sols = sdp.solve_many(problems)
+        assert_same_solution(sols[1], alone)
+        for i in (0, 2, 3):
+            assert_same_solution(sols[i], reference[i])
+
+    def test_batched_failure_that_no_slice_repeats_propagates(self, monkeypatch):
+        problems = two_state_problems((0.1, 0.2, 0.3, 0.4))
+        target = self.recorded_input("cholesky", np.linalg, problems[2], 3 * 6 + 1)[0]
+        real = np.linalg.cholesky
+
+        def failing_batched(A):
+            if A.ndim == 3 and any(np.array_equal(Ai, target) for Ai in A):
+                raise np.linalg.LinAlgError("batched call failed")
+            return real(A)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_batched)
+        for group in ([problems[2]], problems):
+            with pytest.raises(np.linalg.LinAlgError, match="batched call failed"):
+                sdp.solve_many(group)
+
+    def test_tau_kappa_leave_the_cone_for_one_problem(self, monkeypatch):
+        # with STEP_FRACTION < 1 the step length keeps tau and kappa inside the
+        # cone; past the boundary the infeasible point eps = 1 leaves it at
+        # once, and the others take indefinite steps
+        monkeypatch.setattr(sdp, "STEP_FRACTION", 1.2)
+        problems = two_state_problems()
+        reference = [solve(p) for p in problems]
+        assert reference[3].status == "NumericalFailure" and reference[3].iters == 1
+        assert reference[3].message == "tau/kappa left the cone"
+        for i in (0, 1, 2):
+            assert reference[i].message.startswith("NT scaling failed")
+        for sol, ref in zip(sdp.solve_many(problems), reference):
+            assert_same_solution(sol, ref)
+
+
+class TestExactSymmetry:
+    """The iterates are exactly symmetric (module docstring), so the solver
+    does not symmetrize them."""
+
+    @pytest.mark.parametrize("prob", [
+        assemble(two_state(), 0.3, default_alpha(two_state()), "analysis"),
+        assemble(three_state_qb(), 1.0, default_alpha(three_state_qb()), "synthesis"),
+        shear_problem(0.0035),
+        assemble(stack(two_state(), 10), 0.3, default_alpha(stack(two_state(), 10)), "analysis"),
+        assemble(dense_system(15), 0.3, 1e-6, "analysis"),
+    ], ids=["two-state", "three-state", "shear", "stacked", "dense"])
+    def test_linear_is_exactly_symmetric(self, prob):
+        rng = np.random.default_rng(7)
+        user = [_Stack.of([blk] * 3) for blk in prob.blocks]
+        scaled = sdp._ruiz_scale(user)[0]
+        for stk in user + scaled:
+            x = rng.standard_normal((3, prob.d)) * 10.0 ** rng.integers(-8, 8, (3, prob.d))
+            M = stk.linear(x)
+            assert np.array_equal(M, M.mT)
+            assert np.array_equal(stk.F0, stk.F0.mT)
+
+    @pytest.mark.parametrize("name, problems", lockstep_sets(),
+                             ids=[name for name, _ in lockstep_sets()])
+    def test_returned_duals_are_exactly_symmetric(self, name, problems):
+        sols = sdp.solve_many(problems)
+        for sol in sols:
+            for Zb in sol.Z:
+                assert np.array_equal(Zb, Zb.T)
+        expected = {"two-state": {"Optimal", "Infeasible"}, "stacked": {"Optimal", "Infeasible"},
+                    "three-state": {"Optimal", "NumericalFailure"},
+                    "shear": {"Optimal", "NumericalFailure", "Infeasible"}}
+        assert {sol.status for sol in sols} == expected[name]

@@ -382,3 +382,43 @@ class TestImmutability:
             s.A[0, 0] = 1.0
         with pytest.raises(ValueError):
             s.H[0, 0] = 1.0
+
+
+def _doc(**fields):
+    """A valid two-state system document with ``fields`` replaced (None deletes)."""
+    doc = {"n": 2, "m": 0, "A": [[-1.0, 0.0], [0.0, -1.0]], "H": [[0.0] * 4] * 2}
+    doc.update(fields)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: QBSystem(A=-np.eye(2), H=np.zeros((2, 2))), DimensionError,
+     "H must be 2x4, got (2, 2)"),
+    (lambda: QBSystem(A=np.ones((2, 3)), H=np.zeros((2, 4))), DimensionError,
+     "A must be square, got (2, 3)"),
+    (lambda: QBSystem(A=-np.eye(2), H=np.zeros((2, 4)), B=np.ones((3, 1))), DimensionError,
+     "B must have 2 rows, got (3, 1)"),
+    (lambda: QBSystem(A=-np.eye(2), H=np.zeros((2, 4)), B=np.ones((2, 3))), DimensionError,
+     "need m <= n, got m=3, n=2"),
+    (lambda: QBSystem(A=-np.eye(2), H=np.zeros((2, 4)), B=np.ones((2, 1))), DimensionError,
+     "expected 1 bilinear matrices, got 0"),
+    (lambda: symmetry_defect(np.zeros((2, 3)), 2), DimensionError, "H must be 2x4, got (2, 3)"),
+    (lambda: shift_equilibrium(three_state_qb(), np.zeros(3)), DimensionError,
+     "shift_equilibrium requires an autonomous system (m = 0)"),
+    (lambda: shift_equilibrium(two_state(), np.zeros(3)), DimensionError,
+     "x_e must have length 2"),
+    (lambda: system_from_dict(_doc(H={})), SchemaError, "H object form requires a 'triplets' key"),
+    (lambda: system_from_dict(_doc(H={"triplets": [[0, 0, 0]]})), SchemaError,
+     "H triplet must be [row, i, j, value], got [0, 0, 0]"),
+    (lambda: system_from_dict(_doc(H=[[0.0, 0.0], [0.0, 0.0]])), SchemaError,
+     "H must be 2x4, got (2, 2)"),
+    (lambda: system_from_dict(_doc(n=None)), SchemaError, "bad or missing 'n'/'m': 'n'"),
+    (lambda: system_from_dict(_doc(n=0)), SchemaError, "need n >= 1 and m >= 0, got n=0, m=0"),
+], ids=["H-shape", "A-square", "B-rows", "m-above-n", "D-count", "defect-H-shape",
+        "shift-driven", "shift-length", "H-no-triplets", "H-triplet-shape", "H-dense-shape",
+        "n-missing", "n-zero"])
+def test_input_rejections(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc
+    assert str(info.value) == message

@@ -424,3 +424,20 @@ def test_convergence_check_working_set_is_block_sized():
         tracemalloc.stop()
     assert rep.samples_tested == 20_000 * 200
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: verify.Trajectory(times=np.zeros(3), states=np.zeros((2, 2)), terminated_early=False),
+     DimensionError, "times and states must have equal length"),
+    (lambda: sample_check(three_state_qb(), Certificate(
+        mode="synthesis", P=np.eye(3), epsilon=0.4, alpha=0.0, Y=np.zeros((1, 3)),
+        K=np.zeros((1, 3))), 10, 0),
+     DimensionError, "certificate has m=1 but system has m=2"),
+    (lambda: simulate(three_state_qb(), np.zeros(3), 1.0, 0.01), DimensionError,
+     "simulate expects an autonomous (closed-loop) system"),
+], ids=["trajectory-lengths", "certificate-inputs", "simulate-driven"])
+def test_input_rejections(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc
+    assert str(info.value) == message
