@@ -35,6 +35,7 @@ trace inner product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -174,19 +175,56 @@ def layout(n: int, m: int, mode: str) -> DecisionLayout:
 _CHUNK = 1 << 18
 
 
-def _congruence(rows: np.ndarray, vals: np.ndarray, L: np.ndarray, R: np.ndarray):
+def _chunk_rows(d: int, p: int, q: int) -> int:
+    """How many slices k one ``_congruence`` chunk takes, for (p, q) products L F_k R."""
+    return min(d, max(1, _CHUNK // (p * q)))
+
+
+def _congruence_words(d: int, r: int, p: int, q: int) -> int:
+    """Doubles per problem of the work array of ``_congruence`` with L (p, s),
+    R (s, q) and d slices F_k of r rows."""
+    return _chunk_rows(d, p, q) * (p * q + r * (p + q))
+
+
+def _gram_words(d: int, r: int, s: int) -> int:
+    """Doubles per problem of the work array of ``_Stack.gram_rows``: a
+    congruence chunk, whose factors the chunk's svec rows then overwrite."""
+    return _chunk_rows(d, s, s) * (s * s + max(2 * r * s, s * (s + 1) // 2))
+
+
+def _congruence(rows: np.ndarray, vals: np.ndarray, L: np.ndarray, R: np.ndarray,
+                work: np.ndarray):
     """Yield (ks, L F_k R for k in ks) over slices ks of range(d), each of about
     ``_CHUNK`` doubles per problem, for ``vals`` (..., d, r, s) with L and R of the
     same leading shape.  F_k R is zero outside the rows ``rows[k]``, where it is
-    ``vals[k]`` R, so no dense F_k is formed."""
+    ``vals[k]`` R, so no dense F_k is formed.  Every product is written into
+    the flat ``work`` (``_congruence_words`` per problem), so each chunk yields a
+    view, at the start of ``work``, that the next one overwrites, and no chunk
+    allocates; the factors of its product follow it and are dead once it
+    is yielded."""
     d, r, s = vals.shape[-3:]
     lead = vals.shape[:-3]
-    step = max(1, _CHUNK // (L.shape[-2] * R.shape[-1]))
+    p, q = L.shape[-2], R.shape[-1]
+    B = math.prod(lead)
+    step = _chunk_rows(d, p, q)
+    # L[..., rows[ks]] is gathered in the layout fancy indexing gives it, (ks, r)
+    # outermost, so that its product takes the same BLAS path
+    source = L.transpose(L.ndim - 1, *range(L.ndim - 1))
+    back = (*range(2, len(lead) + 3), 0, 1)
     for lo in range(0, d, step):
         ks = slice(lo, lo + step)
-        # one (c r, s) product: c products of r rows round differently in BLAS
-        VR = (vals[..., ks, :, :].reshape(*lead, -1, s) @ R).reshape(*lead, -1, r, R.shape[-1])
-        yield ks, np.swapaxes(L[..., rows[ks]], -3, -2) @ VR
+        n = min(step, d - lo)
+        a = B * n * p * q
+        b = a + B * n * r * q
+        LFR = work[:a].reshape(*lead, n, p, q)
+        VR = work[a:b].reshape(*lead, n * r, q)
+        LF = work[b:b + B * n * r * p].reshape(n, r, *lead, p)
+        # one (n r, s) product: n products of r rows round differently in BLAS
+        np.matmul(vals[..., ks, :, :].reshape(*lead, n * r, s), R, out=VR)
+        # mode="clip" lets take write into LF in place; the indices are in range
+        source.take(rows[ks], axis=0, out=LF, mode="clip")
+        np.matmul(LF.transpose(back).swapaxes(-3, -2), VR.reshape(*lead, n, r, q), out=LFR)
+        yield ks, LFR
 
 
 def _padded_rows(support: np.ndarray) -> np.ndarray:
@@ -269,6 +307,7 @@ class _Stack:
     def __init__(self, F0: np.ndarray, rows: np.ndarray, vals: np.ndarray):
         self.F0, self.rows, self.vals = F0, rows, vals
         B, d, r, s = vals.shape
+        self.d, self.size = d, s
         p, k, t, col = np.nonzero(vals)
         self._k, self._flat = p * d + k, p * (s * s) + rows[k, t] * s + col
         self._v = vals[p, k, t, col]
@@ -286,14 +325,6 @@ class _Stack:
     @cached_property
     def f0_norm(self) -> np.ndarray:
         return np.array([np.linalg.norm(F, "fro") for F in self.F0])
-
-    @property
-    def d(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def size(self) -> int:
-        return self.F0.shape[-1]
 
     def linear(self, x: np.ndarray) -> np.ndarray:
         """sum_k x_k F_k per problem, x (B, d) -> (B, s, s)."""
@@ -318,16 +349,26 @@ class _Stack:
                                   ptr[p * d:(p + 1) * d + 1] - lo), shape=(d, s * s))
                 for p, (lo, hi) in enumerate(zip(ptr[:-1:d], ptr[d::d]))]
 
-    def gram_rows(self, G: np.ndarray, out: np.ndarray) -> None:
-        """out[:, k] = svec(G' F_k G) per problem, G (B, s, s), out (B, d, s(s+1)/2)."""
-        for ks, GFG in _congruence(self.rows, self.vals, G.mT, G):
-            out[:, ks] = svec(GFG)
+    def gram_rows(self, G: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+        """out[:, k] = svec(G' F_k G) per problem, G (B, s, s), out (B, d, s(s+1)/2),
+        formed in the flat ``work`` of at least B ``_gram_words`` doubles."""
+        B, s = len(G), self.size
+        flat, scale = _svec_take(s)
+        for ks, GFG in _congruence(self.rows, self.vals, G.mT, G, work):
+            n = GFG.shape[1]
+            # svec as ``svec`` forms it, over the factors of GFG, with the
+            # scale written straight into out
+            T = work[GFG.size:GFG.size + B * n * len(flat)].reshape(B, n, len(flat))
+            GFG.reshape(B, n, s * s).take(flat, axis=-1, out=T, mode="clip")
+            np.multiply(T, scale, out=out[:, ks])
 
     def w_share(self, W: np.ndarray) -> np.ndarray:
         """(<F_k, W F_l W>)_kl per problem, W (B, s, s) -> (B, d, d), one problem at a time."""
-        share = np.empty((len(W), self.d, self.d))
+        _, d, r, s = self.vals.shape
+        share = np.empty((len(W), d, d))
+        work = np.empty(_congruence_words(d, r, s, s))
         for csr, vals, Wp, out in zip(self.csr, self.vals, W, share):
-            for ls, WFW in _congruence(self.rows, vals, Wp, Wp):
+            for ls, WFW in _congruence(self.rows, vals, Wp, Wp, work):
                 out[:, ls] = csr @ WFW.reshape(WFW.shape[0], -1).T
         return share
 

@@ -57,6 +57,16 @@ alone: the step is then taken again without it.  Problems whose blocks take
 different Schur forms run in separate groups, and a group holds at most
 ``GROUP_BYTES`` of working arrays, so a large problem runs with few others
 or alone.
+
+The objective cap is a 1-by-1 block, that is one linear inequality, and its
+NT scaling is the scaling of a linear-programming cone (Toh, Todd &
+Tutuncu, SDPT3, Optim. Methods Softw. 1999).  So it is kept as (B,) and
+(B, d) arrays (``_Cap``), and each of its stages is scalar arithmetic that
+rounds as the 1-by-1 LAPACK and BLAS calls would.  Its rank-one Schur share
+is added after the blocks' shares, so the iterates are those of a solve
+that handles it as a block.  A Gram-form block forms its rows svec(G'F_kG)
+in a work array that it allocates once for its group (``_Block``).  So no
+array of the size of the rows is allocated per iteration.
 """
 
 from __future__ import annotations
@@ -65,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lmi import _CHUNK, SdpProblem, _cho_solve, _Stack, svec
+from .lmi import _CHUNK, SdpProblem, _cho_solve, _gram_words, _Stack, svec
 # a module-level name, so that a failing factorization can be substituted
 from .lmi import _cho_factor as cho_factor
 
@@ -85,11 +95,11 @@ GRAM_MAX = 10_000
 # a larger block takes the W form only if d s(s+1)/2 is this many times its nonzeros
 W_MIN_SPARSITY = 32
 # bytes of working arrays that the problems of one lockstep group may hold
-# together (``_group_size``): the 20-point two-state and three-state grids run
+# together (``_group_words``): the 20-point two-state and three-state grids run
 # as one group, the 16-point shear-flow pre-scan (d = 45) as two groups of 8,
 # and stacked n = 40 problems (d = 820) one at a time.  The pre-scan's traced
-# peak was 11.1 MB in one group of 16, 6.5 MB in groups of 8 and 2.5 MB one
-# problem at a time; it took 0.43, 0.46 and 1.10 s on one core
+# peak is 12.1 MB in one group of 16, 6.1 MB in groups of 8 and 0.9 MB one
+# problem at a time; it took 0.28, 0.36 and 0.96 s of process time
 GROUP_BYTES = 1 << 23
 # the termination tests of the module docstring
 FEAS_TOL = 1e-8
@@ -190,8 +200,8 @@ def _sym(M: np.ndarray) -> np.ndarray:
 
 
 def _eigvalsh(A: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh``; the eigenvalue of a 1-by-1 matrix (the objective
-    cap) is read off, as LAPACK returns it."""
+    """``np.linalg.eigvalsh``; the eigenvalue of a 1-by-1 matrix is read off,
+    as LAPACK returns it."""
     return A[..., 0] if A.shape[-1] == 1 else np.linalg.eigvalsh(A)
 
 
@@ -253,13 +263,21 @@ class _Block:
     where the W form takes 0.14 to 0.26 of the Gram form's time); a dense A
     and H are not (about 2, where it takes 3.2 to 3.5 times as long at n = 15
     to 30).  Every problem of a group takes the same form.
+
+    The Gram rows are formed in ``work``, allocated with the block for all B
+    problems (``lmi._gram_words`` doubles each): a congruence chunk
+    G'F_kG, then the chunk's svec rows over its dead factors, scaled
+    straight into U.  ``keep`` keeps U's first rows and the whole work array
+    for the problems that remain, so neither is allocated again.  The W
+    form takes its chunks in an array that ``w_share`` allocates once per
+    call.  The objective cap is no ``_Block``: see ``_Cap``.
     """
 
     __slots__ = ("lmi", "C", "size", "eye", "X", "S", "G", "lam_avg", "lam_isqrt", "neg_lam2",
-                 "Chat", "Chat_sv", "U", "W")
+                 "Chat", "Chat_sv", "U", "work", "W")
 
     def __init__(self, lmi: _Stack, gram: bool):
-        B, d, _, s = lmi.vals.shape
+        B, d, r, s = lmi.vals.shape
         self.lmi, self.size = lmi, s
         self.C = -lmi.F0
         self.eye = np.eye(s)
@@ -268,12 +286,15 @@ class _Block:
         # column-major per problem, as svec returns it, so that U U' takes the
         # same BLAS path
         self.U = np.empty((B, s * (s + 1) // 2, d)).transpose(0, 2, 1) if gram else None
+        self.work = np.empty(B * _gram_words(d, r, s)) if gram else None
 
-    def keep(self, mask: np.ndarray) -> _Block:
-        """This block of the problems where ``mask`` holds, with their iterates."""
-        blk = _Block(self.lmi.keep(mask), self.U is not None)
-        blk.X, blk.S = self.X[mask], self.S[mask]
-        return blk
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the problems where ``mask`` is False.  U keeps its first rows
+        and the work array all of it: both are overwritten before they are read."""
+        self.lmi = self.lmi.keep(mask)
+        self.C, self.X, self.S = self.C[mask], self.X[mask], self.S[mask]
+        if self.U is not None:
+            self.U = self.U[:len(self.X)]
 
     def set_scaling(self, G: np.ndarray, lam: np.ndarray) -> None:
         self.G = G
@@ -282,15 +303,18 @@ class _Block:
         self.neg_lam2 = -(lam ** 2)[:, :, None] * self.eye
         self.Chat = G.mT @ self.C @ G
         if self.U is not None:
-            self.lmi.gram_rows(G, self.U)
+            self.lmi.gram_rows(G, self.U, self.work)
             self.Chat_sv = svec(self.Chat)
         else:
             self.W = G @ G.mT
 
     def schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(M_b, g_b, q_b): the Schur shares and pull_back(Chat) = (F*(G Chat G'), |Chat|_F^2)."""
-        share = self.U @ self.U.mT if self.U is not None else self.lmi.w_share(self.W)
-        return (share, *self.pull_back(self.Chat))
+        """(M_b, g_b, q_b): the Schur share and pull_back(Chat) = (F*(G Chat G'),
+        |Chat|_F^2), in the Gram form from the svec(Chat) that ``set_scaling`` keeps."""
+        if self.U is None:
+            return (self.lmi.w_share(self.W), *self.pull_back(self.Chat))
+        sv = self.Chat_sv
+        return self.U @ self.U.mT, (self.U @ sv[..., None])[..., 0], np.vecdot(sv, sv)
 
     def pull_back(self, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(F*(G R G'), <Chat, R>) for symmetric R (B, s, s) in the scaled space."""
@@ -298,6 +322,60 @@ class _Block:
             rsv = svec(R)
             return (self.U @ rsv[..., None])[..., 0], np.vecdot(self.Chat_sv, rsv)
         return self.lmi.adjoint(self.G @ R @ self.G.mT), (self.Chat * R).sum(axis=(1, 2))
+
+
+class _Cap:
+    """The objective cap of the B problems of a lockstep group: the 1-by-1
+    block -c + sum_k x_k f_k <= 0 (c'x <= ``OBJECTIVE_BOX`` in the scaled
+    variables), its row f (B, d), its C = c (B,) and its iterates x and s (B,).
+
+    Every quantity that ``_Block`` keeps as an s-by-s matrix is a scalar here,
+    rounded as LAPACK and BLAS round the 1-by-1 case: the Cholesky factor of
+    x is sqrt(x), the SVD of a positive 1-by-1 lam is (1, lam, 1), so the NT
+    factor is g = sqrt(x) / sqrt(lam) with lam = sqrt(s) sqrt(x), (lam +
+    lam)/2 is lam, and a product of 1-by-1 matrices, svec or a
+    symmetrization is the product of the scalars.  The Gram row is
+    u = g (f g), and the share u u' is added to the Schur complement after
+    the blocks' shares.  ``linear`` sums f_k y_k in k order as
+    ``_Stack.linear`` sums the nonzeros, and the adjoint is f x."""
+
+    __slots__ = ("f", "c", "x", "s", "rd", "g", "lam", "lam_isqrt", "neg_lam2", "chat", "u")
+
+    def __init__(self, f: np.ndarray, c: np.ndarray):
+        # + 0.0 makes a -0.0 in f +0.0: the row-compressed index drops it,
+        # and the 1-by-1 products start their sums from 0.0
+        self.f, self.c = f + 0.0, c
+        self.x, self.s = np.ones(len(c)), np.ones(len(c))
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the problems where ``mask`` is False."""
+        self.f, self.c, self.x, self.s, self.rd = (
+            a[mask] for a in (self.f, self.c, self.x, self.s, self.rd))
+
+    def linear(self, y: np.ndarray) -> np.ndarray:
+        # the zero f_k add only zeros; + 0.0 gives a zero sum the sign of the
+        # bincount's, which starts from 0.0
+        return (self.f * y).cumsum(axis=1)[:, -1] + 0.0
+
+    def set_scaling(self) -> dict:
+        """The NT scaling and what ``_Block.set_scaling`` forms from it; on a
+        breakdown nothing is set, and the result maps the position of each
+        problem that broke down to its message, as ``_Group.step`` reports it."""
+        for v in (self.x, self.s):
+            if not (v > 0).all():
+                return _broken(~(v > 0), "NT scaling failed: Matrix is not positive definite")
+        lx = np.sqrt(self.x)
+        lam = np.sqrt(self.s) * lx
+        if not (lam.min() > 0 and lam.max() < np.inf):
+            return _broken(~((lam > 0) & np.isfinite(lam)),
+                           "NT scaling failed: degenerate NT scaling")
+        self.lam = lam
+        self.lam_isqrt = 1.0 / np.sqrt(lam)
+        self.neg_lam2 = -(lam ** 2)
+        g = self.g = lx * self.lam_isqrt
+        self.chat = g * self.c * g
+        self.u = g[:, None] * (self.f * g[:, None])
+        return {}
 
 
 def _ruiz_scale(user):
@@ -363,15 +441,15 @@ def solve_many(problems) -> list[SdpSolution]:
                        for a, b in zip(p.blocks, first.blocks))):
             raise ValueError("solve_many needs problems of one shape: "
                              "the same d, block sizes and rows")
-    # the Schur form of each block, the objective cap last; equal forms run together
+    # the Schur form of each block; equal forms run together
     groups: dict = {}
     for i, p in enumerate(problems):
-        forms = [_gram_form(p.d, blk.size, blk.nnz) for blk in p.blocks]
-        forms.append(_gram_form(p.d, 1, np.count_nonzero(p.c)))
-        groups.setdefault(tuple(forms), []).append(i)
+        forms = tuple(_gram_form(p.d, blk.size, blk.nnz) for blk in p.blocks)
+        groups.setdefault(forms, []).append(i)
     solutions = [None] * len(problems)
     for forms, members in groups.items():
-        size = _group_size(problems[members[0]], forms)
+        # as many problems as GROUP_BYTES holds, at least one
+        size = max(1, GROUP_BYTES // (8 * _group_words(problems[members[0]], forms)))
         # as few groups as the budget allows, of nearly equal sizes
         for part in np.array_split(members, -(-len(members) // size)):
             for i, sol in zip(part, _Group([problems[i] for i in part], forms).run()):
@@ -379,20 +457,24 @@ def solve_many(problems) -> list[SdpSolution]:
     return solutions
 
 
-def _group_size(problem: SdpProblem, forms: tuple) -> int:
-    """How many problems of this shape and these Schur ``forms`` may run in one
-    lockstep group: ``GROUP_BYTES`` over the words one problem holds, at
-    least 1.  These are its Schur complement and share, and per block its
-    data and their scaled copy, the nonzero indices of both, three
-    congruence chunks and the Gram rows."""
+def _group_words(problem: SdpProblem, forms: tuple) -> int:
+    """The doubles that one problem of this shape, with these Schur
+    ``forms``, adds to the working arrays of its lockstep group: its Schur
+    complement and share, and per block its data and their scaled copy, the
+    nonzero indices of both, the copy of data and indices that ``keep``
+    makes, 32 s-by-s arrays (iterates, residuals and the directions of both
+    Newton solves), and in the Gram form its rows U and their work array
+    (``lmi._gram_words``), in the W form three congruence chunks."""
     d = problem.d
     words = 2 * d * d
     for blk, gram in zip(problem.blocks, forms):
         s = blk.size
-        words += 2 * blk.vals.size + 6 * blk.nnz + 3 * min(d * s * s, _CHUNK)
+        words += 3 * blk.vals.size + 9 * blk.nnz + 32 * s * s
         if gram:
-            words += d * s * (s + 1) // 2
-    return max(1, GROUP_BYTES // (8 * words))
+            words += d * s * (s + 1) // 2 + _gram_words(d, blk.rows.shape[1], s)
+        else:
+            words += 3 * min(d * s * s, _CHUNK)
+    return words
 
 
 class _Run:
@@ -472,7 +554,7 @@ class _Group:
     _ROWS = ("y", "tau", "kappa", "b_vec", "c", "gamma", "beta", "s_obj", "Rp", "Rg", "mu")
 
     def __init__(self, problems: list, forms: tuple):
-        """``forms`` holds each block's Schur form (``_gram_form``), the cap last."""
+        """``forms`` holds each block's Schur form (``_gram_form``)."""
         B, d = len(problems), problems[0].d
         self.c = np.stack([np.asarray(p.c, dtype=float).reshape(-1) for p in problems])
         self.runs = [_Run(p, c) for p, c in zip(problems, self.c)]
@@ -488,12 +570,10 @@ class _Group:
         boxval = self.s_obj * OBJECTIVE_BOX
         rownorm = np.maximum(np.maximum(1.0, np.max(np.abs(c_sc), axis=1, initial=0.0)),
                              np.abs(boxval))
-        scaled.append(_Stack((-boxval / rownorm)[:, None, None], np.zeros((d, 1), dtype=np.intp),
-                             (c_sc / rownorm[:, None]).reshape(B, d, 1, 1)))
-        # the user blocks come first; zips with beta skip the cap
+        self.cap = _Cap(c_sc / rownorm[:, None], boxval / rownorm)
         self.blocks = [_Block(lmi, gram) for lmi, gram in zip(scaled, forms)]
         self.b_vec = c_sc
-        self.nu = sum(blk.size for blk in self.blocks)
+        self.nu = sum(blk.size for blk in self.blocks) + 1
         self.y = np.zeros((B, d))
         self.tau, self.kappa = np.ones(B), np.ones(B)
 
@@ -502,7 +582,9 @@ class _Group:
         for name in self._ROWS:
             setattr(self, name, getattr(self, name)[mask])
         self.Rd = [R[mask] for R in self.Rd]
-        self.blocks = [blk.keep(mask) for blk in self.blocks]
+        for blk in self.blocks:
+            blk.keep(mask)
+        self.cap.keep(mask)
         self.runs = [run for run, k in zip(self.runs, mask) if k]
         self.user = [ub.keep(mask) for ub in self.user]
 
@@ -527,18 +609,20 @@ class _Group:
     def check(self, it: int) -> np.ndarray:
         """Residuals, ray check and termination tests of iteration ``it``; True
         where a problem is done."""
-        blocks, tau, kappa, y, b_vec = self.blocks, self.tau, self.kappa, self.y, self.b_vec
+        blocks, cap, tau, kappa, y = self.blocks, self.cap, self.tau, self.kappa, self.y
         tau3 = tau[:, None, None]
-        self.Rp = sum(blk.lmi.adjoint(blk.X) for blk in blocks) - b_vec * tau[:, None]
+        self.Rp = (sum(blk.lmi.adjoint(blk.X) for blk in blocks) + cap.f * cap.x[:, None]
+                   - self.b_vec * tau[:, None])
         self.Rd = [blk.lmi.linear(y) + blk.S - blk.C * tau3 for blk in blocks]
-        CX = sum((blk.C * blk.X).sum(axis=(1, 2)) for blk in blocks)
-        self.Rg = CX - np.vecdot(b_vec, y) + kappa
-        self.mu = (sum((blk.X * blk.S).sum(axis=(1, 2)) for blk in blocks)
+        cap.rd = cap.linear(y) + cap.s - cap.c * tau
+        CX = sum((blk.C * blk.X).sum(axis=(1, 2)) for blk in blocks) + cap.c * cap.x
+        self.Rg = CX - np.vecdot(self.b_vec, y) + kappa
+        self.mu = (sum((blk.X * blk.S).sum(axis=(1, 2)) for blk in blocks) + cap.x * cap.s
                    + tau * kappa) / (self.nu + 1)
 
         ray_Z, ray_q, ray_fit = _ray_certificate(self.user, blocks, self.beta)
-        iterate_scale = np.abs(blocks[0].X).max(axis=(1, 2))
-        for blk in blocks[1:]:
+        iterate_scale = np.abs(cap.x)
+        for blk in blocks:
             iterate_scale = np.maximum(iterate_scale, np.abs(blk.X).max(axis=(1, 2)))
         interior = tau > 1e-14 * np.maximum(1.0, iterate_scale)
         # the original-space report of every problem, with tau replaced by 1
@@ -566,25 +650,31 @@ class _Group:
         """One predictor-corrector step of every problem.  On a breakdown nothing
         changes, and the result maps the position of each problem that broke
         down to its message."""
-        blocks, tau, kappa, b_vec = self.blocks, self.tau, self.kappa, self.b_vec
+        blocks, cap, tau, kappa, b_vec = self.blocks, self.cap, self.tau, self.kappa, self.b_vec
         Rp, Rd, Rg, mu = self.Rp, self.Rd, self.Rg, self.mu
         B, d = self.y.shape
 
         # Nesterov-Todd scaling point per block
         for blk in blocks:
-            Lx, failed = _lapack(np.linalg.cholesky, blk.X)
+            # the factors of X and S in one call; a failure of X is reported
+            # before one of S
+            L, failed = _lapack(np.linalg.cholesky, np.concatenate((blk.X, blk.S)))
             if not failed:
-                Ls, failed = _lapack(np.linalg.cholesky, blk.S)
-            if not failed:
+                Lx, Ls = L[:B], L[B:]
                 (_, sv, Vt), failed = _lapack(np.linalg.svd, Ls.mT @ Lx)
+            elif any(i < B for i in failed):
+                failed = {i: exc for i, exc in failed.items() if i < B}
             if failed:
-                return {i: f"NT scaling failed: {exc}" for i, exc in failed.items()}
+                return {i % B: f"NT scaling failed: {exc}" for i, exc in failed.items()}
             # the singular values are nonnegative and sorted, so this holds
             # if every last one is positive and none is inf or nan
             if not (sv.min() > 0 and sv.max() < np.inf):
                 return _broken(~((sv[:, -1] > 0) & np.isfinite(sv).all(axis=1)),
                                "NT scaling failed: degenerate NT scaling")
             blk.set_scaling(Lx @ (Vt.mT / np.sqrt(sv)[:, None, :]), sv)
+        failed = cap.set_scaling()
+        if failed:
+            return failed
 
         # an NT scaling that overflows shows up here; it is reported below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -594,6 +684,9 @@ class _Group:
                 M += M_b
                 g_vec += g_b
                 q_cc += q_b
+            M += cap.u[:, :, None] * cap.u[:, None, :]
+            g_vec += cap.u * cap.chat[:, None]
+            q_cc += cap.chat * cap.chat
         if not (np.isfinite(M).all() and np.isfinite(g_vec).all() and np.isfinite(q_cc).all()):
             finite = (np.isfinite(M).all(axis=(1, 2)) & np.isfinite(g_vec).all(axis=1)
                       & np.isfinite(q_cc))
@@ -621,6 +714,7 @@ class _Group:
 
         # the scaled dual residuals, G' Rd G, of both Newton solves
         GRG = [blk.G.mT @ R @ blk.G for blk, R in zip(blocks, Rd)]
+        GRG.append(cap.g * cap.rd * cap.g)
         u_dir = cho_solve_each(g_vec + b_vec)
         # equals (q_cc - g'M^-1 g) + b'M^-1 b, nonnegative in exact arithmetic;
         # clamp away the cancellation noise that appears at convergence
@@ -632,7 +726,8 @@ class _Group:
             return _broken(broken, "singular reduced system (predictor)")
 
         def newton(eta, sigma_mu, corr_blocks, r_tk):
-            """One Newton solve of the reduced systems."""
+            """One Newton solve of the reduced systems; each list returned
+            holds the blocks' directions and then the cap's."""
             Qhats = []
             anorm = np.zeros((B, d))
             cdot = np.zeros(B)
@@ -640,11 +735,12 @@ class _Group:
             if sigma_mu is not None:
                 # a zero sigma_mu is not added, which leaves -0.0 off the diagonal
                 shift3, unshifted = sigma_mu[:, None, None], (sigma_mu == 0)[:, None, None]
+                any_unshifted = unshifted.any()
             for bi, blk in enumerate(blocks):
                 Rhat = blk.neg_lam2
                 if sigma_mu is not None:
                     shifted = Rhat + shift3 * blk.eye
-                    Rhat = np.where(unshifted, Rhat, shifted) if unshifted.any() else shifted
+                    Rhat = np.where(unshifted, Rhat, shifted) if any_unshifted else shifted
                 if corr_blocks is not None:
                     Rhat = Rhat - corr_blocks[bi]
                 Qhat = Rhat / blk.lam_avg
@@ -652,6 +748,13 @@ class _Group:
                 a_b, c_b = blk.pull_back(Qhat + eta3 * GRG[bi])
                 anorm += a_b
                 cdot += c_b
+            rhat = cap.neg_lam2 if sigma_mu is None else cap.neg_lam2 + sigma_mu
+            if corr_blocks is not None:
+                rhat = rhat - corr_blocks[-1]
+            qhat = rhat / cap.lam
+            r_cap = qhat + eta * GRG[-1]
+            anorm += cap.u * r_cap[:, None]
+            cdot += cap.chat * r_cap
             v_dir = cho_solve_each(-eta[:, None] * Rp - anorm)
             dtau = (r_tk - tau * (-eta * Rg - cdot - np.vecdot(g_vec - b_vec, v_dir))) / denominator
             dy = v_dir + u_dir * dtau[:, None]
@@ -667,6 +770,13 @@ class _Group:
                 dX.append(dXb)
                 dXh.append(dXh_b)
                 dSh.append(dSh_b)
+            ds = -eta * cap.rd - cap.linear(dy) + cap.c * dtau
+            dsh = cap.g * ds * cap.g
+            dxh = qhat - dsh
+            dS.append(ds)
+            dX.append(cap.g * dxh * cap.g)
+            dXh.append(dxh)
+            dSh.append(dsh)
             return dy, dS, dX, dXh, dSh, dtau, dkappa
 
         def max_step(dXh, dSh, dtau, dkappa):
@@ -674,8 +784,12 @@ class _Group:
             # all, because rounding keeps 1/w monotone
             w = np.zeros(B)
             for bi, blk in enumerate(blocks):
-                D = np.stack((dXh[bi], dSh[bi]))
-                w = np.minimum(w, _eigvalsh(blk.lam_isqrt * D * blk.lam_isqrt.mT)[..., 0].min(axis=0))
+                li = blk.lam_isqrt
+                # both directions in one call
+                e = _eigvalsh(np.concatenate((li * dXh[bi] * li.mT, li * dSh[bi] * li.mT)))[:, 0]
+                w = np.minimum(w, np.minimum(e[:B], e[B:]))
+            li = cap.lam_isqrt
+            w = np.minimum(w, np.minimum(li * dXh[-1] * li, li * dSh[-1] * li))
             # the step at which 1 + a w, tau + a dtau or kappa + a dkappa reaches 0
             v, dv = np.array([np.ones(B), tau, kappa]), np.array([w, dtau, dkappa])
             down = dv < 0
@@ -684,14 +798,16 @@ class _Group:
         _, dS_a, dX_a, dXh_a, dSh_a, dtau_a, dkap_a = newton(np.ones(B), None, None, -tau * kappa)
         a_aff = np.minimum(1.0, max_step(dXh_a, dSh_a, dtau_a, dkap_a))
         a3 = a_aff[:, None, None]
-        ip = sum(((blk.X + a3 * dX_a[bi]) * (blk.S + a3 * dS_a[bi])).sum(axis=(1, 2))
-                 for bi, blk in enumerate(blocks))
+        ip = (sum(((blk.X + a3 * dX_a[bi]) * (blk.S + a3 * dS_a[bi])).sum(axis=(1, 2))
+                  for bi, blk in enumerate(blocks))
+              + (cap.x + a_aff * dX_a[-1]) * (cap.s + a_aff * dS_a[-1]))
         mu_aff = (ip + (tau + a_aff * dtau_a) * (kappa + a_aff * dkap_a)) / (self.nu + 1)
         # Python's float power: numpy's vectorized power may round an element
         # differently depending on where it sits in the array
         sigma = np.array([min(1.0, max(0.0, r)) ** 3 for r in (mu_aff / mu).tolist()])
 
         corr = [_sym(dXh_a[bi] @ dSh_a[bi]) for bi in range(len(blocks))]
+        corr.append(dXh_a[-1] * dSh_a[-1])
         r_tk = sigma * mu - tau * kappa - dtau_a * dkap_a
         dy_c, dS_c, dX_c, dXh_c, dSh_c, dtau_c, dkap_c = newton(1.0 - sigma, sigma * mu, corr, r_tk)
         alpha = np.minimum(1.0, STEP_FRACTION * max_step(dXh_c, dSh_c, dtau_c, dkap_c))
@@ -710,6 +826,8 @@ class _Group:
         for bi, blk in enumerate(blocks):
             blk.X = blk.X + a3 * dX_c[bi]
             blk.S = blk.S + a3 * dS_c[bi]
+        cap.x = cap.x + alpha * dX_c[-1]
+        cap.s = cap.s + alpha * dS_c[-1]
         for run, m, a in zip(self.runs, mu.tolist(), alpha.tolist()):
             run.history.append((m, run.resid[0], run.resid[1], a))
         return {}
@@ -733,11 +851,13 @@ def _ray_certificate(user, blocks, beta):
     feasible set lives at sane magnitudes.
     """
     Zs = [b[:, None, None] * blk.X for blk, b in zip(blocks, beta.T)]
-    total = sum(np.trace(Z, axis1=1, axis2=2) for Z in Zs)
+    total = sum(Z.trace(axis1=1, axis2=2) for Z in Zs)
     ok = np.isfinite(total) & (total > 0)
     Zs = [Z / np.where(ok, total, 1.0)[:, None, None] for Z in Zs]
     phi = sum((ub.F0 * Z).sum(axis=(1, 2)) for ub, Z in zip(user, Zs))
     ok &= np.isfinite(phi) & (phi >= 1e-10)
+    if not ok.any():
+        return Zs, np.full(len(ok), np.inf), ok
     Ag = sum(ub.adjoint(Z) for ub, Z in zip(user, Zs))
     eta = np.where(ok, np.abs(Ag).max(axis=1, initial=0.0), np.inf)
     return Zs, eta, ok & (eta <= 1e-5 * phi)

@@ -637,7 +637,8 @@ class TestBlockOperators:
             L, R = rng.normal(size=(s + 1, s)), rng.normal(size=(s, s + 2))
             ref = L @ dense_stack(blk) @ R
             out = np.full_like(ref, np.nan)
-            for ks, LFR in lmi._congruence(blk.rows, blk.vals, L, R):
+            work = np.full(lmi._congruence_words(blk.d, blk.rows.shape[1], s + 1, s + 2), np.nan)
+            for ks, LFR in lmi._congruence(blk.rows, blk.vals, L, R, work):
                 out[ks] = LFR
             np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
@@ -705,7 +706,7 @@ class TestStack:
         G = rng.normal(size=(B, s, s))
         W = G @ G.mT
         U = np.full((B, d, s * (s + 1) // 2), np.nan)
-        stk.gram_rows(G, U)
+        stk.gram_rows(G, U, np.full(B * lmi._gram_words(d, blocks[0].rows.shape[1], s), np.nan))
         share = stk.w_share(W)
         assert share.shape == (B, d, d)
         for p, blk in enumerate(blocks):

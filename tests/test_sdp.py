@@ -6,6 +6,7 @@ import pytest
 from qbstab.lmi import (
     LmiBlock,
     SdpProblem,
+    _gram_words as lmi_words,
     _Stack,
     assemble,
     default_alpha,
@@ -440,9 +441,10 @@ class TestSchurForms:
         assert gram(stack(two_state(), 10)) == [False, False]  # large and sparse: W
 
     def test_gram_block_keeps_no_dense_stack(self):
-        # U has d s(s+1)/2 entries; a dense copy of F would add d s^2 more.
-        # The block's data, row-compressed, and the index of its nonzeros
-        # (three words per nonzero) belong to its ``_Stack``, built apart
+        # U has d s(s+1)/2 entries and the work array of the Gram rows one
+        # congruence chunk; a dense copy of F would add d s^2 more.  The
+        # block's data, row-compressed, and the index of its nonzeros (three
+        # words per nonzero) belong to its ``_Stack``, built apart
         lmi = assemble(dense_system(15), 0.3, 1e-6, "analysis").blocks[0]
         d, s = lmi.d, lmi.size
         G = np.linalg.qr(np.random.default_rng(5).standard_normal((s, s)))[0]
@@ -455,7 +457,8 @@ class TestSchurForms:
         finally:
             tracemalloc.stop()
         assert blk.U is not None
-        assert retained < d * s * s * 8
+        assert blk.work.size == lmi_words(d, lmi.rows.shape[1], s)
+        assert retained - blk.work.nbytes < d * s * s * 8
 
     @pytest.mark.parametrize("sys_obj", [stack(two_state(), 5), dense_system(6)],
                              ids=["stacked", "dense"])
@@ -584,6 +587,83 @@ class TestSolveMany:
             assert_same_solution(sol, ref)
         assert sizes == [3]
 
+    def test_group_keeps_to_its_byte_budget(self, monkeypatch):
+        # the 16-point pre-scan of optimize_epsilon runs as two groups of 8.
+        # Its traced peak stays within what ``_group_words`` counts for 8
+        # problems (6.4 MB, against a peak of 6.1 MB), and forming the NT
+        # quantities and the Gram rows allocates far less than one B d s^2
+        # array (0.93 MB here for the main block) per iteration
+        problems = [shear_problem(e) for e in SHEAR_SCAN]
+        sizes, peak, transient = [], [0], [0]
+        group, set_scaling = sdp._Group, sdp._Block.set_scaling
+
+        def recording(members, forms):
+            sizes.append(len(members))
+            return group(members, forms)
+
+        def traced(blk, G, lam):
+            # the peak so far; then the peak of this call alone
+            peak[0] = max(peak[0], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            set_scaling(blk, G, lam)
+            transient[0] = max(transient[0], tracemalloc.get_traced_memory()[1] - before)
+
+        monkeypatch.setattr(sdp, "_Group", recording)
+        monkeypatch.setattr(sdp._Block, "set_scaling", traced)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sdp.solve_many(problems)
+            peak[0] = max(peak[0], tracemalloc.get_traced_memory()[1]) - base
+        finally:
+            tracemalloc.stop()
+        assert sizes == [8, 8]
+        first = problems[0]
+        forms = tuple(sdp._gram_form(first.d, blk.size, blk.nnz) for blk in first.blocks)
+        assert forms == (True, True)
+        assert peak[0] <= 8 * 8 * sdp._group_words(first, forms) <= sdp.GROUP_BYTES
+        d, s = first.d, first.blocks[0].size
+        assert transient[0] < 8 * d * s * s * 8 / 2
+
+
+class TestObjectiveCap:
+    def test_cap_rounds_as_a_one_by_one_block(self):
+        # the scalar arithmetic of ``_Cap`` against the same 1-by-1 block
+        # through ``_Block``, ``_Stack`` and numpy.linalg, bit for bit
+        rng = np.random.default_rng(11)
+        B, d = 5, 45
+        f = rng.standard_normal((B, d)) * (rng.random((B, d)) < 0.3)
+        c = rng.uniform(0.5, 2.0, B)
+        cap = sdp._Cap(f, c)
+        cap.x, cap.s = 10.0 ** rng.uniform(-4, 4, B), 10.0 ** rng.uniform(-4, 4, B)
+        assert cap.set_scaling() == {}
+        blk = sdp._Block(_Stack(-c[:, None, None], np.zeros((d, 1), dtype=np.intp),
+                                f.reshape(B, d, 1, 1)), True)
+        blk.X, blk.S = cap.x[:, None, None].copy(), cap.s[:, None, None].copy()
+        Lx, Ls = np.linalg.cholesky(blk.X), np.linalg.cholesky(blk.S)
+        _, sv, Vt = np.linalg.svd(Ls.mT @ Lx)
+        blk.set_scaling(Lx @ (Vt.mT / np.sqrt(sv)[:, None, :]), sv)
+
+        def same(a, b):
+            return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+        assert same(sv[:, 0], cap.lam) and same(blk.lam_avg[:, 0, 0], cap.lam)
+        assert same(blk.G[:, 0, 0], cap.g) and same(blk.lam_isqrt[:, 0, 0], cap.lam_isqrt)
+        assert same(blk.neg_lam2[:, 0, 0], cap.neg_lam2) and same(blk.Chat[:, 0, 0], cap.chat)
+        assert same(blk.U[..., 0], cap.u)
+        # BLAS sums start from 0.0, so a product -0.0 comes out +0.0 there;
+        # the solver adds the cap's products to sums that are never -0.0
+        M, g, q = blk.schur()
+        assert same(M, cap.u[:, :, None] * cap.u[:, None, :] + 0.0)
+        assert same(g, cap.u * cap.chat[:, None] + 0.0) and same(q, cap.chat * cap.chat)
+        R = rng.standard_normal(B)
+        a, r = blk.pull_back(R[:, None, None])
+        assert same(a, cap.u * R[:, None] + 0.0) and same(r, cap.chat * R)
+        y = rng.standard_normal((B, d))
+        assert same(blk.lmi.linear(y)[:, 0, 0], cap.linear(y))
+        assert same(blk.lmi.adjoint(blk.X), cap.f * cap.x[:, None])
+
 
 class TestFailureIsolation:
     """A breakdown in one problem of a lockstep group ends that problem alone."""
@@ -626,11 +706,19 @@ class TestFailureIsolation:
             assert_same_solution(sols[i], reference[i])
 
     def test_nt_cholesky_fails_for_one_slice(self, monkeypatch):
+        self.cholesky_fails(monkeypatch, 0)
+
+    def test_nt_cholesky_of_s_fails_for_one_slice(self, monkeypatch):
+        # X and S are factored in one call, whose slices are X then S
+        self.cholesky_fails(monkeypatch, 1)
+
+    def cholesky_fails(self, monkeypatch, factor):
         problems = two_state_problems((0.1, 0.2, 0.3, 0.4))
         reference = [solve(p) for p in problems]
-        # X of the main block of problem 2 at iteration 4: two factors per
-        # block and three blocks per iteration
-        target = self.recorded_input("cholesky", np.linalg, problems[2], 3 * 6 + 1)[0]
+        # X (factor 0) or S of the main block of problem 2 at iteration 4: one
+        # call for X and S per block and two blocks per iteration (the
+        # objective cap takes none)
+        target = self.recorded_input("cholesky", np.linalg, problems[2], 3 * 2 + 1)[factor]
         real = np.linalg.cholesky
 
         def failing(A):
@@ -650,8 +738,9 @@ class TestFailureIsolation:
     def test_degenerate_nt_scaling_for_one_slice(self, monkeypatch):
         problems = two_state_problems((0.1, 0.2, 0.3, 0.4))
         reference = [solve(p) for p in problems]
-        # Ls'Lx of the main block of problem 2 at iteration 4: three blocks per iteration
-        target = self.recorded_input("svd", np.linalg, problems[2], 3 * 3 + 1)[0]
+        # Ls'Lx of the main block of problem 2 at iteration 4: two blocks per
+        # iteration (the objective cap takes none)
+        target = self.recorded_input("svd", np.linalg, problems[2], 3 * 2 + 1)[0]
         real = np.linalg.svd
 
         def degenerate(A, *args, **kwargs):
@@ -691,7 +780,7 @@ class TestFailureIsolation:
 
     def test_batched_failure_that_no_slice_repeats_propagates(self, monkeypatch):
         problems = two_state_problems((0.1, 0.2, 0.3, 0.4))
-        target = self.recorded_input("cholesky", np.linalg, problems[2], 3 * 6 + 1)[0]
+        target = self.recorded_input("cholesky", np.linalg, problems[2], 3 * 2 + 1)[0]
         real = np.linalg.cholesky
 
         def failing_batched(A):
