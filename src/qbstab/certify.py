@@ -10,6 +10,13 @@ problems in lockstep (``sdp.solve_many``); the refinement solves each probe
 together with the two probes that can follow it and keeps the one its
 comparison picks, so it probes the same eps points, in the same order and
 with the same results, as one solve at a time.
+
+For analysis no P > 0 exists above the spectral bound eps* of
+``lmi._TStar``.  There every protocol first forms the Perron ray of that
+eps (``_spectral_ray``) and returns Infeasible without a solve when the ray
+passes the solver's own acceptance test (``sdp.ray_test``) and every block
+is positive semidefinite; the other points are solved as before, so every
+entry that a solve decides is bitwise what it was without the screen.
 """
 
 from __future__ import annotations
@@ -20,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NotPositiveDefiniteError, QBStabError, SchemaError
-from .lmi import (_cho_solve, _EpsFamily, _spd_eigh, _spd_factor, _spd_sqrt, _svec_index,
-                  assemble, default_alpha, default_delta, svec)
-from .sdp import FEAS_TOL, GAP_TOL, SdpSolution, solve, solve_many
+from .lmi import (_cho_solve, _EpsFamily, _spd_eigh, _spd_factor, _spd_sqrt, _Stack,
+                  _svec_index, _TStar, assemble, default_alpha, default_delta, svec)
+from .sdp import FEAS_TOL, GAP_TOL, SdpSolution, ray_test, solve, solve_many
 from .systems import QBSystem, _finite_array, _json_int, _read_json, _write_json
 
 __all__ = [
@@ -191,7 +198,9 @@ class Certificate:
 class Infeasible:
     """Marker returned when the LMI admits no solution at the given eps.
 
-    ``ray`` holds the solver's improving-ray blocks (trace-normalized).
+    ``ray`` holds the improving-ray blocks (trace-normalized): the solver's,
+    or above eps* the spectral ray of ``_spectral_ray``, which ``message``
+    names.
     """
 
     mode: str
@@ -203,11 +212,17 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class SweepEntry:
-    """The outcome at one eps: a certificate, or None with the reason in ``status``."""
+    """The outcome at one eps: a certificate, or None with the reason in ``status``.
+
+    An infeasible entry carries its improving-ray blocks (``ray``, as in
+    ``Infeasible``); ``solved`` is False where the spectral ray decided the
+    point without an SDP solve."""
 
     epsilon: float
     certificate: Certificate | None
     status: str
+    ray: list | None = None
+    solved: bool = True
 
     @property
     def feasible(self) -> bool:
@@ -220,12 +235,19 @@ class SweepEntry:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-eps feasibility and trace data for a grid sweep."""
+    """Per-eps feasibility and trace data for a grid sweep, and for analysis
+    the spectral bound eps* (``lmi._TStar``; None for synthesis)."""
 
     entries: tuple
+    eps_star: float | None = None
 
     def feasible_entries(self) -> list[SweepEntry]:
         return [e for e in self.entries if e.feasible]
+
+    @property
+    def ray_points(self) -> int:
+        """The points that the spectral ray decided without a solve."""
+        return sum(not e.solved for e in self.entries)
 
     def best(self) -> Certificate | None:
         """Best certificate by trace; exact ties broken by ellipsoid volume.
@@ -249,12 +271,17 @@ class SweepResult:
 class EpsilonSearchResult:
     """Outcome of the scalar line search over eps.
 
-    ``history`` holds the evaluations the search used; ``solves`` counts its
-    SDP solves, the look-ahead probes it discarded included."""
+    ``history`` holds the evaluations the search used.  ``solves`` counts
+    the SDP solves it ran and ``ray_points`` the points the spectral ray
+    decided without one, the look-ahead probes it discarded included in
+    both; ``eps_star`` is the spectral bound of analysis (None for
+    synthesis)."""
 
     best: Certificate | None
     history: tuple          # SweepEntry, in evaluation order
     solves: int
+    eps_star: float | None = None
+    ray_points: int = 0
 
     @property
     def feasible(self) -> bool:
@@ -275,12 +302,13 @@ def max_trace(sys: QBSystem, eps: float, alpha, mode: str) -> Certificate | Infe
     """Maximize trace(P) subject to the eps-parameterized LMI.
 
     Returns a Certificate on Optimal and an Infeasible marker (with the dual
-    ray attached) on Infeasible; numerical failures raise SolverFailure with
-    eps and the solver's message.  That includes a stalled solve, where the
-    LMI has no interior and no improving ray ("stalled: ..."): it is neither
-    feasible nor proven infeasible.
+    ray attached) on Infeasible, which for analysis above eps* can come
+    from the spectral ray without a solve (``_spectral_ray``); numerical
+    failures raise SolverFailure with eps and the solver's message.  That
+    includes a stalled solve, where the LMI has no interior and no improving
+    ray ("stalled: ..."): it is neither feasible nor proven infeasible.
 
-    One solve per eps.  If it ends NumericalFailure or IterLimit, the best
+    At most one solve per eps.  If it ends NumericalFailure or IterLimit, the best
     iterate it returns still certifies when each of its residuals is within
     ``_LOOSE_FACTOR`` times FEAS_TOL or GAP_TOL, as on well-conditioned
     optima whose attainable dual accuracy lands just above the tolerance;
@@ -290,7 +318,36 @@ def max_trace(sys: QBSystem, eps: float, alpha, mode: str) -> Certificate | Infe
     """
     alpha = resolve_alpha(sys, alpha)
     problem = assemble(sys, eps, alpha, mode)
+    window = _TStar(sys, alpha) if mode == "analysis" else None
+    ray = _spectral_ray(window, problem, eps, alpha, mode)
+    if ray is not None:
+        return ray
     return _outcome(sys, problem, solve(problem), eps, alpha, mode)
+
+
+def _spectral_ray(window, problem, eps, alpha, mode) -> Infeasible | None:
+    """``Infeasible`` without a solve at an analysis eps above eps*, from the
+    Perron pair T_eps*(Z) = lam Z of ``window`` (``lmi._TStar``, None for
+    synthesis), when its ray Z_main = [[Z, 0], [0, 0]], Z_floor = lam Z
+    passes ``sdp.ray_test`` on ``problem`` and every block has
+    lambda_min >= 0; None otherwise, and the point is solved.  Just above
+    eps*, delta lam/(1 + lam), the ray's phi, is below the test's 1e-10
+    guard, so those points are solved too."""
+    pair = None if window is None else window.perron(eps)
+    if pair is None or not pair[0] > 0:
+        return None
+    lam, Z = pair
+    n = len(Z)
+    main = np.zeros((2 * n, 2 * n))
+    main[:n, :n] = Z
+    user = [_Stack.of([blk]) for blk in problem.blocks]
+    ray, eta, ok = ray_test(user, [main[None], lam * Z[None]], problem.c[None])
+    ray = [Zb[0] for Zb in ray]
+    if not (ok[0] and all(np.linalg.eigvalsh(Zb)[0] >= 0 for Zb in ray)):
+        return None
+    return Infeasible(mode=mode, alpha=alpha, epsilon=eps, ray=ray,
+                      message=f"spectral ray above eps* = {window.eps_star:.6g} "
+                              f"with max |<F_k, Z>| = {eta[0]:.2e}")
 
 
 def _outcome(sys, problem, sol: SdpSolution, eps, alpha, mode) -> Certificate | Infeasible:
@@ -328,23 +385,35 @@ def _sweep_point(sys, problem, sol: SdpSolution, eps, alpha, mode) -> SweepEntry
         return SweepEntry(epsilon=eps, certificate=None, status=f"failed: {exc}")
     if isinstance(out, Certificate):
         return SweepEntry(epsilon=eps, certificate=out, status="optimal")
-    return SweepEntry(epsilon=eps, certificate=None, status="infeasible")
+    return SweepEntry(epsilon=eps, certificate=None, status="infeasible", ray=out.ray)
 
 
 def _sweep_points(sys, family: _EpsFamily, grid) -> list[SweepEntry]:
     """One trace maximization per eps of ``grid``, on the problems of
-    ``family``, solved in lockstep."""
+    ``family``: the points that ``_spectral_ray`` decides take no solve, and
+    the others are solved in lockstep."""
     problems = [family.problem(e) for e in grid]
-    return [_sweep_point(sys, p, sol, e, family.alpha, family.mode)
-            for e, p, sol in zip(grid, problems, solve_many(problems))]
+    rays = [_spectral_ray(family.window, p, e, family.alpha, family.mode)
+            for e, p in zip(grid, problems)]
+    pending = [p for p, ray in zip(problems, rays) if ray is None]
+    solutions = iter(solve_many(pending))
+    return [_sweep_point(sys, p, next(solutions), e, family.alpha, family.mode) if ray is None
+            else SweepEntry(epsilon=e, certificate=None, status="infeasible", ray=ray.ray,
+                            solved=False)
+            for e, p, ray in zip(grid, problems, rays)]
+
+
+def _eps_star(family: _EpsFamily) -> float | None:
+    return None if family.window is None else family.window.eps_star
 
 
 def sweep_epsilon(sys: QBSystem, grid, alpha, mode: str) -> SweepResult:
     """One trace maximization per grid point; order of results follows the grid.
 
     The grid's problems come from one ``lmi._EpsFamily`` and are solved in
-    lockstep (``sdp.solve_many``); every entry is what ``max_trace`` at its
-    eps gives."""
+    lockstep (``sdp.solve_many``), but for the analysis points that the
+    spectral ray decides; every entry is what ``max_trace`` at its eps
+    gives."""
     grid = [float(e) for e in grid]
     if not grid:
         raise ValueError("eps grid must be non-empty")
@@ -353,7 +422,8 @@ def sweep_epsilon(sys: QBSystem, grid, alpha, mode: str) -> SweepResult:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("eps grid must be strictly increasing")
     family = _EpsFamily(sys, resolve_alpha(sys, alpha), mode)
-    return SweepResult(entries=tuple(_sweep_points(sys, family, grid)))
+    return SweepResult(entries=tuple(_sweep_points(sys, family, grid)),
+                       eps_star=_eps_star(family))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -384,7 +454,8 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
     ``max_trace`` at a time, with about half as many rounds of solves.  The
     returned certificate is the best over every evaluation, so the result is
     never worse than any sub-grid seen.  Every probe's problem comes from
-    one ``lmi._EpsFamily``.
+    one ``lmi._EpsFamily``, and every point decided by the spectral ray
+    takes no solve (``_spectral_ray``).
     Raises ValueError unless rel_tol, the bracket width at which refinement
     stops relative to its upper end, is finite and at least ``REL_TOL_MIN``.
     """
@@ -396,21 +467,29 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
     family = _EpsFamily(sys, resolve_alpha(sys, alpha), mode)
     scan = np.geomspace(lo, hi, SCAN_POINTS)
     history: list[SweepEntry] = _sweep_points(sys, family, list(scan))
+    # every entry evaluated, the discarded look-ahead probes included
+    evaluated = list(history)
 
     def value(entry: SweepEntry) -> float:
         return entry.trace_P if entry.feasible else -math.inf
 
+    def result(best: Certificate | None) -> EpsilonSearchResult:
+        solves = sum(e.solved for e in evaluated)
+        return EpsilonSearchResult(best=best, history=tuple(history), solves=solves,
+                                   eps_star=_eps_star(family),
+                                   ray_points=len(evaluated) - solves)
+
     k = int(np.argmax([value(e) for e in history]))
     if not history[k].feasible:
-        return EpsilonSearchResult(best=None, history=tuple(history), solves=len(history))
+        return result(None)
 
     a = scan[k - 1] if k > 0 else lo
     b = scan[k + 1] if k + 1 < len(scan) else hi
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
     history += _sweep_points(sys, family, [x1, x2])
+    evaluated += history[-2:]
     f1, f2 = value(history[-2]), value(history[-1])
-    solves = len(history)
     # the entries at the new points of both moves that can follow the last
     # probe, by the ``left`` of each move
     ahead: dict = {}
@@ -425,16 +504,15 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
             for nxt in follow:
                 move = _golden_move(a, b, x1, x2, nxt)
                 points.append(move[3] if nxt else move[2])
-            entry, *rest = _sweep_points(sys, family, points)
-            solves += len(points)
+            entries = _sweep_points(sys, family, points)
+            evaluated += entries
+            entry, *rest = entries
             ahead = dict(zip(follow, rest))
         history.append(entry)
         f1, f2 = (f2, value(entry)) if left else (value(entry), f1)
 
     feas = [e for e in history if e.feasible]
-    best_entry = max(feas, key=lambda e: (e.trace_P, -e.epsilon))
-    return EpsilonSearchResult(best=best_entry.certificate, history=tuple(history),
-                               solves=solves)
+    return result(max(feas, key=lambda e: (e.trace_P, -e.epsilon)).certificate)
 
 
 def ellipsoid_volume(e: Ellipsoid) -> float:

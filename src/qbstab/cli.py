@@ -221,6 +221,15 @@ def _union_payload(certs: list[Certificate], samples: int, seed: int) -> dict:
     return payload
 
 
+def _window(result) -> dict:
+    """The spectral bound eps* of an analysis grid or search (null when it is
+    infinite) and the count of points its ray decided without a solve."""
+    if result.eps_star is None:
+        return {}
+    return {"eps_star": result.eps_star if math.isfinite(result.eps_star) else None,
+            "spectral_ray_points": result.ray_points}
+
+
 def _failed_points(entries) -> list:
     """The eps points whose solve failed, told apart from infeasible ones."""
     return [{"epsilon": e.epsilon, "status": e.status}
@@ -258,6 +267,7 @@ def _run_certification(args) -> int:
         summary["grid_points"] = len(sweep.entries)
         summary["feasible_points"] = len(sweep.feasible_entries())
         summary["failed_points"] = _failed_points(sweep.entries)
+        summary.update(_window(sweep))
         best = sweep.best()
         feas_certs = [e.certificate for e in sweep.feasible_entries()]
         summary["floor_active_points"] = sum(c.solver_report["floor_active"] for c in feas_certs)
@@ -272,6 +282,7 @@ def _run_certification(args) -> int:
         summary["evaluations"] = len(result.history)
         summary["solves"] = result.solves
         summary["failed_points"] = _failed_points(result.history)
+        summary.update(_window(result))
         best = result.best
     else:
         outcome = max_trace(sys_obj, eps_spec, alpha, mode)

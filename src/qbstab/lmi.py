@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg import schur
+from scipy.linalg.lapack import dgeev, dpotrf, dpotrs, dtrsyl
 
 from .errors import DimensionError, NotPositiveDefiniteError
 from .systems import QBSystem
@@ -532,7 +533,7 @@ class _EpsFamily:
             vals[n_p + k, t, r[k]] = -1.0
         self.floor = LmiBlock(F0=F0f, rows=rows, vals=vals)
         self.layout, self.c = lay, lay.trace_objective()
-        self.alpha, self.mode = alpha, mode
+        self.sys, self.alpha, self.mode = sys, alpha, mode
         for a in (self._rows, self.c, self.floor.F0, self.floor.rows, self.floor.vals):
             a.flags.writeable = False
 
@@ -601,6 +602,12 @@ class _EpsFamily:
         F0[n:, n:] = -eps * np.eye(s - n)
         main = LmiBlock(F0=F0, rows=self._rows, vals=vals)
         return SdpProblem(layout=self.layout, c=self.c, blocks=(main, self.floor))
+
+    @cached_property
+    def window(self) -> _TStar | None:
+        """The adjoint T_eps* of the analysis main block's operator, with its
+        bound eps* (``_TStar``), built once per family; None for synthesis."""
+        return _TStar(self.sys, self.alpha) if self.mode == "analysis" else None
 
 
 def assemble(sys: QBSystem, eps: float, alpha: float, mode: str,
@@ -717,6 +724,137 @@ def petersen_parts(sys: QBSystem, P: np.ndarray, K: np.ndarray | None = None) ->
     Kpad = np.vstack([K, np.zeros((n - sys.m, n))])
     N = np.vstack([Kpad @ P, P])
     return PetersenParts(G=G, M=M, N=N)
+
+
+# ``_rightmost``: basis size at which it restarts from its Ritz vector, most
+# steps it takes, and the residual |r|_F / |theta| at which it stops
+_RITZ_BASIS = 20
+_RITZ_STEPS = 200
+_RITZ_TOL = 1e-14
+
+
+def _rightmost(apply, expand, Z0: np.ndarray) -> tuple[float, np.ndarray]:
+    """The rightmost eigenpair (theta, Z) of the linear map ``apply`` on
+    symmetric matrices, with |Z|_F = 1, trace Z >= 0 and Z exactly symmetric.
+
+    Rayleigh-Ritz on a basis grown from Z0 (Davidson's method): each step
+    takes the Ritz pair of largest real part and adds expand(Z, r, theta),
+    orthogonalized twice, for its residual r = apply(Z) - theta Z, until
+    |r|_F <= ``_RITZ_TOL`` |theta|.  With expand returning r the basis is the
+    Krylov space of ``apply`` (Arnoldi).  At ``_RITZ_BASIS`` matrices the
+    basis restarts from the Ritz vector; after ``_RITZ_STEPS`` steps the last
+    pair is returned as it is, so a caller checks what it uses.
+    """
+    shape = Z0.shape
+    V = np.empty((_RITZ_BASIS, Z0.size))
+    AV = np.empty_like(V)
+    k, t = 0, Z0.reshape(-1)
+    for _ in range(_RITZ_STEPS):
+        if k == _RITZ_BASIS:
+            V[0], AV[0], k = Z, AZ, 1
+        for _ in range(2):
+            t = t - (V[:k] @ t) @ V[:k]
+        size = np.linalg.norm(t)
+        if not size > 0:
+            break  # the basis holds an invariant subspace
+        V[k] = t / size
+        AV[k] = apply(V[k].reshape(shape)).reshape(-1)
+        k += 1
+        # scipy's dgeev shares its Hessenberg QR with the Schur form's dgees,
+        # where numpy's eig would page in a second copy (1.3 MB of RSS); of a
+        # complex pair argmax takes the first, whose column is the real part
+        w, _, _, Y, _ = dgeev(V[:k] @ AV[:k].T, compute_vl=0)
+        top = np.argmax(w)
+        theta, y = float(w[top]), Y[:, top]
+        Z, AZ = y @ V[:k], y @ AV[:k]
+        scale = np.linalg.norm(Z) * (-1.0 if Z.reshape(shape).trace() < 0 else 1.0)
+        Z, AZ = Z / scale, AZ / scale
+        r = AZ - theta * Z
+        if np.linalg.norm(r) <= _RITZ_TOL * abs(theta):
+            break
+        t = expand(Z.reshape(shape), r.reshape(shape), theta).reshape(-1)
+    Z = Z.reshape(shape)
+    return theta, (Z + Z.T) / 2.0
+
+
+class _TStar:
+    """T_eps*(Z) = Ah'Z + Z Ah + eps Pi*(Z), the adjoint of the analysis
+    operator T_eps(P) = Ah P + P Ah' + eps Pi(P), with Ah = A + (alpha/2) I,
+    Pi(P) = sum_i H_i P H_i' and Pi*(Z) = sum_i H_i' Z H_i.
+
+    The analysis main block is the Schur form of T_eps(P) + P^2/eps <= 0.
+    Pi maps positive semidefinite matrices to positive semidefinite ones, so
+    L + eps Pi, L(P) = Ah P + P Ah', is resolvent positive, and T_eps(P) < 0
+    at some P > 0 only if its spectrum lies in the open left half-plane: for
+    Hurwitz Ah, when eps < eps* = 1/rho(-L^-1 Pi) (Schneider, Numer. Math.
+    1965; Damm, LNCIS 297, 2004).  Above eps* the Perron pair T_eps*(Z) =
+    lam Z, lam > 0, Z >= 0, is a dual ray of the assembled problem:
+    Z_main = [[Z, 0], [0, 0]] and Z_floor = lam Z give <F_k, Z_main> +
+    <F_k, Z_floor> = <E_k, T_eps*(Z) - lam Z> = 0 for every slot k, and
+    <F0, .> = delta lam trace Z > 0.  If Ah is not Hurwitz no eps works;
+    eps* is then 0, and no pair is formed, since the resolvent that
+    ``perron`` expands by is positive only for Hurwitz Ah.
+
+    Every product costs O(n^3) for L and its resolvent (Bartels-Stewart on
+    the real Schur form of Ah', computed once) and O(n^4) for Pi*, so no
+    n^2-by-n^2 matrix is formed.  Every result is exactly symmetric.
+    """
+
+    def __init__(self, sys: QBSystem, alpha: float):
+        n = sys.n
+        self.A_hat = sys.A + 0.5 * alpha * np.eye(n)
+        # H = [H_1 ... H_n], and its blocks stacked as rows [H_1; ...; H_n]
+        self._H = sys.H
+        self._H_rows = sys.H.reshape(n, n, n).transpose(1, 0, 2).reshape(n * n, n)
+        self._schur = schur(self.A_hat.T, output="real")
+
+    def pi(self, Z: np.ndarray) -> np.ndarray:
+        """Pi*(Z) = sum_i H_i' Z H_i, as [H_1; ...; H_n]' [Z H_1; ...; Z H_n]."""
+        n = len(Z)
+        ZH = (Z @ self._H).reshape(n, n, n).transpose(1, 0, 2).reshape(n * n, n)
+        M = self._H_rows.T @ ZH
+        return (M + M.T) / 2.0
+
+    def __call__(self, Z: np.ndarray, eps: float) -> np.ndarray:
+        AZ = self.A_hat.T @ Z
+        return AZ + AZ.T + eps * self.pi(Z)
+
+    def resolvent(self, R: np.ndarray, sigma: float) -> np.ndarray:
+        """(sigma - L*)^-1 R: the Z with (Ah - sigma/2)'Z + Z (Ah - sigma/2) = -R."""
+        T, U = self._schur
+        T = T - 0.5 * sigma * np.eye(len(T))
+        X, scale, _ = dtrsyl(T, T, -(U.T @ R @ U), tranb="T")
+        Z = U @ (X / scale) @ U.T
+        return (Z + Z.T) / 2.0
+
+    @cached_property
+    def bound(self) -> tuple[float, np.ndarray | None]:
+        """(eps*, Z*): 1/rho of the positive map Z -> (-L*)^-1 Pi*(Z) and its
+        Perron vector, by Arnoldi from I; eps* is inf when Pi* is zero, and
+        (0, None) when Ah is not Hurwitz (the diagonal of its real Schur form,
+        which holds the real parts of its eigenvalues, is not negative)."""
+        T, _ = self._schur
+        if not np.diag(T).max() < 0:
+            return 0.0, None
+        rho, Z = _rightmost(lambda Z: self.resolvent(self.pi(Z), 0.0),
+                            lambda Z, r, theta: r, np.eye(len(T)))
+        return (1.0 / rho if rho > 0 else math.inf), Z
+
+    @property
+    def eps_star(self) -> float:
+        return self.bound[0]
+
+    def perron(self, eps: float) -> tuple[float, np.ndarray] | None:
+        """The Perron pair (lam, Z) of T_eps* at eps > eps*, None at any other
+        eps or without a Z*.  ``_rightmost`` starts from Z* and expands by the
+        resolvent at max(theta, 0), Davidson's preconditioner with T_eps*
+        taken as L*; so the pair depends on eps alone.  Z is positive
+        semidefinite only up to rounding, which the caller checks."""
+        eps_star, Z_star = self.bound
+        if Z_star is None or not eps > eps_star:
+            return None
+        return _rightmost(lambda Z: self(Z, eps),
+                          lambda Z, r, theta: self.resolvent(r, max(theta, 0.0)), Z_star)
 
 
 def delta_norm(sys: QBSystem, P: np.ndarray, x: np.ndarray, mode: str) -> float:

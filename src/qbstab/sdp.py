@@ -11,7 +11,9 @@ data (Fujisawa, Kojima & Nakata, Math. Prog. 1997) so that the cost follows
 the nonzeros of F instead of d^2 s^2.  Infeasible problems are
 detected through an improving-ray certificate (Z >= 0 blockwise with
 <F_k, Z> = 0 for every k and <F0, Z> > 0), which is verified against the
-original problem data before the status is reported.
+original problem data before the status is reported (``ray_test``, the one
+acceptance rule for rays, which ``certify`` applies to the rays it forms
+without a solve).
 
 A solve can also stall.  When the LMI has no interior and no improving ray
 (the ill-posed case of the homogeneous embedding: de Klerk, Roos & Terlaky,
@@ -86,6 +88,7 @@ __all__ = [
     "solve_many",
     "kkt_residuals",
     "check_block_feasibility",
+    "ray_test",
 ]
 
 # fraction of the distance to the cone boundary taken by each corrector step
@@ -96,10 +99,12 @@ GRAM_MAX = 10_000
 W_MIN_SPARSITY = 32
 # bytes of working arrays that the problems of one lockstep group may hold
 # together (``_group_words``): the 20-point two-state and three-state grids run
-# as one group, the 16-point shear-flow pre-scan (d = 45) as two groups of 8,
-# and stacked n = 40 problems (d = 820) one at a time.  The pre-scan's traced
-# peak is 12.1 MB in one group of 16, 6.1 MB in groups of 8 and 0.9 MB one
-# problem at a time; it took 0.28, 0.36 and 0.96 s of process time
+# as one group, 16 shear-flow problems (d = 45) as two groups of 8, and
+# stacked n = 40 problems (d = 820) one at a time.  The 16 problems of the
+# shear-flow pre-scan grid have a traced peak of 12.1 MB in one group of 16,
+# 6.1 MB in groups of 8 and 0.9 MB one problem at a time, and took 0.28, 0.36
+# and 0.96 s of process time; the search itself solves only the 7 that the
+# spectral ray leaves open (``certify._spectral_ray``), in one group
 GROUP_BYTES = 1 << 23
 # the termination tests of the module docstring
 FEAS_TOL = 1e-8
@@ -481,8 +486,7 @@ class _Run:
     """One problem's own part of a lockstep solve: its best iterate, log,
     stall count and verdict."""
 
-    def __init__(self, problem: SdpProblem, c: np.ndarray):
-        self.ray_scale = max(1.0, float(np.max(np.abs(c), initial=0.0)))
+    def __init__(self, problem: SdpProblem):
         self.status, self.message = "IterLimit", ""
         self.x_best = np.zeros(problem.d)
         self.Z_best = [np.zeros_like(blk.F0) for blk in problem.blocks]
@@ -499,11 +503,11 @@ class _Run:
     def check(self, it: int, ray_q: float, ray_Z, report) -> bool:
         """The termination tests of iteration ``it``; True when the problem is done.
 
-        ``ray_Z`` is the candidate ray if it passed ``_ray_certificate``'s
-        guard, else None; ``report`` is the original-space (x, Z, residuals,
-        objective), or None when tau has collapsed."""
+        ``ray_Z`` is the candidate ray if ``ray_test`` accepted it, else
+        None, and ``ray_q`` its eta; ``report`` is the original-space (x, Z,
+        residuals, objective), or None when tau has collapsed."""
         self.iters = it + 1
-        if ray_Z is not None and ray_q <= FEAS_TOL * self.ray_scale:
+        if ray_Z is not None:
             self.status, self.Z_best = "Infeasible", ray_Z
             self.message = f"improving ray with max |<F_k, Z>| = {ray_q:.2e}"
             self.resid_best, self.obj_best = (0.0, 0.0, 0.0), float("nan")
@@ -557,7 +561,7 @@ class _Group:
         """``forms`` holds each block's Schur form (``_gram_form``)."""
         B, d = len(problems), problems[0].d
         self.c = np.stack([np.asarray(p.c, dtype=float).reshape(-1) for p in problems])
-        self.runs = [_Run(p, c) for p, c in zip(problems, self.c)]
+        self.runs = [_Run(p) for p in problems]
         self.all_runs = list(self.runs)
         self.user = [_Stack.of([p.blocks[b] for p in problems])
                      for b in range(len(problems[0].blocks))]
@@ -620,7 +624,8 @@ class _Group:
         self.mu = (sum((blk.X * blk.S).sum(axis=(1, 2)) for blk in blocks) + cap.x * cap.s
                    + tau * kappa) / (self.nu + 1)
 
-        ray_Z, ray_q, ray_fit = _ray_certificate(self.user, blocks, self.beta)
+        ray_Z, ray_q, ray_ok = ray_test(
+            self.user, [b[:, None, None] * blk.X for blk, b in zip(blocks, self.beta.T)], self.c)
         iterate_scale = np.abs(cap.x)
         for blk in blocks:
             iterate_scale = np.maximum(iterate_scale, np.abs(blk.X).max(axis=(1, 2)))
@@ -643,7 +648,7 @@ class _Group:
                 report = (x_orig[i], [Z[i] for Z in Zs],
                           (float(primal[i]), float(dual[i]), float(gap[i])), float(p_obj[i]))
             done[i] = run.check(it, float(ray_q[i]),
-                                [Z[i] for Z in ray_Z] if ray_fit[i] else None, report)
+                                [Z[i] for Z in ray_Z] if ray_ok[i] else None, report)
         return done
 
     def step(self) -> dict:
@@ -838,19 +843,20 @@ def _broken(mask: np.ndarray, message: str) -> dict:
     return dict.fromkeys(np.flatnonzero(mask).tolist(), message)
 
 
-def _ray_certificate(user, blocks, beta):
-    """The current iterates as candidate improving rays: (Z per block, eta,
-    fit), the last two per problem, eta = inf where there is no candidate.
+def ray_test(user, Zs, c):
+    """Candidate improving rays of B problems, tested on the original data:
+    (Z per block, eta, accepted), the last two per problem.
 
-    A candidate ray is normalized to unit total trace, then checked on the
-    original data:  eta = max_k |sum_b <F_k, Z_b>|  must be below a fixed
-    fraction of  phi = sum_b <F0_b, Z_b> >= 1e-10 (``fit``), and the caller
-    accepts it when eta is also below its tolerance times max(1, |c|_inf).
-    Such a certificate proves there is no feasible point with |x|_1 < phi/eta,
-    so the ratio guard (1e-5) rules out false positives for any problem whose
-    feasible set lives at sane magnitudes.
+    ``user`` holds one ``lmi._Stack`` per block, ``Zs`` one (B, s, s) array
+    per block and c is (B, d).  A candidate is normalized to unit total trace
+    (sum_b trace Z_b = 1) and accepted when phi = sum_b <F0_b, Z_b> >= 1e-10,
+    eta = max_k |sum_b <F_k, Z_b>| <= 1e-5 phi and eta <= ``FEAS_TOL``
+    max(1, |c|_inf); eta is inf where phi fails.  Such a certificate proves
+    there is no feasible point with |x|_1 < phi/eta, so the ratio guard rules
+    out false positives for any problem whose feasible set lives at sane
+    magnitudes.  The test takes Z_b >= 0 as given: the solver's candidates
+    are interior iterates, and any other caller checks it.
     """
-    Zs = [b[:, None, None] * blk.X for blk, b in zip(blocks, beta.T)]
     total = sum(Z.trace(axis1=1, axis2=2) for Z in Zs)
     ok = np.isfinite(total) & (total > 0)
     Zs = [Z / np.where(ok, total, 1.0)[:, None, None] for Z in Zs]
@@ -860,4 +866,5 @@ def _ray_certificate(user, blocks, beta):
         return Zs, np.full(len(ok), np.inf), ok
     Ag = sum(ub.adjoint(Z) for ub, Z in zip(user, Zs))
     eta = np.where(ok, np.abs(Ag).max(axis=1, initial=0.0), np.inf)
-    return Zs, eta, ok & (eta <= 1e-5 * phi)
+    scale = np.maximum(1.0, np.abs(c).max(axis=1, initial=0.0))
+    return Zs, eta, ok & (eta <= 1e-5 * phi) & (eta <= FEAS_TOL * scale)

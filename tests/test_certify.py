@@ -28,10 +28,11 @@ from qbstab.certify import (
 from qbstab import sdp
 from qbstab.cli import main as cli_main
 from qbstab.errors import DimensionError, NotPositiveDefiniteError, SchemaError
+from qbstab.lmi import _Stack as lmi_stack
 from qbstab.lmi import assemble, default_delta, default_mu
 from qbstab.models import scalar_family, shear_flow_9, three_state_qb, two_state
 from qbstab.sdp import check_block_feasibility
-from qbstab.systems import save_system
+from qbstab.systems import save_system, stack
 
 SCALAR = scalar_family(-1.0, 1.0)
 DATA = Path(__file__).parent / "data"
@@ -175,6 +176,79 @@ class TestSweep:
         assert lines[3].startswith("1,1,0.99")
 
 
+def assert_spectral_ray(problem, entry_or_marker):
+    """A point decided without a solve carries a ray that ``sdp.ray_test``
+    accepts on the point's problem, with every block positive semidefinite."""
+    ray = entry_or_marker.ray
+    user = [lmi_stack.of([blk]) for blk in problem.blocks]
+    _, eta, ok = sdp.ray_test(user, [Zb[None] for Zb in ray], problem.c[None])
+    assert ok[0] and eta[0] <= sdp.FEAS_TOL
+    assert all(np.linalg.eigvalsh(Zb)[0] >= 0 for Zb in ray)
+    assert sum(np.trace(Zb) for Zb in ray) == pytest.approx(1.0, rel=1e-14)
+
+
+class TestSpectralScreen:
+    """Analysis points above eps* are decided by the Perron ray without a solve."""
+
+    @pytest.mark.parametrize("eps", [2.5, 3.0, 10.0])
+    def test_scalar_above_bound_is_infeasible(self, eps):
+        # p* = eps (2 - eps) < 0: no P > 0 exists, where the solver's primal
+        # test accepted a P near the floor delta as Optimal
+        out = max_trace(SCALAR, eps, None, "analysis")
+        assert isinstance(out, Infeasible) and out.message.startswith("spectral ray")
+        assert_spectral_ray(assemble(SCALAR, eps, certify.resolve_alpha(SCALAR, None),
+                                     "analysis"), out)
+
+    def test_shear_prescan(self):
+        # Re = 120 pre-scan: every feasible entry is bitwise what solving all
+        # 16 problems gives, and each screened point is one where that solve
+        # ends Infeasible or stalls
+        sys_obj = shear_flow_9(120.0)
+        alpha = certify.resolve_alpha(sys_obj, None)
+        scan = np.geomspace(1e-3, 1.0, SCAN_POINTS)
+        sweep = sweep_epsilon(sys_obj, scan, None, "analysis")
+        problems = [assemble(sys_obj, e, alpha, "analysis") for e in scan]
+        solutions = sdp.solve_many(problems)
+        assert sweep.eps_star == pytest.approx(0.0152184, rel=1e-5)
+        assert sweep.ray_points == 9
+        for e, p, sol, entry in zip(scan, problems, solutions, sweep.entries):
+            if entry.solved:
+                alone = certify._sweep_point(sys_obj, p, sol, e, alpha, "analysis")
+                assert entry_bits(entry) == entry_bits(alone)
+                continue
+            assert e > sweep.eps_star and entry.status == "infeasible"
+            assert sol.status == "Infeasible" or sol.message.startswith("stalled")
+            assert_spectral_ray(p, entry)
+        assert sum(e.feasible for e in sweep.entries) == 6
+
+    def test_repeated_perron_root(self):
+        # ten identical copies repeat the Perron root ten times, and a dense
+        # eigenvector of the repeated root can be indefinite; each point
+        # above eps* is decided by a PSD ray or solved
+        sys_obj = stack(two_state(), 10)
+        alpha = certify.resolve_alpha(sys_obj, None)
+        grid = [0.9, 1.0, 2.0]
+        sweep = sweep_epsilon(sys_obj, grid, None, "analysis")
+        assert all(e > sweep.eps_star for e in grid)
+        for e, entry in zip(grid, sweep.entries):
+            assert entry.status == "infeasible"
+            if not entry.solved:
+                assert_spectral_ray(assemble(sys_obj, e, alpha, "analysis"), entry)
+
+    def test_search_counts(self):
+        # the pre-scan points above eps* take no solve; solves and ray points
+        # together are every point evaluated, discarded probes included
+        res = optimize_epsilon(two_state(), (0.01, 2.0), rel_tol=1e-2)
+        screened = [e for e in res.history if not e.solved]
+        assert res.ray_points == len(screened) == 3
+        assert all(e.epsilon > res.eps_star for e in screened)
+        assert res.solves + res.ray_points > len(res.history)
+
+    def test_synthesis_has_no_window(self):
+        sweep = sweep_epsilon(three_state_qb(), [0.5], None, "synthesis")
+        assert sweep.eps_star is None and sweep.entries[0].solved
+
+
 class TestOptimizeEpsilon:
     def test_scalar_maximizer(self):
         res = optimize_epsilon(SCALAR, (0.1, 2.0), rel_tol=1e-3, alpha=1e-8)
@@ -290,8 +364,10 @@ class TestLookAheadSearch:
         best = max((e for e in reference if e.feasible), key=lambda e: (e.trace_P, -e.epsilon))
         assert res.best.epsilon == best.epsilon
         assert res.best.P.tobytes() == best.certificate.P.tobytes()
-        # the pre-scan, the two first probes, then rounds of at most three
-        assert rounds[:2] == [SCAN_POINTS, 2] and max(rounds[2:]) <= 3
+        # the pre-scan but for the points the spectral ray decides, the two
+        # first probes, then rounds of at most three
+        scanned = sum(e.solved for e in res.history[:SCAN_POINTS])
+        assert rounds[:2] == [scanned, 2] and max(rounds[2:]) <= 3
         assert sum(rounds) == res.solves
         # every round but the last keeps two probes, the last one or two
         assert len(rounds) == 2 + math.ceil((len(res.history) - SCAN_POINTS - 2) / 2)

@@ -158,10 +158,34 @@ class TestAnalyze:
         # the discarded look-ahead probes count as solves, not evaluations
         assert summary["evaluations"] < summary["solves"] <= 2 * summary["evaluations"]
 
+    def test_summary_reports_the_window(self, tmp_path):
+        # analysis grids and searches report eps* and the points its ray
+        # decided without a solve; solves counts only the SDP solves run
+        search, grid = tmp_path / "search", tmp_path / "grid"
+        assert run("analyze", "--zoo", "two-state", "--eps", "search:0.01:2",
+                   "--rel-tol", "1e-2", "--out", str(search)) == 0
+        summary = json.loads((search / "summary.json").read_text())
+        assert summary["eps_star"] == pytest.approx(0.879807, abs=5e-7)
+        assert summary["spectral_ray_points"] == 3
+        assert summary["solves"] + summary["spectral_ray_points"] > summary["evaluations"]
+        assert run("analyze", "--zoo", "two-state", "--eps", "grid:0.4:1.6:3",
+                   "--union-samples", "10000", "--out", str(grid)) == 0
+        summary = json.loads((grid / "summary.json").read_text())
+        assert (summary["spectral_ray_points"], summary["feasible_points"]) == (2, 1)
+        assert summary["eps_star"] == pytest.approx(0.879807, abs=5e-7)
+        synth = tmp_path / "synth"
+        sys_path = tmp_path / "scalar_qb.json"
+        save_system(scalar_family(-1.0, 1.0, b=1.0, d=0.0), sys_path)
+        assert run("synthesize", "--system", str(sys_path), "--eps", "grid:0.5:1:2",
+                   "--union-samples", "10000", "--out", str(synth)) == 0
+        summary = json.loads((synth / "summary.json").read_text())
+        assert "eps_star" not in summary and "spectral_ray_points" not in summary
+
     def test_failed_points_told_apart_from_infeasible(self, tmp_path):
         # at Re = 120 the shear flow has no interior and no improving ray at
-        # eps = 10**-1.6, so that solve stalls; summary.json names the point
-        eps = float(np.geomspace(1e-3, 1.0, 16)[7])
+        # eps = 10**-1.8, just above eps*, where the spectral ray is too weak
+        # to decide it, so that solve stalls; summary.json names the point
+        eps = float(np.geomspace(1e-3, 1.0, 16)[6])
         out = tmp_path / "shear"
         assert run("analyze", "--zoo", "shear-flow-9", "--param", "Re=120",
                    "--eps", f"grid:0.01:{eps!r}:2", "--union-samples", "20000",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -459,6 +461,72 @@ class TestPetersenParts:
             schur = blk[:n, :n] + C @ C.T / eps
             scale = max(1.0, np.abs(lhs).max())
             np.testing.assert_allclose(schur, lhs, rtol=0, atol=1e-10 * scale)
+
+
+class TestSpectralWindow:
+    """T_eps* and its bound eps* = 1/rho(-L^-1 Pi) (``lmi._TStar``)."""
+
+    @pytest.mark.parametrize("a, h, alpha", [(-1.0, 1.0, 1e-6), (-1.0, 1.0, 0.3),
+                                             (-2.5, 0.5, 0.0), (-0.2, 3.0, 0.1)])
+    def test_scalar_closed_form(self, a, h, alpha):
+        # T_eps*(z) = (2 (a + alpha/2) + eps h^2) z vanishes at eps* = 2|a + alpha/2|/h^2
+        window = lmi._TStar(scalar_family(a, h), alpha)
+        assert window.eps_star == pytest.approx(2.0 * abs(a + alpha / 2.0) / h ** 2, rel=1e-13)
+        eps = 3.0 * window.eps_star
+        lam, Z = window.perron(eps)
+        assert lam == pytest.approx(2.0 * (a + alpha / 2.0) + eps * h * h, rel=1e-13)
+        assert Z.tolist() == [[1.0]]
+
+    def test_two_state(self):
+        # Pi(P) = tr(P) g g' with g = (6.9, 2.75), so rho(-L^-1 Pi) = tr X for
+        # Ah X + X Ah' + g g' = 0
+        sys_obj = two_state()
+        alpha = default_alpha(sys_obj)
+        A_hat = sys_obj.A + alpha / 2.0 * np.eye(2)
+        g = np.array([6.9, 2.75])
+        X = scipy.linalg.solve_continuous_lyapunov(A_hat, -np.outer(g, g))
+        eps_star = lmi._EpsFamily(sys_obj, alpha, "analysis").window.eps_star
+        assert eps_star == pytest.approx(1.0 / np.trace(X), rel=1e-12)
+        assert eps_star == pytest.approx(0.879807, abs=5e-7)
+
+    def test_is_the_adjoint_of_the_main_block(self):
+        # <T_eps(P), Z> from the assembled main block's TL corner = <P, T_eps*(Z)>
+        sys_obj, eps, alpha = shear_flow_9(120.0), 0.02, 1e-3
+        rng = np.random.default_rng(5)
+        prob = assemble(sys_obj, eps, alpha, "analysis")
+        window = lmi._TStar(sys_obj, alpha)
+        for _ in range(3):
+            P, Z = (rand_spd(rng, 9) for _ in range(2))
+            TL = (prob.blocks[0].evaluate(prob.layout.pack(P)) - prob.blocks[0].F0)[:9, :9]
+            lhs, rhs = np.sum(TL * Z), np.sum(P * window(Z, eps))
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_resolvent_inverts_the_lyapunov_part(self):
+        sys_obj = shear_flow_9(160.0)
+        window = lmi._TStar(sys_obj, 0.0)
+        R = rand_spd(np.random.default_rng(8), 9)
+        for sigma in (0.0, 0.05, 2.0):
+            Z = window.resolvent(R, sigma)
+            assert np.array_equal(Z, Z.T)
+            back = sigma * Z - (window(Z, 0.0))
+            np.testing.assert_allclose(back, R, rtol=0, atol=1e-11 * np.abs(R).max())
+
+    def test_perron_pair(self):
+        sys_obj = shear_flow_9(120.0)
+        window = lmi._EpsFamily(sys_obj, default_alpha(sys_obj), "analysis").window
+        assert window.eps_star == pytest.approx(0.0152184, rel=1e-5)
+        assert window.perron(window.eps_star) is None
+        lam, Z = window.perron(0.5)
+        assert lam > 0 and np.array_equal(Z, Z.T) and np.linalg.eigvalsh(Z)[0] > 0
+        np.testing.assert_allclose(window(Z, 0.5), lam * Z, rtol=0, atol=1e-14)
+
+    def test_without_bound(self):
+        # H = 0 excludes no eps; an unstable A excludes every eps, and then
+        # no Perron pair is formed
+        assert lmi._TStar(scalar_family(-1.0, 0.0), 0.0).eps_star == math.inf
+        unstable = lmi._TStar(scalar_family(0.5, 1.0), 0.0)
+        assert unstable.eps_star == 0.0 and unstable.perron(1.0) is None
+        assert lmi._EpsFamily(three_state_qb(), 0.0, "synthesis").window is None
 
 
 class TestDeltaNorm:

@@ -263,6 +263,21 @@ class TestInfeasibility:
         assert abs(sum(np.trace(Zb) for Zb in sol.Z) - 1.0) <= 1e-12
         assert sum(float(np.sum(blk.F0 * Zb)) for blk, Zb in zip(prob.blocks, sol.Z)) > 0
 
+    def test_one_acceptance_rule(self):
+        # ray_test, the rule the solver applies, accepts the returned ray at
+        # any scale and normalizes it back; moving the floor block's Z off
+        # the ray breaks <F_k, Z> = 0, and the ray is refused
+        prob = assemble(two_state(), eps=1.0, alpha=1e-5, mode="analysis")
+        sol = solve(prob)
+        user = [_Stack.of([blk]) for blk in prob.blocks]
+        Zs, eta, ok = sdp.ray_test(user, [3.0 * Zb[None] for Zb in sol.Z], prob.c[None])
+        assert ok[0] and eta[0] <= sdp.FEAS_TOL
+        for Z, Zb in zip(Zs, sol.Z):
+            np.testing.assert_allclose(Z[0], Zb, rtol=0, atol=1e-15)
+        moved = [sol.Z[0][None], (sol.Z[1] + 1e-3 * np.eye(2))[None]]
+        _, eta, ok = sdp.ray_test(user, moved, prob.c[None])
+        assert not ok[0] and eta[0] > 1e-4
+
 
 class TestRelaxed:
     @pytest.mark.parametrize("sys_obj, eps, alpha, mode, limits, certifies", [
@@ -272,8 +287,9 @@ class TestRelaxed:
         (SCALAR_SYS, 1.0, 0.01, "analysis", {"MAX_ITERS": 6}, False),
         # the step length collapses at iteration 20; the dual residual is 1.6e-8
         (three_state_qb(), np.linspace(0.01, 14.0, 20)[2], None, "synthesis", {}, True),
-        # stalled, with a duality gap of 7.7e-6
-        (shear_flow_9(120.0), SHEAR_SCAN[7], None, "analysis", {}, False),
+        # stalled, with a duality gap of 3.2e-6: just above eps*, where the
+        # spectral ray is too weak to decide the point without a solve
+        (shear_flow_9(120.0), SHEAR_SCAN[6], None, "analysis", {}, False),
     ], ids=["optimal", "short", "three-state", "stalled"])
     def test_equals_relaxed_re_solve(self, monkeypatch, sys_obj, eps, alpha, mode, limits,
                                      certifies):
@@ -316,7 +332,7 @@ class TestBestIterate:
         # Python's max((1e-9, nan, 1e-9)) is 1e-9: compared by its largest
         # residual, an iterate with a NaN that is not first would become best
         prob = scalar_problem()
-        run = sdp._Run(prob, np.asarray(prob.c, dtype=float))
+        run = sdp._Run(prob)
         Z = [np.zeros_like(blk.F0) for blk in prob.blocks]
         nan_resid = [1e-9, 1e-9, 1e-9]
         nan_resid[where] = np.nan
@@ -588,8 +604,9 @@ class TestSolveMany:
         assert sizes == [3]
 
     def test_group_keeps_to_its_byte_budget(self, monkeypatch):
-        # the 16-point pre-scan of optimize_epsilon runs as two groups of 8.
-        # Its traced peak stays within what ``_group_words`` counts for 8
+        # the 16 problems of the shear-flow pre-scan grid, solved directly
+        # (optimize_epsilon solves only the 7 its spectral ray leaves open), run
+        # as two groups of 8.  Their traced peak stays within what ``_group_words`` counts for 8
         # problems (6.4 MB, against a peak of 6.1 MB), and forming the NT
         # quantities and the Gram rows allocates far less than one B d s^2
         # array (0.93 MB here for the main block) per iteration

@@ -21,6 +21,11 @@ and on its parent and compare the lines.  The sets:
 - ``assembly``      every problem that certify hands to its solves during
                     both grids and the shear-flow search, and the stacked-40
                     problem as ``assemble`` gives it
+- ``eps-window``    the analysis bound eps* and, at every point of a
+                    pre-scan, the spectral ray that decides it without a
+                    solve (or None): the shear flow at Re = 120 and 160 on
+                    geomspace(1e-3, 1, 16), the two-state system on
+                    geomspace(0.005, 2, 16); no SDP is solved
 
 A grid hashes every entry (eps, status, and the certificate's P, K and
 ``solver_report``), the search its best trace and every evaluation alike.
@@ -30,7 +35,7 @@ hashes ``LmiBlock.evaluate`` of every block, ``check_block_feasibility``'s
 lambda_max and ``kkt_residuals`` of the solution a certificate was taken
 from, which after NumericalFailure or IterLimit holds the best iterate.  The
 ``assembly`` set hashes each problem's c and every block's F0, rows and
-vals.  The BLAS thread count is pinned to 1, as the benchmark pins it.
+vals, the ``eps-window`` set each ray's eps, blocks and message.  The BLAS thread count is pinned to 1, as the benchmark pins it.
 """
 
 from __future__ import annotations
@@ -199,6 +204,20 @@ def parity_sets() -> dict:
         sol = sdp.solve(problem)
         return parts + [reference_parts(problem, sol.x, sol)]
 
+    def eps_window():
+        from qbstab.lmi import _EpsFamily
+
+        parts = []
+        for sys_obj, eps in ((shear_flow_9(120.0), np.geomspace(1e-3, 1.0, 16)),
+                             (shear_flow_9(160.0), np.geomspace(1e-3, 1.0, 16)),
+                             (two_state(), np.geomspace(0.005, 2.0, 16))):
+            family = _EpsFamily(sys_obj, default_alpha(sys_obj), "analysis")
+            rays = [certify._spectral_ray(family.window, family.problem(e), e, family.alpha,
+                                          "analysis") for e in eps]
+            parts.append([family.window.eps_star,
+                          [None if r is None else [r.epsilon, r.ray, r.message] for r in rays]])
+        return parts
+
     def assembly():
         problems = []
         for sys_obj, eps, mode in grids:
@@ -214,6 +233,7 @@ def parity_sets() -> dict:
         "stacked-40": lambda: stacked(20, (0.4,), default_alpha(two_state())),
         "reference": reference,
         "assembly": assembly,
+        "eps-window": eps_window,
     }
 
 
