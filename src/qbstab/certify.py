@@ -142,8 +142,10 @@ class Certificate:
     Y and the extracted gain K = Y P^-1, both finite; analysis certificates carry neither.
     ``solver_report`` says how the certificate was obtained: solver status,
     iterations and residuals, whether it is a failed solve's best iterate
-    (``relaxed_retry``, see ``max_trace``), and the ``shape_report`` entries
-    (lambda_min(P)/delta, floor activity, |K|_2).
+    (``relaxed_retry``, see ``max_trace``), the ``shape_report`` entries
+    (lambda_min(P)/delta, floor activity, |K|_2), the order of the system's
+    sign group (``symmetry_order``) and the number of decision variables
+    solved for (``decision_dim``, see ``lmi.DecisionLayout``).
     """
 
     mode: str
@@ -235,11 +237,14 @@ class SweepEntry:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-eps feasibility and trace data for a grid sweep, and for analysis
-    the spectral bound eps* (``lmi._TStar``; None for synthesis)."""
+    """Per-eps feasibility and trace data for a grid sweep, for analysis the
+    spectral bound eps* (``lmi._TStar``; None for synthesis), and the order
+    of the sign group whose fixed slots the problems keep
+    (``lmi.DecisionLayout``)."""
 
     entries: tuple
     eps_star: float | None = None
+    symmetry_order: int = 1
 
     def feasible_entries(self) -> list[SweepEntry]:
         return [e for e in self.entries if e.feasible]
@@ -275,13 +280,14 @@ class EpsilonSearchResult:
     the SDP solves it ran and ``ray_points`` the points the spectral ray
     decided without one, the look-ahead probes it discarded included in
     both; ``eps_star`` is the spectral bound of analysis (None for
-    synthesis)."""
+    synthesis) and ``symmetry_order`` that of ``SweepResult``."""
 
     best: Certificate | None
     history: tuple          # SweepEntry, in evaluation order
     solves: int
     eps_star: float | None = None
     ray_points: int = 0
+    symmetry_order: int = 1
 
     @property
     def feasible(self) -> bool:
@@ -372,6 +378,8 @@ def _outcome(sys, problem, sol: SdpSolution, eps, alpha, mode) -> Certificate | 
         "iters": sol.iters,
         **shape_report(P, K, default_delta(sys)),
         "relaxed_retry": retried,
+        "symmetry_order": problem.layout.group_order,
+        "decision_dim": problem.d,
     }
     return Certificate(mode=mode, P=P, epsilon=eps, alpha=alpha, Y=Y, K=K,
                        solver_report=report)
@@ -423,7 +431,7 @@ def sweep_epsilon(sys: QBSystem, grid, alpha, mode: str) -> SweepResult:
         raise ValueError("eps grid must be strictly increasing")
     family = _EpsFamily(sys, resolve_alpha(sys, alpha), mode)
     return SweepResult(entries=tuple(_sweep_points(sys, family, grid)),
-                       eps_star=_eps_star(family))
+                       eps_star=_eps_star(family), symmetry_order=family.layout.group_order)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -476,8 +484,8 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
     def result(best: Certificate | None) -> EpsilonSearchResult:
         solves = sum(e.solved for e in evaluated)
         return EpsilonSearchResult(best=best, history=tuple(history), solves=solves,
-                                   eps_star=_eps_star(family),
-                                   ray_points=len(evaluated) - solves)
+                                   eps_star=_eps_star(family), ray_points=len(evaluated) - solves,
+                                   symmetry_order=family.layout.group_order)
 
     k = int(np.argmax([value(e) for e in history]))
     if not history[k].feasible:

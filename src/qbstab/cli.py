@@ -268,6 +268,7 @@ def _run_certification(args) -> int:
         summary["feasible_points"] = len(sweep.feasible_entries())
         summary["failed_points"] = _failed_points(sweep.entries)
         summary.update(_window(sweep))
+        summary["symmetry_order"] = sweep.symmetry_order
         best = sweep.best()
         feas_certs = [e.certificate for e in sweep.feasible_entries()]
         summary["floor_active_points"] = sum(c.solver_report["floor_active"] for c in feas_certs)
@@ -283,6 +284,7 @@ def _run_certification(args) -> int:
         summary["solves"] = result.solves
         summary["failed_points"] = _failed_points(result.history)
         summary.update(_window(result))
+        summary["symmetry_order"] = result.symmetry_order
         best = result.best
     else:
         outcome = max_trace(sys_obj, eps_spec, alpha, mode)

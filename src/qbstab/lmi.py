@@ -113,21 +113,43 @@ def unsvec(v: np.ndarray, n: int) -> np.ndarray:
 class DecisionLayout:
     """Mapping of (P, Y) entries into the flat decision vector.
 
-    P occupies the first n_p = n(n+1)/2 slots as svec(P), in ``_svec_index``
-    order; Y (synthesis only) follows row-major, Y[r, c] at n_p + r n + c.
+    The full space holds svec(P), in ``_svec_index`` order, and (synthesis
+    only) Y row-major after it, Y[r, c] at n(n+1)/2 + r n + c.  The vector
+    keeps the full-space ``slots`` (ascending; None, the default, keeps all),
+    those that a sign group of order ``group_order`` fixes in
+    ``_symmetric_layout``.  ``pack`` refuses a nonzero entry in another slot
+    and ``unpack`` puts their zeros back, so (P, Y) keeps its full shape.
     """
 
     n: int
     m: int
     mode: str
+    slots: np.ndarray | None = None
+    group_order: int = 1
 
-    @property
+    @cached_property
+    def p_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, scale) of ``_svec_index`` at the kept P slots."""
+        index = _svec_index(self.n)
+        if self.slots is None:
+            return index
+        return tuple(a[self.slots[self.slots < len(a)]] for a in index)
+
+    @cached_property
+    def y_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(r, c) of the kept Y slots."""
+        if self.slots is None:
+            return np.divmod(np.arange(self.m * self.n), self.n)
+        n_p = self.n * (self.n + 1) // 2
+        return np.divmod(self.slots[self.slots >= n_p] - n_p, self.n)
+
+    @cached_property
     def n_p(self) -> int:
-        return self.n * (self.n + 1) // 2
+        return len(self.p_slots[0])
 
-    @property
+    @cached_property
     def d(self) -> int:
-        return self.n_p + self.m * self.n
+        return self.n_p + len(self.y_slots[0])
 
     def pack(self, P: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
         """Flatten (P, Y) into a decision vector."""
@@ -138,27 +160,33 @@ class DecisionLayout:
             x = np.concatenate([x, np.asarray(Y, dtype=float).reshape(-1)])
         elif Y is not None and np.any(np.asarray(Y)):
             raise DimensionError("analysis layout takes no Y")
-        if x.shape[0] != self.d:
-            raise DimensionError(f"decision vector must have length {self.d}")
-        return x
+        full = self.n * (self.n + 1) // 2 + self.m * self.n
+        if x.shape[0] != full:
+            raise DimensionError(f"decision vector must have length {full}")
+        if self.slots is None:
+            return x
+        if np.any(np.delete(x, self.slots)):
+            raise ValueError("(P, Y) has a nonzero entry outside the layout's slots")
+        return x[self.slots]
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Split a decision vector back into (P, Y)."""
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.shape[0] != self.d:
             raise DimensionError(f"decision vector must have length {self.d}")
-        P = unsvec(x[: self.n_p], self.n)
+        n_p = self.n * (self.n + 1) // 2
+        if self.slots is not None:
+            kept, x = x, np.zeros(n_p + self.m * self.n)
+            x[self.slots] = kept
+        P = unsvec(x[:n_p], self.n)
         if self.mode == "synthesis":
-            Y = x[self.n_p:].reshape(self.m, self.n)
+            Y = x[n_p:].reshape(self.m, self.n)
             return P, Y
         return P, None
 
     def trace_objective(self) -> np.ndarray:
-        """Objective vector c with c'x = trace(P)."""
-        i, j, _ = _svec_index(self.n)
-        c = np.zeros(self.d)
-        c[: self.n_p][i == j] = 1.0
-        return c
+        """Objective vector c with c'x = trace(P): (P, Y) = (I, 0) packed."""
+        return self.pack(np.eye(self.n), np.zeros((self.m, self.n)))
 
 
 def layout(n: int, m: int, mode: str) -> DecisionLayout:
@@ -170,6 +198,72 @@ def layout(n: int, m: int, mode: str) -> DecisionLayout:
     if mode == "synthesis" and m < 1:
         raise DimensionError("synthesis layout requires m >= 1")
     return DecisionLayout(n=n, m=m if mode == "synthesis" else 0, mode=mode)
+
+
+# equations per batch of ``_sign_group``
+_GF2_CHUNK = 1024
+
+
+def _sign_group(sys: QBSystem, mode: str) -> np.ndarray:
+    """Generators (k, n + m) of the exact diagonal sign symmetries of ``sys``,
+    True where one flips a state or (synthesis; m = 0 for analysis) an input.
+
+    x -> S x, u -> T u maps the dynamics onto themselves iff the sign bits
+    solve, over GF(2), s_i + s_j = 0 per nonzero off-diagonal A_ij, s_a + t_r
+    = 0 per nonzero B_ar, s_a + s_b + t_r = 0 per nonzero D_r[a, b] and s_a +
+    s_i + s_j = 0 per nonzero H_{a,ij}.  Elimination takes them in batches, in
+    that order, until the rank is n + m; the null space is the group, of
+    order 2^k (Gatermann & Parrilo, J. Pure Appl. Algebra 2004).
+    """
+    n = sys.n
+    w = n + (sys.m if mode == "synthesis" else 0)
+    nz = sys.A != 0
+    equations = [np.nonzero(np.triu(nz | nz.T, 1))]
+    if w > n:
+        a, r = np.nonzero(sys.B)
+        r_d, a_d, b_d = np.nonzero(np.stack(sys.D))
+        equations += [(a, n + r), (a_d, b_d, n + r_d)]
+    a, ij = np.divmod(np.flatnonzero(sys.H != 0), n * n)
+    equations.append((a, *np.divmod(ij, n)))
+
+    # row p of R is the row of the reduced echelon form led by bit p, zero
+    # where p is no pivot; bits are 0/1 bytes
+    R = np.zeros((w, w), dtype=np.uint8)
+    for terms in equations:
+        for lo in range(0, len(terms[0]), _GF2_CHUNK):
+            if R.trace() == w:
+                break
+            E = np.zeros((min(_GF2_CHUNK, len(terms[0]) - lo), w), dtype=np.uint8)
+            for col in terms:
+                E[np.arange(len(E)), col[lo:lo + _GF2_CHUNK]] ^= 1
+            # adding row p of R clears bit p and no other pivot's bit
+            for p in np.flatnonzero(R.diagonal()):
+                E[E[:, p] == 1] ^= R[p]
+            while (E := E[E.any(axis=1)]).size:
+                row, E = E[0], E[1:]
+                p = int(row.argmax())
+                R[R[:, p] == 1] ^= row
+                E[E[:, p] == 1] ^= row
+                R[p] = row
+    pivots, free = np.flatnonzero(R.diagonal()), np.flatnonzero(R.diagonal() == 0)
+    G = np.eye(w, dtype=bool)[free]
+    # a pivot bit is the sum of the free bits of its row
+    G[:, pivots] = R[pivots][:, free].T == 1
+    return G
+
+
+def _symmetric_layout(sys: QBSystem, mode: str) -> DecisionLayout:
+    """The layout that keeps the slots the sign group of ``sys`` fixes: P[i, j]
+    where each generator flips states i and j alike, Y[r, c] where it flips
+    input r as state c.  The group maps the LMI to congruent ones of the same
+    trace, so its average of an optimum is one that is zero in the other
+    slots (de Klerk, Eur. J. Oper. Res. 2010)."""
+    lay = layout(sys.n, sys.m, mode)
+    G = _sign_group(sys, mode)
+    (i, j, _), (r, c) = lay.p_slots, lay.y_slots
+    kept = ~np.concatenate([G[:, i] ^ G[:, j], G[:, lay.n + r] ^ G[:, c]], axis=1).any(axis=0)
+    slots = None if kept.all() else np.flatnonzero(kept)
+    return DecisionLayout(n=lay.n, m=lay.m, mode=mode, slots=slots, group_order=2 ** len(G))
 
 
 # doubles per temporary chunk (per problem) in ``_congruence`` and ``assemble``
@@ -385,6 +479,11 @@ class SdpProblem:
     def __post_init__(self):
         if any(blk.d != self.layout.d for blk in self.blocks):
             raise ValueError("malformed problem: F stack shape mismatch")
+        c = np.asarray(self.c, dtype=float)
+        if c.shape != (self.layout.d,):
+            raise ValueError(f"malformed problem: c has shape {c.shape}, not ({self.layout.d},)")
+        if not np.isfinite(c).all():
+            raise ValueError("malformed problem: c not finite")
 
     @property
     def d(self) -> int:
@@ -459,20 +558,23 @@ class _EpsFamily:
     sign, so TL is the same at every eps and the template holds it.  The
     arrays that every problem shares (the rows, c and the floor block) are
     read-only, so a write to one raises instead of changing every point.
+    The rows and vals are built for the slots of ``_symmetric_layout`` only
+    (15 of 45 for the shear flow); with a trivial group those are all slots,
+    and the index arrays are ``_svec_index``'s own.
     """
 
     def __init__(self, sys: QBSystem, alpha: float, mode: str, delta: float | None = None):
         if not 0 <= alpha < np.inf:
             raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
-        lay = layout(sys.n, sys.m, mode)
+        lay = _symmetric_layout(sys, mode)
         n, m, d, n_p = sys.n, lay.m, lay.d, lay.n_p
         if delta is None:
             delta = default_delta(sys)
         s = 2 * n if mode == "analysis" else 3 * n
-        i, j, scale = _svec_index(n)
-        # Y[r, c] is x_k with k = n_p + r n + c
-        r, c = np.divmod(np.arange(m * n), n)
-        kp, ky = np.arange(n_p), n_p + np.arange(m * n)
+        # the kept slots: P slot k is E_k, and Y slot k is Y[r, c]
+        i, j, scale = lay.p_slots
+        r, c = lay.y_slots
+        kp, ky = np.arange(n_p), np.arange(n_p, d)
 
         # nonzero rows of the main-block F_k: TL_k = A E_k + E_k A' + eps sum_p
         # (H_p E_k H_p' + D_p E_k D_p') + alpha E_k has its nonzeros in rows i, j
@@ -493,7 +595,7 @@ class _EpsFamily:
             support[ky, c] = support[ky, 2 * n + r] = True
         rows = _padded_rows(support)
         vals = np.zeros(rows.shape + (s,))
-        self._p_template(sys.A, columns, alpha, rows[:n_p], vals[:n_p])
+        self._p_template(sys.A, columns, alpha, lay.p_slots, rows[:n_p], vals[:n_p])
         # flat indices into vals of F_k[rows[t], rows[u]], t > u, below the
         # diagonal of F_k[rows, rows] of a P slot k, and of its mirror
         # F_k[rows[u], rows[t]] above it
@@ -537,15 +639,16 @@ class _EpsFamily:
         for a in (self._rows, self.c, self.floor.F0, self.floor.rows, self.floor.vals):
             a.flags.writeable = False
 
-    def _p_template(self, A: np.ndarray, columns: list, alpha: float, rows: np.ndarray,
-                    vals: np.ndarray) -> None:
-        """Write the eps-free part of the main-block F_k of the P slots into
-        ``vals`` (n_p, r, s), rows ``rows`` (n_p, r): TL_k in the top-left
-        n-by-n corner, E_k in the two off-diagonal P corners; keep the parts
-        of TL at the entries that depend on eps.  Each entry of ``columns``
-        holds the M_p of one eps-weighted Gram sum as Mc[i, a, p] = M_p[a, i]."""
+    def _p_template(self, A: np.ndarray, columns: list, alpha: float, slots: tuple,
+                    rows: np.ndarray, vals: np.ndarray) -> None:
+        """Write the eps-free part of the main-block F_k of the P slots
+        ``slots`` (i, j, scale) into ``vals`` (n_p, r, s), rows ``rows``
+        (n_p, r): TL_k in the top-left n-by-n corner, E_k in the two
+        off-diagonal P corners; keep the parts of TL at the entries that
+        depend on eps.  Each entry of ``columns`` holds the M_p of one
+        eps-weighted Gram sum as Mc[i, a, p] = M_p[a, i]."""
         n = A.shape[0]
-        i, j, scale = _svec_index(n)
+        i, j, scale = slots
         q = 1.0 / scale
         r, s = vals.shape[1:]
         live, parts = [], []
@@ -619,7 +722,8 @@ def assemble(sys: QBSystem, eps: float, alpha: float, mode: str,
     mu = ``default_mu`` (delta defaults to ``default_delta``).  The
     objective maximizes trace(P).  Both blocks are emitted row-compressed:
     the nonzero rows of each F_k follow from the sparsity of A, B, D and the
-    blocks of H, so no dense F stack is built.
+    blocks of H, so no dense F stack is built.  x holds the slots of (P, Y)
+    that the sign symmetries of ``sys`` fix (``_symmetric_layout``).
 
     This is the one-point case of ``_EpsFamily``, which builds once per
     (sys, alpha, mode, delta) the layout, the rows of both blocks, the floor

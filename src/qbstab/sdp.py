@@ -99,12 +99,12 @@ GRAM_MAX = 10_000
 W_MIN_SPARSITY = 32
 # bytes of working arrays that the problems of one lockstep group may hold
 # together (``_group_words``): the 20-point two-state and three-state grids run
-# as one group, 16 shear-flow problems (d = 45) as two groups of 8, and
-# stacked n = 40 problems (d = 820) one at a time.  The 16 problems of the
-# shear-flow pre-scan grid have a traced peak of 12.1 MB in one group of 16,
-# 6.1 MB in groups of 8 and 0.9 MB one problem at a time, and took 0.28, 0.36
-# and 0.96 s of process time; the search itself solves only the 7 that the
-# spectral ray leaves open (``certify._spectral_ray``), in one group
+# as one group, and stacked n = 40 problems (d = 820) one at a time.  The 16
+# problems of the shear-flow pre-scan grid run as one group too, at the d = 15
+# of the slots its sign group fixes (a traced peak of 4.7 MB, 0.16 s of
+# process time); at d = 45, with the symmetry broken, they run as two groups
+# of 8 (5.8 MB, 0.24 s).  The search itself solves only the 7 that the
+# spectral ray leaves open (``certify._spectral_ray``)
 GROUP_BYTES = 1 << 23
 # the termination tests of the module docstring
 FEAS_TOL = 1e-8

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qbstab.models import three_state_qb, two_state
+from qbstab.models import shear_flow_9, three_state_qb, two_state
 from qbstab.certify import sweep_epsilon
+from qbstab.systems import QBSystem
 
 TWO_STATE_GRID = np.linspace(0.01, 0.8, 20)
 THREE_STATE_GRID = np.linspace(0.01, 14.0, 20)
@@ -18,6 +19,16 @@ def two_state_sweep():
 def three_state_sweep():
     """20-point uniform synthesis sweep of the 3-state benchmark (shared)."""
     return sweep_epsilon(three_state_qb(), THREE_STATE_GRID, None, "synthesis")
+
+
+def asymmetric_shear_flow(Re: float) -> QBSystem:
+    """The shear flow with A[0, 1] and A[0, 3] set to 1e-3.  Each entry breaks
+    two of the three sign flips of its group of order 4, and together they
+    break all three, so its problems keep all 45 svec slots of P."""
+    sys_obj = shear_flow_9(Re)
+    A = sys_obj.A.copy()
+    A[0, 1] = A[0, 3] = 1e-3
+    return QBSystem(A=A, H=sys_obj.H)
 
 
 def criterion_line(tag: str, ok: bool, detail: str) -> None:

@@ -181,6 +181,26 @@ class TestAnalyze:
         summary = json.loads((synth / "summary.json").read_text())
         assert "eps_star" not in summary and "spectral_ray_points" not in summary
 
+    def test_summary_reports_the_sign_group(self, tmp_path):
+        # the shear flow's group of order 4 leaves 15 of P's 45 svec slots;
+        # the certificate's P keeps its full 9-by-9 shape, block-diagonal
+        out = tmp_path / "shear"
+        assert run("analyze", "--zoo", "shear-flow-9", "--param", "Re=120",
+                   "--eps", "grid:0.002:0.004:2", "--union-samples", "20000",
+                   "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["symmetry_order"] == 4
+        report = summary["best"]["solver_report"]
+        assert (report["symmetry_order"], report["decision_dim"]) == (4, 15)
+        P = np.array(json.loads((out / "certificate.json").read_text())["P"])
+        assert P.shape == (9, 9) and P[0, 1] == P[1, 3] == 0.0 and P[1, 2] != 0.0
+        two = tmp_path / "two"
+        assert run("analyze", "--zoo", "two-state", "--eps", "search:0.1:0.5",
+                   "--rel-tol", "1e-1", "--out", str(two)) == 0
+        summary = json.loads((two / "summary.json").read_text())
+        assert summary["symmetry_order"] == 1
+        assert summary["best"]["solver_report"]["decision_dim"] == 3
+
     def test_failed_points_told_apart_from_infeasible(self, tmp_path):
         # at Re = 120 the shear flow has no interior and no improving ray at
         # eps = 10**-1.8, just above eps*, where the spectral ray is too weak

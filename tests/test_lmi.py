@@ -29,6 +29,8 @@ from qbstab.models import (
 )
 from qbstab.systems import QBSystem, stack, symmetrize_quadratic
 
+from conftest import asymmetric_shear_flow
+
 from dense_lmi import block_from_dense, dense_stack, svec_basis
 
 
@@ -489,17 +491,31 @@ class TestSpectralWindow:
         assert eps_star == pytest.approx(1.0 / np.trace(X), rel=1e-12)
         assert eps_star == pytest.approx(0.879807, abs=5e-7)
 
-    def test_is_the_adjoint_of_the_main_block(self):
-        # <T_eps(P), Z> from the assembled main block's TL corner = <P, T_eps*(Z)>
-        sys_obj, eps, alpha = shear_flow_9(120.0), 0.02, 1e-3
+    @staticmethod
+    def assert_adjoint(sys_obj, d):
+        # <T_eps(P), Z> from the assembled main block's TL corner = <P, T_eps*(Z)>,
+        # at P zero outside the slots that the layout keeps
+        eps, alpha = 0.02, 1e-3
         rng = np.random.default_rng(5)
         prob = assemble(sys_obj, eps, alpha, "analysis")
+        assert prob.d == d
         window = lmi._TStar(sys_obj, alpha)
         for _ in range(3):
             P, Z = (rand_spd(rng, 9) for _ in range(2))
+            slots = slice(None) if prob.layout.slots is None else prob.layout.slots
+            # P with its entries outside the slots zeroed is still > 0
+            P = prob.layout.unpack(svec(P)[slots])[0]
             TL = (prob.blocks[0].evaluate(prob.layout.pack(P)) - prob.blocks[0].F0)[:9, :9]
             lhs, rhs = np.sum(TL * Z), np.sum(P * window(Z, eps))
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_is_the_adjoint_of_the_main_block(self):
+        # every svec slot: the shear flow with its sign symmetry broken
+        self.assert_adjoint(asymmetric_shear_flow(120.0), 45)
+
+    def test_is_the_adjoint_on_the_fixed_slots(self):
+        # the 15 slots that the shear flow's sign group fixes
+        self.assert_adjoint(shear_flow_9(120.0), 15)
 
     def test_resolvent_inverts_the_lyapunov_part(self):
         sys_obj = shear_flow_9(160.0)

@@ -28,6 +28,7 @@ from qbstab.sdp import (
 )
 from qbstab.systems import QBSystem, stack, symmetrize_quadratic
 
+from conftest import asymmetric_shear_flow
 from dense_lmi import block_from_dense, dense_stack, svec_basis
 
 
@@ -226,12 +227,20 @@ class TestStall:
         assert sol.history == full.history[:len(sol.history)]
         assert sol.x.tobytes() == full.x.tobytes()
 
-    def test_collapsing_ray_still_certifies(self):
-        # tau collapses at iteration 32 here, and the ray is accepted at the next
+    def test_collapsing_ray_still_certifies(self, monkeypatch):
+        # tau collapses at iteration 32 here, and the ray is accepted in the
+        # same iteration (a report of None: tau has collapsed)
         prob = shear_problem(SHEAR_SCAN[8])
+        collapsed, check = [], sdp._Run.check
+
+        def recording(run, it, ray_q, ray_Z, report):
+            collapsed.append(report is None)
+            return check(run, it, ray_q, ray_Z, report)
+
+        monkeypatch.setattr(sdp._Run, "check", recording)
         sol = solve(prob)
         assert sol.status == "Infeasible"
-        assert sol.iters == 33
+        assert sol.iters == 32 and collapsed[-1] and not any(collapsed[:-1])
         _assert_ray_valid(prob, sol.Z)
 
     def test_stagnant_ray(self):
@@ -551,8 +560,12 @@ class TestSolveMany:
         with pytest.raises(ValueError, match="one shape"):
             sdp.solve_many([assemble(two, 0.3, 0.0, "analysis"),
                             assemble(three, 0.3, 0.0, "analysis")])
-        # same d and block sizes, another sparsity pattern
-        diagonal = QBSystem(A=-np.eye(3), H=np.zeros((3, 9)))
+        # same d and block sizes, another sparsity pattern: x_a x_p in row a
+        # only for (a, p) = (0, 1), (1, 2), (2, 0) fixes every sign, so all
+        # six svec slots stay, and no F_k reaches past rows i, j, n + i, n + j
+        H = np.zeros((3, 9))
+        H[[0, 1, 2], [3, 7, 2]] = 1.0
+        diagonal = QBSystem(A=-np.eye(3), H=H)
         a, b = assemble(three, 0.3, 0.0, "analysis"), assemble(diagonal, 0.3, 0.0, "analysis")
         assert [x.size for x in a.blocks] == [x.size for x in b.blocks] and a.d == b.d
         assert not all(np.array_equal(x.rows, y.rows) for x, y in zip(a.blocks, b.blocks))
@@ -604,13 +617,14 @@ class TestSolveMany:
         assert sizes == [3]
 
     def test_group_keeps_to_its_byte_budget(self, monkeypatch):
-        # the 16 problems of the shear-flow pre-scan grid, solved directly
-        # (optimize_epsilon solves only the 7 its spectral ray leaves open), run
-        # as two groups of 8.  Their traced peak stays within what ``_group_words`` counts for 8
-        # problems (6.4 MB, against a peak of 6.1 MB), and forming the NT
-        # quantities and the Gram rows allocates far less than one B d s^2
-        # array (0.93 MB here for the main block) per iteration
-        problems = [shear_problem(e) for e in SHEAR_SCAN]
+        # the 16 problems of the pre-scan grid of the shear flow with its sign
+        # symmetry broken (d = 45; the symmetric flow's d = 15 problems fit in
+        # one group), solved directly, run as two groups of 8.  Their traced
+        # peak stays within what ``_group_words`` counts for 8 problems, and
+        # forming the NT quantities and the Gram rows allocates far less than
+        # one B d s^2 array (0.93 MB here for the main block) per iteration
+        s = asymmetric_shear_flow(120.0)
+        problems = [assemble(s, e, default_alpha(s), "analysis") for e in SHEAR_SCAN]
         sizes, peak, transient = [], [0], [0]
         group, set_scaling = sdp._Group, sdp._Block.set_scaling
 

@@ -5,11 +5,12 @@
 qbstab is imported from SRC, by default this checkout's ``src/``, so that
 the same tool measures a change and its parent.  The cases:
 
-- ``shear B=1``  one shear-flow solve, Re = 120 at eps = 0.0035 (d = 45,
-                 blocks of size 18 and 9 and the objective cap)
+- ``shear B=1``  one shear-flow solve, Re = 120 at eps = 0.0035 (d = 15,
+                 the svec slots its sign group fixes; blocks of size 18
+                 and 9 and the objective cap)
 - ``shear B=3``  eps = 0.0030, 0.0035 and 0.0040 in lockstep, as in a
                  refinement round of ``optimize_epsilon``
-- ``shear B=8``  the first lockstep group of its 16-point pre-scan
+- ``shear B=8``  the first 8 points of its 16-point pre-scan, in lockstep
 - ``two-state``  the 20-point two-state analysis grid (d = 3), one group
 
 ``--quick`` runs the first case only, with fewer repeats.  Each case is

@@ -28,14 +28,17 @@ and on its parent and compare the lines.  The sets:
                     geomspace(0.005, 2, 16); no SDP is solved
 
 A grid hashes every entry (eps, status, and the certificate's P, K and
-``solver_report``), the search its best trace and every evaluation alike.
+``solver_report`` but its ``LAYOUT_KEYS``), the search its best trace and
+every evaluation alike.
 Every set hashes each solve it runs: status, iterations, message, history,
 residuals, objective, and the bytes of x and Z.  The ``reference`` set
 hashes ``LmiBlock.evaluate`` of every block, ``check_block_feasibility``'s
 lambda_max and ``kkt_residuals`` of the solution a certificate was taken
 from, which after NumericalFailure or IterLimit holds the best iterate.  The
-``assembly`` set hashes each problem's c and every block's F0, rows and
-vals, the ``eps-window`` set each ray's eps, blocks and message.  The BLAS thread count is pinned to 1, as the benchmark pins it.
+``assembly`` set hashes each problem's c, every block's F0, rows and vals
+and its layout (the kept slots and the order of the sign group), the
+``eps-window`` set each ray's eps, blocks and message.  The BLAS thread
+count is pinned to 1, as the benchmark pins it.
 """
 
 from __future__ import annotations
@@ -98,11 +101,19 @@ def solution_parts(sol) -> list:
             [np.asarray(Z) for Z in sol.Z]]
 
 
+# the keys of a certificate's ``solver_report`` that state its problem's
+# layout, which ``problem_parts`` hashes, and not what the solve did
+LAYOUT_KEYS = ("symmetry_order", "decision_dim")
+
+
 def entry_parts(entry) -> list:
-    """What a ``SweepEntry`` contributes: eps, status and its certificate."""
+    """What a ``SweepEntry`` contributes: eps, status and its certificate,
+    whose ``solver_report`` without the ``LAYOUT_KEYS``."""
     cert = entry.certificate
-    return [entry.epsilon, entry.status,
-            None if cert is None else [cert.P, cert.K, cert.solver_report]]
+    if cert is None:
+        return [entry.epsilon, entry.status, None]
+    report = {k: v for k, v in cert.solver_report.items() if k not in LAYOUT_KEYS}
+    return [entry.epsilon, entry.status, [cert.P, cert.K, report]]
 
 
 def grid_parts(sweep, solutions) -> list:
@@ -134,8 +145,12 @@ def certificate_parts(sys_obj, mode, sweep, solutions) -> list:
 
 
 def problem_parts(problem) -> list:
-    """What an ``SdpProblem`` contributes: c and every block's F0, rows and vals."""
-    return [problem.c, [[blk.F0, blk.rows, blk.vals] for blk in problem.blocks]]
+    """What an ``SdpProblem`` contributes: c, every block's F0, rows and
+    vals, and its layout's kept slots and group order (None and 1, every
+    slot kept, in a tree whose layouts have neither)."""
+    lay = problem.layout
+    return [problem.c, [[blk.F0, blk.rows, blk.vals] for blk in problem.blocks],
+            getattr(lay, "slots", None), getattr(lay, "group_order", 1)]
 
 
 def recording(fn, problems: list | None = None):
