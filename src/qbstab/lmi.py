@@ -115,8 +115,8 @@ class DecisionLayout:
 
     The full space holds svec(P), in ``_svec_index`` order, and (synthesis
     only) Y row-major after it, Y[r, c] at n(n+1)/2 + r n + c.  The vector
-    keeps the full-space ``slots`` (ascending; None, the default, keeps all),
-    those that a sign group of order ``group_order`` fixes in
+    keeps the full-space ``slots`` (ascending; the default, None, is stored as
+    every slot), those that a sign group of order ``group_order`` fixes in
     ``_symmetric_layout``.  ``pack`` refuses a nonzero entry in another slot
     and ``unpack`` puts their zeros back, so (P, Y) keeps its full shape.
     """
@@ -124,24 +124,32 @@ class DecisionLayout:
     n: int
     m: int
     mode: str
-    slots: np.ndarray | None = None
+    slots: tuple[int, ...] | None = None
     group_order: int = 1
+
+    def __post_init__(self):
+        if self.slots is None:
+            object.__setattr__(self, "slots", tuple(range(self._full)))
+
+    @property
+    def _full(self) -> int:
+        return self.n * (self.n + 1) // 2 + self.m * self.n
+
+    @cached_property
+    def _index(self) -> np.ndarray:
+        return np.array(self.slots, dtype=np.intp)
 
     @cached_property
     def p_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(i, j, scale) of ``_svec_index`` at the kept P slots."""
         index = _svec_index(self.n)
-        if self.slots is None:
-            return index
-        return tuple(a[self.slots[self.slots < len(a)]] for a in index)
+        return tuple(a[self._index[self._index < len(a)]] for a in index)
 
     @cached_property
     def y_slots(self) -> tuple[np.ndarray, np.ndarray]:
         """(r, c) of the kept Y slots."""
-        if self.slots is None:
-            return np.divmod(np.arange(self.m * self.n), self.n)
         n_p = self.n * (self.n + 1) // 2
-        return np.divmod(self.slots[self.slots >= n_p] - n_p, self.n)
+        return np.divmod(self._index[self._index >= n_p] - n_p, self.n)
 
     @cached_property
     def n_p(self) -> int:
@@ -149,7 +157,7 @@ class DecisionLayout:
 
     @cached_property
     def d(self) -> int:
-        return self.n_p + len(self.y_slots[0])
+        return len(self.slots)
 
     def pack(self, P: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
         """Flatten (P, Y) into a decision vector."""
@@ -160,27 +168,23 @@ class DecisionLayout:
             x = np.concatenate([x, np.asarray(Y, dtype=float).reshape(-1)])
         elif Y is not None and np.any(np.asarray(Y)):
             raise DimensionError("analysis layout takes no Y")
-        full = self.n * (self.n + 1) // 2 + self.m * self.n
-        if x.shape[0] != full:
-            raise DimensionError(f"decision vector must have length {full}")
-        if self.slots is None:
-            return x
-        if np.any(np.delete(x, self.slots)):
+        if x.shape[0] != self._full:
+            raise DimensionError(f"decision vector must have length {self._full}")
+        if np.any(np.delete(x, self._index)):
             raise ValueError("(P, Y) has a nonzero entry outside the layout's slots")
-        return x[self.slots]
+        return x[self._index]
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Split a decision vector back into (P, Y)."""
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.shape[0] != self.d:
             raise DimensionError(f"decision vector must have length {self.d}")
+        full = np.zeros(self._full)
+        full[self._index] = x
         n_p = self.n * (self.n + 1) // 2
-        if self.slots is not None:
-            kept, x = x, np.zeros(n_p + self.m * self.n)
-            x[self.slots] = kept
-        P = unsvec(x[:n_p], self.n)
+        P = unsvec(full[:n_p], self.n)
         if self.mode == "synthesis":
-            Y = x[n_p:].reshape(self.m, self.n)
+            Y = full[n_p:].reshape(self.m, self.n)
             return P, Y
         return P, None
 
@@ -262,8 +266,8 @@ def _symmetric_layout(sys: QBSystem, mode: str) -> DecisionLayout:
     G = _sign_group(sys, mode)
     (i, j, _), (r, c) = lay.p_slots, lay.y_slots
     kept = ~np.concatenate([G[:, i] ^ G[:, j], G[:, lay.n + r] ^ G[:, c]], axis=1).any(axis=0)
-    slots = None if kept.all() else np.flatnonzero(kept)
-    return DecisionLayout(n=lay.n, m=lay.m, mode=mode, slots=slots, group_order=2 ** len(G))
+    return DecisionLayout(n=lay.n, m=lay.m, mode=mode, slots=tuple(np.flatnonzero(kept).tolist()),
+                          group_order=2 ** len(G))
 
 
 # doubles per temporary chunk (per problem) in ``_congruence`` and ``assemble``

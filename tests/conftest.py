@@ -31,6 +31,18 @@ def asymmetric_shear_flow(Re: float) -> QBSystem:
     return QBSystem(A=A, H=sys_obj.H)
 
 
+def two_input_shear_flow(Re: float = 120.0) -> QBSystem:
+    """The shear flow with two inputs, each with the signs of the states it
+    drives, so its group keeps order 4 in synthesis too."""
+    sys_obj = shear_flow_9(Re)
+    B = np.zeros((9, 2))
+    B[0, 0], B[8, 0], B[1, 1] = 1.0, 0.5, 1.0
+    D = [np.zeros((9, 9)), np.zeros((9, 9))]
+    D[0][0, 8] = 0.3
+    D[1][1, 0] = 0.2  # s_2 = s_1 t_2, so t_2 = s_2
+    return QBSystem(A=sys_obj.A, H=sys_obj.H, B=B, D=D)
+
+
 def criterion_line(tag: str, ok: bool, detail: str) -> None:
     """One visible pass/fail line per acceptance criterion (run with -s)."""
     print(f"\n[{'PASS' if ok else 'FAIL'}] {tag}: {detail}")

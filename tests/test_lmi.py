@@ -29,7 +29,7 @@ from qbstab.models import (
 )
 from qbstab.systems import QBSystem, stack, symmetrize_quadratic
 
-from conftest import asymmetric_shear_flow
+from conftest import asymmetric_shear_flow, two_input_shear_flow
 
 from dense_lmi import block_from_dense, dense_stack, svec_basis
 
@@ -189,25 +189,28 @@ class TestAssemble:
         np.testing.assert_allclose(ms[2 * n:, 2 * n:], -eps * np.eye(n), atol=1e-15)
         np.testing.assert_allclose(ms[: 2 * n, 2 * n:], 0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("make", [three_state_qb, lambda: stack(three_state_qb(), 2)])
+    @pytest.mark.parametrize("make", [three_state_qb, lambda: stack(three_state_qb(), 2),
+                                      two_input_shear_flow])
     def test_y_slots_match_loop_reference(self, make):
-        # per-entry loop: B Y + Y' B' in TL, Y' in the Ypad' slot, -Y in the floor block
+        # per-entry loop: B Y + Y' B' in TL, Y' in the Ypad' slot, -Y in the
+        # floor block, at the Y slots that the layout keeps
         s = make()
         n, m = s.n, s.m
-        n_p = n * (n + 1) // 2
         prob = assemble(s, 0.5, 1e-6, "synthesis")
+        lay = prob.layout
+        r_kept, c_kept = lay.y_slots
+        # the shear flow keeps Y[0, c] for c in {1, 9} and Y[1, c] for c in {2, 3}
+        assert len(r_kept) == (4 if n == 9 else m * n)
         F_main, F_floor = (dense_stack(blk) for blk in prob.blocks)
-        for r in range(m):
-            for c in range(n):
-                k = n_p + r * n + c
-                eBc = np.outer(s.B[:, r], np.eye(n)[c])
-                main = np.zeros((3 * n, 3 * n))
-                main[:n, :n] = eBc + eBc.T
-                main[c, 2 * n + r] = main[2 * n + r, c] = 1.0
-                floor = np.zeros((m + n, m + n))
-                floor[r, m + c] = floor[m + c, r] = -1.0
-                np.testing.assert_array_equal(F_main[k], main)
-                np.testing.assert_array_equal(F_floor[k], floor)
+        for k, r, c in zip(range(lay.n_p, lay.d), r_kept, c_kept, strict=True):
+            eBc = np.outer(s.B[:, r], np.eye(n)[c])
+            main = np.zeros((3 * n, 3 * n))
+            main[:n, :n] = eBc + eBc.T
+            main[c, 2 * n + r] = main[2 * n + r, c] = 1.0
+            floor = np.zeros((m + n, m + n))
+            floor[r, m + c] = floor[m + c, r] = -1.0
+            np.testing.assert_array_equal(F_main[k], main)
+            np.testing.assert_array_equal(F_floor[k], floor)
 
 
 def dense_reference(sys, eps, alpha, mode):
@@ -267,13 +270,17 @@ class TestDenseReference:
         (lambda: rand_system(np.random.default_rng(40), 4), "analysis"),
         (lambda: rand_system(np.random.default_rng(41), 4, m=1), "synthesis"),
         (lambda: rand_system(np.random.default_rng(42), 5, m=2), "synthesis"),
+        (lambda: shear_flow_9(120.0), "analysis"),
+        (two_input_shear_flow, "synthesis"),
     ])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_blocks_equal_dense_stacks(self, make, mode, alpha, monkeypatch):
+        # a sign-symmetric system against the dense stacks at its kept slots
         s = make()
         prob = assemble(s, 0.7, alpha, mode)
         F, Ff = dense_reference(s, 0.7, alpha, mode)
-        for blk, ref in zip(prob.blocks, (F, Ff)):
+        for blk, full in zip(prob.blocks, (F, Ff)):
+            ref = full[list(prob.layout.slots)]
             dense = dense_stack(blk)
             np.testing.assert_array_equal(dense != 0, ref != 0)
             np.testing.assert_allclose(dense, ref, rtol=0, atol=4e-16 * np.abs(ref).max())
@@ -502,9 +509,8 @@ class TestSpectralWindow:
         window = lmi._TStar(sys_obj, alpha)
         for _ in range(3):
             P, Z = (rand_spd(rng, 9) for _ in range(2))
-            slots = slice(None) if prob.layout.slots is None else prob.layout.slots
             # P with its entries outside the slots zeroed is still > 0
-            P = prob.layout.unpack(svec(P)[slots])[0]
+            P = prob.layout.unpack(svec(P)[list(prob.layout.slots)])[0]
             TL = (prob.blocks[0].evaluate(prob.layout.pack(P)) - prob.blocks[0].F0)[:9, :9]
             lhs, rhs = np.sum(TL * Z), np.sum(P * window(Z, eps))
             assert lhs == pytest.approx(rhs, rel=1e-12)

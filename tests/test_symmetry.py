@@ -17,6 +17,8 @@ from qbstab.lmi import SdpProblem, assemble, layout, svec
 from qbstab.models import shear_flow_9, three_state_qb, two_state
 from qbstab.systems import QBSystem, stack
 
+from conftest import two_input_shear_flow
+
 
 def is_symmetry(sys_obj: QBSystem, signs: np.ndarray) -> bool:
     """Whether x -> S x, u -> T u maps the dynamics onto themselves, bit for
@@ -101,7 +103,7 @@ class TestGroup:
         assert np.all(P[mask] != 0) and not P[~mask].any()
 
     def test_trivial_groups(self):
-        # and a trivial group keeps ``_svec_index``'s own arrays: no gather
+        # a trivial group keeps every slot, in ``_svec_index`` order
         rng = np.random.default_rng(3)
         dense = QBSystem(A=rng.standard_normal((30, 30)) - 10 * np.eye(30),
                          H=rng.standard_normal((30, 900)))
@@ -110,8 +112,10 @@ class TestGroup:
         for sys_obj, mode in cases + [(three_state_qb(), "synthesis")]:
             assert len(lmi._sign_group(sys_obj, mode)) == 0
             lay = lmi._symmetric_layout(sys_obj, mode)
-            assert lay.slots is None and lay.group_order == 1
-            assert lay.p_slots is lmi._svec_index(sys_obj.n)
+            assert lay.slots == tuple(range(lay.d)) and lay.group_order == 1
+            assert lay == layout(sys_obj.n, sys_obj.m, mode)
+            for got, want in zip(lay.p_slots, lmi._svec_index(sys_obj.n)):
+                assert np.array_equal(got, want)
 
     def test_detection_time(self):
         # n = 80 stacked and a dense n = 30 system: 1.7 ms each on a 2-core
@@ -152,7 +156,7 @@ class TestLayout:
 
     def test_default_layout_keeps_every_slot(self):
         lay = layout(3, 1, "synthesis")
-        assert (lay.slots, lay.group_order, lay.d) == (None, 1, 9)
+        assert (lay.slots, lay.group_order, lay.d) == (tuple(range(9)), 1, 9)
         P = np.arange(9.0).reshape(3, 3)
         P = P + P.T
         x = lay.pack(P, np.ones((1, 3)))
@@ -201,14 +205,7 @@ class TestReducedAgreesWithFull:
         assert reduced.best.trace_P == pytest.approx(full.best.trace_P, rel=1e-9)
 
     def test_synthesis(self, monkeypatch):
-        # two shear-flow inputs, each with the signs of the states it drives
-        sys_obj = shear_flow_9(120.0)
-        B = np.zeros((9, 2))
-        B[0, 0], B[8, 0], B[1, 1] = 1.0, 0.5, 1.0
-        D = [np.zeros((9, 9)), np.zeros((9, 9))]
-        D[0][0, 8] = 0.3
-        D[1][1, 0] = 0.2  # s_2 = s_1 t_2, so t_2 = s_2
-        sys_obj = QBSystem(A=sys_obj.A, H=sys_obj.H, B=B, D=D)
+        sys_obj = two_input_shear_flow(120.0)
         reduced = max_trace(sys_obj, 0.003, None, "synthesis")
         trivial_group(monkeypatch)
         full = max_trace(sys_obj, 0.003, None, "synthesis")

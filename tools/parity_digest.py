@@ -146,11 +146,12 @@ def certificate_parts(sys_obj, mode, sweep, solutions) -> list:
 
 def problem_parts(problem) -> list:
     """What an ``SdpProblem`` contributes: c, every block's F0, rows and
-    vals, and its layout's kept slots and group order (None and 1, every
-    slot kept, in a tree whose layouts have neither)."""
+    vals, and its layout's kept slots and group order (every slot and 1 in
+    a tree whose layouts have neither)."""
     lay = problem.layout
+    slots = np.asarray(getattr(lay, "slots", range(lay.d)), dtype=np.int64)
     return [problem.c, [[blk.F0, blk.rows, blk.vals] for blk in problem.blocks],
-            getattr(lay, "slots", None), getattr(lay, "group_order", 1)]
+            slots, getattr(lay, "group_order", 1)]
 
 
 def recording(fn, problems: list | None = None):
