@@ -291,6 +291,13 @@ def _gram_words(d: int, r: int, s: int) -> int:
     return _chunk_rows(d, s, s) * (s * s + max(2 * r * s, s * (s + 1) // 2))
 
 
+def _w_words(d: int, r: int, s: int) -> int:
+    """Doubles of the work array of ``_Stack.w_share``, which takes one problem
+    at a time: a congruence chunk, whose factors the chunk's transpose and its
+    product with the rows of F then overwrite."""
+    return _chunk_rows(d, s, s) * (s * s + max(2 * r * s, s * s + d))
+
+
 def _congruence(rows: np.ndarray, vals: np.ndarray, L: np.ndarray, R: np.ndarray,
                 work: np.ndarray):
     """Yield (ks, L F_k R for k in ks) over slices ks of range(d), each of about
@@ -413,7 +420,11 @@ class _Stack:
 
     @classmethod
     def of(cls, blocks) -> _Stack:
-        """The stack of same-shape ``LmiBlock``s, one per problem."""
+        """The stack of same-shape ``LmiBlock``s, one per problem.  A single
+        block's data are viewed, not copied: a large problem solves alone,
+        and its stack would otherwise double the memory its data take."""
+        if len(blocks) == 1:
+            return cls(blocks[0].F0[None], blocks[0].rows, blocks[0].vals[None])
         return cls(np.stack([blk.F0 for blk in blocks]), blocks[0].rows,
                    np.stack([blk.vals for blk in blocks]))
 
@@ -461,15 +472,34 @@ class _Stack:
             GFG.reshape(B, n, s * s).take(flat, axis=-1, out=T, mode="clip")
             np.multiply(T, scale, out=out[:, ks])
 
-    def w_share(self, W: np.ndarray) -> np.ndarray:
-        """(<F_k, W F_l W>)_kl per problem, W (B, s, s) -> (B, d, d), one problem at a time."""
-        _, d, r, s = self.vals.shape
-        share = np.empty((len(W), d, d))
-        work = np.empty(_congruence_words(d, r, s, s))
-        for csr, vals, Wp, out in zip(self.csr, self.vals, W, share):
+    def w_share(self, W: np.ndarray, out: np.ndarray, work: np.ndarray, add: bool = False) -> None:
+        """Write (<F_k, W F_l W>)_kl per problem into out, or add it with
+        ``add``, W (B, s, s) and out (B, d, d), one problem at a time in the
+        flat ``work`` of at least ``_w_words`` doubles.
+
+        Only the lower triangle is formed: for a congruence chunk of columns
+        ls, the rows k >= ls.start, so entries above a chunk's first row are
+        left as they are.  Each product is ``csr @ X`` without scipy's
+        wrapper, the one sparsetools call it makes on its rows k >= ls.start,
+        so every entry is bitwise the one that product gives, and X, the
+        chunk's W F_l W transposed, and the product are written over the
+        chunk's dead factors in ``work``."""
+        from scipy.sparse import _sparsetools  # as ``csr``, only the W form needs it
+
+        _, d, _, s = self.vals.shape
+        for csr, vals, Wp, M in zip(self.csr, self.vals, W, out):
             for ls, WFW in _congruence(self.rows, vals, Wp, Wp, work):
-                out[:, ls] = csr @ WFW.reshape(WFW.shape[0], -1).T
-        return share
+                lo, n = ls.start, WFW.shape[0]
+                X = work[WFW.size:WFW.size + s * s * n].reshape(s * s, n)
+                X[...] = WFW.reshape(n, s * s).T
+                Y = work[WFW.size + X.size:WFW.size + X.size + (d - lo) * n]
+                Y[...] = 0.0
+                _sparsetools.csr_matvecs(d - lo, s * s, n, csr.indptr[lo:], csr.indices,
+                                         csr.data, X.reshape(-1), Y)
+                if add:
+                    M[lo:, ls] += Y.reshape(d - lo, n)
+                else:
+                    M[lo:, ls] = Y.reshape(d - lo, n)
 
 
 @dataclass(frozen=True)
@@ -764,8 +794,11 @@ def _spd_eigh(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _cho_factor(a: np.ndarray) -> tuple[np.ndarray, bool]:
     """``scipy.linalg.cho_factor(a, lower=True)`` without its wrapper: the
     LAPACK call it makes, so the factor is bitwise scipy's, and the same
-    (c, lower) result and LinAlgError.  a is not checked for being finite."""
-    c, info = dpotrf(a, lower=1, clean=0)
+    (c, lower) result and LinAlgError.  a is not checked for being finite,
+    and only its lower triangle is read.  A column-major a is factored in
+    place, a failed factorization included (``overwrite_a``); any other a
+    is copied first, as scipy copies it."""
+    c, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite")

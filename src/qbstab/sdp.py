@@ -66,9 +66,22 @@ Tutuncu, SDPT3, Optim. Methods Softw. 1999).  So it is kept as (B,) and
 (B, d) arrays (``_Cap``), and each of its stages is scalar arithmetic that
 rounds as the 1-by-1 LAPACK and BLAS calls would.  Its rank-one Schur share
 is added after the blocks' shares, so the iterates are those of a solve
-that handles it as a block.  A Gram-form block forms its rows svec(G'F_kG)
-in a work array that it allocates once for its group (``_Block``).  So no
-array of the size of the rows is allocated per iteration.
+that handles it as a block.
+
+Every array of the size of the rows svec(G'F_kG) or of the Schur complement
+is allocated once per group.  A Gram-form block forms its rows in a work
+array of its own, a W-form block its share in one work array that the
+group's W-form blocks and the cap share (``_Block``).  The group holds the
+Schur complements M (B, d, d), each problem's column-major: every block
+writes its share into M and the cap adds its own, each entry summed in the
+order block 0, block 1, cap, and ``lmi._cho_factor`` factors each M_i in
+place (SDPA does the same: Yamashita, Fujisawa & Kojima, Optim. Methods
+Softw. 2003).  The W form writes only the lower triangle, the only part the
+factorization reads, and the check for non-finite entries reads that part
+alone, in chunks of columns.  So a W-form iteration allocates no d-by-d array.  A Gram-form block
+after the first still adds its U U' from a temporary, the one BLAS call that
+forms it, and a failed factorization forms the group's complements again,
+for each ridge the retry adds, in an array of their own.
 """
 
 from __future__ import annotations
@@ -77,7 +90,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lmi import _CHUNK, SdpProblem, _cho_solve, _gram_words, _Stack, svec
+from .lmi import SdpProblem, _cho_solve, _chunk_rows, _gram_words, _Stack, _w_words, svec
 # a module-level name, so that a failing factorization can be substituted
 from .lmi import _cho_factor as cho_factor
 
@@ -101,9 +114,9 @@ W_MIN_SPARSITY = 32
 # together (``_group_words``): the 20-point two-state and three-state grids run
 # as one group, and stacked n = 40 problems (d = 820) one at a time.  The 16
 # problems of the shear-flow pre-scan grid run as one group too, at the d = 15
-# of the slots its sign group fixes (a traced peak of 4.7 MB, 0.16 s of
+# of the slots its sign group fixes (a traced peak of 4.8 MB, 0.17 s of
 # process time); at d = 45, with the symmetry broken, they run as two groups
-# of 8 (5.8 MB, 0.24 s).  The search itself solves only the 7 that the
+# of 8 (6.3 MB, 0.26 s).  The search itself solves only the 7 that the
 # spectral ray leaves open (``certify._spectral_ray``)
 GROUP_BYTES = 1 << 23
 # the termination tests of the module docstring
@@ -262,7 +275,8 @@ class _Block:
     Kojima & Nakata, Math. Prog. 1997; ``_Stack.w_share``), takes W F_l W
     from the congruence and its inner products with every F_k from a sparse
     product with the d-by-s^2 matrix whose row k is vec(F_k), one problem at
-    a time: d s^2 r plus the nonzeros of F times d.  A larger block uses it
+    a time: d s^2 r plus the nonzeros of F times d, of which only the lower
+    triangle, about half, is formed.  A larger block uses it
     only when U has at least ``W_MIN_SPARSITY`` times as many entries as F
     has nonzeros.  Stacked systems are far past that (330 to 420 at n = 40,
     where the W form takes 0.14 to 0.26 of the Gram form's time); a dense A
@@ -274,14 +288,19 @@ class _Block:
     G'F_kG, then the chunk's svec rows over its dead factors, scaled
     straight into U.  ``keep`` keeps U's first rows and the whole work array
     for the problems that remain, so neither is allocated again.  The W
-    form takes its chunks in an array that ``w_share`` allocates once per
-    call.  The objective cap is no ``_Block``: see ``_Cap``.
+    form takes its chunks, their transposes and their products with the
+    rows of F in ``work`` too (``lmi._w_words`` doubles), one problem at a
+    time, so its group passes every W-form block and the cap one array
+    (``work``).  ``schur`` writes or adds the share into the group's Schur
+    complements; ``rhs`` gives the right-hand side pull_back(Chat) that goes
+    with it.  The objective cap is no ``_Block``: see ``_Cap``.
     """
 
     __slots__ = ("lmi", "C", "size", "eye", "X", "S", "G", "lam_avg", "lam_isqrt", "neg_lam2",
                  "Chat", "Chat_sv", "U", "work", "W")
 
-    def __init__(self, lmi: _Stack, gram: bool):
+    def __init__(self, lmi: _Stack, gram: bool, work: np.ndarray | None = None):
+        """``work`` is the W form's work array, by default allocated here."""
         B, d, r, s = lmi.vals.shape
         self.lmi, self.size = lmi, s
         self.C = -lmi.F0
@@ -291,7 +310,10 @@ class _Block:
         # column-major per problem, as svec returns it, so that U U' takes the
         # same BLAS path
         self.U = np.empty((B, s * (s + 1) // 2, d)).transpose(0, 2, 1) if gram else None
-        self.work = np.empty(B * _gram_words(d, r, s)) if gram else None
+        if gram:
+            self.work = np.empty(B * _gram_words(d, r, s))
+        else:
+            self.work = np.empty(_w_words(d, r, s)) if work is None else work
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the problems where ``mask`` is False.  U keeps its first rows
@@ -313,13 +335,24 @@ class _Block:
         else:
             self.W = G @ G.mT
 
-    def schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(M_b, g_b, q_b): the Schur share and pull_back(Chat) = (F*(G Chat G'),
-        |Chat|_F^2), in the Gram form from the svec(Chat) that ``set_scaling`` keeps."""
+    def schur(self, M: np.ndarray, add: bool) -> None:
+        """Write the Schur share into M (B, d, d), or add it with ``add``.  The
+        Gram form writes all of U U', the W form its lower triangle
+        (``_Stack.w_share``)."""
         if self.U is None:
-            return (self.lmi.w_share(self.W), *self.pull_back(self.Chat))
+            self.lmi.w_share(self.W, M, self.work, add)
+        elif add:
+            M += self.U @ self.U.mT
+        else:
+            np.matmul(self.U, self.U.mT, out=M)
+
+    def rhs(self) -> tuple[np.ndarray, np.ndarray]:
+        """pull_back(Chat) = (F*(G Chat G'), |Chat|_F^2), in the Gram form from
+        the svec(Chat) that ``set_scaling`` keeps."""
+        if self.U is None:
+            return self.pull_back(self.Chat)
         sv = self.Chat_sv
-        return self.U @ self.U.mT, (self.U @ sv[..., None])[..., 0], np.vecdot(sv, sv)
+        return (self.U @ sv[..., None])[..., 0], np.vecdot(sv, sv)
 
     def pull_back(self, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(F*(G R G'), <Chat, R>) for symmetric R (B, s, s) in the scaled space."""
@@ -344,13 +377,20 @@ class _Cap:
     the blocks' shares.  ``linear`` sums f_k y_k in k order as
     ``_Stack.linear`` sums the nonzeros, and the adjoint is f x."""
 
-    __slots__ = ("f", "c", "x", "s", "rd", "g", "lam", "lam_isqrt", "neg_lam2", "chat", "u")
+    __slots__ = ("f", "c", "x", "s", "rd", "g", "lam", "lam_isqrt", "neg_lam2", "chat", "u",
+                 "step", "work")
 
-    def __init__(self, f: np.ndarray, c: np.ndarray):
+    def __init__(self, f: np.ndarray, c: np.ndarray, work: np.ndarray | None = None):
+        """``work`` takes the chunks of the Schur share (``schur``), at least
+        ``_cap_words`` doubles per problem; by default the cap allocates it."""
         # + 0.0 makes a -0.0 in f +0.0: the row-compressed index drops it,
         # and the 1-by-1 products start their sums from 0.0
         self.f, self.c = f + 0.0, c
         self.x, self.s = np.ones(len(c)), np.ones(len(c))
+        d = f.shape[1]
+        # columns per chunk of the Schur share, fixed with the size of ``work``
+        self.step = _chunk_rows(d, d, 1)
+        self.work = np.empty(len(c) * _cap_words(d)) if work is None else work
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the problems where ``mask`` is False."""
@@ -382,6 +422,23 @@ class _Cap:
         self.u = g[:, None] * (self.f * g[:, None])
         return {}
 
+    def schur(self, M: np.ndarray) -> None:
+        """Add the share u u' to the lower triangle of M (B, d, d), in chunks of
+        columns ls of about ``lmi._CHUNK`` doubles per problem, each at the
+        rows k >= ls.start and formed in ``work``."""
+        u, step = self.u, self.step
+        B, d = u.shape
+        for lo in range(0, d, step):
+            v = u[:, None, lo:lo + step]
+            uu = self.work[:B * (d - lo) * v.shape[2]].reshape(B, d - lo, v.shape[2])
+            np.multiply(u[:, lo:, None], v, out=uu)
+            M[:, lo:, lo:lo + step] += uu
+
+
+def _cap_words(d: int) -> int:
+    """Doubles per problem of the work array of ``_Cap.schur``: one chunk of u u'."""
+    return d * _chunk_rows(d, d, 1)
+
 
 def _ruiz_scale(user):
     """Ruiz-style scaling of the blocks ``user``, one ``_Stack`` each, of B
@@ -391,19 +448,27 @@ def _ruiz_scale(user):
     beta = np.ones((len(gamma), len(user)))
     F0s = [blk.F0.copy() for blk in user]
     vals = [blk.vals.copy() for blk in user]
+    # max |F0| per problem and max |F_k| per variable, read once and scaled
+    # with the data: rounding is monotone, so max |fl(g v)| = fl(g max |v|)
+    # for g > 0, and each maximum stays that of the scaled data, bit for bit
+    f0_max = [np.abs(F0).max(axis=(1, 2)) for F0 in F0s]
+    row_max = [np.abs(V).max(axis=(2, 3)) for V in vals]
     for _ in range(RUIZ_SWEEPS):
         r = np.zeros(gamma.shape)
-        for V in vals:
-            r = np.maximum(r, np.abs(V).max(axis=(2, 3)))
+        for a in row_max:
+            r = np.maximum(r, a)
         g = 1.0 / np.sqrt(np.where(r > 0, r, 1.0))
-        for V in vals:
+        for V, a in zip(vals, row_max):
             V *= g[:, :, None, None]
+            a *= g
         gamma *= g
-        for b, (F0, V) in enumerate(zip(F0s, vals)):
-            s = np.maximum(np.abs(F0).max(axis=(1, 2)), np.abs(V).max(axis=(1, 2, 3)))
+        for b, (F0, V, f, a) in enumerate(zip(F0s, vals, f0_max, row_max)):
+            s = np.maximum(f, a.max(axis=1))
             sb = np.where(s > 0, 1.0 / np.sqrt(np.where(s > 0, s, 1.0)), 1.0)
             F0 *= sb[:, None, None]
             V *= sb[:, None, None, None]
+            f *= sb
+            a *= sb[:, None]
             beta[:, b] *= sb
     return [_Stack(F0, blk.rows, V) for F0, V, blk in zip(F0s, vals, user)], gamma, beta
 
@@ -465,21 +530,22 @@ def solve_many(problems) -> list[SdpSolution]:
 def _group_words(problem: SdpProblem, forms: tuple) -> int:
     """The doubles that one problem of this shape, with these Schur
     ``forms``, adds to the working arrays of its lockstep group: its Schur
-    complement and share, and per block its data and their scaled copy, the
-    nonzero indices of both, the copy of data and indices that ``keep``
-    makes, 32 s-by-s arrays (iterates, residuals and the directions of both
-    Newton solves), and in the Gram form its rows U and their work array
-    (``lmi._gram_words``), in the W form three congruence chunks."""
+    complement, and per block its data and their scaled copy, the nonzero
+    indices of both, the copy of data and indices that ``keep`` makes, 32
+    s-by-s arrays (iterates, residuals and the directions of both Newton
+    solves), and in the Gram form its rows U and their work array
+    (``lmi._gram_words``), in the W form the work array that the block's
+    share takes (``lmi._w_words``)."""
     d = problem.d
-    words = 2 * d * d
+    words, work = d * d, _cap_words(d)
     for blk, gram in zip(problem.blocks, forms):
-        s = blk.size
+        s, r = blk.size, blk.rows.shape[1]
         words += 3 * blk.vals.size + 9 * blk.nnz + 32 * s * s
         if gram:
-            words += d * s * (s + 1) // 2 + _gram_words(d, blk.rows.shape[1], s)
+            words += d * s * (s + 1) // 2 + _gram_words(d, r, s)
         else:
-            words += 3 * min(d * s * s, _CHUNK)
-    return words
+            work = max(work, _w_words(d, r, s))
+    return words + work
 
 
 class _Run:
@@ -574,12 +640,20 @@ class _Group:
         boxval = self.s_obj * OBJECTIVE_BOX
         rownorm = np.maximum(np.maximum(1.0, np.max(np.abs(c_sc), axis=1, initial=0.0)),
                              np.abs(boxval))
-        self.cap = _Cap(c_sc / rownorm[:, None], boxval / rownorm)
-        self.blocks = [_Block(lmi, gram) for lmi, gram in zip(scaled, forms)]
+        # the W-form shares and then the cap's take one work array in turn
+        work = np.empty(max([B * _cap_words(d)] + [_w_words(*lmi.vals.shape[1:])
+                                                   for lmi, gram in zip(scaled, forms) if not gram]))
+        self.cap = _Cap(c_sc / rownorm[:, None], boxval / rownorm, work)
+        self.blocks = [_Block(lmi, gram, work) for lmi, gram in zip(scaled, forms)]
         self.b_vec = c_sc
         self.nu = sum(blk.size for blk in self.blocks) + 1
         self.y = np.zeros((B, d))
         self.tau, self.kappa = np.ones(B), np.ones(B)
+        # the Schur complements, column-major per problem, so that each is
+        # factored in place, and the mask of the entries above the diagonal in
+        # a chunk of the cap's columns, from its first row down (``step``)
+        self.M = np.empty((B, d, d)).transpose(0, 2, 1)
+        self.upper = ~np.tri(d, self.cap.step, dtype=bool)
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the problems where ``mask`` is False."""
@@ -589,6 +663,8 @@ class _Group:
         for blk in self.blocks:
             blk.keep(mask)
         self.cap.keep(mask)
+        # overwritten before it is read, as U
+        self.M = self.M[:len(self.y)]
         self.runs = [run for run, k in zip(self.runs, mask) if k]
         self.user = [ub.keep(mask) for ub in self.user]
 
@@ -651,6 +727,34 @@ class _Group:
                                 [Z[i] for Z in ray_Z] if ray_ok[i] else None, report)
         return done
 
+    def schur(self, M: np.ndarray) -> None:
+        """Form the Schur complements in M (B, d, d): every entry of each
+        lower triangle is the blocks' shares and then the cap's, summed in
+        that order."""
+        for bi, blk in enumerate(self.blocks):
+            blk.schur(M, bi > 0)
+        self.cap.schur(M)
+
+    def ridge_factor(self, i: int):
+        """The factor of M_i + ridge I, for problem i whose Schur complement
+        M_i failed to factor, at the first of two growing ridges that works;
+        None if neither does.  The failed factorization has overwritten M_i
+        in place, so the Schur complements are formed again, in an array of
+        their own, for each try."""
+        B, d = self.y.shape
+        ridge = 0.0
+        for _ in range(2):
+            Mi = np.empty((B, d, d)).transpose(0, 2, 1)
+            self.schur(Mi)
+            Mi = Mi[i]
+            ridge = max(ridge * 100.0, 1e-14 * max(1.0, float(np.trace(Mi)) / d))
+            Mi[np.diag_indices(d)] += ridge
+            try:
+                return cho_factor(Mi)
+            except np.linalg.LinAlgError:
+                pass
+        return None
+
     def step(self) -> dict:
         """One predictor-corrector step of every problem.  On a breakdown nothing
         changes, and the result maps the position of each problem that broke
@@ -682,32 +786,34 @@ class _Group:
             return failed
 
         # an NT scaling that overflows shows up here; it is reported below
+        M = self.M
         with np.errstate(over="ignore", invalid="ignore"):
-            M, g_vec, q_cc = blocks[0].schur()
+            self.schur(M)
+            g_vec, q_cc = blocks[0].rhs()
             for blk in blocks[1:]:
-                M_b, g_b, q_b = blk.schur()
-                M += M_b
+                g_b, q_b = blk.rhs()
                 g_vec += g_b
                 q_cc += q_b
-            M += cap.u[:, :, None] * cap.u[:, None, :]
             g_vec += cap.u * cap.chat[:, None]
             q_cc += cap.chat * cap.chat
-        if not (np.isfinite(M).all() and np.isfinite(g_vec).all() and np.isfinite(q_cc).all()):
-            finite = (np.isfinite(M).all(axis=(1, 2)) & np.isfinite(g_vec).all(axis=1)
-                      & np.isfinite(q_cc))
-            return _broken(~finite, "Schur complement not finite")
-        factors, failed = [], {}
+        # the lower triangles of M, all that the factorization reads, in the
+        # cap's chunks of columns ls: the rows k >= ls.start but those above
+        # the diagonal (``upper``)
+        finite = np.isfinite(g_vec).all(axis=1) & np.isfinite(q_cc)
+        for lo in range(0, d, cap.step):
+            finite &= (np.isfinite(M[:, lo:, lo:lo + cap.step])
+                       | self.upper[:d - lo, :d - lo]).all(axis=(1, 2))
+        factors, failed = [None] * B, {}
         for i, Mi in enumerate(M):
-            factor, ridge = None, 0.0
-            for _ in range(3):
-                try:
-                    factor = cho_factor(Mi if ridge == 0 else Mi + ridge * np.eye(d))
-                    break
-                except np.linalg.LinAlgError:
-                    ridge = max(ridge * 100.0, 1e-14 * max(1.0, float(np.trace(Mi)) / d))
-            if factor is None:
-                failed[i] = "Schur complement not positive definite"
-            factors.append(factor)
+            if not finite[i]:
+                failed[i] = "Schur complement not finite"
+                continue
+            try:
+                factors[i] = cho_factor(Mi)
+            except np.linalg.LinAlgError:
+                factors[i] = self.ridge_factor(i)
+                if factors[i] is None:
+                    failed[i] = "Schur complement not positive definite"
         if failed:
             return failed
 
@@ -813,6 +919,8 @@ class _Group:
 
         corr = [_sym(dXh_a[bi] @ dSh_a[bi]) for bi in range(len(blocks))]
         corr.append(dXh_a[-1] * dSh_a[-1])
+        # the predictor's directions are spent: free them before the corrector's
+        del dS_a, dX_a, dXh_a, dSh_a
         r_tk = sigma * mu - tau * kappa - dtau_a * dkap_a
         dy_c, dS_c, dX_c, dXh_c, dSh_c, dtau_c, dkap_c = newton(1.0 - sigma, sigma * mu, corr, r_tk)
         alpha = np.minimum(1.0, STEP_FRACTION * max_step(dXh_c, dSh_c, dtau_c, dkap_c))

@@ -700,22 +700,33 @@ class TestBlockOperators:
     @pytest.mark.parametrize("chunk", [None, 1], ids=["chunked", "by-column"])
     def test_schur_matches_dense_reference(self, problem, chunk, monkeypatch):
         # the solver's W form, sum_b <F_k, W F_l W> with W = G G', equals the
-        # Gram matrix of the rows svec(G' F_k G); chunk=1 forces one column
-        # of M per pass
+        # Gram matrix of the rows svec(G' F_k G) on the lower triangle, the
+        # first block's share written and the next added; each chunk of
+        # columns ls is formed at the rows k >= ls.start, and the entries
+        # above are left as they are.  chunk=1 forces one column of M per
+        # pass, which leaves the whole strict upper triangle
         if chunk is not None:
             monkeypatch.setattr(lmi, "_CHUNK", chunk)
         rng = np.random.default_rng(13)
-        M = np.zeros((problem.d, problem.d))
-        ref = np.zeros((problem.d, problem.d))
-        for blk in problem.blocks:
+        d = problem.d
+        M = np.full((d, d), np.nan)
+        ref = np.zeros((d, d))
+        above = np.ones((d, d), dtype=bool)  # the entries no block writes
+        for bi, blk in enumerate(problem.blocks):
             G = rng.normal(size=(blk.size, blk.size))
             block = sdp._Block(lmi._Stack.of([blk]), gram=False)
             block.set_scaling(G[None], np.ones((1, blk.size)))
             assert block.U is None
-            M += block.schur()[0][0]
+            block.schur(M[None], bi > 0)
             U = svec(np.matmul(G.T, np.matmul(dense_stack(blk), G)))
             ref += U @ U.T
-        np.testing.assert_allclose(M, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+            step = lmi._chunk_rows(d, blk.size, blk.size)
+            above &= np.arange(d)[:, None] < (np.arange(d) // step * step)[None, :]
+        lower = np.tri(d, dtype=bool)
+        np.testing.assert_allclose(M[lower], ref[lower], rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert np.isnan(M[above]).all()
+        if chunk == 1:
+            assert np.array_equal(above, ~lower)
 
     @pytest.mark.parametrize("chunk", [None, 1], ids=["chunked", "by-slot"])
     def test_congruence_matches_dense_reference(self, problem, chunk, monkeypatch):
@@ -795,17 +806,24 @@ class TestStack:
         stk = lmi._Stack.of(blocks)
         G = rng.normal(size=(B, s, s))
         W = G @ G.mT
+        r = blocks[0].rows.shape[1]
         U = np.full((B, d, s * (s + 1) // 2), np.nan)
-        stk.gram_rows(G, U, np.full(B * lmi._gram_words(d, blocks[0].rows.shape[1], s), np.nan))
-        share = stk.w_share(W)
-        assert share.shape == (B, d, d)
+        stk.gram_rows(G, U, np.full(B * lmi._gram_words(d, r, s), np.nan))
+        share = np.full((B, d, d), np.nan)
+        stk.w_share(W, share, np.full(lmi._w_words(d, r, s), np.nan))
+        # the lower triangle, each chunk of columns ls at the rows k >= ls.start
+        lower = np.tri(d, dtype=bool)
+        step = lmi._chunk_rows(d, s, s)
+        above = np.arange(d)[:, None] < (np.arange(d) // step * step)[None, :]
         for p, blk in enumerate(blocks):
             F = dense_stack(blk)
             ref = svec(G[p].T @ F @ G[p])
             np.testing.assert_allclose(U[p], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
             WFW = W[p] @ F @ W[p]
             ref = F.reshape(d, -1) @ WFW.reshape(d, -1).T
-            np.testing.assert_allclose(share[p], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+            np.testing.assert_allclose(share[p][lower], ref[lower], rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+            assert np.isnan(share[p][above]).all()
 
 
 class TestBlockValidation:

@@ -13,7 +13,7 @@ from qbstab.lmi import (
     default_delta,
     layout,
 )
-from qbstab import sdp
+from qbstab import lmi, sdp
 from qbstab.certify import SolverFailure, max_trace
 from qbstab.models import (
     scalar_family,
@@ -157,11 +157,9 @@ class TestNumericalFailure:
         # solver must report that, not raise from the factorization
         schur = sdp._Block.schur
 
-        def overflowed(blk):
-            M, g, q = schur(blk)
-            M = M.copy()
-            M[0, 0] = np.inf
-            return M, g, q
+        def overflowed(blk, M, add):
+            schur(blk, M, add)
+            M[:, 0, 0] = np.inf
 
         monkeypatch.setattr(sdp._Block, "schur", overflowed)
         sol = solve(scalar_problem())
@@ -495,10 +493,14 @@ class TestSchurForms:
             R = rng.standard_normal((s, s))
             R = R + R.T
             out, forms = [], []
+            # the entries both forms write: the W form writes the lower triangle
+            lower = np.tri(lmi.d, dtype=bool)
             for gram in (True, False):
                 blk = stacked_block(lmi, gram)
                 blk.set_scaling(G[None], np.ones((1, s)))
-                out.append([a[0] for a in (*blk.schur(), *blk.pull_back(R[None]))])
+                M = np.full((1, lmi.d, lmi.d), np.nan)
+                blk.schur(M, False)
+                out.append([M[0][lower]] + [a[0] for a in (*blk.rhs(), *blk.pull_back(R[None]))])
                 forms.append("gram" if blk.U is not None else "W")
             assert forms == ["gram", "W"]
             for gram_side, w_side in zip(*out):
@@ -684,9 +686,14 @@ class TestObjectiveCap:
         assert same(blk.neg_lam2[:, 0, 0], cap.neg_lam2) and same(blk.Chat[:, 0, 0], cap.chat)
         assert same(blk.U[..., 0], cap.u)
         # BLAS sums start from 0.0, so a product -0.0 comes out +0.0 there;
-        # the solver adds the cap's products to sums that are never -0.0
-        M, g, q = blk.schur()
-        assert same(M, cap.u[:, :, None] * cap.u[:, None, :] + 0.0)
+        # the solver adds the cap's products to sums that are never -0.0.  At
+        # this d the cap's share is one chunk, all of u u'
+        M = np.empty((B, d, d))
+        blk.schur(M, False)
+        M_cap = np.zeros((B, d, d))
+        cap.schur(M_cap)
+        assert same(M, cap.u[:, :, None] * cap.u[:, None, :] + 0.0) and same(M, M_cap)
+        g, q = blk.rhs()
         assert same(g, cap.u * cap.chat[:, None] + 0.0) and same(q, cap.chat * cap.chat)
         R = rng.standard_normal(B)
         a, r = blk.pull_back(R[:, None, None])
@@ -694,6 +701,133 @@ class TestObjectiveCap:
         y = rng.standard_normal((B, d))
         assert same(blk.lmi.linear(y)[:, 0, 0], cap.linear(y))
         assert same(blk.lmi.adjoint(blk.X), cap.f * cap.x[:, None])
+
+
+def stacked_problems(eps=(0.3, 0.6, 1.0)):
+    """Stacked two-state problems at n = 20 (d = 210), both blocks in the W form."""
+    s = stack(two_state(), 10)
+    return [assemble(s, e, default_alpha(s), "analysis") for e in eps]
+
+
+class TestSchurInPlace:
+    """Each lockstep group forms its Schur complements in one array, reads
+    only their lower triangles and factors them in place."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: two_state_problems(np.linspace(0.01, 0.8, 20)), stacked_problems,
+    ], ids=["gram", "W"])
+    def test_strict_upper_triangle_is_never_read(self, make, monkeypatch):
+        problems = make()
+        reference = sdp.solve_many(problems)
+        real, seen = sdp.cho_factor, []
+
+        def nan_above(a):
+            seen.append(a.flags.f_contiguous)
+            a[np.triu_indices(len(a), 1)] = np.nan
+            return real(a)
+
+        monkeypatch.setattr(sdp, "cho_factor", nan_above)
+        for sol, ref in zip(sdp.solve_many(problems), reference):
+            assert_same_solution(sol, ref)
+        # every argument is factored in place
+        assert seen and all(seen)
+
+    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+    def test_non_finite_entry_in_a_later_chunk(self, lower, monkeypatch):
+        # with chunks of 5 columns, an inf below the diagonal in a chunk past
+        # the first ends the solve, and one above it, in the chunk's rows, is
+        # never read
+        prob = stacked_problems((0.3,))[0]
+        d = prob.d
+        reference = solve(prob)
+        monkeypatch.setattr(lmi, "_CHUNK", 5 * d)
+        assert_same_solution(solve(prob), reference)
+        k, l = (d - 1, 97) if lower else (96, 97)
+        schur = sdp._Block.schur
+
+        def overflowed(blk, M, add):
+            schur(blk, M, add)
+            if add:
+                M[:, k, l] = np.inf
+
+        monkeypatch.setattr(sdp._Block, "schur", overflowed)
+        sol = solve(prob)
+        if lower:
+            assert sol.status == "NumericalFailure" and sol.iters == 1
+            assert sol.message == "Schur complement not finite"
+        else:
+            assert_same_solution(sol, reference)
+
+    @pytest.mark.parametrize("make, iters", [
+        (lambda: assemble(two_state(), 0.3, default_alpha(two_state()), "analysis"), 12),
+        (lambda: stacked_problems((0.3,))[0], 11),
+    ], ids=["gram", "W"])
+    def test_ridge_retry_after_an_in_place_failure(self, make, iters, monkeypatch):
+        # as test_schur_ridge_retry_recovers, but the failing call has factored
+        # M in place first: the retry must form M again
+        prob = make()
+        reference = solve(prob)
+        real, calls = sdp.cho_factor, []
+
+        def fail_third(a):
+            calls.append(None)
+            before = a.copy()
+            factor = real(a)
+            if len(calls) == 3:
+                assert not np.array_equal(a, before)
+                raise np.linalg.LinAlgError("not positive definite")
+            return factor
+
+        monkeypatch.setattr(sdp, "cho_factor", fail_third)
+        sol = solve(prob)
+        assert sol.status == "Optimal" and sol.iters == reference.iters == iters
+        assert len(calls) == len(sol.history) + 1 == sol.iters
+        assert sol.objective == pytest.approx(reference.objective, rel=1e-10)
+
+    def test_w_form_step_allocates_less_than_a_schur_complement(self):
+        # the Schur complement, the work array of the W-form shares and the
+        # cap's chunks belong to the group; a step allocates none of them
+        prob = stacked_problems((0.3,))[0]
+        forms = tuple(sdp._gram_form(prob.d, blk.size, blk.nnz) for blk in prob.blocks)
+        assert forms == (False, False)
+        group = sdp._Group([prob], forms)
+        # the first step builds the per-problem CSRs, which the group keeps
+        group.check(0)
+        assert group.step() == {}
+        group.check(1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert group.step() == {}
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < prob.d * prob.d * 8
+
+    def test_w_form_group_keeps_to_its_byte_budget(self, monkeypatch):
+        # three stacked n = 20 problems under a budget of two: groups of 2 and
+        # 1, whose traced peak stays within what ``_group_words`` counts
+        problems = stacked_problems()
+        first = problems[0]
+        forms = tuple(sdp._gram_form(first.d, blk.size, blk.nnz) for blk in first.blocks)
+        words = sdp._group_words(first, forms)
+        sizes, group = [], sdp._Group
+
+        def recording(members, forms):
+            sizes.append(len(members))
+            return group(members, forms)
+
+        monkeypatch.setattr(sdp, "_Group", recording)
+        monkeypatch.setattr(sdp, "GROUP_BYTES", 2 * 8 * words)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sdp.solve_many(problems)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sizes == [2, 1]
+        assert peak <= 2 * 8 * words
 
 
 class TestFailureIsolation:
@@ -797,8 +931,10 @@ class TestFailureIsolation:
         real = sdp.cho_factor
 
         def nan_factor(a, *args, **kwargs):
+            # compared before the factorization overwrites a
+            hit = np.array_equal(a, target)
             c, lower = real(a, *args, **kwargs)
-            return (np.full_like(c, np.nan), lower) if np.array_equal(a, target) else (c, lower)
+            return (np.full_like(c, np.nan), lower) if hit else (c, lower)
 
         monkeypatch.setattr(sdp, "cho_factor", nan_factor)
         alone = solve(problems[1])
@@ -837,6 +973,70 @@ class TestFailureIsolation:
             assert reference[i].message.startswith("NT scaling failed")
         for sol, ref in zip(sdp.solve_many(problems), reference):
             assert_same_solution(sol, ref)
+
+
+def ruiz_reference(user):
+    """``sdp._ruiz_scale`` as it was, taking max |F0| and max |V| of the
+    scaled data again in every sweep."""
+    gamma = np.ones(user[0].vals.shape[:2])
+    beta = np.ones((len(gamma), len(user)))
+    F0s = [blk.F0.copy() for blk in user]
+    vals = [blk.vals.copy() for blk in user]
+    for _ in range(sdp.RUIZ_SWEEPS):
+        r = np.zeros(gamma.shape)
+        for V in vals:
+            r = np.maximum(r, np.abs(V).max(axis=(2, 3)))
+        g = 1.0 / np.sqrt(np.where(r > 0, r, 1.0))
+        for V in vals:
+            V *= g[:, :, None, None]
+        gamma *= g
+        for b, (F0, V) in enumerate(zip(F0s, vals)):
+            s = np.maximum(np.abs(F0).max(axis=(1, 2)), np.abs(V).max(axis=(1, 2, 3)))
+            sb = np.where(s > 0, 1.0 / np.sqrt(np.where(s > 0, s, 1.0)), 1.0)
+            F0 *= sb[:, None, None]
+            V *= sb[:, None, None, None]
+            beta[:, b] *= sb
+    return F0s, vals, gamma, beta
+
+
+class TestRuizScale:
+    """Ruiz scaling reads max |F0| and max |V| once and scales them with the
+    data, bitwise what reading them again in every sweep gives."""
+
+    @staticmethod
+    def assert_matches_reference(user):
+        scaled, gamma, beta = sdp._ruiz_scale(user)
+        F0s, vals, gamma_ref, beta_ref = ruiz_reference(user)
+        assert gamma.tobytes() == gamma_ref.tobytes() and beta.tobytes() == beta_ref.tobytes()
+        for stk, F0, V in zip(scaled, F0s, vals):
+            assert stk.F0.tobytes() == F0.tobytes() and stk.vals.tobytes() == V.tobytes()
+
+    @pytest.mark.parametrize("prob", [
+        assemble(two_state(), 0.3, default_alpha(two_state()), "analysis"),
+        assemble(three_state_qb(), 1.0, default_alpha(three_state_qb()), "synthesis"),
+        shear_problem(0.0035),
+        assemble(stack(two_state(), 10), 0.3, default_alpha(stack(two_state(), 10)), "analysis"),
+        assemble(dense_system(15), 0.3, 1e-6, "analysis"),
+    ], ids=["two-state", "three-state", "shear", "stacked", "dense"])
+    def test_problems(self, prob):
+        # three problems whose blocks differ by factors of 1e-3 to 1e5
+        self.assert_matches_reference([
+            _Stack(np.stack([f * blk.F0 for f in (1.0, 1e-3, 1e5)]), blk.rows,
+                   np.stack([f * blk.vals for f in (1.0, 1e-3, 1e5)]))
+            for blk in prob.blocks])
+
+    def test_extreme_magnitudes(self):
+        # entries from 1e-300 to 1e300, zero rows and a zero block
+        rng = np.random.default_rng(17)
+        B, d, r = 4, 30, 3
+        user = []
+        for s in (5, 2, 1):
+            vals = rng.standard_normal((B, d, r, s)) * 10.0 ** rng.integers(-300, 300, (B, d, r, s))
+            vals[:, rng.random(d) < 0.2] = 0.0
+            F0 = rng.standard_normal((B, s, s)) * 10.0 ** rng.integers(-300, 300, (B, 1, 1))
+            user.append(_Stack(F0, np.tile(np.arange(r) % s, (d, 1)), vals))
+        user[2] = _Stack(np.zeros((B, 1, 1)), user[2].rows, np.zeros_like(user[2].vals))
+        self.assert_matches_reference(user)
 
 
 class TestExactSymmetry:

@@ -12,6 +12,10 @@ the same tool measures a change and its parent.  The cases:
                  refinement round of ``optimize_epsilon``
 - ``shear B=8``  the first 8 points of its 16-point pre-scan, in lockstep
 - ``two-state``  the 20-point two-state analysis grid (d = 3), one group
+- ``stacked n=40`` the two-state system stacked 20 times at eps = 0.4 with
+                 the two-state decay margin (d = 820, both blocks in the W
+                 form), alone in its group as the ``stacked_n40``
+                 benchmark solves it
 
 ``--quick`` runs the first case only, with fewer repeats.  Each case is
 solved with ``sdp.solve_many`` and reported per iteration of its group,
@@ -143,6 +147,7 @@ def cases(quick: bool) -> dict:
 
     from qbstab.lmi import assemble, default_alpha
     from qbstab.models import shear_flow_9, two_state
+    from qbstab.systems import stack
 
     shear, two = shear_flow_9(120.0), two_state()
 
@@ -155,6 +160,7 @@ def cases(quick: bool) -> dict:
         out["shear B=8"] = (shear_at(np.geomspace(1e-3, 1.0, 16)[:8]), 5)
         out["two-state"] = ([assemble(two, e, default_alpha(two), "analysis")
                              for e in np.linspace(0.01, 0.8, 20)], 20)
+        out["stacked n=40"] = ([assemble(stack(two, 20), 0.4, default_alpha(two), "analysis")], 5)
     return out
 
 
