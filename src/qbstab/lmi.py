@@ -270,8 +270,10 @@ def _symmetric_layout(sys: QBSystem, mode: str) -> DecisionLayout:
                           group_order=2 ** len(G))
 
 
-# doubles per temporary chunk (per problem) in ``_congruence`` and ``assemble``
-_CHUNK = 1 << 18
+# doubles per temporary chunk (per problem) in ``_congruence`` and ``assemble``;
+# 2^17 solved stacked n = 40 about 10 % faster than 2^18 (10 of 10 alternating
+# pairs) and n = 80 about 4 % faster (10 of 14), with bitwise the same iterates
+_CHUNK = 1 << 17
 
 
 def _chunk_rows(d: int, p: int, q: int) -> int:
@@ -293,9 +295,9 @@ def _gram_words(d: int, r: int, s: int) -> int:
 
 def _w_words(d: int, r: int, s: int) -> int:
     """Doubles of the work array of ``_Stack.w_share``, which takes one problem
-    at a time: a congruence chunk, whose factors the chunk's transpose and its
-    product with the rows of F then overwrite."""
-    return _chunk_rows(d, s, s) * (s * s + max(2 * r * s, s * s + d))
+    at a time: a congruence chunk, whose factors the add pass's columns then
+    overwrite."""
+    return _chunk_rows(d, s, s) * (s * s + max(2 * r * s, d))
 
 
 def _congruence(rows: np.ndarray, vals: np.ndarray, L: np.ndarray, R: np.ndarray,
@@ -407,7 +409,8 @@ class _Stack:
     So ``linear`` and ``adjoint`` serve the stack in one bincount, each
     problem's sums taken in the order of its own stack, and ``csr`` cuts out
     each problem's run.  ``gram_rows`` and ``w_share`` are the two Schur
-    shares' passes over ``_congruence``, which forms no dense F_k.
+    shares' passes over ``_congruence``, which forms no dense F_k, and
+    ``abs_max`` and ``scaled`` serve Ruiz scaling from the nonzeros alone.
     """
 
     def __init__(self, F0: np.ndarray, rows: np.ndarray, vals: np.ndarray):
@@ -431,6 +434,26 @@ class _Stack:
     def keep(self, mask: np.ndarray) -> _Stack:
         """The stack of the problems where ``mask`` holds."""
         return _Stack(self.F0[mask], self.rows, self.vals[mask])
+
+    def abs_max(self) -> np.ndarray:
+        """max |F_k| per problem and k, (B, d), read from the nonzeros."""
+        a = np.zeros(len(self.F0) * self.d)
+        np.maximum.at(a, self._k, np.abs(self._v))
+        return a.reshape(len(self.F0), self.d)
+
+    def scaled(self, F0: np.ndarray, factors) -> _Stack:
+        """The stack of F0 and of the data multiplied by each of ``factors``
+        in turn, (B, d) per F_k or (B,) per problem.  Only the nonzeros are
+        multiplied, and written once into a copy of vals: every zero stays
+        as it is, and a value that underflows to zero leaves the index, as
+        if all of vals had been multiplied."""
+        v, p = self._v.copy(), self._k // self.d
+        for f in factors:
+            v *= f.reshape(-1)[self._k] if f.ndim == 2 else f[p]
+        vals = self.vals.copy()
+        # the nonzeros in the order of the index, as np.nonzero lists them
+        vals[vals != 0] = v
+        return _Stack(F0, self.rows, vals)
 
     @cached_property
     def f0_norm(self) -> np.ndarray:
@@ -477,29 +500,32 @@ class _Stack:
         ``add``, W (B, s, s) and out (B, d, d), one problem at a time in the
         flat ``work`` of at least ``_w_words`` doubles.
 
-        Only the lower triangle is formed: for a congruence chunk of columns
-        ls, the rows k >= ls.start, so entries above a chunk's first row are
-        left as they are.  Each product is ``csr @ X`` without scipy's
-        wrapper, the one sparsetools call it makes on its rows k >= ls.start,
-        so every entry is bitwise the one that product gives, and X, the
-        chunk's W F_l W transposed, and the product are written over the
-        chunk's dead factors in ``work``."""
-        from scipy.sparse import _sparsetools  # as ``csr``, only the W form needs it
+        Only the lower triangle is formed, column by column where a
+        column-major out holds it: column l at the rows k >= l is ``csr @
+        vec(W F_l W)`` on the rows k >= l, by the one sparsetools call that
+        product makes, so every entry is bitwise the one it gives.  The write
+        pass zeroes each column and sums into it, and leaves every entry
+        above the diagonal as it is; the add pass sums a congruence chunk's
+        columns into zeros over the chunk's dead factors in ``work`` and adds
+        them in one call, so that each entry is out's plus this share."""
+        from scipy.sparse._sparsetools import csr_matvec  # as ``csr``, only the W form needs it
 
         _, d, _, s = self.vals.shape
         for csr, vals, Wp, M in zip(self.csr, self.vals, W, out):
             for ls, WFW in _congruence(self.rows, vals, Wp, Wp, work):
                 lo, n = ls.start, WFW.shape[0]
-                X = work[WFW.size:WFW.size + s * s * n].reshape(s * s, n)
-                X[...] = WFW.reshape(n, s * s).T
-                Y = work[WFW.size + X.size:WFW.size + X.size + (d - lo) * n]
-                Y[...] = 0.0
-                _sparsetools.csr_matvecs(d - lo, s * s, n, csr.indptr[lo:], csr.indices,
-                                         csr.data, X.reshape(-1), Y)
+                # row j is column lo + j of M at the rows k >= lo
+                acc = cols = M[lo:, ls].T
                 if add:
-                    M[lo:, ls] += Y.reshape(d - lo, n)
-                else:
-                    M[lo:, ls] = Y.reshape(d - lo, n)
+                    acc = work[WFW.size:WFW.size + n * (d - lo)].reshape(n, d - lo)
+                    acc[...] = 0.0
+                for j, x in enumerate(WFW.reshape(n, s * s)):
+                    if not add:
+                        acc[j, j:] = 0.0
+                    csr_matvec(d - lo - j, s * s, csr.indptr[lo + j:], csr.indices, csr.data, x,
+                               acc[j, j:])
+                if add:
+                    cols += acc
 
 
 @dataclass(frozen=True)

@@ -77,11 +77,13 @@ writes its share into M and the cap adds its own, each entry summed in the
 order block 0, block 1, cap, and ``lmi._cho_factor`` factors each M_i in
 place (SDPA does the same: Yamashita, Fujisawa & Kojima, Optim. Methods
 Softw. 2003).  The W form writes only the lower triangle, the only part the
-factorization reads, and the check for non-finite entries reads that part
-alone, in chunks of columns.  So a W-form iteration allocates no d-by-d array.  A Gram-form block
-after the first still adds its U U' from a temporary, the one BLAS call that
-forms it, and a failed factorization forms the group's complements again,
-for each ridge the retry adds, in an array of their own.
+factorization reads, one column at a time where M holds it, and the check
+for non-finite entries reads that part alone, in chunks of columns.  So a
+W-form iteration allocates no d-by-d array.  M starts as zeros, so the cap's
+chunks, which also add above the diagonal, never add to stale memory.  A
+Gram-form block after the first still adds its U U' from a temporary, the
+one BLAS call that forms it, and a failed factorization forms the group's
+complements again, for each ridge the retry adds, in an array of their own.
 """
 
 from __future__ import annotations
@@ -112,12 +114,15 @@ GRAM_MAX = 10_000
 W_MIN_SPARSITY = 32
 # bytes of working arrays that the problems of one lockstep group may hold
 # together (``_group_words``): the 20-point two-state and three-state grids run
-# as one group, and stacked n = 40 problems (d = 820) one at a time.  The 16
-# problems of the shear-flow pre-scan grid run as one group too, at the d = 15
-# of the slots its sign group fixes (a traced peak of 4.8 MB, 0.17 s of
-# process time); at d = 45, with the symmetry broken, they run as two groups
-# of 8 (6.3 MB, 0.26 s).  The search itself solves only the 7 that the
-# spectral ray leaves open (``certify._spectral_ray``)
+# as one group, stacked n = 20 problems (d = 210) two to a group and n = 40
+# (d = 820) one at a time; a W-form block's work array holds one congruence
+# chunk and, when the block adds its share, that chunk's columns of M
+# (``lmi._w_words``).  The 16 problems of the shear-flow pre-scan grid run as
+# one group too, at the d = 15 of the slots its sign group fixes (a traced
+# peak of 4.8 MB, 0.17 s of process time); at d = 45, with the symmetry
+# broken, they run as two groups of 8 (6.3 MB, 0.26 s).  The search itself
+# solves only the 7 that the spectral ray leaves open
+# (``certify._spectral_ray``)
 GROUP_BYTES = 1 << 23
 # the termination tests of the module docstring
 FEAS_TOL = 1e-8
@@ -274,23 +279,24 @@ class _Block:
     microseconds.  The W form, <F_k, W F_l W> with W = G G' (Fujisawa,
     Kojima & Nakata, Math. Prog. 1997; ``_Stack.w_share``), takes W F_l W
     from the congruence and its inner products with every F_k from a sparse
-    product with the d-by-s^2 matrix whose row k is vec(F_k), one problem at
-    a time: d s^2 r plus the nonzeros of F times d, of which only the lower
-    triangle, about half, is formed.  A larger block uses it
-    only when U has at least ``W_MIN_SPARSITY`` times as many entries as F
-    has nonzeros.  Stacked systems are far past that (330 to 420 at n = 40,
-    where the W form takes 0.14 to 0.26 of the Gram form's time); a dense A
-    and H are not (about 2, where it takes 3.2 to 3.5 times as long at n = 15
-    to 30).  Every problem of a group takes the same form.
+    product with the d-by-s^2 matrix whose row k is vec(F_k), one problem
+    and one column l of the share at a time: d s^2 r plus the nonzeros of F
+    times d, of which only the lower triangle, about half, is formed.  A
+    larger block uses it only when U has at least ``W_MIN_SPARSITY`` times
+    as many entries as F has nonzeros.  Stacked systems are far past that
+    (330 to 420 at n = 40, where the W form takes 0.14 to 0.26 of the Gram
+    form's time); a dense A and H are not (about 2, where it takes 3.2 to
+    3.5 times as long at n = 15 to 30).  Every problem of a group takes the
+    same form.
 
     The Gram rows are formed in ``work``, allocated with the block for all B
     problems (``lmi._gram_words`` doubles each): a congruence chunk
     G'F_kG, then the chunk's svec rows over its dead factors, scaled
     straight into U.  ``keep`` keeps U's first rows and the whole work array
     for the problems that remain, so neither is allocated again.  The W
-    form takes its chunks, their transposes and their products with the
-    rows of F in ``work`` too (``lmi._w_words`` doubles), one problem at a
-    time, so its group passes every W-form block and the cap one array
+    form takes its congruence chunks, and when it adds its share the
+    chunk's columns, in ``work`` too (``lmi._w_words`` doubles), one problem
+    at a time, so its group passes every W-form block and the cap one array
     (``work``).  ``schur`` writes or adds the share into the group's Schur
     complements; ``rhs`` gives the right-hand side pull_back(Chat) that goes
     with it.  The objective cap is no ``_Block``: see ``_Cap``.
@@ -425,14 +431,15 @@ class _Cap:
     def schur(self, M: np.ndarray) -> None:
         """Add the share u u' to the lower triangle of M (B, d, d), in chunks of
         columns ls of about ``lmi._CHUNK`` doubles per problem, each at the
-        rows k >= ls.start and formed in ``work``."""
+        rows k >= ls.start and formed in ``work`` as a column-major M holds
+        it, column by column (u_l u_k is u_k u_l exactly)."""
         u, step = self.u, self.step
         B, d = u.shape
         for lo in range(0, d, step):
-            v = u[:, None, lo:lo + step]
-            uu = self.work[:B * (d - lo) * v.shape[2]].reshape(B, d - lo, v.shape[2])
-            np.multiply(u[:, lo:, None], v, out=uu)
-            M[:, lo:, lo:lo + step] += uu
+            v = u[:, lo:lo + step, None]
+            uu = self.work[:B * v.shape[1] * (d - lo)].reshape(B, v.shape[1], d - lo)
+            np.multiply(v, u[:, None, lo:], out=uu)
+            M[:, lo:, lo:lo + step] += uu.mT
 
 
 def _cap_words(d: int) -> int:
@@ -443,34 +450,32 @@ def _cap_words(d: int) -> int:
 def _ruiz_scale(user):
     """Ruiz-style scaling of the blocks ``user``, one ``_Stack`` each, of B
     problems of one shape: the scaled stacks, variable scales gamma (B, d)
-    and block scales beta (B, blocks)."""
+    and block scales beta (B, blocks).  The sweeps find the factors, and each
+    stack multiplies its nonzeros by them in the same order (``scaled``)."""
     gamma = np.ones(user[0].vals.shape[:2])
     beta = np.ones((len(gamma), len(user)))
-    F0s = [blk.F0.copy() for blk in user]
-    vals = [blk.vals.copy() for blk in user]
+    F0s, factors = [blk.F0.copy() for blk in user], [[] for _ in user]
     # max |F0| per problem and max |F_k| per variable, read once and scaled
-    # with the data: rounding is monotone, so max |fl(g v)| = fl(g max |v|)
+    # as the data are: rounding is monotone, so max |fl(g v)| = fl(g max |v|)
     # for g > 0, and each maximum stays that of the scaled data, bit for bit
     f0_max = [np.abs(F0).max(axis=(1, 2)) for F0 in F0s]
-    row_max = [np.abs(V).max(axis=(2, 3)) for V in vals]
+    row_max = [blk.abs_max() for blk in user]
     for _ in range(RUIZ_SWEEPS):
         r = np.zeros(gamma.shape)
         for a in row_max:
             r = np.maximum(r, a)
         g = 1.0 / np.sqrt(np.where(r > 0, r, 1.0))
-        for V, a in zip(vals, row_max):
-            V *= g[:, :, None, None]
-            a *= g
         gamma *= g
-        for b, (F0, V, f, a) in enumerate(zip(F0s, vals, f0_max, row_max)):
+        for b, (F0, f, a, fs) in enumerate(zip(F0s, f0_max, row_max, factors)):
+            a *= g
             s = np.maximum(f, a.max(axis=1))
             sb = np.where(s > 0, 1.0 / np.sqrt(np.where(s > 0, s, 1.0)), 1.0)
             F0 *= sb[:, None, None]
-            V *= sb[:, None, None, None]
+            fs += [g, sb]
             f *= sb
             a *= sb[:, None]
             beta[:, b] *= sb
-    return [_Stack(F0, blk.rows, V) for F0, V, blk in zip(F0s, vals, user)], gamma, beta
+    return [blk.scaled(F0, fs) for blk, F0, fs in zip(user, F0s, factors)], gamma, beta
 
 
 def _lapack(fn, A: np.ndarray):
@@ -535,7 +540,8 @@ def _group_words(problem: SdpProblem, forms: tuple) -> int:
     s-by-s arrays (iterates, residuals and the directions of both Newton
     solves), and in the Gram form its rows U and their work array
     (``lmi._gram_words``), in the W form the work array that the block's
-    share takes (``lmi._w_words``)."""
+    share takes (``lmi._w_words``: a congruence chunk, then the chunk's
+    columns when it adds)."""
     d = problem.d
     words, work = d * d, _cap_words(d)
     for blk, gram in zip(problem.blocks, forms):
@@ -652,7 +658,7 @@ class _Group:
         # the Schur complements, column-major per problem, so that each is
         # factored in place, and the mask of the entries above the diagonal in
         # a chunk of the cap's columns, from its first row down (``step``)
-        self.M = np.empty((B, d, d)).transpose(0, 2, 1)
+        self.M = np.zeros((B, d, d)).transpose(0, 2, 1)
         self.upper = ~np.tri(d, self.cap.step, dtype=bool)
 
     def keep(self, mask: np.ndarray) -> None:
@@ -744,7 +750,7 @@ class _Group:
         B, d = self.y.shape
         ridge = 0.0
         for _ in range(2):
-            Mi = np.empty((B, d, d)).transpose(0, 2, 1)
+            Mi = np.zeros((B, d, d)).transpose(0, 2, 1)
             self.schur(Mi)
             Mi = Mi[i]
             ridge = max(ridge * 100.0, 1e-14 * max(1.0, float(np.trace(Mi)) / d))

@@ -701,17 +701,15 @@ class TestBlockOperators:
     def test_schur_matches_dense_reference(self, problem, chunk, monkeypatch):
         # the solver's W form, sum_b <F_k, W F_l W> with W = G G', equals the
         # Gram matrix of the rows svec(G' F_k G) on the lower triangle, the
-        # first block's share written and the next added; each chunk of
-        # columns ls is formed at the rows k >= ls.start, and the entries
-        # above are left as they are.  chunk=1 forces one column of M per
-        # pass, which leaves the whole strict upper triangle
+        # first block's share written and the next added; the write leaves
+        # the strict upper triangle as it is, and the add puts zeros there,
+        # so it stays NaN.  chunk=1 forces one column of M per congruence
         if chunk is not None:
             monkeypatch.setattr(lmi, "_CHUNK", chunk)
         rng = np.random.default_rng(13)
         d = problem.d
         M = np.full((d, d), np.nan)
         ref = np.zeros((d, d))
-        above = np.ones((d, d), dtype=bool)  # the entries no block writes
         for bi, blk in enumerate(problem.blocks):
             G = rng.normal(size=(blk.size, blk.size))
             block = sdp._Block(lmi._Stack.of([blk]), gram=False)
@@ -720,13 +718,9 @@ class TestBlockOperators:
             block.schur(M[None], bi > 0)
             U = svec(np.matmul(G.T, np.matmul(dense_stack(blk), G)))
             ref += U @ U.T
-            step = lmi._chunk_rows(d, blk.size, blk.size)
-            above &= np.arange(d)[:, None] < (np.arange(d) // step * step)[None, :]
         lower = np.tri(d, dtype=bool)
         np.testing.assert_allclose(M[lower], ref[lower], rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-        assert np.isnan(M[above]).all()
-        if chunk == 1:
-            assert np.array_equal(above, ~lower)
+        assert np.isnan(M[~lower]).all()
 
     @pytest.mark.parametrize("chunk", [None, 1], ids=["chunked", "by-slot"])
     def test_congruence_matches_dense_reference(self, problem, chunk, monkeypatch):
@@ -811,10 +805,8 @@ class TestStack:
         stk.gram_rows(G, U, np.full(B * lmi._gram_words(d, r, s), np.nan))
         share = np.full((B, d, d), np.nan)
         stk.w_share(W, share, np.full(lmi._w_words(d, r, s), np.nan))
-        # the lower triangle, each chunk of columns ls at the rows k >= ls.start
+        # the lower triangle only
         lower = np.tri(d, dtype=bool)
-        step = lmi._chunk_rows(d, s, s)
-        above = np.arange(d)[:, None] < (np.arange(d) // step * step)[None, :]
         for p, blk in enumerate(blocks):
             F = dense_stack(blk)
             ref = svec(G[p].T @ F @ G[p])
@@ -823,7 +815,80 @@ class TestStack:
             ref = F.reshape(d, -1) @ WFW.reshape(d, -1).T
             np.testing.assert_allclose(share[p][lower], ref[lower], rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
-            assert np.isnan(share[p][above]).all()
+            assert np.isnan(share[p][~lower]).all()
+
+    @pytest.mark.parametrize("chunk", [None, 1], ids=["chunked", "by-column"])
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_w_share_is_bitwise_the_csr_product(self, blocks, B, chunk, monkeypatch):
+        # on the lower triangle, the write pass gives scipy's csr @ X, X's
+        # column l being vec(W F_l W) as the congruence forms it, and the add
+        # pass M + csr @ X, bit for bit; the write pass leaves the strict
+        # upper triangle of M as it is.  M is column-major per problem, as the
+        # solver holds it, and the work array stale
+        if chunk is not None:
+            monkeypatch.setattr(lmi, "_CHUNK", chunk)
+        rng = np.random.default_rng(23)
+        stk = lmi._Stack.of(blocks[:B])
+        _, d, r, s = stk.vals.shape
+        G = rng.normal(size=(B, s, s))
+        W = G @ G.mT
+        ref = w_share_reference(stk, W)
+        work = np.full(lmi._w_words(d, r, s), np.nan)
+        lower = np.tri(d, dtype=bool)
+        M = np.full((B, d, d), np.nan).transpose(0, 2, 1)
+        stk.w_share(W, M, work)
+        A = rng.normal(size=(B, d, d))
+        M_add = A.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+        stk.w_share(W, M_add, work, add=True)
+        for p in range(B):
+            assert M[p][lower].tobytes() == ref[p][lower].tobytes()
+            assert np.isnan(M[p][~lower]).all()
+            assert M_add[p][lower].tobytes() == (A[p] + ref[p])[lower].tobytes()
+
+    def test_zero_f_k_gives_exact_zeros(self, blocks):
+        # an all-zero F_k is an empty row of each problem's CSR: its row and
+        # column of the share are exact zeros in the write pass, whatever M
+        # and the work array held, and the add pass adds zeros there
+        rng = np.random.default_rng(24)
+        B, d, r, s = len(blocks), blocks[0].d, blocks[0].rows.shape[1], blocks[0].size
+        ks = [0, d // 2, d - 1]
+        zeroed = []
+        for blk in blocks:
+            vals = blk.vals.copy()
+            vals[ks] = 0.0
+            zeroed.append(LmiBlock(F0=blk.F0, rows=blk.rows, vals=vals))
+        stk = lmi._Stack.of(zeroed)
+        for csr in stk.csr:
+            assert not np.diff(csr.indptr)[ks].any()
+        G = rng.normal(size=(B, s, s))
+        W = G @ G.mT
+        work = np.full(lmi._w_words(d, r, s), np.nan)
+        M = np.full((B, d, d), np.nan).transpose(0, 2, 1)
+        stk.w_share(W, M, work)
+        A = rng.normal(size=(B, d, d))
+        M_add = A.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+        stk.w_share(W, M_add, work, add=True)
+        for k in ks:
+            # row k left of the diagonal and column k below it
+            for part, before in ((M[:, k, :k + 1], None), (M[:, k:, k], None),
+                                 (M_add[:, k, :k + 1], A[:, k, :k + 1]),
+                                 (M_add[:, k:, k], A[:, k:, k])):
+                expected = np.zeros(part.shape) if before is None else before
+                assert part.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def w_share_reference(stk, W):
+    """Per problem, scipy's ``csr @ X`` with column l of X vec(W F_l W) as
+    ``_congruence`` forms it at the current ``_CHUNK``."""
+    _, d, r, s = stk.vals.shape
+    work = np.empty(lmi._congruence_words(d, r, s, s))
+    refs = []
+    for csr, vals, Wp in zip(stk.csr, stk.vals, W):
+        X = np.empty((d, s * s))
+        for ls, WFW in lmi._congruence(stk.rows, vals, Wp, Wp, work):
+            X[ls] = WFW.reshape(-1, s * s)
+        refs.append(csr @ X.T)
+    return refs
 
 
 class TestBlockValidation:

@@ -784,6 +784,27 @@ class TestSchurInPlace:
         assert len(calls) == len(sol.history) + 1 == sol.iters
         assert sol.objective == pytest.approx(reference.objective, rel=1e-10)
 
+    @pytest.mark.parametrize("chunk", [None, 7 * 50], ids=["one-chunk", "chunks-of-7"])
+    def test_cap_share_matches_the_row_major_chunks(self, chunk, monkeypatch):
+        # the cap forms each chunk of u u' as a column-major M holds it, (B,
+        # step, d - lo); its sum with M is bitwise that of the (B, d - lo,
+        # step) chunks, since u_l u_k is u_k u_l exactly
+        if chunk is not None:
+            monkeypatch.setattr(lmi, "_CHUNK", chunk)
+        rng = np.random.default_rng(31)
+        B, d = 3, 50
+        cap = sdp._Cap(rng.standard_normal((B, d)), rng.uniform(0.5, 2.0, B))
+        cap.x, cap.s = 10.0 ** rng.uniform(-4, 4, B), 10.0 ** rng.uniform(-4, 4, B)
+        assert cap.set_scaling() == {}
+        assert cap.step == (d if chunk is None else 7)
+        A = rng.standard_normal((B, d, d))
+        M = A.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+        cap.schur(M)
+        ref, u = A.copy(), cap.u
+        for lo in range(0, d, cap.step):
+            ref[:, lo:, lo:lo + cap.step] += u[:, lo:, None] * u[:, None, lo:lo + cap.step]
+        assert np.ascontiguousarray(M).tobytes() == ref.tobytes()
+
     def test_w_form_step_allocates_less_than_a_schur_complement(self):
         # the Schur complement, the work array of the W-form shares and the
         # cap's chunks belong to the group; a step allocates none of them

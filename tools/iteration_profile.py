@@ -38,6 +38,12 @@ residual report).  What ``step`` does outside those functions is "step,
 other", and what runs outside ``check`` and ``step`` (Ruiz scaling, the
 group's set-up, ``keep``) is "set-up, other".  The BLAS thread count is
 pinned to 1, as the benchmark pins it.
+
+Calls count Python-level calls, not work.  The W form makes one sparse
+call per column of the Schur complement (``lmi._Stack.w_share``), so at
+stacked n = 40 the Schur share makes about 2,000 calls per iteration where
+a product over whole chunks of columns made about 410, in less time; such a
+rise in ``calls/iter`` is no regression by itself.
 """
 
 from __future__ import annotations
