@@ -281,12 +281,6 @@ def _chunk_rows(d: int, p: int, q: int) -> int:
     return min(d, max(1, _CHUNK // (p * q)))
 
 
-def _congruence_words(d: int, r: int, p: int, q: int) -> int:
-    """Doubles per problem of the work array of ``_congruence`` with L (p, s),
-    R (s, q) and d slices F_k of r rows."""
-    return _chunk_rows(d, p, q) * (p * q + r * (p + q))
-
-
 def _gram_words(d: int, r: int, s: int) -> int:
     """Doubles per problem of the work array of ``_Stack.gram_rows``: a
     congruence chunk, whose factors the chunk's svec rows then overwrite."""
@@ -306,10 +300,10 @@ def _congruence(rows: np.ndarray, vals: np.ndarray, L: np.ndarray, R: np.ndarray
     ``_CHUNK`` doubles per problem, for ``vals`` (..., d, r, s) with L and R of the
     same leading shape.  F_k R is zero outside the rows ``rows[k]``, where it is
     ``vals[k]`` R, so no dense F_k is formed.  Every product is written into
-    the flat ``work`` (``_congruence_words`` per problem), so each chunk yields a
-    view, at the start of ``work``, that the next one overwrites, and no chunk
-    allocates; the factors of its product follow it and are dead once it
-    is yielded."""
+    the flat ``work``, at least ``_chunk_rows(d, p, q)`` (p q + r (p + q))
+    doubles per problem, so each chunk yields a view, at the start of
+    ``work``, that the next one overwrites, and no chunk allocates; the
+    factors of its product follow it and are dead once it is yielded."""
     d, r, s = vals.shape[-3:]
     lead = vals.shape[:-3]
     p, q = L.shape[-2], R.shape[-1]
@@ -407,10 +401,11 @@ class _Stack:
     Its index holds the nonzeros of every F_k, F^p_k[a, b] = v at k = p d + k'
     and flat = p s^2 + a s + b, each problem's in k-major order as for B = 1.
     So ``linear`` and ``adjoint`` serve the stack in one bincount, each
-    problem's sums taken in the order of its own stack, and ``csr`` cuts out
-    each problem's run.  ``gram_rows`` and ``w_share`` are the two Schur
-    shares' passes over ``_congruence``, which forms no dense F_k, and
-    ``abs_max`` and ``scaled`` serve Ruiz scaling from the nonzeros alone.
+    problem's sums taken in the order of its own stack, and ``w_share`` reads
+    each problem's run as the rows of a compressed sparse row matrix.
+    ``gram_rows`` and ``w_share`` are the two Schur shares' passes over
+    ``_congruence``, which forms no dense F_k, and ``abs_max`` and
+    ``scaled`` serve Ruiz scaling from the nonzeros alone.
     """
 
     def __init__(self, F0: np.ndarray, rows: np.ndarray, vals: np.ndarray):
@@ -471,17 +466,6 @@ class _Stack:
         return np.bincount(self._k, weights=self._v * Z.reshape(-1)[self._flat],
                            minlength=B * self.d).reshape(B, self.d)
 
-    @cached_property
-    def csr(self) -> list:
-        """Per problem, the d-by-s^2 ``scipy.sparse`` matrix whose row k is vec(F_k)."""
-        from scipy import sparse  # only the W form needs it
-
-        B, d, _, s = self.vals.shape
-        ptr = np.searchsorted(self._k, np.arange(B * d + 1))
-        return [sparse.csr_array((self._v[lo:hi], self._flat[lo:hi] - p * s * s,
-                                  ptr[p * d:(p + 1) * d + 1] - lo), shape=(d, s * s))
-                for p, (lo, hi) in enumerate(zip(ptr[:-1:d], ptr[d::d]))]
-
     def gram_rows(self, G: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
         """out[:, k] = svec(G' F_k G) per problem, G (B, s, s), out (B, d, s(s+1)/2),
         formed in the flat ``work`` of at least B ``_gram_words`` doubles."""
@@ -501,17 +485,22 @@ class _Stack:
         flat ``work`` of at least ``_w_words`` doubles.
 
         Only the lower triangle is formed, column by column where a
-        column-major out holds it: column l at the rows k >= l is ``csr @
-        vec(W F_l W)`` on the rows k >= l, by the one sparsetools call that
-        product makes, so every entry is bitwise the one it gives.  The write
-        pass zeroes each column and sums into it, and leaves every entry
-        above the diagonal as it is; the add pass sums a congruence chunk's
-        columns into zeros over the chunk's dead factors in ``work`` and adds
-        them in one call, so that each entry is out's plus this share."""
-        from scipy.sparse._sparsetools import csr_matvec  # as ``csr``, only the W form needs it
+        column-major out holds it: column l at the rows k >= l is the
+        product of the rows k >= l of the d-by-s^2 matrix whose row k is
+        vec(F_k) with vec(W F_l W), by scipy's ``csr_matvec`` kernel on the
+        index read as that matrix in compressed sparse row form: problem p's
+        row k starts at the index's first entry p d + k, and a nonzero's
+        column is flat mod s^2.  The write pass zeroes each column and sums
+        into it, and leaves every entry above the diagonal as it is; the add
+        pass sums a congruence chunk's columns into zeros over the chunk's
+        dead factors in ``work`` and adds them in one call, so that each
+        entry is out's plus this share."""
+        from scipy.sparse._sparsetools import csr_matvec  # only the W form needs it
 
-        _, d, _, s = self.vals.shape
-        for csr, vals, Wp, M in zip(self.csr, self.vals, W, out):
+        B, d, _, s = self.vals.shape
+        starts = np.searchsorted(self._k, np.arange(B * d + 1))
+        indices = self._flat % (s * s)
+        for p, (vals, Wp, M) in enumerate(zip(self.vals, W, out)):
             for ls, WFW in _congruence(self.rows, vals, Wp, Wp, work):
                 lo, n = ls.start, WFW.shape[0]
                 # row j is column lo + j of M at the rows k >= lo
@@ -522,7 +511,7 @@ class _Stack:
                 for j, x in enumerate(WFW.reshape(n, s * s)):
                     if not add:
                         acc[j, j:] = 0.0
-                    csr_matvec(d - lo - j, s * s, csr.indptr[lo + j:], csr.indices, csr.data, x,
+                    csr_matvec(d - lo - j, s * s, starts[p * d + lo + j:], indices, self._v, x,
                                acc[j, j:])
                 if add:
                     cols += acc

@@ -69,9 +69,9 @@ is added after the blocks' shares, so the iterates are those of a solve
 that handles it as a block.
 
 Every array of the size of the rows svec(G'F_kG) or of the Schur complement
-is allocated once per group.  A Gram-form block forms its rows in a work
-array of its own, a W-form block its share in one work array that the
-group's W-form blocks and the cap share (``_Block``).  The group holds the
+is allocated once per group.  The blocks and the cap take their temporaries
+in one work array, in turn: a Gram-form block forms its rows there, a W-form
+block its share and the cap its chunks (``_Block``).  The group holds the
 Schur complements M (B, d, d), each problem's column-major: every block
 writes its share into M and the cap adds its own, each entry summed in the
 order block 0, block 1, cap, and ``lmi._cho_factor`` factors each M_i in
@@ -115,13 +115,14 @@ W_MIN_SPARSITY = 32
 # bytes of working arrays that the problems of one lockstep group may hold
 # together (``_group_words``): the 20-point two-state and three-state grids run
 # as one group, stacked n = 20 problems (d = 210) two to a group and n = 40
-# (d = 820) one at a time; a W-form block's work array holds one congruence
-# chunk and, when the block adds its share, that chunk's columns of M
-# (``lmi._w_words``).  The 16 problems of the shear-flow pre-scan grid run as
-# one group too, at the d = 15 of the slots its sign group fixes (a traced
-# peak of 4.8 MB, 0.17 s of process time); at d = 45, with the symmetry
-# broken, they run as two groups of 8 (6.3 MB, 0.26 s).  The search itself
-# solves only the 7 that the spectral ray leaves open
+# (d = 820) one at a time; the group's one work array holds the largest of
+# the cap's chunk, a Gram-form block's congruence chunk for every problem
+# and a W-form block's chunk with, when the block adds its share, that
+# chunk's columns of M.  The 16 problems of the shear-flow pre-scan grid run
+# as one group too, at the d = 15 of the slots its sign group fixes (a
+# traced peak of 4.6 MB, 0.16 s of process time); at d = 45, with the
+# symmetry broken, they run as two groups of 8 (5.9 MB, 0.25 s).  The search
+# itself solves only the 7 that the spectral ray leaves open
 # (``certify._spectral_ray``)
 GROUP_BYTES = 1 << 23
 # the termination tests of the module docstring
@@ -195,7 +196,7 @@ class BlockFeasibilityReport:
 def check_block_feasibility(problem: SdpProblem, x: np.ndarray, tol: float) -> BlockFeasibilityReport:
     """Evaluate lambda_max of every block at x; feasible iff all <= tol."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    lams = tuple(float(_eigvalsh(blk.evaluate(x))[-1]) for blk in problem.blocks)
+    lams = tuple(float(np.linalg.eigvalsh(blk.evaluate(x))[-1]) for blk in problem.blocks)
     return BlockFeasibilityReport(lambda_max=lams, tol=float(tol))
 
 
@@ -222,12 +223,6 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return (M + M.mT) / 2.0
 
 
-def _eigvalsh(A: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh``; the eigenvalue of a 1-by-1 matrix is read off,
-    as LAPACK returns it."""
-    return A[..., 0] if A.shape[-1] == 1 else np.linalg.eigvalsh(A)
-
-
 def _residuals(user, c, x, Fx, Z):
     """(primal, dual, gap, c'x) of ``kkt_residuals``, each (B,), for B problems:
     ``user`` holds one ``_Stack`` per block, c and x are (B, d), and Fx[b] =
@@ -236,7 +231,8 @@ def _residuals(user, c, x, Fx, Z):
     dual_vec = -c
     dual_obj = 0.0
     for blk, Fxb, Zb in zip(user, Fx, Z):
-        primal = np.maximum(primal, np.maximum(0.0, _eigvalsh(Fxb)[..., -1]) / (1.0 + blk.f0_norm))
+        lam_max = np.linalg.eigvalsh(Fxb)[..., -1]
+        primal = np.maximum(primal, np.maximum(0.0, lam_max) / (1.0 + blk.f0_norm))
         dual_vec = dual_vec + blk.adjoint(Zb)
         dual_obj = dual_obj + (-blk.F0 * Zb).sum(axis=(1, 2))
     dual = np.abs(dual_vec).max(axis=1) / (1.0 + np.abs(c).max(axis=1, initial=0.0))
@@ -265,7 +261,8 @@ class _Block:
     eigenvalues lam of the scaled point (lam_i + lam_j)/2 (``lam_avg``),
     1/sqrt(lam) as a column (``lam_isqrt``) and -lam^2 I (``neg_lam2``), and
     forms Chat = G'CG and, in the Gram form, the rows U and svec(Chat)
-    (``Chat_sv``), in the W form W = G G'.
+    (``Chat_sv``), in the W form W = G G'.  ``pull_back`` takes every
+    right-hand side from these, pull_back(Chat) included.
 
     The block's share of the Schur complement, (<G'F_kG, G'F_lG>)_kl, is
     formed in one of two ways, both by the stack and so with no dense copy
@@ -289,26 +286,24 @@ class _Block:
     3.5 times as long at n = 15 to 30).  Every problem of a group takes the
     same form.
 
-    The Gram rows are formed in ``work``, allocated with the block for all B
-    problems (``lmi._gram_words`` doubles each): a congruence chunk
-    G'F_kG, then the chunk's svec rows over its dead factors, scaled
-    straight into U.  ``keep`` keeps U's first rows and the whole work array
-    for the problems that remain, so neither is allocated again.  The W
-    form takes its congruence chunks, and when it adds its share the
-    chunk's columns, in ``work`` too (``lmi._w_words`` doubles), one problem
-    at a time, so its group passes every W-form block and the cap one array
-    (``work``).  ``schur`` writes or adds the share into the group's Schur
-    complements; ``rhs`` gives the right-hand side pull_back(Chat) that goes
-    with it.  The objective cap is no ``_Block``: see ``_Cap``.
+    ``work`` is the group's one work array, which its blocks and the cap
+    use in turn.  The Gram form forms its rows there in ``set_scaling``,
+    for all B problems (``lmi._gram_words`` doubles each): a congruence
+    chunk G'F_kG, then the chunk's svec rows over its dead factors, scaled
+    straight into U.  The W form takes its congruence chunks, and when it
+    adds its share the chunk's columns, there in ``schur``, one problem at
+    a time (``lmi._w_words`` doubles).  ``keep`` keeps U's first rows for
+    the problems that remain, so U is not allocated again.  ``schur``
+    writes or adds the share into the group's Schur complements.  The
+    objective cap is no ``_Block``: see ``_Cap``.
     """
 
     __slots__ = ("lmi", "C", "size", "eye", "X", "S", "G", "lam_avg", "lam_isqrt", "neg_lam2",
                  "Chat", "Chat_sv", "U", "work", "W")
 
-    def __init__(self, lmi: _Stack, gram: bool, work: np.ndarray | None = None):
-        """``work`` is the W form's work array, by default allocated here."""
-        B, d, r, s = lmi.vals.shape
-        self.lmi, self.size = lmi, s
+    def __init__(self, lmi: _Stack, gram: bool, work: np.ndarray):
+        B, d, _, s = lmi.vals.shape
+        self.lmi, self.size, self.work = lmi, s, work
         self.C = -lmi.F0
         self.eye = np.eye(s)
         self.X = np.broadcast_to(self.eye, (B, s, s)).copy()
@@ -316,14 +311,10 @@ class _Block:
         # column-major per problem, as svec returns it, so that U U' takes the
         # same BLAS path
         self.U = np.empty((B, s * (s + 1) // 2, d)).transpose(0, 2, 1) if gram else None
-        if gram:
-            self.work = np.empty(B * _gram_words(d, r, s))
-        else:
-            self.work = np.empty(_w_words(d, r, s)) if work is None else work
 
     def keep(self, mask: np.ndarray) -> None:
-        """Drop the problems where ``mask`` is False.  U keeps its first rows
-        and the work array all of it: both are overwritten before they are read."""
+        """Drop the problems where ``mask`` is False.  U keeps its first rows:
+        they are overwritten before they are read."""
         self.lmi = self.lmi.keep(mask)
         self.C, self.X, self.S = self.C[mask], self.X[mask], self.S[mask]
         if self.U is not None:
@@ -352,14 +343,6 @@ class _Block:
         else:
             np.matmul(self.U, self.U.mT, out=M)
 
-    def rhs(self) -> tuple[np.ndarray, np.ndarray]:
-        """pull_back(Chat) = (F*(G Chat G'), |Chat|_F^2), in the Gram form from
-        the svec(Chat) that ``set_scaling`` keeps."""
-        if self.U is None:
-            return self.pull_back(self.Chat)
-        sv = self.Chat_sv
-        return (self.U @ sv[..., None])[..., 0], np.vecdot(sv, sv)
-
     def pull_back(self, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(F*(G R G'), <Chat, R>) for symmetric R (B, s, s) in the scaled space."""
         if self.U is not None:
@@ -381,22 +364,21 @@ class _Cap:
     symmetrization is the product of the scalars.  The Gram row is
     u = g (f g), and the share u u' is added to the Schur complement after
     the blocks' shares.  ``linear`` sums f_k y_k in k order as
-    ``_Stack.linear`` sums the nonzeros, and the adjoint is f x."""
+    ``_Stack.linear`` sums the nonzeros, and the adjoint is f x.  ``schur``
+    forms its chunks in the group's work array (``_Block``), at least
+    ``_cap_words`` doubles per problem."""
 
     __slots__ = ("f", "c", "x", "s", "rd", "g", "lam", "lam_isqrt", "neg_lam2", "chat", "u",
                  "step", "work")
 
-    def __init__(self, f: np.ndarray, c: np.ndarray, work: np.ndarray | None = None):
-        """``work`` takes the chunks of the Schur share (``schur``), at least
-        ``_cap_words`` doubles per problem; by default the cap allocates it."""
+    def __init__(self, f: np.ndarray, c: np.ndarray, work: np.ndarray):
         # + 0.0 makes a -0.0 in f +0.0: the row-compressed index drops it,
         # and the 1-by-1 products start their sums from 0.0
-        self.f, self.c = f + 0.0, c
+        self.f, self.c, self.work = f + 0.0, c, work
         self.x, self.s = np.ones(len(c)), np.ones(len(c))
         d = f.shape[1]
-        # columns per chunk of the Schur share, fixed with the size of ``work``
+        # columns per chunk of the Schur share, fixed with ``_cap_words``
         self.step = _chunk_rows(d, d, 1)
-        self.work = np.empty(len(c) * _cap_words(d)) if work is None else work
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the problems where ``mask`` is False."""
@@ -535,22 +517,22 @@ def solve_many(problems) -> list[SdpSolution]:
 def _group_words(problem: SdpProblem, forms: tuple) -> int:
     """The doubles that one problem of this shape, with these Schur
     ``forms``, adds to the working arrays of its lockstep group: its Schur
-    complement, and per block its data and their scaled copy, the nonzero
+    complement, per block its data and their scaled copy, the nonzero
     indices of both, the copy of data and indices that ``keep`` makes, 32
     s-by-s arrays (iterates, residuals and the directions of both Newton
-    solves), and in the Gram form its rows U and their work array
-    (``lmi._gram_words``), in the W form the work array that the block's
-    share takes (``lmi._w_words``: a congruence chunk, then the chunk's
-    columns when it adds)."""
+    solves) and in the Gram form its rows U, and once the group's work
+    array, as large as its largest use: the cap's chunk (``_cap_words``), a
+    Gram-form block's rows (``lmi._gram_words``) or a W-form block's share
+    (``lmi._w_words``: a congruence chunk, then the chunk's columns when it
+    adds)."""
     d = problem.d
     words, work = d * d, _cap_words(d)
     for blk, gram in zip(problem.blocks, forms):
         s, r = blk.size, blk.rows.shape[1]
         words += 3 * blk.vals.size + 9 * blk.nnz + 32 * s * s
         if gram:
-            words += d * s * (s + 1) // 2 + _gram_words(d, r, s)
-        else:
-            work = max(work, _w_words(d, r, s))
+            words += d * s * (s + 1) // 2
+        work = max(work, (_gram_words if gram else _w_words)(d, r, s))
     return words + work
 
 
@@ -646,9 +628,11 @@ class _Group:
         boxval = self.s_obj * OBJECTIVE_BOX
         rownorm = np.maximum(np.maximum(1.0, np.max(np.abs(c_sc), axis=1, initial=0.0)),
                              np.abs(boxval))
-        # the W-form shares and then the cap's take one work array in turn
-        work = np.empty(max([B * _cap_words(d)] + [_w_words(*lmi.vals.shape[1:])
-                                                   for lmi, gram in zip(scaled, forms) if not gram]))
+        # the Gram rows, the W-form shares and the cap's chunks take one work
+        # array in turn
+        work = np.empty(max([B * _cap_words(d)] + [
+            B * _gram_words(*lmi.vals.shape[1:]) if gram else _w_words(*lmi.vals.shape[1:])
+            for lmi, gram in zip(scaled, forms)]))
         self.cap = _Cap(c_sc / rownorm[:, None], boxval / rownorm, work)
         self.blocks = [_Block(lmi, gram, work) for lmi, gram in zip(scaled, forms)]
         self.b_vec = c_sc
@@ -795,9 +779,9 @@ class _Group:
         M = self.M
         with np.errstate(over="ignore", invalid="ignore"):
             self.schur(M)
-            g_vec, q_cc = blocks[0].rhs()
+            g_vec, q_cc = blocks[0].pull_back(blocks[0].Chat)
             for blk in blocks[1:]:
-                g_b, q_b = blk.rhs()
+                g_b, q_b = blk.pull_back(blk.Chat)
                 g_vec += g_b
                 q_cc += q_b
             g_vec += cap.u * cap.chat[:, None]
@@ -903,7 +887,8 @@ class _Group:
             for bi, blk in enumerate(blocks):
                 li = blk.lam_isqrt
                 # both directions in one call
-                e = _eigvalsh(np.concatenate((li * dXh[bi] * li.mT, li * dSh[bi] * li.mT)))[:, 0]
+                e = np.linalg.eigvalsh(np.concatenate((li * dXh[bi] * li.mT,
+                                                       li * dSh[bi] * li.mT)))[:, 0]
                 w = np.minimum(w, np.minimum(e[:B], e[B:]))
             li = cap.lam_isqrt
             w = np.minimum(w, np.minimum(li * dXh[-1] * li, li * dSh[-1] * li))

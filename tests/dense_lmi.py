@@ -2,11 +2,13 @@
 
 The tests compare every structured operator against these: ``svec_basis``
 spells the svec convention out as an explicit basis, ``dense_stack``
-expands a block to its (d, s, s) stack of F_k, and ``block_from_dense``
+expands a block to its (d, s, s) stack of F_k, ``csr_reference`` holds
+that stack as scipy's d-by-s^2 sparse matrix, and ``block_from_dense``
 builds a block from such a stack.
 """
 
 import numpy as np
+import scipy.sparse
 
 from qbstab.lmi import LmiBlock, _padded_rows, _svec_index
 
@@ -36,3 +38,8 @@ def dense_stack(blk: LmiBlock) -> np.ndarray:
     F = np.zeros((blk.d, blk.size, blk.size))
     F[np.arange(blk.d)[:, None], blk.rows] = blk.vals
     return F
+
+
+def csr_reference(blk: LmiBlock) -> scipy.sparse.csr_array:
+    """The d-by-s^2 sparse matrix whose row k is vec(F_k) of ``blk``."""
+    return scipy.sparse.csr_array(dense_stack(blk).reshape(blk.d, blk.size * blk.size))

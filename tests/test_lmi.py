@@ -31,7 +31,7 @@ from qbstab.systems import QBSystem, stack, symmetrize_quadratic
 
 from conftest import asymmetric_shear_flow, two_input_shear_flow
 
-from dense_lmi import block_from_dense, dense_stack, svec_basis
+from dense_lmi import block_from_dense, csr_reference, dense_stack, svec_basis
 
 
 def rand_spd(rng, n):
@@ -712,7 +712,8 @@ class TestBlockOperators:
         ref = np.zeros((d, d))
         for bi, blk in enumerate(problem.blocks):
             G = rng.normal(size=(blk.size, blk.size))
-            block = sdp._Block(lmi._Stack.of([blk]), gram=False)
+            work = np.full(lmi._w_words(d, blk.rows.shape[1], blk.size), np.nan)
+            block = sdp._Block(lmi._Stack.of([blk]), gram=False, work=work)
             block.set_scaling(G[None], np.ones((1, blk.size)))
             assert block.U is None
             block.schur(M[None], bi > 0)
@@ -728,11 +729,13 @@ class TestBlockOperators:
             monkeypatch.setattr(lmi, "_CHUNK", chunk)
         rng = np.random.default_rng(15)
         for blk in problem.blocks:
-            s = blk.size
+            s, r = blk.size, blk.rows.shape[1]
             L, R = rng.normal(size=(s + 1, s)), rng.normal(size=(s, s + 2))
             ref = L @ dense_stack(blk) @ R
             out = np.full_like(ref, np.nan)
-            work = np.full(lmi._congruence_words(blk.d, blk.rows.shape[1], s + 1, s + 2), np.nan)
+            # one chunk's product and both its factors
+            words = lmi._chunk_rows(blk.d, s + 1, s + 2) * ((s + 1) * (s + 2) + r * (2 * s + 3))
+            work = np.full(words, np.nan)
             for ks, LFR in lmi._congruence(blk.rows, blk.vals, L, R, work):
                 out[ks] = LFR
             np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -788,11 +791,20 @@ class TestStack:
             assert FZ[p].tobytes() == alone.adjoint(Z[p:p + 1])[0].tobytes()
 
     def test_csr_is_vec_of_each_f(self, blocks):
+        # the index as ``w_share`` reads it, each problem's row starts into
+        # it and each nonzero's column flat mod s^2, is the reference CSR
         stk = lmi._Stack.of(blocks)
-        assert len(stk.csr) == len(blocks)
-        for csr, blk in zip(stk.csr, blocks):
-            assert csr.shape == (blk.d, blk.size ** 2)
-            assert np.array_equal(csr.toarray(), dense_stack(blk).reshape(blk.d, -1))
+        B, d, s = len(blocks), blocks[0].d, blocks[0].size
+        starts = np.searchsorted(stk._k, np.arange(B * d + 1))
+        for p, blk in enumerate(blocks):
+            ref = csr_reference(blk)
+            assert ref.shape == (d, s * s)
+            assert np.array_equal(ref.toarray(), dense_stack(blk).reshape(d, -1))
+            ptr = starts[p * d:(p + 1) * d + 1]
+            lo, hi = ptr[0], ptr[-1]
+            assert np.array_equal(ptr - lo, ref.indptr)
+            assert np.array_equal(stk._flat[lo:hi] % (s * s), ref.indices)
+            assert stk._v[lo:hi].tobytes() == ref.data.tobytes()
 
     def test_schur_passes_per_problem(self, blocks):
         rng = np.random.default_rng(22)
@@ -820,11 +832,12 @@ class TestStack:
     @pytest.mark.parametrize("chunk", [None, 1], ids=["chunked", "by-column"])
     @pytest.mark.parametrize("B", [1, 3])
     def test_w_share_is_bitwise_the_csr_product(self, blocks, B, chunk, monkeypatch):
-        # on the lower triangle, the write pass gives scipy's csr @ X, X's
-        # column l being vec(W F_l W) as the congruence forms it, and the add
-        # pass M + csr @ X, bit for bit; the write pass leaves the strict
-        # upper triangle of M as it is.  M is column-major per problem, as the
-        # solver holds it, and the work array stale
+        # on the lower triangle, the write pass gives scipy's product R @ X of
+        # the reference CSR R, X's column l being vec(W F_l W) as the
+        # congruence forms it, and the add pass M + R @ X, bit for bit; the
+        # write pass leaves the strict upper triangle of M as it is.  M is
+        # column-major per problem, as the solver holds it, and the work
+        # array stale
         if chunk is not None:
             monkeypatch.setattr(lmi, "_CHUNK", chunk)
         rng = np.random.default_rng(23)
@@ -832,7 +845,7 @@ class TestStack:
         _, d, r, s = stk.vals.shape
         G = rng.normal(size=(B, s, s))
         W = G @ G.mT
-        ref = w_share_reference(stk, W)
+        ref = w_share_reference(blocks[:B], stk, W)
         work = np.full(lmi._w_words(d, r, s), np.nan)
         lower = np.tri(d, dtype=bool)
         M = np.full((B, d, d), np.nan).transpose(0, 2, 1)
@@ -846,7 +859,7 @@ class TestStack:
             assert M_add[p][lower].tobytes() == (A[p] + ref[p])[lower].tobytes()
 
     def test_zero_f_k_gives_exact_zeros(self, blocks):
-        # an all-zero F_k is an empty row of each problem's CSR: its row and
+        # an all-zero F_k is an empty row of each problem's index: its row and
         # column of the share are exact zeros in the write pass, whatever M
         # and the work array held, and the add pass adds zeros there
         rng = np.random.default_rng(24)
@@ -858,8 +871,8 @@ class TestStack:
             vals[ks] = 0.0
             zeroed.append(LmiBlock(F0=blk.F0, rows=blk.rows, vals=vals))
         stk = lmi._Stack.of(zeroed)
-        for csr in stk.csr:
-            assert not np.diff(csr.indptr)[ks].any()
+        for blk in zeroed:
+            assert not np.diff(csr_reference(blk).indptr)[ks].any()
         G = rng.normal(size=(B, s, s))
         W = G @ G.mT
         work = np.full(lmi._w_words(d, r, s), np.nan)
@@ -877,13 +890,14 @@ class TestStack:
                 assert part.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
-def w_share_reference(stk, W):
-    """Per problem, scipy's ``csr @ X`` with column l of X vec(W F_l W) as
-    ``_congruence`` forms it at the current ``_CHUNK``."""
+def w_share_reference(blocks, stk, W):
+    """Per problem, scipy's ``csr_reference @ X`` with column l of X vec(W F_l W)
+    as ``_congruence`` forms it at the current ``_CHUNK``, from the stack of
+    ``blocks``."""
     _, d, r, s = stk.vals.shape
-    work = np.empty(lmi._congruence_words(d, r, s, s))
+    work = np.empty(lmi._w_words(d, r, s))
     refs = []
-    for csr, vals, Wp in zip(stk.csr, stk.vals, W):
+    for csr, vals, Wp in zip(map(csr_reference, blocks), stk.vals, W):
         X = np.empty((d, s * s))
         for ls, WFW in lmi._congruence(stk.rows, vals, Wp, Wp, work):
             X[ls] = WFW.reshape(-1, s * s)

@@ -8,6 +8,7 @@ from qbstab.lmi import (
     SdpProblem,
     _gram_words as lmi_words,
     _Stack,
+    _w_words,
     assemble,
     default_alpha,
     default_delta,
@@ -446,10 +447,12 @@ def dense_system(n, seed=0):
 
 def stacked_block(blk, gram=None):
     """The solver's block for a lockstep group of one problem with block ``blk``,
-    in the Schur form ``gram``, by default the one ``solve_many`` picks."""
+    in the Schur form ``gram``, by default the one ``solve_many`` picks, with
+    a work array of its own."""
     if gram is None:
         gram = sdp._gram_form(blk.d, blk.size, blk.nnz)
-    return sdp._Block(_Stack.of([blk]), gram)
+    words = (lmi_words if gram else _w_words)(blk.d, blk.rows.shape[1], blk.size)
+    return sdp._Block(_Stack.of([blk]), gram, np.empty(words))
 
 
 class TestSchurForms:
@@ -474,14 +477,14 @@ class TestSchurForms:
         stack = _Stack.of([lmi])
         tracemalloc.start()
         try:
-            blk = sdp._Block(stack, sdp._gram_form(d, s, lmi.nnz))
+            work = np.empty(lmi_words(d, lmi.rows.shape[1], s))
+            blk = sdp._Block(stack, sdp._gram_form(d, s, lmi.nnz), work)
             blk.set_scaling(G[None], np.ones((1, s)))
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert blk.U is not None
-        assert blk.work.size == lmi_words(d, lmi.rows.shape[1], s)
-        assert retained - blk.work.nbytes < d * s * s * 8
+        assert blk.U is not None and blk.work is work
+        assert retained - work.nbytes < d * s * s * 8
 
     @pytest.mark.parametrize("sys_obj", [stack(two_state(), 5), dense_system(6)],
                              ids=["stacked", "dense"])
@@ -500,7 +503,8 @@ class TestSchurForms:
                 blk.set_scaling(G[None], np.ones((1, s)))
                 M = np.full((1, lmi.d, lmi.d), np.nan)
                 blk.schur(M, False)
-                out.append([M[0][lower]] + [a[0] for a in (*blk.rhs(), *blk.pull_back(R[None]))])
+                out.append([M[0][lower]] + [a[0] for a in (*blk.pull_back(blk.Chat),
+                                                           *blk.pull_back(R[None]))])
                 forms.append("gram" if blk.U is not None else "W")
             assert forms == ["gram", "W"]
             for gram_side, w_side in zip(*out):
@@ -618,6 +622,41 @@ class TestSolveMany:
             assert_same_solution(sol, ref)
         assert sizes == [3]
 
+    def test_mixed_form_group(self, monkeypatch):
+        # stacked six times (d = 78), the main block (s = 24) takes the W form
+        # and the floor block (s = 12) the Gram form, so the one work array
+        # of their group serves a Gram block's rows, a W block's share and
+        # the cap's chunks; the Infeasible point leaves the group at
+        # iteration 16.  Each solution is its own solve's, and the traced
+        # peak stays within what ``_group_words`` counts for the three
+        s6 = stack(two_state(), 6)
+        problems = [assemble(s6, e, default_alpha(s6), "analysis") for e in (0.3, 0.6, 1.0)]
+        first = problems[0]
+        forms = tuple(sdp._gram_form(first.d, blk.size, blk.nnz) for blk in first.blocks)
+        assert first.d == 78 and [blk.size for blk in first.blocks] == [24, 12]
+        assert forms == (False, True)
+        alone = [solve(p) for p in problems]
+        assert (alone[2].status, alone[2].iters) == ("Infeasible", 16)
+        assert all(sol.iters < 16 for sol in alone[:2])
+        sizes, group = [], sdp._Group
+
+        def recording(members, forms):
+            sizes.append(len(members))
+            return group(members, forms)
+
+        monkeypatch.setattr(sdp, "_Group", recording)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            together = sdp.solve_many(problems)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sizes == [3]
+        for sol, ref in zip(together, alone):
+            assert_same_solution(sol, ref)
+        assert peak <= 8 * 3 * sdp._group_words(first, forms)
+
     def test_group_keeps_to_its_byte_budget(self, monkeypatch):
         # the 16 problems of the pre-scan grid of the shear flow with its sign
         # symmetry broken (d = 45; the symmetric flow's d = 15 problems fit in
@@ -668,11 +707,11 @@ class TestObjectiveCap:
         B, d = 5, 45
         f = rng.standard_normal((B, d)) * (rng.random((B, d)) < 0.3)
         c = rng.uniform(0.5, 2.0, B)
-        cap = sdp._Cap(f, c)
+        cap = sdp._Cap(f, c, np.empty(B * sdp._cap_words(d)))
         cap.x, cap.s = 10.0 ** rng.uniform(-4, 4, B), 10.0 ** rng.uniform(-4, 4, B)
         assert cap.set_scaling() == {}
         blk = sdp._Block(_Stack(-c[:, None, None], np.zeros((d, 1), dtype=np.intp),
-                                f.reshape(B, d, 1, 1)), True)
+                                f.reshape(B, d, 1, 1)), True, np.empty(B * lmi_words(d, 1, 1)))
         blk.X, blk.S = cap.x[:, None, None].copy(), cap.s[:, None, None].copy()
         Lx, Ls = np.linalg.cholesky(blk.X), np.linalg.cholesky(blk.S)
         _, sv, Vt = np.linalg.svd(Ls.mT @ Lx)
@@ -693,7 +732,7 @@ class TestObjectiveCap:
         M_cap = np.zeros((B, d, d))
         cap.schur(M_cap)
         assert same(M, cap.u[:, :, None] * cap.u[:, None, :] + 0.0) and same(M, M_cap)
-        g, q = blk.rhs()
+        g, q = blk.pull_back(blk.Chat)
         assert same(g, cap.u * cap.chat[:, None] + 0.0) and same(q, cap.chat * cap.chat)
         R = rng.standard_normal(B)
         a, r = blk.pull_back(R[:, None, None])
@@ -793,7 +832,8 @@ class TestSchurInPlace:
             monkeypatch.setattr(lmi, "_CHUNK", chunk)
         rng = np.random.default_rng(31)
         B, d = 3, 50
-        cap = sdp._Cap(rng.standard_normal((B, d)), rng.uniform(0.5, 2.0, B))
+        cap = sdp._Cap(rng.standard_normal((B, d)), rng.uniform(0.5, 2.0, B),
+                       np.empty(B * sdp._cap_words(d)))
         cap.x, cap.s = 10.0 ** rng.uniform(-4, 4, B), 10.0 ** rng.uniform(-4, 4, B)
         assert cap.set_scaling() == {}
         assert cap.step == (d if chunk is None else 7)
@@ -812,7 +852,7 @@ class TestSchurInPlace:
         forms = tuple(sdp._gram_form(prob.d, blk.size, blk.nnz) for blk in prob.blocks)
         assert forms == (False, False)
         group = sdp._Group([prob], forms)
-        # the first step builds the per-problem CSRs, which the group keeps
+        # after a first step, so that nothing made once per solve is counted
         group.check(0)
         assert group.step() == {}
         group.check(1)

@@ -13,6 +13,12 @@ and on its parent and compare the lines.  The sets:
                     (1e-3, 1) with rel_tol 1e-3
 - ``stacked-10``    the two-state system stacked 10 times at eps = 0.3, 0.6
                     and 1.0, solved together (both blocks take the W form)
+- ``stacked-6``     the two-state system stacked 6 times (d = 78) at eps =
+                    0.3, 0.6 and 1.0, solved together: the main block takes
+                    the W form and the floor block the Gram form, so one
+                    group's work array serves the Gram rows, the W-form
+                    share and the cap's chunks; eps = 1.0 ends Infeasible
+                    at iteration 16, after the others have left
 - ``stacked-40``    the two-state system stacked 20 times (n = 40) at
                     eps = 0.4 with the two-state decay margin, as the
                     ``stacked_n40`` benchmark solves it
@@ -246,6 +252,7 @@ def parity_sets() -> dict:
         "three-grid": lambda: grid(*grids[1]),
         "shear-search": search,
         "stacked-10": lambda: stacked(10, (0.3, 0.6, 1.0), default_alpha(stack(two_state(), 10))),
+        "stacked-6": lambda: stacked(6, (0.3, 0.6, 1.0), default_alpha(stack(two_state(), 6))),
         "stacked-40": lambda: stacked(20, (0.4,), default_alpha(two_state())),
         "reference": reference,
         "assembly": assembly,
