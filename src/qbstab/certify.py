@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DimensionError, NotPositiveDefiniteError, QBStabError, SchemaError
 from .lmi import (_cho_solve, _EpsFamily, _spd_eigh, _spd_factor, _spd_sqrt, _Stack,
                   _svec_index, _TStar, assemble, default_alpha, default_delta, svec)
-from .sdp import FEAS_TOL, GAP_TOL, SdpSolution, ray_test, solve, solve_many
+from .sdp import SdpSolution, check_block_feasibility, ray_test, solve, solve_many
 from .systems import QBSystem, _finite_array, _json_int, _read_json, _write_json
 
 __all__ = [
@@ -78,9 +78,8 @@ SCAN_POINTS = 16
 REL_TOL_MIN = 1e-12
 # traces within TIE_REL of the best count as tied in ``SweepResult.best``
 TIE_REL = 1e-6
-# a solve that ends NumericalFailure or IterLimit still certifies when each
-# residual of its best iterate is within this many times FEAS_TOL or GAP_TOL
-_LOOSE_FACTOR = 10.0
+# the shrinks 1 - t, in order, at which ``_proof`` tries a failed solve's iterate
+_SHRINKS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 
 
 def shape_report(P: np.ndarray, K: np.ndarray | None, delta: float) -> dict:
@@ -142,10 +141,10 @@ class Certificate:
     Y and the extracted gain K = Y P^-1, both finite; analysis certificates carry neither.
     ``solver_report`` says how the certificate was obtained: solver status,
     iterations and residuals, whether it is a failed solve's best iterate
-    (``relaxed_retry``, see ``max_trace``), the ``shape_report`` entries
-    (lambda_min(P)/delta, floor activity, |K|_2), the order of the system's
-    sign group (``symmetry_order``) and the number of decision variables
-    solved for (``decision_dim``, see ``lmi.DecisionLayout``).
+    (``relaxed_retry``) and the shrink that proves it (``proof_shrink``, see
+    ``max_trace``), the ``shape_report`` entries (lambda_min(P)/delta, floor
+    activity, |K|_2), the order of the system's sign group (``symmetry_order``)
+    and the number of decision variables (``decision_dim``, see ``lmi.DecisionLayout``).
     """
 
     mode: str
@@ -314,11 +313,11 @@ def max_trace(sys: QBSystem, eps: float, alpha, mode: str) -> Certificate | Infe
     includes a stalled solve, where the LMI has no interior and no improving
     ray ("stalled: ..."): it is neither feasible nor proven infeasible.
 
-    At most one solve per eps.  If it ends NumericalFailure or IterLimit, the best
-    iterate it returns still certifies when each of its residuals is within
-    ``_LOOSE_FACTOR`` times FEAS_TOL or GAP_TOL, as on well-conditioned
-    optima whose attainable dual accuracy lands just above the tolerance;
-    the certificate then reads status Optimal and ``relaxed_retry`` True.
+    At most one solve per eps.  If it ends NumericalFailure or IterLimit, its
+    best iterate x still certifies when some t = 1 - shrink of ``_SHRINKS``
+    makes every block at t x negative beyond its rounding bound (``_proof``):
+    the certificate is (tP, tY), with status Optimal, ``relaxed_retry`` True
+    and the shrink as ``proof_shrink``.
     Its ``solver_report`` also says how far lambda_min(P) sits above the
     floor delta (floor-active when within 10 delta) and |K|_2.
     """
@@ -361,13 +360,11 @@ def _outcome(sys, problem, sol: SdpSolution, eps, alpha, mode) -> Certificate | 
     if sol.status == "Infeasible":
         return Infeasible(mode=mode, alpha=alpha, epsilon=eps, ray=sol.Z,
                           message=sol.message)
-    feas, gap = _LOOSE_FACTOR * FEAS_TOL, _LOOSE_FACTOR * GAP_TOL
-    # each residual on its own, so that a NaN fails
-    retried = (sol.status in ("NumericalFailure", "IterLimit") and sol.primal_residual <= feas
-               and sol.dual_residual <= feas and sol.duality_gap <= gap)
-    if sol.status != "Optimal" and not retried:
+    shrink = _proof(problem, sol.x) if sol.status in ("NumericalFailure", "IterLimit") else None
+    if sol.status != "Optimal" and shrink is None:
         raise SolverFailure(f"solver returned {sol.status} at eps={eps:.6g}: {sol.message}")
-    P, Y = problem.layout.unpack(sol.x)
+    t = 1.0 if shrink is None else 1.0 - shrink
+    P, Y = (None if a is None else t * a for a in problem.layout.unpack(sol.x))
     # the gain solves K P = Y
     K = _cho_solve(_spd_factor(P), Y.T).T if mode == "synthesis" else None
     report = {
@@ -377,12 +374,33 @@ def _outcome(sys, problem, sol: SdpSolution, eps, alpha, mode) -> Certificate | 
         "duality_gap": sol.duality_gap,
         "iters": sol.iters,
         **shape_report(P, K, default_delta(sys)),
-        "relaxed_retry": retried,
+        "relaxed_retry": shrink is not None,
+        **({} if shrink is None else {"proof_shrink": shrink}),
         "symmetry_order": problem.layout.group_order,
         "decision_dim": problem.d,
     }
     return Certificate(mode=mode, P=P, epsilon=eps, alpha=alpha, Y=Y, K=K,
                        solver_report=report)
+
+
+def _proof(problem, x: np.ndarray) -> float | None:
+    """The first shrink 1 - t of ``_SHRINKS`` at which each block b at t x has
+    lambda_max below -(d + 2 s_b) eps_mach (|F0_b|_F + sum_k |t x_k| |F_k,b|_F),
+    a bound on the rounding of the block and of its eigenvalues; None if no
+    shrink does, x is not finite or ``eigvalsh`` raises."""
+    if not np.isfinite(x).all():
+        return None
+    user = [_Stack.of([blk]) for blk in problem.blocks]
+    for shrink in _SHRINKS:
+        tx = (1.0 - shrink) * x
+        try:
+            lam = check_block_feasibility(problem, tx, 0.0).lambda_max
+        except np.linalg.LinAlgError:
+            return None
+        if all(lam_b < -(problem.d + 2 * ub.size) * np.finfo(float).eps
+               * (ub.f0_norm[0] + np.abs(tx) @ ub.f_norm[0]) for lam_b, ub in zip(lam, user)):
+            return shrink
+    return None
 
 
 def _sweep_point(sys, problem, sol: SdpSolution, eps, alpha, mode) -> SweepEntry:

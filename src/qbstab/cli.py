@@ -119,9 +119,9 @@ _rel_tol = _bounded(float, REL_TOL_MIN)
 
 
 def _load_target(args) -> tuple[QBSystem, str]:
-    if getattr(args, "zoo", None) and getattr(args, "system", None):
+    if args.zoo and args.system:
         raise CliError("pass either --zoo or --system, not both")
-    if getattr(args, "zoo", None):
+    if args.zoo:
         params = {}
         for spec in args.param or []:
             if "=" not in spec:
@@ -132,7 +132,7 @@ def _load_target(args) -> tuple[QBSystem, str]:
             return get_model(args.zoo, **params), f"zoo:{args.zoo}"
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(str(exc))
-    if getattr(args, "system", None):
+    if args.system:
         sys_obj, _defect = load_system(args.system)
         return sys_obj, str(args.system)
     raise CliError("a system source is required: --zoo NAME or --system FILE")

@@ -454,6 +454,13 @@ class _Stack:
     def f0_norm(self) -> np.ndarray:
         return np.array([np.linalg.norm(F, "fro") for F in self.F0])
 
+    @cached_property
+    def f_norm(self) -> np.ndarray:
+        """|F_k|_F per problem and k, (B, d), from the nonzeros."""
+        B = len(self.F0)
+        return np.sqrt(np.bincount(self._k, weights=self._v * self._v,
+                                   minlength=B * self.d)).reshape(B, self.d)
+
     def linear(self, x: np.ndarray) -> np.ndarray:
         """sum_k x_k F_k per problem, x (B, d) -> (B, s, s)."""
         B, s = len(x), self.size
@@ -592,9 +599,8 @@ def _gram_rows(Mc: np.ndarray, a: np.ndarray, i: np.ndarray, j: np.ndarray) -> n
 
 
 class _EpsFamily:
-    """The problems ``assemble`` gives for one (sys, alpha, mode, delta), at
-    any eps: an eps grid or search builds one family and asks it for each
-    point.
+    """The problems ``assemble`` gives for one (sys, alpha, mode), at any
+    eps: an eps grid or search builds one family and asks it for each point.
 
     The data are affine in eps.  Only the eps-weighted Gram rows
     sum_p (H_p E_k H_p' + D_p E_k D_p') in the TL corner of the main block
@@ -612,13 +618,11 @@ class _EpsFamily:
     and the index arrays are ``_svec_index``'s own.
     """
 
-    def __init__(self, sys: QBSystem, alpha: float, mode: str, delta: float | None = None):
+    def __init__(self, sys: QBSystem, alpha: float, mode: str):
         if not 0 <= alpha < np.inf:
             raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
         lay = _symmetric_layout(sys, mode)
         n, m, d, n_p = sys.n, lay.m, lay.d, lay.n_p
-        if delta is None:
-            delta = default_delta(sys)
         s = 2 * n if mode == "analysis" else 3 * n
         # the kept slots: P slot k is E_k, and Y slot k is Y[r, c]
         i, j, scale = lay.p_slots
@@ -674,7 +678,7 @@ class _EpsFamily:
         vals = np.zeros(rows.shape + (m + n,))
         vals[:n_p, :, m:] = -_basis_rows(rows[:n_p] - m, i, j, 1.0 / scale, n)
         F0f = np.zeros((m + n, m + n))
-        F0f[m:, m:] = delta * np.eye(n)
+        F0f[m:, m:] = default_delta(sys) * np.eye(n)
         if m:
             F0f[:m, :m] = -default_mu(sys) * np.eye(m)
             Ry = rows[n_p:]
@@ -762,24 +766,23 @@ class _EpsFamily:
         return _TStar(self.sys, self.alpha) if self.mode == "analysis" else None
 
 
-def assemble(sys: QBSystem, eps: float, alpha: float, mode: str,
-             delta: float | None = None) -> SdpProblem:
+def assemble(sys: QBSystem, eps: float, alpha: float, mode: str) -> SdpProblem:
     """Assemble the trace-maximization SDP for the given mode.
 
     The main block is the LMI above; the second block enforces P >= delta I
-    and, for synthesis, the input bound Y (P - delta I)^-1 Y' <= mu I with
-    mu = ``default_mu`` (delta defaults to ``default_delta``).  The
+    and, for synthesis, the input bound Y (P - delta I)^-1 Y' <= mu I, with
+    delta = ``default_delta`` and mu = ``default_mu``.  The
     objective maximizes trace(P).  Both blocks are emitted row-compressed:
     the nonzero rows of each F_k follow from the sparsity of A, B, D and the
     blocks of H, so no dense F stack is built.  x holds the slots of (P, Y)
     that the sign symmetries of ``sys`` fix (``_symmetric_layout``).
 
     This is the one-point case of ``_EpsFamily``, which builds once per
-    (sys, alpha, mode, delta) the layout, the rows of both blocks, the floor
+    (sys, alpha, mode) the layout, the rows of both blocks, the floor
     block and the main block's eps-free template, and forms per eps only
     the eps-dependent TL entries, the -eps I corner and the main block.
     """
-    return _EpsFamily(sys, alpha, mode, delta).problem(eps)
+    return _EpsFamily(sys, alpha, mode).problem(eps)
 
 
 @dataclass(frozen=True)

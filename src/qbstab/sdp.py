@@ -82,8 +82,8 @@ for non-finite entries reads that part alone, in chunks of columns.  So a
 W-form iteration allocates no d-by-d array.  M starts as zeros, so the cap's
 chunks, which also add above the diagonal, never add to stale memory.  A
 Gram-form block after the first still adds its U U' from a temporary, the
-one BLAS call that forms it, and a failed factorization forms the group's
-complements again, for each ridge the retry adds, in an array of their own.
+one BLAS call that forms it.  A complement that does not factor ends its
+problem, and ``certify`` judges that problem's best iterate by its proof.
 """
 
 from __future__ import annotations
@@ -725,26 +725,6 @@ class _Group:
             blk.schur(M, bi > 0)
         self.cap.schur(M)
 
-    def ridge_factor(self, i: int):
-        """The factor of M_i + ridge I, for problem i whose Schur complement
-        M_i failed to factor, at the first of two growing ridges that works;
-        None if neither does.  The failed factorization has overwritten M_i
-        in place, so the Schur complements are formed again, in an array of
-        their own, for each try."""
-        B, d = self.y.shape
-        ridge = 0.0
-        for _ in range(2):
-            Mi = np.zeros((B, d, d)).transpose(0, 2, 1)
-            self.schur(Mi)
-            Mi = Mi[i]
-            ridge = max(ridge * 100.0, 1e-14 * max(1.0, float(np.trace(Mi)) / d))
-            Mi[np.diag_indices(d)] += ridge
-            try:
-                return cho_factor(Mi)
-            except np.linalg.LinAlgError:
-                pass
-        return None
-
     def step(self) -> dict:
         """One predictor-corrector step of every problem.  On a breakdown nothing
         changes, and the result maps the position of each problem that broke
@@ -801,9 +781,7 @@ class _Group:
             try:
                 factors[i] = cho_factor(Mi)
             except np.linalg.LinAlgError:
-                factors[i] = self.ridge_factor(i)
-                if factors[i] is None:
-                    failed[i] = "Schur complement not positive definite"
+                failed[i] = "Schur complement not positive definite"
         if failed:
             return failed
 

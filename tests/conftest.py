@@ -3,7 +3,7 @@ import pytest
 
 from qbstab.models import shear_flow_9, three_state_qb, two_state
 from qbstab.certify import sweep_epsilon
-from qbstab.systems import QBSystem
+from qbstab.systems import QBSystem, symmetrize_quadratic
 
 TWO_STATE_GRID = np.linspace(0.01, 0.8, 20)
 THREE_STATE_GRID = np.linspace(0.01, 14.0, 20)
@@ -41,6 +41,23 @@ def two_input_shear_flow(Re: float = 120.0) -> QBSystem:
     D[0][0, 8] = 0.3
     D[1][1, 0] = 0.2  # s_2 = s_1 t_2, so t_2 = s_2
     return QBSystem(A=sys_obj.A, H=sys_obj.H, B=B, D=D)
+
+
+def burgers(n: int, nu: float = 0.1) -> QBSystem:
+    """Viscous Burgers u_t = nu u_xx - u u_x on (0, 1), u = 0 at both ends, on
+    n interior nodes, h = 1/(n + 1): A = nu/h^2 tridiag(1, -2, 1), and the
+    convection is the skew-symmetric central difference
+    -[u_i (u_{i+1} - u_{i-1}) + u_{i+1}^2 - u_{i-1}^2] / (6h), so H is banded
+    and energy-preserving (x'H(x (x) x) = 0) and the sign group is trivial."""
+    h = 1.0 / (n + 1)
+    A = nu / h ** 2 * (np.eye(n, k=1) - 2.0 * np.eye(n) + np.eye(n, k=-1))
+    T = np.zeros((n, n, n))  # T[i, j, k] multiplies u_j u_k in row i
+    i, c = np.arange(n - 1), 1.0 / (6.0 * h)
+    T[i, i, i + 1] -= c
+    T[i, i + 1, i + 1] -= c
+    T[i + 1, i + 1, i] += c
+    T[i + 1, i, i] += c
+    return QBSystem(A=A, H=symmetrize_quadratic(T.reshape(n, n * n), n))
 
 
 def criterion_line(tag: str, ok: bool, detail: str) -> None:

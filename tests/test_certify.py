@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import THREE_STATE_GRID
+from conftest import THREE_STATE_GRID, burgers
 from qbstab import certify
 from qbstab.certify import (
     REL_TOL_MIN,
@@ -29,7 +29,7 @@ from qbstab import sdp
 from qbstab.cli import main as cli_main
 from qbstab.errors import DimensionError, NotPositiveDefiniteError, SchemaError
 from qbstab.lmi import _Stack as lmi_stack
-from qbstab.lmi import assemble, default_delta, default_mu
+from qbstab.lmi import _TStar, assemble, default_alpha, default_delta, default_mu
 from qbstab.models import scalar_family, shear_flow_9, three_state_qb, two_state
 from qbstab.sdp import check_block_feasibility
 from qbstab.systems import save_system, stack
@@ -100,18 +100,20 @@ class TestSynthesisGrid:
         assert len(statuses) == len(THREE_STATE_GRID)
         for entry, status in zip(sweep.entries, statuses):
             if entry.feasible:
-                assert entry.certificate.solver_report["relaxed_retry"] == (
-                    status in ("NumericalFailure", "IterLimit"))
+                report = entry.certificate.solver_report
+                failed = status in ("NumericalFailure", "IterLimit")
+                assert report["relaxed_retry"] == ("proof_shrink" in report) == failed
 
     def test_failed_solve_certifies_from_its_best_iterate(self, three_state_sweep):
         # eps = 1.4826 ends "step length collapsed" after 20 iterations; its
-        # best iterate satisfies both blocks within 1e-10
+        # best iterate, shrunk by at most 1e-8, makes both blocks negative
         entry = three_state_sweep.entries[2]
         cert = entry.certificate
         assert entry.epsilon == THREE_STATE_GRID[2] and cert.solver_report["relaxed_retry"] is True
+        assert cert.solver_report["proof_shrink"] <= 1e-8
         prob = assemble(three_state_qb(), cert.epsilon, cert.alpha, "synthesis")
-        rep = check_block_feasibility(prob, prob.layout.pack(cert.P, cert.Y), 1e-10)
-        assert len(rep.lambda_max) == 2 and rep.feasible, rep.lambda_max
+        rep = check_block_feasibility(prob, prob.layout.pack(cert.P, cert.Y), 0.0)
+        assert len(rep.lambda_max) == 2 and max(rep.lambda_max) < 0, rep.lambda_max
         assert cert.trace_P == pytest.approx(11.3780603, rel=1e-7)
 
     def test_off_the_floor_and_inside_the_input_bound(self, three_state_sweep):
@@ -133,6 +135,33 @@ class TestSynthesisGrid:
             X = (u * r[:, None]) @ ((V * np.sqrt(w)) @ V.T)
             u_max = float(np.max(np.linalg.norm(X @ cert.K.T, axis=1)))
             assert u_max <= np.sqrt(mu) * (1.0 + 1e-6), (e.epsilon, u_max)
+
+
+class TestBurgers:
+    """The finite-difference Burgers model at n = 20, where the solver ends
+    NumericalFailure below eps* (ROADMAP item 22), so every certificate
+    there comes from a proven best iterate."""
+
+    def test_energy_preserving(self):
+        s = burgers(20)
+        x = np.random.default_rng(0).normal(size=20)
+        assert abs(x @ (s.H @ np.kron(x, x))) < 1e-12
+
+    def test_failed_solves_certify_on_proof(self):
+        s = burgers(20)
+        eps_star = _TStar(s, default_alpha(s)).eps_star
+        assert eps_star == pytest.approx(2.4467, rel=1e-4)
+        for eps in np.geomspace(0.02, 0.9, 8) * eps_star:
+            cert = max_trace(s, eps, None, "analysis")
+            assert isinstance(cert, Certificate), eps
+            report = cert.solver_report
+            if report["relaxed_retry"]:
+                assert report["proof_shrink"] <= 1e-4, eps
+            else:
+                assert "proof_shrink" not in report
+            prob = assemble(s, eps, cert.alpha, "analysis")
+            lam = check_block_feasibility(prob, prob.layout.pack(cert.P), 0.0).lambda_max
+            assert max(lam) < 0, (eps, lam)
 
 
 class TestSweep:

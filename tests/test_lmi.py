@@ -319,15 +319,17 @@ class TestEpsFamily:
 
     @pytest.mark.parametrize("name", sorted(FAMILY_SYSTEMS))
     @pytest.mark.parametrize("strict", [False, True], ids=["alpha 0", "default alpha"])
-    def test_problems_equal_one_point_assembly(self, name, strict):
+    def test_problems_equal_one_point_assembly(self, name, strict, monkeypatch):
         make, mode, delta = FAMILY_SYSTEMS[name]
+        if delta is not None:
+            monkeypatch.setattr(lmi, "default_delta", lambda sys_obj: delta)
         s = make()
         alpha = default_alpha(s) if strict else 0.0
-        family = lmi._EpsFamily(s, alpha, mode, delta)
+        family = lmi._EpsFamily(s, alpha, mode)
         # every point first, so a point that changed the family shows in the next
         problems = [family.problem(eps) for eps in self.EPS]
         for eps, prob in zip(self.EPS, problems):
-            assert same_problem(prob, assemble(s, eps, alpha, mode, delta))
+            assert same_problem(prob, assemble(s, eps, alpha, mode))
         assert same_problem(family.problem(self.EPS[0]), problems[0])
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, np.inf, np.nan])
@@ -389,14 +391,15 @@ class TestFloorBlock:
         assert floor.size == s.m + s.n
         np.testing.assert_array_equal(floor.F0[: s.m, : s.m], -default_mu(s) * np.eye(s.m))
 
-    def test_psd_exactly_when_floor_and_input_bound_hold(self):
+    def test_psd_exactly_when_floor_and_input_bound_hold(self, monkeypatch):
         # -(block) = [[mu I, Y], [Y', P - delta I]] >= 0  iff  P >= delta I and
         # Y (P - delta I)^-1 Y' <= mu I; samples within rounding of the boundary
         # are skipped
         rng = np.random.default_rng(5)
         s = three_state_qb()
         n, m, delta, mu = s.n, s.m, 0.1, default_mu(s)
-        prob = assemble(s, 1.0, 0.0, "synthesis", delta=delta)
+        monkeypatch.setattr(lmi, "default_delta", lambda sys_obj: delta)
+        prob = assemble(s, 1.0, 0.0, "synthesis")
         seen = {True: 0, False: 0}
         for _ in range(400):
             G = rng.normal(size=(n, n))
@@ -691,6 +694,8 @@ class TestBlockOperators:
                                        rtol=1e-13, atol=1e-13 * np.abs(F).max())
             np.testing.assert_allclose(adjoint(blk, Z), F.reshape(problem.d, -1) @ Z.reshape(-1),
                                        rtol=1e-13, atol=1e-13 * np.abs(F).max())
+            np.testing.assert_allclose(lmi._Stack.of([blk]).f_norm[0],
+                                       np.linalg.norm(F, axis=(1, 2)), rtol=1e-14)
 
     def test_evaluate_is_affine_part_plus_linear(self, problem):
         x = np.random.default_rng(12).normal(size=problem.d)

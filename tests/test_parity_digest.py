@@ -94,3 +94,38 @@ def test_assembly_set_sees_one_ulp():
     flat[k] = np.nextafter(flat[k], np.inf)
     parts[1][1][0][2] = vals
     assert tool.digest(parts) != reference
+
+
+def test_items_hash_as_lists():
+    items = tool.Items([[1.0, "a"], np.arange(3.0)], ["x", "y"])
+    assert tool.digest(items) == tool.digest([[1.0, "a"], np.arange(3.0)])
+
+
+def test_parts_name_the_certificate_that_moved():
+    sweep, solutions = recorded_sweep()
+    lines = dict(tool.part_lines(tool.grid_parts(sweep, solutions)))
+    assert list(lines) == ["entry 0 eps=0.2", "entry 1 eps=0.5", "entry 2 eps=0.8",
+                           "solve 0", "solve 1", "solve 2"]
+    entry = sweep.entries[1]
+    P = np.nextafter(entry.certificate.P, np.inf)
+    entries = list(sweep.entries)
+    entries[1] = dataclasses.replace(entry, certificate=dataclasses.replace(entry.certificate, P=P))
+    moved = dict(tool.part_lines(tool.grid_parts(SweepResult(entries=tuple(entries)), solutions)))
+    assert [k for k in lines if lines[k] != moved[k]] == ["entry 1 eps=0.5"]
+
+
+def test_reference_parts_are_labelled_by_eps():
+    sweep, solutions = recorded_sweep()
+    parts = tool.certificate_parts(SCALAR, "analysis", sweep, solutions)
+    assert parts.labels == ["eps=0.2", "eps=0.5", "eps=0.8"]
+
+
+def test_main_prints_the_parts_of_one_set(capsys):
+    assert tool.main(["--parts", "stacked-6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" ", 1)[0] for line in lines] == [
+        "stacked-6 solve eps=0.3", "stacked-6 solve eps=0.6", "stacked-6 solve eps=1"]
+    parts = tool.parity_sets()["stacked-6"]()
+    assert [line.rsplit(" ", 1)[1] for line in lines] == [tool.digest(p) for p in parts]
+    with pytest.raises(SystemExit, match="no set 'nine'"):
+        tool.main(["--parts", "nine"])

@@ -168,34 +168,19 @@ class TestNumericalFailure:
         assert sol.message == "Schur complement not finite"
         assert sol.iters == 1 and sol.history == []
 
-    def test_schur_ridge_retry_recovers(self, monkeypatch):
-        # one failed factorization is retried with a small ridge on M
-        prob = assemble(two_state(), 0.3, default_alpha(two_state()), "analysis")
-        reference = solve(prob)
-        cho_factor, calls = sdp.cho_factor, []
+    def test_failed_factorization_ends_the_problem(self, monkeypatch):
+        # no retry: the one call that fails ends the solve
+        calls = []
 
-        def fail_third(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 3:
-                raise np.linalg.LinAlgError("not positive definite")
-            return cho_factor(*args, **kwargs)
-
-        monkeypatch.setattr(sdp, "cho_factor", fail_third)
-        sol = solve(prob)
-        assert sol.status == "Optimal" and sol.iters == reference.iters == 12
-        # one factorization per completed step, iters - 1 of them, and the retry
-        assert len(calls) == len(sol.history) + 1 == sol.iters
-        assert sol.objective == pytest.approx(reference.objective, rel=1e-10)
-
-    def test_schur_ridge_retry_gives_up(self, monkeypatch):
         def never(*args, **kwargs):
+            calls.append(None)
             raise np.linalg.LinAlgError("not positive definite")
 
         monkeypatch.setattr(sdp, "cho_factor", never)
         sol = solve(assemble(two_state(), 0.3, default_alpha(two_state()), "analysis"))
         assert sol.status == "NumericalFailure"
         assert sol.message == "Schur complement not positive definite"
-        assert sol.iters == 1
+        assert sol.iters == 1 and len(calls) == 1
 
 
 # the log-spaced pre-scan of optimize_epsilon over (1e-3, 1)
@@ -287,51 +272,65 @@ class TestInfeasibility:
         assert not ok[0] and eta[0] > 1e-4
 
 
-class TestRelaxed:
-    @pytest.mark.parametrize("sys_obj, eps, alpha, mode, limits, certifies", [
+def assert_proven(prob, x):
+    """Every block of ``prob`` at x has lambda_max below -tau_b, the rounding
+    bound (d + 2 s_b) eps_mach (|F0_b|_F + sum_k |x_k| |F_k,b|_F), with the
+    F_k taken dense."""
+    for blk, lam in zip(prob.blocks, check_block_feasibility(prob, x, 0.0).lambda_max):
+        f_norms = np.linalg.norm(dense_stack(blk), axis=(1, 2))
+        tau = ((prob.d + 2 * blk.size) * np.finfo(float).eps
+               * (np.linalg.norm(blk.F0) + np.abs(x) @ f_norms))
+        assert lam < -tau, (lam, tau)
+
+
+class TestProof:
+    @pytest.mark.parametrize("sys_obj, eps, alpha, mode, limits, shrink", [
         # one iteration short of the strict optimum
-        (SCALAR_SYS, 1.0, 0.01, "analysis", {"MAX_ITERS": 7}, True),
-        # two iterations short: no iterate passes the looser tests either
-        (SCALAR_SYS, 1.0, 0.01, "analysis", {"MAX_ITERS": 6}, False),
-        # the step length collapses at iteration 20; the dual residual is 1.6e-8
-        (three_state_qb(), np.linspace(0.01, 14.0, 20)[2], None, "synthesis", {}, True),
+        (SCALAR_SYS, 1.0, 0.01, "analysis", {"MAX_ITERS": 7}, 1e-6),
+        # two iterations short
+        (SCALAR_SYS, 1.0, 0.01, "analysis", {"MAX_ITERS": 6}, 1e-6),
+        # the step length collapses at iteration 20; at t = 1 the main block's
+        # lambda_max is +1.3e-11 and the floor block's +4.2e-11
+        (three_state_qb(), np.linspace(0.01, 14.0, 20)[2], None, "synthesis", {}, 1e-10),
         # stalled, with a duality gap of 3.2e-6: just above eps*, where the
         # spectral ray is too weak to decide the point without a solve
-        (shear_flow_9(120.0), SHEAR_SCAN[6], None, "analysis", {}, False),
-    ], ids=["optimal", "short", "three-state", "stalled"])
-    def test_equals_relaxed_re_solve(self, monkeypatch, sys_obj, eps, alpha, mode, limits,
-                                     certifies):
-        # max_trace certifies a failed solve exactly when a re-solve with 10x
-        # looser tolerances ends Optimal, and from the solution's best iterate
+        (shear_flow_9(120.0), SHEAR_SCAN[6], None, "analysis", {}, None),
+    ], ids=["cut-at-7", "cut-at-6", "three-state", "stalled"])
+    def test_certifies_on_proof(self, monkeypatch, sys_obj, eps, alpha, mode, limits, shrink):
+        # max_trace certifies a failed solve exactly when its best iterate,
+        # shrunk by one of certify._SHRINKS, makes every block negative
+        # beyond its rounding bound; the certificate is that shrunk iterate
         for name, value in limits.items():
             monkeypatch.setattr(sdp, name, value)
         prob = assemble(sys_obj, eps, default_alpha(sys_obj) if alpha is None else alpha, mode)
         sol = solve(prob)
         assert sol.status in ("NumericalFailure", "IterLimit")
-        try:
-            cert = max_trace(sys_obj, eps, alpha, mode)
-        except SolverFailure:
-            cert = None
-        monkeypatch.setattr(sdp, "FEAS_TOL", 10.0 * sdp.FEAS_TOL)
-        monkeypatch.setattr(sdp, "GAP_TOL", 10.0 * sdp.GAP_TOL)
-        replay = solve(prob)
-        assert (cert is not None) == (replay.status == "Optimal") == certifies
-        if cert is not None:
-            report = cert.solver_report
-            assert (report["status"], report["relaxed_retry"]) == ("Optimal", True)
-            assert ((report["primal_residual"], report["dual_residual"], report["duality_gap"],
-                     report["iters"])
-                    == (sol.primal_residual, sol.dual_residual, sol.duality_gap, sol.iters))
-            P, Y = prob.layout.unpack(sol.x)
-            assert cert.P.tobytes() == P.tobytes()
+        if shrink is None:
+            with pytest.raises(SolverFailure, match="stalled"):
+                max_trace(sys_obj, eps, alpha, mode)
+            return
+        cert = max_trace(sys_obj, eps, alpha, mode)
+        report = cert.solver_report
+        assert (report["status"], report["relaxed_retry"], report["proof_shrink"]) == (
+            "Optimal", True, shrink)
+        assert ((report["primal_residual"], report["dual_residual"], report["duality_gap"],
+                 report["iters"])
+                == (sol.primal_residual, sol.dual_residual, sol.duality_gap, sol.iters))
+        P, Y = prob.layout.unpack(sol.x)
+        assert cert.P.tobytes() == ((1.0 - shrink) * P).tobytes()
+        if Y is not None:
+            assert cert.Y.tobytes() == ((1.0 - shrink) * Y).tobytes()
+        assert_proven(prob, prob.layout.pack(cert.P, cert.Y))
 
     def test_absent_when_strict_tests_pass_first(self):
-        # iteration 7 passes only the looser tests, iteration 8 the strict ones
+        # cut at iteration 7 the solve certifies on proof (above); run to its
+        # end, it passes the strict tests at iteration 8 and carries no shrink
         sol = solve(assemble(SCALAR_SYS, 1.0, 0.01, "analysis"))
         assert (sol.status, sol.iters) == ("Optimal", 8)
         report = max_trace(SCALAR_SYS, 1.0, 0.01, "analysis").solver_report
         assert (report["relaxed_retry"], report["iters"], report["dual_residual"]) == (
             False, 8, sol.dual_residual)
+        assert "proof_shrink" not in report
 
 
 class TestBestIterate:
@@ -797,32 +796,6 @@ class TestSchurInPlace:
         else:
             assert_same_solution(sol, reference)
 
-    @pytest.mark.parametrize("make, iters", [
-        (lambda: assemble(two_state(), 0.3, default_alpha(two_state()), "analysis"), 12),
-        (lambda: stacked_problems((0.3,))[0], 11),
-    ], ids=["gram", "W"])
-    def test_ridge_retry_after_an_in_place_failure(self, make, iters, monkeypatch):
-        # as test_schur_ridge_retry_recovers, but the failing call has factored
-        # M in place first: the retry must form M again
-        prob = make()
-        reference = solve(prob)
-        real, calls = sdp.cho_factor, []
-
-        def fail_third(a):
-            calls.append(None)
-            before = a.copy()
-            factor = real(a)
-            if len(calls) == 3:
-                assert not np.array_equal(a, before)
-                raise np.linalg.LinAlgError("not positive definite")
-            return factor
-
-        monkeypatch.setattr(sdp, "cho_factor", fail_third)
-        sol = solve(prob)
-        assert sol.status == "Optimal" and sol.iters == reference.iters == iters
-        assert len(calls) == len(sol.history) + 1 == sol.iters
-        assert sol.objective == pytest.approx(reference.objective, rel=1e-10)
-
     @pytest.mark.parametrize("chunk", [None, 7 * 50], ids=["one-chunk", "chunks-of-7"])
     def test_cap_share_matches_the_row_major_chunks(self, chunk, monkeypatch):
         # the cap forms each chunk of u u' as a column-major M holds it, (B,
@@ -918,7 +891,7 @@ class TestFailureIsolation:
         real = sdp.cho_factor
 
         def failing(a, *args, **kwargs):
-            if np.allclose(a, target, rtol=1e-9, atol=0.0):  # with or without a ridge
+            if np.allclose(a, target, rtol=1e-9, atol=0.0):
                 raise np.linalg.LinAlgError("not positive definite")
             return real(a, *args, **kwargs)
 

@@ -2,10 +2,16 @@
 shown to solve every set bitwise alike.
 
     python tools/parity_digest.py [SRC]
+    python tools/parity_digest.py --parts SET [SRC]
 
 qbstab is imported from SRC, by default this checkout's ``src/``; the tool
 refuses to run if the import resolves anywhere else.  Run it on a change
-and on its parent and compare the lines.  The sets:
+and on its parent and compare the lines.  With ``--parts`` it prints one
+digest per part of the set SET instead, each under a label: per grid or
+search entry (by position and eps) and per solve, per certificate of
+``reference``, per problem of ``assembly`` and per system of
+``eps-window``.  So when a set's digest moves, the lines of ``--parts`` on
+both trees show which parts moved.  The sets:
 
 - ``two-grid``      the two-state analysis grid, 20 points on [0.01, 0.8]
 - ``three-grid``    the three-state synthesis grid, 20 points on [0.01, 14]
@@ -57,6 +63,7 @@ if __name__ == "__main__":
                  "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ[_var] = "1"
 
+import argparse
 import hashlib
 import sys
 from pathlib import Path
@@ -64,6 +71,15 @@ from pathlib import Path
 import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class Items(list):
+    """Parts of a set that ``--parts`` digests one by one, each under its
+    label.  It hashes as the list it is, so no set digest depends on it."""
+
+    def __init__(self, items, labels):
+        super().__init__(items)
+        self.labels = list(labels)
 
 
 def _feed(h, obj) -> None:
@@ -100,6 +116,16 @@ def digest(obj) -> str:
     return h.hexdigest()
 
 
+def part_lines(parts: Items, prefix: str = ""):
+    """(label, digest) of every item of ``parts``; the items of a nested
+    ``Items`` are labelled by their path."""
+    for label, item in zip(parts.labels, parts):
+        if isinstance(item, Items):
+            yield from part_lines(item, f"{prefix}{label} ")
+        else:
+            yield prefix + label, digest(item)
+
+
 def solution_parts(sol) -> list:
     """What an ``SdpSolution`` contributes to a digest."""
     return [sol.status, sol.iters, sol.message, sol.history, sol.primal_residual,
@@ -122,9 +148,22 @@ def entry_parts(entry) -> list:
     return [entry.epsilon, entry.status, [cert.P, cert.K, report]]
 
 
-def grid_parts(sweep, solutions) -> list:
+def entry_items(entries) -> Items:
+    """``entry_parts`` of each entry, labelled by its position and eps (a
+    search may come back to an eps)."""
+    return Items([entry_parts(e) for e in entries],
+                 [f"{k} eps={e.epsilon:.6g}" for k, e in enumerate(entries)])
+
+
+def solution_items(solutions, labels=None) -> Items:
+    """``solution_parts`` of each solution, labelled by ``labels`` or its index."""
+    labels = range(len(solutions)) if labels is None else labels
+    return Items([solution_parts(s) for s in solutions], map(str, labels))
+
+
+def grid_parts(sweep, solutions) -> Items:
     """A grid's entries and the solutions of its solves."""
-    return [[entry_parts(e) for e in sweep.entries], [solution_parts(s) for s in solutions]]
+    return Items([entry_items(sweep.entries), solution_items(solutions)], ["entry", "solve"])
 
 
 def reference_parts(problem, x, sol) -> list:
@@ -136,18 +175,19 @@ def reference_parts(problem, x, sol) -> list:
             check_block_feasibility(problem, x, 0.0).lambda_max, kkt_residuals(problem, sol)]
 
 
-def certificate_parts(sys_obj, mode, sweep, solutions) -> list:
+def certificate_parts(sys_obj, mode, sweep, solutions) -> Items:
     """``reference_parts`` at every certificate of a recorded sweep, on its
-    problem re-assembled, with the solution it was taken from."""
+    problem re-assembled, with the solution it was taken from; labelled by eps."""
     from qbstab.lmi import assemble
 
-    parts = []
+    parts, labels = [], []
     for entry, sol in zip(sweep.entries, solutions):
         cert = entry.certificate
         if cert is not None:
             problem = assemble(sys_obj, cert.epsilon, cert.alpha, mode)
             parts.append(reference_parts(problem, problem.layout.pack(cert.P, cert.Y), sol))
-    return parts
+            labels.append(f"eps={cert.epsilon:.6g}")
+    return Items(parts, labels)
 
 
 def problem_parts(problem) -> list:
@@ -206,13 +246,13 @@ def parity_sets() -> dict:
         res, sols = recording(lambda: certify.optimize_epsilon(
             shear_flow_9(120.0), (1e-3, 1.0), 1e-3, None, "analysis"), problems)
         best = None if res.best is None else res.best.trace_P
-        return [best, res.solves, [entry_parts(e) for e in res.history],
-                [solution_parts(s) for s in sols]]
+        return Items([best, res.solves, entry_items(res.history), solution_items(sols)],
+                     ["best", "solves", "entry", "solve"])
 
     def stacked(k, eps, alpha):
         sys_obj = stack(two_state(), k)
         problems = [assemble(sys_obj, e, alpha, "analysis") for e in eps]
-        return [solution_parts(s) for s in sdp.solve_many(problems)]
+        return solution_items(sdp.solve_many(problems), [f"solve eps={e:g}" for e in eps])
 
     def stacked_40():
         return assemble(stack(two_state(), 20), 0.4, default_alpha(two_state()), "analysis")
@@ -224,20 +264,23 @@ def parity_sets() -> dict:
             parts.append(certificate_parts(sys_obj, mode, sweep, sols))
         problem = stacked_40()
         sol = sdp.solve(problem)
-        return parts + [reference_parts(problem, sol.x, sol)]
+        return Items(parts + [reference_parts(problem, sol.x, sol)],
+                     ["two-grid", "three-grid", "stacked-40"])
 
     def eps_window():
         from qbstab.lmi import _EpsFamily
 
-        parts = []
-        for sys_obj, eps in ((shear_flow_9(120.0), np.geomspace(1e-3, 1.0, 16)),
-                             (shear_flow_9(160.0), np.geomspace(1e-3, 1.0, 16)),
-                             (two_state(), np.geomspace(0.005, 2.0, 16))):
+        parts = Items([], [])
+        for label, sys_obj, eps in (
+                ("Re=120", shear_flow_9(120.0), np.geomspace(1e-3, 1.0, 16)),
+                ("Re=160", shear_flow_9(160.0), np.geomspace(1e-3, 1.0, 16)),
+                ("two-state", two_state(), np.geomspace(0.005, 2.0, 16))):
             family = _EpsFamily(sys_obj, default_alpha(sys_obj), "analysis")
             rays = [certify._spectral_ray(family.window, family.problem(e), e, family.alpha,
                                           "analysis") for e in eps]
             parts.append([family.window.eps_star,
                           [None if r is None else [r.epsilon, r.ray, r.message] for r in rays]])
+            parts.labels.append(label)
         return parts
 
     def assembly():
@@ -245,7 +288,9 @@ def parity_sets() -> dict:
         for sys_obj, eps, mode in grids:
             grid(sys_obj, eps, mode, problems)
         search(problems)
-        return [problem_parts(p) for p in problems + [stacked_40()]]
+        problems.append(stacked_40())
+        return Items([problem_parts(p) for p in problems],
+                     [f"problem {i}" for i in range(len(problems))])
 
     return {
         "two-grid": lambda: grid(*grids[0]),
@@ -261,18 +306,26 @@ def parity_sets() -> dict:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) > 1:
-        raise SystemExit("usage: python tools/parity_digest.py [SRC]")
-    src = Path(argv[0]).resolve() if argv else SRC
+    parser = argparse.ArgumentParser(prog="python tools/parity_digest.py")
+    parser.add_argument("--parts", metavar="SET", help="one digest per part of the set SET")
+    parser.add_argument("src", nargs="?", default=SRC, type=Path, metavar="SRC")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
     if not (src / "qbstab" / "__init__.py").is_file():
         raise SystemExit(f"parity_digest: no qbstab sources under {src}")
     sys.path.insert(0, str(src))
     import qbstab
     if Path(qbstab.__file__).resolve().parent != (src / "qbstab").resolve():
         raise SystemExit(f"parity_digest: imported qbstab from {qbstab.__file__}, not {src}")
-    for name, parts in parity_sets().items():
-        print(f"{name:<13} {digest(parts())}", flush=True)
+    sets = parity_sets()
+    if args.parts is None:
+        for name, parts in sets.items():
+            print(f"{name:<13} {digest(parts())}", flush=True)
+    elif args.parts not in sets:
+        raise SystemExit(f"parity_digest: no set {args.parts!r}; the sets are {', '.join(sets)}")
+    else:
+        for label, value in part_lines(sets[args.parts]()):
+            print(f"{args.parts} {label} {value}", flush=True)
     return 0
 
 
