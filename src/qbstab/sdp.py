@@ -29,7 +29,9 @@ The tolerances are fixed: Optimal needs primal and dual residuals within
 within ``FEAS_TOL`` max(1, |c|_inf), and IterLimit comes after ``MAX_ITERS``
 iterations.  Ruiz-style block scaling (``RUIZ_SWEEPS``) and the objective cap
 ``OBJECTIVE_BOX`` always apply, every solve keeps its per-iteration log in
-``SdpSolution.history``, and identical inputs produce identical iterates.
+``SdpSolution.history``, and identical inputs produce identical iterates
+on one BLAS build at one BLAS thread count; another thread count can sum
+products in another order, and the iterates then differ in rounding.
 The iterate is never renormalized: the embedding is scale invariant, every test relative.
 
 The iterates X and S, the dual residuals and the Newton directions are

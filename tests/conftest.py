@@ -1,3 +1,14 @@
+import os
+import sys
+
+# One BLAS thread, as perfbench and tools/parity_digest.py run: solver
+# iterates depend on the thread count, and on two cores mid-size solves run
+# slower with two threads.  The variables act only if set before numpy loads.
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was imported before tests/conftest.py could pin the BLAS threads")
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 

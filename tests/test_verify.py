@@ -108,6 +108,26 @@ def reference_convergence_check(sys, cert, n_traj, t_final, dt, seed, envelope_t
     return report, first_escape
 
 
+def reference_settle_step(sys, cert, n_traj, dt, seed):
+    """The first step of the step-by-step loop after which every trajectory
+    has V <= 1e-14 V(0) and lambda_max(P) V <= (CONV_RTOL |x(0)|)^2."""
+    closed = verify._closed_system(sys, cert)
+    X = verify.boundary_points(cert.P, n_traj, np.random.default_rng(seed))
+    factor = _spd_factor(cert.P)
+
+    def v_of(Xb):
+        return np.sum(Xb * cho_solve(factor, Xb.T).T, axis=1)
+
+    V0 = v_of(X)
+    bound = np.minimum(1e-14 * V0, (verify.CONV_RTOL * np.linalg.norm(X, axis=1)) ** 2
+                       / np.linalg.eigvalsh(cert.P)[-1])
+    k = 0
+    while np.any(v_of(X) > bound):
+        X = _reference_rk4_step(closed, X, dt)
+        k += 1
+    return k
+
+
 def reference_sample_check(sys, cert, n_samples, seed):
     """sample_check with P^-1 X solved once for V and once for dV/dt."""
     closed = verify._closed_system(sys, cert)
@@ -410,6 +430,68 @@ class TestBlockParity:
                           (three_state_qb(), three_state_sweep.feasible_entries()[7].certificate)):
             args = (sys, cert, 10_000, 3)
             assert sample_check(*args) == reference_sample_check(*args)
+
+
+class TestSettledStop:
+    """The audit stops once every live trajectory has settled, and only if
+    the linear RK4 step contracts V; its report equals the full-length loop's."""
+
+    @staticmethod
+    def count_steps(monkeypatch):
+        counted = []
+        integrate = verify._integrate
+
+        def counting(sys_cl, X, dt, out):
+            counted.append(len(out))
+            integrate(sys_cl, X, dt, out)
+
+        monkeypatch.setattr(verify, "_integrate", counting)
+        return counted
+
+    def test_stops_one_block_after_settling(self, monkeypatch, two_state_sweep):
+        cert = two_state_sweep.feasible_entries()[10].certificate
+        args = (two_state(), cert, 60, 5.0, 1e-3, 3)  # 5000 steps: blocks of 273
+        settle = reference_settle_step(two_state(), cert, 60, 1e-3, 3)
+        counted = self.count_steps(monkeypatch)
+        rep = convergence_check(*args)
+        assert settle <= sum(counted) <= settle + counted[0] < 5000
+        assert rep.samples_tested == 60 * 5000
+        assert rep == reference_convergence_check(*args)[0]
+
+    @pytest.mark.parametrize("A,P,dt,contracts", [
+        ([[-1.0]], [[1.0]], 1e-3, True),
+        ([[-1.0]], [[1.0]], 2.7, True),    # R(-2.7) = 0.88
+        ([[-1.0]], [[1.0]], 3.0, False),   # past RK4's bound 2.785 on the real axis
+        ([[-1.0, 10.0], [0.0, -1.0]], np.eye(2), 1e-3, False),  # |x|^2 first grows
+        ([[-1.0, 10.0], [0.0, -1.0]], [[101.0, 5.0], [5.0, 1.0]], 0.01, True),  # AP + PA' < 0
+    ])
+    def test_contraction_guard(self, A, P, dt, contracts):
+        assert verify._rk4_contracts(np.array(A), _spd_factor(np.array(P)), dt) is contracts
+
+    def test_no_stop_without_contraction(self, monkeypatch):
+        # V = |x|^2 first grows along x' = Ax, though every trajectory settles
+        # near t = 21: the guard alone keeps the audit running to t_final
+        args = (QBSystem(A=np.array([[-1.0, 10.0], [0.0, -1.0]]), H=np.zeros((2, 4))),
+                Certificate(mode="analysis", P=np.eye(2), epsilon=1.0, alpha=0.0), 50, 40.0, 0.01, 0)
+        counted = self.count_steps(monkeypatch)
+        rep = convergence_check(*args)
+        assert sum(counted) == 4000
+        assert rep == reference_convergence_check(*args)[0]
+        assert rep.violations > 0 and rep.trajectories_converged == 50
+        monkeypatch.setattr(verify, "_rk4_contracts", lambda *a: True)
+        counted.clear()
+        convergence_check(*args)
+        assert sum(counted) < 4000
+
+    def test_no_stop_before_settling(self, monkeypatch):
+        # the shear flow's trajectories stay far above the check floor for 2 time units
+        sys, cert = nine_state_cases()[0]
+        args = (sys, cert, 8, 2.0, 0.05, 4)
+        monkeypatch.setattr(verify, "_rk4_contracts", lambda *a: True)
+        counted = self.count_steps(monkeypatch)
+        rep = convergence_check(*args)
+        assert sum(counted) == 40
+        assert rep == reference_convergence_check(*args)[0]
 
 
 def test_convergence_check_working_set_is_block_sized():
