@@ -1,22 +1,21 @@
 """Certification protocols: trace maximization, eps sweeps, line search, unions.
 
-Every routine returns either a ``Certificate`` (re-verifiable against the
-assembled LMI) or an ``Infeasible`` marker carrying the solver's
-improving-ray evidence.  Scalar search over eps treats the per-eps optimal
-trace as a derivative-free maximization: a coarse log-spaced pre-scan
-brackets the best value, then golden-section refinement assumes unimodality
-inside the bracket only.  Grids, the pre-scan and the refinement solve their
-problems in lockstep (``sdp.solve_many``); the refinement solves each probe
-together with the two probes that can follow it and keeps the one its
-comparison picks, so it probes the same eps points, in the same order and
-with the same results, as one solve at a time.
+Every eps point is decided once, into a ``SweepEntry``: a ``Certificate``
+(re-verifiable against the assembled LMI), improving-ray evidence of
+infeasibility, or a failed solve.  Scalar search over eps treats the per-eps
+optimal trace as a derivative-free maximization: a coarse log-spaced
+pre-scan brackets the best value, then golden-section refinement assumes
+unimodality inside the bracket only.  Grids, the pre-scan and the refinement
+solve their problems in lockstep (``sdp.solve_many``); the refinement solves
+each probe together with the two probes that can follow it and keeps the one
+its comparison picks, so it probes the same eps points, in the same order
+and with the same results, as one solve at a time.
 
 For analysis no P > 0 exists above the spectral bound eps* of
 ``lmi._TStar``.  There every protocol first forms the Perron ray of that
-eps (``_spectral_ray``) and returns Infeasible without a solve when the ray
-passes the solver's own acceptance test (``sdp.ray_test``) and every block
-is positive semidefinite; the other points are solved as before, so every
-entry that a solve decides is bitwise what it was without the screen.
+eps (``_spectral_ray``) and decides the point infeasible without a solve
+when the ray passes the solver's own acceptance test (``sdp.ray_test``) and
+every block is positive semidefinite; the other points are solved.
 """
 
 from __future__ import annotations
@@ -139,12 +138,13 @@ class Certificate:
     ``Ellipsoid``; eps is the scalar from the line search; alpha the decay
     margin the LMI enforced (d/dt V <= -alpha V inside the ellipsoid).  Synthesis certificates carry
     Y and the extracted gain K = Y P^-1, both finite; analysis certificates carry neither.
-    ``solver_report`` says how the certificate was obtained: solver status,
-    iterations and residuals, whether it is a failed solve's best iterate
-    (``relaxed_retry``) and the shrink that proves it (``proof_shrink``, see
-    ``max_trace``), the ``shape_report`` entries (lambda_min(P)/delta, floor
-    activity, |K|_2), the order of the system's sign group (``symmetry_order``)
-    and the number of decision variables (``decision_dim``, see ``lmi.DecisionLayout``).
+    ``solver_report`` says how the certificate was obtained: the solver's own
+    status (Optimal, or NumericalFailure or IterLimit for a failed solve's
+    best iterate, which only then carries the shrink that proves it,
+    ``proof_shrink``, see ``max_trace``), iterations and residuals, the
+    ``shape_report`` entries (lambda_min(P)/delta, floor activity, |K|_2), the
+    order of the system's sign group (``symmetry_order``) and the number of
+    decision variables (``decision_dim``, see ``lmi.DecisionLayout``).
     """
 
     mode: str
@@ -199,9 +199,8 @@ class Certificate:
 class Infeasible:
     """Marker returned when the LMI admits no solution at the given eps.
 
-    ``ray`` holds the improving-ray blocks (trace-normalized): the solver's,
-    or above eps* the spectral ray of ``_spectral_ray``, which ``message``
-    names.
+    ``ray`` holds the improving-ray blocks (trace-normalized) and ``message``
+    the text of the ``SweepEntry`` it comes from.
     """
 
     mode: str
@@ -213,17 +212,22 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class SweepEntry:
-    """The outcome at one eps: a certificate, or None with the reason in ``status``.
+    """The outcome at one eps, the record of every eps protocol.
 
-    An infeasible entry carries its improving-ray blocks (``ray``, as in
-    ``Infeasible``); ``solved`` is False where the spectral ray decided the
-    point without an SDP solve."""
+    ``status`` is "optimal" for a certificate entry, "infeasible" for an
+    entry that carries improving-ray blocks (``ray``, as in ``Infeasible``),
+    and "failed: solver returned ..." for a solve that neither certified nor
+    proved infeasibility, the text ``SolverFailure`` carries after "failed: ".
+    ``message`` is set on infeasible entries only: the solver's message, or
+    the spectral ray's where that ray decided the point without an SDP solve
+    (``solved`` False)."""
 
     epsilon: float
     certificate: Certificate | None
     status: str
     ray: list | None = None
     solved: bool = True
+    message: str = ""
 
     @property
     def feasible(self) -> bool:
@@ -306,37 +310,40 @@ def resolve_alpha(sys: QBSystem, alpha) -> float:
 def max_trace(sys: QBSystem, eps: float, alpha, mode: str) -> Certificate | Infeasible:
     """Maximize trace(P) subject to the eps-parameterized LMI.
 
-    Returns a Certificate on Optimal and an Infeasible marker (with the dual
-    ray attached) on Infeasible, which for analysis above eps* can come
-    from the spectral ray without a solve (``_spectral_ray``); numerical
-    failures raise SolverFailure with eps and the solver's message.  That
+    The one-point case of ``sweep_epsilon``: the spectral ray
+    (``_spectral_ray``), else one solve judged by ``_outcome``, whose entry
+    becomes the result.  A certificate entry returns its Certificate and an
+    infeasible entry an Infeasible marker with its ray and message; a failed
+    entry raises SolverFailure with eps and the solver's message.  That
     includes a stalled solve, where the LMI has no interior and no improving
     ray ("stalled: ..."): it is neither feasible nor proven infeasible.
 
     At most one solve per eps.  If it ends NumericalFailure or IterLimit, its
     best iterate x still certifies when some t = 1 - shrink of ``_SHRINKS``
     makes every block at t x negative beyond its rounding bound (``_proof``):
-    the certificate is (tP, tY), with status Optimal, ``relaxed_retry`` True
-    and the shrink as ``proof_shrink``.
-    Its ``solver_report`` also says how far lambda_min(P) sits above the
-    floor delta (floor-active when within 10 delta) and |K|_2.
+    the certificate is (tP, tY), and its ``solver_report`` keeps the
+    solver's status and adds the shrink as ``proof_shrink``.
     """
     alpha = resolve_alpha(sys, alpha)
     problem = assemble(sys, eps, alpha, mode)
     window = _TStar(sys, alpha) if mode == "analysis" else None
-    ray = _spectral_ray(window, problem, eps, alpha, mode)
-    if ray is not None:
-        return ray
-    return _outcome(sys, problem, solve(problem), eps, alpha, mode)
+    entry = (_spectral_ray(window, problem, eps)
+             or _outcome(problem, solve(problem), eps, alpha, mode, default_delta(sys)))
+    if entry.feasible:
+        return entry.certificate
+    if entry.status == "infeasible":
+        return Infeasible(mode=mode, alpha=alpha, epsilon=eps, ray=entry.ray,
+                          message=entry.message)
+    raise SolverFailure(entry.status.removeprefix("failed: "))
 
 
-def _spectral_ray(window, problem, eps, alpha, mode) -> Infeasible | None:
-    """``Infeasible`` without a solve at an analysis eps above eps*, from the
-    Perron pair T_eps*(Z) = lam Z of ``window`` (``lmi._TStar``, None for
-    synthesis), when its ray Z_main = [[Z, 0], [0, 0]], Z_floor = lam Z
-    passes ``sdp.ray_test`` on ``problem`` and every block has
-    lambda_min >= 0; None otherwise, and the point is solved.  Just above
-    eps*, delta lam/(1 + lam), the ray's phi, is below the test's 1e-10
+def _spectral_ray(window, problem, eps) -> SweepEntry | None:
+    """The infeasible entry at an analysis eps above eps*, decided without a
+    solve, from the Perron pair T_eps*(Z) = lam Z of ``window``
+    (``lmi._TStar``, None for synthesis), when its ray Z_main = [[Z, 0],
+    [0, 0]], Z_floor = lam Z passes ``sdp.ray_test`` on ``problem`` and every
+    block has lambda_min >= 0; None otherwise, and the point is solved.  Just
+    above eps*, delta lam/(1 + lam), the ray's phi, is below the test's 1e-10
     guard, so those points are solved too."""
     pair = None if window is None else window.perron(eps)
     if pair is None or not pair[0] > 0:
@@ -350,37 +357,43 @@ def _spectral_ray(window, problem, eps, alpha, mode) -> Infeasible | None:
     ray = [Zb[0] for Zb in ray]
     if not (ok[0] and all(np.linalg.eigvalsh(Zb)[0] >= 0 for Zb in ray)):
         return None
-    return Infeasible(mode=mode, alpha=alpha, epsilon=eps, ray=ray,
+    return SweepEntry(epsilon=eps, certificate=None, status="infeasible", ray=ray, solved=False,
                       message=f"spectral ray above eps* = {window.eps_star:.6g} "
                               f"with max |<F_k, Z>| = {eta[0]:.2e}")
 
 
-def _outcome(sys, problem, sol: SdpSolution, eps, alpha, mode) -> Certificate | Infeasible:
-    """``max_trace``'s result, given the solution of its problem."""
+def _outcome(problem, sol: SdpSolution, eps, alpha, mode, delta) -> SweepEntry:
+    """The entry at eps, given the solution of its problem; it never raises.
+
+    A certificate entry on Optimal, or on NumericalFailure or IterLimit when
+    ``_proof`` proves the best iterate (see ``max_trace``); an infeasible
+    entry with the solver's ray on Infeasible; a failed entry otherwise.
+    delta is the floor of ``shape_report``."""
     if sol.status == "Infeasible":
-        return Infeasible(mode=mode, alpha=alpha, epsilon=eps, ray=sol.Z,
+        return SweepEntry(epsilon=eps, certificate=None, status="infeasible", ray=sol.Z,
                           message=sol.message)
     shrink = _proof(problem, sol.x) if sol.status in ("NumericalFailure", "IterLimit") else None
     if sol.status != "Optimal" and shrink is None:
-        raise SolverFailure(f"solver returned {sol.status} at eps={eps:.6g}: {sol.message}")
+        return SweepEntry(epsilon=eps, certificate=None,
+                          status=f"failed: solver returned {sol.status} at eps={eps:.6g}: "
+                                 f"{sol.message}")
     t = 1.0 if shrink is None else 1.0 - shrink
     P, Y = (None if a is None else t * a for a in problem.layout.unpack(sol.x))
     # the gain solves K P = Y
     K = _cho_solve(_spd_factor(P), Y.T).T if mode == "synthesis" else None
     report = {
-        "status": "Optimal",
+        "status": sol.status,
         "primal_residual": sol.primal_residual,
         "dual_residual": sol.dual_residual,
         "duality_gap": sol.duality_gap,
         "iters": sol.iters,
-        **shape_report(P, K, default_delta(sys)),
-        "relaxed_retry": shrink is not None,
+        **shape_report(P, K, delta),
         **({} if shrink is None else {"proof_shrink": shrink}),
         "symmetry_order": problem.layout.group_order,
         "decision_dim": problem.d,
     }
-    return Certificate(mode=mode, P=P, epsilon=eps, alpha=alpha, Y=Y, K=K,
-                       solver_report=report)
+    cert = Certificate(mode=mode, P=P, epsilon=eps, alpha=alpha, Y=Y, K=K, solver_report=report)
+    return SweepEntry(epsilon=eps, certificate=cert, status="optimal")
 
 
 def _proof(problem, x: np.ndarray) -> float | None:
@@ -403,29 +416,15 @@ def _proof(problem, x: np.ndarray) -> float | None:
     return None
 
 
-def _sweep_point(sys, problem, sol: SdpSolution, eps, alpha, mode) -> SweepEntry:
-    """The entry at eps: what ``max_trace`` gives, from the solution of its problem."""
-    try:
-        out = _outcome(sys, problem, sol, eps, alpha, mode)
-    except SolverFailure as exc:
-        return SweepEntry(epsilon=eps, certificate=None, status=f"failed: {exc}")
-    if isinstance(out, Certificate):
-        return SweepEntry(epsilon=eps, certificate=out, status="optimal")
-    return SweepEntry(epsilon=eps, certificate=None, status="infeasible", ray=out.ray)
-
-
-def _sweep_points(sys, family: _EpsFamily, grid) -> list[SweepEntry]:
+def _sweep_points(family: _EpsFamily, grid) -> list[SweepEntry]:
     """One trace maximization per eps of ``grid``, on the problems of
-    ``family``: the points that ``_spectral_ray`` decides take no solve, and
-    the others are solved in lockstep."""
+    ``family``: the entry of ``_spectral_ray`` where it decides the point,
+    else that of ``_outcome``, with the solves in lockstep."""
     problems = [family.problem(e) for e in grid]
-    rays = [_spectral_ray(family.window, p, e, family.alpha, family.mode)
-            for e, p in zip(grid, problems)]
-    pending = [p for p, ray in zip(problems, rays) if ray is None]
-    solutions = iter(solve_many(pending))
-    return [_sweep_point(sys, p, next(solutions), e, family.alpha, family.mode) if ray is None
-            else SweepEntry(epsilon=e, certificate=None, status="infeasible", ray=ray.ray,
-                            solved=False)
+    rays = [_spectral_ray(family.window, p, e) for e, p in zip(grid, problems)]
+    solutions = iter(solve_many([p for p, ray in zip(problems, rays) if ray is None]))
+    delta = default_delta(family.sys)
+    return [ray or _outcome(p, next(solutions), e, family.alpha, family.mode, delta)
             for e, p, ray in zip(grid, problems, rays)]
 
 
@@ -448,7 +447,7 @@ def sweep_epsilon(sys: QBSystem, grid, alpha, mode: str) -> SweepResult:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("eps grid must be strictly increasing")
     family = _EpsFamily(sys, resolve_alpha(sys, alpha), mode)
-    return SweepResult(entries=tuple(_sweep_points(sys, family, grid)),
+    return SweepResult(entries=tuple(_sweep_points(family, grid)),
                        eps_star=_eps_star(family), symmetry_order=family.layout.group_order)
 
 
@@ -492,7 +491,7 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
         raise ValueError(f"rel_tol must be finite and at least {REL_TOL_MIN:g}, got {rel_tol}")
     family = _EpsFamily(sys, resolve_alpha(sys, alpha), mode)
     scan = np.geomspace(lo, hi, SCAN_POINTS)
-    history: list[SweepEntry] = _sweep_points(sys, family, list(scan))
+    history: list[SweepEntry] = _sweep_points(family, list(scan))
     # every entry evaluated, the discarded look-ahead probes included
     evaluated = list(history)
 
@@ -513,7 +512,7 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
     b = scan[k + 1] if k + 1 < len(scan) else hi
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
-    history += _sweep_points(sys, family, [x1, x2])
+    history += _sweep_points(family, [x1, x2])
     evaluated += history[-2:]
     f1, f2 = value(history[-2]), value(history[-1])
     # the entries at the new points of both moves that can follow the last
@@ -530,7 +529,7 @@ def optimize_epsilon(sys: QBSystem, eps_range: tuple[float, float], rel_tol: flo
             for nxt in follow:
                 move = _golden_move(a, b, x1, x2, nxt)
                 points.append(move[3] if nxt else move[2])
-            entries = _sweep_points(sys, family, points)
+            entries = _sweep_points(family, points)
             evaluated += entries
             entry, *rest = entries
             ahead = dict(zip(follow, rest))

@@ -317,17 +317,26 @@ def _run_certification(args) -> int:
 def _cmd_verify(args) -> int:
     sys_obj, source = _load_target(args)
     cert = load_certificate(args.certificate)
-    # recomputed rather than read back, so certificates written without
-    # these entries are judged too
+    # the shape is recomputed rather than read back, so certificates written
+    # without its entries are judged too; the proof's shrink is read back
     shape = {**shape_report(cert.P, cert.K, default_delta(sys_obj)),
-             "relaxed_retry": cert.solver_report.get("relaxed_retry")}
+             "proof_shrink": cert.solver_report.get("proof_shrink")}
     warnings = []
     if shape["floor_active"]:
         warnings.append(
             f"certificate is floor-active: lambda_min(P) = "
             f"{shape['lambda_min_over_delta']:.3g} delta <= {FLOOR_FACTOR:g} delta; "
             "its ellipsoid is degenerate and its gain may be too stiff to simulate")
-        print(json.dumps({"warning": "floor_active", "message": warnings[0]}), file=sys.stderr)
+        print(json.dumps({"warning": "floor_active", "message": warnings[-1]}), file=sys.stderr)
+    # certificates written before the solver's own status was recorded mark a
+    # failed solve's iterate with this key; without a shrink it was accepted
+    # on loose tolerances, not proven, though its status reads Optimal
+    if cert.solver_report.get("relaxed_retry") and shape["proof_shrink"] is None:
+        warnings.append(
+            "certificate is a failed solve's iterate accepted without proof "
+            "(relaxed_retry with no proof_shrink): its LMI may be violated")
+        print(json.dumps({"warning": "unproven_iterate", "message": warnings[-1]}),
+              file=sys.stderr)
     dt = args.dt if args.dt is not None else default_dt(sys_obj)
     out = _outdir(args)
     flows = convergence_check(sys_obj, cert, args.trajectories, args.t_final, dt, args.seed + 1)

@@ -75,7 +75,8 @@ class TestMaxTrace:
     def test_solver_report_shape_entries(self):
         cert = max_trace(two_state(), 0.3, None, "analysis")
         rep = cert.solver_report
-        assert rep["gain_norm"] is None and rep["relaxed_retry"] is False
+        assert rep["gain_norm"] is None and rep["status"] == "Optimal"
+        assert "proof_shrink" not in rep
         lam_min = np.linalg.eigvalsh(cert.P)[0]
         assert rep["lambda_min_over_delta"] == pytest.approx(lam_min / default_delta(two_state()))
         assert rep["floor_active"] is False
@@ -101,15 +102,16 @@ class TestSynthesisGrid:
         for entry, status in zip(sweep.entries, statuses):
             if entry.feasible:
                 report = entry.certificate.solver_report
-                failed = status in ("NumericalFailure", "IterLimit")
-                assert report["relaxed_retry"] == ("proof_shrink" in report) == failed
+                assert report["status"] == status
+                assert ("proof_shrink" in report) == (status != "Optimal")
 
     def test_failed_solve_certifies_from_its_best_iterate(self, three_state_sweep):
         # eps = 1.4826 ends "step length collapsed" after 20 iterations; its
         # best iterate, shrunk by at most 1e-8, makes both blocks negative
         entry = three_state_sweep.entries[2]
         cert = entry.certificate
-        assert entry.epsilon == THREE_STATE_GRID[2] and cert.solver_report["relaxed_retry"] is True
+        assert entry.epsilon == THREE_STATE_GRID[2]
+        assert cert.solver_report["status"] == "NumericalFailure"
         assert cert.solver_report["proof_shrink"] <= 1e-8
         prob = assemble(three_state_qb(), cert.epsilon, cert.alpha, "synthesis")
         rep = check_block_feasibility(prob, prob.layout.pack(cert.P, cert.Y), 0.0)
@@ -155,10 +157,10 @@ class TestBurgers:
             cert = max_trace(s, eps, None, "analysis")
             assert isinstance(cert, Certificate), eps
             report = cert.solver_report
-            if report["relaxed_retry"]:
+            assert ("proof_shrink" in report) == (report["status"] != "Optimal"), eps
+            if report["status"] != "Optimal":
+                assert report["status"] in ("NumericalFailure", "IterLimit"), eps
                 assert report["proof_shrink"] <= 1e-4, eps
-            else:
-                assert "proof_shrink" not in report
             prob = assemble(s, eps, cert.alpha, "analysis")
             lam = check_block_feasibility(prob, prob.layout.pack(cert.P), 0.0).lambda_max
             assert max(lam) < 0, (eps, lam)
@@ -205,6 +207,32 @@ class TestSweep:
         assert lines[3].startswith("1,1,0.99")
 
 
+class TestOutcomeRecord:
+    """Every eps protocol decides a point into one ``SweepEntry``, and
+    ``max_trace`` maps that entry to its result."""
+
+    def test_infeasible_solution_keeps_ray_and_message(self):
+        problem = assemble(two_state(), 1.0, 1e-5, "analysis")
+        sol = sdp.solve(problem)
+        assert sol.status == "Infeasible"
+        entry = certify._outcome(problem, sol, 1.0, 1e-5, "analysis", default_delta(two_state()))
+        assert (entry.epsilon, entry.status, entry.certificate, entry.solved) == (
+            1.0, "infeasible", None, True)
+        assert entry.ray is sol.Z and entry.message == sol.message
+
+    def test_stalled_point_raises_the_entry_text(self):
+        # Re = 120 just above eps*: the solve stalls, the one-point grid lists
+        # a failed entry, and max_trace raises the text after "failed: "
+        sys_obj = shear_flow_9(120.0)
+        eps = float(np.geomspace(1e-3, 1.0, SCAN_POINTS)[6])
+        (entry,) = sweep_epsilon(sys_obj, [eps], None, "analysis").entries
+        assert entry.status.startswith("failed: solver returned NumericalFailure at eps=0.0158489")
+        assert entry.certificate is None and "stalled" in entry.status
+        with pytest.raises(certify.SolverFailure) as info:
+            max_trace(sys_obj, eps, None, "analysis")
+        assert f"failed: {info.value}" == entry.status
+
+
 def assert_spectral_ray(problem, entry_or_marker):
     """A point decided without a solve carries a ray that ``sdp.ray_test``
     accepts on the point's problem, with every block positive semidefinite."""
@@ -242,7 +270,7 @@ class TestSpectralScreen:
         assert sweep.ray_points == 9
         for e, p, sol, entry in zip(scan, problems, solutions, sweep.entries):
             if entry.solved:
-                alone = certify._sweep_point(sys_obj, p, sol, e, alpha, "analysis")
+                alone = certify._outcome(p, sol, e, alpha, "analysis", default_delta(sys_obj))
                 assert entry_bits(entry) == entry_bits(alone)
                 continue
             assert e > sweep.eps_star and entry.status == "infeasible"

@@ -245,7 +245,29 @@ class TestSynthesize:
         assert (out / "closed_loop.json").exists()
         report = json.loads((out / "summary.json").read_text())["best"]["solver_report"]
         assert report == cert["residuals"]
-        assert report["floor_active"] is False and report["relaxed_retry"] is False
+        assert report["floor_active"] is False and report["status"] == "Optimal"
+        assert "proof_shrink" not in report
+
+    def test_grid_reports_the_solver_status(self, tmp_path, three_state_sweep):
+        # the three-state grid's third point is a proven failed iterate: its
+        # report states the solver's status and the shrink, and no written
+        # file carries a relaxed_retry key
+        out = tmp_path / "grid"
+        assert run("synthesize", "--zoo", "three-state-qb", "--eps", "grid:0.01:14:20",
+                   "--union-samples", "10000", "--out", str(out)) == 0
+        for name in ("certificate.json", "summary.json"):
+            assert "relaxed_retry" not in (out / name).read_text(), name
+        cert = three_state_sweep.entries[2].certificate
+        assert cert.solver_report["status"] == "NumericalFailure"
+        cert_path = tmp_path / "proven.json"
+        save_certificate(cert, cert_path)
+        vout = tmp_path / "ver"
+        assert run("verify", "--zoo", "three-state-qb", "--certificate", str(cert_path),
+                   "--samples", "500", "--trajectories", "5", "--t-final", "20",
+                   "--dt", "0.01", "--out", str(vout)) == 0
+        text = (vout / "verification.json").read_text()
+        assert "relaxed_retry" not in text
+        assert json.loads(text)["certificate_shape"]["proof_shrink"] == 1e-10
 
     def test_rejects_autonomous_system(self, tmp_path):
         code = run("synthesize", "--zoo", "two-state", "--eps", "1.0",
@@ -308,8 +330,34 @@ class TestVerifyCommand:
         assert shape["floor_active"] is True
         assert shape["lambda_min_over_delta"] == pytest.approx(5.0)
         assert shape["gain_norm"] == pytest.approx(1.0)
-        assert shape["relaxed_retry"] is None  # not recorded in this certificate
+        assert shape["proof_shrink"] is None  # not recorded in this certificate
         assert report["warnings"]
+
+    @pytest.mark.parametrize("residuals, warned", [
+        ({"status": "Optimal", "relaxed_retry": True}, True),
+        ({"status": "Optimal", "relaxed_retry": True, "proof_shrink": 1e-10}, False),
+        ({"status": "Optimal", "relaxed_retry": False}, False),
+    ])
+    def test_unproven_iterate_of_an_older_certificate_warns(self, tmp_path, capsys,
+                                                            residuals, warned):
+        # a certificate as written before the solver's status was recorded:
+        # relaxed_retry without proof_shrink is an iterate accepted unproven
+        sys_path, cert_path = tmp_path / "scalar.json", tmp_path / "cert.json"
+        save_system(scalar_family(-1.0, 1.0), sys_path)
+        doc = {"schema": "qbstab-certificate-v1", "mode": "analysis", "n": 1, "m": 0,
+               "epsilon": 1.0, "alpha": 0.0, "P": [[0.5]], "Y": None, "K": None,
+               "trace": 0.5, "residuals": residuals}
+        cert_path.write_text(json.dumps(doc))
+        vout = tmp_path / "ver"
+        assert run("verify", "--system", str(sys_path), "--certificate", str(cert_path),
+                   "--samples", "100", "--trajectories", "10", "--t-final", "10",
+                   "--dt", "0.01", "--seed", "4", "--out", str(vout)) == 0
+        report = json.loads((vout / "verification.json").read_text())
+        assert report["certificate_shape"]["proof_shrink"] == residuals.get("proof_shrink")
+        err = [json.loads(line) for line in capsys.readouterr().err.splitlines()
+               if line.startswith("{")]
+        assert [w["warning"] for w in err] == (["unproven_iterate"] if warned else [])
+        assert len(report["warnings"]) == warned
 
     def test_asymmetric_p_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "an"

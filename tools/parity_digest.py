@@ -65,6 +65,7 @@ if __name__ == "__main__":
 
 import argparse
 import hashlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -276,8 +277,11 @@ def parity_sets() -> dict:
                 ("Re=160", shear_flow_9(160.0), np.geomspace(1e-3, 1.0, 16)),
                 ("two-state", two_state(), np.geomspace(0.005, 2.0, 16))):
             family = _EpsFamily(sys_obj, default_alpha(sys_obj), "analysis")
-            rays = [certify._spectral_ray(family.window, family.problem(e), e, family.alpha,
-                                          "analysis") for e in eps]
+            # sources whose ray is an ``Infeasible`` marker also take alpha and mode
+            ray_of = certify._spectral_ray
+            extra = ((family.alpha, "analysis")
+                     if len(inspect.signature(ray_of).parameters) == 5 else ())
+            rays = [ray_of(family.window, family.problem(e), e, *extra) for e in eps]
             parts.append([family.window.eps_star,
                           [None if r is None else [r.epsilon, r.ray, r.message] for r in rays]])
             parts.labels.append(label)
