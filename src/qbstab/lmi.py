@@ -336,6 +336,14 @@ def _padded_rows(support: np.ndarray) -> np.ndarray:
     return np.sort(np.argsort(~support, axis=1, kind="stable")[:, :r], axis=1)
 
 
+def _check_rows(rows: np.ndarray, s: int) -> None:
+    """Raise unless ``rows`` (d, r) holds, per F_k, r >= 1 distinct indices
+    into a block of size s."""
+    if (rows.ndim != 2 or rows.size == 0 or rows.min() < 0 or rows.max() >= s
+            or np.any(np.diff(np.sort(rows, axis=1), axis=1) == 0)):
+        raise ValueError("malformed problem: F stack shape mismatch")
+
+
 @dataclass(frozen=True)
 class LmiBlock:
     """One affine constraint block F0 + sum_k x_k F_k <= 0 with symmetric F_k.
@@ -359,11 +367,23 @@ class LmiBlock:
     def __post_init__(self):
         F0 = np.asarray(self.F0, dtype=float)
         rows = np.asarray(self.rows, dtype=np.intp)
-        vals = np.asarray(self.vals, dtype=float)
+        _check_rows(rows, F0.shape[0] if F0.ndim == 2 else -1)
+        self._set_data(F0, rows, self.vals)
+
+    @classmethod
+    def _on_rows(cls, F0: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> LmiBlock:
+        """The block (F0, rows, vals) on intp ``rows`` that ``_check_rows``
+        has passed for this size: F0 and vals are checked as the constructor
+        checks them, the rows are not checked again."""
+        blk = object.__new__(cls)
+        blk._set_data(np.asarray(F0, dtype=float), rows, vals)
+        return blk
+
+    def _set_data(self, F0: np.ndarray, rows: np.ndarray, vals) -> None:
+        """Check F0 and vals against checked rows, and set the fields."""
+        vals = np.asarray(vals, dtype=float)
         s = F0.shape[0] if F0.ndim == 2 else -1
-        if (F0.shape != (s, s) or rows.ndim != 2 or vals.shape != rows.shape + (s,)
-                or rows.size == 0 or rows.min() < 0 or rows.max() >= s
-                or np.any(np.diff(np.sort(rows, axis=1), axis=1) == 0)):
+        if F0.shape != (s, s) or vals.shape != rows.shape + (s,):
             raise ValueError("malformed problem: F stack shape mismatch")
         if not np.array_equal(F0, F0.T):
             raise ValueError("malformed problem: F0 not symmetric")
@@ -647,6 +667,8 @@ class _EpsFamily:
             support[ky, :n] = (sys.B[:, r] != 0).T
             support[ky, c] = support[ky, 2 * n + r] = True
         rows = _padded_rows(support)
+        # checked once here: every point's main block is built on these rows
+        _check_rows(rows, s)
         vals = np.zeros(rows.shape + (s,))
         self._p_template(sys.A, columns, alpha, lay.p_slots, rows[:n_p], vals[:n_p])
         # flat indices into vals of F_k[rows[t], rows[u]], t > u, below the
@@ -756,7 +778,7 @@ class _EpsFamily:
         s, n = vals.shape[2], self.layout.n
         F0 = np.zeros((s, s))
         F0[n:, n:] = -eps * np.eye(s - n)
-        main = LmiBlock(F0=F0, rows=self._rows, vals=vals)
+        main = LmiBlock._on_rows(F0, self._rows, vals)
         return SdpProblem(layout=self.layout, c=self.c, blocks=(main, self.floor))
 
     @cached_property

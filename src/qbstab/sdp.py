@@ -46,27 +46,55 @@ There is one interior-point loop, ``solve_many``, and ``solve`` is its
 single-problem case.  It runs problems that share d, block sizes and row
 pattern (the points of an eps grid) in lockstep: every per-block kernel
 (Ruiz scaling, the NT Cholesky factors and SVD, the Gram rows and U U',
-``linear``/``adjoint`` as one bincount, the eigenvalues of the step
-length, one call for both directions) takes one call over the stacked
-(B, s, s) arrays, each slice rounding as it would alone, so every problem
-gets bitwise the iterates and the result of its own solve.  The d-by-d
-Schur factorization and its three solves per iteration, direct LAPACK
-calls (``lmi._cho_factor`` and ``_cho_solve``: scipy's ``cho_factor`` and
+``adjoint`` as one bincount, the eigenvalues of the step length, one call
+for both directions) takes one call over the stacked (B, s, s) arrays,
+each slice rounding as it would alone, so every problem gets bitwise the
+iterates and the result of its own solve.  The d-by-d Schur factorization
+and its three solves per iteration, direct LAPACK calls
+(``lmi._cho_factor`` and ``_cho_solve``: scipy's ``cho_factor`` and
 ``cho_solve`` without their wrappers, which cost more than the calls at
-d = 45), and the W-form Schur shares stay one problem at a time.  Each
-problem keeps its own termination tests, log, stall count and best
-iterate, and leaves the stack when it terminates.  A breakdown in one
-problem (a failed factorization, a collapsed step) ends that problem
-alone: the step is then taken again without it.  Problems whose blocks take
-different Schur forms run in separate groups, and a group holds at most
-``GROUP_BYTES`` of working arrays, so a large problem runs with few others
-or alone.
+d = 45), and the W-form Schur shares stay one problem at a time.  The
+per-problem verdicts (termination tests, log, stall count, best iterate:
+``_Runs``) are array operations over the group, and a problem leaves the
+stack when it terminates.  A breakdown in one problem (a failed
+factorization, a collapsed step) ends that problem alone: the step is then
+taken again without it.  Problems whose blocks take different Schur forms
+run in separate groups, and a group holds at most ``GROUP_BYTES`` of
+working arrays, so a large problem runs with few others or alone.
+
+The Cholesky factors, the SVD and the eigenvalues are numpy's LAPACK
+gufuncs called directly (``cholesky``, ``svd`` and ``eigvalsh``:
+``numpy.linalg._umath_linalg``'s ``cholesky_lo``, ``svd_f`` and
+``eigvalsh_lo``, what ``np.linalg.cholesky``, ``svd`` and ``eigvalsh``
+call for float64 input, so the LAPACK drivers and every result are theirs),
+without the wrappers' checks and copies, which cost more than the LAPACK
+work at these sizes.  A gufunc computes every slice of a stack and fills a
+slice that LAPACK fails on with NaN, raising only the floating-point
+invalid flag, which the calls ignore.  So a failed slice is found by the
+NaN it leaves: a NaN Cholesky factor or singular value ends its problem
+with the message the wrapper's error would have given ("Matrix is not
+positive definite", "SVD did not converge"), a NaN eigenvalue of a step
+length makes that step NaN, which collapses it, and a NaN eigenvalue of a
+residual makes that residual NaN, which never counts as best.
+
+Each iterate quantity of a group is packed: one row per problem holds
+every block's s-by-s matrix in turn, row-major, then the cap's entry
+(``_Group``).  X and S, C, the dual residuals, the scaled residuals, the
+Newton directions and their scaled forms, and the NT quantities taken from
+the eigenvalues lam of the scaled point ((lam_i + lam_j)/2, -lam^2 I,
+1/sqrt(lam)) are such rows, so every elementwise stage runs once for all
+blocks and the cap, and ``linear`` sums the nonzeros of every block and of
+the cap in one bincount, each entry from one block only, in its stack's
+order.  A block reads its matrices through views of these rows, and its
+matrix products, LAPACK calls and reductions take the operands they took
+on their own, in the same order.
 
 The objective cap is a 1-by-1 block, that is one linear inequality, and its
 NT scaling is the scaling of a linear-programming cone (Toh, Todd &
-Tutuncu, SDPT3, Optim. Methods Softw. 1999).  So it is kept as (B,) and
-(B, d) arrays (``_Cap``), and each of its stages is scalar arithmetic that
-rounds as the 1-by-1 LAPACK and BLAS calls would.  Its rank-one Schur share
+Tutuncu, SDPT3, Optim. Methods Softw. 1999).  So it is kept as the last
+entry of the packed rows and as (B,) and (B, d) arrays (``_Cap``), and
+each of its stages is scalar arithmetic that rounds as the 1-by-1 LAPACK
+and BLAS calls would.  Its rank-one Schur share
 is added after the blocks' shares, so the iterates are those of a solve
 that handles it as a block.
 
@@ -93,9 +121,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+# the LAPACK gufuncs behind np.linalg.cholesky, svd and eigvalsh, without the
+# wrappers' checks, copies and raise (see the module docstring)
+from numpy.linalg._umath_linalg import cholesky_lo as cholesky
+from numpy.linalg._umath_linalg import eigvalsh_lo as eigvalsh
+from numpy.linalg._umath_linalg import svd_f as svd
 
-from .lmi import SdpProblem, _cho_solve, _chunk_rows, _gram_words, _Stack, _w_words, svec
-# a module-level name, so that a failing factorization can be substituted
+from .lmi import (SdpProblem, _cho_solve, _chunk_rows, _gram_words, _Stack, _svec_take, _w_words,
+                  svec)
+# module-level names, so that a failing factorization can be substituted, as
+# can the three gufuncs
 from .lmi import _cho_factor as cho_factor
 
 __all__ = [
@@ -221,10 +256,6 @@ def kkt_residuals(problem: SdpProblem, solution: SdpSolution) -> tuple[float, fl
     return float(primal[0]), float(dual[0]), float(gap[0])
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    return (M + M.mT) / 2.0
-
-
 def _residuals(user, c, x, Fx, Z):
     """(primal, dual, gap, c'x) of ``kkt_residuals``, each (B,), for B problems:
     ``user`` holds one ``_Stack`` per block, c and x are (B, d), and Fx[b] =
@@ -232,8 +263,10 @@ def _residuals(user, c, x, Fx, Z):
     primal = np.zeros(len(c))
     dual_vec = -c
     dual_obj = 0.0
-    for blk, Fxb, Zb in zip(user, Fx, Z):
-        lam_max = np.linalg.eigvalsh(Fxb)[..., -1]
+    # a matrix whose eigenvalues LAPACK fails on gets NaN ones, a NaN residual
+    with np.errstate(invalid="ignore"):
+        lam_maxes = [eigvalsh(Fxb)[..., -1] for Fxb in Fx]
+    for blk, lam_max, Zb in zip(user, lam_maxes, Z):
         primal = np.maximum(primal, np.maximum(0.0, lam_max) / (1.0 + blk.f0_norm))
         dual_vec = dual_vec + blk.adjoint(Zb)
         dual_obj = dual_obj + (-blk.F0 * Zb).sum(axis=(1, 2))
@@ -256,15 +289,14 @@ def _gram_form(d: int, s: int, nnz: int) -> bool:
 
 class _Block:
     """One scaled LMI block of the B problems of a lockstep group, its
-    ``lmi._Stack`` ``lmi``, and their per-iteration NT quantities.
-
-    ``set_scaling`` forms those once per iteration, for both Newton solves
-    and both step lengths: it keeps the NT factor G, forms from the
-    eigenvalues lam of the scaled point (lam_i + lam_j)/2 (``lam_avg``),
-    1/sqrt(lam) as a column (``lam_isqrt``) and -lam^2 I (``neg_lam2``), and
-    forms Chat = G'CG and, in the Gram form, the rows U and svec(Chat)
-    (``Chat_sv``), in the W form W = G G'.  ``pull_back`` takes every
-    right-hand side from these, pull_back(Chat) included.
+    ``lmi._Stack`` ``lmi``, and the per-iteration NT quantities that are
+    matrices of its own: the NT factor G, Chat = G'CG and, in the Gram form,
+    the rows U and svec(Chat) (``Chat_sv``), in the W form W = G G'.  Its
+    iterates, C included, are views into the group's packed arrays
+    (``_Group``), which also hold what the NT scaling forms elementwise from
+    the eigenvalues of the scaled point.  ``set_scaling`` forms these once
+    per iteration, for both Newton solves, and ``pull_back`` takes every
+    right-hand side from them, pull_back(Chat) included.
 
     The block's share of the Schur complement, (<G'F_kG, G'F_lG>)_kl, is
     formed in one of two ways, both by the stack and so with no dense copy
@@ -300,34 +332,26 @@ class _Block:
     objective cap is no ``_Block``: see ``_Cap``.
     """
 
-    __slots__ = ("lmi", "C", "size", "eye", "X", "S", "G", "lam_avg", "lam_isqrt", "neg_lam2",
-                 "Chat", "Chat_sv", "U", "work", "W")
+    __slots__ = ("lmi", "C", "size", "G", "Gt", "Chat", "Chat_sv", "U", "work", "W")
 
     def __init__(self, lmi: _Stack, gram: bool, work: np.ndarray):
         B, d, _, s = lmi.vals.shape
         self.lmi, self.size, self.work = lmi, s, work
         self.C = -lmi.F0
-        self.eye = np.eye(s)
-        self.X = np.broadcast_to(self.eye, (B, s, s)).copy()
-        self.S = self.X.copy()
         # column-major per problem, as svec returns it, so that U U' takes the
         # same BLAS path
         self.U = np.empty((B, s * (s + 1) // 2, d)).transpose(0, 2, 1) if gram else None
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the problems where ``mask`` is False.  U keeps its first rows:
-        they are overwritten before they are read."""
+        they are overwritten before they are read.  C is the group's to set."""
         self.lmi = self.lmi.keep(mask)
-        self.C, self.X, self.S = self.C[mask], self.X[mask], self.S[mask]
         if self.U is not None:
-            self.U = self.U[:len(self.X)]
+            self.U = self.U[:len(self.lmi.F0)]
 
-    def set_scaling(self, G: np.ndarray, lam: np.ndarray) -> None:
-        self.G = G
-        self.lam_avg = (lam[:, :, None] + lam[:, None, :]) / 2.0
-        self.lam_isqrt = 1.0 / np.sqrt(lam)[:, :, None]
-        self.neg_lam2 = -(lam ** 2)[:, :, None] * self.eye
-        self.Chat = G.mT @ self.C @ G
+    def set_scaling(self, G: np.ndarray) -> None:
+        self.G, self.Gt = G, G.mT
+        self.Chat = self.Gt @ self.C @ G
         if self.U is not None:
             self.lmi.gram_rows(G, self.U, self.work)
             self.Chat_sv = svec(self.Chat)
@@ -348,15 +372,20 @@ class _Block:
     def pull_back(self, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(F*(G R G'), <Chat, R>) for symmetric R (B, s, s) in the scaled space."""
         if self.U is not None:
-            rsv = svec(R)
-            return (self.U @ rsv[..., None])[..., 0], np.vecdot(self.Chat_sv, rsv)
-        return self.lmi.adjoint(self.G @ R @ self.G.mT), (self.Chat * R).sum(axis=(1, 2))
+            return self.pull_back_svec(svec(R))
+        return self.lmi.adjoint(self.G @ R @ self.Gt), (self.Chat * R).sum(axis=(1, 2))
+
+    def pull_back_svec(self, rsv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``pull_back`` in the Gram form, of the R whose svec is rsv (B,
+        s(s+1)/2), each row contiguous."""
+        return (self.U @ rsv[..., None])[..., 0], np.vecdot(self.Chat_sv, rsv)
 
 
 class _Cap:
     """The objective cap of the B problems of a lockstep group: the 1-by-1
     block -c + sum_k x_k f_k <= 0 (c'x <= ``OBJECTIVE_BOX`` in the scaled
-    variables), its row f (B, d), its C = c (B,) and its iterates x and s (B,).
+    variables), its row f (B, d) and its C = c (B,).  Its iterates x and s
+    are the last entry of the group's packed arrays (``_Group``).
 
     Every quantity that ``_Block`` keeps as an s-by-s matrix is a scalar here,
     rounded as LAPACK and BLAS round the 1-by-1 case: the Cholesky factor of
@@ -365,52 +394,30 @@ class _Cap:
     lam)/2 is lam, and a product of 1-by-1 matrices, svec or a
     symmetrization is the product of the scalars.  The Gram row is
     u = g (f g), and the share u u' is added to the Schur complement after
-    the blocks' shares.  ``linear`` sums f_k y_k in k order as
-    ``_Stack.linear`` sums the nonzeros, and the adjoint is f x.  ``schur``
-    forms its chunks in the group's work array (``_Block``), at least
-    ``_cap_words`` doubles per problem."""
+    the blocks' shares.  ``_Group.linear`` sums f_k y_k over the nonzero f_k
+    in k order, as ``_Stack.linear`` sums a block's nonzeros, and the
+    adjoint is f x.  ``schur`` forms its chunks in the group's work array
+    (``_Block``), at least ``_cap_words`` doubles per problem."""
 
-    __slots__ = ("f", "c", "x", "s", "rd", "g", "lam", "lam_isqrt", "neg_lam2", "chat", "u",
-                 "step", "work")
+    __slots__ = ("f", "c", "g", "chat", "u", "step", "work")
 
     def __init__(self, f: np.ndarray, c: np.ndarray, work: np.ndarray):
-        # + 0.0 makes a -0.0 in f +0.0: the row-compressed index drops it,
-        # and the 1-by-1 products start their sums from 0.0
+        # + 0.0 makes a -0.0 in f +0.0: the nonzero index drops it, and the
+        # 1-by-1 products start their sums from 0.0
         self.f, self.c, self.work = f + 0.0, c, work
-        self.x, self.s = np.ones(len(c)), np.ones(len(c))
         d = f.shape[1]
         # columns per chunk of the Schur share, fixed with ``_cap_words``
         self.step = _chunk_rows(d, d, 1)
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the problems where ``mask`` is False."""
-        self.f, self.c, self.x, self.s, self.rd = (
-            a[mask] for a in (self.f, self.c, self.x, self.s, self.rd))
+        self.f, self.c = self.f[mask], self.c[mask]
 
-    def linear(self, y: np.ndarray) -> np.ndarray:
-        # the zero f_k add only zeros; + 0.0 gives a zero sum the sign of the
-        # bincount's, which starts from 0.0
-        return (self.f * y).cumsum(axis=1)[:, -1] + 0.0
-
-    def set_scaling(self) -> dict:
-        """The NT scaling and what ``_Block.set_scaling`` forms from it; on a
-        breakdown nothing is set, and the result maps the position of each
-        problem that broke down to its message, as ``_Group.step`` reports it."""
-        for v in (self.x, self.s):
-            if not (v > 0).all():
-                return _broken(~(v > 0), "NT scaling failed: Matrix is not positive definite")
-        lx = np.sqrt(self.x)
-        lam = np.sqrt(self.s) * lx
-        if not (lam.min() > 0 and lam.max() < np.inf):
-            return _broken(~((lam > 0) & np.isfinite(lam)),
-                           "NT scaling failed: degenerate NT scaling")
-        self.lam = lam
-        self.lam_isqrt = 1.0 / np.sqrt(lam)
-        self.neg_lam2 = -(lam ** 2)
-        g = self.g = lx * self.lam_isqrt
+    def set_scaling(self, lx: np.ndarray, lam_isqrt: np.ndarray) -> None:
+        """g, Chat and u from sqrt(x) ``lx`` and 1/sqrt(lam) ``lam_isqrt``."""
+        g = self.g = lx * lam_isqrt
         self.chat = g * self.c * g
         self.u = g[:, None] * (self.f * g[:, None])
-        return {}
 
     def schur(self, M: np.ndarray) -> None:
         """Add the share u u' to the lower triangle of M (B, d, d), in chunks of
@@ -462,24 +469,6 @@ def _ruiz_scale(user):
     return [blk.scaled(F0, fs) for blk, F0, fs in zip(user, F0s, factors)], gamma, beta
 
 
-def _lapack(fn, A: np.ndarray):
-    """(fn(A), {}) for a stack A of matrices, or (None, {i: error}) naming the
-    slices fn fails on: a batched LAPACK call raises for the whole stack when
-    one slice fails, so the slices are then tried one at a time."""
-    try:
-        return fn(A), {}
-    except np.linalg.LinAlgError as exc:
-        failed = {}
-        for i, Ai in enumerate(A):
-            try:
-                fn(Ai)
-            except np.linalg.LinAlgError as slice_exc:
-                failed[i] = slice_exc
-        if not failed:
-            raise exc
-        return None, failed
-
-
 def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the block-LMI maximization.  See module docstring for the contract."""
     return solve_many([problem])[0]
@@ -520,105 +509,176 @@ def _group_words(problem: SdpProblem, forms: tuple) -> int:
     """The doubles that one problem of this shape, with these Schur
     ``forms``, adds to the working arrays of its lockstep group: its Schur
     complement, per block its data and their scaled copy, the nonzero
-    indices of both, the copy of data and indices that ``keep`` makes, 32
+    indices of both and the group's index of the scaled nonzeros (and the
+    cap's, at most d), the copy of data and indices that ``keep`` makes, 32
     s-by-s arrays (iterates, residuals and the directions of both Newton
-    solves) and in the Gram form its rows U, and once the group's work
-    array, as large as its largest use: the cap's chunk (``_cap_words``), a
-    Gram-form block's rows (``lmi._gram_words``) or a W-form block's share
-    (``lmi._w_words``: a congruence chunk, then the chunk's columns when it
-    adds)."""
+    solves), the best iterate and in the Gram form its rows U, the log
+    (``_Runs``), and once the group's work array, as large as its largest
+    use: the cap's chunk (``_cap_words``), a Gram-form block's rows
+    (``lmi._gram_words``) or a W-form block's share (``lmi._w_words``: a
+    congruence chunk, then the chunk's columns when it adds)."""
     d = problem.d
-    words, work = d * d, _cap_words(d)
+    words, work = d * d + 4 * d + 4 * MAX_ITERS, _cap_words(d)
     for blk, gram in zip(problem.blocks, forms):
         s, r = blk.size, blk.rows.shape[1]
-        words += 3 * blk.vals.size + 9 * blk.nnz + 32 * s * s
+        words += 3 * blk.vals.size + 12 * blk.nnz + 33 * s * s
         if gram:
             words += d * s * (s + 1) // 2
         work = max(work, (_gram_words if gram else _w_words)(d, r, s))
     return words + work
 
 
-class _Run:
-    """One problem's own part of a lockstep solve: its best iterate, log,
-    stall count and verdict."""
+class _Runs:
+    """Each problem's own part of a lockstep solve, one row per problem still
+    running: its best iterate, log, stall count and verdict.  ``keep`` turns
+    the rows that leave into their solutions (``solutions``, in the order of
+    the problems)."""
 
-    def __init__(self, problem: SdpProblem):
-        self.status, self.message = "IterLimit", ""
-        self.x_best = np.zeros(problem.d)
-        self.Z_best = [np.zeros_like(blk.F0) for blk in problem.blocks]
-        self.resid_best = (np.inf, np.inf, np.inf)
-        self.obj_best = float("nan")
-        self.obj_max_seen = -np.inf
-        self.iters = 0
-        self.history = []
+    def __init__(self, problems: list):
+        n, d = len(problems), problems[0].d
+        self.solutions = [None] * n
+        self.order = np.arange(n)
+        self.status, self.message = ["IterLimit"] * n, [""] * n
+        self.x_best = np.zeros((n, d))
+        self.Z_best = [np.zeros((n, *blk.F0.shape)) for blk in problems[0].blocks]
+        self.resid_best = np.full((n, 3), np.inf)
+        self.obj_best = np.full(n, np.nan)
+        self.obj_max_seen = np.full(n, -np.inf)
         # consecutive collapsed iterations without a tenfold better ray, and the
         # smallest ray residual seen since tau collapsed
-        self.stall, self.ray_min = 0, np.inf
-        self.resid = self.resid_best  # this iteration's residuals, for the log
+        self.stall, self.ray_min = np.zeros(n, dtype=int), np.full(n, np.inf)
+        # this iteration's residuals, for the log, and the log: (mu, primal
+        # residual, dual residual, step length) of every step taken
+        self.resid = self.resid_best.copy()
+        self.history = np.empty((MAX_ITERS, n, 4))
+        self.iters = 0
 
-    def check(self, it: int, ray_q: float, ray_Z, report) -> bool:
-        """The termination tests of iteration ``it``; True when the problem is done.
+    _ROWS = ("order", "x_best", "resid_best", "obj_best", "obj_max_seen", "stall", "ray_min",
+             "resid")
 
-        ``ray_Z`` is the candidate ray if ``ray_test`` accepted it, else
-        None, and ``ray_q`` its eta; ``report`` is the original-space (x, Z,
-        residuals, objective), or None when tau has collapsed."""
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the problems where ``mask`` is False, each into its solution."""
+        for i in np.flatnonzero(~mask).tolist():
+            self.solutions[self.order[i]] = self.solution(i)
+        for name in self._ROWS:
+            setattr(self, name, getattr(self, name)[mask])
+        self.status = [v for v, k in zip(self.status, mask) if k]
+        self.message = [v for v, k in zip(self.message, mask) if k]
+        self.Z_best = [Z[mask] for Z in self.Z_best]
+        self.history = self.history[:, mask]
+
+    def end(self, positions, message: str) -> None:
+        """End the problems at ``positions`` NumericalFailure with ``message``."""
+        for i in positions:
+            self.status[i], self.message[i] = "NumericalFailure", message
+
+    def check(self, it: int, ray_q, ray_Z, ray_ok, interior, x, Z, resid, p_obj) -> np.ndarray:
+        """The termination tests of iteration ``it``; True where a problem is done.
+
+        ``ray_ok`` marks the candidate rays ``ray_Z`` (one array per block)
+        that ``ray_test`` accepted, ``ray_q`` their eta; (x, Z, resid,
+        p_obj) is the original-space report, with the residuals (primal,
+        dual, gap) as the columns of ``resid``, read only where tau has not
+        collapsed (``interior``)."""
         self.iters = it + 1
-        if ray_Z is not None:
-            self.status, self.Z_best = "Infeasible", ray_Z
-            self.message = f"improving ray with max |<F_k, Z>| = {ray_q:.2e}"
-            self.resid_best, self.obj_best = (0.0, 0.0, 0.0), float("nan")
-            return True
-        if report is not None:
-            x, Z, resid, p_obj = report
-            if np.isfinite(p_obj):
-                self.obj_max_seen = max(self.obj_max_seen, p_obj)
-            if resid[0] <= FEAS_TOL and resid[1] <= FEAS_TOL and resid[2] <= GAP_TOL:
-                self.status, self.message = "Optimal", ""
-                self.x_best, self.Z_best, self.resid_best, self.obj_best = x, Z, resid, p_obj
-                return True
-            # each residual on its own: max(resid) would skip a NaN that is not first
-            worst_best = max(self.resid_best)
-            if all(r < worst_best for r in resid):
-                self.x_best, self.Z_best, self.resid_best, self.obj_best = x, Z, resid, p_obj
-            self.stall, self.ray_min = 0, np.inf
-        else:
-            resid = self.resid_best
-            self.stall = 0 if ray_q < 0.1 * self.ray_min else self.stall + 1
-            self.ray_min = min(self.ray_min, ray_q)
-            if self.stall >= STALL_ITERS:
-                self.status = "NumericalFailure"
-                self.message = (f"stalled: no interior (tau -> 0) and no improving ray "
-                                f"in {STALL_ITERS} iterations")
-                return True
-        self.resid = resid
-        return False
+        report = interior & ~ray_ok
+        if ray_ok.any():
+            for i in np.flatnonzero(ray_ok).tolist():
+                self.status[i] = "Infeasible"
+                self.message[i] = f"improving ray with max |<F_k, Z>| = {ray_q[i]:.2e}"
+            for Zb, R in zip(self.Z_best, ray_Z):
+                Zb[ray_ok] = R[ray_ok]
+            self.resid_best[ray_ok] = 0.0
+            self.obj_best[ray_ok] = np.nan
+        np.fmax(self.obj_max_seen, np.where(report & np.isfinite(p_obj), p_obj, -np.inf),
+                out=self.obj_max_seen)
+        optimal = report & (resid <= np.array((FEAS_TOL, FEAS_TOL, GAP_TOL))).all(axis=1)
+        # each residual on its own: the largest would skip a NaN that is not first
+        best = optimal | report & (resid < self.resid_best.max(axis=1)[:, None]).all(axis=1)
+        if best.any():
+            rows = best[:, None]
+            np.copyto(self.x_best, x, where=rows)
+            for Zb, Zi in zip(self.Z_best, Z):
+                np.copyto(Zb, Zi, where=rows[..., None])
+            np.copyto(self.resid_best, resid, where=rows)
+            np.copyto(self.obj_best, p_obj, where=best)
+        if optimal.any():
+            for i in np.flatnonzero(optimal).tolist():
+                self.status[i], self.message[i] = "Optimal", ""
+        self.stall[report], self.ray_min[report] = 0, np.inf
+        collapsed = ~(interior | ray_ok)
+        stalled = collapsed
+        if collapsed.any():
+            # Python's min: a NaN ray residual does not replace the smallest
+            stall = np.where(ray_q < 0.1 * self.ray_min, 0, self.stall + 1)
+            self.stall[collapsed] = stall[collapsed]
+            self.ray_min[collapsed] = np.fmin(self.ray_min, ray_q)[collapsed]
+            stalled = collapsed & (self.stall >= STALL_ITERS)
+            self.end(np.flatnonzero(stalled).tolist(),
+                     f"stalled: no interior (tau -> 0) and no improving ray "
+                     f"in {STALL_ITERS} iterations")
+        self.resid = np.where(report[:, None], resid, self.resid_best)
+        return ray_ok | optimal | stalled
 
-    def solution(self) -> SdpSolution:
-        message = self.message
-        if self.status == "IterLimit":
+    def log(self, mu: np.ndarray, alpha: np.ndarray) -> None:
+        """The log row of the step of this iteration, for every problem."""
+        row = self.history[self.iters - 1]
+        row[:, 0], row[:, 1:3], row[:, 3] = mu, self.resid[:, :2], alpha
+
+    def solution(self, i: int) -> SdpSolution:
+        status, message = self.status[i], self.message[i]
+        if status == "IterLimit":
             message = f"no convergence in {MAX_ITERS} iterations"
-        if (self.status in ("IterLimit", "NumericalFailure")
-                and np.isfinite(self.obj_max_seen) and self.obj_max_seen >= 0.5 * OBJECTIVE_BOX):
+        seen = self.obj_max_seen[i]
+        if status in ("IterLimit", "NumericalFailure") and np.isfinite(seen) and (
+                seen >= 0.5 * OBJECTIVE_BOX):
             message += ("; objective reached the internal OBJECTIVE_BOX cap "
                         "(problem unbounded above?)")
-        return SdpSolution(self.status, self.x_best, self.Z_best, self.obj_best, *self.resid_best,
-                           self.iters, message, self.history)
+        # a step is logged in every iteration checked but the last, unless the
+        # run stopped at the iteration limit
+        steps = self.iters if status == "IterLimit" else self.iters - 1
+        # copies, so that a solution does not hold the group's arrays
+        return SdpSolution(status, self.x_best[i].copy(), [Z[i].copy() for Z in self.Z_best],
+                           float(self.obj_best[i]), *self.resid_best[i].tolist(), self.iters,
+                           message, list(map(tuple, self.history[:steps, i].tolist())))
 
 
 class _Group:
     """The stacked iterates of problems solved in lockstep.  Every array has
-    one leading row per problem still running, in the order of ``runs``."""
+    one leading row per problem still running, in the order of ``runs``.
+
+    Each iterate quantity is one packed row of length L per problem: every
+    block's s-by-s matrix in turn, then the cap's entry.  X and S (``XS``),
+    C, the dual residuals Rd, the scaled residuals, the Newton directions
+    and their scaled forms are such arrays, allocated once per set of
+    problems (``views``), and a block reads its matrix through a view
+    (``split``), so an elementwise stage runs once for all blocks and the
+    cap.  Each block's matrix products, LAPACK calls and reductions take its
+    own view, with the operands of a block on its own, and the LAPACK
+    gufuncs copy their input, so every entry rounds as before.  The NT
+    scaling packs the eigenvalues lam of every block's scaled point and the
+    cap's, per problem, in one row, and the entries of a block's (lam_i +
+    lam_j)/2, -lam_i^2 I and 1/sqrt(lam_i), 1/sqrt(lam_j) are taken from it
+    by one index (``lam_i``, ``lam_j``); at the cap both point to its lam.
+    ``linear`` forms sum_k y_k F_k of every block and of the cap in one
+    bincount over the group's index of their nonzeros, each entry summed
+    from one block's nonzeros in its stack's order."""
 
     # the per-problem arrays that ``keep`` compacts; Rp, Rd, Rg and mu are
     # those of the current iteration
-    _ROWS = ("y", "tau", "kappa", "b_vec", "c", "gamma", "beta", "s_obj", "Rp", "Rg", "mu")
+    _ROWS = ("y", "tau", "kappa", "b_vec", "c", "gamma", "beta", "s_obj", "Rp", "Rd", "Rg", "mu",
+             "C", "BETA")
+    # what ``views`` makes for the problems that run; ``keep`` drops it first,
+    # so that it is never held together with the copies that ``keep`` makes
+    _VIEWS = ("GRG", "corr", "R", "BX", "Zs", "Fx", "dXS", "dh", "E", "XS_b", "Rd_b", "GRG_b",
+              "corr_b", "R_b", "E_b", "BX_b", "Zs_b", "Fx_b", "dX_b", "dS_b", "dXh_b", "dSh_b",
+              "index_k", "index_pos", "index_v")
 
     def __init__(self, problems: list, forms: tuple):
         """``forms`` holds each block's Schur form (``_gram_form``)."""
         B, d = len(problems), problems[0].d
         self.c = np.stack([np.asarray(p.c, dtype=float).reshape(-1) for p in problems])
-        self.runs = [_Run(p) for p in problems]
-        self.all_runs = list(self.runs)
+        self.runs = _Runs(problems)
         self.user = [_Stack.of([p.blocks[b] for p in problems])
                      for b in range(len(problems[0].blocks))]
         scaled, self.gamma, self.beta = _ruiz_scale(self.user)
@@ -647,18 +707,120 @@ class _Group:
         self.M = np.zeros((B, d, d)).transpose(0, 2, 1)
         self.upper = ~np.tri(d, self.cap.step, dtype=bool)
 
+        # the packed layout: block b's matrix at entries starts[b] + (i s + j)
+        # of a row, the cap's at its last entry; its eigenvalues at entries
+        # first[b] + i of a row of eigenvalues, the cap's at its last
+        sizes = [blk.size for blk in self.blocks]
+        starts = np.cumsum([0] + [s * s for s in sizes]).tolist()
+        self.first = np.cumsum([0] + sizes).tolist()
+        self.spans = list(zip(starts, starts[1:], sizes))
+        L = starts[-1] + 1
+        i = np.concatenate([np.repeat(np.arange(s), s) + f for s, f in zip(sizes, self.first)])
+        j = np.concatenate([np.tile(np.arange(s), s) + f for s, f in zip(sizes, self.first)])
+        self.lam_i, self.lam_j = np.append(i, self.first[-1]), np.append(j, self.first[-1])
+        self.eye = (self.lam_i == self.lam_j) * 1.0
+        # the factor of a symmetrization (M + M')/2, 1 at the cap, which is
+        # not symmetrized
+        self.half = np.full(L, 0.5)
+        self.half[-1] = 1.0
+        # the svec entries of every Gram-form block in a packed row, with
+        # their scales, and each block's part of them (None in the W form)
+        at, scales, self.svec_parts = [], [], []
+        for blk, (a, _, s) in zip(self.blocks, self.spans):
+            if blk.U is None:
+                self.svec_parts.append(None)
+                continue
+            flat, scale = _svec_take(s)
+            start = sum(map(len, at))
+            self.svec_parts.append((start, start + len(flat)))
+            at.append(a + flat)
+            scales.append(scale)
+        self.svec_at = np.concatenate([np.zeros(0, dtype=np.intp), *at])
+        self.svec_scale = np.concatenate([np.zeros(0), *scales])
+        self.XS = np.broadcast_to(self.eye, (2, B, L)).copy()
+        self.C, self.BETA, self.Rd = np.ones((3, B, L))
+        for blk, C, BETA, b in zip(self.blocks, self.split(self.C), self.split(self.BETA),
+                                   self.beta.T):
+            C[...] = blk.C
+            BETA[...] = b[:, None, None]
+        self.C[:, -1] = self.cap.c
+        self.views()
+
+    def split(self, A: np.ndarray) -> list:
+        """The views of every block's matrices in A (..., B, L), each
+        (... B, s, s) with the leading axes merged."""
+        return [A[..., a:b].reshape(-1, s, s) for a, b, s in self.spans]
+
+    def views(self) -> None:
+        """The per-iteration arrays of the problems that run, the views of
+        every block's matrices in them, in XS and in C, and the index of the
+        nonzeros: (k, position, value) of every block's F_k and of the cap's
+        f, block by block and then the cap, each in its stack's order, and
+        the ends of each block's part."""
+        B, d = self.y.shape
+        L = self.XS.shape[-1]
+        # the step's scaled dual residuals, correction and Newton right-hand
+        # side, whose arrays the check takes for beta X, Z and F(x) first;
+        # (dX, dS), (dXhat, dShat) and the scaled directions of the step length
+        self.GRG, self.corr, self.R = self.BX, self.Zs, self.Fx = np.empty((3, B, L))
+        self.dXS, self.dh, self.E = np.empty((3, 2, B, L))
+        split = self.split
+        self.XS_b, self.Rd_b, self.GRG_b, self.corr_b, self.R_b, self.E_b = (
+            split(a) for a in (self.XS, self.Rd, self.GRG, self.corr, self.R, self.E))
+        self.BX_b, self.Zs_b, self.Fx_b = self.GRG_b, self.corr_b, self.R_b
+        self.dX_b, self.dS_b, self.dXh_b, self.dSh_b = (
+            split(a) for a in (*self.dXS, *self.dh))
+        for blk, C in zip(self.blocks, split(self.C)):
+            blk.C = C
+        ks, pos, vs = [], [], []
+        for blk, (a, b, _) in zip(self.blocks, self.spans):
+            st = blk.lmi
+            ks.append(st._k)
+            pos.append(st._flat + (st._k // d) * (L - (b - a)) + a)
+            vs.append(st._v)
+        p, k = np.nonzero(self.cap.f)
+        ks.append(p * d + k)
+        pos.append(p * L + L - 1)
+        vs.append(self.cap.f[p, k])
+        self.ends = np.cumsum([0] + [len(v) for v in vs]).tolist()
+        self.index_k, self.index_pos, self.index_v = (np.concatenate(a) for a in (ks, pos, vs))
+
+    def linear(self, y: np.ndarray) -> np.ndarray:
+        """sum_k y_k F_k of every block and of the cap, packed (B, L)."""
+        B, L = len(y), self.XS.shape[-1]
+        return np.bincount(self.index_pos, weights=self.index_v * y.reshape(-1)[self.index_k],
+                           minlength=B * L).reshape(B, L)
+
+    def adjoint(self, Z: np.ndarray) -> np.ndarray:
+        """sum_b (<F_k, Z_b>)_k of packed Z (B, L), (B, d): each block's
+        adjoint as ``_Stack.adjoint`` forms it, summed over the blocks."""
+        B, d = self.y.shape
+        w = self.index_v * Z.reshape(-1)[self.index_pos]
+        ends, k = self.ends, self.index_k
+        return sum(np.bincount(k[a:b], weights=w[a:b], minlength=B * d).reshape(B, d)
+                   for a, b in zip(ends[:-2], ends[1:-1]))
+
+    def sums(self, P: np.ndarray) -> np.ndarray:
+        """The sum of the entries of each block's matrix in packed P (B, L),
+        summed over the blocks, then the cap's entry."""
+        return sum(P[:, a:b].sum(axis=1) for a, b, _ in self.spans) + P[:, -1]
+
     def keep(self, mask: np.ndarray) -> None:
         """Drop the problems where ``mask`` is False."""
+        for name in self._VIEWS:
+            delattr(self, name)
+        self.runs.keep(mask)
         for name in self._ROWS:
             setattr(self, name, getattr(self, name)[mask])
-        self.Rd = [R[mask] for R in self.Rd]
+        # C order, so that each block's view of it is a view, not a copy
+        self.XS = np.ascontiguousarray(self.XS[:, mask])
         for blk in self.blocks:
             blk.keep(mask)
         self.cap.keep(mask)
         # overwritten before it is read, as U
         self.M = self.M[:len(self.y)]
-        self.runs = [run for run, k in zip(self.runs, mask) if k]
         self.user = [ub.keep(mask) for ub in self.user]
+        self.views()
 
     def run(self) -> list[SdpSolution]:
         for it in range(MAX_ITERS):
@@ -671,53 +833,37 @@ class _Group:
                     break
                 # the step is taken again without the problems that broke down
                 for i, message in failed.items():
-                    self.runs[i].status, self.runs[i].message = "NumericalFailure", message
-                done = np.zeros(len(self.runs), dtype=bool)
+                    self.runs.end([i], message)
+                done = np.zeros(len(self.y), dtype=bool)
                 done[list(failed)] = True
             if done.all():
                 break
-        return [run.solution() for run in self.all_runs]
+        self.keep(np.zeros(len(self.y), dtype=bool))
+        return self.runs.solutions
 
     def check(self, it: int) -> np.ndarray:
         """Residuals, ray check and termination tests of iteration ``it``; True
         where a problem is done."""
-        blocks, cap, tau, kappa, y = self.blocks, self.cap, self.tau, self.kappa, self.y
-        tau3 = tau[:, None, None]
-        self.Rp = (sum(blk.lmi.adjoint(blk.X) for blk in blocks) + cap.f * cap.x[:, None]
-                   - self.b_vec * tau[:, None])
-        self.Rd = [blk.lmi.linear(y) + blk.S - blk.C * tau3 for blk in blocks]
-        cap.rd = cap.linear(y) + cap.s - cap.c * tau
-        CX = sum((blk.C * blk.X).sum(axis=(1, 2)) for blk in blocks) + cap.c * cap.x
-        self.Rg = CX - np.vecdot(self.b_vec, y) + kappa
-        self.mu = (sum((blk.X * blk.S).sum(axis=(1, 2)) for blk in blocks) + cap.x * cap.s
-                   + tau * kappa) / (self.nu + 1)
+        cap, tau, kappa, y = self.cap, self.tau, self.kappa, self.y
+        X, S = self.XS
+        self.Rp = self.adjoint(X) + cap.f * X[:, -1, None] - self.b_vec * tau[:, None]
+        np.subtract(self.linear(y) + S, self.C * tau[:, None], out=self.Rd)
+        self.Rg = self.sums(self.C * X) - np.vecdot(self.b_vec, y) + kappa
+        self.mu = (self.sums(X * S) + tau * kappa) / (self.nu + 1)
 
-        ray_Z, ray_q, ray_ok = ray_test(
-            self.user, [b[:, None, None] * blk.X for blk, b in zip(blocks, self.beta.T)], self.c)
-        iterate_scale = np.abs(cap.x)
-        for blk in blocks:
-            iterate_scale = np.maximum(iterate_scale, np.abs(blk.X).max(axis=(1, 2)))
-        interior = tau > 1e-14 * np.maximum(1.0, iterate_scale)
+        np.multiply(self.BETA, X, out=self.BX)
+        ray_Z, ray_q, ray_ok = ray_test(self.user, self.BX_b, self.c)
+        interior = tau > 1e-14 * np.maximum(1.0, np.abs(X).max(axis=1))
         # the original-space report of every problem, with tau replaced by 1
         # where it has collapsed; those reports are not read
         t = np.where(interior, tau, 1.0)
         x_orig = self.gamma * (y / t[:, None])
-        Zs = [beta[:, None, None] * blk.X / (t * self.s_obj)[:, None, None]
-              for blk, beta in zip(blocks, self.beta.T)]
+        np.divide(self.BX, (t * self.s_obj)[:, None], out=self.Zs)
         # Rd = F(y) + S - C tau in scaled data, so F(x) = (Rd - S) / (tau beta)
-        Fx = [(R - blk.S) / (t * beta)[:, None, None]
-              for R, blk, beta in zip(self.Rd, blocks, self.beta.T)]
-        primal, dual, gap, p_obj = _residuals(self.user, self.c, x_orig, Fx, Zs)
-
-        done = np.zeros(len(self.runs), dtype=bool)
-        for i, run in enumerate(self.runs):
-            report = None
-            if interior[i]:
-                report = (x_orig[i], [Z[i] for Z in Zs],
-                          (float(primal[i]), float(dual[i]), float(gap[i])), float(p_obj[i]))
-            done[i] = run.check(it, float(ray_q[i]),
-                                [Z[i] for Z in ray_Z] if ray_ok[i] else None, report)
-        return done
+        np.divide(self.Rd - S, t[:, None] * self.BETA, out=self.Fx)
+        primal, dual, gap, p_obj = _residuals(self.user, self.c, x_orig, self.Fx_b, self.Zs_b)
+        return self.runs.check(it, ray_q, ray_Z, ray_ok, interior, x_orig, self.Zs_b,
+                               np.array((primal, dual, gap)).T, p_obj)
 
     def schur(self, M: np.ndarray) -> None:
         """Form the Schur complements in M (B, d, d): every entry of each
@@ -727,35 +873,79 @@ class _Group:
             blk.schur(M, bi > 0)
         self.cap.schur(M)
 
+    def nt_failures(self, factors: list, lam: np.ndarray) -> dict:
+        """{position: message} of every problem whose NT scaling failed: its
+        first failure in the order block 0's Cholesky factors of X and S, its
+        SVD and its eigenvalues, block 1's, ..., then the cap's x and s and
+        its lam."""
+        B = len(lam)
+        failed = {}
+        for L, a, (_, _, s) in zip(factors, self.first, self.spans):
+            sv = lam[:, a:a + s]
+            nan = np.isnan(L).any(axis=(1, 2))
+            for mask, message in (
+                    (nan[:B] | nan[B:], "Matrix is not positive definite"),
+                    (np.isnan(sv).any(axis=1), "SVD did not converge"),
+                    (~((sv[:, -1] > 0) & np.isfinite(sv).all(axis=1)), "degenerate NT scaling")):
+                for i in np.flatnonzero(mask).tolist():
+                    failed.setdefault(i, f"NT scaling failed: {message}")
+        X, S = self.XS[..., -1]
+        for mask, message in ((~((X > 0) & (S > 0)), "Matrix is not positive definite"),
+                              (~((lam[:, -1] > 0) & np.isfinite(lam[:, -1])),
+                               "degenerate NT scaling")):
+            for i in np.flatnonzero(mask).tolist():
+                failed.setdefault(i, f"NT scaling failed: {message}")
+        return failed
+
+    def nt_scaling(self) -> dict:
+        """The Nesterov-Todd scaling of every block and of the cap, and what
+        the Newton solves and the step lengths take from it, packed: (lam_i +
+        lam_j)/2 (``lam_avg``), -lam^2 I (``neg_lam2``), 1/sqrt(lam_i) and
+        1/sqrt(lam_j) (``isqrt_i``, ``isqrt_j``).  On a breakdown nothing is
+        set, and the result maps the position of each problem that broke
+        down to its message (``nt_failures``), as ``step`` reports it."""
+        B = len(self.y)
+        # per block the factors of X and S in one call, and the SVD of Ls'Lx,
+        # whose singular values go to the row of eigenvalues; the cap's lam is
+        # sqrt(s) sqrt(x).  A slice that LAPACK fails on comes out NaN, and so
+        # do the singular values it reaches
+        lam = np.empty((B, self.first[-1] + 1))
+        factors, Vts = [], []
+        with np.errstate(invalid="ignore"):
+            for XS, a, (_, _, s) in zip(self.XS_b, self.first, self.spans):
+                L = cholesky(XS)
+                Vts.append(svd(L[B:].mT @ L[:B], out=(None, lam[:, a:a + s], None))[2])
+                factors.append(L)
+            X, S = self.XS[..., -1]
+            lx = np.sqrt(X)
+            np.multiply(np.sqrt(S), lx, out=lam[:, -1])
+        # the singular values are nonnegative, so this holds if every one is
+        # positive and none is inf or nan
+        if not (lam.min() > 0 and lam.max() < np.inf):
+            return self.nt_failures(factors, lam)
+        root = np.sqrt(lam)
+        for blk, L, Vt, a in zip(self.blocks, factors, Vts, self.first):
+            blk.set_scaling(L[:B] @ (Vt.mT / root[:, None, a:a + blk.size]))
+        lam_isqrt = 1.0 / root
+        self.cap.set_scaling(lx, lam_isqrt[:, -1])
+        lam_i, lam_j = self.lam_i, self.lam_j
+        self.isqrt_i, self.isqrt_j = lam_isqrt[:, lam_i], lam_isqrt[:, lam_j]
+        self.lam_avg = (lam[:, lam_i] + lam[:, lam_j]) / 2.0
+        self.neg_lam2 = (-(lam ** 2))[:, lam_i] * self.eye
+        return {}
+
     def step(self) -> dict:
         """One predictor-corrector step of every problem.  On a breakdown nothing
         changes, and the result maps the position of each problem that broke
         down to its message."""
         blocks, cap, tau, kappa, b_vec = self.blocks, self.cap, self.tau, self.kappa, self.b_vec
-        Rp, Rd, Rg, mu = self.Rp, self.Rd, self.Rg, self.mu
+        Rp, Rg, mu = self.Rp, self.Rg, self.mu
         B, d = self.y.shape
 
-        # Nesterov-Todd scaling point per block
-        for blk in blocks:
-            # the factors of X and S in one call; a failure of X is reported
-            # before one of S
-            L, failed = _lapack(np.linalg.cholesky, np.concatenate((blk.X, blk.S)))
-            if not failed:
-                Lx, Ls = L[:B], L[B:]
-                (_, sv, Vt), failed = _lapack(np.linalg.svd, Ls.mT @ Lx)
-            elif any(i < B for i in failed):
-                failed = {i: exc for i, exc in failed.items() if i < B}
-            if failed:
-                return {i % B: f"NT scaling failed: {exc}" for i, exc in failed.items()}
-            # the singular values are nonnegative and sorted, so this holds
-            # if every last one is positive and none is inf or nan
-            if not (sv.min() > 0 and sv.max() < np.inf):
-                return _broken(~((sv[:, -1] > 0) & np.isfinite(sv).all(axis=1)),
-                               "NT scaling failed: degenerate NT scaling")
-            blk.set_scaling(Lx @ (Vt.mT / np.sqrt(sv)[:, None, :]), sv)
-        failed = cap.set_scaling()
+        failed = self.nt_scaling()
         if failed:
             return failed
+        lam_avg, neg_lam2 = self.lam_avg, self.neg_lam2
 
         # an NT scaling that overflows shows up here; it is reported below
         M = self.M
@@ -793,9 +983,21 @@ class _Group:
                 o[...] = _cho_solve(f, r)
             return out
 
+        def congruence(R, R_b, out, out_b, transpose: bool) -> None:
+            """out = sym(G' R G), or sym(G R G') with ``transpose``, of every
+            block and g R g of the cap, R and out packed, R_b and out_b their
+            views."""
+            for blk, Rb, Ob in zip(blocks, R_b, out_b):
+                P = blk.G @ Rb @ blk.Gt if transpose else blk.Gt @ Rb @ blk.G
+                np.add(P, P.mT, out=Ob)
+            np.multiply(cap.g * R[:, -1], cap.g, out=out[:, -1])
+            out *= self.half
+
         # the scaled dual residuals, G' Rd G, of both Newton solves
-        GRG = [blk.G.mT @ R @ blk.G for blk, R in zip(blocks, Rd)]
-        GRG.append(cap.g * cap.rd * cap.g)
+        GRG = self.GRG
+        for blk, R, O in zip(blocks, self.Rd_b, self.GRG_b):
+            np.matmul(blk.Gt @ R, blk.G, out=O)
+        np.multiply(cap.g * self.Rd[:, -1], cap.g, out=GRG[:, -1])
         u_dir = cho_solve_each(g_vec + b_vec)
         # equals (q_cc - g'M^-1 g) + b'M^-1 b, nonnegative in exact arithmetic;
         # clamp away the cancellation noise that appears at convergence
@@ -806,95 +1008,80 @@ class _Group:
         if broken.any():
             return _broken(broken, "singular reduced system (predictor)")
 
-        def newton(eta, sigma_mu, corr_blocks, r_tk):
-            """One Newton solve of the reduced systems; each list returned
-            holds the blocks' directions and then the cap's."""
-            Qhats = []
-            anorm = np.zeros((B, d))
-            cdot = np.zeros(B)
-            eta3 = eta[:, None, None]
+        def newton(eta, sigma_mu, corr, r_tk):
+            """One Newton solve of the reduced systems: (dX, dS) into ``dXS``
+            and (dXhat, dShat) into ``dh``; returns dy, dtau and dkappa."""
+            Rhat = neg_lam2
             if sigma_mu is not None:
                 # a zero sigma_mu is not added, which leaves -0.0 off the diagonal
-                shift3, unshifted = sigma_mu[:, None, None], (sigma_mu == 0)[:, None, None]
-                any_unshifted = unshifted.any()
-            for bi, blk in enumerate(blocks):
-                Rhat = blk.neg_lam2
-                if sigma_mu is not None:
-                    shifted = Rhat + shift3 * blk.eye
-                    Rhat = np.where(unshifted, Rhat, shifted) if any_unshifted else shifted
-                if corr_blocks is not None:
-                    Rhat = Rhat - corr_blocks[bi]
-                Qhat = Rhat / blk.lam_avg
-                Qhats.append(Qhat)
-                a_b, c_b = blk.pull_back(Qhat + eta3 * GRG[bi])
+                shifted = Rhat + sigma_mu[:, None] * self.eye
+                unshifted = sigma_mu == 0
+                Rhat = np.where(unshifted[:, None], Rhat, shifted) if unshifted.any() else shifted
+            if corr is not None:
+                Rhat = Rhat - corr
+            Qhat = Rhat / lam_avg
+            R = np.add(Qhat, eta[:, None] * GRG, out=self.R)
+            anorm = np.zeros((B, d))
+            cdot = np.zeros(B)
+            # svec of every Gram-form block's R in one pass, as ``svec`` forms it
+            rsv = R.take(self.svec_at, axis=1) * self.svec_scale
+            for blk, Rb, part in zip(blocks, self.R_b, self.svec_parts):
+                a_b, c_b = (blk.pull_back(Rb) if part is None
+                            else blk.pull_back_svec(rsv[:, part[0]:part[1]]))
                 anorm += a_b
                 cdot += c_b
-            rhat = cap.neg_lam2 if sigma_mu is None else cap.neg_lam2 + sigma_mu
-            if corr_blocks is not None:
-                rhat = rhat - corr_blocks[-1]
-            qhat = rhat / cap.lam
-            r_cap = qhat + eta * GRG[-1]
-            anorm += cap.u * r_cap[:, None]
-            cdot += cap.chat * r_cap
+            anorm += cap.u * R[:, -1, None]
+            cdot += cap.chat * R[:, -1]
             v_dir = cho_solve_each(-eta[:, None] * Rp - anorm)
             dtau = (r_tk - tau * (-eta * Rg - cdot - np.vecdot(g_vec - b_vec, v_dir))) / denominator
             dy = v_dir + u_dir * dtau[:, None]
             dkappa = (r_tk - kappa * dtau) / tau
-            dS, dX, dXh, dSh = [], [], [], []
-            dtau3 = dtau[:, None, None]
-            for bi, blk in enumerate(blocks):
-                dSb = -eta3 * Rd[bi] - blk.lmi.linear(dy) + blk.C * dtau3
-                dSh_b = _sym(blk.G.mT @ dSb @ blk.G)
-                dXh_b = Qhats[bi] - dSh_b
-                dXb = _sym(blk.G @ dXh_b @ blk.G.mT)
-                dS.append(dSb)
-                dX.append(dXb)
-                dXh.append(dXh_b)
-                dSh.append(dSh_b)
-            ds = -eta * cap.rd - cap.linear(dy) + cap.c * dtau
-            dsh = cap.g * ds * cap.g
-            dxh = qhat - dsh
-            dS.append(ds)
-            dX.append(cap.g * dxh * cap.g)
-            dXh.append(dxh)
-            dSh.append(dsh)
-            return dy, dS, dX, dXh, dSh, dtau, dkappa
+            (dX, dS), (dXh, dSh) = self.dXS, self.dh
+            np.add(-eta[:, None] * self.Rd - self.linear(dy), self.C * dtau[:, None], out=dS)
+            congruence(dS, self.dS_b, dSh, self.dSh_b, False)
+            np.subtract(Qhat, dSh, out=dXh)
+            congruence(dXh, self.dXh_b, dX, self.dX_b, True)
+            return dy, dtau, dkappa
 
-        def max_step(dXh, dSh, dtau, dkappa):
+        def max_step(dtau, dkappa):
             # -1/w for the most negative eigenvalue w is the smallest -1/w of
             # all, because rounding keeps 1/w monotone
+            E = np.multiply(self.isqrt_i * self.dh, self.isqrt_j, out=self.E)
             w = np.zeros(B)
-            for bi, blk in enumerate(blocks):
-                li = blk.lam_isqrt
-                # both directions in one call
-                e = np.linalg.eigvalsh(np.concatenate((li * dXh[bi] * li.mT,
-                                                       li * dSh[bi] * li.mT)))[:, 0]
-                w = np.minimum(w, np.minimum(e[:B], e[B:]))
-            li = cap.lam_isqrt
-            w = np.minimum(w, np.minimum(li * dXh[-1] * li, li * dSh[-1] * li))
-            # the step at which 1 + a w, tau + a dtau or kappa + a dkappa reaches 0
+            with np.errstate(invalid="ignore"):
+                for Eb in self.E_b:
+                    # both directions in one call
+                    e = eigvalsh(Eb)[:, 0]
+                    w = np.minimum(w, np.minimum(e[:B], e[B:]))
+            w = np.minimum(w, np.minimum(E[0, :, -1], E[1, :, -1]))
+            # the step at which 1 + a w, tau + a dtau or kappa + a dkappa reaches
+            # 0; a slice that LAPACK failed on has NaN eigenvalues, and its
+            # problem's step is NaN
             v, dv = np.array([np.ones(B), tau, kappa]), np.array([w, dtau, dkappa])
             down = dv < 0
-            return np.where(down, -v / np.where(down, dv, -1.0), np.inf).min(axis=0)
+            step = np.where(down, -v / np.where(down, dv, -1.0), np.inf).min(axis=0)
+            return np.where(np.isnan(w), np.nan, step)
 
-        _, dS_a, dX_a, dXh_a, dSh_a, dtau_a, dkap_a = newton(np.ones(B), None, None, -tau * kappa)
-        a_aff = np.minimum(1.0, max_step(dXh_a, dSh_a, dtau_a, dkap_a))
-        a3 = a_aff[:, None, None]
-        ip = (sum(((blk.X + a3 * dX_a[bi]) * (blk.S + a3 * dS_a[bi])).sum(axis=(1, 2))
-                  for bi, blk in enumerate(blocks))
-              + (cap.x + a_aff * dX_a[-1]) * (cap.s + a_aff * dS_a[-1]))
-        mu_aff = (ip + (tau + a_aff * dtau_a) * (kappa + a_aff * dkap_a)) / (self.nu + 1)
+        _, dtau_a, dkap_a = newton(np.ones(B), None, None, -tau * kappa)
+        a_aff = np.minimum(1.0, max_step(dtau_a, dkap_a))
+        XS_a = self.XS + a_aff[:, None] * self.dXS
+        mu_aff = (self.sums(XS_a[0] * XS_a[1])
+                  + (tau + a_aff * dtau_a) * (kappa + a_aff * dkap_a)) / (self.nu + 1)
         # Python's float power: numpy's vectorized power may round an element
         # differently depending on where it sits in the array
         sigma = np.array([min(1.0, max(0.0, r)) ** 3 for r in (mu_aff / mu).tolist()])
 
-        corr = [_sym(dXh_a[bi] @ dSh_a[bi]) for bi in range(len(blocks))]
-        corr.append(dXh_a[-1] * dSh_a[-1])
-        # the predictor's directions are spent: free them before the corrector's
-        del dS_a, dX_a, dXh_a, dSh_a
+        # the predictor's corrector term; the corrector's directions then take
+        # the predictor's arrays
+        corr = self.corr
+        for dXh, dSh, O in zip(self.dXh_b, self.dSh_b, self.corr_b):
+            P = dXh @ dSh
+            np.add(P, P.mT, out=O)
+        np.multiply(self.dh[0, :, -1], self.dh[1, :, -1], out=corr[:, -1])
+        corr *= self.half
         r_tk = sigma * mu - tau * kappa - dtau_a * dkap_a
-        dy_c, dS_c, dX_c, dXh_c, dSh_c, dtau_c, dkap_c = newton(1.0 - sigma, sigma * mu, corr, r_tk)
-        alpha = np.minimum(1.0, STEP_FRACTION * max_step(dXh_c, dSh_c, dtau_c, dkap_c))
+        dy_c, dtau_c, dkap_c = newton(1.0 - sigma, sigma * mu, corr, r_tk)
+        alpha = np.minimum(1.0, STEP_FRACTION * max_step(dtau_c, dkap_c))
         collapsed = (alpha < 1e-13) | ~np.isfinite(alpha)
         if collapsed.any():
             return _broken(collapsed, "step length collapsed")
@@ -906,14 +1093,8 @@ class _Group:
             return _broken(left, "tau/kappa left the cone")
         self.y = self.y + alpha[:, None] * dy_c
         self.tau, self.kappa = tau, kappa
-        a3 = alpha[:, None, None]
-        for bi, blk in enumerate(blocks):
-            blk.X = blk.X + a3 * dX_c[bi]
-            blk.S = blk.S + a3 * dS_c[bi]
-        cap.x = cap.x + alpha * dX_c[-1]
-        cap.s = cap.s + alpha * dS_c[-1]
-        for run, m, a in zip(self.runs, mu.tolist(), alpha.tolist()):
-            run.history.append((m, run.resid[0], run.resid[1], a))
+        self.XS += alpha[:, None] * self.dXS
+        self.runs.log(mu, alpha)
         return {}
 
 

@@ -355,6 +355,24 @@ class TestEpsFamily:
         assert all(prob.blocks[0].vals.flags.writeable for prob in problems)
         assert not np.shares_memory(problems[0].blocks[0].vals, problems[1].blocks[0].vals)
 
+    def test_checks_each_point_but_the_shared_rows(self, monkeypatch):
+        # the rows every point shares are checked once, when the family is
+        # built; each point's F0 and vals are checked as a direct build's
+        family = lmi._EpsFamily(shear_flow_9(120.0), 1e-6, "analysis")
+        main = family.problem(0.3).blocks[0]
+        rows = family._rows
+        k = next(k for k in range(len(rows)) if len(rows[k]) < main.size)
+        vals = family._vals.copy()
+        vals[k, 0, np.setdiff1d(np.arange(main.size), rows[k])[0]] = 1.0
+        monkeypatch.setattr(family, "_vals", vals)
+        with pytest.raises(ValueError, match="malformed problem: F_k not symmetric"):
+            family.problem(0.3)
+        # a block built directly on the same rows, one index repeated
+        repeated = rows.copy()
+        repeated[k, 1] = repeated[k, 0]
+        with pytest.raises(ValueError, match="malformed problem: F stack shape mismatch"):
+            LmiBlock(F0=main.F0, rows=repeated, vals=main.vals)
+
     def test_solve_many_leaves_shared_data_unchanged(self):
         family = lmi._EpsFamily(two_state(), 1e-6, "analysis")
         problems = [family.problem(eps) for eps in (0.1, 0.3, 0.6)]
@@ -719,7 +737,7 @@ class TestBlockOperators:
             G = rng.normal(size=(blk.size, blk.size))
             work = np.full(lmi._w_words(d, blk.rows.shape[1], blk.size), np.nan)
             block = sdp._Block(lmi._Stack.of([blk]), gram=False, work=work)
-            block.set_scaling(G[None], np.ones((1, blk.size)))
+            block.set_scaling(G[None])
             assert block.U is None
             block.schur(M[None], bi > 0)
             U = svec(np.matmul(G.T, np.matmul(dense_stack(blk), G)))

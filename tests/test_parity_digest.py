@@ -129,3 +129,15 @@ def test_main_prints_the_parts_of_one_set(capsys):
     assert [line.rsplit(" ", 1)[1] for line in lines] == [tool.digest(p) for p in parts]
     with pytest.raises(SystemExit, match="no set 'nine'"):
         tool.main(["--parts", "nine"])
+
+
+@pytest.mark.parametrize("name, status", [("burgers-20", "NumericalFailure"),
+                                          ("dense-10", "Optimal")])
+def test_below_window_sets(name, status):
+    # burgers-20 covers solves that end NumericalFailure and certify on the
+    # proof of their best iterates, dense-10 the Gram form on dense blocks
+    entries, solves = tool.parity_sets()[name]()
+    assert len(entries) == len(solves) == 8
+    assert all(solve[0] == status for solve in solves)
+    assert all(entry[1] == "optimal" for entry in entries)
+    assert all(("proof_shrink" in entry[2][2]) == (status != "Optimal") for entry in entries)

@@ -213,15 +213,15 @@ class TestStall:
 
     def test_collapsing_ray_still_certifies(self, monkeypatch):
         # tau collapses at iteration 32 here, and the ray is accepted in the
-        # same iteration (a report of None: tau has collapsed)
+        # same iteration (not interior: tau has collapsed)
         prob = shear_problem(SHEAR_SCAN[8])
-        collapsed, check = [], sdp._Run.check
+        collapsed, check = [], sdp._Runs.check
 
-        def recording(run, it, ray_q, ray_Z, report):
-            collapsed.append(report is None)
-            return check(run, it, ray_q, ray_Z, report)
+        def recording(runs, it, ray_q, ray_Z, ray_ok, interior, *report):
+            collapsed.append(not interior[0])
+            return check(runs, it, ray_q, ray_Z, ray_ok, interior, *report)
 
-        monkeypatch.setattr(sdp._Run, "check", recording)
+        monkeypatch.setattr(sdp._Runs, "check", recording)
         sol = solve(prob)
         assert sol.status == "Infeasible"
         assert sol.iters == 32 and collapsed[-1] and not any(collapsed[:-1])
@@ -338,15 +338,18 @@ class TestBestIterate:
         # Python's max((1e-9, nan, 1e-9)) is 1e-9: compared by its largest
         # residual, an iterate with a NaN that is not first would become best
         prob = scalar_problem()
-        run = sdp._Run(prob)
-        Z = [np.zeros_like(blk.F0) for blk in prob.blocks]
+        runs = sdp._Runs([prob])
+        Z = [np.zeros((1, *blk.F0.shape)) for blk in prob.blocks]
         nan_resid = [1e-9, 1e-9, 1e-9]
         nan_resid[where] = np.nan
         reports = [(0.1, (1e-3, 1e-3, 1e-3)), (0.2, tuple(nan_resid)),
                    (0.3, (1e-5, 1e-5, 1e-5)), (0.4, (1e-4, 1e-4, 1e-4))]
+        no = np.array([False])
         for it, (x, resid) in enumerate(reports):
-            assert not run.check(it, np.inf, None, (np.array([x]), Z, resid, x))
-        sol = run.solution()
+            done = runs.check(it, np.array([np.inf]), None, no, ~no, np.array([[x]]), Z,
+                              np.array([resid]), np.array([x]))
+            assert not done[0]
+        sol = runs.solution(0)
         assert (sol.status, sol.iters) == ("IterLimit", 4)
         assert (sol.x.tolist(), sol.objective) == ([0.3], 0.3)
         assert (sol.primal_residual, sol.dual_residual, sol.duality_gap) == (1e-5, 1e-5, 1e-5)
@@ -477,7 +480,7 @@ class TestSchurForms:
         try:
             work = np.empty(lmi_words(d, lmi.rows.shape[1], s))
             blk = sdp._Block(stack, sdp._gram_form(d, s, lmi.nnz), work)
-            blk.set_scaling(G[None], np.ones((1, s)))
+            blk.set_scaling(G[None])
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -498,7 +501,7 @@ class TestSchurForms:
             lower = np.tri(lmi.d, dtype=bool)
             for gram in (True, False):
                 blk = stacked_block(lmi, gram)
-                blk.set_scaling(G[None], np.ones((1, s)))
+                blk.set_scaling(G[None])
                 M = np.full((1, lmi.d, lmi.d), np.nan)
                 blk.schur(M, False)
                 out.append([M[0][lower]] + [a[0] for a in (*blk.pull_back(blk.Chat),
@@ -671,12 +674,12 @@ class TestSolveMany:
             sizes.append(len(members))
             return group(members, forms)
 
-        def traced(blk, G, lam):
+        def traced(blk, G):
             # the peak so far; then the peak of this call alone
             peak[0] = max(peak[0], tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            set_scaling(blk, G, lam)
+            set_scaling(blk, G)
             transient[0] = max(transient[0], tracemalloc.get_traced_memory()[1] - before)
 
         monkeypatch.setattr(sdp, "_Group", recording)
@@ -700,27 +703,29 @@ class TestSolveMany:
 class TestObjectiveCap:
     def test_cap_rounds_as_a_one_by_one_block(self):
         # the scalar arithmetic of ``_Cap`` against the same 1-by-1 block
-        # through ``_Block``, ``_Stack`` and numpy.linalg, bit for bit
+        # through ``_Block``, ``_Stack`` and the LAPACK gufuncs, bit for bit
         rng = np.random.default_rng(11)
         B, d = 5, 45
         f = rng.standard_normal((B, d)) * (rng.random((B, d)) < 0.3)
         c = rng.uniform(0.5, 2.0, B)
+        x, s = 10.0 ** rng.uniform(-4, 4, B), 10.0 ** rng.uniform(-4, 4, B)
         cap = sdp._Cap(f, c, np.empty(B * sdp._cap_words(d)))
-        cap.x, cap.s = 10.0 ** rng.uniform(-4, 4, B), 10.0 ** rng.uniform(-4, 4, B)
-        assert cap.set_scaling() == {}
+        lx = np.sqrt(x)
+        lam = np.sqrt(s) * lx
+        cap.set_scaling(lx, 1.0 / np.sqrt(lam))
         blk = sdp._Block(_Stack(-c[:, None, None], np.zeros((d, 1), dtype=np.intp),
                                 f.reshape(B, d, 1, 1)), True, np.empty(B * lmi_words(d, 1, 1)))
-        blk.X, blk.S = cap.x[:, None, None].copy(), cap.s[:, None, None].copy()
-        Lx, Ls = np.linalg.cholesky(blk.X), np.linalg.cholesky(blk.S)
-        _, sv, Vt = np.linalg.svd(Ls.mT @ Lx)
-        blk.set_scaling(Lx @ (Vt.mT / np.sqrt(sv)[:, None, :]), sv)
+        X = x[:, None, None]
+        L = sdp.cholesky(np.concatenate((X, s[:, None, None])))
+        _, sv, Vt = sdp.svd(L[B:].mT @ L[:B])
+        blk.set_scaling(L[:B] @ (Vt.mT / np.sqrt(sv)[:, None, :]))
 
         def same(a, b):
             return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
-        assert same(sv[:, 0], cap.lam) and same(blk.lam_avg[:, 0, 0], cap.lam)
-        assert same(blk.G[:, 0, 0], cap.g) and same(blk.lam_isqrt[:, 0, 0], cap.lam_isqrt)
-        assert same(blk.neg_lam2[:, 0, 0], cap.neg_lam2) and same(blk.Chat[:, 0, 0], cap.chat)
+        # the group's packed (lam_i + lam_j)/2 at the cap's entry is its lam
+        assert same(sv[:, 0], lam) and same((lam + lam) / 2.0, lam)
+        assert same(blk.G[:, 0, 0], cap.g) and same(blk.Chat[:, 0, 0], cap.chat)
         assert same(blk.U[..., 0], cap.u)
         # BLAS sums start from 0.0, so a product -0.0 comes out +0.0 there;
         # the solver adds the cap's products to sums that are never -0.0.  At
@@ -735,9 +740,37 @@ class TestObjectiveCap:
         R = rng.standard_normal(B)
         a, r = blk.pull_back(R[:, None, None])
         assert same(a, cap.u * R[:, None] + 0.0) and same(r, cap.chat * R)
+        assert same(blk.lmi.adjoint(X), cap.f * x[:, None])
+
+
+class TestPackedLayout:
+    """A group packs every block's matrix and the cap's entry into one row
+    per problem; its operators round as the blocks' own."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: two_state_problems(), lambda: stacked_problems((0.3, 0.6)),
+        lambda: [shear_problem(e) for e in SHEAR_SCAN[:3]],
+    ], ids=["two-state", "stacked", "shear"])
+    def test_operators_match_the_blocks(self, make):
+        problems = make()
+        first = problems[0]
+        forms = tuple(sdp._gram_form(first.d, blk.size, blk.nnz) for blk in first.blocks)
+        group = sdp._Group(problems, forms)
+        rng = np.random.default_rng(41)
+        B, d = group.y.shape
         y = rng.standard_normal((B, d))
-        assert same(blk.lmi.linear(y)[:, 0, 0], cap.linear(y))
-        assert same(blk.lmi.adjoint(blk.X), cap.f * cap.x[:, None])
+        y[:, ::3] = 0.0
+        lin = group.linear(y)
+        Z = rng.standard_normal(lin.shape)
+        for blk, lin_b, Z_b in zip(group.blocks, group.split(lin), group.split(Z)):
+            assert np.shares_memory(lin_b, lin)
+            assert lin_b.tobytes() == blk.lmi.linear(y).tobytes()
+        f = group.cap.f
+        # the cap's sum of f_k y_k, in k order, as its row once summed it
+        assert lin[:, -1].tobytes() == ((f * y).cumsum(axis=1)[:, -1] + 0.0).tobytes()
+        adjoint = sum(blk.lmi.adjoint(np.ascontiguousarray(Z_b))
+                      for blk, Z_b in zip(group.blocks, group.split(Z)))
+        assert group.adjoint(Z).tobytes() == adjoint.tobytes()
 
 
 def stacked_problems(eps=(0.3, 0.6, 1.0)):
@@ -806,8 +839,8 @@ class TestSchurInPlace:
         B, d = 3, 50
         cap = sdp._Cap(rng.standard_normal((B, d)), rng.uniform(0.5, 2.0, B),
                        np.empty(B * sdp._cap_words(d)))
-        cap.x, cap.s = 10.0 ** rng.uniform(-4, 4, B), 10.0 ** rng.uniform(-4, 4, B)
-        assert cap.set_scaling() == {}
+        lx = np.sqrt(10.0 ** rng.uniform(-4, 4, B))
+        cap.set_scaling(lx, 1.0 / np.sqrt(np.sqrt(10.0 ** rng.uniform(-4, 4, B)) * lx))
         assert cap.step == (d if chunk is None else 7)
         A = rng.standard_normal((B, d, d))
         M = A.transpose(0, 2, 1).copy().transpose(0, 2, 1)
@@ -910,51 +943,84 @@ class TestFailureIsolation:
         # X and S are factored in one call, whose slices are X then S
         self.cholesky_fails(monkeypatch, 1)
 
+    def isolated(self, problems, i, iters, message, monkeypatch, name, substitute):
+        """Problem i of ``problems`` ends at ``iters`` with ``message`` once
+        sdp.``name`` is ``substitute``, alone and in lockstep, and every
+        other problem is bitwise its own solve."""
+        reference = [solve(p) for p in problems]
+        monkeypatch.setattr(sdp, name, substitute)
+        alone = solve(problems[i])
+        assert alone.status == "NumericalFailure" and alone.iters == iters
+        assert alone.message == message
+        sols = sdp.solve_many(problems)
+        assert_same_solution(sols[i], alone)
+        for j, (sol, ref) in enumerate(zip(sols, reference)):
+            if j != i:
+                assert_same_solution(sol, ref)
+
+    @staticmethod
+    def nan_slices(real, target):
+        """``real`` with NaN output in every slice of its first output whose
+        input equals a slice of ``target``, as LAPACK's failure fills it."""
+
+        def failing(A, *args, **kwargs):
+            out = real(A, *args, **kwargs)
+            first = out[0] if isinstance(out, tuple) else out
+            first[[any(np.array_equal(Ai, t) for t in target) for Ai in A]] = np.nan
+            return out
+
+        return failing
+
     def cholesky_fails(self, monkeypatch, factor):
         problems = two_state_problems((0.1, 0.2, 0.3, 0.4))
-        reference = [solve(p) for p in problems]
         # X (factor 0) or S of the main block of problem 2 at iteration 4: one
         # call for X and S per block and two blocks per iteration (the
         # objective cap takes none)
-        target = self.recorded_input("cholesky", np.linalg, problems[2], 3 * 2 + 1)[factor]
-        real = np.linalg.cholesky
+        target = self.recorded_input("cholesky", sdp, problems[2], 3 * 2 + 1)[factor]
+        self.isolated(problems, 2, 4, "NT scaling failed: Matrix is not positive definite",
+                      monkeypatch, "cholesky", self.nan_slices(sdp.cholesky, [target]))
 
-        def failing(A):
-            if any(np.array_equal(Ai, target) for Ai in A.reshape(-1, *A.shape[-2:])):
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
-            return real(A)
+    def test_nt_svd_fails_for_one_slice(self, monkeypatch):
+        # Ls'Lx of the main block of problem 2 at iteration 4; U, the
+        # singular values and V' of a failed slice are NaN
+        problems = two_state_problems((0.1, 0.2, 0.3, 0.4))
+        target = self.recorded_input("svd", sdp, problems[2], 3 * 2 + 1)[0]
+        real = sdp.svd
 
-        monkeypatch.setattr(np.linalg, "cholesky", failing)
-        alone = solve(problems[2])
-        assert alone.status == "NumericalFailure" and alone.iters == 4
-        assert alone.message == "NT scaling failed: Matrix is not positive definite"
-        sols = sdp.solve_many(problems)
-        assert_same_solution(sols[2], alone)
-        for i in (0, 1, 3):
-            assert_same_solution(sols[i], reference[i])
+        def failing(A, *args, **kwargs):
+            out = real(A, *args, **kwargs)
+            hit = [np.array_equal(Ai, target) for Ai in A]
+            for part in out:
+                part[hit] = np.nan
+            return out
+
+        self.isolated(problems, 2, 4, "NT scaling failed: SVD did not converge", monkeypatch,
+                      "svd", failing)
+
+    def test_step_eigenvalues_fail_for_one_slice(self, monkeypatch):
+        # the corrector's scaled directions of the main block of problem 2 at
+        # iteration 4: six calls per iteration, one per block for the
+        # residuals, then one per block for each of the two step lengths
+        problems = two_state_problems((0.1, 0.2, 0.3, 0.4))
+        target = self.recorded_input("eigvalsh", sdp, problems[2], 3 * 6 + 4 + 1)
+        self.isolated(problems, 2, 4, "step length collapsed", monkeypatch, "eigvalsh",
+                      self.nan_slices(sdp.eigvalsh, target))
 
     def test_degenerate_nt_scaling_for_one_slice(self, monkeypatch):
         problems = two_state_problems((0.1, 0.2, 0.3, 0.4))
-        reference = [solve(p) for p in problems]
         # Ls'Lx of the main block of problem 2 at iteration 4: two blocks per
         # iteration (the objective cap takes none)
-        target = self.recorded_input("svd", np.linalg, problems[2], 3 * 2 + 1)[0]
-        real = np.linalg.svd
+        target = self.recorded_input("svd", sdp, problems[2], 3 * 2 + 1)[0]
+        real = sdp.svd
 
         def degenerate(A, *args, **kwargs):
+            # the singular values are written into the array ``out`` names
             U, sv, Vt = real(A, *args, **kwargs)
-            sv = sv.copy()
             sv[[np.array_equal(Ai, target) for Ai in A], -1] = 0.0
             return U, sv, Vt
 
-        monkeypatch.setattr(np.linalg, "svd", degenerate)
-        alone = solve(problems[2])
-        assert alone.status == "NumericalFailure" and alone.iters == 4
-        assert alone.message == "NT scaling failed: degenerate NT scaling"
-        sols = sdp.solve_many(problems)
-        assert_same_solution(sols[2], alone)
-        for i in (0, 1, 3):
-            assert_same_solution(sols[i], reference[i])
+        self.isolated(problems, 2, 4, "NT scaling failed: degenerate NT scaling", monkeypatch,
+                      "svd", degenerate)
 
     def test_singular_reduced_system_for_one_problem(self, monkeypatch):
         problems = two_state_problems((0.1, 0.2, 0.3, 0.4))
@@ -979,16 +1045,18 @@ class TestFailureIsolation:
             assert_same_solution(sols[i], reference[i])
 
     def test_batched_failure_that_no_slice_repeats_propagates(self, monkeypatch):
+        # a failed slice is NaN output; a factorization that raises is no
+        # failed slice, and its error ends the solve
         problems = two_state_problems((0.1, 0.2, 0.3, 0.4))
-        target = self.recorded_input("cholesky", np.linalg, problems[2], 3 * 2 + 1)[0]
-        real = np.linalg.cholesky
+        target = self.recorded_input("cholesky", sdp, problems[2], 3 * 2 + 1)[0]
+        real = sdp.cholesky
 
         def failing_batched(A):
             if A.ndim == 3 and any(np.array_equal(Ai, target) for Ai in A):
                 raise np.linalg.LinAlgError("batched call failed")
             return real(A)
 
-        monkeypatch.setattr(np.linalg, "cholesky", failing_batched)
+        monkeypatch.setattr(sdp, "cholesky", failing_batched)
         for group in ([problems[2]], problems):
             with pytest.raises(np.linalg.LinAlgError, match="batched call failed"):
                 sdp.solve_many(group)

@@ -24,17 +24,24 @@ the largest ``iters`` of its solutions:
 - ``ms/iter``: process time, the median over the repeats of runs with no
   hook installed;
 - per stage, ``ms/iter`` is that time split by the shares of a sampling
-  profiler on process time (``ITIMER_PROF``, every 200 us), and
+  profiler on process time (``ITIMER_PROF``, every 200 us), ``lapack`` the
+  share of it spent inside the LAPACK gufuncs behind
+  ``np.linalg.cholesky``, ``svd`` and ``eigvalsh`` (``cholesky_lo``,
+  ``svd_f`` and ``eigvalsh_lo``, which ``sdp`` may call directly as
+  ``sdp.cholesky``, ``sdp.svd`` and ``sdp.eigvalsh``), timed in process time
+  around each call in one more run, at most 100 %, and
   ``calls/iter`` counts the Python-level calls (Python functions and
-  builtins, as ``cProfile`` counts them) of one more run under
-  ``sys.setprofile``.
+  builtins, as ``cProfile`` counts them; a ufunc or gufunc call is none) of
+  one more run under ``sys.setprofile``.
 
 A call or a sample belongs to the innermost stage function of qbstab that
-encloses it: NT scaling (``_lapack``: the Cholesky factors and the SVD),
-``set_scaling``, Schur share (``schur``), factor (``_cho_factor``), Newton
-(``newton`` and ``cho_solve_each``) and step length (``max_step``) inside
-``_Group.step``, and ``check`` (``_Group.check``, with the ray and the
-residual report).  What ``step`` does outside those functions is "step,
+encloses it: NT scaling (``nt_scaling``: the Cholesky factors, the SVD and
+the packed quantities taken from its singular values; ``_lapack`` in a tree
+that called np.linalg's wrappers), ``set_scaling``,
+Schur share (``schur``), factor (``_cho_factor``), Newton (``newton`` and
+``cho_solve_each``) and step length (``max_step``) inside ``_Group.step``,
+and ``check`` (``_Group.check``, with the ray, the residual report and the
+termination tests).  What ``step`` does outside those functions is "step,
 other", and what runs outside ``check`` and ``step`` (Ruiz scaling, the
 group's set-up, ``keep``) is "set-up, other".  The BLAS thread count is
 pinned to 1, as the benchmark pins it.
@@ -65,11 +72,17 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 SAMPLE_S = 2e-4
 # the stage of each stage function, by name, within the qbstab sources
-STAGE_OF = {"_lapack": "NT scaling", "set_scaling": "set_scaling", "schur": "Schur share",
+# (``_lapack`` is the NT scaling of trees that called np.linalg's wrappers)
+STAGE_OF = {"nt_scaling": "NT scaling", "_lapack": "NT scaling", "set_scaling": "set_scaling",
+            "schur": "Schur share",
             "_cho_factor": "factor", "newton": "Newton", "cho_solve_each": "Newton",
             "max_step": "step length", "check": "check", "step": "step, other"}
 STAGES = ("NT scaling", "set_scaling", "Schur share", "factor", "Newton", "step length",
           "check", "step, other", "set-up, other")
+# the LAPACK gufuncs of numpy.linalg, and the names under which a tree's
+# ``sdp`` may hold them
+GUFUNCS = ("cholesky_lo", "svd_f", "eigvalsh_lo")
+SDP_NAMES = ("cholesky", "svd", "eigvalsh")
 
 
 class _Stages:
@@ -99,8 +112,9 @@ class _Stages:
 
 
 def profile(problems, repeats: int) -> dict:
-    """{"iters", "ms", "calls", "stages": {stage: (ms, calls)}} per iteration
-    of ``sdp.solve_many(problems)``, as the module docstring defines them."""
+    """{"iters", "ms", "calls", "stages": {stage: (ms, calls, lapack)}} per
+    iteration of ``sdp.solve_many(problems)``, as the module docstring
+    defines them."""
     import qbstab
     from qbstab import sdp
 
@@ -128,6 +142,30 @@ def profile(problems, repeats: int) -> dict:
         signal.setitimer(signal.ITIMER_PROF, 0.0)
         signal.signal(signal.SIGPROF, previous)
 
+    lapack_s = dict.fromkeys(STAGES, 0.0)
+
+    def timed(fn):
+        def lapack(*args, **kwargs):
+            start = time.process_time()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                lapack_s[stage_of(sys._getframe(1))] += time.process_time() - start
+
+        return lapack
+
+    from numpy.linalg import _umath_linalg
+
+    real = [(_umath_linalg, name, getattr(_umath_linalg, name)) for name in GUFUNCS]
+    real += [(sdp, name, getattr(sdp, name)) for name in SDP_NAMES if hasattr(sdp, name)]
+    try:
+        for owner, name, fn in real:
+            setattr(owner, name, timed(fn))
+        sdp.solve_many(problems)
+    finally:
+        for owner, name, fn in real:
+            setattr(owner, name, fn)
+
     calls = dict.fromkeys(STAGES, 0)
 
     def count(frame, event, arg):
@@ -143,7 +181,12 @@ def profile(problems, repeats: int) -> dict:
     calls["set-up, other"] -= 1
 
     total = max(1, sum(samples.values()))
-    stages = {name: (ms * samples[name] / total, calls[name] / iters) for name in STAGES}
+    stages = {}
+    for name in STAGES:
+        stage_ms = ms * samples[name] / total
+        lapack_ms = 1e3 * lapack_s[name] / iters
+        stages[name] = (stage_ms, calls[name] / iters,
+                        min(1.0, lapack_ms / stage_ms) if stage_ms > 0 else 0.0)
     return {"iters": iters, "ms": ms, "calls": sum(calls.values()) / iters, "stages": stages}
 
 
@@ -173,9 +216,9 @@ def cases(quick: bool) -> dict:
 def report(name: str, result: dict) -> str:
     lines = [f"{name}: {result['iters']} iterations, {result['ms']:.3f} ms/iter, "
              f"{result['calls']:.1f} calls/iter",
-             f"  {'stage':<15}{'ms/iter':>9}{'calls/iter':>12}"]
-    for stage, (ms, calls) in result["stages"].items():
-        lines.append(f"  {stage:<15}{ms:>9.3f}{calls:>12.1f}")
+             f"  {'stage':<15}{'ms/iter':>9}{'lapack':>8}{'calls/iter':>12}"]
+    for stage, (ms, calls, lapack) in result["stages"].items():
+        lines.append(f"  {stage:<15}{ms:>9.3f}{lapack:>8.0%}{calls:>12.1f}")
     return "\n".join(lines)
 
 

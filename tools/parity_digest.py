@@ -38,6 +38,13 @@ both trees show which parts moved.  The sets:
                     solve (or None): the shear flow at Re = 120 and 160 on
                     geomspace(1e-3, 1, 16), the two-state system on
                     geomspace(0.005, 2, 16); no SDP is solved
+- ``burgers-20``    the analysis grid geomspace(0.02, 0.9, 8) eps* on the
+                    finite-difference Burgers model at n = 20 (d = 210, both
+                    blocks in the W form), whose solves end NumericalFailure
+                    and certify on the proof of their best iterates
+- ``dense-10``      the analysis grid geomspace(0.02, 0.9, 8) eps* on a
+                    stable n = 10 system with every entry of A and H
+                    nonzero (d = 55), whose dense blocks take the Gram form
 
 A grid hashes every entry (eps, status, and the certificate's P, K and
 ``solver_report`` but its ``LAYOUT_KEYS``), the search its best trace and
@@ -229,6 +236,33 @@ def recording(fn, problems: list | None = None):
         certify.solve, certify.solve_many = solve, solve_many
 
 
+def burgers(n: int, nu: float = 0.1):
+    """The Burgers model of ``tests/conftest.py``: u_t = nu u_xx - u u_x on
+    (0, 1), u = 0 at both ends, on n interior nodes, with the energy-
+    preserving central difference of the convection."""
+    from qbstab.systems import QBSystem, symmetrize_quadratic
+
+    h = 1.0 / (n + 1)
+    A = nu / h ** 2 * (np.eye(n, k=1) - 2.0 * np.eye(n) + np.eye(n, k=-1))
+    T = np.zeros((n, n, n))  # T[i, j, k] multiplies u_j u_k in row i
+    i, c = np.arange(n - 1), 1.0 / (6.0 * h)
+    T[i, i, i + 1] -= c
+    T[i, i + 1, i + 1] -= c
+    T[i + 1, i + 1, i] += c
+    T[i + 1, i, i] += c
+    return QBSystem(A=A, H=symmetrize_quadratic(T.reshape(n, n * n), n))
+
+
+def dense_system(n: int, seed: int = 0):
+    """The dense system of ``tests/test_sdp.py``: a stable A and an H with
+    every entry nonzero."""
+    from qbstab.systems import QBSystem, symmetrize_quadratic
+
+    rng = np.random.default_rng(seed)
+    A = -2.0 * np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+    return QBSystem(A=A, H=symmetrize_quadratic(0.2 * rng.standard_normal((n, n * n)) / n, n))
+
+
 def parity_sets() -> dict:
     """{name: thunk} of the parity sets; each thunk returns what is hashed."""
     from qbstab import certify, sdp
@@ -249,6 +283,13 @@ def parity_sets() -> dict:
         best = None if res.best is None else res.best.trace_P
         return Items([best, res.solves, entry_items(res.history), solution_items(sols)],
                      ["best", "solves", "entry", "solve"])
+
+    def below_window(sys_obj):
+        # the analysis grid geomspace(0.02, 0.9, 8) eps*
+        from qbstab.lmi import _TStar
+
+        eps_star = _TStar(sys_obj, default_alpha(sys_obj)).eps_star
+        return grid(sys_obj, np.geomspace(0.02, 0.9, 8) * eps_star, "analysis")
 
     def stacked(k, eps, alpha):
         sys_obj = stack(two_state(), k)
@@ -306,6 +347,8 @@ def parity_sets() -> dict:
         "reference": reference,
         "assembly": assembly,
         "eps-window": eps_window,
+        "burgers-20": lambda: below_window(burgers(20)),
+        "dense-10": lambda: below_window(dense_system(10)),
     }
 
 
