@@ -53,14 +53,14 @@ iterates and the result of its own solve.  The d-by-d Schur factorization
 and its three solves per iteration, direct LAPACK calls
 (``lmi._cho_factor`` and ``_cho_solve``: scipy's ``cho_factor`` and
 ``cho_solve`` without their wrappers, which cost more than the calls at
-d = 45), and the W-form Schur shares stay one problem at a time.  The
-per-problem verdicts (termination tests, log, stall count, best iterate:
-``_Runs``) are array operations over the group, and a problem leaves the
-stack when it terminates.  A breakdown in one problem (a failed
-factorization, a collapsed step) ends that problem alone: the step is then
-taken again without it.  Problems whose blocks take different Schur forms
-run in separate groups, and a group holds at most ``GROUP_BYTES`` of
-working arrays, so a large problem runs with few others or alone.
+d = 45), and the W-form Schur shares stay one problem at a time.  Each
+problem keeps its own termination tests, log, stall count and best
+iterate (``_Run``), and leaves the stack when it terminates.  A breakdown
+in one problem (a failed factorization, a collapsed step) ends that
+problem alone: the step is then taken again without it.  Problems whose
+blocks take different Schur forms run in separate groups, and a group
+holds at most ``GROUP_BYTES`` of working arrays, so a large problem runs
+with few others or alone.
 
 The Cholesky factors, the SVD and the eigenvalues are numpy's LAPACK
 gufuncs called directly (``cholesky``, ``svd`` and ``eigvalsh``:
@@ -513,7 +513,7 @@ def _group_words(problem: SdpProblem, forms: tuple) -> int:
     cap's, at most d), the copy of data and indices that ``keep`` makes, 32
     s-by-s arrays (iterates, residuals and the directions of both Newton
     solves), the best iterate and in the Gram form its rows U, the log
-    (``_Runs``), and once the group's work array, as large as its largest
+    (``_Run``), and once the group's work array, as large as its largest
     use: the cap's chunk (``_cap_words``), a Gram-form block's rows
     (``lmi._gram_words``) or a W-form block's share (``lmi._w_words``: a
     congruence chunk, then the chunk's columns when it adds)."""
@@ -528,119 +528,74 @@ def _group_words(problem: SdpProblem, forms: tuple) -> int:
     return words + work
 
 
-class _Runs:
-    """Each problem's own part of a lockstep solve, one row per problem still
-    running: its best iterate, log, stall count and verdict.  ``keep`` turns
-    the rows that leave into their solutions (``solutions``, in the order of
-    the problems)."""
+class _Run:
+    """One problem's own part of a lockstep solve: its best iterate, log,
+    stall count and verdict."""
 
-    def __init__(self, problems: list):
-        n, d = len(problems), problems[0].d
-        self.solutions = [None] * n
-        self.order = np.arange(n)
-        self.status, self.message = ["IterLimit"] * n, [""] * n
-        self.x_best = np.zeros((n, d))
-        self.Z_best = [np.zeros((n, *blk.F0.shape)) for blk in problems[0].blocks]
-        self.resid_best = np.full((n, 3), np.inf)
-        self.obj_best = np.full(n, np.nan)
-        self.obj_max_seen = np.full(n, -np.inf)
+    def __init__(self, problem: SdpProblem):
+        self.status, self.message = "IterLimit", ""
+        self.x_best = np.zeros(problem.d)
+        self.Z_best = [np.zeros_like(blk.F0) for blk in problem.blocks]
+        self.resid_best = (np.inf, np.inf, np.inf)
+        self.obj_best = float("nan")
+        self.obj_max_seen = -np.inf
+        self.iters = 0
+        self.history = []
         # consecutive collapsed iterations without a tenfold better ray, and the
         # smallest ray residual seen since tau collapsed
-        self.stall, self.ray_min = np.zeros(n, dtype=int), np.full(n, np.inf)
-        # this iteration's residuals, for the log, and the log: (mu, primal
-        # residual, dual residual, step length) of every step taken
-        self.resid = self.resid_best.copy()
-        self.history = np.empty((MAX_ITERS, n, 4))
-        self.iters = 0
+        self.stall, self.ray_min = 0, np.inf
+        self.resid = self.resid_best  # this iteration's residuals, for the log
 
-    _ROWS = ("order", "x_best", "resid_best", "obj_best", "obj_max_seen", "stall", "ray_min",
-             "resid")
+    def check(self, it: int, ray_q: float, ray_Z, report) -> bool:
+        """The termination tests of iteration ``it``; True when the problem is done.
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the problems where ``mask`` is False, each into its solution."""
-        for i in np.flatnonzero(~mask).tolist():
-            self.solutions[self.order[i]] = self.solution(i)
-        for name in self._ROWS:
-            setattr(self, name, getattr(self, name)[mask])
-        self.status = [v for v, k in zip(self.status, mask) if k]
-        self.message = [v for v, k in zip(self.message, mask) if k]
-        self.Z_best = [Z[mask] for Z in self.Z_best]
-        self.history = self.history[:, mask]
-
-    def end(self, positions, message: str) -> None:
-        """End the problems at ``positions`` NumericalFailure with ``message``."""
-        for i in positions:
-            self.status[i], self.message[i] = "NumericalFailure", message
-
-    def check(self, it: int, ray_q, ray_Z, ray_ok, interior, x, Z, resid, p_obj) -> np.ndarray:
-        """The termination tests of iteration ``it``; True where a problem is done.
-
-        ``ray_ok`` marks the candidate rays ``ray_Z`` (one array per block)
-        that ``ray_test`` accepted, ``ray_q`` their eta; (x, Z, resid,
-        p_obj) is the original-space report, with the residuals (primal,
-        dual, gap) as the columns of ``resid``, read only where tau has not
-        collapsed (``interior``)."""
+        ``ray_Z`` is the candidate ray if ``ray_test`` accepted it, else
+        None, and ``ray_q`` its eta; ``report`` is the original-space (x, Z,
+        residuals, objective), or None when tau has collapsed.  Z is read
+        now: its arrays are the group's and are overwritten."""
         self.iters = it + 1
-        report = interior & ~ray_ok
-        if ray_ok.any():
-            for i in np.flatnonzero(ray_ok).tolist():
-                self.status[i] = "Infeasible"
-                self.message[i] = f"improving ray with max |<F_k, Z>| = {ray_q[i]:.2e}"
-            for Zb, R in zip(self.Z_best, ray_Z):
-                Zb[ray_ok] = R[ray_ok]
-            self.resid_best[ray_ok] = 0.0
-            self.obj_best[ray_ok] = np.nan
-        np.fmax(self.obj_max_seen, np.where(report & np.isfinite(p_obj), p_obj, -np.inf),
-                out=self.obj_max_seen)
-        optimal = report & (resid <= np.array((FEAS_TOL, FEAS_TOL, GAP_TOL))).all(axis=1)
-        # each residual on its own: the largest would skip a NaN that is not first
-        best = optimal | report & (resid < self.resid_best.max(axis=1)[:, None]).all(axis=1)
-        if best.any():
-            rows = best[:, None]
-            np.copyto(self.x_best, x, where=rows)
-            for Zb, Zi in zip(self.Z_best, Z):
-                np.copyto(Zb, Zi, where=rows[..., None])
-            np.copyto(self.resid_best, resid, where=rows)
-            np.copyto(self.obj_best, p_obj, where=best)
-        if optimal.any():
-            for i in np.flatnonzero(optimal).tolist():
-                self.status[i], self.message[i] = "Optimal", ""
-        self.stall[report], self.ray_min[report] = 0, np.inf
-        collapsed = ~(interior | ray_ok)
-        stalled = collapsed
-        if collapsed.any():
-            # Python's min: a NaN ray residual does not replace the smallest
-            stall = np.where(ray_q < 0.1 * self.ray_min, 0, self.stall + 1)
-            self.stall[collapsed] = stall[collapsed]
-            self.ray_min[collapsed] = np.fmin(self.ray_min, ray_q)[collapsed]
-            stalled = collapsed & (self.stall >= STALL_ITERS)
-            self.end(np.flatnonzero(stalled).tolist(),
-                     f"stalled: no interior (tau -> 0) and no improving ray "
-                     f"in {STALL_ITERS} iterations")
-        self.resid = np.where(report[:, None], resid, self.resid_best)
-        return ray_ok | optimal | stalled
+        if ray_Z is not None:
+            self.status, self.Z_best = "Infeasible", ray_Z
+            self.message = f"improving ray with max |<F_k, Z>| = {ray_q:.2e}"
+            self.resid_best, self.obj_best = (0.0, 0.0, 0.0), float("nan")
+            return True
+        if report is not None:
+            x, Z, resid, p_obj = report
+            if np.isfinite(p_obj):
+                self.obj_max_seen = max(self.obj_max_seen, p_obj)
+            if resid[0] <= FEAS_TOL and resid[1] <= FEAS_TOL and resid[2] <= GAP_TOL:
+                self.status, self.message = "Optimal", ""
+                self.x_best, self.resid_best, self.obj_best = x, resid, p_obj
+                self.Z_best = [Zb.copy() for Zb in Z]
+                return True
+            # each residual on its own: max(resid) would skip a NaN that is not first
+            worst_best = max(self.resid_best)
+            if all(r < worst_best for r in resid):
+                self.x_best, self.resid_best, self.obj_best = x, resid, p_obj
+                self.Z_best = [Zb.copy() for Zb in Z]
+            self.stall, self.ray_min = 0, np.inf
+        else:
+            resid = self.resid_best
+            self.stall = 0 if ray_q < 0.1 * self.ray_min else self.stall + 1
+            self.ray_min = min(self.ray_min, ray_q)
+            if self.stall >= STALL_ITERS:
+                self.status = "NumericalFailure"
+                self.message = (f"stalled: no interior (tau -> 0) and no improving ray "
+                                f"in {STALL_ITERS} iterations")
+                return True
+        self.resid = resid
+        return False
 
-    def log(self, mu: np.ndarray, alpha: np.ndarray) -> None:
-        """The log row of the step of this iteration, for every problem."""
-        row = self.history[self.iters - 1]
-        row[:, 0], row[:, 1:3], row[:, 3] = mu, self.resid[:, :2], alpha
-
-    def solution(self, i: int) -> SdpSolution:
-        status, message = self.status[i], self.message[i]
-        if status == "IterLimit":
+    def solution(self) -> SdpSolution:
+        message = self.message
+        if self.status == "IterLimit":
             message = f"no convergence in {MAX_ITERS} iterations"
-        seen = self.obj_max_seen[i]
-        if status in ("IterLimit", "NumericalFailure") and np.isfinite(seen) and (
-                seen >= 0.5 * OBJECTIVE_BOX):
+        if (self.status in ("IterLimit", "NumericalFailure")
+                and np.isfinite(self.obj_max_seen) and self.obj_max_seen >= 0.5 * OBJECTIVE_BOX):
             message += ("; objective reached the internal OBJECTIVE_BOX cap "
                         "(problem unbounded above?)")
-        # a step is logged in every iteration checked but the last, unless the
-        # run stopped at the iteration limit
-        steps = self.iters if status == "IterLimit" else self.iters - 1
-        # copies, so that a solution does not hold the group's arrays
-        return SdpSolution(status, self.x_best[i].copy(), [Z[i].copy() for Z in self.Z_best],
-                           float(self.obj_best[i]), *self.resid_best[i].tolist(), self.iters,
-                           message, list(map(tuple, self.history[:steps, i].tolist())))
+        return SdpSolution(self.status, self.x_best, self.Z_best, self.obj_best, *self.resid_best,
+                           self.iters, message, self.history)
 
 
 class _Group:
@@ -678,7 +633,8 @@ class _Group:
         """``forms`` holds each block's Schur form (``_gram_form``)."""
         B, d = len(problems), problems[0].d
         self.c = np.stack([np.asarray(p.c, dtype=float).reshape(-1) for p in problems])
-        self.runs = _Runs(problems)
+        self.runs = [_Run(p) for p in problems]
+        self.all_runs = list(self.runs)
         self.user = [_Stack.of([p.blocks[b] for p in problems])
                      for b in range(len(problems[0].blocks))]
         scaled, self.gamma, self.beta = _ruiz_scale(self.user)
@@ -809,7 +765,7 @@ class _Group:
         """Drop the problems where ``mask`` is False."""
         for name in self._VIEWS:
             delattr(self, name)
-        self.runs.keep(mask)
+        self.runs = [run for run, k in zip(self.runs, mask) if k]
         for name in self._ROWS:
             setattr(self, name, getattr(self, name)[mask])
         # C order, so that each block's view of it is a view, not a copy
@@ -833,13 +789,12 @@ class _Group:
                     break
                 # the step is taken again without the problems that broke down
                 for i, message in failed.items():
-                    self.runs.end([i], message)
-                done = np.zeros(len(self.y), dtype=bool)
+                    self.runs[i].status, self.runs[i].message = "NumericalFailure", message
+                done = np.zeros(len(self.runs), dtype=bool)
                 done[list(failed)] = True
             if done.all():
                 break
-        self.keep(np.zeros(len(self.y), dtype=bool))
-        return self.runs.solutions
+        return [run.solution() for run in self.all_runs]
 
     def check(self, it: int) -> np.ndarray:
         """Residuals, ray check and termination tests of iteration ``it``; True
@@ -862,8 +817,15 @@ class _Group:
         # Rd = F(y) + S - C tau in scaled data, so F(x) = (Rd - S) / (tau beta)
         np.divide(self.Rd - S, t[:, None] * self.BETA, out=self.Fx)
         primal, dual, gap, p_obj = _residuals(self.user, self.c, x_orig, self.Fx_b, self.Zs_b)
-        return self.runs.check(it, ray_q, ray_Z, ray_ok, interior, x_orig, self.Zs_b,
-                               np.array((primal, dual, gap)).T, p_obj)
+        done = np.zeros(len(self.runs), dtype=bool)
+        for i, run in enumerate(self.runs):
+            report = None
+            if interior[i]:
+                report = (x_orig[i], [Z[i] for Z in self.Zs_b],
+                          (float(primal[i]), float(dual[i]), float(gap[i])), float(p_obj[i]))
+            done[i] = run.check(it, float(ray_q[i]),
+                                [Z[i] for Z in ray_Z] if ray_ok[i] else None, report)
+        return done
 
     def schur(self, M: np.ndarray) -> None:
         """Form the Schur complements in M (B, d, d): every entry of each
@@ -1094,7 +1056,8 @@ class _Group:
         self.y = self.y + alpha[:, None] * dy_c
         self.tau, self.kappa = tau, kappa
         self.XS += alpha[:, None] * self.dXS
-        self.runs.log(mu, alpha)
+        for run, m, a in zip(self.runs, mu.tolist(), alpha.tolist()):
+            run.history.append((m, run.resid[0], run.resid[1], a))
         return {}
 
 

@@ -1,6 +1,4 @@
 import dataclasses
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +8,7 @@ from qbstab.certify import SweepResult, sweep_epsilon
 from qbstab.lmi import LmiBlock, assemble
 from qbstab.models import scalar_family
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "parity_digest.py"
-_SPEC = importlib.util.spec_from_file_location("parity_digest", _PATH)
-tool = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(tool)
+from conftest import parity_digest as tool
 
 SCALAR = scalar_family(-1.0, 1.0)
 GRID = [0.2, 0.5, 0.8]

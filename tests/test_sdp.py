@@ -27,9 +27,9 @@ from qbstab.sdp import (
     kkt_residuals,
     solve,
 )
-from qbstab.systems import QBSystem, stack, symmetrize_quadratic
+from qbstab.systems import QBSystem, stack
 
-from conftest import asymmetric_shear_flow
+from conftest import asymmetric_shear_flow, dense_system
 from dense_lmi import block_from_dense, dense_stack, svec_basis
 
 
@@ -213,15 +213,15 @@ class TestStall:
 
     def test_collapsing_ray_still_certifies(self, monkeypatch):
         # tau collapses at iteration 32 here, and the ray is accepted in the
-        # same iteration (not interior: tau has collapsed)
+        # same iteration (a report of None: tau has collapsed)
         prob = shear_problem(SHEAR_SCAN[8])
-        collapsed, check = [], sdp._Runs.check
+        collapsed, check = [], sdp._Run.check
 
-        def recording(runs, it, ray_q, ray_Z, ray_ok, interior, *report):
-            collapsed.append(not interior[0])
-            return check(runs, it, ray_q, ray_Z, ray_ok, interior, *report)
+        def recording(run, it, ray_q, ray_Z, report):
+            collapsed.append(report is None)
+            return check(run, it, ray_q, ray_Z, report)
 
-        monkeypatch.setattr(sdp._Runs, "check", recording)
+        monkeypatch.setattr(sdp._Run, "check", recording)
         sol = solve(prob)
         assert sol.status == "Infeasible"
         assert sol.iters == 32 and collapsed[-1] and not any(collapsed[:-1])
@@ -338,18 +338,15 @@ class TestBestIterate:
         # Python's max((1e-9, nan, 1e-9)) is 1e-9: compared by its largest
         # residual, an iterate with a NaN that is not first would become best
         prob = scalar_problem()
-        runs = sdp._Runs([prob])
-        Z = [np.zeros((1, *blk.F0.shape)) for blk in prob.blocks]
+        run = sdp._Run(prob)
+        Z = [np.zeros_like(blk.F0) for blk in prob.blocks]
         nan_resid = [1e-9, 1e-9, 1e-9]
         nan_resid[where] = np.nan
         reports = [(0.1, (1e-3, 1e-3, 1e-3)), (0.2, tuple(nan_resid)),
                    (0.3, (1e-5, 1e-5, 1e-5)), (0.4, (1e-4, 1e-4, 1e-4))]
-        no = np.array([False])
         for it, (x, resid) in enumerate(reports):
-            done = runs.check(it, np.array([np.inf]), None, no, ~no, np.array([[x]]), Z,
-                              np.array([resid]), np.array([x]))
-            assert not done[0]
-        sol = runs.solution(0)
+            assert not run.check(it, np.inf, None, (np.array([x]), Z, resid, x))
+        sol = run.solution()
         assert (sol.status, sol.iters) == ("IterLimit", 4)
         assert (sol.x.tolist(), sol.objective) == ([0.3], 0.3)
         assert (sol.primal_residual, sol.dual_residual, sol.duality_gap) == (1e-5, 1e-5, 1e-5)
@@ -437,13 +434,6 @@ class TestConfigValidation:
         for mu, primal, dual, step in sol.history:
             assert np.all(np.isfinite([mu, primal, dual, step]))
             assert 0.0 < step <= 1.0
-
-
-def dense_system(n, seed=0):
-    """A stable system with every entry of A and H nonzero."""
-    rng = np.random.default_rng(seed)
-    A = -2.0 * np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
-    return QBSystem(A=A, H=symmetrize_quadratic(0.2 * rng.standard_normal((n, n * n)) / n, n))
 
 
 def stacked_block(blk, gram=None):
@@ -702,29 +692,39 @@ class TestSolveMany:
 
 class TestObjectiveCap:
     def test_cap_rounds_as_a_one_by_one_block(self):
-        # the scalar arithmetic of ``_Cap`` against the same 1-by-1 block
-        # through ``_Block``, ``_Stack`` and the LAPACK gufuncs, bit for bit
+        # the group's NT scaling of the cap (its entry of the packed rows and
+        # ``_Cap``) against the same 1-by-1 block through ``_Block``,
+        # ``_Stack`` and numpy.linalg, bit for bit.  The group's cap gets
+        # random data, and its x and s random values
         rng = np.random.default_rng(11)
-        B, d = 5, 45
+        problems = [shear_problem(e) for e in SHEAR_SCAN[:5]]
+        forms = tuple(sdp._gram_form(problems[0].d, blk.size, blk.nnz)
+                      for blk in problems[0].blocks)
+        group = sdp._Group(problems, forms)
+        B, d = group.y.shape
         f = rng.standard_normal((B, d)) * (rng.random((B, d)) < 0.3)
         c = rng.uniform(0.5, 2.0, B)
         x, s = 10.0 ** rng.uniform(-4, 4, B), 10.0 ** rng.uniform(-4, 4, B)
-        cap = sdp._Cap(f, c, np.empty(B * sdp._cap_words(d)))
-        lx = np.sqrt(x)
-        lam = np.sqrt(s) * lx
-        cap.set_scaling(lx, 1.0 / np.sqrt(lam))
+        cap = group.cap = sdp._Cap(f, c, np.empty(B * sdp._cap_words(d)))
+        group.XS[0, :, -1], group.XS[1, :, -1] = x, s
+        assert group.nt_scaling() == {}
         blk = sdp._Block(_Stack(-c[:, None, None], np.zeros((d, 1), dtype=np.intp),
                                 f.reshape(B, d, 1, 1)), True, np.empty(B * lmi_words(d, 1, 1)))
         X = x[:, None, None]
-        L = sdp.cholesky(np.concatenate((X, s[:, None, None])))
-        _, sv, Vt = sdp.svd(L[B:].mT @ L[:B])
-        blk.set_scaling(L[:B] @ (Vt.mT / np.sqrt(sv)[:, None, :]))
+        Lx, Ls = np.linalg.cholesky(X), np.linalg.cholesky(s[:, None, None])
+        _, sv, Vt = np.linalg.svd(Ls.mT @ Lx)
+        blk.set_scaling(Lx @ (Vt.mT / np.sqrt(sv)[:, None, :]))
 
         def same(a, b):
             return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
-        # the group's packed (lam_i + lam_j)/2 at the cap's entry is its lam
-        assert same(sv[:, 0], lam) and same((lam + lam) / 2.0, lam)
+        # (lam_i + lam_j)/2, 1/sqrt(lam_i), 1/sqrt(lam_j) and -lam^2 I of the
+        # 1-by-1 block, as a block forms them from its singular values
+        lam_avg, lam_isqrt = (sv[:, :, None] + sv[:, None, :]) / 2.0, 1.0 / np.sqrt(sv)
+        assert same(group.lam_avg[:, -1], lam_avg[:, 0, 0])
+        assert same(group.isqrt_i[:, -1], lam_isqrt[:, 0])
+        assert same(group.isqrt_j[:, -1], lam_isqrt[:, 0])
+        assert same(group.neg_lam2[:, -1], -(sv ** 2)[:, 0] * 1.0)
         assert same(blk.G[:, 0, 0], cap.g) and same(blk.Chat[:, 0, 0], cap.chat)
         assert same(blk.U[..., 0], cap.u)
         # BLAS sums start from 0.0, so a product -0.0 comes out +0.0 there;
@@ -771,6 +771,38 @@ class TestPackedLayout:
         adjoint = sum(blk.lmi.adjoint(np.ascontiguousarray(Z_b))
                       for blk, Z_b in zip(group.blocks, group.split(Z)))
         assert group.adjoint(Z).tobytes() == adjoint.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: two_state_problems(), lambda: stacked_problems((0.3, 0.6)),
+        lambda: [shear_problem(e) for e in SHEAR_SCAN[:3]],
+    ], ids=["two-state", "stacked", "shear"])
+    def test_nt_scaling_matches_the_blocks(self, make):
+        # after one step, so that X and S are no longer I: every block's NT
+        # factor and its part of the packed (lam_i + lam_j)/2, -lam^2 I,
+        # 1/sqrt(lam_i) and 1/sqrt(lam_j) against the block's own NT scaling
+        # through numpy.linalg, bit for bit
+        problems = make()
+        first = problems[0]
+        forms = tuple(sdp._gram_form(first.d, blk.size, blk.nnz) for blk in first.blocks)
+        group = sdp._Group(problems, forms)
+        assert not group.check(0).any()
+        assert group.step() == {}
+        assert not group.check(1).any()
+        assert group.nt_scaling() == {}
+        packed = [group.split(a) for a in (group.lam_avg, group.neg_lam2, group.isqrt_i,
+                                           group.isqrt_j)]
+        B = len(group.y)
+        for blk, XS, lam_avg, neg_lam2, isqrt_i, isqrt_j in zip(
+                group.blocks, group.split(group.XS), *packed):
+            Lx, Ls = np.linalg.cholesky(XS[:B]), np.linalg.cholesky(XS[B:])
+            _, sv, Vt = np.linalg.svd(Ls.mT @ Lx)
+            assert blk.G.tobytes() == (Lx @ (Vt.mT / np.sqrt(sv)[:, None, :])).tobytes()
+            eye = np.eye(blk.size)
+            assert lam_avg.tobytes() == ((sv[:, :, None] + sv[:, None, :]) / 2.0).tobytes()
+            assert neg_lam2.tobytes() == (-(sv ** 2)[:, :, None] * eye).tobytes()
+            isqrt = 1.0 / np.sqrt(sv)
+            assert isqrt_i.tobytes() == np.broadcast_to(isqrt[:, :, None], lam_avg.shape).tobytes()
+            assert isqrt_j.tobytes() == np.broadcast_to(isqrt[:, None, :], lam_avg.shape).tobytes()
 
 
 def stacked_problems(eps=(0.3, 0.6, 1.0)):

@@ -237,9 +237,12 @@ def recording(fn, problems: list | None = None):
 
 
 def burgers(n: int, nu: float = 0.1):
-    """The Burgers model of ``tests/conftest.py``: u_t = nu u_xx - u u_x on
-    (0, 1), u = 0 at both ends, on n interior nodes, with the energy-
-    preserving central difference of the convection."""
+    """Viscous Burgers u_t = nu u_xx - u u_x on (0, 1), u = 0 at both ends, on
+    n interior nodes, h = 1/(n + 1): A = nu/h^2 tridiag(1, -2, 1), and the
+    convection is the skew-symmetric central difference
+    -[u_i (u_{i+1} - u_{i-1}) + u_{i+1}^2 - u_{i-1}^2] / (6h), so H is banded
+    and energy-preserving (x'H(x (x) x) = 0) and the sign group is trivial.
+    The tests solve it too (``tests/conftest.py``)."""
     from qbstab.systems import QBSystem, symmetrize_quadratic
 
     h = 1.0 / (n + 1)
@@ -254,8 +257,8 @@ def burgers(n: int, nu: float = 0.1):
 
 
 def dense_system(n: int, seed: int = 0):
-    """The dense system of ``tests/test_sdp.py``: a stable A and an H with
-    every entry nonzero."""
+    """A stable system with every entry of A and H nonzero.  The tests solve
+    it too (``tests/conftest.py``)."""
     from qbstab.systems import QBSystem, symmetrize_quadratic
 
     rng = np.random.default_rng(seed)
